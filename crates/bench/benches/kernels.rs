@@ -2,17 +2,15 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use robusched_bench::{bench_app_scenario, bench_scenario, bench_scenario_medium, bench_schedule};
-#[allow(deprecated)]
-use robusched_core::run_case;
-use robusched_core::{StudyBuilder, StudyConfig};
+use robusched_core::{pearson_matrix, StudyBuilder};
 use robusched_dag::apps::AppClass;
-use robusched_numeric::convolution::{
-    convolve_auto, convolve_direct, convolve_fft, convolve_overlap_add,
-};
+use robusched_numeric::convolution::{convolve_auto, convolve_direct, convolve_fft};
+use robusched_platform::Scenario;
 use robusched_randvar::{DiscreteRv, RvWorkspace, ScaledBeta};
 use robusched_sched::{bil, cpop, heft, hyb_bmct, random_schedule, sigma_heft};
 use robusched_stochastic::{
-    evaluate_classic, evaluate_dodin, evaluate_spelde, mc_makespans, McConfig,
+    evaluate_spelde, mc_makespans, ClassicEvaluator, DodinEvaluator, Evaluator, McConfig,
+    SamplingTables,
 };
 use std::hint::black_box;
 
@@ -33,11 +31,6 @@ fn convolution_kernels(c: &mut Criterion) {
         g.bench_function("auto", |bch| {
             bch.iter(|| convolve_auto(black_box(&a), black_box(&b)))
         });
-        if n == 256 {
-            g.bench_function("overlap_add", |bch| {
-                bch.iter(|| convolve_overlap_add(black_box(&a), black_box(&b), 64))
-            });
-        }
         g.finish();
     }
 }
@@ -89,22 +82,34 @@ fn heuristics(c: &mut Criterion) {
 /// Ablation: classic-evaluator cost as a function of the PDF grid
 /// resolution (the paper's 64-point choice sits on the knee).
 fn grid_resolution_ablation(c: &mut Criterion) {
-    use robusched_stochastic::classic::evaluate_classic_grid;
     let s = bench_scenario();
     let sched = bench_schedule(&s);
     let mut g = c.benchmark_group("grid-ablation");
     g.sample_size(20);
     for grid in [16usize, 32, 64, 128, 256] {
         g.bench_function(format!("classic-grid-{grid}"), |b| {
-            b.iter(|| evaluate_classic_grid(black_box(&s), black_box(&sched), grid))
+            b.iter(|| ClassicEvaluator { grid }.evaluate(black_box(&s), black_box(&sched)))
         });
     }
     g.finish();
 }
 
+/// The buffered §V protocol on one thread: every row materialized, then
+/// the two-pass Pearson matrix (one cell returned so it stays observed).
+fn buffered_study(s: &Scenario, schedules: usize, seed: u64) -> f64 {
+    let res = StudyBuilder::new(s)
+        .random_schedules(schedules)
+        .seed(seed)
+        .threads(1)
+        .buffer_metrics(true)
+        .run()
+        .unwrap();
+    pearson_matrix(&res.random.unwrap()).get(0, 1)
+}
+
 /// Structured-application workloads: cost of the heaviest generator (LU
-/// grows as `Θ(n³)` tasks — 1 496 at n = 16) and of a complete `run_case`
-/// over a Cholesky application scenario.
+/// grows as `Θ(n³)` tasks — 1 496 at n = 16) and of a complete buffered
+/// study over a Cholesky application scenario.
 fn app_workloads(c: &mut Criterion) {
     let mut g = c.benchmark_group("ext-apps");
     g.bench_function("lu-generate-n16", |b| {
@@ -116,25 +121,13 @@ fn app_workloads(c: &mut Criterion) {
     });
     let s = bench_app_scenario();
     g.sample_size(10);
-    #[allow(deprecated)]
-    g.bench_function("run-case-cholesky-36t", |b| {
-        b.iter(|| {
-            run_case(
-                black_box(&s),
-                &StudyConfig {
-                    random_schedules: 32,
-                    seed: 5,
-                    with_heuristics: false,
-                    threads: Some(1),
-                    ..Default::default()
-                },
-            )
-        })
+    g.bench_function("buffered-study-cholesky-36t", |b| {
+        b.iter(|| buffered_study(black_box(&s), 32, 5))
     });
     g.finish();
 }
 
-/// Buffered legacy pipeline vs the streaming engine on the same study:
+/// Buffered rows vs the streaming accumulators on the same study:
 /// identical schedule streams and evaluator work, different memory story
 /// (`O(n·k)` materialized rows vs `O(k²)` co-moments + the rank
 /// reservoir). The delta isolates the buffering overhead.
@@ -142,20 +135,8 @@ fn study_streaming(c: &mut Criterion) {
     let s = bench_scenario();
     let mut g = c.benchmark_group("study-streaming");
     g.sample_size(10);
-    #[allow(deprecated)]
-    g.bench_function("buffered-run-case-256", |b| {
-        b.iter(|| {
-            run_case(
-                black_box(&s),
-                &StudyConfig {
-                    random_schedules: 256,
-                    seed: 9,
-                    with_heuristics: false,
-                    threads: Some(1),
-                    ..Default::default()
-                },
-            )
-        })
+    g.bench_function("buffered-builder-256", |b| {
+        b.iter(|| buffered_study(black_box(&s), 256, 9))
     });
     g.bench_function("streaming-builder-256", |b| {
         b.iter(|| {
@@ -176,12 +157,12 @@ fn evaluators(c: &mut Criterion) {
     let mut g = c.benchmark_group("makespan-evaluators");
     g.sample_size(20);
     g.bench_function("classic-30", |b| {
-        b.iter(|| evaluate_classic(black_box(&s), black_box(&sched)))
+        b.iter(|| ClassicEvaluator::default().evaluate(black_box(&s), black_box(&sched)))
     });
     g.bench_function("classic-30-prepared", |b| {
         // The study engine's path: shared discretization cache + per-worker
         // context, amortized over the whole schedule stream.
-        use robusched_stochastic::{ClassicEvaluator, EvalContext, Evaluator};
+        use robusched_stochastic::EvalContext;
         let e = ClassicEvaluator::default();
         let mut cx = EvalContext::new(e.prepare(&s));
         b.iter(|| e.evaluate_with(black_box(&s), black_box(&sched), &mut cx))
@@ -190,7 +171,7 @@ fn evaluators(c: &mut Criterion) {
         b.iter(|| evaluate_spelde(black_box(&s), black_box(&sched)))
     });
     g.bench_function("dodin-30", |b| {
-        b.iter(|| evaluate_dodin(black_box(&s), black_box(&sched), 64))
+        b.iter(|| DodinEvaluator::default().evaluate(black_box(&s), black_box(&sched)))
     });
     g.bench_function("mc-2048-realizations", |b| {
         b.iter_batched(
@@ -200,7 +181,7 @@ fn evaluators(c: &mut Criterion) {
                 threads: Some(1),
                 ..Default::default()
             },
-            |cfg| mc_makespans(&s, &sched, &cfg),
+            |cfg| mc_makespans(&s, &sched, &cfg, &SamplingTables::new(&s)),
             BatchSize::SmallInput,
         )
     });
@@ -214,7 +195,7 @@ fn evaluators(c: &mut Criterion) {
 fn mc_engine(c: &mut Criterion) {
     use robusched_randvar::{Beta, QuantileTable};
     use robusched_sched::{EagerPlan, ReplayScratch};
-    use robusched_stochastic::{mc_makespans_prepared, McEstimator, SamplingTables};
+    use robusched_stochastic::McEstimator;
     let s = bench_scenario();
     let sched = bench_schedule(&s);
     let tables = SamplingTables::new(&s);
@@ -232,7 +213,7 @@ fn mc_engine(c: &mut Criterion) {
                 threads: Some(1),
                 estimator,
             };
-            b.iter(|| mc_makespans_prepared(black_box(&s), black_box(&sched), &cfg, &tables))
+            b.iter(|| mc_makespans(black_box(&s), black_box(&sched), &cfg, &tables))
         });
     }
     g.bench_function("quantile-table-build", |b| {

@@ -28,8 +28,8 @@
 //! "minimized"). [`StudyBuilder`] is the engine's entry point; its
 //! parallel workers feed the [`streaming`] accumulators (Welford co-moment
 //! matrix + rank reservoir) so correlation matrices need `O(k²)` memory
-//! instead of materializing every row. The legacy [`run_case`] remains as
-//! a deprecated buffering shim.
+//! instead of materializing every row; consumers that need the raw rows
+//! ask it to buffer them and take the two-pass [`pearson_matrix`].
 
 pub mod adversarial;
 pub mod metrics;
@@ -52,9 +52,6 @@ pub use service::{
     Ticket,
 };
 pub use streaming::{RankReservoir, StreamingMoments};
-#[allow(deprecated)]
-pub use study::run_case;
 pub use study::{
-    pearson_matrix, spearman_matrix, CaseResult, MetricSink, StudyBuilder, StudyConfig, StudyError,
-    StudyResult,
+    pearson_matrix, spearman_matrix, MetricSink, StudyBuilder, StudyError, StudyResult,
 };

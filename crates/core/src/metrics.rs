@@ -330,12 +330,12 @@ mod tests {
     use robusched_dag::generators;
     use robusched_numeric::approx_eq;
     use robusched_platform::{CostMatrix, Platform, UncertaintyModel};
-    use robusched_stochastic::evaluate_classic;
+    use robusched_stochastic::{ClassicEvaluator, Evaluator};
 
     fn case() -> (Scenario, Schedule, DiscreteRv) {
         let s = Scenario::paper_random(15, 3, 1.1, 21);
         let sched = robusched_sched::heft(&s);
-        let rv = evaluate_classic(&s, &sched);
+        let rv = ClassicEvaluator::default().evaluate(&s, &sched);
         (s, sched, rv)
     }
 
@@ -365,7 +365,7 @@ mod tests {
             UncertaintyModel::paper(1.1),
         );
         let sched = Schedule::new(vec![0; 4], vec![vec![0, 1, 2, 3]]);
-        let rv = evaluate_classic(&s, &sched);
+        let rv = ClassicEvaluator::default().evaluate(&s, &sched);
         let m = compute_metrics(&s, &sched, &rv, &MetricOptions::default());
         // Slack ≈ 0 (up to the tiny analytic-mean vs level-sum mismatch).
         assert!(
@@ -389,7 +389,7 @@ mod tests {
             UncertaintyModel::paper(1.01),
         );
         let sched = Schedule::new(vec![0, 1, 0], vec![vec![0, 2], vec![1]]);
-        let rv = evaluate_classic(&s, &sched);
+        let rv = ClassicEvaluator::default().evaluate(&s, &sched);
         let m = compute_metrics(&s, &sched, &rv, &MetricOptions::default());
         assert!(m.avg_slack > 10.0, "avg slack {}", m.avg_slack);
         assert!(m.slack_std > 10.0, "slack std {}", m.slack_std);
@@ -456,7 +456,7 @@ mod tests {
             UncertaintyModel::none(),
         );
         let sched = Schedule::new(vec![0; 3], vec![vec![0, 1, 2]]);
-        let rv = evaluate_classic(&s, &sched);
+        let rv = ClassicEvaluator::default().evaluate(&s, &sched);
         let m = compute_metrics(&s, &sched, &rv, &MetricOptions::default());
         assert_eq!(m.makespan_std, 0.0);
         assert_eq!(m.avg_lateness, 0.0);

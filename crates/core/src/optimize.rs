@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
 use robusched_sched::{heft, random_schedule, Schedule};
-use robusched_stochastic::{evaluate_classic, evaluate_spelde};
+use robusched_stochastic::{evaluate_spelde, ClassicEvaluator, EvalContext, Evaluator};
 
 /// One point of the Pareto archive.
 #[derive(Debug, Clone)]
@@ -167,9 +167,11 @@ pub fn pareto_search(scenario: &Scenario, cfg: &SearchConfig) -> Vec<ParetoPoint
 
     // Re-score the archive with the classical evaluator and re-filter (the
     // two evaluators rank almost identically, but be exact in the output).
+    let classic = ClassicEvaluator::default();
+    let mut cx = EvalContext::new(classic.prepare(scenario));
     let mut exact: Vec<(f64, f64, Schedule)> = Vec::new();
     for (_, _, sched) in archive {
-        let rv = evaluate_classic(scenario, &sched);
+        let rv = classic.evaluate_with(scenario, &sched, &mut cx);
         archive_insert(&mut exact, rv.mean(), rv.std_dev(), &sched);
     }
     exact.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -250,7 +252,7 @@ mod tests {
     fn search_not_worse_than_heft() {
         let s = Scenario::paper_random(15, 3, 1.2, 13);
         let front = pareto_search(&s, &quick_cfg());
-        let heft_rv = evaluate_classic(&s, &heft(&s));
+        let heft_rv = ClassicEvaluator::default().evaluate(&s, &heft(&s));
         // The best-makespan archive point is at least as good as HEFT
         // (HEFT seeds the search).
         let best = &front[0];

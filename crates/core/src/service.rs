@@ -50,9 +50,9 @@
 //! serving, which is the whole point of a long-running front end.
 
 use crate::metrics::{compute_metrics, MetricOptions, MetricValues};
-use crate::study::panic_message;
 use robusched_platform::Scenario;
 use robusched_sched::Schedule;
+use robusched_stochastic::par::{panic_message, worker_count};
 use robusched_stochastic::{
     evaluator_by_name, scenario_fingerprint, EvalContext, Evaluator, PreparedScenario,
 };
@@ -407,14 +407,7 @@ pub struct EvalService {
 impl EvalService {
     /// Starts the worker pool.
     pub fn new(config: ServiceConfig) -> Self {
-        let workers = config
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            })
-            .max(1);
+        let workers = worker_count(config.workers);
         let shared = Arc::new(Shared {
             config,
             queue: Mutex::new(QueueState::default()),

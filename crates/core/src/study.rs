@@ -20,82 +20,21 @@
 //!   consumers that need the raw rows.
 //!
 //! Work is split into fixed 64-schedule chunks, each seeded as
-//! `derive_seed(seed, index)`; workers steal chunks but deliver them in
-//! index order, so every accumulator state — and therefore every streamed
-//! matrix — is bit-identical for any thread count.
-//!
-//! [`run_case`] survives as a thin deprecated shim over the builder: it
-//! buffers every row and computes the two-pass [`pearson_matrix`], which
-//! keeps its output bit-for-bit identical to the pre-builder pipeline.
+//! `derive_seed(seed, index)` and run through
+//! [`robusched_stochastic::par::par_map`]: workers claim chunks
+//! but deliver them in index order, so every accumulator state — and
+//! therefore every streamed matrix — is bit-identical for any thread count.
+//! Buffered rows ([`StudyBuilder::buffer_metrics`]) feed the two-pass
+//! [`pearson_matrix`] and [`spearman_matrix`].
 
 use crate::metrics::{compute_metrics, MetricOptions, MetricValues, METRIC_LABELS};
 use crate::streaming::{RankReservoir, StreamingMoments};
-use crossbeam::thread;
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
-use robusched_sched::{heuristic_by_name, random_schedule, Heuristic, ScheduleError};
+use robusched_sched::{heuristic_by_name, random_schedule, Heuristic, Schedule, ScheduleError};
 use robusched_stats::CorrMatrix;
+use robusched_stochastic::par::{par_map, worker_count};
 use robusched_stochastic::{ClassicEvaluator, EvalContext, Evaluator};
-use std::collections::BTreeMap;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Renders a panic payload (the `Box<dyn Any>` from `catch_unwind`) as
-/// text: `&str` and `String` payloads verbatim, anything else opaquely.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Study configuration for one case (the legacy [`run_case`] surface;
-/// [`StudyBuilder`] is the pluggable superset).
-#[derive(Debug, Clone)]
-pub struct StudyConfig {
-    /// Number of random schedules (paper: 10 000; 2 000 for n = 100).
-    pub random_schedules: usize,
-    /// Master seed for schedule sampling.
-    pub seed: u64,
-    /// Probabilistic-metric parameters.
-    pub metric_opts: MetricOptions,
-    /// Worker threads (`None` = available parallelism).
-    pub threads: Option<usize>,
-    /// Also evaluate the heuristics (HEFT, BIL, Hyb.BMCT).
-    pub with_heuristics: bool,
-    /// Additionally evaluate CPOP (extension beyond the paper's set).
-    pub with_cpop: bool,
-}
-
-impl Default for StudyConfig {
-    fn default() -> Self {
-        Self {
-            random_schedules: 10_000,
-            seed: 1,
-            metric_opts: MetricOptions::default(),
-            threads: None,
-            with_heuristics: true,
-            with_cpop: false,
-        }
-    }
-}
-
-/// The outcome of one case.
-#[derive(Debug, Clone)]
-pub struct CaseResult {
-    /// Metrics of every random schedule, in sampling order.
-    pub random: Vec<MetricValues>,
-    /// Metrics of the heuristic schedules, labeled.
-    pub heuristics: Vec<(String, MetricValues)>,
-    /// Pearson correlation matrix over the random schedules, in the
-    /// paper's plotting orientation (see
-    /// [`MetricValues::oriented_vector`]).
-    pub pearson: CorrMatrix,
-}
 
 /// Why a study could not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,7 +89,7 @@ impl From<ScheduleError> for StudyError {
 /// [`record`](MetricSink::record) once per random schedule **in sampling
 /// order** (index `0, 1, 2, …`), regardless of how many worker threads
 /// computed the rows. Sinks must be `Send` (they are invoked from worker
-/// threads, serialized under the delivery lock).
+/// threads, one row at a time).
 ///
 /// Any `FnMut(usize, &MetricValues) + Send` closure is a sink.
 pub trait MetricSink: Send {
@@ -366,106 +305,61 @@ impl<'a> StudyBuilder<'a> {
         // contexts themselves carry per-thread scratch reused across all
         // schedules of that worker.
         let prep = evaluator.prepare(scenario);
-        let eval_one =
-            |cx: &mut EvalContext, schedule: &robusched_sched::Schedule| -> MetricValues {
-                let rv = evaluator.evaluate_with(scenario, schedule, cx);
-                compute_metrics(scenario, schedule, &rv, &self.metric_opts)
-            };
+        let eval_one = |cx: &mut EvalContext, schedule: &Schedule| -> MetricValues {
+            let rv = evaluator.evaluate_with(scenario, schedule, cx);
+            compute_metrics(scenario, schedule, &rv, &self.metric_opts)
+        };
 
         // ---- Random schedules: parallel chunk computation, in-order
         // delivery into the accumulators. ----
         let k = METRIC_LABELS.len();
-        let mut delivery = Delivery {
-            next: 0,
-            pending: BTreeMap::new(),
-            moments: StreamingMoments::new(k),
-            reservoir: RankReservoir::new(k, self.reservoir_capacity, derive_seed(self.seed, !0)),
-            buffer: self
-                .buffer
-                .then(|| Vec::with_capacity(self.random_schedules)),
-            sink: self.sink,
-        };
-        let first_panic = Mutex::new(None::<String>);
-        {
-            let n_chunks = self.random_schedules.div_ceil(CHUNK);
-            let next_chunk = AtomicUsize::new(0);
-            let abort = AtomicBool::new(false);
-            let delivery = Mutex::new(&mut delivery);
-            let threads = self
-                .threads
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
-                })
-                .max(1);
-            thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|_| {
-                        // One context per worker: the shared prep is an Arc
-                        // clone, the scratch buffers warm up on the first
-                        // schedule and are reused for every one after.
-                        let mut cx = EvalContext::new(prep.clone());
-                        loop {
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            let lo = c * CHUNK;
-                            let hi = (lo + CHUNK).min(self.random_schedules);
-                            // A panic anywhere in the chunk (evaluator, metric
-                            // computation, accumulator delivery) must not
-                            // unwind through the scope: the first one is
-                            // captured as a `StudyError`, siblings drain via
-                            // the abort flag, and the delivery lock stays
-                            // usable even if it was poisoned mid-`deliver`.
-                            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                let rows: Vec<MetricValues> = (lo..hi)
-                                    .map(|idx| {
-                                        let sched = random_schedule(
-                                            &scenario.graph.dag,
-                                            m,
-                                            derive_seed(self.seed, idx as u64),
-                                        );
-                                        eval_one(&mut cx, &sched)
-                                    })
-                                    .collect();
-                                delivery
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                    .deliver(c, lo, rows);
-                            }));
-                            if let Err(payload) = outcome {
-                                abort.store(true, Ordering::Relaxed);
-                                let mut slot = first_panic
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                if slot.is_none() {
-                                    *slot = Some(panic_message(payload.as_ref()));
-                                }
-                                break;
-                            }
-                        }
-                    });
+        let mut moments = StreamingMoments::new(k);
+        let mut reservoir =
+            RankReservoir::new(k, self.reservoir_capacity, derive_seed(self.seed, !0));
+        let mut buffer = self
+            .buffer
+            .then(|| Vec::with_capacity(self.random_schedules));
+        let mut sink = self.sink;
+        par_map(
+            self.random_schedules.div_ceil(CHUNK),
+            worker_count(self.threads),
+            // One context per worker: the shared prep is an Arc clone, the
+            // scratch buffers warm up on the first schedule and are reused
+            // for every one after.
+            || EvalContext::new(prep.clone()),
+            |cx, c| {
+                let lo = c * CHUNK;
+                let hi = (lo + CHUNK).min(self.random_schedules);
+                (lo..hi)
+                    .map(|idx| {
+                        let sched = random_schedule(
+                            &scenario.graph.dag,
+                            m,
+                            derive_seed(self.seed, idx as u64),
+                        );
+                        eval_one(cx, &sched)
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |c, rows| {
+                for (off, values) in rows.into_iter().enumerate() {
+                    let oriented = values.oriented_vector();
+                    moments.push(&oriented);
+                    reservoir.push(&oriented);
+                    if let Some(sink) = sink.as_deref_mut() {
+                        sink.record(c * CHUNK + off, &values);
+                    }
+                    if let Some(buf) = &mut buffer {
+                        buf.push(values);
+                    }
                 }
-            })
-            .expect("study workers no longer unwind");
-        }
-        if let Some(msg) = first_panic
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-        {
-            return Err(StudyError::WorkerPanic(msg));
-        }
-        debug_assert!(delivery.pending.is_empty());
-        debug_assert_eq!(delivery.moments.count(), self.random_schedules);
+            },
+        )
+        .map_err(StudyError::WorkerPanic)?;
+        debug_assert_eq!(moments.count(), self.random_schedules);
 
         // ---- Heuristics. ----
-        let mut cx = EvalContext::new(prep.clone());
+        let mut cx = EvalContext::new(prep);
         let mut heuristic_rows = Vec::with_capacity(heuristics.len());
         for h in &heuristics {
             let sched = h.schedule(scenario)?;
@@ -474,82 +368,10 @@ impl<'a> StudyBuilder<'a> {
 
         Ok(StudyResult {
             heuristics: heuristic_rows,
-            moments: delivery.moments,
-            reservoir: delivery.reservoir,
-            random: delivery.buffer,
+            moments,
+            reservoir,
+            random: buffer,
         })
-    }
-}
-
-/// In-order delivery state: workers hand in finished chunks; chunks are
-/// released to the accumulators strictly by index, so accumulator states
-/// never depend on worker scheduling. Out-of-order chunks wait in
-/// `pending` (bounded by worker-count in practice).
-struct Delivery<'s> {
-    next: usize,
-    pending: BTreeMap<usize, (usize, Vec<MetricValues>)>,
-    moments: StreamingMoments,
-    reservoir: RankReservoir,
-    buffer: Option<Vec<MetricValues>>,
-    sink: Option<&'s mut dyn MetricSink>,
-}
-
-impl Delivery<'_> {
-    fn deliver(&mut self, chunk: usize, first_index: usize, rows: Vec<MetricValues>) {
-        self.pending.insert(chunk, (first_index, rows));
-        while let Some(entry) = self.pending.remove(&self.next) {
-            let (first, rows) = entry;
-            for (off, values) in rows.into_iter().enumerate() {
-                let oriented = values.oriented_vector();
-                self.moments.push(&oriented);
-                self.reservoir.push(&oriented);
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.record(first + off, &values);
-                }
-                if let Some(buf) = &mut self.buffer {
-                    buf.push(values);
-                }
-            }
-            self.next += 1;
-        }
-    }
-}
-
-/// Runs the §V protocol on one scenario with the classic evaluator and the
-/// paper's heuristic list, buffering every metric row.
-///
-/// Thin shim over [`StudyBuilder`], kept so legacy callers and the seed
-/// tests stay bit-for-bit identical (it computes the two-pass
-/// [`pearson_matrix`] over the buffered rows, exactly like the original
-/// monolith).
-///
-/// # Panics
-/// Panics if `random_schedules == 0`.
-#[deprecated(note = "use StudyBuilder: pluggable evaluators/heuristics and streaming accumulators")]
-pub fn run_case(scenario: &Scenario, cfg: &StudyConfig) -> CaseResult {
-    let mut names: Vec<&str> = Vec::new();
-    if cfg.with_heuristics {
-        names.extend(["HEFT", "BIL", "Hyb.BMCT"]);
-        if cfg.with_cpop {
-            names.push("CPOP");
-        }
-    }
-    let res = StudyBuilder::new(scenario)
-        .random_schedules(cfg.random_schedules)
-        .seed(cfg.seed)
-        .metric_opts(cfg.metric_opts)
-        // The monolith clamped threads to ≥ 1 instead of rejecting 0.
-        .threads_opt(cfg.threads.map(|t| t.max(1)))
-        .heuristics(&names)
-        .buffer_metrics(true)
-        .run()
-        .expect("need at least one schedule");
-    let random = res.random.expect("buffering requested");
-    let pearson = pearson_matrix(&random);
-    CaseResult {
-        random,
-        heuristics: res.heuristics,
-        pearson,
     }
 }
 
@@ -589,46 +411,50 @@ fn matrix_with(rows: &[MetricValues], corr: fn(&[f64], &[f64]) -> f64) -> CorrMa
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shim is exercised on purpose
 mod tests {
     use super::*;
 
-    fn quick_cfg(k: usize) -> StudyConfig {
-        StudyConfig {
-            random_schedules: k,
-            seed: 3,
-            with_heuristics: true,
-            with_cpop: false,
-            ..Default::default()
-        }
+    /// The paper's protocol on `k` random schedules with buffered rows:
+    /// classic evaluator plus the three paper heuristics.
+    fn quick_study(scenario: &Scenario, k: usize, threads: usize) -> StudyResult {
+        StudyBuilder::new(scenario)
+            .random_schedules(k)
+            .seed(3)
+            .threads(threads)
+            .heuristics(&["HEFT", "BIL", "Hyb.BMCT"])
+            .buffer_metrics(true)
+            .run()
+            .unwrap()
     }
 
     #[test]
     fn small_case_runs_and_correlates() {
         let scenario = Scenario::paper_random(10, 3, 1.1, 5);
-        let res = run_case(&scenario, &quick_cfg(200));
-        assert_eq!(res.random.len(), 200);
+        let res = quick_study(&scenario, 200, 2);
+        let random = res.random.unwrap();
+        assert_eq!(random.len(), 200);
         assert_eq!(res.heuristics.len(), 3);
         // Core finding: σ, lateness and 1−A(δ) strongly positively
         // correlated even at this small sample size.
+        let pearson = pearson_matrix(&random);
         let idx = |name: &str| METRIC_LABELS.iter().position(|&l| l == name).unwrap();
-        let r = res.pearson.get(idx("makespan_std"), idx("avg_lateness"));
+        let r = pearson.get(idx("makespan_std"), idx("avg_lateness"));
         assert!(r > 0.9, "σ vs lateness Pearson = {r}");
-        let r2 = res.pearson.get(idx("makespan_std"), idx("abs_prob"));
+        let r2 = pearson.get(idx("makespan_std"), idx("abs_prob"));
         assert!(r2 > 0.9, "σ vs 1−A Pearson = {r2}");
     }
 
     #[test]
     fn heuristics_beat_random_on_makespan() {
         let scenario = Scenario::paper_random(20, 4, 1.1, 11);
-        let res = run_case(&scenario, &quick_cfg(300));
-        let best_random = res
-            .random
+        let res = quick_study(&scenario, 300, 2);
+        let random = res.random.unwrap();
+        let best_random = random
             .iter()
             .map(|m| m.expected_makespan)
             .fold(f64::INFINITY, f64::min);
         let median_random = {
-            let mut v: Vec<f64> = res.random.iter().map(|m| m.expected_makespan).collect();
+            let mut v: Vec<f64> = random.iter().map(|m| m.expected_makespan).collect();
             v.sort_by(f64::total_cmp);
             v[v.len() / 2]
         };
@@ -651,8 +477,8 @@ mod tests {
     #[test]
     fn spearman_agrees_with_pearson_on_strong_cluster() {
         let scenario = Scenario::paper_random(12, 3, 1.1, 19);
-        let res = run_case(&scenario, &quick_cfg(200));
-        let sp = spearman_matrix(&res.random);
+        let res = quick_study(&scenario, 200, 2);
+        let sp = spearman_matrix(&res.random.unwrap());
         let idx = |name: &str| METRIC_LABELS.iter().position(|&l| l == name).unwrap();
         // On the near-linear cluster, rank correlation is as strong.
         let r = sp.get(idx("makespan_std"), idx("avg_lateness"));
@@ -669,42 +495,10 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         let scenario = Scenario::paper_random(10, 3, 1.1, 7);
-        let mut cfg = quick_cfg(130);
-        cfg.threads = Some(1);
-        let a = run_case(&scenario, &cfg);
-        cfg.threads = Some(4);
-        let b = run_case(&scenario, &cfg);
-        for (x, y) in a.random.iter().zip(b.random.iter()) {
-            assert_eq!(x.expected_makespan, y.expected_makespan);
-        }
-    }
-
-    #[test]
-    fn builder_reproduces_run_case_bit_for_bit() {
-        let scenario = Scenario::paper_random(10, 3, 1.1, 5);
-        let legacy = run_case(&scenario, &quick_cfg(200));
-        let res = StudyBuilder::new(&scenario)
-            .random_schedules(200)
-            .seed(3)
-            .heuristics(&["HEFT", "BIL", "Hyb.BMCT"])
-            .buffer_metrics(true)
-            .run()
-            .unwrap();
-        let random = res.random.as_ref().unwrap();
-        assert_eq!(random.len(), legacy.random.len());
-        for (a, b) in random.iter().zip(legacy.random.iter()) {
-            assert_eq!(a, b);
-        }
-        for ((na, ma), (nb, mb)) in res.heuristics.iter().zip(legacy.heuristics.iter()) {
-            assert_eq!(na, nb);
-            assert_eq!(ma, mb);
-        }
-        let rebuilt = pearson_matrix(random);
-        for i in 0..rebuilt.dim() {
-            for j in 0..rebuilt.dim() {
-                assert_eq!(rebuilt.get(i, j), legacy.pearson.get(i, j));
-            }
-        }
+        let a = quick_study(&scenario, 130, 1);
+        let b = quick_study(&scenario, 130, 4);
+        assert_eq!(a.random, b.random);
+        assert_eq!(a.heuristics, b.heuristics);
     }
 
     #[test]

@@ -109,7 +109,7 @@ mod tests {
     use super::*;
     use robusched_randvar::DEFAULT_GRID;
     use robusched_sched::heft;
-    use robusched_stochastic::evaluate_classic;
+    use robusched_stochastic::{ClassicEvaluator, Evaluator};
 
     #[test]
     fn entry_total_matches_forward_classic_mean_closely() {
@@ -121,7 +121,7 @@ mod tests {
         let plan = EagerPlan::new(&s.graph.dag, &sched).unwrap();
         let disc = DiscretizedScenario::new(&s, DEFAULT_GRID);
         let dists = RemainingDists::build(&s, &sched, &plan, &disc);
-        let forward = evaluate_classic(&s, &sched);
+        let forward = ClassicEvaluator::default().evaluate(&s, &sched);
         let b = dists.total.mean();
         let f = forward.mean();
         assert!(

@@ -10,8 +10,8 @@
 //! adversarial objectives (`cluster-deficit`, `rank-gap`,
 //! `heuristic-regret`). Chains start from the committed sample traces and
 //! from paper-style layered random DAGs; restarts are independent chains
-//! with derived seeds, sharded across scoped threads — results land in a
-//! slot-per-cell vector, so `ext_adversarial_summary.csv` is bit-identical
+//! with derived seeds, sharded across threads by [`par_map`] — results
+//! arrive in chain order, so `ext_adversarial_summary.csv` is bit-identical
 //! for any `--threads`.
 //!
 //! Chains whose best point certifies a cluster break (a paper-cluster
@@ -38,9 +38,8 @@ use robusched_dag::parsers::{TraceDag, REF_BANDWIDTH, REF_SPEED};
 use robusched_dag::TaskGraph;
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
+use robusched_stochastic::par::{par_map, worker_count};
 use robusched_stochastic::perturb::SearchPoint;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The start platform every chain shares — the `ext-traces` default
 /// calibration (8 machines, speed CV 0.5) at the paper's moderate
@@ -276,44 +275,25 @@ fn run_chain(
     })
 }
 
-/// Runs the study: the fixed cell-table's chains sharded across scoped
-/// threads (whole chains per thread; slot-per-chain results keep the
-/// output order — and therefore every artifact — independent of
-/// `--threads`), then commits the gallery.
+/// Runs the study: the fixed cell-table's chains sharded across threads
+/// (whole chains per thread, delivered in chain order — so every artifact
+/// is independent of `--threads`), then commits the gallery.
 pub fn run(opts: &RunOptions) -> std::io::Result<Adversarial> {
     let steps = opts.count(48, 4);
     let schedules = opts.count(160, 24);
-    let workers = opts
-        .threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-        .min(CELLS.len());
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<ChainResult, StudyError>>>> =
-        Mutex::new((0..CELLS.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= CELLS.len() {
-                    break;
-                }
-                let res = run_chain(idx, &CELLS[idx], opts, steps, schedules);
-                slots.lock().unwrap()[idx] = Some(res);
-            });
-        }
-    });
-    let mut chains = Vec::with_capacity(CELLS.len());
-    for slot in slots.into_inner().unwrap() {
-        let res = slot
-            .expect("every chain slot filled")
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        chains.push(res);
-    }
+    let mut results = Vec::with_capacity(CELLS.len());
+    par_map(
+        CELLS.len(),
+        worker_count(opts.threads),
+        || (),
+        |_, idx| run_chain(idx, &CELLS[idx], opts, steps, schedules),
+        |_, chain| results.push(chain),
+    )
+    .map_err(std::io::Error::other)?;
+    let mut chains = results
+        .into_iter()
+        .collect::<Result<Vec<_>, StudyError>>()
+        .map_err(|e| std::io::Error::other(e.to_string()))?;
 
     // Commit the gallery: cluster-breaking, from_trace-replayable bests.
     // Each candidate is round-tripped through the WfCommons writer/parser

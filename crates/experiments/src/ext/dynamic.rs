@@ -16,8 +16,9 @@
 //! classes with the three committed real-workflow traces, so every DAG
 //! family the repository can generate flows through the same event loop.
 //! Each cell runs one deterministic [`DynamicSim`] over a Poisson stream;
-//! cells are sharded across threads by index with per-cell derived seeds,
-//! so the summary CSV is bit-identical for any `--threads` value.
+//! cells are sharded across threads by index with per-cell derived seeds
+//! ([`par_map`]), so the summary CSV is bit-identical for any `--threads`
+//! value.
 //!
 //! Artifact: `ext_dynamic_summary.csv` (one row per cell). The headline
 //! verdict — pinned by `tests/ext_dynamic.rs` on the committed full-scale
@@ -31,8 +32,8 @@ use robusched_dynamic::{policy_by_spec, DynamicSim, PoissonStream, SimConfig};
 use robusched_platform::{Scenario, TraceCalibration};
 use robusched_randvar::derive_seed;
 use robusched_sched::heuristic_by_name;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use robusched_stochastic::par::{par_map, worker_count};
+use std::sync::Arc;
 
 /// Uncertainty level of every workload (the paper's mid/high setting).
 const UL: f64 = 1.1;
@@ -188,18 +189,6 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Dynamic> {
         .iter()
         .flat_map(|&o| POLICIES.iter().map(move |&p| (o, p)))
         .collect();
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-        .min(cells.len());
-
-    let results: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; cells.len()]);
-    let next = AtomicUsize::new(0);
     let run_cell = |idx: usize| -> std::io::Result<CellResult> {
         let (oversub, spec) = cells[idx];
         let policy = policy_by_spec(spec)
@@ -223,35 +212,16 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Dynamic> {
             metrics: result.metrics,
         })
     };
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| -> std::io::Result<()> {
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= cells.len() {
-                            return Ok(());
-                        }
-                        let cell = run_cell(idx)?;
-                        results
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)[idx] = Some(cell);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("cell worker panicked")?;
-        }
-        Ok(())
-    })?;
-
-    let cells = results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        .map(|c| c.expect("every cell computed"))
-        .collect();
+    let mut results = Vec::with_capacity(cells.len());
+    par_map(
+        cells.len(),
+        worker_count(opts.threads),
+        || (),
+        |_, idx| run_cell(idx),
+        |_, cell| results.push(cell),
+    )
+    .map_err(std::io::Error::other)?;
+    let cells = results.into_iter().collect::<std::io::Result<_>>()?;
     let out = Dynamic { cells, instances };
     opts.write_artifact("ext_dynamic_summary.csv", &summary_csv(&out))?;
     Ok(out)

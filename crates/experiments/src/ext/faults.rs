@@ -27,8 +27,8 @@
 //!    deadline miss-rate.
 //!
 //! Cells are sharded across threads by index with per-cell derived seeds
-//! (the `ext-dynamic` discipline), so both CSVs are bit-identical for any
-//! `--threads` value.
+//! ([`par_map`], the `ext-dynamic` discipline), so both CSVs are
+//! bit-identical for any `--threads` value.
 
 use crate::RunOptions;
 use robusched_core::{compute_metrics, MetricOptions, OnlineMetrics, METRIC_LABELS};
@@ -40,8 +40,8 @@ use robusched_randvar::derive_seed;
 use robusched_sched::{heft, random_schedule, Schedule};
 use robusched_stats::spearman;
 use robusched_stochastic::evaluator_by_name;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use robusched_stochastic::par::{par_map, worker_count};
+use std::sync::Arc;
 
 /// Uncertainty level of every workload (the paper's mid/high setting).
 const UL: f64 = 1.1;
@@ -189,18 +189,6 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Faults> {
                 .flat_map(move |&f| RECOVERY.iter().map(move |&r| (o, f, r)))
         })
         .collect();
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-        .min(cells.len());
-
-    let results: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; cells.len()]);
-    let next = AtomicUsize::new(0);
     let run_cell = |idx: usize| -> std::io::Result<CellResult> {
         let (oversub, fault_label, recovery_spec) = cells[idx];
         let policy = policy_by_spec(DROP_POLICY)
@@ -235,34 +223,16 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Faults> {
             metrics: result.metrics,
         })
     };
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| -> std::io::Result<()> {
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= cells.len() {
-                            return Ok(());
-                        }
-                        let cell = run_cell(idx)?;
-                        results
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)[idx] = Some(cell);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("cell worker panicked")?;
-        }
-        Ok(())
-    })?;
-    let cells = results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        .map(|c| c.expect("every cell computed"))
-        .collect();
+    let mut results = Vec::with_capacity(cells.len());
+    par_map(
+        cells.len(),
+        worker_count(opts.threads),
+        || (),
+        |_, idx| run_cell(idx),
+        |_, cell| results.push(cell),
+    )
+    .map_err(std::io::Error::other)?;
+    let cells = results.into_iter().collect::<std::io::Result<_>>()?;
 
     let (ranking, ranked_schedules) = ranking_phase(opts)?;
     let out = Faults {

@@ -10,8 +10,9 @@ use crate::RunOptions;
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
 use robusched_sched::random_schedule;
-use robusched_stochastic::classic::evaluate_classic_grid;
-use robusched_stochastic::{accuracy, mc_makespans, McConfig};
+use robusched_stochastic::{
+    accuracy, mc_makespans, ClassicEvaluator, Evaluator, McConfig, SamplingTables,
+};
 use std::time::Instant;
 
 /// One ablation row.
@@ -31,21 +32,22 @@ pub struct GridRow {
 pub fn run(opts: &RunOptions) -> std::io::Result<Vec<GridRow>> {
     let s = Scenario::paper_random(30, 8, 1.1, derive_seed(opts.seed, 9900));
     let sched = random_schedule(&s.graph.dag, 8, derive_seed(opts.seed, 9901));
-    let reference = evaluate_classic_grid(&s, &sched, 512);
+    let reference = ClassicEvaluator { grid: 512 }.evaluate(&s, &sched);
     let samples = mc_makespans(
         &s,
         &sched,
         &McConfig {
             realizations: opts.count(100_000, 5_000),
             seed: derive_seed(opts.seed, 9902),
-            threads: None,
+            threads: opts.threads,
             ..Default::default()
         },
+        &SamplingTables::new(&s),
     );
     let mut rows = Vec::new();
     for grid in [16usize, 32, 64, 128, 256] {
         let t0 = Instant::now();
-        let rv = evaluate_classic_grid(&s, &sched, grid);
+        let rv = ClassicEvaluator { grid }.evaluate(&s, &sched);
         let dt = t0.elapsed().as_secs_f64();
         rows.push(GridRow {
             grid,

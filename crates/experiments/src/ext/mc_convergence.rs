@@ -30,7 +30,7 @@ use robusched_platform::Scenario;
 use robusched_randvar::{derive_seed, DiscreteRv};
 use robusched_sched::{heft, random_schedule, Schedule};
 use robusched_stochastic::{
-    evaluate_classic, mc_makespans_prepared, McConfig, McEstimator, SamplingTables,
+    mc_makespans, ClassicEvaluator, Evaluator, McConfig, McEstimator, SamplingTables,
 };
 
 /// Header of [`csv`] — the schema the smoke test locks in.
@@ -144,7 +144,7 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Convergence> {
         let reference: Vec<DistributionStats> = schedules
             .iter()
             .map(|sched| {
-                let ms = mc_makespans_prepared(
+                let ms = mc_makespans(
                     &scenario,
                     sched,
                     &McConfig {
@@ -162,9 +162,10 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Convergence> {
         // The analytic baseline: deterministic, so its "RMSE" is the pure
         // independence-assumption bias vs the MC reference.
         {
+            let classic = ClassicEvaluator::default();
             let (mut m2, mut s2, mut l2, mut h2) = (0.0, 0.0, 0.0, 0.0);
             for (sched, reference) in schedules.iter().zip(&reference) {
-                let stats = distribution_stats(&evaluate_classic(&scenario, sched));
+                let stats = distribution_stats(&classic.evaluate(&scenario, sched));
                 m2 += (stats.mean - reference.mean).powi(2);
                 s2 += (stats.std_dev - reference.std_dev).powi(2);
                 l2 += (stats.avg_lateness - reference.avg_lateness).powi(2);
@@ -190,7 +191,7 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Convergence> {
                 let mut count = 0usize;
                 for rep in 0..replicates {
                     for (sched, reference) in schedules.iter().zip(&reference) {
-                        let ms = mc_makespans_prepared(
+                        let ms = mc_makespans(
                             &scenario,
                             sched,
                             &McConfig {

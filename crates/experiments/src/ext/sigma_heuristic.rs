@@ -13,7 +13,7 @@ use crate::RunOptions;
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
 use robusched_sched::{heft, sigma_heft};
-use robusched_stochastic::evaluate_classic;
+use robusched_stochastic::{ClassicEvaluator, Evaluator};
 
 /// Aggregate outcome of one regime.
 #[derive(Debug, Clone, Copy)]
@@ -59,8 +59,9 @@ fn run_regime(opts: &RunOptions, trials: usize, variable: bool) -> Regime {
         }
         let h = heft(&s);
         let g = sigma_heft(&s, 2.0);
-        let rv_h = evaluate_classic(&s, &h);
-        let rv_g = evaluate_classic(&s, &g);
+        let classic = ClassicEvaluator::default();
+        let rv_h = classic.evaluate(&s, &h);
+        let rv_g = classic.evaluate(&s, &g);
         ms_ratio += rv_g.mean() / rv_h.mean() / trials as f64;
         sg_ratio += rv_g.std_dev() / rv_h.std_dev().max(1e-12) / trials as f64;
         if rv_g.std_dev() < rv_h.std_dev() {

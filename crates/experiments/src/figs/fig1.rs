@@ -11,7 +11,7 @@ use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
 use robusched_sched::random_schedule;
 use robusched_stochastic::{
-    accuracy, evaluate_classic, mc_makespans_prepared, McConfig, SamplingTables,
+    accuracy, mc_makespans, ClassicEvaluator, Evaluator, McConfig, SamplingTables,
 };
 
 /// One point of the Fig. 1 series.
@@ -50,14 +50,14 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Vec<Point>> {
                 m,
                 derive_seed(opts.seed, 100 + (i * 97 + k) as u64),
             );
-            let analytic = evaluate_classic(&scenario, &sched);
-            let samples = mc_makespans_prepared(
+            let analytic = ClassicEvaluator::default().evaluate(&scenario, &sched);
+            let samples = mc_makespans(
                 &scenario,
                 &sched,
                 &McConfig {
                     realizations,
                     seed: derive_seed(opts.seed, 500 + k as u64),
-                    threads: None,
+                    threads: opts.threads,
                     ..Default::default()
                 },
                 &tables,

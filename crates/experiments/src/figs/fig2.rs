@@ -11,7 +11,7 @@ use robusched_platform::Scenario;
 use robusched_randvar::{derive_seed, DiscreteRv};
 use robusched_sched::random_schedule;
 use robusched_stochastic::{
-    accuracy, evaluate_classic, mc_makespans_prepared, McConfig, SamplingTables,
+    accuracy, mc_makespans, ClassicEvaluator, Evaluator, McConfig, SamplingTables,
 };
 
 /// Output of the overlay experiment.
@@ -33,14 +33,14 @@ pub struct Overlay {
 pub fn run(opts: &RunOptions) -> std::io::Result<Overlay> {
     let scenario = Scenario::paper_random(100, 16, 1.1, derive_seed(opts.seed, 31));
     let sched = random_schedule(&scenario.graph.dag, 16, derive_seed(opts.seed, 32));
-    let analytic = evaluate_classic(&scenario, &sched);
-    let samples = mc_makespans_prepared(
+    let analytic = ClassicEvaluator::default().evaluate(&scenario, &sched);
+    let samples = mc_makespans(
         &scenario,
         &sched,
         &McConfig {
             realizations: opts.count(100_000, 5_000),
             seed: derive_seed(opts.seed, 33),
-            threads: None,
+            threads: opts.threads,
             ..Default::default()
         },
         &SamplingTables::new(&scenario),

@@ -1,10 +1,10 @@
 //! Fig. 3 — metric correlations on the Cholesky graph of 10 tasks,
 //! 3 processors, UL = 1.01 (10 000 random schedules + HEFT/BIL/Hyb.BMCT).
 
+use super::CaseResult;
 use crate::cases::{Case, Family};
 use crate::figs::{correlation_figure, correlation_summary};
 use crate::RunOptions;
-use robusched_core::CaseResult;
 use robusched_randvar::derive_seed;
 
 /// The Fig. 3 case definition.

@@ -1,10 +1,10 @@
 //! Fig. 4 — metric correlations on a random graph of 30 tasks,
 //! 8 processors, UL = 1.01 (10 000 random schedules + heuristics).
 
+use super::CaseResult;
 use crate::cases::{Case, Family};
 use crate::figs::{correlation_figure, correlation_summary};
 use crate::RunOptions;
-use robusched_core::CaseResult;
 use robusched_randvar::derive_seed;
 
 /// The Fig. 4 case definition.

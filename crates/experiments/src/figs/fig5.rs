@@ -2,10 +2,10 @@
 //! tasks ("103" in the paper), 16 processors, UL = 1.1 (2 000 random
 //! schedules + heuristics).
 
+use super::CaseResult;
 use crate::cases::{Case, Family};
 use crate::figs::{correlation_figure, correlation_summary};
 use crate::RunOptions;
-use robusched_core::CaseResult;
 use robusched_randvar::derive_seed;
 
 /// The Fig. 5 case definition.

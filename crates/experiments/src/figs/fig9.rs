@@ -12,7 +12,7 @@ use robusched_core::{compute_metrics, MetricOptions, MetricValues};
 use robusched_dag::generators::fork_join;
 use robusched_platform::{CostMatrix, Platform, Scenario, UncertaintyModel};
 use robusched_sched::Schedule;
-use robusched_stochastic::evaluate_classic;
+use robusched_stochastic::{ClassicEvaluator, Evaluator};
 
 /// Branch count `N` (the join graph has `N + 1` tasks).
 const N: usize = 12;
@@ -111,7 +111,7 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Vec<Quadrant>> {
     let s = scenario();
     let mut out = Vec::new();
     for (label, claim, sched) in schedules() {
-        let rv = evaluate_classic(&s, &sched);
+        let rv = ClassicEvaluator::default().evaluate(&s, &sched);
         let metrics = compute_metrics(&s, &sched, &rv, &MetricOptions::default());
         out.push(Quadrant {
             label,

@@ -10,7 +10,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 
-use robusched_core::{pearson_matrix, CaseResult, StudyBuilder};
+use robusched_core::{pearson_matrix, MetricValues, StudyBuilder};
 use robusched_stats::CorrMatrix;
 
 use crate::cases::Case;
@@ -20,13 +20,25 @@ use crate::RunOptions;
 /// The paper's heuristic set, in registry names.
 pub const PAPER_HEURISTICS: [&str; 3] = ["HEFT", "BIL", "Hyb.BMCT"];
 
+/// The outcome of one correlation figure.
+#[derive(Debug, Clone)]
+pub struct CaseResult {
+    /// Metrics of every random schedule, in sampling order.
+    pub random: Vec<MetricValues>,
+    /// Metrics of the heuristic schedules, labeled.
+    pub heuristics: Vec<(String, MetricValues)>,
+    /// Pearson correlation matrix over the random schedules, in the
+    /// paper's plotting orientation (see
+    /// [`MetricValues::oriented_vector`]).
+    pub pearson: CorrMatrix,
+}
+
 /// Shared driver for the correlation figures (Figs. 3–5): runs one case
 /// with the paper's protocol and writes the per-schedule metric CSV plus
 /// the Pearson matrix.
 ///
 /// Buffers the metric rows (the figure CSVs list every schedule) and
-/// computes the two-pass Pearson matrix over them, so the artifacts remain
-/// bit-identical to the pre-`StudyBuilder` pipeline.
+/// computes the two-pass Pearson matrix over them.
 pub fn correlation_figure(
     case: &Case,
     opts: &RunOptions,

@@ -45,7 +45,8 @@ pub struct RunOptions {
     /// Master seed.
     pub seed: u64,
     /// Worker threads per study (`None` = available parallelism); fed into
-    /// every `StudyBuilder`/`StudyConfig` the experiments construct.
+    /// every `StudyBuilder`, Monte-Carlo run and sharded sweep the
+    /// experiments construct.
     pub threads: Option<usize>,
 }
 

@@ -2,26 +2,23 @@
 //!
 //! The sum of two independent random variables has as PDF the convolution of
 //! the operand PDFs. The paper computes these convolutions numerically with
-//! an FFT and mentions the *Overlap-Add* method as a "classic numerical
-//! technique" used for efficiency. Three interchangeable kernels live here:
+//! an FFT (it mentions the *Overlap-Add* method as a "classic numerical
+//! technique" for efficiency; at this workspace's 64–1024-point sizes one
+//! zero-padded transform or the direct sum is faster). Two interchangeable
+//! kernels live here:
 //!
 //! * [`convolve_direct`] — O(n·m) schoolbook convolution, the accuracy
 //!   reference;
 //! * [`convolve_fft`] — zero-padded FFT convolution, O((n+m)·log(n+m)),
-//!   running on the thread-local [`crate::fft::FftPlan`] cache;
-//! * [`convolve_overlap_add`] — Overlap-Add: the longer signal is cut into
-//!   blocks, each block is FFT-convolved with the kernel and the tails are
-//!   added back; this is what the paper's reference implementation used.
+//!   running on the thread-local [`crate::fft::FftPlan`] cache.
 //!
-//! All three agree to ~1e-10 on the sizes this workspace uses (tested below
+//! Both agree to ~1e-10 on the sizes this workspace uses (tested below
 //! and in the property suite). [`convolve_auto`] picks between direct and
 //! FFT with a cost model fitted to measurements on this hardware (see
 //! `direct_is_faster`); the `_into` variants write into caller-owned
 //! storage so the evaluator hot path allocates nothing.
 
-use crate::fft::{
-    fft_inplace, ifft_inplace, next_power_of_two, rfft_padded, with_plan_scratch, Complex,
-};
+use crate::fft::{next_power_of_two, with_plan_scratch, Complex};
 
 /// Full linear convolution, direct O(n·m) evaluation, into caller storage.
 ///
@@ -88,56 +85,6 @@ pub fn convolve_fft_into(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
 pub fn convolve_fft(a: &[f64], b: &[f64]) -> Vec<f64> {
     let mut out = Vec::new();
     convolve_fft_into(a, b, &mut out);
-    out
-}
-
-/// Full linear convolution with the Overlap-Add method.
-///
-/// `block` is the time-domain block length for the *longer* operand; the FFT
-/// size is the smallest power of two that fits `block + kernel - 1`. A
-/// `block` of 0 picks a reasonable default (4× the kernel length).
-pub fn convolve_overlap_add(a: &[f64], b: &[f64], block: usize) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    // Convention: `signal` is the longer operand, `kernel` the shorter.
-    let (signal, kernel) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let block = if block == 0 {
-        (kernel.len() * 4).max(8)
-    } else {
-        block.max(1)
-    };
-    let seg_out = block + kernel.len() - 1;
-    let size = next_power_of_two(seg_out);
-    let kernel_spec = rfft_padded(kernel, size);
-
-    let out_len = signal.len() + kernel.len() - 1;
-    let mut out = vec![0.0; out_len];
-    let mut buf = vec![Complex::zero(); size];
-
-    let mut start = 0usize;
-    while start < signal.len() {
-        let end = (start + block).min(signal.len());
-        // Re-fill the scratch buffer with the current block, zero-padded.
-        for slot in buf.iter_mut() {
-            *slot = Complex::zero();
-        }
-        for (slot, &x) in buf.iter_mut().zip(signal[start..end].iter()) {
-            *slot = Complex::new(x, 0.0);
-        }
-        fft_inplace(&mut buf);
-        for (x, y) in buf.iter_mut().zip(kernel_spec.iter()) {
-            *x = *x * *y;
-        }
-        ifft_inplace(&mut buf);
-        let seg_len = (end - start) + kernel.len() - 1;
-        for (k, z) in buf.iter().take(seg_len).enumerate() {
-            if start + k < out_len {
-                out[start + k] += z.re;
-            }
-        }
-        start = end;
-    }
     out
 }
 
@@ -211,7 +158,6 @@ mod tests {
     fn empty_inputs_yield_empty() {
         assert!(convolve_direct(&[], &[1.0]).is_empty());
         assert!(convolve_fft(&[1.0], &[]).is_empty());
-        assert!(convolve_overlap_add(&[], &[], 0).is_empty());
         let mut out = vec![1.0];
         convolve_auto_into(&[], &[1.0], &mut out);
         assert!(out.is_empty());
@@ -237,27 +183,6 @@ mod tests {
         assert_eq!(out, convolve_fft(&a, &b));
         convolve_auto_into(&a, &b, &mut out);
         assert_eq!(out, convolve_auto(&a, &b));
-    }
-
-    #[test]
-    fn overlap_add_matches_direct() {
-        let a: Vec<f64> = (0..200).map(|i| (i as f64 * 0.05).sin()).collect();
-        let b: Vec<f64> = (0..16).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let d = convolve_direct(&a, &b);
-        for block in [0usize, 7, 16, 64, 300] {
-            let o = convolve_overlap_add(&a, &b, block);
-            assert_close(&d, &o, 1e-9);
-        }
-    }
-
-    #[test]
-    fn overlap_add_swaps_operands() {
-        // Shorter operand first — the kernel/signal roles must swap inside.
-        let a = [1.0, -1.0];
-        let b: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let d = convolve_direct(&a, &b);
-        let o = convolve_overlap_add(&a, &b, 8);
-        assert_close(&d, &o, 1e-9);
     }
 
     #[test]

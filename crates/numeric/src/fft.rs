@@ -3,8 +3,7 @@
 //! The paper computes the distribution of a sum of random variables by
 //! convolving their sampled probability densities, "calculated numerically
 //! using Fast Fourier Transform (FFT)". This module supplies the FFT used by
-//! [`crate::convolution::convolve_fft`] and
-//! [`crate::convolution::convolve_overlap_add`].
+//! [`crate::convolution::convolve_fft`].
 //!
 //! The implementation is a textbook iterative Cooley–Tukey decimation-in-time
 //! transform with bit-reversal permutation. Sizes must be powers of two; the
@@ -338,21 +337,6 @@ pub fn with_plan_scratch<R>(
     result
 }
 
-/// Forward FFT of a real signal, zero-padded to `size` (a power of two).
-///
-/// Convenience used by the convolution kernels; returns a freshly allocated
-/// complex buffer.
-pub fn rfft_padded(signal: &[f64], size: usize) -> Vec<Complex> {
-    assert!(is_power_of_two(size), "size must be a power of two");
-    assert!(signal.len() <= size, "signal longer than FFT size");
-    let mut buf = vec![Complex::zero(); size];
-    for (b, &x) in buf.iter_mut().zip(signal.iter()) {
-        *b = Complex::new(x, 0.0);
-    }
-    fft_inplace(&mut buf);
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,14 +467,5 @@ mod tests {
         let plan = FftPlan::new(8);
         let mut data = vec![Complex::zero(); 4];
         plan.fft(&mut data);
-    }
-
-    #[test]
-    fn rfft_pads_correctly() {
-        let signal = [1.0, 2.0, 3.0];
-        let spec = rfft_padded(&signal, 8);
-        // DC bin equals the plain sum.
-        assert!(approx_eq(spec[0].re, 6.0, 1e-12));
-        assert!(approx_eq(spec[0].im, 0.0, 1e-12));
     }
 }

@@ -7,9 +7,9 @@
 //! staircase bias of nearest-neighbor or the kinks of linear interpolation.
 //!
 //! [`CubicSpline`] implements natural cubic splines (second derivative zero
-//! at both ends) over strictly increasing knots. [`LinearInterp`] is the
-//! cheap fallback used where monotonicity must be preserved exactly
-//! (CDF lookups).
+//! at both ends) over strictly increasing knots. [`MonotoneCubic`] is the
+//! shape-preserving alternative used where monotonicity must hold exactly
+//! (quantile tables).
 
 /// Natural cubic spline through `(x[i], y[i])` knots.
 #[derive(Debug, Clone)]
@@ -368,17 +368,13 @@ impl<'a> UniformLocalCubic<'a> {
 /// sufficient condition for the Hermite cubic to be monotone wherever the
 /// data is.
 ///
-/// Two constructors cover the workspace's uses:
-///
-/// * [`pchip`](MonotoneCubic::pchip) derives the derivatives from the data
-///   alone (Fritsch–Carlson weighted harmonic mean — the classical PCHIP
-///   scheme), `O(h³)` accurate;
-/// * [`with_slopes`](MonotoneCubic::with_slopes) accepts *exact* analytic
-///   derivatives where the caller knows them (a quantile table knows
-///   `Q′ = 1/f(Q)`), clamped into the same region. Where the supplied
-///   derivative is non-finite or falls outside the region (density zeros at
-///   support ends), it degrades to the PCHIP value, so accuracy is
-///   `O(h⁴)` on the smooth interior and never worse than PCHIP anywhere.
+/// [`with_slopes`](MonotoneCubic::with_slopes) accepts *exact* analytic
+/// derivatives where the caller knows them (a quantile table knows
+/// `Q′ = 1/f(Q)`), clamped into the same region. Where a supplied
+/// derivative is non-finite (density zeros at support ends) it falls back
+/// to the data-driven estimate (Fritsch–Carlson weighted harmonic mean —
+/// the classical PCHIP scheme, `O(h³)` accurate), so accuracy is `O(h⁴)`
+/// on the smooth interior and never worse than PCHIP anywhere.
 ///
 /// Evaluation pre-packs each interval as a Horner cubic in the normalized
 /// coordinate and locates the interval through a uniform index-guess table
@@ -412,17 +408,6 @@ struct Interval {
 }
 
 impl MonotoneCubic {
-    /// Fits with Fritsch–Carlson (PCHIP) derivatives estimated from the
-    /// data.
-    ///
-    /// # Panics
-    /// Panics on length mismatch, fewer than 2 knots, or non-increasing
-    /// `xs`.
-    pub fn pchip(xs: &[f64], ys: &[f64]) -> Self {
-        let slopes = vec![f64::NAN; xs.len()];
-        Self::with_slopes(xs, ys, &slopes)
-    }
-
     /// Fits with caller-supplied knot derivatives, clamped into the
     /// Fritsch–Carlson monotonicity region (non-finite entries fall back to
     /// the PCHIP estimate).
@@ -608,91 +593,15 @@ fn clamp_fc(d: f64, left: Option<f64>, right: Option<f64>) -> f64 {
     }
 }
 
-/// Piecewise-linear interpolation over strictly increasing knots.
-///
-/// Guarantees monotone output for monotone input, which cubic splines do not;
-/// used for CDF evaluation where overshoot would produce probabilities
-/// outside [0, 1].
-#[derive(Debug, Clone)]
-pub struct LinearInterp {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-}
-
-impl LinearInterp {
-    /// Builds the interpolant.
-    ///
-    /// # Panics
-    /// Panics on length mismatch, fewer than 2 points, or non-increasing xs.
-    pub fn new(xs: &[f64], ys: &[f64]) -> Self {
-        assert_eq!(xs.len(), ys.len(), "knot length mismatch");
-        assert!(xs.len() >= 2, "interpolation needs at least two knots");
-        for w in xs.windows(2) {
-            assert!(w[1] > w[0], "knots must be strictly increasing");
-        }
-        Self {
-            xs: xs.to_vec(),
-            ys: ys.to_vec(),
-        }
-    }
-
-    /// Evaluates at `x`, clamping to the boundary values outside the range.
-    pub fn eval(&self, x: f64) -> f64 {
-        let n = self.xs.len();
-        if x <= self.xs[0] {
-            return self.ys[0];
-        }
-        if x >= self.xs[n - 1] {
-            return self.ys[n - 1];
-        }
-        let mut lo = 0usize;
-        let mut hi = n - 1;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.xs[mid] <= x {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let t = (x - self.xs[lo]) / (self.xs[lo + 1] - self.xs[lo]);
-        self.ys[lo] + t * (self.ys[lo + 1] - self.ys[lo])
-    }
-
-    /// Inverse lookup on a monotone non-decreasing table: smallest `x` with
-    /// `eval(x) >= y` (linear within the bracketing interval). Used for
-    /// quantiles of sampled CDFs.
-    pub fn inverse_monotone(&self, y: f64) -> f64 {
-        let n = self.xs.len();
-        if y <= self.ys[0] {
-            return self.xs[0];
-        }
-        if y >= self.ys[n - 1] {
-            return self.xs[n - 1];
-        }
-        let mut lo = 0usize;
-        let mut hi = n - 1;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.ys[mid] <= y {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let dy = self.ys[lo + 1] - self.ys[lo];
-        if dy <= 0.0 {
-            return self.xs[lo];
-        }
-        let t = (y - self.ys[lo]) / dy;
-        self.xs[lo] + t * (self.xs[lo + 1] - self.xs[lo])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
+
+    /// A monotone cubic with every derivative estimated from the data.
+    fn pchip(xs: &[f64], ys: &[f64]) -> MonotoneCubic {
+        MonotoneCubic::with_slopes(xs, ys, &vec![f64::NAN; xs.len()])
+    }
 
     #[test]
     fn spline_reproduces_knots() {
@@ -861,7 +770,7 @@ mod tests {
     fn monotone_cubic_reproduces_knots_and_stays_monotone() {
         let xs = [0.0, 0.5, 0.8, 1.3, 2.0, 4.0];
         let ys = [0.0, 0.1, 0.9, 1.0, 1.05, 9.0];
-        let mc = MonotoneCubic::pchip(&xs, &ys);
+        let mc = pchip(&xs, &ys);
         for (x, y) in xs.iter().zip(ys.iter()) {
             assert!(approx_eq(mc.eval(*x), *y, 1e-12), "knot {x}");
         }
@@ -879,7 +788,7 @@ mod tests {
     fn monotone_cubic_exact_on_lines() {
         let xs: Vec<f64> = (0..9).map(|i| i as f64 * 0.7).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x - 1.0).collect();
-        let mc = MonotoneCubic::pchip(&xs, &ys);
+        let mc = pchip(&xs, &ys);
         for k in 0..=100 {
             let x = 5.6 * k as f64 / 100.0;
             assert!(approx_eq(mc.eval(x), 3.0 * x - 1.0, 1e-12));
@@ -894,7 +803,7 @@ mod tests {
         let ys: Vec<f64> = xs.iter().map(|x| x.exp()).collect();
         let ds: Vec<f64> = ys.clone();
         let exact = MonotoneCubic::with_slopes(&xs, &ys, &ds);
-        let est = MonotoneCubic::pchip(&xs, &ys);
+        let est = pchip(&xs, &ys);
         let (mut err_exact, mut err_est) = (0.0f64, 0.0f64);
         for k in 0..=1000 {
             let x = k as f64 / 1000.0;
@@ -909,7 +818,7 @@ mod tests {
     fn monotone_cubic_nonuniform_knots_and_clamping() {
         let xs = [0.0, 0.001, 0.1, 0.5, 3.0];
         let ys = [0.0, 0.2, 0.4, 0.6, 1.0];
-        let mc = MonotoneCubic::pchip(&xs, &ys);
+        let mc = pchip(&xs, &ys);
         assert_eq!(mc.eval(-5.0), 0.0);
         assert_eq!(mc.eval(7.0), 1.0);
         assert_eq!(mc.knots(), &xs);
@@ -941,31 +850,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn monotone_cubic_rejects_unsorted() {
-        MonotoneCubic::pchip(&[0.0, 2.0, 1.0], &[0.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn linear_interp_basic() {
-        let li = LinearInterp::new(&[0.0, 1.0, 2.0], &[0.0, 10.0, 0.0]);
-        assert!(approx_eq(li.eval(0.5), 5.0, 1e-12));
-        assert!(approx_eq(li.eval(1.5), 5.0, 1e-12));
-        assert_eq!(li.eval(-1.0), 0.0);
-        assert_eq!(li.eval(3.0), 0.0);
-    }
-
-    #[test]
-    fn linear_inverse_monotone() {
-        let li = LinearInterp::new(&[0.0, 1.0, 2.0], &[0.0, 0.25, 1.0]);
-        assert!(approx_eq(li.inverse_monotone(0.25), 1.0, 1e-12));
-        assert!(approx_eq(li.inverse_monotone(0.625), 1.5, 1e-12));
-        assert_eq!(li.inverse_monotone(-0.5), 0.0);
-        assert_eq!(li.inverse_monotone(2.0), 2.0);
-    }
-
-    #[test]
-    fn linear_inverse_handles_flat_segments() {
-        let li = LinearInterp::new(&[0.0, 1.0, 2.0, 3.0], &[0.0, 0.5, 0.5, 1.0]);
-        let x = li.inverse_monotone(0.5);
-        assert!((1.0..=2.0).contains(&x));
+        pchip(&[0.0, 2.0, 1.0], &[0.0, 1.0, 2.0]);
     }
 }

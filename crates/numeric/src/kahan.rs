@@ -59,31 +59,30 @@ impl FromIterator<f64> for KahanSum {
     }
 }
 
-/// Sums a slice with compensation; convenience wrapper over [`KahanSum`].
-pub fn kahan_sum(xs: &[f64]) -> f64 {
-    xs.iter().copied().collect::<KahanSum>().value()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn compensated_sum(xs: &[f64]) -> f64 {
+        xs.iter().copied().collect::<KahanSum>().value()
+    }
+
     #[test]
     fn empty_sum_is_zero() {
-        assert_eq!(kahan_sum(&[]), 0.0);
+        assert_eq!(compensated_sum(&[]), 0.0);
     }
 
     #[test]
     fn matches_exact_integers() {
         let xs: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
-        assert_eq!(kahan_sum(&xs), 500_500.0);
+        assert_eq!(compensated_sum(&xs), 500_500.0);
     }
 
     #[test]
     fn recovers_catastrophic_cancellation() {
         // 1e16 + 1 + 1 - 1e16 should be 2 but naive f64 gives 0 or 2 ulps off.
         let xs = [1e16, 1.0, 1.0, -1e16];
-        assert_eq!(kahan_sum(&xs), 2.0);
+        assert_eq!(compensated_sum(&xs), 2.0);
     }
 
     #[test]
@@ -91,7 +90,7 @@ mod tests {
         let n = 100_000;
         let xs = vec![0.1; n];
         let exact = 0.1 * n as f64;
-        assert!((kahan_sum(&xs) - exact).abs() < 1e-9);
+        assert!((compensated_sum(&xs) - exact).abs() < 1e-9);
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! re-implements the required numerical kernels in pure Rust:
 //!
 //! * [`fft`] — iterative radix-2 complex FFT and inverse FFT;
-//! * [`convolution`] — direct, FFT-based and Overlap-Add linear convolution
-//!   (the paper explicitly uses Overlap-Add to speed up PDF convolutions);
+//! * [`convolution`] — direct and FFT-based linear convolution, with a
+//!   size-based dispatcher between them;
 //! * [`integrate`] — composite trapezoid and Simpson rules plus cumulative
 //!   integration (used to turn PDFs into CDFs);
-//! * [`interp`] — linear and natural cubic-spline interpolation (the paper
-//!   samples each probability density with 64 values and reconstructs with
-//!   cubic splines);
+//! * [`interp`] — natural cubic-spline and monotone cubic interpolation
+//!   (the paper samples each probability density with 64 values and
+//!   reconstructs with cubic splines);
 //! * [`special`] — error function, normal PDF/CDF, log-gamma, regularized
 //!   incomplete gamma and beta functions (exact Beta/Gamma CDFs);
 //! * [`roots`] — bracketing root solver (quantile inversion);
-//! * [`smooth`] — moving-average smoothing;
+//! * [`smooth`] — clamping of numerically differentiated PDFs;
 //! * [`kahan`] — compensated summation.
 //!
 //! Everything is deterministic and allocation-conscious; hot kernels take
@@ -33,15 +33,12 @@ pub mod roots;
 pub mod smooth;
 pub mod special;
 
-pub use convolution::{
-    convolve_auto, convolve_auto_into, convolve_direct, convolve_fft, convolve_overlap_add,
-};
+pub use convolution::{convolve_auto, convolve_auto_into, convolve_direct, convolve_fft};
 pub use fft::{fft_inplace, ifft_inplace, Complex, FftPlan};
 pub use grid::linspace;
 pub use integrate::{cumulative_trapezoid, simpson_uniform, trapezoid_uniform};
 pub use interp::{
-    monotone_clamp, CubicSpline, LinearInterp, MonotoneCubic, SplineScratch, UniformLocalCubic,
-    UniformSpline,
+    monotone_clamp, CubicSpline, MonotoneCubic, SplineScratch, UniformLocalCubic, UniformSpline,
 };
 pub use kahan::KahanSum;
 pub use special::{erf, erfc, ln_gamma, norm_cdf, norm_pdf, reg_inc_beta, reg_inc_gamma};

@@ -1,43 +1,9 @@
-//! Signal smoothing.
+//! PDF clean-up after numerical differentiation.
 //!
-//! The paper's implementation used GSL "smoothing" when post-processing
-//! numerically differentiated CDFs (the max operator differentiates a
-//! product of interpolated CDFs, which amplifies grid noise). A centered
-//! moving average with reflected boundaries is what we apply to derivative
-//! PDFs before renormalization.
-
-/// Centered moving average of window `2·half + 1` with boundary reflection.
-///
-/// `half == 0` returns the input unchanged. The window is truncated near the
-/// edges using reflection (`y[-1] == y[1]`), which preserves total mass for
-/// symmetric inputs far better than zero-padding.
-pub fn moving_average(y: &[f64], half: usize) -> Vec<f64> {
-    if half == 0 || y.len() <= 2 {
-        return y.to_vec();
-    }
-    let n = y.len() as isize;
-    let h = half as isize;
-    let mut out = Vec::with_capacity(y.len());
-    for i in 0..n {
-        let mut acc = 0.0;
-        let mut count = 0.0;
-        for k in -h..=h {
-            let mut j = i + k;
-            // Reflect indices across the boundaries.
-            if j < 0 {
-                j = -j;
-            }
-            if j >= n {
-                j = 2 * (n - 1) - j;
-            }
-            let j = j.clamp(0, n - 1) as usize;
-            acc += y[j];
-            count += 1.0;
-        }
-        out.push(acc / count);
-    }
-    out
-}
+//! The max operator differentiates a product of interpolated CDFs, which
+//! amplifies grid noise and spline overshoot into small negative densities.
+//! The paper's implementation smoothed such PDFs with GSL; this one only
+//! clamps them to zero ([`clamp_nonnegative`]) before renormalization.
 
 /// Clamps negative values (numerical noise from differentiation or spline
 /// overshoot) to zero — PDFs must be non-negative.
@@ -56,41 +22,6 @@ pub fn clamp_nonnegative(y: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_window_is_identity() {
-        let y = vec![1.0, 2.0, 3.0];
-        assert_eq!(moving_average(&y, 0), y);
-    }
-
-    #[test]
-    fn constant_signal_unchanged() {
-        let y = vec![4.2; 17];
-        let s = moving_average(&y, 3);
-        for v in s {
-            assert!((v - 4.2).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn smoothing_reduces_oscillation() {
-        let y: Vec<f64> = (0..64)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let s = moving_average(&y, 1);
-        let max_abs = s.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        // A window of 3 over ±1 alternation gives ±1/3.
-        assert!(max_abs < 0.34);
-    }
-
-    #[test]
-    fn preserves_linear_trend_interior() {
-        let y: Vec<f64> = (0..32).map(|i| i as f64).collect();
-        let s = moving_average(&y, 2);
-        for i in 2..30 {
-            assert!((s[i] - y[i]).abs() < 1e-12);
-        }
-    }
 
     #[test]
     fn clamp_zeroes_all_negatives() {

@@ -1,7 +1,7 @@
 //! Property tests for the numerical substrate.
 
 use proptest::prelude::*;
-use robusched_numeric::convolution::{convolve_direct, convolve_fft, convolve_overlap_add};
+use robusched_numeric::convolution::{convolve_direct, convolve_fft};
 use robusched_numeric::fft::{fft_inplace, ifft_inplace, Complex};
 use robusched_numeric::integrate::{cumulative_trapezoid, simpson_uniform, trapezoid_uniform};
 use robusched_numeric::interp::CubicSpline;
@@ -63,12 +63,9 @@ proptest! {
     ) {
         let d = convolve_direct(&a, &b);
         let f = convolve_fft(&a, &b);
-        let o = convolve_overlap_add(&a, &b, 16);
         prop_assert_eq!(d.len(), f.len());
-        prop_assert_eq!(d.len(), o.len());
         for i in 0..d.len() {
             prop_assert!(close(d[i], f[i], 1e-8), "fft idx {i}: {} vs {}", d[i], f[i]);
-            prop_assert!(close(d[i], o[i], 1e-8), "ola idx {i}: {} vs {}", d[i], o[i]);
         }
     }
 

@@ -412,9 +412,9 @@ impl DiscreteRv {
         if self.is_point() {
             return self.lo;
         }
-        // Inverse lookup on the monotone CDF table, same semantics as
-        // `LinearInterp::inverse_monotone` but without materializing the
-        // grid.
+        // Inverse lookup on the monotone CDF table: the smallest grid
+        // abscissa bracket whose CDF reaches `p`, linear within it, without
+        // materializing the grid.
         let n = self.cdf.len();
         if p <= self.cdf[0] {
             return self.x_at(0);

@@ -9,8 +9,6 @@
 //!
 //! * [`descriptive`] — means, variances, quantiles of sample vectors;
 //! * [`correlation`] — Pearson and Spearman coefficients;
-//! * [`regression`] — simple linear regression (the visual fit lines of
-//!   Figs. 3–5);
 //! * [`ecdf`] — empirical CDFs with Kolmogorov–Smirnov and area (the
 //!   paper's Cramér–von-Mises variant) distances against analytic CDFs;
 //! * [`matrix`] — labeled correlation matrices and their mean/std
@@ -20,10 +18,8 @@ pub mod correlation;
 pub mod descriptive;
 pub mod ecdf;
 pub mod matrix;
-pub mod regression;
 
 pub use correlation::{pearson, spearman};
 pub use descriptive::{max, mean, min, population_std, quantile, sample_std};
 pub use ecdf::Ecdf;
 pub use matrix::CorrMatrix;
-pub use regression::{linear_regression, Regression};

@@ -16,58 +16,26 @@
 //! with `⊕` the independent-sum (PDF convolution) and `max` the CDF
 //! product, both on 64-point grids (`robusched_randvar::DiscreteRv`).
 //!
-//! The hot entry point is [`evaluate_classic_cached`]: the per-(task,
-//! machine) and per-(edge, machine-pair) discretizations come from a shared
-//! read-only [`DiscretizedScenario`], every intermediate RV is built with
-//! the `*_into` kernels into a per-worker [`ClassicScratch`], and the
-//! disjunctive sinks come precomputed from [`EagerPlan`] — one schedule
-//! evaluation allocates nothing in the steady state beyond the returned
-//! distribution. The historical signatures ([`evaluate_classic`],
-//! [`evaluate_classic_grid`], [`evaluate_classic_full`]) are thin wrappers
-//! that build a fresh (lazy) cache and scratch per call.
+//! It is reached through [`ClassicEvaluator`](crate::ClassicEvaluator):
+//! the per-(task, machine) and per-(edge, machine-pair) discretizations come
+//! from the shared read-only [`DiscretizedScenario`] its
+//! [`prepare`](crate::Evaluator::prepare) builds, every intermediate RV is
+//! built with the `*_into` kernels into the per-worker
+//! [`EvalContext`](crate::EvalContext) scratch, and the disjunctive sinks
+//! come precomputed from [`EagerPlan`] — one schedule evaluation allocates
+//! nothing in the steady state beyond the returned distribution.
 
 use crate::cache::DiscretizedScenario;
 use robusched_platform::Scenario;
 use robusched_randvar::{DiscreteRv, RvWorkspace};
 use robusched_sched::{EagerPlan, Schedule};
 
-/// Analytic makespan distribution of a schedule (64-point grid).
-pub fn evaluate_classic(scenario: &Scenario, schedule: &Schedule) -> DiscreteRv {
-    evaluate_classic_grid(scenario, schedule, robusched_randvar::DEFAULT_GRID)
-}
-
-/// Same as [`evaluate_classic`] with an explicit grid resolution.
-pub fn evaluate_classic_grid(scenario: &Scenario, schedule: &Schedule, grid: usize) -> DiscreteRv {
-    let cache = DiscretizedScenario::new(scenario, grid);
-    let mut ws = RvWorkspace::new();
-    let mut scratch = ClassicScratch::new();
-    evaluate_classic_cached(scenario, schedule, &cache, &mut ws, &mut scratch)
-}
-
-/// Full evaluation: per-task finish distributions plus the makespan
-/// distribution.
-///
-/// # Panics
-/// Panics if the schedule is invalid for the scenario.
-pub fn evaluate_classic_full(
-    scenario: &Scenario,
-    schedule: &Schedule,
-    grid: usize,
-) -> (Vec<DiscreteRv>, DiscreteRv) {
-    let cache = DiscretizedScenario::new(scenario, grid);
-    let mut ws = RvWorkspace::new();
-    let mut scratch = ClassicScratch::new();
-    let makespan = evaluate_classic_cached(scenario, schedule, &cache, &mut ws, &mut scratch);
-    scratch.finish.truncate(scenario.task_count());
-    (scratch.finish, makespan)
-}
-
 /// Reusable per-worker storage for the classic recursion: the per-task
 /// finish distributions plus the ping-pong accumulators for `start` and the
 /// makespan. Buffers grow to the case size on first use and are reused for
 /// every subsequent schedule.
 #[derive(Debug)]
-pub struct ClassicScratch {
+pub(crate) struct ClassicScratch {
     pub(crate) finish: Vec<DiscreteRv>,
     start_a: DiscreteRv,
     start_b: DiscreteRv,
@@ -78,7 +46,7 @@ pub struct ClassicScratch {
 
 impl ClassicScratch {
     /// Empty scratch; buffers grow on first evaluation.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             finish: Vec::new(),
             start_a: DiscreteRv::point(0.0),
@@ -134,13 +102,12 @@ impl<'a> MaxAccum<'a> {
 }
 
 /// The allocation-free classic evaluation: shared discretization `cache`,
-/// per-worker `ws` + `scratch`. Numerically identical to the historical
-/// per-call path — the cache holds the same discretizations, the `*_into`
-/// kernels the same arithmetic.
+/// per-worker `ws` + `scratch`. On return `scratch.finish[v]` holds task
+/// `v`'s finish distribution.
 ///
 /// # Panics
 /// Panics if the schedule is invalid for the scenario.
-pub fn evaluate_classic_cached(
+pub(crate) fn evaluate_classic_cached(
     scenario: &Scenario,
     schedule: &Schedule,
     cache: &DiscretizedScenario,
@@ -204,10 +171,15 @@ pub fn evaluate_classic_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ClassicEvaluator, Evaluator};
     use robusched_dag::{generators, Dag, TaskGraph};
     use robusched_numeric::approx_eq;
     use robusched_platform::{CostMatrix, Platform, UncertaintyModel};
     use robusched_sched::det_makespan;
+
+    fn classic_rv(s: &Scenario, sched: &Schedule) -> DiscreteRv {
+        ClassicEvaluator::default().evaluate(s, sched)
+    }
 
     fn chain_scenario(ul: f64) -> (Scenario, Schedule) {
         let tg = generators::chain(3);
@@ -225,7 +197,7 @@ mod tests {
     #[test]
     fn chain_makespan_is_sum_of_betas() {
         let (s, sched) = chain_scenario(1.1);
-        let rv = evaluate_classic(&s, &sched);
+        let rv = classic_rv(&s, &sched);
         // Sum of Beta(2,5) on [10,11], [20,22], [30,33]:
         // mean = 60 + (1+2+3)·(2/7); support [60, 66].
         assert!(approx_eq(rv.lo(), 60.0, 1e-9));
@@ -246,7 +218,7 @@ mod tests {
     fn deterministic_limit_matches_eager_executor() {
         let (mut s, sched) = chain_scenario(1.0);
         s.uncertainty = UncertaintyModel::none();
-        let rv = evaluate_classic(&s, &sched);
+        let rv = classic_rv(&s, &sched);
         assert!(rv.is_point());
         assert!(approx_eq(rv.mean(), det_makespan(&s, &sched), 1e-12));
     }
@@ -264,7 +236,7 @@ mod tests {
             UncertaintyModel::paper(1.5),
         );
         let sched = Schedule::new(vec![0, 1, 0], vec![vec![0, 2], vec![1]]);
-        let rv = evaluate_classic(&s, &sched);
+        let rv = classic_rv(&s, &sched);
         // Branch finish mean: 10 + 5·2/7 ≈ 11.43; join adds another task.
         let branch_mean = 10.0 + 5.0 * (2.0 / 7.0);
         assert!(rv.mean() > 2.0 * branch_mean - 1.0);
@@ -286,7 +258,7 @@ mod tests {
             UncertaintyModel::paper(1.2),
         );
         let sched = Schedule::new(vec![0, 0], vec![vec![0, 1]]);
-        let rv = evaluate_classic(&s, &sched);
+        let rv = classic_rv(&s, &sched);
         assert!(approx_eq(rv.lo(), 20.0, 1e-9));
         assert!(approx_eq(rv.hi(), 24.0, 1e-9));
         let expect_mean = 20.0 + 2.0 * 2.0 * (2.0 / 7.0);
@@ -305,11 +277,11 @@ mod tests {
         );
         // Across machines: comm min 5.
         let sched = Schedule::new(vec![0, 1], vec![vec![0], vec![1]]);
-        let rv = evaluate_classic(&s, &sched);
+        let rv = classic_rv(&s, &sched);
         assert!(approx_eq(rv.lo(), 25.0, 1e-9));
         // Same machine: no comm.
         let sched2 = Schedule::new(vec![0, 0], vec![vec![0, 1]]);
-        let rv2 = evaluate_classic(&s, &sched2);
+        let rv2 = classic_rv(&s, &sched2);
         assert!(approx_eq(rv2.lo(), 20.0, 1e-9));
     }
 
@@ -317,14 +289,17 @@ mod tests {
     fn full_returns_monotone_finishes() {
         let s = Scenario::paper_random(15, 3, 1.1, 3);
         let sched = robusched_sched::heft(&s);
-        let (finish, ms) = evaluate_classic_full(&s, &sched, 64);
+        let cache = DiscretizedScenario::new(&s, 64);
+        let mut scratch = ClassicScratch::new();
+        let ms = evaluate_classic_cached(&s, &sched, &cache, &mut RvWorkspace::new(), &mut scratch);
+        let finish = &scratch.finish[..s.task_count()];
         assert_eq!(finish.len(), 15);
         // Along every precedence edge the successor's mean finish is later.
         for (u, v, _) in s.graph.dag.edge_triples() {
             assert!(finish[v].mean() > finish[u].mean() - 1e-9);
         }
         // Makespan dominates every finish mean.
-        for f in &finish {
+        for f in finish {
             assert!(ms.mean() >= f.mean() - 1e-6);
         }
     }
@@ -333,8 +308,8 @@ mod tests {
     fn grid_resolution_converges() {
         let s = Scenario::paper_random(12, 3, 1.1, 9);
         let sched = robusched_sched::heft(&s);
-        let coarse = evaluate_classic_grid(&s, &sched, 32);
-        let fine = evaluate_classic_grid(&s, &sched, 128);
+        let coarse = ClassicEvaluator { grid: 32 }.evaluate(&s, &sched);
+        let fine = ClassicEvaluator { grid: 128 }.evaluate(&s, &sched);
         assert!(approx_eq(coarse.mean(), fine.mean(), 1e-2));
         assert!((coarse.std_dev() - fine.std_dev()).abs() < 0.05 * fine.std_dev().max(1e-9));
     }

@@ -9,20 +9,32 @@
 //! realization the critical chain is recovered by walking constraints
 //! backwards from the makespan-defining task.
 
-use crossbeam::thread;
+use crate::par::{par_map, worker_count};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use robusched_platform::Scenario;
 use robusched_randvar::dist::uniform01;
 use robusched_randvar::{derive_seed, QuantileTable};
 use robusched_sched::{EagerPlan, Schedule};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Timing comparison tolerance when matching the binding constraint.
 const EPS: f64 = 1e-9;
 
+/// Realizations per seeding chunk (fixed: determinism across thread
+/// counts — chunk `c` draws from `derive_seed(seed, c)`).
+const CHUNK: usize = 1024;
+
+/// Per-worker replay buffers.
+struct Scratch {
+    start: Vec<f64>,
+    finish: Vec<f64>,
+    dur: Vec<f64>,
+    comm: Vec<f64>,
+    on_path: Vec<bool>,
+}
+
 /// Estimates per-task criticality indices with `realizations` Monte-Carlo
-/// samples. Returns one probability per task.
+/// samples on all available cores. Returns one probability per task.
 ///
 /// # Panics
 /// Panics on an invalid schedule or zero realizations.
@@ -57,110 +69,110 @@ pub fn criticality_indices(
         .base_shape()
         .map(|b| QuantileTable::with_default_resolution(&b));
 
-    const CHUNK: usize = 1024;
-    let n_chunks = realizations.div_ceil(CHUNK);
-    let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                let mut start = vec![0.0f64; n];
-                let mut finish = vec![0.0f64; n];
-                let mut dur = vec![0.0f64; n];
-                let mut comm = vec![0.0f64; edge_affine.len()];
-                let mut on_path = vec![false; n];
-                loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
+    // Per-chunk critical-path counts, summed in chunk order on delivery
+    // (integer sums: the totals cannot depend on the thread count).
+    let mut counts = vec![0usize; n];
+    par_map(
+        realizations.div_ceil(CHUNK),
+        worker_count(None),
+        || Scratch {
+            start: vec![0.0; n],
+            finish: vec![0.0; n],
+            dur: vec![0.0; n],
+            comm: vec![0.0; edge_affine.len()],
+            on_path: vec![false; n],
+        },
+        |w, c| {
+            let Scratch {
+                start,
+                finish,
+                dur,
+                comm,
+                on_path,
+            } = w;
+            let mut hits = vec![0usize; n];
+            let mut rng = StdRng::seed_from_u64(derive_seed(seed, c as u64));
+            for _ in 0..CHUNK.min(realizations - c * CHUNK) {
+                // Sample and execute.
+                for (v, &(lo, span)) in task_affine.iter().enumerate() {
+                    dur[v] = match &table {
+                        Some(t) if span > 0.0 => lo + span * t.quantile(uniform01(&mut rng)),
+                        _ => lo,
+                    };
+                }
+                for (e, &(lo, span)) in edge_affine.iter().enumerate() {
+                    comm[e] = match &table {
+                        Some(t) if span > 0.0 => lo + span * t.quantile(uniform01(&mut rng)),
+                        _ => lo,
+                    };
+                }
+                let mut sink = 0usize;
+                let mut best = f64::NEG_INFINITY;
+                for &v in plan.topo_order() {
+                    let mut ready = 0.0f64;
+                    if let Some(u) = plan.prev_on_proc()[v] {
+                        ready = finish[u];
                     }
-                    let mut rng = StdRng::seed_from_u64(derive_seed(seed, c as u64));
-                    let this_chunk = CHUNK.min(realizations - c * CHUNK);
-                    for _ in 0..this_chunk {
-                        // Sample and execute.
-                        for (v, &(lo, span)) in task_affine.iter().enumerate() {
-                            dur[v] = match &table {
-                                Some(t) if span > 0.0 => {
-                                    lo + span * t.quantile(uniform01(&mut rng))
-                                }
-                                _ => lo,
-                            };
+                    for &(u, e) in dag.preds(v) {
+                        let a = finish[u] + comm[e];
+                        if a > ready {
+                            ready = a;
                         }
-                        for (e, &(lo, span)) in edge_affine.iter().enumerate() {
-                            comm[e] = match &table {
-                                Some(t) if span > 0.0 => {
-                                    lo + span * t.quantile(uniform01(&mut rng))
-                                }
-                                _ => lo,
-                            };
-                        }
-                        let mut sink = 0usize;
-                        let mut best = f64::NEG_INFINITY;
-                        for &v in plan.topo_order() {
-                            let mut ready = 0.0f64;
-                            if let Some(u) = plan.prev_on_proc()[v] {
-                                ready = finish[u];
-                            }
-                            for &(u, e) in dag.preds(v) {
-                                let a = finish[u] + comm[e];
-                                if a > ready {
-                                    ready = a;
-                                }
-                            }
-                            start[v] = ready;
-                            finish[v] = ready + dur[v];
-                            if finish[v] > best {
-                                best = finish[v];
-                                sink = v;
-                            }
-                        }
-                        // Backtrace the binding chain from the sink.
-                        on_path.iter_mut().for_each(|b| *b = false);
-                        let mut cur = sink;
-                        loop {
-                            on_path[cur] = true;
-                            if start[cur] <= EPS {
-                                break;
-                            }
-                            // Which constraint binds the start of `cur`?
-                            let mut nxt: Option<usize> = None;
-                            if let Some(u) = plan.prev_on_proc()[cur] {
-                                if (finish[u] - start[cur]).abs() <= EPS {
-                                    nxt = Some(u);
-                                }
-                            }
-                            if nxt.is_none() {
-                                for &(u, e) in dag.preds(cur) {
-                                    if (finish[u] + comm[e] - start[cur]).abs() <= EPS {
-                                        nxt = Some(u);
-                                        break;
-                                    }
-                                }
-                            }
-                            match nxt {
-                                Some(u) => cur = u,
-                                None => break, // numerically ambiguous; stop
-                            }
-                        }
-                        for (v, &hit) in on_path.iter().enumerate() {
-                            if hit {
-                                counts[v].fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
+                    }
+                    start[v] = ready;
+                    finish[v] = ready + dur[v];
+                    if finish[v] > best {
+                        best = finish[v];
+                        sink = v;
                     }
                 }
-            });
-        }
-    })
-    .expect("criticality worker panicked");
+                // Backtrace the binding chain from the sink.
+                on_path.iter_mut().for_each(|b| *b = false);
+                let mut cur = sink;
+                loop {
+                    on_path[cur] = true;
+                    if start[cur] <= EPS {
+                        break;
+                    }
+                    // Which constraint binds the start of `cur`?
+                    let mut nxt: Option<usize> = None;
+                    if let Some(u) = plan.prev_on_proc()[cur] {
+                        if (finish[u] - start[cur]).abs() <= EPS {
+                            nxt = Some(u);
+                        }
+                    }
+                    if nxt.is_none() {
+                        for &(u, e) in dag.preds(cur) {
+                            if (finish[u] + comm[e] - start[cur]).abs() <= EPS {
+                                nxt = Some(u);
+                                break;
+                            }
+                        }
+                    }
+                    match nxt {
+                        Some(u) => cur = u,
+                        None => break, // numerically ambiguous; stop
+                    }
+                }
+                for (hit, &on) in hits.iter_mut().zip(on_path.iter()) {
+                    *hit += usize::from(on);
+                }
+            }
+            hits
+        },
+        |_, hits| {
+            for (total, h) in counts.iter_mut().zip(hits) {
+                *total += h;
+            }
+        },
+    )
+    // The plan compiled above, so a panic here is an estimator bug:
+    // re-raise it on the caller's thread with the worker's message.
+    .unwrap_or_else(|msg| panic!("{msg}"));
 
     counts
         .into_iter()
-        .map(|c| c.into_inner() as f64 / realizations as f64)
+        .map(|c| c as f64 / realizations as f64)
         .collect()
 }
 

@@ -10,7 +10,7 @@
 //! metrics operate on: with it, a bounded-processor schedule becomes a pure
 //! precedence network.
 
-use robusched_dag::{Dag, EdgeId, NodeId};
+use robusched_dag::{Dag, EdgeId};
 use robusched_sched::Schedule;
 
 /// A schedule-augmented precedence graph.
@@ -61,12 +61,6 @@ impl DisjunctiveGraph {
             orig_edge,
         }
     }
-
-    /// Sink tasks of the disjunctive graph (no successor of either kind):
-    /// the makespan is the max of their finish times.
-    pub fn sinks(&self) -> Vec<NodeId> {
-        self.dag.exit_nodes()
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +106,7 @@ mod tests {
         let dag = diamond();
         let s = Schedule::new(vec![0; 4], vec![vec![0, 2, 1, 3]]);
         let dg = DisjunctiveGraph::build(&dag, &s);
-        assert_eq!(dg.sinks(), vec![3]);
+        assert_eq!(dg.dag.exit_nodes(), vec![3]);
         // The chain has depth 4 now.
         assert_eq!(dg.dag.depth(), 4);
     }
@@ -125,6 +119,6 @@ mod tests {
         assert_eq!(dg.dag.edge_count(), 2);
         assert!(dg.dag.has_edge(2, 0));
         assert!(dg.dag.has_edge(0, 1));
-        assert_eq!(dg.sinks(), vec![1]);
+        assert_eq!(dg.dag.exit_nodes(), vec![1]);
     }
 }

@@ -207,22 +207,14 @@ impl Net {
     }
 }
 
-/// Evaluates the makespan distribution by Dodin's method.
+/// Evaluates the makespan distribution by Dodin's method, drawing its leaf
+/// discretizations from a shared [`DiscretizedScenario`] (grid =
+/// `cache.grid()`), so repeated evaluations of the same scenario stop
+/// re-sampling the Beta densities.
 ///
 /// # Panics
 /// Panics if the schedule is invalid for the scenario.
-pub fn evaluate_dodin(scenario: &Scenario, schedule: &Schedule, grid: usize) -> DiscreteRv {
-    let cache = DiscretizedScenario::new(scenario, grid);
-    evaluate_dodin_cached(scenario, schedule, &cache)
-}
-
-/// [`evaluate_dodin`] drawing its leaf discretizations from a shared
-/// [`DiscretizedScenario`] (grid = `cache.grid()`), so repeated evaluations
-/// of the same scenario stop re-sampling the Beta densities.
-///
-/// # Panics
-/// Panics if the schedule is invalid for the scenario.
-pub fn evaluate_dodin_cached(
+pub(crate) fn evaluate_dodin_cached(
     scenario: &Scenario,
     schedule: &Schedule,
     cache: &DiscretizedScenario,
@@ -296,7 +288,7 @@ pub fn evaluate_dodin_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classic::evaluate_classic;
+    use crate::{ClassicEvaluator, DodinEvaluator, Evaluator};
     use robusched_dag::generators;
     use robusched_numeric::approx_eq;
     use robusched_platform::{CostMatrix, Platform, UncertaintyModel};
@@ -312,8 +304,8 @@ mod tests {
             UncertaintyModel::paper(1.2),
         );
         let sched = Schedule::new(vec![0; 4], vec![vec![0, 1, 2, 3]]);
-        let d = evaluate_dodin(&s, &sched, 64);
-        let c = evaluate_classic(&s, &sched);
+        let d = DodinEvaluator::default().evaluate(&s, &sched);
+        let c = ClassicEvaluator::default().evaluate(&s, &sched);
         assert!(approx_eq(d.mean(), c.mean(), 1e-3));
         assert!(approx_eq(d.std_dev(), c.std_dev(), 1e-2));
     }
@@ -331,8 +323,8 @@ mod tests {
             UncertaintyModel::paper(1.5),
         );
         let sched = Schedule::new(vec![0, 1, 2, 0], vec![vec![0, 3], vec![1], vec![2]]);
-        let d = evaluate_dodin(&s, &sched, 64);
-        let c = evaluate_classic(&s, &sched);
+        let d = DodinEvaluator::default().evaluate(&s, &sched);
+        let c = ClassicEvaluator::default().evaluate(&s, &sched);
         assert!(
             approx_eq(d.mean(), c.mean(), 1e-2),
             "{} vs {}",
@@ -348,8 +340,8 @@ mod tests {
         // paper reports "similar results" between the methods.
         let s = Scenario::paper_random(15, 3, 1.1, 23);
         let sched = robusched_sched::heft(&s);
-        let d = evaluate_dodin(&s, &sched, 64);
-        let c = evaluate_classic(&s, &sched);
+        let d = DodinEvaluator::default().evaluate(&s, &sched);
+        let c = ClassicEvaluator::default().evaluate(&s, &sched);
         assert!(
             (d.mean() - c.mean()).abs() / c.mean() < 0.02,
             "means {} vs {}",
@@ -370,7 +362,7 @@ mod tests {
             UncertaintyModel::none(),
         );
         let sched = Schedule::new(vec![0, 0, 1, 0], vec![vec![0, 1, 3], vec![2]]);
-        let d = evaluate_dodin(&s, &sched, 64);
+        let d = DodinEvaluator::default().evaluate(&s, &sched);
         let det = robusched_sched::det_makespan(&s, &sched);
         assert!(approx_eq(d.mean(), det, 1e-6), "{} vs {det}", d.mean());
         assert!(d.std_dev() < 1e-6);

@@ -7,7 +7,8 @@
 //! exactly the kind of question a pluggable harness answers (cf. PISA's
 //! finding that scheduler rankings flip when the evaluation harness
 //! changes). [`Evaluator`] unifies the four backends of this crate behind
-//! `evaluate(&Scenario, &Schedule) -> DiscreteRv`; each implementation
+//! `evaluate(&Scenario, &Schedule) -> DiscreteRv` — the only way to get a
+//! makespan distribution out of this crate; each implementation
 //! carries its own configuration (grid resolution, Monte-Carlo realization
 //! budget, …) so a study can be re-run under a different backend by
 //! swapping one trait object.
@@ -58,14 +59,8 @@ impl EvalContext {
             prep,
             ws: RvWorkspace::new(),
             classic: ClassicScratch::new(),
-            mc: McScratch::new(),
+            mc: McScratch::default(),
         }
-    }
-
-    /// A context with no shared precomputation (every evaluation prepares
-    /// privately).
-    pub fn empty() -> Self {
-        Self::new(PreparedScenario::None)
     }
 
     /// The discretization cache, if this context carries one *matching*
@@ -101,8 +96,8 @@ impl EvalContext {
 /// build one [`EvalContext`] per worker, and evaluate every schedule
 /// through it — shared discretizations are computed once and scratch
 /// buffers are reused across schedules. [`evaluate`](Evaluator::evaluate)
-/// is the historical convenience wrapper (fresh context per call) and
-/// yields identical distributions.
+/// is the one-shot form (fresh context per call) and yields identical
+/// distributions.
 ///
 /// # Panics
 /// Bundled implementations panic if the schedule is invalid for the
@@ -258,6 +253,8 @@ impl Evaluator for DodinEvaluator {
 /// Every `evaluate` call reuses the same fixed seed — common random
 /// numbers across schedules, which *reduces* the variance of between-
 /// schedule comparisons (the quantity the correlation study cares about).
+/// One evaluation runs on the caller's thread: studies parallelize across
+/// schedules, never inside one.
 ///
 /// [`prepare`](Evaluator::prepare) returns the scenario's shared
 /// [`SamplingTables`]; with a prepared context the per-evaluation setup is
@@ -277,10 +274,6 @@ pub struct MonteCarloEvaluator {
     pub realizations: usize,
     /// Fixed seed shared by every evaluation.
     pub seed: u64,
-    /// Worker threads *inside one evaluation*. Defaults to 1: studies
-    /// already parallelize across schedules, and nesting thread pools
-    /// oversubscribes the machine.
-    pub threads: Option<usize>,
     /// Grid resolution of the fitted empirical distribution.
     pub grid: usize,
     /// Variance-reduction mode (selects the registry name).
@@ -292,7 +285,6 @@ impl Default for MonteCarloEvaluator {
         Self {
             realizations: 10_000,
             seed: 0xC0FFEE,
-            threads: Some(1),
             grid: DEFAULT_GRID,
             estimator: McEstimator::Standard,
         }
@@ -331,8 +323,8 @@ impl Evaluator for MonteCarloEvaluator {
         let cfg = McConfig {
             realizations: self.realizations,
             seed: self.seed,
-            threads: self.threads,
             estimator: self.estimator,
+            ..Default::default()
         };
         let tables = match cx.sampling(scenario) {
             Some(t) => t.clone(),
@@ -340,22 +332,16 @@ impl Evaluator for MonteCarloEvaluator {
             // private tables — same numerics, no sharing.
             None => Arc::new(SamplingTables::new(scenario)),
         };
-        if cfg.threads == Some(1) {
-            // Serial path through the context scratch: a study worker
-            // reuses one duration matrix/replay buffer/sample buffer for
-            // every schedule it evaluates.
-            let mut samples = std::mem::take(&mut cx.mc.samples);
-            samples.resize(cfg.realizations, 0.0);
-            let scratch = &mut cx.mc;
-            // `samples` was detached above, so the scratch borrow is safe.
-            mc_makespans_into(scenario, schedule, &cfg, &tables, scratch, &mut samples);
-            let rv = DiscreteRv::from_samples(&samples, self.grid);
-            cx.mc.samples = samples;
-            rv
-        } else {
-            let ms = crate::montecarlo::mc_makespans_prepared(scenario, schedule, &cfg, &tables);
-            DiscreteRv::from_samples(&ms, self.grid)
-        }
+        // Serial path through the context scratch: a study worker reuses
+        // one duration matrix/replay buffer/sample buffer for every
+        // schedule it evaluates.
+        let mut samples = std::mem::take(&mut cx.mc.samples);
+        samples.resize(cfg.realizations, 0.0);
+        // `samples` was detached above, so the scratch borrow is safe.
+        mc_makespans_into(scenario, schedule, &cfg, &tables, &mut cx.mc, &mut samples);
+        let rv = DiscreteRv::from_samples(&samples, self.grid);
+        cx.mc.samples = samples;
+        rv
     }
 }
 
@@ -388,7 +374,6 @@ pub fn evaluator_by_name(name: &str) -> Option<Box<dyn Evaluator>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classic::evaluate_classic;
     use robusched_sched::heft;
 
     fn case() -> (Scenario, Schedule) {
@@ -413,19 +398,10 @@ mod tests {
     }
 
     #[test]
-    fn classic_trait_matches_free_function() {
-        let (s, sched) = case();
-        let via_trait = ClassicEvaluator::default().evaluate(&s, &sched);
-        let direct = evaluate_classic(&s, &sched);
-        assert_eq!(via_trait.mean(), direct.mean());
-        assert_eq!(via_trait.std_dev(), direct.std_dev());
-    }
-
-    #[test]
     fn backends_agree_on_the_mean() {
         // §V: the methods "gave similar results"; means within 2%.
         let (s, sched) = case();
-        let reference = evaluate_classic(&s, &sched).mean();
+        let reference = ClassicEvaluator::default().evaluate(&s, &sched).mean();
         for e in registry() {
             let m = e.evaluate(&s, &sched).mean();
             assert!(

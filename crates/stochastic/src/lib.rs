@@ -19,22 +19,24 @@
 //!   series-parallel form.
 //! * [`montecarlo`] — the ground truth: 100 000 (configurable) sampled
 //!   realizations replayed through the eager executor, parallelized with
-//!   crossbeam and deterministic regardless of thread count.
+//!   [`par::par_map`] and deterministic regardless of thread count.
 //!
-//! [`evaluator`] puts all four behind the object-safe [`Evaluator`] trait
-//! (with a by-name [`registry`]) so studies can swap the backend without
-//! naming concrete functions. The trait's batch surface —
-//! [`Evaluator::prepare`] + [`Evaluator::evaluate_with`] with a per-worker
-//! [`EvalContext`] — shares one [`cache::DiscretizedScenario`] (every
-//! task/communication distribution quantized once per scenario and grid)
-//! across all schedules and threads of a study and reuses scratch buffers,
-//! keeping the analytic hot path allocation-free.
+//! [`evaluator`] puts the classic, Spelde and Dodin methods and the
+//! Monte-Carlo estimators behind the object-safe [`Evaluator`] trait (with
+//! a by-name [`registry`]); it is the one way to get a makespan
+//! distribution. Its batch surface — [`Evaluator::prepare`] +
+//! [`Evaluator::evaluate_with`] with a per-worker [`EvalContext`] — shares
+//! one [`cache::DiscretizedScenario`] (every task/communication
+//! distribution quantized once per scenario and grid) across all schedules
+//! and threads of a study and reuses scratch buffers, keeping the analytic
+//! hot path allocation-free; [`Evaluator::evaluate`] is the one-shot form.
 //!
 //! [`disjunctive`] builds the schedule-augmented precedence graph
 //! (§II: "adding edges between independent tasks when they are scheduled
 //! consecutively on the same processor"); [`accuracy`] measures the KS and
 //! area (CM) distances between an analytic distribution and the empirical
-//! one (Fig. 1 / Fig. 2).
+//! one (Fig. 1 / Fig. 2); [`par`] is the ordered-parallel helper every
+//! parallel loop of the workspace runs on.
 
 #![deny(missing_docs)]
 
@@ -46,22 +48,19 @@ pub mod disjunctive;
 pub mod dodin;
 pub mod evaluator;
 pub mod montecarlo;
+pub mod par;
 pub mod perturb;
 pub mod spelde;
 
 pub use accuracy::AccuracyReport;
 pub use cache::{scenario_fingerprint, DiscretizedScenario, SamplingTables};
-pub use classic::{
-    evaluate_classic, evaluate_classic_cached, evaluate_classic_full, ClassicScratch,
-};
 pub use criticality::criticality_indices;
 pub use disjunctive::DisjunctiveGraph;
-pub use dodin::{evaluate_dodin, evaluate_dodin_cached};
 pub use evaluator::{
     evaluator_by_name, registry, ClassicEvaluator, DodinEvaluator, EvalContext, Evaluator,
     MonteCarloEvaluator, PreparedScenario, SpeldeEvaluator,
 };
-pub use montecarlo::{mc_makespans, mc_makespans_prepared, McConfig, McEstimator, McScratch};
+pub use montecarlo::{mc_makespans, McConfig, McEstimator};
 pub use perturb::{
     perturbation_by_name, perturbation_registry, replayable_perturbations, Perturbation,
     SearchPoint,

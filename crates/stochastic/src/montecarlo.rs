@@ -15,15 +15,15 @@
 //!   shape (Beta(2, 5)) rescaled affinely, so the per-scenario
 //!   [`SamplingTables`] turn every draw into `lo + span·Q(u)`: a table
 //!   lookup, not a root find. Build them once per scenario
-//!   (`Evaluator::prepare`) and pass [`mc_makespans_prepared`];
+//!   (`Evaluator::prepare`) and pass them to every [`mc_makespans`] call;
 //! * **compiled plan** — the disjunctive topological order and a *draw
 //!   program* (the uncertain slots, in a fixed canonical order) are
 //!   computed once per schedule; a realization block is then pure
 //!   streaming arithmetic;
 //! * **fixed chunking** — realizations are split into fixed 2048-wide
-//!   chunks, each seeded as `derive_seed(seed, chunk_index)`; crossbeam
-//!   workers steal chunks, so results are bit-identical for any thread
-//!   count (per estimator);
+//!   chunks, each seeded as `derive_seed(seed, chunk_index)`;
+//!   [`par_map`] workers claim chunks and deliver them in chunk order, so
+//!   results are bit-identical for any thread count (per estimator);
 //! * **variance reduction** — [`McEstimator::Antithetic`] mirrors every
 //!   uniform draw across realization pairs and [`McEstimator::Stratified`]
 //!   stratifies each slot's `u ∈ [0, 1)` stream within a block
@@ -42,13 +42,12 @@
 //! same fixed contract.
 
 use crate::cache::SamplingTables;
-use crossbeam::thread;
+use crate::par::{par_map, worker_count};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use robusched_platform::Scenario;
 use robusched_randvar::{derive_seed, QuantileTable};
 use robusched_sched::{EagerPlan, ReplayScratch, Schedule};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Variance-reduction mode of the Monte-Carlo engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,12 +71,12 @@ pub enum McEstimator {
 ///
 /// ```
 /// use robusched_platform::Scenario;
-/// use robusched_stochastic::{mc_makespans_prepared, McConfig, McEstimator, SamplingTables};
+/// use robusched_stochastic::{mc_makespans, McConfig, McEstimator, SamplingTables};
 ///
 /// let scenario = Scenario::paper_random(10, 3, 1.1, 5);
 /// let schedule = robusched_sched::heft(&scenario);
 /// let tables = SamplingTables::new(&scenario); // once per scenario
-/// let ms = mc_makespans_prepared(
+/// let ms = mc_makespans(
 ///     &scenario,
 ///     &schedule,
 ///     &McConfig {
@@ -131,22 +130,15 @@ const _: () = assert!(CHUNK.is_multiple_of(BLOCK));
 /// Reusable per-worker state of the batched engine: the `[slot × lane]`
 /// duration matrix, the replay scratch, the stratification permutation and
 /// the sample buffer. One per worker thread (or per
-/// `robusched-stochastic::EvalContext`), reused across blocks, chunks and
+/// [`EvalContext`](crate::EvalContext)), reused across blocks, chunks and
 /// schedules — steady-state evaluations allocate nothing.
 #[derive(Debug, Default)]
-pub struct McScratch {
+pub(crate) struct McScratch {
     /// Task rows followed by edge rows, `BLOCK` lanes each.
     dur: Vec<f64>,
     replay: ReplayScratch,
     perm: Vec<u32>,
     pub(crate) samples: Vec<f64>,
-}
-
-impl McScratch {
-    /// Empty scratch; buffers grow on first use and are reused after.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// One uncertain slot of the draw program: the row it fills and the affine
@@ -235,8 +227,9 @@ fn u53(rng: &mut StdRng) -> u64 {
 }
 
 /// Shared per-call setup of both entry points: validates the budget and
-/// compiles the replay plan + draw program. Keeping this single keeps the
-/// serial and parallel paths behaviorally identical by construction.
+/// compiles the replay plan + draw program. Keeping this single keeps
+/// [`mc_makespans`] and the evaluator's path behaviorally identical by
+/// construction.
 fn compile_plan(
     scenario: &Scenario,
     schedule: &Schedule,
@@ -248,34 +241,23 @@ fn compile_plan(
     (plan, sampling)
 }
 
-/// Runs the Monte-Carlo engine with freshly built sampling tables.
-///
-/// Batch callers (studies, accuracy sweeps) should build
-/// [`SamplingTables`] once per scenario and call
-/// [`mc_makespans_prepared`] — the table build is the dominant setup cost.
-///
-/// # Panics
-/// Panics if the schedule is invalid or `realizations == 0`.
-pub fn mc_makespans(scenario: &Scenario, schedule: &Schedule, cfg: &McConfig) -> Vec<f64> {
-    mc_makespans_prepared(scenario, schedule, cfg, &SamplingTables::new(scenario))
-}
-
 /// Runs the Monte-Carlo engine against prepared sampling tables; returns
 /// one makespan per realization, in a deterministic order (per estimator,
-/// independent of the thread count).
+/// independent of the thread count). The raw samples are what the accuracy
+/// figures need; [`MonteCarloEvaluator`](crate::MonteCarloEvaluator) bins
+/// them into a distribution.
 ///
 /// Tables that do not [match](SamplingTables::matches) the scenario are
 /// ignored and rebuilt locally (same results, no sharing).
 ///
 /// # Panics
 /// Panics if the schedule is invalid or `realizations == 0`.
-pub fn mc_makespans_prepared(
+pub fn mc_makespans(
     scenario: &Scenario,
     schedule: &Schedule,
     cfg: &McConfig,
     tables: &SamplingTables,
 ) -> Vec<f64> {
-    let mut out = vec![0.0f64; cfg.realizations];
     let rebuilt;
     let tables = if tables.matches(scenario) {
         tables
@@ -283,73 +265,40 @@ pub fn mc_makespans_prepared(
         rebuilt = SamplingTables::new(scenario);
         &rebuilt
     };
-    let threads = cfg
-        .threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1);
-    if threads == 1 {
-        let mut scratch = McScratch::new();
-        mc_makespans_into(scenario, schedule, cfg, tables, &mut scratch, &mut out);
-        return out;
-    }
-
     let dag = &scenario.graph.dag;
     let (plan, sampling) = compile_plan(scenario, schedule, cfg);
-    match tables.base() {
-        None => {
-            out.fill(deterministic_makespan(scenario, &plan, &sampling));
-            out
-        }
-        Some(table) => {
-            let chunks: Vec<&mut [f64]> = out.chunks_mut(CHUNK).collect();
-            let next = AtomicUsize::new(0);
-            let n_chunks = chunks.len();
-            let chunk_slots: Vec<std::sync::Mutex<Option<&mut [f64]>>> = chunks
-                .into_iter()
-                .map(|c| std::sync::Mutex::new(Some(c)))
-                .collect();
-            thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|_| {
-                        let mut scratch = McScratch::new();
-                        prepare_matrix(&mut scratch, &sampling);
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= n_chunks {
-                                break;
-                            }
-                            let slice = chunk_slots[idx]
-                                .lock()
-                                .unwrap()
-                                .take()
-                                .expect("each chunk claimed once");
-                            run_chunk(
-                                dag,
-                                &plan,
-                                &sampling,
-                                table,
-                                cfg,
-                                idx as u64,
-                                slice,
-                                &mut scratch,
-                            );
-                        }
-                    });
-                }
-            })
-            .expect("worker panicked");
-            out
-        }
-    }
+    let Some(table) = tables.base() else {
+        return vec![deterministic_makespan(scenario, &plan, &sampling); cfg.realizations];
+    };
+    let mut out = Vec::with_capacity(cfg.realizations);
+    par_map(
+        cfg.realizations.div_ceil(CHUNK),
+        worker_count(cfg.threads),
+        || {
+            let mut scratch = McScratch::default();
+            prepare_matrix(&mut scratch, &sampling);
+            scratch
+        },
+        |scratch, c| {
+            let mut chunk = vec![0.0f64; CHUNK.min(cfg.realizations - c * CHUNK)];
+            run_chunk(
+                dag, &plan, &sampling, table, cfg, c as u64, &mut chunk, scratch,
+            );
+            chunk
+        },
+        |_, chunk| out.extend_from_slice(&chunk),
+    )
+    // The plan compiled above, so a panic here is an engine bug: re-raise
+    // it on the caller's thread with the worker's message.
+    .unwrap_or_else(|msg| panic!("{msg}"));
+    out
 }
 
 /// Serial engine core writing into a caller buffer with caller scratch —
 /// the path `MonteCarloEvaluator` uses so a study worker reuses one
-/// scratch across every schedule it evaluates.
+/// scratch across every schedule it evaluates. It never reads
+/// `cfg.threads`. Same chunks, seeds and draws as [`mc_makespans`], so the
+/// two agree bit for bit (pinned by `tests/mc_engine.rs`).
 pub(crate) fn mc_makespans_into(
     scenario: &Scenario,
     schedule: &Schedule,
@@ -487,6 +436,7 @@ fn fill_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Evaluator;
     use robusched_dag::generators;
     use robusched_platform::{CostMatrix, Platform, UncertaintyModel};
     use robusched_sched::det_makespan;
@@ -515,6 +465,7 @@ mod tests {
                 realizations: 100,
                 ..Default::default()
             },
+            &SamplingTables::new(&s),
         );
         assert!(ms.iter().all(|&x| (x - 20.0).abs() < 1e-12));
     }
@@ -536,6 +487,7 @@ mod tests {
                     estimator,
                     ..Default::default()
                 },
+                &SamplingTables::new(&s),
             );
             for &x in &ms {
                 assert!(x >= det - 1e-9, "realization {x} below deterministic {det}");
@@ -564,6 +516,7 @@ mod tests {
                         threads: Some(threads),
                         estimator,
                     },
+                    &SamplingTables::new(&s),
                 )
             };
             let a = run(1);
@@ -573,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_tables_match_fresh_tables() {
+    fn stale_tables_fall_back_to_fresh_ones() {
         let (s, sched) = small_case();
         let cfg = McConfig {
             realizations: 3_000,
@@ -581,15 +534,12 @@ mod tests {
             threads: Some(2),
             ..Default::default()
         };
-        let tables = SamplingTables::new(&s);
-        let a = mc_makespans_prepared(&s, &sched, &cfg, &tables);
-        let b = mc_makespans(&s, &sched, &cfg);
-        assert_eq!(a, b);
+        let a = mc_makespans(&s, &sched, &cfg, &SamplingTables::new(&s));
         // Mismatched tables fall back safely (deterministic family ≠ Beta).
         let mut det = s.clone();
         det.uncertainty = UncertaintyModel::none();
         let stale = SamplingTables::new(&det);
-        let c = mc_makespans_prepared(&s, &sched, &cfg, &stale);
+        let c = mc_makespans(&s, &sched, &cfg, &stale);
         assert_eq!(a, c);
     }
 
@@ -605,7 +555,7 @@ mod tests {
             UncertaintyModel::paper(1.2),
         );
         let sched = Schedule::new(vec![0; 5], vec![vec![0, 1, 2, 3, 4]]);
-        let cl = super::super::classic::evaluate_classic(&s, &sched);
+        let cl = crate::ClassicEvaluator::default().evaluate(&s, &sched);
         for estimator in [
             McEstimator::Standard,
             McEstimator::Antithetic,
@@ -619,6 +569,7 @@ mod tests {
                     estimator,
                     ..Default::default()
                 },
+                &SamplingTables::new(&s),
             );
             let mc_mean = ms.iter().sum::<f64>() / ms.len() as f64;
             assert!(
@@ -646,6 +597,7 @@ mod tests {
                             threads: Some(1),
                             estimator,
                         },
+                        &SamplingTables::new(&s),
                     );
                     ms.iter().sum::<f64>() / ms.len() as f64
                 })
@@ -673,6 +625,7 @@ mod tests {
                     threads: Some(1),
                     ..Default::default()
                 },
+                &SamplingTables::new(&s),
             )
         };
         assert_ne!(run(1), run(2));

@@ -153,6 +153,7 @@ pub fn evaluate_spelde(scenario: &Scenario, schedule: &Schedule) -> SpeldeResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Evaluator;
     use robusched_dag::generators;
     use robusched_numeric::approx_eq;
     use robusched_platform::{CostMatrix, Platform, UncertaintyModel};
@@ -207,7 +208,7 @@ mod tests {
         );
         let sched = Schedule::new(vec![0; 5], vec![vec![0, 1, 2, 3, 4]]);
         let sp = evaluate_spelde(&s, &sched);
-        let cl = super::super::classic::evaluate_classic(&s, &sched);
+        let cl = crate::ClassicEvaluator::default().evaluate(&s, &sched);
         assert!(approx_eq(sp.mean, cl.mean(), 1e-2));
         assert!(approx_eq(sp.std_dev, cl.std_dev(), 2e-2));
     }
@@ -217,7 +218,7 @@ mod tests {
         let s = Scenario::paper_random(20, 4, 1.1, 17);
         let sched = robusched_sched::heft(&s);
         let sp = evaluate_spelde(&s, &sched);
-        let cl = super::super::classic::evaluate_classic(&s, &sched);
+        let cl = crate::ClassicEvaluator::default().evaluate(&s, &sched);
         // The paper found the methods "gave similar results"; agree within
         // a percent on the mean and a factor on the std.
         assert!(

@@ -19,7 +19,8 @@ use robusched::platform::Scenario;
 use robusched::randvar::derive_seed;
 use robusched::sched::{bil, cpop, heft, hyb_bmct, random_schedule, Schedule};
 use robusched::stochastic::{
-    evaluate_classic, evaluate_dodin, evaluate_spelde, mc_makespans, McConfig,
+    evaluate_spelde, mc_makespans, ClassicEvaluator, DodinEvaluator, EvalContext, Evaluator,
+    McConfig, SamplingTables,
 };
 
 fn main() {
@@ -53,9 +54,12 @@ fn main() {
 
     // Score: expected makespan, broken by σ (the paper's conclusion —
     // σ is the one metric worth computing).
+    // One prepared scenario serves every candidate.
+    let classic = ClassicEvaluator::default();
+    let mut cx = EvalContext::new(classic.prepare(&scenario));
     let mut table: Vec<(String, MetricValues)> = Vec::new();
     for (name, sched) in &candidates {
-        let rv = evaluate_classic(&scenario, sched);
+        let rv = classic.evaluate_with(&scenario, sched, &mut cx);
         table.push((
             name.clone(),
             compute_metrics(&scenario, sched, &rv, &MetricOptions::default()),
@@ -86,9 +90,9 @@ fn main() {
 
     // Evaluator cross-validation on the recommended schedule.
     let sched = &candidates.iter().find(|(n, _)| *n == pick.0).unwrap().1;
-    let classic = evaluate_classic(&scenario, sched);
+    let analytic = classic.evaluate_with(&scenario, sched, &mut cx);
     let spelde = evaluate_spelde(&scenario, sched);
-    let dodin = evaluate_dodin(&scenario, sched, 64);
+    let dodin = DodinEvaluator::default().evaluate(&scenario, sched);
     let mc = mc_makespans(
         &scenario,
         sched,
@@ -96,6 +100,7 @@ fn main() {
             realizations: 30_000,
             ..Default::default()
         },
+        &SamplingTables::new(&scenario),
     );
     let mc_mean = mc.iter().sum::<f64>() / mc.len() as f64;
     let mc_std = {
@@ -109,8 +114,8 @@ fn main() {
     println!("\nevaluator agreement on the recommended schedule:");
     println!(
         "  classic:     mean {:.3}, std {:.4}",
-        classic.mean(),
-        classic.std_dev()
+        analytic.mean(),
+        analytic.std_dev()
     );
     println!(
         "  Spelde CLT:  mean {:.3}, std {:.4}",

@@ -11,10 +11,10 @@ use robusched::core::{compute_metrics, MetricOptions, MetricValues};
 use robusched::platform::Scenario;
 use robusched::randvar::derive_seed;
 use robusched::sched::{bil, cpop, heft, hyb_bmct, random_schedule, Schedule};
-use robusched::stochastic::evaluate_classic;
+use robusched::stochastic::{ClassicEvaluator, Evaluator};
 
 fn eval(scenario: &Scenario, sched: &Schedule) -> MetricValues {
-    let rv = evaluate_classic(scenario, sched);
+    let rv = ClassicEvaluator::default().evaluate(scenario, sched);
     compute_metrics(scenario, sched, &rv, &MetricOptions::default())
 }
 

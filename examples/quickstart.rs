@@ -8,7 +8,7 @@
 use robusched::core::{compute_metrics, MetricOptions};
 use robusched::platform::Scenario;
 use robusched::sched::{det_makespan, heft};
-use robusched::stochastic::{evaluate_classic, mc_makespans, McConfig};
+use robusched::stochastic::{mc_makespans, ClassicEvaluator, Evaluator, McConfig, SamplingTables};
 
 fn main() {
     // A 30-task layered random DAG on 8 unrelated machines, with every
@@ -32,7 +32,7 @@ fn main() {
 
     // The makespan under uncertainty is a random variable; evaluate its
     // distribution analytically (sum = convolution, max = CDF product).
-    let makespan = evaluate_classic(&scenario, &schedule);
+    let makespan = ClassicEvaluator::default().evaluate(&scenario, &schedule);
     println!(
         "analytic makespan distribution: support [{:.2}, {:.2}], mean {:.2}, std {:.3}",
         makespan.lo(),
@@ -49,6 +49,7 @@ fn main() {
             realizations: 20_000,
             ..Default::default()
         },
+        &SamplingTables::new(&scenario),
     );
     let mc_mean = samples.iter().sum::<f64>() / samples.len() as f64;
     println!("Monte-Carlo mean over 20k realizations: {mc_mean:.2}");

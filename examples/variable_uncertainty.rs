@@ -14,17 +14,18 @@
 use robusched::platform::Scenario;
 use robusched::randvar::derive_seed;
 use robusched::sched::{heft, sigma_heft};
-use robusched::stochastic::evaluate_classic;
+use robusched::stochastic::{ClassicEvaluator, Evaluator};
 
 fn main() {
     let base = Scenario::paper_random(25, 4, 1.1, 2026);
+    let classic = ClassicEvaluator::default();
     let n = base.task_count();
 
     // Regime 1: the paper's constant UL.
     let heft_const = heft(&base);
     let sig_const = sigma_heft(&base, 2.0);
-    let rv_h1 = evaluate_classic(&base, &heft_const);
-    let rv_s1 = evaluate_classic(&base, &sig_const);
+    let rv_h1 = classic.evaluate(&base, &heft_const);
+    let rv_s1 = classic.evaluate(&base, &sig_const);
 
     // Regime 2: variable UL — half the tasks nearly exact, half wild.
     let uls: Vec<f64> = (0..n)
@@ -40,8 +41,8 @@ fn main() {
     let varied = base.clone().with_per_task_ul(uls);
     let heft_var = heft(&varied);
     let sig_var = sigma_heft(&varied, 2.0);
-    let rv_h2 = evaluate_classic(&varied, &heft_var);
-    let rv_s2 = evaluate_classic(&varied, &sig_var);
+    let rv_h2 = classic.evaluate(&varied, &heft_var);
+    let rv_s2 = classic.evaluate(&varied, &sig_var);
 
     println!("constant UL = 1.1 (spread ∝ mean):");
     println!(

@@ -4,16 +4,12 @@
 //! 1. **registries round-trip** — every bundled heuristic, evaluator and
 //!    experiment resolves by its own name;
 //! 2. **streaming equivalence** — streamed Pearson/Spearman match the
-//!    buffered two-pass matrices to 1e-12, and the builder + classic
-//!    evaluator reproduces the legacy `run_case` output bit-for-bit;
+//!    buffered two-pass matrices to 1e-12;
 //! 3. **cross-backend determinism** — under *any* evaluator, the same
 //!    seed yields identical streamed moments for any thread count.
 
-#![allow(deprecated)] // run_case is exercised on purpose (shim equivalence)
-
 use robusched::core::{
-    metric_index as idx, pearson_matrix, run_case, spearman_matrix, MetricValues, StudyBuilder,
-    StudyConfig, StudyError,
+    metric_index as idx, pearson_matrix, spearman_matrix, MetricValues, StudyBuilder, StudyError,
 };
 use robusched::platform::Scenario;
 use robusched::{experiments, sched, stochastic};
@@ -62,43 +58,6 @@ fn experiment_registry_round_trips() {
     }
     assert!(experiments::experiment_by_name("ext-backends").is_some());
     assert!(experiments::experiment_by_name("no-such-study").is_none());
-}
-
-#[test]
-fn builder_reproduces_run_case_bit_for_bit() {
-    // The acceptance contract: StudyBuilder + classic evaluator must equal
-    // the legacy monolith exactly, rows and matrices alike.
-    let scenario = Scenario::paper_random(15, 4, 1.1, 21);
-    let legacy = run_case(
-        &scenario,
-        &StudyConfig {
-            random_schedules: 200,
-            seed: 7,
-            with_heuristics: true,
-            with_cpop: true,
-            ..Default::default()
-        },
-    );
-    let res = StudyBuilder::new(&scenario)
-        .random_schedules(200)
-        .seed(7)
-        .heuristics(&["HEFT", "BIL", "Hyb.BMCT", "CPOP"])
-        .buffer_metrics(true)
-        .run()
-        .unwrap();
-    let random = res.random.as_ref().unwrap();
-    assert_eq!(random.as_slice(), legacy.random.as_slice());
-    assert_eq!(res.heuristics, legacy.heuristics);
-    let pearson = pearson_matrix(random);
-    for i in 0..pearson.dim() {
-        for j in 0..pearson.dim() {
-            assert_eq!(
-                pearson.get(i, j),
-                legacy.pearson.get(i, j),
-                "cell ({i},{j})"
-            );
-        }
-    }
 }
 
 #[test]

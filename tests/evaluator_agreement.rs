@@ -7,10 +7,16 @@
 
 use robusched::dag::generators;
 use robusched::platform::{CostMatrix, Platform, Scenario, UncertaintyModel};
+use robusched::randvar::DiscreteRv;
 use robusched::sched::{heft, random_schedule, Schedule};
 use robusched::stochastic::{
-    accuracy, evaluate_classic, evaluate_dodin, evaluate_spelde, mc_makespans, McConfig,
+    accuracy, evaluate_spelde, mc_makespans, ClassicEvaluator, DodinEvaluator, Evaluator, McConfig,
+    SamplingTables,
 };
+
+fn classic_rv(scenario: &Scenario, sched: &Schedule) -> DiscreteRv {
+    ClassicEvaluator::default().evaluate(scenario, sched)
+}
 
 fn mc_mean_std(scenario: &Scenario, sched: &Schedule, n: usize) -> (f64, f64) {
     let xs = mc_makespans(
@@ -22,6 +28,7 @@ fn mc_mean_std(scenario: &Scenario, sched: &Schedule, n: usize) -> (f64, f64) {
             threads: None,
             ..Default::default()
         },
+        &SamplingTables::new(scenario),
     );
     let m = xs.iter().sum::<f64>() / xs.len() as f64;
     let v = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
@@ -30,9 +37,9 @@ fn mc_mean_std(scenario: &Scenario, sched: &Schedule, n: usize) -> (f64, f64) {
 
 /// All evaluators on one scenario/schedule; asserts pairwise agreement.
 fn assert_agreement(scenario: &Scenario, sched: &Schedule, mean_tol: f64, std_factor: f64) {
-    let classic = evaluate_classic(scenario, sched);
+    let classic = classic_rv(scenario, sched);
     let spelde = evaluate_spelde(scenario, sched);
-    let dodin = evaluate_dodin(scenario, sched, 64);
+    let dodin = DodinEvaluator::default().evaluate(scenario, sched);
     let (mc_mean, mc_std) = mc_mean_std(scenario, sched, 40_000);
 
     for (name, mean) in [
@@ -111,7 +118,7 @@ fn classic_tracks_mc_cdf_closely_on_small_graphs() {
     // The Fig. 1 acceptance criterion: KS ≤ ~0.1 on small graphs.
     let s = Scenario::paper_random(10, 3, 1.1, 13);
     let sched = random_schedule(&s.graph.dag, 3, 99);
-    let analytic = evaluate_classic(&s, &sched);
+    let analytic = classic_rv(&s, &sched);
     let samples = mc_makespans(
         &s,
         &sched,
@@ -121,6 +128,7 @@ fn classic_tracks_mc_cdf_closely_on_small_graphs() {
             threads: None,
             ..Default::default()
         },
+        &SamplingTables::new(&s),
     );
     let rep = accuracy::compare(&analytic, &samples);
     assert!(rep.ks < 0.06, "KS = {} too large for n = 10", rep.ks);
@@ -133,8 +141,8 @@ fn evaluators_order_schedules_consistently() {
     let s = Scenario::paper_random(25, 4, 1.2, 17);
     let a = heft(&s);
     let b = random_schedule(&s.graph.dag, 4, 4242);
-    let ca = evaluate_classic(&s, &a);
-    let cb = evaluate_classic(&s, &b);
+    let ca = classic_rv(&s, &a);
+    let cb = classic_rv(&s, &b);
     // Only meaningful when the margin is clear.
     if (ca.std_dev() - cb.std_dev()).abs() > 0.3 * ca.std_dev().max(cb.std_dev()) {
         let sa = evaluate_spelde(&s, &a);

@@ -1,5 +1,5 @@
 //! Smoke-scale run of the structured-application (`ext-apps`) study:
-//! exercises every generator class end to end through `run_case` and locks
+//! exercises every generator class end to end through `StudyBuilder` and locks
 //! in the schema of the emitted CSV artifacts.
 
 use robusched::dag::apps::AppClass;

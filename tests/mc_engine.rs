@@ -1,15 +1,17 @@
 //! Integration suite for the batched Monte-Carlo engine: the sampling-table
 //! equivalence, the scalar-vs-SoA contract, thread-count determinism of all
-//! three estimators, and the antithetic closed-form invariant.
+//! three estimators, the evaluator's serial path against the engine, and the
+//! antithetic closed-form invariant.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use robusched::platform::{CostMatrix, Platform, Scenario, UncertaintyKind, UncertaintyModel};
-use robusched::randvar::{derive_seed, Dist};
+use robusched::randvar::{derive_seed, DiscreteRv, Dist};
 use robusched::sched::{random_schedule, EagerPlan};
 use robusched::stochastic::montecarlo::{BLOCK, CHUNK};
 use robusched::stochastic::{
-    mc_makespans, mc_makespans_prepared, McConfig, McEstimator, SamplingTables,
+    mc_makespans, EvalContext, Evaluator, McConfig, McEstimator, MonteCarloEvaluator,
+    SamplingTables,
 };
 use robusched_dag::generators;
 
@@ -60,6 +62,7 @@ fn scalar_reference_matches_soa_engine_bitwise() {
             threads: Some(1),
             estimator: McEstimator::Standard,
         },
+        &SamplingTables::new(&scenario),
     );
 
     // ---- Scalar reference. ----
@@ -143,7 +146,7 @@ fn all_estimators_deterministic_across_1_2_4_threads() {
         McEstimator::Stratified,
     ] {
         let run = |threads: usize| {
-            mc_makespans_prepared(
+            mc_makespans(
                 &scenario,
                 &schedule,
                 &McConfig {
@@ -163,6 +166,56 @@ fn all_estimators_deterministic_across_1_2_4_threads() {
                 "{estimator:?}: stream changed at {threads} threads"
             );
         }
+    }
+}
+
+/// `MonteCarloEvaluator` runs its own serial chunk loop through the
+/// context's scratch. For every estimator it must bin exactly the samples
+/// `mc_makespans` draws — on a budget that is not a multiple of `CHUNK`,
+/// through a context already warmed by another schedule.
+#[test]
+fn evaluator_bins_the_engine_samples_bitwise() {
+    let scenario = Scenario::paper_random(14, 4, 1.2, 9);
+    let schedule = random_schedule(&scenario.graph.dag, 4, 33);
+    let other = random_schedule(&scenario.graph.dag, 4, 34);
+    let tables = SamplingTables::new(&scenario);
+    let realizations = CHUNK + BLOCK + 77;
+    for estimator in [
+        McEstimator::Standard,
+        McEstimator::Antithetic,
+        McEstimator::Stratified,
+    ] {
+        let evaluator = MonteCarloEvaluator {
+            realizations,
+            seed: 0xFEED,
+            estimator,
+            ..Default::default()
+        };
+        let mut cx = EvalContext::new(evaluator.prepare(&scenario));
+        evaluator.evaluate_with(&scenario, &other, &mut cx);
+        let rv = evaluator.evaluate_with(&scenario, &schedule, &mut cx);
+
+        let samples = mc_makespans(
+            &scenario,
+            &schedule,
+            &McConfig {
+                realizations,
+                seed: 0xFEED,
+                threads: Some(1),
+                estimator,
+            },
+            &tables,
+        );
+        let expect = DiscreteRv::from_samples(&samples, evaluator.grid);
+        let bits = |rv: &DiscreteRv| {
+            [rv.lo(), rv.hi()]
+                .iter()
+                .chain(rv.pdf_values())
+                .chain(rv.cdf_values())
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&rv), bits(&expect), "{estimator:?}");
     }
 }
 
@@ -199,6 +252,7 @@ fn antithetic_pairs_preserve_the_mean_exactly_on_uniform_chain() {
             threads: Some(1),
             estimator: McEstimator::Antithetic,
         },
+        &SamplingTables::new(&scenario),
     );
     for pair in ms.chunks(2) {
         let avg = 0.5 * (pair[0] + pair[1]);
@@ -222,7 +276,7 @@ fn estimators_agree_on_the_mean_but_differ_in_stream() {
     let schedule = random_schedule(&scenario.graph.dag, 3, 11);
     let tables = SamplingTables::new(&scenario);
     let run = |estimator: McEstimator| {
-        mc_makespans_prepared(
+        mc_makespans(
             &scenario,
             &schedule,
             &McConfig {

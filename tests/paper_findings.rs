@@ -3,9 +3,8 @@
 //! Each test encodes one claim of §VI–§VIII so a regression anywhere in
 //! the stack that would change the *science* fails loudly.
 
-#![allow(deprecated)] // pins the legacy run_case surface on purpose
-
-use robusched::core::{run_case, StudyConfig, METRIC_LABELS};
+use robusched::core::{pearson_matrix, StudyBuilder, METRIC_LABELS};
+use robusched::experiments::figs::{CaseResult, PAPER_HEURISTICS};
 use robusched::platform::Scenario;
 use robusched::randvar::{ConcatBeta, DiscreteRv, Normal};
 
@@ -13,17 +12,26 @@ fn idx(name: &str) -> usize {
     METRIC_LABELS.iter().position(|&l| l == name).unwrap()
 }
 
-fn study(n: usize, m: usize, ul: f64, seed: u64, k: usize) -> robusched::core::CaseResult {
+/// One §V case with buffered rows and the two-pass Pearson matrix.
+fn run(scenario: &Scenario, k: usize, seed: u64, heuristics: &[&str]) -> CaseResult {
+    let res = StudyBuilder::new(scenario)
+        .random_schedules(k)
+        .seed(seed)
+        .heuristics(heuristics)
+        .buffer_metrics(true)
+        .run()
+        .unwrap();
+    let random = res.random.unwrap();
+    CaseResult {
+        pearson: pearson_matrix(&random),
+        random,
+        heuristics: res.heuristics,
+    }
+}
+
+fn study(n: usize, m: usize, ul: f64, seed: u64, k: usize) -> CaseResult {
     let s = Scenario::paper_random(n, m, ul, seed);
-    run_case(
-        &s,
-        &StudyConfig {
-            random_schedules: k,
-            seed: seed ^ 0xF00D,
-            with_heuristics: true,
-            ..Default::default()
-        },
-    )
+    run(&s, k, seed ^ 0xF00D, &PAPER_HEURISTICS)
 }
 
 #[test]
@@ -81,15 +89,7 @@ fn finding_4_relative_prob_needs_normalization() {
     // Fig. 6: raw 1−R(γ) correlates weakly with σ_M (0.148 in the paper);
     // §VII: dividing by the makespan lifts it to ~0.998.
     let s = Scenario::paper_random(20, 4, 1.1, 4);
-    let res = run_case(
-        &s,
-        &StudyConfig {
-            random_schedules: 400,
-            seed: 11,
-            with_heuristics: false,
-            ..Default::default()
-        },
-    );
+    let res = run(&s, 400, 11, &[]);
     let raw = res.pearson.get(idx("rel_prob"), idx("makespan_std"));
     let normalized = robusched::experiments::figs::fig6::rel_by_makespan_correlation(&res.random);
     assert!(

@@ -1,11 +1,16 @@
 //! Integration: the full pipeline from generation to correlation matrices.
 
-#![allow(deprecated)] // pins the legacy run_case surface on purpose
-
-use robusched::core::{compute_metrics, run_case, MetricOptions, StudyConfig, METRIC_LABELS};
+use robusched::core::{
+    compute_metrics, pearson_matrix, MetricOptions, StudyBuilder, METRIC_LABELS,
+};
 use robusched::platform::Scenario;
-use robusched::sched::{bil, cpop, det_makespan, heft, hyb_bmct, random_schedule};
-use robusched::stochastic::evaluate_classic;
+use robusched::randvar::DiscreteRv;
+use robusched::sched::{bil, cpop, det_makespan, heft, hyb_bmct, random_schedule, Schedule};
+use robusched::stochastic::{ClassicEvaluator, Evaluator};
+
+fn classic_rv(s: &Scenario, sched: &Schedule) -> DiscreteRv {
+    ClassicEvaluator::default().evaluate(s, sched)
+}
 
 #[test]
 fn heuristics_valid_across_families_and_sizes() {
@@ -39,7 +44,7 @@ fn metrics_well_defined_for_many_random_schedules() {
     let s = Scenario::paper_random(15, 3, 1.1, 9);
     for k in 0..50 {
         let sched = random_schedule(&s.graph.dag, 3, k);
-        let rv = evaluate_classic(&s, &sched);
+        let rv = classic_rv(&s, &sched);
         let m = compute_metrics(&s, &sched, &rv, &MetricOptions::default());
         assert!(m.expected_makespan > 0.0, "schedule {k}");
         assert!(m.makespan_std > 0.0, "UL > 1 must spread the makespan");
@@ -61,25 +66,24 @@ fn metrics_well_defined_for_many_random_schedules() {
 #[test]
 fn study_produces_full_matrix_and_heuristics() {
     let s = Scenario::paper_random(12, 3, 1.1, 77);
-    let res = run_case(
-        &s,
-        &StudyConfig {
-            random_schedules: 150,
-            seed: 5,
-            with_heuristics: true,
-            with_cpop: true,
-            ..Default::default()
-        },
-    );
-    assert_eq!(res.random.len(), 150);
+    let res = StudyBuilder::new(&s)
+        .random_schedules(150)
+        .seed(5)
+        .heuristics(&["HEFT", "BIL", "Hyb.BMCT", "CPOP"])
+        .buffer_metrics(true)
+        .run()
+        .unwrap();
+    let random = res.random.unwrap();
+    assert_eq!(random.len(), 150);
     assert_eq!(res.heuristics.len(), 4);
-    assert_eq!(res.pearson.dim(), METRIC_LABELS.len());
+    let pearson = pearson_matrix(&random);
+    assert_eq!(pearson.dim(), METRIC_LABELS.len());
     // Matrix is symmetric with unit diagonal.
-    for i in 0..res.pearson.dim() {
-        assert_eq!(res.pearson.get(i, i), 1.0);
-        for j in 0..res.pearson.dim() {
-            assert_eq!(res.pearson.get(i, j), res.pearson.get(j, i));
-            assert!(res.pearson.get(i, j).abs() <= 1.0);
+    for i in 0..pearson.dim() {
+        assert_eq!(pearson.get(i, i), 1.0);
+        for j in 0..pearson.dim() {
+            assert_eq!(pearson.get(i, j), pearson.get(j, i));
+            assert!(pearson.get(i, j).abs() <= 1.0);
         }
     }
 }
@@ -89,7 +93,7 @@ fn expected_makespan_dominates_deterministic_for_heuristics() {
     let s = Scenario::paper_random(20, 4, 1.2, 3);
     for sched in [heft(&s), bil(&s), hyb_bmct(&s)] {
         let det = det_makespan(&s, &sched);
-        let rv = evaluate_classic(&s, &sched);
+        let rv = classic_rv(&s, &sched);
         assert!(rv.mean() >= det);
         // And bounded by UL times the deterministic value (loose envelope:
         // every duration grows at most UL×, order fixed).
@@ -102,7 +106,7 @@ fn larger_ul_spreads_the_makespan() {
     let mk = |ul: f64| {
         let s = Scenario::paper_random(15, 4, ul, 12);
         let sched = heft(&s);
-        evaluate_classic(&s, &sched).std_dev()
+        classic_rv(&s, &sched).std_dev()
     };
     let s_small = mk(1.01);
     let s_big = mk(1.3);

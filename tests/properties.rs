@@ -10,6 +10,7 @@ use robusched::platform::{Scenario, UncertaintyModel};
 use robusched::randvar::{DiscreteRv, Dist, ScaledBeta};
 use robusched::sched::{det_makespan, random_schedule, EagerPlan};
 use robusched::stats::pearson;
+use robusched::stochastic::{ClassicEvaluator, Evaluator};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -183,7 +184,7 @@ proptest! {
     ) {
         let s = Scenario::paper_random(n, 3, 1.1, seed);
         let sched = random_schedule(&s.graph.dag, 3, seed ^ 0x55);
-        let rv = robusched::stochastic::evaluate_classic(&s, &sched);
+        let rv = ClassicEvaluator::default().evaluate(&s, &sched);
         prop_assert!(rv.lo() <= rv.mean() && rv.mean() <= rv.hi());
         prop_assert!(rv.std_dev() <= rv.span());
         // Deterministic execution with min durations equals the support low

@@ -6,33 +6,27 @@
 //! matrix — in a few seconds, so CI catches pipeline-level regressions
 //! immediately.
 
-#![allow(deprecated)] // pins the legacy run_case surface on purpose
-
-use robusched::core::{run_case, StudyConfig, METRIC_LABELS};
+use robusched::core::{pearson_matrix, StudyBuilder, METRIC_LABELS};
+use robusched::experiments::figs::PAPER_HEURISTICS;
 use robusched::platform::Scenario;
 
 #[test]
 fn tiny_paper_random_case_end_to_end() {
     let s = Scenario::paper_random(10, 3, 1.1, 2024);
-    let res = run_case(
-        &s,
-        &StudyConfig {
-            random_schedules: 50,
-            seed: 7,
-            with_heuristics: true,
-            ..Default::default()
-        },
-    );
+    let res = StudyBuilder::new(&s)
+        .random_schedules(50)
+        .seed(7)
+        .heuristics(&PAPER_HEURISTICS)
+        .buffer_metrics(true)
+        .run()
+        .unwrap();
+    let random = res.random.unwrap();
 
-    assert_eq!(res.random.len(), 50);
+    assert_eq!(random.len(), 50);
     assert!(!res.heuristics.is_empty());
 
     // Every metric vector is finite and physically sensible.
-    for m in res
-        .random
-        .iter()
-        .chain(res.heuristics.iter().map(|(_, m)| m))
-    {
+    for m in random.iter().chain(res.heuristics.iter().map(|(_, m)| m)) {
         assert!(m.expected_makespan.is_finite() && m.expected_makespan > 0.0);
         assert!(m.makespan_std.is_finite() && m.makespan_std >= 0.0);
         assert!((0.0..=1.0).contains(&m.prob_absolute));
@@ -40,14 +34,15 @@ fn tiny_paper_random_case_end_to_end() {
     }
 
     // The correlation matrix is complete, symmetric, unit-diagonal.
-    let dim = res.pearson.dim();
+    let pearson = pearson_matrix(&random);
+    let dim = pearson.dim();
     assert_eq!(dim, METRIC_LABELS.len());
     for i in 0..dim {
-        assert_eq!(res.pearson.get(i, i), 1.0);
+        assert_eq!(pearson.get(i, i), 1.0);
         for j in 0..dim {
-            let r = res.pearson.get(i, j);
+            let r = pearson.get(i, j);
             assert!(r.is_finite() && r.abs() <= 1.0, "r[{i}][{j}] = {r}");
-            assert_eq!(r, res.pearson.get(j, i));
+            assert_eq!(r, pearson.get(j, i));
         }
     }
 }
