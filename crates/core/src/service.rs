@@ -18,7 +18,9 @@
 //!   [`PreparedScenario`] plans
 //!   ([`robusched_stochastic::DiscretizedScenario`] slots,
 //!   [`robusched_stochastic::SamplingTables`]), so repeated scenarios skip
-//!   all preparation.
+//!   all preparation. A discretization entry holds `n·m` task slots plus
+//!   one communication slot per (edge, link class) — `2e` on the paper's
+//!   network — so an entry's size grows with `n·m + e`, not with `e·m²`.
 //! * **Result cache + in-flight coalescing** — a bounded LRU of finished
 //!   [`MetricValues`] keyed by the full request fingerprint (scenario +
 //!   schedule + evaluator + metric options). A repeat of a finished

@@ -8,7 +8,9 @@
 //! kernels live here:
 //!
 //! * [`convolve_direct`] — O(n·m) schoolbook convolution, the accuracy
-//!   reference;
+//!   reference; its vectorized inner sweep runs over the longer operand
+//!   while every output slot keeps one fixed accumulation order (see
+//!   [`convolve_direct_into`]);
 //! * [`convolve_fft`] — zero-padded FFT convolution, O((n+m)·log(n+m)),
 //!   running on the thread-local [`crate::fft::FftPlan`] cache.
 //!
@@ -24,21 +26,40 @@ use crate::fft::{next_power_of_two, with_plan_scratch, Complex};
 ///
 /// `out` is cleared and resized to `a.len() + b.len() - 1` (left empty if
 /// either input is empty).
+///
+/// Every output slot `out[k]` accumulates its terms `a[i]·b[k−i]` in
+/// ascending `i`, whichever operand is longer: the inner multiply-add
+/// sweep always runs over the longer operand (so it vectorizes over many
+/// lanes), and when that is `b` the outer loop walks `a` forwards, when it
+/// is `a` the outer loop walks `b` *backwards* — descending `j = k − i` is
+/// ascending `i`. Zero factors are skipped on the outer operand only;
+/// adding `±0` never changes a slot that starts at `+0`, so for finite
+/// inputs the result is bit-identical in either loop order.
 pub fn convolve_direct_into(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
     out.clear();
     if a.is_empty() || b.is_empty() {
         return;
     }
     out.resize(a.len() + b.len() - 1, 0.0);
-    for (i, &x) in a.iter().enumerate() {
-        if x == 0.0 {
-            continue;
+    // Slice-zip form: no bounds checks in the inner loops, so the compiler
+    // vectorizes the multiply-add sweeps across independent output slots.
+    if b.len() < a.len() {
+        for (j, &y) in b.iter().enumerate().rev() {
+            if y == 0.0 {
+                continue;
+            }
+            for (d, &x) in out[j..j + a.len()].iter_mut().zip(a.iter()) {
+                *d += x * y;
+            }
         }
-        // Slice-zip form: no bounds checks in the inner loop, so the
-        // compiler vectorizes the multiply-add sweep (per-slot accumulation
-        // order is unchanged — lanes span independent output slots).
-        for (d, &y) in out[i..i + b.len()].iter_mut().zip(b.iter()) {
-            *d += x * y;
+    } else {
+        for (i, &x) in a.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            for (d, &y) in out[i..i + b.len()].iter_mut().zip(b.iter()) {
+                *d += x * y;
+            }
         }
     }
 }

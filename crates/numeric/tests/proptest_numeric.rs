@@ -1,13 +1,36 @@
 //! Property tests for the numerical substrate.
 
 use proptest::prelude::*;
-use robusched_numeric::convolution::{convolve_direct, convolve_fft};
+use robusched_numeric::convolution::{convolve_direct, convolve_direct_into, convolve_fft};
 use robusched_numeric::fft::{fft_inplace, ifft_inplace, Complex};
 use robusched_numeric::integrate::{cumulative_trapezoid, simpson_uniform, trapezoid_uniform};
 use robusched_numeric::interp::CubicSpline;
 
 fn close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
+}
+
+/// The schoolbook convolution with `a` on the outer loop: every output
+/// slot accumulates its terms in ascending index of `a`.
+fn convolve_outer_a(a: &[f64], b: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; a.len() + b.len() - 1];
+    for (i, &x) in a.iter().enumerate() {
+        if x == 0.0 {
+            continue;
+        }
+        for (j, &y) in b.iter().enumerate() {
+            out[i + j] += x * y;
+        }
+    }
+    out
+}
+
+/// Maps draws from `[-2, 5)` to operand values: `[-2, -1)` becomes an
+/// exact zero (1/7 of the draws), `[-1, 0)` stays negative.
+fn with_zeros(raw: Vec<f64>) -> Vec<f64> {
+    raw.into_iter()
+        .map(|x| if x < -1.0 { 0.0 } else { x })
+        .collect()
 }
 
 proptest! {
@@ -66,6 +89,25 @@ proptest! {
         prop_assert_eq!(d.len(), f.len());
         for i in 0..d.len() {
             prop_assert!(close(d[i], f[i], 1e-8), "fft idx {i}: {} vs {}", d[i], f[i]);
+        }
+    }
+
+    #[test]
+    fn direct_convolution_matches_outer_a_order_bitwise(
+        a in prop::collection::vec(-2.0f64..5.0, 1..=300),
+        b in prop::collection::vec(-2.0f64..5.0, 1..=300),
+    ) {
+        // The kernel picks its loop order from the operand lengths; both
+        // orders must reproduce the outer-`a` accumulation bit for bit.
+        let (a, b) = (with_zeros(a), with_zeros(b));
+        let mut out = Vec::new();
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            convolve_direct_into(x, y, &mut out);
+            let reference = convolve_outer_a(x, y);
+            prop_assert_eq!(out.len(), reference.len());
+            for (k, (o, r)) in out.iter().zip(reference.iter()).enumerate() {
+                prop_assert!(o.to_bits() == r.to_bits(), "slot {k}: {o:e} vs {r:e}");
+            }
         }
     }
 

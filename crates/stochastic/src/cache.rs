@@ -18,10 +18,18 @@
 //! study amortizes every slot across the whole schedule stream. Because the
 //! slot initializer is deterministic, concurrent initialization races are
 //! benign: every thread computes the same bits.
+//!
+//! The table holds one task slot per (task, machine) but only one
+//! communication slot per (edge, *link class*): machine pairs whose links
+//! have bit-equal `(τ, L)` compute bit-equal communication costs, so they
+//! share a distribution. The paper's network (unit τ, zero latency on
+//! every distinct pair) has two classes — co-located and remote — so the
+//! table grows as `n·m + 2e` rather than `n·m + e·m²`.
 
 use robusched_dag::{EdgeId, NodeId};
-use robusched_platform::{Scenario, UncertaintyKind, UncertaintyModel};
+use robusched_platform::{Platform, Scenario, UncertaintyKind, UncertaintyModel};
 use robusched_randvar::{DiscreteRv, QuantileTable};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// FNV-1a fingerprint of everything that determines the evaluation
@@ -31,8 +39,8 @@ use std::sync::{Arc, OnceLock};
 /// fingerprints produce identical `task_dist`/`comm_dist` families, so any
 /// prepared state — a [`DiscretizedScenario`], [`SamplingTables`], or a
 /// service-level cache entry keyed on this value — built for one is valid
-/// for the other. ~`n·m + e + 2m²` hash steps — a few µs, amortized over a
-/// ~ms evaluation.
+/// for the other. ~`n·m + e + 2m²` hash steps, each folding 8 bytes —
+/// about 30–40 µs at n = 104, m = 16 — amortized over a ~ms evaluation.
 ///
 /// This is the cache key of `robusched-core`'s `EvalService`: requests
 /// whose scenarios hash equal share one prepared-state entry, so repeated
@@ -103,9 +111,39 @@ pub struct DiscretizedScenario {
     fingerprint: u64,
     /// `task(v, p)` at `v·m + p`.
     tasks: Vec<OnceLock<DiscreteRv>>,
-    /// `comm(e, pu, pv)` at `e·m² + pu·m + pv` (only `pu != pv` is used —
-    /// co-located communication is free and never discretized).
+    /// Link class of the ordered machine pair `(p, q)` at `p·m + q` (see
+    /// `link_classes`).
+    link_class: Vec<usize>,
+    /// Number of distinct link classes.
+    classes: usize,
+    /// `comm(e, pu, pv)` at `e·classes + link_class[pu·m + pv]`.
     comms: Vec<OnceLock<DiscreteRv>>,
+}
+
+/// Groups the ordered machine pairs of `platform` into link classes whose
+/// communication costs are bit-equal for every edge; returns the class of
+/// `(p, q)` at `p·m + q` and the class count.
+///
+/// Class 0 is the diagonal: `Platform::comm_time` returns exactly `0.0`
+/// for co-located pairs. Distinct pairs share a class iff their `(τ, L)`
+/// are bit-equal, so `L + volume·τ` — hence `comm_dist` and its
+/// discretization — is bit-equal across the class. Classes are numbered in
+/// row-major first-appearance order, so the layout is deterministic.
+fn link_classes(platform: &Platform) -> (Vec<usize>, usize) {
+    let m = platform.machine_count();
+    let mut ids: HashMap<(u64, u64), usize> = HashMap::new();
+    let mut class = vec![0; m * m];
+    for p in 0..m {
+        for q in (0..m).filter(|&q| q != p) {
+            let key = (
+                platform.tau(p, q).to_bits(),
+                platform.latency(p, q).to_bits(),
+            );
+            let next = ids.len() + 1;
+            class[p * m + q] = *ids.entry(key).or_insert(next);
+        }
+    }
+    (class, ids.len() + 1)
 }
 
 impl DiscretizedScenario {
@@ -114,15 +152,18 @@ impl DiscretizedScenario {
         let n = scenario.task_count();
         let m = scenario.machine_count();
         let edges = scenario.graph.edge_count();
+        let (link_class, classes) = link_classes(&scenario.platform);
         let mut tasks = Vec::new();
         tasks.resize_with(n * m, OnceLock::new);
         let mut comms = Vec::new();
-        comms.resize_with(edges * m * m, OnceLock::new);
+        comms.resize_with(edges * classes, OnceLock::new);
         Self {
             grid,
             m,
             fingerprint: scenario_fingerprint(scenario),
             tasks,
+            link_class,
+            classes,
             comms,
         }
     }
@@ -142,23 +183,30 @@ impl DiscretizedScenario {
         self.fingerprint == scenario_fingerprint(scenario)
     }
 
+    /// O(1) sanity check for the per-lookup debug assertions: `scenario`
+    /// has this table's dimensions. The full [`matches`](Self::matches)
+    /// fingerprint is O(n·m + e + m²) and is checked once per evaluation
+    /// by the evaluator surface instead.
+    fn fits(&self, scenario: &Scenario) -> bool {
+        scenario.machine_count() == self.m
+            && scenario.task_count() * self.m == self.tasks.len()
+            && scenario.graph.edge_count() * self.classes == self.comms.len()
+    }
+
     /// The discretized duration of task `v` on machine `p`.
     ///
     /// `scenario` must be the scenario this table was built for.
     pub fn task<'a>(&'a self, scenario: &Scenario, v: NodeId, p: usize) -> &'a DiscreteRv {
-        debug_assert!(self.matches(scenario), "cache built for another scenario");
+        debug_assert!(self.fits(scenario), "cache built for another scenario");
         self.tasks[v * self.m + p]
             .get_or_init(|| DiscreteRv::from_dist(&scenario.task_dist(v, p), self.grid))
     }
 
-    /// The discretized communication time of edge `e` between the distinct
-    /// machines `pu` and `pv`.
+    /// The discretized communication time of edge `e` from machine `pu` to
+    /// machine `pv` — the zero point mass when `pu == pv`. Every pair of
+    /// one link class returns the same slot.
     ///
     /// `scenario` must be the scenario this table was built for.
-    ///
-    /// # Panics
-    /// Debug-asserts `pu != pv` — co-located communication is zero and is
-    /// handled by the evaluators before reaching the cache.
     pub fn comm<'a>(
         &'a self,
         scenario: &Scenario,
@@ -166,9 +214,8 @@ impl DiscretizedScenario {
         pu: usize,
         pv: usize,
     ) -> &'a DiscreteRv {
-        debug_assert!(self.matches(scenario), "cache built for another scenario");
-        debug_assert_ne!(pu, pv, "co-located communication is never discretized");
-        self.comms[e * self.m * self.m + pu * self.m + pv]
+        debug_assert!(self.fits(scenario), "cache built for another scenario");
+        self.comms[e * self.classes + self.link_class[pu * self.m + pv]]
             .get_or_init(|| DiscreteRv::from_dist(&scenario.comm_dist(e, pu, pv), self.grid))
     }
 }
@@ -288,6 +335,9 @@ mod tests {
     fn cached_slots_match_direct_discretization() {
         let s = Scenario::paper_random(10, 3, 1.1, 5);
         let cache = DiscretizedScenario::new(&s, 64);
+        // The paper's network: co-located and remote link classes only.
+        assert_eq!(cache.classes, 2);
+        assert_eq!(cache.comms.len(), s.graph.edge_count() * 2);
         for v in 0..10 {
             for p in 0..3 {
                 let cached = cache.task(&s, v, p);
@@ -301,6 +351,72 @@ mod tests {
             let cached = cache.comm(&s, e, 0, 2);
             let direct = DiscreteRv::from_dist(&s.comm_dist(e, 0, 2), 64);
             assert_eq!(cached.pdf_values(), direct.pdf_values());
+        }
+    }
+
+    /// Every bit of a discretized RV.
+    fn rv_bits(rv: &DiscreteRv) -> (u64, u64, Vec<u64>, Vec<u64>) {
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        (
+            rv.lo().to_bits(),
+            rv.hi().to_bits(),
+            bits(rv.pdf_values()),
+            bits(rv.cdf_values()),
+        )
+    }
+
+    /// A 4-machine network whose off-diagonal `(τ, L)` pairs repeat in some
+    /// places and differ (in τ, in L, or by being a free link) in others.
+    fn mixed_network_scenario() -> Scenario {
+        #[rustfmt::skip]
+        let tau = vec![
+            0.0, 1.0, 1.0, 2.0,
+            1.0, 0.0, 2.0, 2.0,
+            0.0, 1.0, 0.0, 1.0,
+            2.0, 2.0, 1.0, 0.0,
+        ];
+        #[rustfmt::skip]
+        let lat = vec![
+            0.0, 0.0, 0.5, 0.0,
+            0.0, 0.0, 0.0, 0.5,
+            0.0, 0.0, 0.0, 0.0,
+            0.0, 0.5, 0.0, 0.0,
+        ];
+        let mut s = Scenario::paper_random(12, 4, 1.1, 5);
+        s.platform = Platform::from_matrices(4, tau, lat);
+        s
+    }
+
+    #[test]
+    fn comm_slots_are_shared_exactly_within_link_classes() {
+        let s = mixed_network_scenario();
+        let cache = DiscretizedScenario::new(&s, 64);
+        // Diagonal, (1, 0), (1, 0.5), (2, 0), (2, 0.5), and the free link
+        // (0, 0) from machine 2 to machine 0.
+        assert_eq!(cache.classes, 6);
+        assert_eq!(cache.comms.len(), s.graph.edge_count() * cache.classes);
+        for e in 0..s.graph.edge_count() {
+            for pu in 0..4 {
+                for pv in 0..4 {
+                    let direct = DiscreteRv::from_dist(&s.comm_dist(e, pu, pv), 64);
+                    assert_eq!(rv_bits(cache.comm(&s, e, pu, pv)), rv_bits(&direct));
+                }
+                assert!(cache.comm(&s, e, pu, pu).is_point());
+                assert_eq!(cache.comm(&s, e, pu, pu).lo(), 0.0);
+            }
+            let slot = |pu, pv| cache.comm(&s, e, pu, pv) as *const DiscreteRv;
+            // Pairs of one class (τ = 1, L = 0; τ = 2, L = 0.5; diagonal)
+            // share a slot ...
+            for (pu, pv) in [(1, 0), (2, 1), (2, 3), (3, 2)] {
+                assert_eq!(slot(0, 1), slot(pu, pv));
+            }
+            assert_eq!(slot(1, 3), slot(3, 1));
+            assert_eq!(slot(0, 0), slot(3, 3));
+            // ... and pairs that differ in τ, in L, or only by being
+            // co-located do not.
+            assert_ne!(slot(0, 1), slot(0, 3));
+            assert_ne!(slot(0, 1), slot(0, 2));
+            assert_ne!(slot(2, 0), slot(2, 2));
         }
     }
 

@@ -13,7 +13,7 @@
 //!   worker threads under every backend.
 
 use robusched::core::StudyBuilder;
-use robusched::platform::Scenario;
+use robusched::platform::{Platform, Scenario};
 use robusched::randvar::{DiscreteRv, RvWorkspace, ScaledBeta};
 use robusched::sched::{heft, random_schedule, Schedule};
 use robusched::stochastic::{evaluator_by_name, EvalContext};
@@ -21,7 +21,31 @@ use robusched::stochastic::{evaluator_by_name, EvalContext};
 const BACKENDS: [&str; 4] = ["classic", "spelde", "dodin", "montecarlo"];
 
 fn case() -> (Scenario, Vec<Schedule>) {
-    let s = Scenario::paper_random(12, 3, 1.1, 8);
+    with_schedules(Scenario::paper_random(12, 3, 1.1, 8))
+}
+
+/// `case()`'s graph and costs on a network where some links share their
+/// `(τ, L)` and others differ, so some machine pairs share communication
+/// slots and others do not.
+fn mixed_network_case() -> (Scenario, Vec<Schedule>) {
+    #[rustfmt::skip]
+    let tau = vec![
+        0.0, 1.0, 2.0,
+        1.0, 0.0, 2.0,
+        0.5, 2.0, 0.0,
+    ];
+    #[rustfmt::skip]
+    let lat = vec![
+        0.0, 0.0, 0.25,
+        0.0, 0.0, 0.25,
+        0.0, 0.0, 0.0,
+    ];
+    let mut s = Scenario::paper_random(12, 3, 1.1, 8);
+    s.platform = Platform::from_matrices(3, tau, lat);
+    with_schedules(s)
+}
+
+fn with_schedules(s: Scenario) -> (Scenario, Vec<Schedule>) {
     let mut schedules: Vec<Schedule> = (0..6)
         .map(|i| random_schedule(&s.graph.dag, 3, 1000 + i))
         .collect();
@@ -54,17 +78,20 @@ fn assert_rv_close(a: &DiscreteRv, b: &DiscreteRv, tol: f64, what: &str) {
 }
 
 /// Cached (one shared context reused across every schedule) vs uncached
-/// (fresh context per call) evaluation for all four backends.
+/// (fresh context per call) evaluation for all four backends, on the
+/// paper's network and on one with mixed link classes.
 #[test]
 fn cached_matches_uncached_for_all_backends() {
-    let (s, schedules) = case();
-    for name in BACKENDS {
-        let e = evaluator_by_name(name).unwrap();
-        let mut shared = EvalContext::new(e.prepare(&s));
-        for (k, sched) in schedules.iter().enumerate() {
-            let cached = e.evaluate_with(&s, sched, &mut shared);
-            let uncached = e.evaluate(&s, sched);
-            assert_rv_close(&cached, &uncached, 1e-12, &format!("{name} schedule {k}"));
+    for (c, (s, schedules)) in [case(), mixed_network_case()].into_iter().enumerate() {
+        for name in BACKENDS {
+            let e = evaluator_by_name(name).unwrap();
+            let mut shared = EvalContext::new(e.prepare(&s));
+            for (k, sched) in schedules.iter().enumerate() {
+                let cached = e.evaluate_with(&s, sched, &mut shared);
+                let uncached = e.evaluate(&s, sched);
+                let what = format!("case {c}: {name} schedule {k}");
+                assert_rv_close(&cached, &uncached, 1e-12, &what);
+            }
         }
     }
 }
