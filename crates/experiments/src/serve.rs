@@ -31,6 +31,8 @@
 //! their canonical spec, so repeated specs share one [`Scenario`] `Arc`
 //! and the service's fingerprint caches do the rest.
 //!
+//! `ul` must lie in `[1, 1000]`.
+//!
 //! Responses: `{"id": ..., "ok": true, "cache_hit": bool, "scenario_hit":
 //! bool, "metrics": {...}}` on success, `{"id": ..., "ok": false,
 //! "error": "..."}` on evaluation or parse errors. Malformed lines get an
@@ -117,6 +119,12 @@ fn metric_field(metrics: &MetricValues, name: &str) -> Option<f64> {
     })
 }
 
+/// Largest accepted `scenario.ul`. Every duration is drawn from
+/// `[w, UL·w]`, so an unbounded UL overflows the support to infinity and
+/// the distribution constructors panic; the repository's own studies stay
+/// at `UL ≤ 1.71`.
+const MAX_UL: f64 = 1000.0;
+
 /// Interns scenarios by their canonical spec so repeated requests share
 /// one `Arc<Scenario>` (and one fingerprint-cache entry downstream).
 #[derive(Default)]
@@ -138,8 +146,8 @@ impl ScenarioInterner {
         let ul = spec
             .get("ul")
             .and_then(Json::as_f64)
-            .filter(|ul| *ul >= 1.0)
-            .ok_or("scenario.ul must be a number >= 1")?;
+            .filter(|ul| (1.0..=MAX_UL).contains(ul))
+            .ok_or_else(|| format!("scenario.ul must be a number in [1, {MAX_UL}]"))?;
         let seed = spec
             .get("seed")
             .and_then(Json::as_u64)
@@ -751,6 +759,49 @@ mod tests {
             other => panic!("expected object, got {other:?}"),
         }
         assert_eq!(lines[3].get("ok"), Some(&Json::Bool(false)));
+    }
+
+    #[test]
+    fn out_of_range_uncertainty_levels_error_in_stream() {
+        let request = |id: u32, ul: &str, evaluator: &str| {
+            format!(
+                r#"{{"id": {id}, "scenario": {{"family": "paper-random", "n": 10, "m": 3, "ul": {ul}, "seed": 5}}, "schedule": {{"kind": "heuristic", "name": "heft"}}, "evaluator": "{evaluator}"}}"#
+            ) + "\n"
+        };
+        let input = [
+            request(1, "1e308", "classic"),
+            request(2, "1e308", "montecarlo"),
+            request(3, "1001", "classic"),
+            request(4, "0.5", "classic"),
+            request(5, "1000", "classic"),
+        ]
+        .concat();
+        let mut output = Vec::new();
+        let opts = RunOptions {
+            threads: Some(2),
+            out_dir: None,
+            ..Default::default()
+        };
+        let summary = serve_streams(input.as_bytes(), &mut output, &opts).unwrap();
+        assert!(summary.contains("5 request(s)"), "{summary}");
+        let lines: Vec<Json> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| parse_json(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 5);
+        for line in &lines[..4] {
+            assert_eq!(line.get("ok"), Some(&Json::Bool(false)), "{line:?}");
+            let error = line.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.contains("scenario.ul"), "{error}");
+        }
+        // The bound itself still evaluates.
+        assert_eq!(
+            lines[4].get("ok"),
+            Some(&Json::Bool(true)),
+            "{:?}",
+            lines[4]
+        );
     }
 
     #[test]

@@ -137,8 +137,9 @@ impl CubicSpline {
 /// Reusable buffers for fitting natural cubic splines over *uniform* grids
 /// without allocating — and, after the first fit, without dividing.
 ///
-/// The evaluator hot path fits two or three splines per `sum` (operand
-/// resampling plus the final down-sampling), always over uniform knots.
+/// The evaluator hot path fits two splines per `sum`, one per resampled
+/// operand, always over uniform knots; the final down-sampling uses the
+/// fit-free [`UniformLocalCubic`] instead.
 /// On a uniform grid the natural-spline system reduces to the constant
 /// tridiagonal `(1, 4, 1)` with right-hand side `(6/h²)·Δ²y`, and the
 /// forward-elimination diagonals `d₁ = 4, dᵢ₊₁ = 4 − 1/dᵢ` do not depend
@@ -199,20 +200,33 @@ impl SplineScratch {
         if n > 2 {
             let rows = n - 2;
             self.grow_diagonals(rows);
+            let inv_diag = &self.inv_diag[..rows];
             self.rhs.clear();
-            self.rhs.reserve(rows);
+            self.rhs.resize(rows, 0.0);
             let scale = 6.0 * inv_step * inv_step;
-            for i in 1..n - 1 {
-                self.rhs.push(scale * (ys[i + 1] - 2.0 * ys[i] + ys[i - 1]));
+            // Forward elimination (sub-diagonal 1), building the right-hand
+            // side `scale·Δ²y` in the same pass: rhsᵢ = bᵢ − rhsᵢ₋₁/dᵢ₋₁.
+            // Both sweeps carry their running value in `r`, so each step of
+            // the serial chain waits on a register, not a store and reload.
+            let (first, rest) = self.rhs.split_first_mut().expect("rows >= 1");
+            let mut r = scale * (ys[2] - 2.0 * ys[1] + ys[0]);
+            *first = r;
+            for ((slot, w), &inv) in rest.iter_mut().zip(ys[1..].windows(3)).zip(inv_diag) {
+                r = scale * (w[2] - 2.0 * w[1] + w[0]) - r * inv;
+                *slot = r;
             }
-            // Forward elimination (sub-diagonal 1): rhsᵢ ← rhsᵢ − rhsᵢ₋₁/dᵢ₋₁.
-            for i in 1..rows {
-                self.rhs[i] -= self.rhs[i - 1] * self.inv_diag[i - 1];
-            }
-            // Back substitution (super-diagonal 1).
-            self.m[n - 2] = self.rhs[rows - 1] * self.inv_diag[rows - 1];
-            for i in (0..rows - 1).rev() {
-                self.m[i + 1] = (self.rhs[i] - self.m[i + 2]) * self.inv_diag[i];
+            // Back substitution (super-diagonal 1) into the interior knots.
+            let interior = &mut self.m[1..n - 1];
+            r *= inv_diag[rows - 1];
+            interior[rows - 1] = r;
+            let back = interior[..rows - 1]
+                .iter_mut()
+                .zip(&self.rhs[..rows - 1])
+                .zip(&inv_diag[..rows - 1])
+                .rev();
+            for ((slot, &b), &inv) in back {
+                r = (b - r) * inv;
+                *slot = r;
             }
         }
         UniformSpline {
@@ -241,33 +255,54 @@ pub struct UniformSpline<'a> {
 }
 
 impl UniformSpline<'_> {
-    #[inline]
-    fn knot(&self, i: usize) -> f64 {
-        if i == self.ys.len() - 1 {
-            self.hi
-        } else {
-            self.lo + self.step * i as f64
-        }
-    }
-
     /// Evaluates the spline at `x`; clamps (linear-extends by the boundary
     /// cubic) outside the knot range, like [`CubicSpline::eval`].
+    ///
+    /// `#[inline]` so the per-point loops of other crates inline it (the
+    /// operand resampling of a `sum` calls it ~230 times per fit).
+    #[inline]
     pub fn eval(&self, x: f64) -> f64 {
-        let n = self.ys.len();
-        // Direct interval lookup on the uniform grid (no binary search).
-        let i = if x <= self.lo {
-            0
+        let last = self.ys.len() - 2;
+        let i = uniform_interval(x, self.lo, self.inv_step, last);
+        // Knot abscissae as in `linspace`: `lo + step·i`, last knot `hi`.
+        let x0 = self.lo + self.step * knot_index(i);
+        let x1 = if i == last {
+            self.hi
         } else {
-            (((x - self.lo) * self.inv_step) as usize).min(n - 2)
+            self.lo + self.step * knot_index(i + 1)
         };
-        let x0 = self.knot(i);
-        let x1 = self.knot(i + 1);
+        let ys = &self.ys[i..i + 2];
+        let m = &self.m[i..i + 2];
         let a = (x1 - x) * self.inv_step;
         let b = (x - x0) * self.inv_step;
-        a * self.ys[i]
-            + b * self.ys[i + 1]
-            + ((a * a * a - a) * self.m[i] + (b * b * b - b) * self.m[i + 1]) * self.h2_over_6
+        a * ys[0] + b * ys[1] + ((a * a * a - a) * m[0] + (b * b * b - b) * m[1]) * self.h2_over_6
     }
+}
+
+/// Index of the knot interval holding `x` on the uniform grid from `lo`
+/// with reciprocal step `inv_step`, clamped to `[0, last]`: a direct lookup
+/// with no binary search.
+///
+/// Signed truncation, not `as usize`: x86-64 converts to `i64` in one
+/// instruction, to `u64` only with a second conversion and a select. The
+/// argument is positive (or NaN, which both casts map to 0) on that branch,
+/// so the index is the same; an argument past `i64::MAX` saturates to it,
+/// which the clamp maps to `last` as before.
+#[inline]
+fn uniform_interval(x: f64, lo: f64, inv_step: f64, last: usize) -> usize {
+    if x <= lo {
+        0
+    } else {
+        (((x - lo) * inv_step) as i64 as usize).min(last)
+    }
+}
+
+/// A knot index as a float, through `i64`: the same value as `i as f64`
+/// for every slice index, in one signed conversion instead of the
+/// unsigned one's fix-up sequence.
+#[inline]
+fn knot_index(i: usize) -> f64 {
+    i as i64 as f64
 }
 
 /// Local cubic (4-point Lagrange) interpolation on a uniform grid.
@@ -289,7 +324,6 @@ impl UniformSpline<'_> {
 #[derive(Debug)]
 pub struct UniformLocalCubic<'a> {
     lo: f64,
-    hi: f64,
     step: f64,
     inv_step: f64,
     ys: &'a [f64],
@@ -306,30 +340,16 @@ impl<'a> UniformLocalCubic<'a> {
         let step = (hi - lo) / (ys.len() - 1) as f64;
         Self {
             lo,
-            hi,
             step,
             inv_step: 1.0 / step,
             ys,
         }
     }
 
-    #[inline]
-    fn knot(&self, i: usize) -> f64 {
-        if i == self.ys.len() - 1 {
-            self.hi
-        } else {
-            self.lo + self.step * i as f64
-        }
-    }
-
     /// Evaluates at `x` (clamped extrapolation by the boundary stencil).
+    #[inline]
     pub fn eval(&self, x: f64) -> f64 {
         let n = self.ys.len();
-        let i = if x <= self.lo {
-            0
-        } else {
-            (((x - self.lo) * self.inv_step) as usize).min(n - 2)
-        };
         if n < 4 {
             // Exact low-order interpolating polynomial.
             let t = (x - self.lo) * self.inv_step;
@@ -342,9 +362,11 @@ impl<'a> UniformLocalCubic<'a> {
             };
         }
         // Stencil of 4 knots starting at `s` (interior: centered; boundary:
-        // shifted one-sided).
+        // shifted one-sided). `s ≤ n − 4`, so its knot is never the pinned
+        // last one and is `lo + step·s` as in `linspace`.
+        let i = uniform_interval(x, self.lo, self.inv_step, n - 2);
         let s = i.saturating_sub(1).min(n - 4);
-        let t = (x - self.knot(s)) * self.inv_step;
+        let t = (x - (self.lo + self.step * knot_index(s))) * self.inv_step;
         let t1 = t - 1.0;
         let t2 = t - 2.0;
         let t3 = t - 3.0;
@@ -352,7 +374,8 @@ impl<'a> UniformLocalCubic<'a> {
         let w1 = 0.5 * t * t2 * t3;
         let w2 = -0.5 * t * t1 * t3;
         let w3 = t * t1 * t2 / 6.0;
-        w0 * self.ys[s] + w1 * self.ys[s + 1] + w2 * self.ys[s + 2] + w3 * self.ys[s + 3]
+        let ys = &self.ys[s..s + 4];
+        w0 * ys[0] + w1 * ys[1] + w2 * ys[2] + w3 * ys[3]
     }
 }
 

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use robusched_numeric::convolution::{convolve_direct, convolve_direct_into, convolve_fft};
 use robusched_numeric::fft::{fft_inplace, ifft_inplace, Complex};
 use robusched_numeric::integrate::{cumulative_trapezoid, simpson_uniform, trapezoid_uniform};
-use robusched_numeric::interp::CubicSpline;
+use robusched_numeric::interp::{CubicSpline, SplineScratch, UniformLocalCubic};
 
 fn close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
@@ -33,8 +33,163 @@ fn with_zeros(raw: Vec<f64>) -> Vec<f64> {
         .collect()
 }
 
+/// Reference copy of the uniform natural-spline kernel in its earlier,
+/// memory-bound form: the right-hand side built in a pass of its own, both
+/// Thomas sweeps read back through memory, knot abscissae from `knot()`
+/// and the interval index from a saturating `as usize`. The optimized
+/// `SplineScratch::fit_uniform(..).eval` must match it bit for bit.
+struct ReferenceSpline {
+    lo: f64,
+    hi: f64,
+    step: f64,
+    inv_step: f64,
+    h2_over_6: f64,
+    ys: Vec<f64>,
+    m: Vec<f64>,
+}
+
+impl ReferenceSpline {
+    fn fit(lo: f64, hi: f64, ys: &[f64]) -> Self {
+        let n = ys.len();
+        let step = (hi - lo) / (n - 1) as f64;
+        let inv_step = 1.0 / step;
+        let mut m = vec![0.0; n];
+        if n > 2 {
+            let rows = n - 2;
+            let mut inv_diag = vec![0.25];
+            while inv_diag.len() < rows {
+                let d = 4.0 - inv_diag[inv_diag.len() - 1];
+                inv_diag.push(1.0 / d);
+            }
+            let mut rhs = Vec::with_capacity(rows);
+            let scale = 6.0 * inv_step * inv_step;
+            for i in 1..n - 1 {
+                rhs.push(scale * (ys[i + 1] - 2.0 * ys[i] + ys[i - 1]));
+            }
+            for i in 1..rows {
+                rhs[i] -= rhs[i - 1] * inv_diag[i - 1];
+            }
+            m[n - 2] = rhs[rows - 1] * inv_diag[rows - 1];
+            for i in (0..rows - 1).rev() {
+                m[i + 1] = (rhs[i] - m[i + 2]) * inv_diag[i];
+            }
+        }
+        Self {
+            lo,
+            hi,
+            step,
+            inv_step,
+            h2_over_6: step * step / 6.0,
+            ys: ys.to_vec(),
+            m,
+        }
+    }
+
+    fn knot(&self, i: usize) -> f64 {
+        if i == self.ys.len() - 1 {
+            self.hi
+        } else {
+            self.lo + self.step * i as f64
+        }
+    }
+
+    fn eval(&self, x: f64) -> f64 {
+        let n = self.ys.len();
+        let i = if x <= self.lo {
+            0
+        } else {
+            (((x - self.lo) * self.inv_step) as usize).min(n - 2)
+        };
+        let x0 = self.knot(i);
+        let x1 = self.knot(i + 1);
+        let a = (x1 - x) * self.inv_step;
+        let b = (x - x0) * self.inv_step;
+        a * self.ys[i]
+            + b * self.ys[i + 1]
+            + ((a * a * a - a) * self.m[i] + (b * b * b - b) * self.m[i + 1]) * self.h2_over_6
+    }
+
+    /// The 4-point local cubic over the same knots, as `UniformLocalCubic`
+    /// evaluated it with `knot()` and the saturating `as usize` index.
+    fn local_cubic(&self, x: f64) -> f64 {
+        let n = self.ys.len();
+        let i = if x <= self.lo {
+            0
+        } else {
+            (((x - self.lo) * self.inv_step) as usize).min(n - 2)
+        };
+        if n < 4 {
+            let t = (x - self.lo) * self.inv_step;
+            return if n == 2 {
+                self.ys[0] * (1.0 - t) + self.ys[1] * t
+            } else {
+                0.5 * (t - 1.0) * (t - 2.0) * self.ys[0] - t * (t - 2.0) * self.ys[1]
+                    + 0.5 * t * (t - 1.0) * self.ys[2]
+            };
+        }
+        let s = i.saturating_sub(1).min(n - 4);
+        let t = (x - self.knot(s)) * self.inv_step;
+        let t1 = t - 1.0;
+        let t2 = t - 2.0;
+        let t3 = t - 3.0;
+        let w0 = -t1 * t2 * t3 / 6.0;
+        let w1 = 0.5 * t * t2 * t3;
+        let w2 = -0.5 * t * t1 * t3;
+        let w3 = t * t1 * t2 / 6.0;
+        w0 * self.ys[s] + w1 * self.ys[s + 1] + w2 * self.ys[s + 2] + w3 * self.ys[s + 3]
+    }
+}
+
+/// Probe abscissae for the bit-identity checks: every knot, each knot
+/// ±1 ulp, every midpoint, and points below `lo` and above `hi`.
+fn probe_points(spline: &ReferenceSpline) -> Vec<f64> {
+    let n = spline.ys.len();
+    let (lo, hi) = (spline.lo, spline.hi);
+    let width = hi - lo;
+    let mut xs = vec![
+        lo - width,
+        lo - 0.5 * spline.step,
+        hi + 0.5 * spline.step,
+        hi + width,
+    ];
+    for i in 0..n {
+        let k = spline.knot(i);
+        xs.extend([k, k.next_down(), k.next_up()]);
+        if i + 1 < n {
+            xs.push(0.5 * (k + spline.knot(i + 1)));
+        }
+    }
+    xs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn uniform_kernels_match_reference_bitwise(
+        ys in prop::collection::vec(-2.0f64..5.0, 2..=300),
+        lo_mantissa in -1.0f64..1.0,
+        lo_exponent in 0i32..10,
+        width_mantissa in 0.5f64..5.0,
+        width_exponent in -2i32..4,
+    ) {
+        // Supports up to ±1e9 with widths down to 5e-3, so the knot
+        // arithmetic runs with large offsets and few bits to spare (steps
+        // down to ~100 ulp of `lo`).
+        let lo = lo_mantissa * 10f64.powi(lo_exponent);
+        let hi = lo + width_mantissa * 10f64.powi(width_exponent);
+        prop_assert!(hi > lo);
+        let reference = ReferenceSpline::fit(lo, hi, &ys);
+        let mut scratch = SplineScratch::new();
+        let spline = scratch.fit_uniform(lo, hi, &ys);
+        let local = UniformLocalCubic::new(lo, hi, &ys);
+        for x in probe_points(&reference) {
+            let (got, want) = (spline.eval(x), reference.eval(x));
+            prop_assert!(got.to_bits() == want.to_bits(), "spline at {x:e}: {got:e} vs {want:e}");
+            let (got, want) = (local.eval(x), reference.local_cubic(x));
+            prop_assert!(got.to_bits() == want.to_bits(), "local cubic at {x:e}: {got:e} vs {want:e}");
+        }
+    }
 
     #[test]
     fn fft_round_trip(values in prop::collection::vec(-100.0f64..100.0, 1..100)) {

@@ -62,6 +62,21 @@ fn grid_x(lo: f64, hi: f64, step: f64, n: usize, i: usize) -> f64 {
     }
 }
 
+/// Index of the grid cell `[i, i + 1]` holding the fractional grid
+/// coordinate `t ≥ 0` on an `n`-point grid, clamped to the last cell.
+///
+/// For `t ≥ 0` truncation equals `floor` (and a NaN maps to 0 either way),
+/// but the cast is inline code where `f64::floor` is a libm call on the
+/// x86-64 baseline. The truncation is signed because x86-64 converts to
+/// `i64` in one instruction and to `u64` only with a second conversion and
+/// a select; `t ≥ 0` makes the result non-negative. Every caller has
+/// already returned for `x < lo`.
+#[inline(always)]
+fn grid_cell(t: f64, n: usize) -> usize {
+    debug_assert!(t >= 0.0 || t.is_nan(), "negative grid coordinate {t}");
+    (t as i64 as usize).min(n - 2)
+}
+
 /// A random variable represented by a sampled PDF on a uniform grid.
 #[derive(Debug, Clone)]
 pub struct DiscreteRv {
@@ -309,7 +324,7 @@ impl DiscreteRv {
         }
         let h = self.step();
         let t = (x - self.lo) / h;
-        let i = (t.floor() as usize).min(self.pdf.len() - 2);
+        let i = grid_cell(t, self.pdf.len());
         let frac = t - i as f64;
         self.pdf[i] * (1.0 - frac) + self.pdf[i + 1] * frac
     }
@@ -327,7 +342,7 @@ impl DiscreteRv {
         }
         let h = self.step();
         let t = (x - self.lo) / h;
-        let i = (t.floor() as usize).min(self.cdf.len() - 2);
+        let i = grid_cell(t, self.cdf.len());
         let frac = t - i as f64;
         self.cdf[i] * (1.0 - frac) + self.cdf[i + 1] * frac
     }
@@ -599,15 +614,16 @@ impl DiscreteRv {
             out.extend_from_slice(&self.pdf);
         } else {
             let spline = scratch.fit_uniform(self.lo, self.hi, &self.pdf);
-            out.reserve(n);
+            out.resize(n, 0.0);
             let top = self.lo + h * (n - 1) as f64;
-            for i in 0..n {
+            // `cut ≥ hi` (`hi` is finite), so `x > cut` implies `x > hi`.
+            let cut = self.hi.max(top - h);
+            for (i, v) in out.iter_mut().enumerate() {
                 let x = self.lo + h * i as f64;
-                out.push(if x > self.hi.max(top - h) && x > self.hi {
-                    0.0
-                } else {
-                    spline.eval(x.min(self.hi))
-                });
+                // `x` is finite, so the compare-select equals `x.min(hi)`
+                // without `f64::min`'s NaN fix-up.
+                let x_in = if x < self.hi { x } else { self.hi };
+                *v = if x > cut { 0.0 } else { spline.eval(x_in) };
             }
         }
         clamp_nonnegative(out);
@@ -622,7 +638,9 @@ impl DiscreteRv {
     /// Density and CDF at `x` in one interval lookup — the merged kernel
     /// behind [`DiscreteRv::max_into`] / [`DiscreteRv::min_into`]. Matches
     /// [`DiscreteRv::pdf_at`] and [`DiscreteRv::cdf_at`] pointwise.
-    #[inline]
+    ///
+    /// Always inlined: both scans call it twice per output point.
+    #[inline(always)]
     fn pdf_cdf_at(&self, x: f64) -> (f64, f64) {
         debug_assert!(!self.is_point());
         if x < self.lo {
@@ -641,7 +659,7 @@ impl DiscreteRv {
         }
         let h = self.step();
         let t = (x - self.lo) / h;
-        let i = (t.floor() as usize).min(self.pdf.len() - 2);
+        let i = grid_cell(t, self.pdf.len());
         let frac = t - i as f64;
         (
             self.pdf[i] * (1.0 - frac) + self.pdf[i + 1] * frac,
@@ -1118,6 +1136,130 @@ mod tests {
         // Repeat a sum with the now well-used workspace: still identical.
         x.sum_into(&y, &mut ws, &mut out);
         assert_rv_bits_eq(&out, &x.sum(&y), "sum after reuse");
+    }
+
+    /// `pdf_at`/`cdf_at`/`pdf_cdf_at` as first written, with the cell index
+    /// from `f64::floor`: the truncating kernels must match them bit for bit.
+    fn floor_pdf_at(rv: &DiscreteRv, x: f64) -> f64 {
+        if x < rv.lo || x > rv.hi {
+            return 0.0;
+        }
+        let t = (x - rv.lo) / rv.step();
+        let i = (t.floor() as usize).min(rv.pdf.len() - 2);
+        let frac = t - i as f64;
+        rv.pdf[i] * (1.0 - frac) + rv.pdf[i + 1] * frac
+    }
+
+    fn floor_cdf_at(rv: &DiscreteRv, x: f64) -> f64 {
+        if x <= rv.lo {
+            return 0.0;
+        }
+        if x >= rv.hi {
+            return 1.0;
+        }
+        let t = (x - rv.lo) / rv.step();
+        let i = (t.floor() as usize).min(rv.cdf.len() - 2);
+        let frac = t - i as f64;
+        rv.cdf[i] * (1.0 - frac) + rv.cdf[i + 1] * frac
+    }
+
+    fn floor_pdf_cdf_at(rv: &DiscreteRv, x: f64) -> (f64, f64) {
+        if x < rv.lo {
+            return (0.0, 0.0);
+        }
+        if x == rv.lo {
+            return (rv.pdf[0], 0.0);
+        }
+        if x >= rv.hi {
+            let f = if x > rv.hi {
+                0.0
+            } else {
+                rv.pdf[rv.pdf.len() - 1]
+            };
+            return (f, 1.0);
+        }
+        let t = (x - rv.lo) / rv.step();
+        let i = (t.floor() as usize).min(rv.pdf.len() - 2);
+        let frac = t - i as f64;
+        (
+            rv.pdf[i] * (1.0 - frac) + rv.pdf[i + 1] * frac,
+            rv.cdf[i] * (1.0 - frac) + rv.cdf[i + 1] * frac,
+        )
+    }
+
+    /// The merged max (`max = true`) or min scan over `linspace(lo, hi)`
+    /// with the floor-based lookup, normalized by `from_grid`.
+    fn floor_extreme(a: &DiscreteRv, b: &DiscreteRv, max: bool) -> DiscreteRv {
+        let (lo, hi) = if max {
+            (a.lo.max(b.lo), a.hi.max(b.hi))
+        } else {
+            (a.lo.min(b.lo), a.hi.min(b.hi))
+        };
+        let n = a.points().max(b.points());
+        let pdf = linspace(lo, hi, n)
+            .into_iter()
+            .map(|x| {
+                let (f1, c1) = floor_pdf_cdf_at(a, x);
+                let (f2, c2) = floor_pdf_cdf_at(b, x);
+                if max {
+                    f1 * c2 + c1 * f2
+                } else {
+                    f1 * (1.0 - c2) + (1.0 - c1) * f2
+                }
+            })
+            .collect();
+        DiscreteRv::from_grid(lo, hi, pdf)
+    }
+
+    #[test]
+    fn truncating_lookups_match_floor_reference_bitwise() {
+        // Grids from 2 to 64 points; supports at the origin and at 1e6,
+        // overlapping, nested and disjoint.
+        let rvs = [
+            DiscreteRv::from_dist_default(&ScaledBeta::paper_default(20.0, 1.1)),
+            DiscreteRv::from_dist(&ScaledBeta::paper_default(15.0, 1.4), 48),
+            DiscreteRv::from_dist(&Uniform::new(0.3, 2.7), 17),
+            DiscreteRv::from_grid(18.0, 19.5, vec![1.0, 3.0]),
+            DiscreteRv::from_grid(19.0, 40.0, vec![0.5, 2.0, 1.0]),
+            DiscreteRv::from_dist_default(&Uniform::new(1e6, 1e6 + 3.0)),
+            DiscreteRv::from_dist(&Normal::new(1e6 + 1.5, 0.7), 33),
+            DiscreteRv::from_dist(&ScaledBeta::paper_default(1e6, 1.000_002), 64),
+        ];
+        for (k, rv) in rvs.iter().enumerate() {
+            let grid = rv.grid();
+            let mut xs = vec![rv.lo - rv.span(), rv.hi + rv.span()];
+            for (i, &x) in grid.iter().enumerate() {
+                xs.extend([x, x.next_down(), x.next_up()]);
+                if let Some(&next) = grid.get(i + 1) {
+                    xs.push(0.5 * (x + next));
+                }
+            }
+            for x in xs {
+                let (f, c) = (rv.pdf_at(x), rv.cdf_at(x));
+                assert_eq!(
+                    f.to_bits(),
+                    floor_pdf_at(rv, x).to_bits(),
+                    "rv {k}: pdf_at({x:e})"
+                );
+                assert_eq!(
+                    c.to_bits(),
+                    floor_cdf_at(rv, x).to_bits(),
+                    "rv {k}: cdf_at({x:e})"
+                );
+            }
+        }
+        let mut ws = crate::RvWorkspace::new();
+        let mut out = DiscreteRv::point(0.0);
+        for (i, a) in rvs.iter().enumerate() {
+            for (j, b) in rvs.iter().enumerate() {
+                a.max_into(b, &mut ws, &mut out);
+                assert_rv_bits_eq(&out, &floor_extreme(a, b, true), &format!("max {i} {j}"));
+                if a.lo.min(b.lo) < a.hi.min(b.hi) {
+                    a.min_into(b, &mut ws, &mut out);
+                    assert_rv_bits_eq(&out, &floor_extreme(a, b, false), &format!("min {i} {j}"));
+                }
+            }
+        }
     }
 
     #[test]
