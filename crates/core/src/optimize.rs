@@ -16,7 +16,6 @@
 //! agree); the final archive is re-scored with the classical evaluator.
 //! The output is a Pareto archive of mutually non-dominated schedules.
 
-use crate::metrics::MetricOptions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use robusched_platform::Scenario;
@@ -196,19 +195,6 @@ pub fn pareto_search(scenario: &Scenario, cfg: &SearchConfig) -> Vec<ParetoPoint
             makespan_std: s,
         })
         .collect()
-}
-
-/// Convenience: the archive's trade-off summary used by reports.
-pub fn front_summary(points: &[ParetoPoint], opts: &MetricOptions) -> String {
-    let _ = opts;
-    let mut out = String::from("E(M)        σ_M\n");
-    for p in points {
-        out.push_str(&format!(
-            "{:>9.3}  {:>8.4}\n",
-            p.expected_makespan, p.makespan_std
-        ));
-    }
-    out
 }
 
 #[cfg(test)]

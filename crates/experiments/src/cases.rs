@@ -8,9 +8,9 @@
 //!
 //! The authors did not publish the exact composition; this module defines a
 //! documented grid with the same cardinalities: a 24-case tier-A set
-//! (n ≤ ~100, the Fig. 6 input), a 28-case tier-B replication set, and a
-//! separate tier-C "indication" set with ~1000-node graphs (Fig. 1 only) —
-//! 52 tier-A+B cases in total. See DESIGN.md for the substitution note.
+//! (n ≤ ~100, the Fig. 6 input) and a 28-case tier-B replication set —
+//! 52 cases in total. The ~1000-node "indication" graphs stay out of the
+//! grid; Fig. 1 builds them itself. See DESIGN.md for the substitution note.
 
 use robusched_dag::generators::{cholesky, gaussian_elimination};
 use robusched_platform::Scenario;
@@ -191,23 +191,6 @@ pub fn tier_b(master_seed: u64) -> Vec<Case> {
     }
     assert_eq!(cases.len(), 28);
     cases
-}
-
-/// Tier C: the ~1000-node "indication" cases (§V keeps them out of the
-/// correlation aggregate; Fig. 1 uses them for the accuracy curve).
-pub fn tier_c(master_seed: u64) -> Vec<Case> {
-    ULS.iter()
-        .enumerate()
-        .map(|(i, &ul)| Case {
-            id: format!("rand-n1000-m16-ul{ul}"),
-            family: Family::Random,
-            param: 1000,
-            machines: 16,
-            ul,
-            seed: derive_seed(master_seed, 2000 + i as u64),
-            schedules: 100,
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -166,11 +166,6 @@ impl Faults {
                     .any(|r| r.metric == *m && r.spearman > 0.0)
             })
     }
-
-    /// The ranking row of one metric label.
-    pub fn ranking_of(&self, metric: &str) -> Option<&RankingRow> {
-        self.ranking.iter().find(|r| r.metric == metric)
-    }
 }
 
 /// Runs the study: the `OVERSUB × FAULTS × RECOVERY` sweep (sharded

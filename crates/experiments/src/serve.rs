@@ -29,7 +29,8 @@
 //! "name": ...}` (any [`robusched_sched::heuristic_by_name`] entry) or
 //! `{"kind": "random", "seed": N}`. The front end interns scenarios by
 //! their canonical spec, so repeated specs share one [`Scenario`] `Arc`
-//! and the service's fingerprint caches do the rest.
+//! and the service's fingerprint caches do the rest. The interner keeps as
+//! many scenarios alive as the service keeps prepared.
 //!
 //! `ul` must lie in `[1, 1000]`.
 //!
@@ -70,7 +71,7 @@ use robusched_platform::{Scenario, TraceCalibration};
 use robusched_sched::{heuristic_by_name, random_schedule, Schedule};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -127,12 +128,35 @@ const MAX_UL: f64 = 1000.0;
 
 /// Interns scenarios by their canonical spec so repeated requests share
 /// one `Arc<Scenario>` (and one fingerprint-cache entry downstream).
-#[derive(Default)]
+///
+/// Keeps the `capacity` most recently resolved scenarios alive, as the
+/// service's LRU keeps their prepared state. An evicted scenario that a
+/// queued request still holds is found again through a weak handle, so a
+/// spec never builds a second copy while the first is alive. A rebuilt
+/// scenario has the same fingerprint, so it still hits the service's
+/// prepared-state and result caches.
 struct ScenarioInterner {
-    by_spec: HashMap<String, Arc<Scenario>>,
+    /// The most recently resolved specs and their last-resolve stamps.
+    recent: HashMap<String, (Arc<Scenario>, u64)>,
+    /// Specs evicted from `recent`; dead handles are swept out whenever
+    /// the map has doubled since the last sweep.
+    evicted: HashMap<String, Weak<Scenario>>,
+    capacity: usize,
+    clock: u64,
+    sweep_at: usize,
 }
 
 impl ScenarioInterner {
+    fn new(capacity: usize) -> Self {
+        Self {
+            recent: HashMap::new(),
+            evicted: HashMap::new(),
+            capacity,
+            clock: 0,
+            sweep_at: capacity,
+        }
+    }
+
     fn resolve(&mut self, spec: &Json) -> Result<Arc<Scenario>, String> {
         let family = spec
             .get("family")
@@ -216,11 +240,32 @@ impl ScenarioInterner {
             }
             other => return Err(format!("unknown scenario family '{other}'")),
         };
-        Ok(self
-            .by_spec
-            .entry(key)
-            .or_insert_with(|| Arc::new(build()))
-            .clone())
+        self.clock += 1;
+        if let Some((scenario, stamp)) = self.recent.get_mut(&key) {
+            *stamp = self.clock;
+            return Ok(scenario.clone());
+        }
+        let scenario = self
+            .evicted
+            .remove(&key)
+            .and_then(|handle| handle.upgrade())
+            .unwrap_or_else(|| Arc::new(build()));
+        if self.recent.len() >= self.capacity {
+            let oldest = self
+                .recent
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(k, _)| k.clone());
+            if let Some((k, (old, _))) = oldest.and_then(|k| self.recent.remove_entry(&k)) {
+                self.evicted.insert(k, Arc::downgrade(&old));
+            }
+        }
+        self.recent.insert(key, (scenario.clone(), self.clock));
+        if self.evicted.len() >= self.sweep_at {
+            self.evicted.retain(|_, handle| handle.strong_count() > 0);
+            self.sweep_at = (2 * self.evicted.len()).max(self.capacity);
+        }
+        Ok(scenario)
     }
 }
 
@@ -487,11 +532,12 @@ pub fn serve_streams<R: BufRead, W: Write + Send>(
     output: W,
     opts: &RunOptions,
 ) -> std::io::Result<String> {
-    let service = EvalService::new(ServiceConfig {
+    let config = ServiceConfig {
         workers: opts.threads,
         ..Default::default()
-    });
-    let mut interner = ScenarioInterner::default();
+    };
+    let mut interner = ScenarioInterner::new(config.scenario_capacity);
+    let service = EvalService::new(config);
     let mut dynamic = DynamicRunner::default();
     let t0 = Instant::now();
     let (tx, rx) = std::sync::mpsc::channel::<WireEntry>();
@@ -840,6 +886,45 @@ mod tests {
         assert_eq!(lines[1].get("cache_hit"), Some(&Json::Bool(true)));
         // Unknown trace names error in-stream.
         assert_eq!(lines[2].get("ok"), Some(&Json::Bool(false)));
+    }
+
+    #[test]
+    fn interner_stays_within_the_service_scenario_capacity() {
+        let capacity = ServiceConfig::default().scenario_capacity;
+        let mut interner = ScenarioInterner::new(capacity);
+        let spec = |seed: usize| {
+            parse_json(&format!(
+                r#"{{"family": "paper-random", "n": 4, "m": 2, "ul": 1.1, "seed": {seed}}}"#
+            ))
+            .unwrap()
+        };
+        // A queued request holds the first scenario; nothing holds the rest.
+        let held = interner.resolve(&spec(0)).unwrap();
+        let second = Arc::downgrade(&interner.resolve(&spec(1)).unwrap());
+        let second_fingerprint =
+            robusched_stochastic::scenario_fingerprint(&second.upgrade().unwrap());
+        for seed in 2..=capacity {
+            interner.resolve(&spec(seed)).unwrap();
+            assert!(interner.recent.len() <= capacity);
+        }
+        assert_eq!(interner.recent.len(), capacity);
+        // The first spec was evicted but is still alive, so it resolves to
+        // the held scenario and pushes out the second, which nothing holds.
+        assert!(Arc::ptr_eq(&held, &interner.resolve(&spec(0)).unwrap()));
+        assert!(second.upgrade().is_none());
+        // The second spec comes back rebuilt with the same fingerprint, so
+        // the service's caches still recognise it.
+        let again = interner.resolve(&spec(1)).unwrap();
+        assert_eq!(interner.recent.len(), capacity);
+        assert_eq!(
+            robusched_stochastic::scenario_fingerprint(&again),
+            second_fingerprint
+        );
+        // Handles of evicted scenarios that died are swept out as they pile up.
+        for seed in capacity + 1..=4 * capacity {
+            interner.resolve(&spec(seed)).unwrap();
+        }
+        assert!(interner.evicted.len() <= capacity);
     }
 
     #[test]

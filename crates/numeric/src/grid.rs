@@ -2,8 +2,7 @@
 //!
 //! Discretized random variables live on uniform abscissa grids (the paper
 //! samples every probability density with 64 points). This module keeps the
-//! one tiny helper used everywhere plus a step-size computation that avoids
-//! accumulation error.
+//! one tiny helper used everywhere.
 
 /// `n` evenly spaced points covering `[lo, hi]` inclusively.
 ///
@@ -23,13 +22,6 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| if i == n - 1 { hi } else { lo + step * i as f64 })
         .collect()
-}
-
-/// Step of the uniform grid covering `[lo, hi]` with `n` points.
-#[inline]
-pub fn grid_step(lo: f64, hi: f64, n: usize) -> f64 {
-    assert!(n >= 2, "a grid step needs at least two points");
-    (hi - lo) / (n - 1) as f64
 }
 
 #[cfg(test)]
@@ -73,12 +65,5 @@ mod tests {
     #[should_panic(expected = "inverted interval")]
     fn inverted_panics() {
         linspace(1.0, 0.0, 3);
-    }
-
-    #[test]
-    fn step_matches_linspace() {
-        let g = linspace(2.0, 4.0, 9);
-        let h = grid_step(2.0, 4.0, 9);
-        assert!((g[1] - g[0] - h).abs() < 1e-15);
     }
 }

@@ -6,9 +6,8 @@
 //! for FFTs, interpolation, smoothing and integration. This crate
 //! re-implements the required numerical kernels in pure Rust:
 //!
-//! * [`fft`] — iterative radix-2 complex FFT and inverse FFT;
-//! * [`convolution`] — direct and FFT-based linear convolution, with a
-//!   size-based dispatcher between them;
+//! * [`convolution`] — direct linear convolution (the resampled operands
+//!   are too short for an FFT to pay off);
 //! * [`integrate`] — composite trapezoid and Simpson rules plus cumulative
 //!   integration (used to turn PDFs into CDFs);
 //! * [`interp`] — natural cubic-spline and monotone cubic interpolation
@@ -24,7 +23,6 @@
 //! slices and reuse caller buffers where practical.
 
 pub mod convolution;
-pub mod fft;
 pub mod grid;
 pub mod integrate;
 pub mod interp;
@@ -33,8 +31,7 @@ pub mod roots;
 pub mod smooth;
 pub mod special;
 
-pub use convolution::{convolve_auto, convolve_auto_into, convolve_direct, convolve_fft};
-pub use fft::{fft_inplace, ifft_inplace, Complex, FftPlan};
+pub use convolution::convolve_direct;
 pub use grid::linspace;
 pub use integrate::{cumulative_trapezoid, simpson_uniform, trapezoid_uniform};
 pub use interp::{

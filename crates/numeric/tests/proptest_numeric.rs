@@ -1,8 +1,7 @@
 //! Property tests for the numerical substrate.
 
 use proptest::prelude::*;
-use robusched_numeric::convolution::{convolve_direct, convolve_direct_into, convolve_fft};
-use robusched_numeric::fft::{fft_inplace, ifft_inplace, Complex};
+use robusched_numeric::convolution::{convolve_direct, convolve_direct_into};
 use robusched_numeric::integrate::{cumulative_trapezoid, simpson_uniform, trapezoid_uniform};
 use robusched_numeric::interp::{CubicSpline, SplineScratch, UniformLocalCubic};
 
@@ -192,62 +191,6 @@ proptest! {
     }
 
     #[test]
-    fn fft_round_trip(values in prop::collection::vec(-100.0f64..100.0, 1..100)) {
-        // Pad to the next power of two.
-        let n = values.len().next_power_of_two();
-        let mut data: Vec<Complex> = values
-            .iter()
-            .map(|&x| Complex::new(x, 0.0))
-            .chain(std::iter::repeat(Complex::zero()))
-            .take(n)
-            .collect();
-        let original = data.clone();
-        fft_inplace(&mut data);
-        ifft_inplace(&mut data);
-        for (d, o) in data.iter().zip(original.iter()) {
-            prop_assert!(close(d.re, o.re, 1e-9), "{} vs {}", d.re, o.re);
-            prop_assert!(d.im.abs() < 1e-6 * (1.0 + o.re.abs()));
-        }
-    }
-
-    #[test]
-    fn fft_linearity(
-        xs in prop::collection::vec(-10.0f64..10.0, 8..32),
-        alpha in -5.0f64..5.0,
-    ) {
-        let n = xs.len().next_power_of_two();
-        let pad = |v: &[f64]| -> Vec<Complex> {
-            v.iter()
-                .map(|&x| Complex::new(x, 0.0))
-                .chain(std::iter::repeat(Complex::zero()))
-                .take(n)
-                .collect()
-        };
-        let mut fa = pad(&xs);
-        fft_inplace(&mut fa);
-        let scaled: Vec<f64> = xs.iter().map(|x| alpha * x).collect();
-        let mut fs = pad(&scaled);
-        fft_inplace(&mut fs);
-        for (a, s) in fa.iter().zip(fs.iter()) {
-            prop_assert!(close(a.re * alpha, s.re, 1e-8));
-            prop_assert!(close(a.im * alpha, s.im, 1e-8));
-        }
-    }
-
-    #[test]
-    fn convolution_kernels_agree(
-        a in prop::collection::vec(-5.0f64..5.0, 1..60),
-        b in prop::collection::vec(-5.0f64..5.0, 1..60),
-    ) {
-        let d = convolve_direct(&a, &b);
-        let f = convolve_fft(&a, &b);
-        prop_assert_eq!(d.len(), f.len());
-        for i in 0..d.len() {
-            prop_assert!(close(d[i], f[i], 1e-8), "fft idx {i}: {} vs {}", d[i], f[i]);
-        }
-    }
-
-    #[test]
     fn direct_convolution_matches_outer_a_order_bitwise(
         a in prop::collection::vec(-2.0f64..5.0, 1..=300),
         b in prop::collection::vec(-2.0f64..5.0, 1..=300),
@@ -283,7 +226,7 @@ proptest! {
         a in prop::collection::vec(0.0f64..3.0, 2..50),
         b in prop::collection::vec(0.0f64..3.0, 2..50),
     ) {
-        let c = convolve_fft(&a, &b);
+        let c = convolve_direct(&a, &b);
         let sa: f64 = a.iter().sum();
         let sb: f64 = b.iter().sum();
         let sc: f64 = c.iter().sum();

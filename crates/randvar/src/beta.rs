@@ -84,11 +84,6 @@ impl Beta {
         self.alpha
     }
 
-    /// Shape β.
-    pub fn beta_shape(&self) -> f64 {
-        self.beta
-    }
-
     /// Mode of the distribution (requires α > 1, β > 1 for an interior mode).
     pub fn mode(&self) -> f64 {
         if self.alpha > 1.0 && self.beta > 1.0 {

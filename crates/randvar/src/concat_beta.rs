@@ -91,11 +91,6 @@ impl ConcatBeta {
         Self::new(4, 2.0, 5.0, 0.0, 40.0)
     }
 
-    /// Number of lobes.
-    pub fn lobe_count(&self) -> usize {
-        self.lobes.len()
-    }
-
     /// Index of the lobe whose subinterval contains `x` (clamped; lobes
     /// tile `[lo, hi]` with equal widths, so this is one multiply).
     fn lobe_index(&self, x: f64) -> usize {

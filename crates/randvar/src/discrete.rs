@@ -19,7 +19,7 @@
 
 use crate::dist::Dist;
 use crate::workspace::{with_thread_workspace, RvWorkspace};
-use robusched_numeric::convolution::convolve_auto_into;
+use robusched_numeric::convolution::convolve_direct_into;
 use robusched_numeric::grid::linspace;
 use robusched_numeric::integrate::{
     cumulative_trapezoid_into, simpson_uniform, simpson_uniform_fn, trapezoid_uniform,
@@ -525,9 +525,8 @@ impl DiscreteRv {
     /// Distribution of `X + Y` for independent `X`, `Y` (PDF convolution).
     ///
     /// Both operands are spline-resampled onto a common working step, the
-    /// densities convolved (direct or FFT depending on size), and the result
-    /// resampled back to `max(points, points)` grid points (the canonical 64
-    /// in the pipeline).
+    /// densities convolved, and the result resampled back to
+    /// `max(points, points)` grid points (the canonical 64 in the pipeline).
     ///
     /// Allocating wrapper over [`DiscreteRv::sum_into`] (thread-local
     /// workspace).
@@ -574,7 +573,9 @@ impl DiscreteRv {
 
         self.resample_step_into(h, &mut ws.spline, &mut ws.f1);
         other.resample_step_into(h, &mut ws.spline, &mut ws.f2);
-        convolve_auto_into(&ws.f1, &ws.f2, &mut ws.conv);
+        // Each operand has `round(s/h) + 1` points, so the two lengths sum
+        // to at most 259: too short for an FFT to beat the direct kernel.
+        convolve_direct_into(&ws.f1, &ws.f2, &mut ws.conv);
         for v in ws.conv.iter_mut() {
             *v *= h;
         }

@@ -235,11 +235,6 @@ impl QuantileTable {
         self.quantile(bits as f64 * (1.0 / (1u64 << 53) as f64))
     }
 
-    /// Total number of probability knots (bulk + ladders).
-    pub fn knot_count(&self) -> usize {
-        self.full.knots().len()
-    }
-
     /// Draws one sample: `Q(U)` with `U ~ Uniform(0,1)`.
     #[inline]
     pub fn sample(&self, rng: &mut dyn RngCore) -> f64 {

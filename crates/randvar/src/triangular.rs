@@ -29,15 +29,6 @@ impl Triangular {
         );
         Self { lo, mode, hi }
     }
-
-    /// Right-skewed triangular matching the paper's substitution shape:
-    /// support `[w, ul·w]` with the mode at 20% of the span (the Beta(2,5)
-    /// mode position).
-    pub fn paper_like(w: f64, ul: f64) -> Self {
-        assert!(w > 0.0 && ul > 1.0, "need positive weight and ul > 1");
-        let hi = ul * w;
-        Self::new(w, w + 0.2 * (hi - w), hi)
-    }
 }
 
 impl Dist for Triangular {
@@ -122,14 +113,6 @@ mod tests {
             let num = integrate_fn(|y| t.pdf(y), 1.0, x, 3001);
             assert!(approx_eq(num, t.cdf(x), 1e-6));
         }
-    }
-
-    #[test]
-    fn paper_like_shape() {
-        let t = Triangular::paper_like(20.0, 1.1);
-        assert_eq!(t.support(), (20.0, 22.0));
-        // Right-skew: mean above mode.
-        assert!(t.mean() > 20.0 + 0.2 * 2.0);
     }
 
     #[test]

@@ -183,24 +183,6 @@ impl Schedule {
     pub fn task_count(&self) -> usize {
         self.assignment.len()
     }
-
-    /// Position of task `t` in its machine's order.
-    pub fn position_of(&self, t: NodeId) -> usize {
-        self.proc_order[self.assignment[t]]
-            .iter()
-            .position(|&x| x == t)
-            .expect("schedule invariant: every task is listed")
-    }
-
-    /// The task executed immediately before `t` on the same machine.
-    pub fn predecessor_on_machine(&self, t: NodeId) -> Option<NodeId> {
-        let pos = self.position_of(t);
-        if pos == 0 {
-            None
-        } else {
-            Some(self.proc_order[self.assignment[t]][pos - 1])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -222,9 +204,6 @@ mod tests {
         let s = Schedule::try_new(vec![0, 0, 1, 1], vec![vec![0, 1], vec![2, 3]], &dag).unwrap();
         assert_eq!(s.machine_of(2), 1);
         assert_eq!(s.order_on(0), &[0, 1]);
-        assert_eq!(s.predecessor_on_machine(1), Some(0));
-        assert_eq!(s.predecessor_on_machine(2), None);
-        assert_eq!(s.position_of(3), 1);
     }
 
     #[test]

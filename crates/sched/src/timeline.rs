@@ -62,11 +62,6 @@ impl ProcTimeline {
         self.intervals.insert(pos, (start, end, task));
     }
 
-    /// Finish time of the last interval (0 when idle).
-    pub fn last_finish(&self) -> f64 {
-        self.intervals.last().map_or(0.0, |&(_, e, _)| e)
-    }
-
     /// Tasks in execution (start-time) order.
     pub fn task_order(&self) -> Vec<NodeId> {
         self.intervals.iter().map(|&(_, _, t)| t).collect()
@@ -92,7 +87,6 @@ mod tests {
         let t = ProcTimeline::new();
         assert_eq!(t.earliest_slot(5.0, 2.0), 5.0);
         assert_eq!(t.earliest_append(5.0), 5.0);
-        assert_eq!(t.last_finish(), 0.0);
     }
 
     #[test]

@@ -94,18 +94,6 @@ impl Ecdf {
         }
         acc
     }
-
-    /// Classic Cramér–von-Mises statistic `ω² = 1/(12n) + Σ (F(x₍ᵢ₎) −
-    /// (2i−1)/(2n))²` (provided for completeness and tests).
-    pub fn cvm_statistic<F: Fn(f64) -> f64>(&self, cdf: F) -> f64 {
-        let n = self.sorted.len() as f64;
-        let mut acc = 1.0 / (12.0 * n);
-        for (i, &x) in self.sorted.iter().enumerate() {
-            let u = cdf(x) - (2.0 * (i as f64) + 1.0) / (2.0 * n);
-            acc += u * u;
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -153,15 +141,6 @@ mod tests {
         // (the integral only covers [min, max] of the sample and both CDFs
         // pinch together near 1).
         assert!((0.18..=0.25).contains(&d), "d = {d}");
-    }
-
-    #[test]
-    fn cvm_statistic_small_for_exact_fit() {
-        let n = 500;
-        let samples: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5) / n as f64).collect();
-        let e = Ecdf::new(&samples);
-        let w2 = e.cvm_statistic(|x| x.clamp(0.0, 1.0));
-        assert!(w2 < 1.0 / (6.0 * n as f64), "ω² = {w2}");
     }
 
     #[test]

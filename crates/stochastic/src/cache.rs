@@ -255,9 +255,8 @@ pub struct SamplingTables {
 /// Tri(0, 0.2, 1) — nothing scenario-specific enters a table), so their
 /// tables live in process-wide `OnceLock`s: the first `SamplingTables::new`
 /// of each family pays the ~ms tabulation, every later one is an `Arc`
-/// clone. Same pattern as the thread-local FFT-plan cache of
-/// `robusched-numeric` (DESIGN.md §9), hoisted to process scope because
-/// tables are shared read-only across threads anyway.
+/// clone. Process scope rather than thread-local, because tables are
+/// shared read-only across threads anyway.
 fn shared_base_table(kind: UncertaintyKind) -> Option<Arc<QuantileTable>> {
     static BETA25: OnceLock<Arc<QuantileTable>> = OnceLock::new();
     static UNIFORM: OnceLock<Arc<QuantileTable>> = OnceLock::new();

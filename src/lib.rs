@@ -7,7 +7,7 @@
 //! This crate re-exports the public API of every subsystem so downstream
 //! users depend on a single crate:
 //!
-//! * [`numeric`] — FFT, convolution, integration, splines, special functions;
+//! * [`numeric`] — convolution, integration, splines, special functions;
 //! * [`randvar`] — continuous distributions and the discretized RV calculus;
 //! * [`dag`] — task-graph structure and generators;
 //! * [`platform`] — heterogeneous platform and uncertainty models;
