@@ -19,11 +19,12 @@
 //!   Buffering remains available ([`StudyBuilder::buffer_metrics`]) for
 //!   consumers that need the raw rows.
 //!
-//! Work is split into fixed 64-schedule chunks, each seeded as
-//! `derive_seed(seed, index)` and run through
+//! Work is split into small chunks of random schedules, each schedule
+//! seeded as `derive_seed(seed, index)`, and run through
 //! [`robusched_stochastic::par::par_map`]: workers claim chunks
 //! but deliver them in index order, so every accumulator state — and
-//! therefore every streamed matrix — is bit-identical for any thread count.
+//! therefore every streamed matrix — is bit-identical for any thread count
+//! and any chunk size.
 //! Buffered rows ([`StudyBuilder::buffer_metrics`]) feed the two-pass
 //! [`pearson_matrix`] and [`spearman_matrix`].
 
@@ -139,8 +140,12 @@ impl StudyResult {
     }
 }
 
-/// Schedules per work chunk (fixed for thread-count determinism).
-const CHUNK: usize = 64;
+/// Schedules per work chunk. Seeds come from the schedule index and chunks
+/// are delivered in index order, so this sets how evenly the workers share
+/// a study, never a result. Small, so that even a study of a hundred-odd
+/// schedules gives each worker several chunks and the workers finish
+/// close together.
+const CHUNK: usize = 8;
 
 /// Default [`RankReservoir`] capacity: covers the paper's 10 000-schedule
 /// cases' Spearman needs with a 2 000-row margin over its n = 100 tier.
@@ -499,6 +504,23 @@ mod tests {
         let b = quick_study(&scenario, 130, 4);
         assert_eq!(a.random, b.random);
         assert_eq!(a.heuristics, b.heuristics);
+        // A heuristic row equals a fresh-context evaluation. `{:?}` prints
+        // each `f64` in its shortest round-trip form, so equal text means
+        // equal values.
+        let evaluator = ClassicEvaluator::default();
+        for (name, values) in &a.heuristics {
+            let sched = heuristic_by_name(name)
+                .unwrap()
+                .schedule(&scenario)
+                .unwrap();
+            let rv = evaluator.evaluate(&scenario, &sched);
+            let fresh = compute_metrics(&scenario, &sched, &rv, &MetricOptions::default());
+            assert_eq!(
+                format!("{fresh:?}"),
+                format!("{values:?}"),
+                "{name}: heuristic row differs from a fresh evaluation"
+            );
+        }
     }
 
     #[test]

@@ -14,14 +14,19 @@
 pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Objects preserve key order (no hashing needed at
-/// these document sizes); numbers are always `f64`, as in JavaScript.
+/// these document sizes). An integer literal that fits a `u64` keeps its
+/// exact value ([`Json::Int`]); every other number is an `f64`, as in
+/// JavaScript.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number.
+    /// A non-negative integer literal (no fraction or exponent) up to
+    /// `u64::MAX`.
+    Int(u64),
+    /// Any other number.
     Num(f64),
     /// A string (unescaped).
     Str(String),
@@ -40,9 +45,11 @@ impl Json {
         }
     }
 
-    /// The value as a finite number, if it is one.
+    /// The value as a finite number, if it is one (an [`Json::Int`] above
+    /// 2^53 rounds to the nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(v) => Some(*v as f64),
             Json::Num(v) => Some(*v),
             _ => None,
         }
@@ -54,10 +61,17 @@ impl Json {
         (v.fract() == 0.0 && v >= 0.0 && v <= u32::MAX as f64).then_some(v as usize)
     }
 
-    /// The value as an exactly-representable `u64`, if it is one.
+    /// The value as a `u64`, if it is exactly one: an integer literal, or
+    /// another number form (`5.0`, `1e3`) with an integral value below
+    /// 2^53, where every `f64` integer is exact. Anything else — a
+    /// fraction, a negative number, a value past `u64::MAX` — is `None`.
     pub fn as_u64(&self) -> Option<u64> {
-        let v = self.as_f64()?;
-        (v.fract() == 0.0 && (0.0..=9.007_199_254_740_992e15).contains(&v)).then_some(v as u64)
+        match self {
+            Json::Int(v) => Some(*v),
+            Json::Num(v) => (v.fract() == 0.0 && (0.0..9.007_199_254_740_992e15).contains(v))
+                .then_some(*v as u64),
+            _ => None,
+        }
     }
 
     /// The value as a string slice, if it is one.
@@ -226,9 +240,12 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
-    std::str::from_utf8(&b[start..*pos])
+    let text = std::str::from_utf8(&b[start..*pos]).expect("the scan accepts only ASCII");
+    if let Ok(v) = text.parse::<u64>() {
+        return Ok(Json::Int(v));
+    }
+    text.parse::<f64>()
         .ok()
-        .and_then(|s| s.parse::<f64>().ok())
         .filter(|v| v.is_finite())
         .map(Json::Num)
         .ok_or_else(|| format!("invalid number at byte {start}"))
@@ -239,6 +256,7 @@ pub fn write_json(value: &Json, out: &mut String) {
     match value {
         Json::Null => out.push_str("null"),
         Json::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
+        Json::Int(v) => out.push_str(&v.to_string()),
         Json::Num(v) => push_number(*v, out),
         Json::Str(s) => push_string(s, out),
         Json::Arr(items) => {
@@ -358,6 +376,25 @@ mod tests {
         assert!(parse_json("[1, 2] \n\t ").is_ok(), "whitespace is fine");
         assert!(parse_json("{\"a\": }").is_err());
         assert!(parse_json("nul").is_err());
+    }
+
+    #[test]
+    fn integer_literals_keep_every_u64_exactly() {
+        for v in [1 << 53, (1 << 53) + 1, u64::MAX] {
+            let doc = parse_json(&v.to_string()).unwrap();
+            assert_eq!(doc.as_u64(), Some(v), "{v}");
+            let mut out = String::new();
+            write_json(&doc, &mut out);
+            assert_eq!(out, v.to_string());
+        }
+        for bad in ["18446744073709551616", "1.5", "-1", "9007199254740993.0"] {
+            let doc = parse_json(bad).unwrap();
+            assert_eq!(doc.as_u64(), None, "{bad}");
+        }
+        // Other number forms still read as integers where `f64` is exact.
+        assert_eq!(parse_json("1e3").unwrap().as_u64(), Some(1000));
+        assert_eq!(parse_json("5.0").unwrap().as_u64(), Some(5));
+        assert_eq!(parse_json("0").unwrap(), Json::Int(0));
     }
 
     #[test]

@@ -851,6 +851,53 @@ mod tests {
     }
 
     #[test]
+    fn seeds_past_2_pow_53_are_told_apart() {
+        // As `f64`s both seeds are 2^53, so they once shared one cache
+        // entry and the second request got the first one's metrics.
+        let request = |id: u32, seed: &str| {
+            format!(
+                r#"{{"id": {id}, "scenario": {{"family": "paper-random", "n": 10, "m": 3, "ul": 1.1, "seed": {seed}}}, "schedule": {{"kind": "heuristic", "name": "heft"}}, "evaluator": "classic"}}"#
+            ) + "\n"
+        };
+        let input = [
+            request(1, "9007199254740992"),
+            request(2, "9007199254740993"),
+            request(3, "18446744073709551615"),
+            request(4, "18446744073709551616"),
+            request(5, "1.5"),
+        ]
+        .concat();
+        let mut output = Vec::new();
+        let opts = RunOptions {
+            threads: Some(2),
+            out_dir: None,
+            ..Default::default()
+        };
+        serve_streams(input.as_bytes(), &mut output, &opts).unwrap();
+        let lines: Vec<Json> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| parse_json(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 5);
+        for line in &lines[..3] {
+            assert_eq!(line.get("ok"), Some(&Json::Bool(true)), "{line:?}");
+            assert_eq!(line.get("cache_hit"), Some(&Json::Bool(false)), "{line:?}");
+            assert_eq!(
+                line.get("scenario_hit"),
+                Some(&Json::Bool(false)),
+                "{line:?}"
+            );
+        }
+        assert_ne!(lines[0].get("metrics"), lines[1].get("metrics"));
+        for line in &lines[3..] {
+            assert_eq!(line.get("ok"), Some(&Json::Bool(false)), "{line:?}");
+            let error = line.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.contains("scenario.seed"), "{error}");
+        }
+    }
+
+    #[test]
     fn trace_family_requests_evaluate() {
         let input = concat!(
             r#"{"id": 1, "scenario": {"family": "trace", "trace": "montage-like", "m": 4, "speed_cov": 0.5, "ul": 1.1, "seed": 3}, "schedule": {"kind": "heuristic", "name": "heft"}, "metrics": ["expected_makespan"]}"#,

@@ -22,6 +22,10 @@
 /// ascending `i`. Zero factors are skipped on the outer operand only;
 /// adding `±0` never changes a slot that starts at `+0`, so for finite
 /// inputs the result is bit-identical in either loop order.
+///
+/// Always inlined, so that a caller compiled for wider vectors (the AVX2
+/// copy of `DiscreteRv::sum_into`) compiles this loop for them too.
+#[inline(always)]
 pub fn convolve_direct_into(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
     out.clear();
     if a.is_empty() || b.is_empty() {

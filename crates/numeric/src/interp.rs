@@ -347,7 +347,10 @@ impl<'a> UniformLocalCubic<'a> {
     }
 
     /// Evaluates at `x` (clamped extrapolation by the boundary stencil).
-    #[inline]
+    ///
+    /// Always inlined: `DiscreteRv::sum_into` calls it once per output
+    /// point, and its AVX2 copy would otherwise call this baseline copy.
+    #[inline(always)]
     pub fn eval(&self, x: f64) -> f64 {
         let n = self.ys.len();
         if n < 4 {

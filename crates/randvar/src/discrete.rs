@@ -158,8 +158,12 @@ impl DiscreteRv {
     /// in place — the allocation-free core behind [`DiscreteRv::from_grid`]
     /// and every `*_into` kernel.
     ///
+    /// Always inlined, so that [`DiscreteRv::sum_into_avx2`] compiles its
+    /// clamp and division loops for AVX2.
+    ///
     /// # Panics
     /// Panics if the grid is ill-formed or carries no mass.
+    #[inline(always)]
     fn finish_normalize(&mut self) {
         assert!(
             self.lo.is_finite() && self.hi.is_finite() && self.hi > self.lo,
@@ -539,7 +543,41 @@ impl DiscreteRv {
     /// [`DiscreteRv::sum`] written into caller-owned storage: `out`'s
     /// buffers are reused, `ws` supplies every intermediate. Produces
     /// bit-identical results to `sum`.
+    ///
+    /// On an x86-64 CPU with AVX2 this runs a copy of the same code
+    /// compiled for 256-bit vectors, chosen on each call; the two copies
+    /// perform the same IEEE operations in the same order, so their
+    /// results are bit-identical.
     pub fn sum_into(&self, other: &Self, ws: &mut RvWorkspace, out: &mut Self) {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `sum_into_avx2` only requires AVX2, and the line
+            // above checked that the running CPU has it.
+            return unsafe { self.sum_into_avx2(other, ws, out) };
+        }
+        self.sum_into_baseline(other, ws, out);
+    }
+
+    /// [`DiscreteRv::sum_into_baseline`] compiled for AVX2. Rust never
+    /// contracts a multiply and an add into an FMA (and AVX2 does not
+    /// enable FMA), nor reorders float operations, so the wider vectors
+    /// change the speed and not a bit of the result.
+    ///
+    /// # Safety
+    /// Callers without AVX2 enabled must call this through `unsafe` and
+    /// only after checking that the running CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn sum_into_avx2(&self, other: &Self, ws: &mut RvWorkspace, out: &mut Self) {
+        self.sum_into_baseline(other, ws, out);
+    }
+
+    /// The body of [`DiscreteRv::sum_into`] for the build's baseline
+    /// target. It and the helpers whose loops vectorize are
+    /// `#[inline(always)]`, so that [`DiscreteRv::sum_into_avx2`] compiles
+    /// those loops for AVX2 instead of calling their baseline copies.
+    #[inline(always)]
+    fn sum_into_baseline(&self, other: &Self, ws: &mut RvWorkspace, out: &mut Self) {
         if self.is_point() {
             out.copy_from(other);
             out.shift_in_place(self.lo);
@@ -608,6 +646,9 @@ impl DiscreteRv {
     /// When the target grid coincides with the operand's own grid
     /// (commensurate step, same point count) the spline fit is skipped
     /// entirely — resampling would merely reproduce the knots.
+    ///
+    /// Always inlined, like [`DiscreteRv::finish_normalize`].
+    #[inline(always)]
     fn resample_step_into(&self, h: f64, scratch: &mut SplineScratch, out: &mut Vec<f64>) {
         let n = (((self.span() / h).round() as usize) + 1).max(2);
         out.clear();
@@ -1259,6 +1300,139 @@ mod tests {
                     a.min_into(b, &mut ws, &mut out);
                     assert_rv_bits_eq(&out, &floor_extreme(a, b, false), &format!("min {i} {j}"));
                 }
+            }
+        }
+    }
+
+    /// The AVX2 copy of `sum_into` against its baseline body. The copy is
+    /// reached through the public dispatcher, which picks it whenever the
+    /// CPU has AVX2; the baseline body is called directly.
+    #[cfg(target_arch = "x86_64")]
+    mod avx2_path {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `lo`, `hi` and every pdf and cdf bit.
+        fn bits(rv: &DiscreteRv) -> (u64, u64, Vec<u64>, Vec<u64>) {
+            let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+            (
+                rv.lo.to_bits(),
+                rv.hi.to_bits(),
+                to_bits(&rv.pdf),
+                to_bits(&rv.cdf),
+            )
+        }
+
+        /// Runs the sum of `a` and `b`, in both operand orders, on both
+        /// paths with one dirty workspace each.
+        fn paths_agree(a: &DiscreteRv, b: &DiscreteRv) -> Result<(), TestCaseError> {
+            let (mut ws_avx2, mut ws_base) = (RvWorkspace::new(), RvWorkspace::new());
+            let (mut avx2, mut base) = (DiscreteRv::point(0.0), DiscreteRv::point(0.0));
+            for (x, y, order) in [(a, b, "a, b"), (b, a, "b, a")] {
+                x.sum_into(y, &mut ws_avx2, &mut avx2);
+                x.sum_into_baseline(y, &mut ws_base, &mut base);
+                prop_assert_eq!(bits(&avx2), bits(&base), "sum of {}", order);
+            }
+            Ok(())
+        }
+
+        /// A variable on `[lo, lo + span]` with `n` grid points, its density
+        /// taken from `weights` (values below 0.1 become exact zeros).
+        fn rv(lo: f64, span: f64, n: usize, weights: &[f64]) -> DiscreteRv {
+            let mut pdf: Vec<f64> = weights[..n]
+                .iter()
+                .map(|&w| if w < 0.1 { 0.0 } else { w })
+                .collect();
+            pdf[n / 2] += 1.0;
+            DiscreteRv::from_grid(lo, lo + span, pdf)
+        }
+
+        fn avx2_present() -> bool {
+            let present = std::is_x86_feature_detected!("avx2");
+            if !present {
+                println!("skipped: this CPU has no AVX2, so only the baseline path runs");
+            }
+            present
+        }
+
+        #[test]
+        fn avx2_sum_matches_baseline_bitwise_on_evaluator_shapes() {
+            if !avx2_present() {
+                return;
+            }
+            let beta = |w: f64, ul: f64, n: usize| {
+                DiscreteRv::from_dist(&ScaledBeta::paper_default(w, ul), n)
+            };
+            // A finish time accumulated over a chain of tasks against one
+            // table operand: about 238 and 20 resampled points.
+            let mut acc = beta(20.0, 1.1, 64);
+            for w in [31.0, 17.0, 42.0, 25.0, 38.0, 29.0, 33.0, 21.0] {
+                acc = acc.sum(&beta(w, 1.1, 64));
+            }
+            // `paper_default(w, 1.1)` spans `0.1·w`.
+            let table = beta(acc.span() * 19.0 / 237.0 / 0.1, 1.1, 64);
+            let h = (acc.span() + table.span()) / (WORK_POINTS - 1) as f64;
+            let resampled = |rv: &DiscreteRv| (rv.span() / h).round() as usize + 1;
+            assert_eq!((resampled(&acc), resampled(&table)), (238, 20));
+            let cases = [
+                (acc.clone(), table.clone()),
+                // Point masses, alone and against a density.
+                (acc.clone(), DiscreteRv::point(acc.mean())),
+                (DiscreteRv::point(1.0), DiscreteRv::point(-3.0)),
+                // An operand narrower than two working steps.
+                (acc.clone(), beta(acc.span() / 500.0, 1.1, 64)),
+                // Unequal point counts.
+                (beta(20.0, 1.4, 48), beta(15.0, 1.2, 17)),
+                // Both operands already on the working grid: the resample
+                // copies them.
+                (
+                    DiscreteRv::from_dist(&Uniform::new(0.0, 63.0), 64),
+                    DiscreteRv::from_dist(&Uniform::new(5.0, 198.0), 194),
+                ),
+            ];
+            for (i, (a, b)) in cases.iter().enumerate() {
+                if let Err(e) = paths_agree(a, b) {
+                    panic!("case {i}: {e}");
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn avx2_sum_matches_baseline_bitwise(
+                lo in -50.0f64..50.0,
+                span in 0.01f64..100.0,
+                n1 in 2usize..130,
+                n2 in 2usize..130,
+                // Second operand: its span is `span·2^log2_ratio` (below
+                // 2^-7 it is narrower than two working steps), its support
+                // starts `offset` spans away.
+                log2_ratio in -10.0f64..3.0,
+                offset in -2.0f64..2.0,
+                weights in prop::collection::vec(0.0f64..1.0, 256),
+            ) {
+                if !avx2_present() {
+                    return Ok(());
+                }
+                let a = rv(lo, span, n1, &weights);
+                let b = rv(
+                    lo + offset * span,
+                    span * log2_ratio.exp2(),
+                    n2,
+                    &weights[256 - n2..],
+                );
+                paths_agree(&a, &b)?;
+                paths_agree(&a, &DiscreteRv::point(lo + offset * span))?;
+                // A partner on `a`'s own step: both resamples copy.
+                let partner = rv(
+                    lo,
+                    span * (WORK_POINTS - n1) as f64 / (n1 - 1) as f64,
+                    WORK_POINTS + 1 - n1,
+                    &weights,
+                );
+                paths_agree(&a, &partner)?;
             }
         }
     }
