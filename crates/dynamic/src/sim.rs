@@ -22,6 +22,19 @@
 //! repeats, platforms and (for the study harness, which shards whole
 //! simulations) thread counts.
 //!
+//! An arrival finds its scenario's cached state by the identity of its
+//! `Arc<Scenario>` in O(1); only an `Arc` the run has not seen yet pays
+//! for the content fingerprint, so content-equal scenarios in different
+//! `Arc`s still share one state. Both maps only key caches: which one
+//! answers never changes the state returned.
+//!
+//! Each machine's queue keeps its entries in a `Vec` (a push appends, a
+//! dispatch `swap_remove`s the chosen entry) and finds the least
+//! `(ready time, instance, task)` entry through an indexed min-heap in
+//! O(log q). The backlog estimate and the `resched` machine choice sum
+//! queued durations in that `Vec`'s order, so the order is part of the
+//! contract: a different one would change their bits.
+//!
 //! ## Determinism of start dates
 //!
 //! All per-instance bookkeeping is kept in *relative* time (offsets from
@@ -69,7 +82,7 @@ use rand::{RngCore, SeedableRng};
 use robusched_core::OnlineMetrics;
 use robusched_platform::Scenario;
 use robusched_randvar::{derive_seed, DEFAULT_GRID};
-use robusched_sched::{heuristic_by_name, EagerPlan, Schedule, ScheduleError};
+use robusched_sched::{heuristic_by_name, EagerPlan, Heuristic, Schedule, ScheduleError};
 use robusched_stochastic::{scenario_fingerprint, DiscretizedScenario, SamplingTables};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -333,6 +346,130 @@ struct QueueEntry {
     dur: f64,
 }
 
+/// One machine's ready queue: the entries in `Vec` order, plus an indexed
+/// min-heap that finds the least `(ready time, instance, task)` entry in
+/// O(log q).
+///
+/// The `Vec` order is part of the executor's contract (a push appends, a
+/// pop `swap_remove`s the chosen slot): the backlog estimate and the
+/// `resched` machine choice sum `dur` in that order, and any other order
+/// would change their bits. At most one entry per `(instance, task)` is ever
+/// queued — a task is queued when it becomes ready, and again only after
+/// its running attempt failed — so keys are unique and the heap pops
+/// exactly the entry a linear `min_by` over the `Vec` would pick.
+#[derive(Default)]
+struct ReadyQueue {
+    entries: Vec<QueueEntry>,
+    /// Each entry's position in `heap`, parallel to `entries`.
+    heap_pos: Vec<u32>,
+    /// Binary min-heap over the entries' keys.
+    heap: Vec<HeapNode>,
+}
+
+/// A heap node: an entry's key and the entry's slot in `entries`.
+#[derive(Debug, Clone, Copy)]
+struct HeapNode {
+    ready_abs: f64,
+    inst: usize,
+    task: usize,
+    slot: u32,
+}
+
+impl HeapNode {
+    /// `total_cmp` keeps the order total (no NaN panics) and bit-stable.
+    fn precedes(&self, other: &Self) -> bool {
+        self.ready_abs
+            .total_cmp(&other.ready_abs)
+            .then(self.inst.cmp(&other.inst))
+            .then(self.task.cmp(&other.task))
+            .is_lt()
+    }
+}
+
+impl ReadyQueue {
+    /// The queued entries, in `Vec` order.
+    fn entries(&self) -> &[QueueEntry] {
+        &self.entries
+    }
+
+    fn push(&mut self, entry: QueueEntry) {
+        let slot = u32::try_from(self.entries.len()).expect("queue length fits in u32");
+        self.entries.push(entry);
+        self.heap_pos.push(0);
+        self.heap.push(HeapNode {
+            ready_abs: entry.ready_abs,
+            inst: entry.inst,
+            task: entry.task,
+            slot,
+        });
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Removes and returns the entry with the least key.
+    fn pop_min(&mut self) -> Option<QueueEntry> {
+        let root = *self.heap.first()?;
+        let slot = root.slot as usize;
+        let entry = self.entries.swap_remove(slot);
+        self.heap_pos.swap_remove(slot);
+        debug_assert!(
+            root.ready_abs.to_bits() == entry.ready_abs.to_bits()
+                && (root.inst, root.task) == (entry.inst, entry.task),
+            "heap key {root:?} does not match its slot's entry {entry:?}"
+        );
+        if let Some(&moved) = self.heap_pos.get(slot) {
+            // The last entry moved into the freed slot.
+            self.heap[moved as usize].slot = root.slot;
+        }
+        let last = self.heap.pop().expect("the root exists");
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(0);
+        }
+        Some(entry)
+    }
+
+    fn place(&mut self, at: usize, node: HeapNode) {
+        self.heap_pos[node.slot as usize] = at as u32;
+        self.heap[at] = node;
+    }
+
+    fn sift_up(&mut self, mut at: usize) {
+        let node = self.heap[at];
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if !node.precedes(&self.heap[parent]) {
+                break;
+            }
+            self.place(at, self.heap[parent]);
+            at = parent;
+        }
+        self.place(at, node);
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        let node = self.heap[at];
+        let len = self.heap.len();
+        loop {
+            let left = 2 * at + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.heap[right].precedes(&self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            if !self.heap[child].precedes(&node) {
+                break;
+            }
+            self.place(at, self.heap[child]);
+            at = child;
+        }
+        self.place(at, node);
+    }
+}
+
 /// The attempt currently occupying a machine.
 #[derive(Debug, Clone, Copy)]
 struct RunningTask {
@@ -345,7 +482,7 @@ struct RunningTask {
 struct Machine {
     busy: bool,
     busy_until: f64,
-    queue: Vec<QueueEntry>,
+    queue: ReadyQueue,
     /// The running attempt's identity (stale `Finish` events miss it).
     running: Option<RunningTask>,
     /// The machine is failed; its queue is frozen until repair.
@@ -409,7 +546,12 @@ impl<'p> DynamicSim<'p> {
         let heuristic = heuristic_by_name(&self.config.heuristic)
             .ok_or_else(|| SimError::UnknownHeuristic(self.config.heuristic.clone()))?;
 
-        let mut states: HashMap<u64, Arc<ScenarioState>> = HashMap::new();
+        // Scenario state by `Arc` identity, then by content fingerprint
+        // (module docs). Each identity entry holds its `Arc`, so no
+        // address can be reused while the map lives.
+        let mut by_identity: HashMap<*const Scenario, (Arc<Scenario>, Arc<ScenarioState>)> =
+            HashMap::new();
+        let mut by_fingerprint: HashMap<u64, Arc<ScenarioState>> = HashMap::new();
         let mut instances: Vec<Instance> = Vec::new();
         let mut machines: Vec<Machine> = Vec::new();
         let mut heap: BinaryHeap<Reverse<Queued>> = BinaryHeap::new();
@@ -447,7 +589,7 @@ impl<'p> DynamicSim<'p> {
                     machines.resize_with(m, || Machine {
                         busy: false,
                         busy_until: 0.0,
-                        queue: Vec::new(),
+                        queue: ReadyQueue::default(),
                         running: None,
                         down: false,
                         down_since: 0.0,
@@ -481,42 +623,24 @@ impl<'p> DynamicSim<'p> {
                     });
                 }
 
-                let fp = scenario_fingerprint(&arrival.scenario);
-                let state = match states.get(&fp) {
-                    Some(s) => s.clone(),
+                let identity = Arc::as_ptr(&arrival.scenario);
+                let state = match by_identity.get(&identity) {
+                    Some((_, state)) => state.clone(),
                     None => {
-                        let schedule = match &self.config.schedule {
-                            Some(s) => s.clone(),
-                            None => heuristic.schedule(&arrival.scenario)?,
+                        let fp = scenario_fingerprint(&arrival.scenario);
+                        let state = match by_fingerprint.get(&fp) {
+                            Some(state) => state.clone(),
+                            None => {
+                                let state = Arc::new(self.scenario_state(
+                                    heuristic.as_ref(),
+                                    &arrival.scenario,
+                                    &mut dist_builds,
+                                )?);
+                                by_fingerprint.insert(fp, state.clone());
+                                state
+                            }
                         };
-                        let plan = EagerPlan::new(&arrival.scenario.graph.dag, &schedule)?;
-                        let det_makespan = plan
-                            .execute(
-                                &arrival.scenario.graph.dag,
-                                |v| arrival.scenario.det_task_cost(v, schedule.machine_of(v)),
-                                |e, u, v| {
-                                    arrival.scenario.det_comm_cost(
-                                        e,
-                                        schedule.machine_of(u),
-                                        schedule.machine_of(v),
-                                    )
-                                },
-                            )
-                            .makespan;
-                        let dists = self.policy.needs_distributions().then(|| {
-                            dist_builds += 1;
-                            let disc =
-                                DiscretizedScenario::new(&arrival.scenario, self.config.grid);
-                            RemainingDists::build(&arrival.scenario, &schedule, &plan, &disc)
-                        });
-                        let state = Arc::new(ScenarioState {
-                            schedule,
-                            plan,
-                            det_makespan,
-                            tables: SamplingTables::new(&arrival.scenario),
-                            dists,
-                        });
-                        states.insert(fp, state.clone());
+                        by_identity.insert(identity, (arrival.scenario.clone(), state.clone()));
                         state
                     }
                 };
@@ -860,6 +984,42 @@ impl<'p> DynamicSim<'p> {
         ))
     }
 
+    /// Builds the state every instance of `scenario` shares: schedule,
+    /// eager plan, deterministic makespan, sampling tables and, when the
+    /// policy asks, the remaining-work distributions (counted in
+    /// `dist_builds`).
+    fn scenario_state(
+        &self,
+        heuristic: &dyn Heuristic,
+        scenario: &Scenario,
+        dist_builds: &mut usize,
+    ) -> Result<ScenarioState, SimError> {
+        let schedule = match &self.config.schedule {
+            Some(s) => s.clone(),
+            None => heuristic.schedule(scenario)?,
+        };
+        let plan = EagerPlan::new(&scenario.graph.dag, &schedule)?;
+        let det_makespan = plan
+            .execute(
+                &scenario.graph.dag,
+                |v| scenario.det_task_cost(v, schedule.machine_of(v)),
+                |e, u, v| scenario.det_comm_cost(e, schedule.machine_of(u), schedule.machine_of(v)),
+            )
+            .makespan;
+        let dists = self.policy.needs_distributions().then(|| {
+            *dist_builds += 1;
+            let disc = DiscretizedScenario::new(scenario, self.config.grid);
+            RemainingDists::build(scenario, &schedule, &plan, &disc)
+        });
+        Ok(ScenarioState {
+            schedule,
+            plan,
+            det_makespan,
+            tables: SamplingTables::new(scenario),
+            dists,
+        })
+    }
+
     /// Builds the per-instance state: deadline, sampled durations, eager
     /// recurrence bookkeeping.
     fn admit_instance(
@@ -989,21 +1149,9 @@ impl<'p> DynamicSim<'p> {
     ) {
         while !machines[machine].busy && !machines[machine].down {
             // Deterministic selection: least (ready_abs, inst, task).
-            let queue = &machines[machine].queue;
-            let Some(best) = queue
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    a.ready_abs
-                        .total_cmp(&b.ready_abs)
-                        .then(a.inst.cmp(&b.inst))
-                        .then(a.task.cmp(&b.task))
-                })
-                .map(|(i, _)| i)
-            else {
+            let Some(entry) = machines[machine].queue.pop_min() else {
                 return;
             };
-            let entry = machines[machine].queue.swap_remove(best);
             if instances[entry.inst].dropped {
                 continue;
             }
@@ -1108,7 +1256,7 @@ fn pick_surviving(
         } else {
             0.0
         };
-        for entry in &m.queue {
+        for entry in m.queue.entries() {
             if !instances[entry.inst].dropped {
                 load += entry.dur;
             }
@@ -1132,7 +1280,7 @@ fn backlog_estimate(machines: &[Machine], instances: &[Instance], now: f64) -> f
         if m.busy && m.busy_until > now {
             work += m.busy_until - now;
         }
-        for entry in &m.queue {
+        for entry in m.queue.entries() {
             if !instances[entry.inst].dropped {
                 work += entry.dur;
             }
@@ -1209,5 +1357,106 @@ fn finalize(
         outcomes,
         metrics,
         dist_builds,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The entry fields, bit for bit, for comparisons.
+    fn bits(e: &QueueEntry) -> (u64, u64, usize, usize, u64) {
+        (
+            e.ready_abs.to_bits(),
+            e.ready_rel.to_bits(),
+            e.inst,
+            e.task,
+            e.dur.to_bits(),
+        )
+    }
+
+    /// The linear selection the heap replaces: least
+    /// `(ready_abs, inst, task)` by `min_by`, then `swap_remove`.
+    fn linear_pop_min(queue: &mut Vec<QueueEntry>) -> Option<QueueEntry> {
+        let best = queue
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| {
+                a.ready_abs
+                    .total_cmp(&b.ready_abs)
+                    .then(a.inst.cmp(&b.inst))
+                    .then(a.task.cmp(&b.task))
+            })
+            .map(|(i, _)| i)?;
+        Some(queue.swap_remove(best))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Driven like the executor drives it — pushes of ready tasks,
+        /// dispatches that skip entries of dropped instances, instances
+        /// dropped with entries still queued, re-queues after a pop — the
+        /// indexed queue pops the same entries as the linear scan and
+        /// leaves its `Vec` in the same order after every step.
+        #[test]
+        fn ready_queue_matches_the_linear_scan(
+            ops in prop::collection::vec(0u32..u32::MAX, 1..400),
+        ) {
+            // Few distinct ready times, so most pushes tie on `ready_abs`.
+            const TIMES: [f64; 5] = [0.0, -0.0, 1.0, 2.5, 1.0e9];
+            let mut heap = ReadyQueue::default();
+            let mut linear: Vec<QueueEntry> = Vec::new();
+            let mut queued: HashSet<(usize, usize)> = HashSet::new();
+            let mut dropped: HashSet<usize> = HashSet::new();
+            for op in ops {
+                let inst = (op >> 5) as usize % 16;
+                match op % 32 {
+                    0..=17 => {
+                        // A task becomes ready; at most one entry per
+                        // (instance, task) is ever queued.
+                        let task = (op >> 9) as usize % 16;
+                        if dropped.contains(&inst) || !queued.insert((inst, task)) {
+                            continue;
+                        }
+                        let ready_abs = TIMES[(op >> 13) as usize % TIMES.len()];
+                        let entry = QueueEntry {
+                            ready_abs,
+                            ready_rel: ready_abs - inst as f64,
+                            inst,
+                            task,
+                            dur: f64::from(op >> 16) * 0.125,
+                        };
+                        heap.push(entry);
+                        linear.push(entry);
+                    }
+                    18..=30 => loop {
+                        // A dispatch: pop until a live entry starts.
+                        let got = heap.pop_min();
+                        let want = linear_pop_min(&mut linear);
+                        prop_assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits));
+                        let Some(entry) = got else { break };
+                        queued.remove(&(entry.inst, entry.task));
+                        if !dropped.contains(&entry.inst) {
+                            break;
+                        }
+                    },
+                    _ => {
+                        // A policy drops the instance; its entries stay
+                        // queued and are skipped lazily.
+                        dropped.insert(inst);
+                    }
+                }
+                let got: Vec<_> = heap.entries().iter().map(bits).collect();
+                let want: Vec<_> = linear.iter().map(bits).collect();
+                prop_assert_eq!(got, want);
+            }
+            while let Some(entry) = linear_pop_min(&mut linear) {
+                prop_assert_eq!(heap.pop_min().as_ref().map(bits), Some(bits(&entry)));
+            }
+            prop_assert!(heap.pop_min().is_none());
+        }
     }
 }

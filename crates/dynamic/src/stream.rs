@@ -29,7 +29,11 @@ pub struct Arrival {
     /// Absolute arrival time.
     pub time: f64,
     /// The arriving workflow (shared — repeated workloads intern to one
-    /// `Arc`, so the executor's per-scenario caches deduplicate work).
+    /// `Arc`, so the executor's per-scenario caches deduplicate work). The
+    /// executor finds an arrival's cached state by this `Arc`'s identity,
+    /// so the saving holds per arrival: only an `Arc` a run has not seen
+    /// yet is fingerprinted, and a content-equal scenario in a fresh `Arc`
+    /// still reuses the cached state.
     pub scenario: Arc<Scenario>,
 }
 

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use robusched_dynamic::{
-    policy_by_spec, Arrival, DynamicSim, NeverDrop, PoissonStream, ReplayStream, SimConfig,
-    SimError,
+    policy_by_spec, Arrival, ArrivalStream, DynamicSim, NeverDrop, PoissonStream, ReplayStream,
+    SimConfig, SimError,
 };
 use robusched_platform::{Scenario, UncertaintyModel};
 use robusched_sched::{heft, EagerPlan};
@@ -207,5 +207,54 @@ fn unknown_heuristic_and_machine_mismatch_error() {
             got: 4,
         }) => {}
         other => panic!("expected machine mismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn fresh_arcs_share_state_with_interned_scenarios_bit_for_bit() {
+    // The executor finds scenario state by `Arc` identity and falls back
+    // to the content fingerprint. A stream whose every arrival carries a
+    // fresh `Arc` (content-equal to a pool scenario) takes the fallback
+    // every time and must reproduce the interned stream exactly.
+    let pool: Vec<Arc<Scenario>> = (0..3)
+        .map(|i| Arc::new(Scenario::paper_random(12, 2, 1.1, 200 + i)))
+        .collect();
+    let mut source = PoissonStream::new(pool.clone(), 1.0, 60, 13);
+    let interned: Vec<Arrival> = std::iter::from_fn(|| source.next_arrival()).collect();
+    let fresh: Vec<Arrival> = interned
+        .iter()
+        .map(|a| Arrival {
+            time: a.time,
+            scenario: Arc::new((*a.scenario).clone()),
+        })
+        .collect();
+    assert!(fresh
+        .iter()
+        .zip(&interned)
+        .all(|(f, i)| !Arc::ptr_eq(&f.scenario, &i.scenario)));
+    for spec in ["never", "prune@0.5"] {
+        let policy = policy_by_spec(spec).unwrap();
+        let run = |arrivals: &[Arrival]| {
+            DynamicSim::new(policy.as_ref(), SimConfig::default())
+                .run(&mut ReplayStream::new(arrivals.to_vec()))
+                .unwrap()
+        };
+        let a = run(&interned);
+        let b = run(&fresh);
+        assert_eq!(a.outcomes.len(), b.outcomes.len(), "{spec}");
+        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
+            assert_eq!(x.makespan.map(f64::to_bits), y.makespan.map(f64::to_bits));
+            assert_eq!(x.finish.map(f64::to_bits), y.finish.map(f64::to_bits));
+            assert_eq!(x.executed_time.to_bits(), y.executed_time.to_bits());
+            assert_eq!(x.lost_time.to_bits(), y.lost_time.to_bits());
+        }
+        assert_eq!(a.metrics, b.metrics, "{spec}");
+        assert_eq!(a.dist_builds, b.dist_builds, "{spec}");
+        // Content-equal scenarios share one state: one table per workload.
+        let expected_builds = if spec == "never" { 0 } else { pool.len() };
+        assert_eq!(b.dist_builds, expected_builds, "{spec}");
+        if spec != "never" {
+            assert!(b.metrics.dropped > 0, "pruning must bite under this load");
+        }
     }
 }
