@@ -29,17 +29,19 @@
 //!   same result when it lands — identical requests are evaluated exactly
 //!   once no matter how many clients race.
 //! * **Batching queue** — workers pull the oldest pending request and
-//!   coalesce up to [`ServiceConfig::max_batch`] compatible requests (same
-//!   scenario fingerprint, same evaluator) from anywhere in the queue into
-//!   one batch sharing a single warmed [`EvalContext`] — the SoA
-//!   Monte-Carlo kernel and the prepared classic/Dodin paths then run
-//!   back-to-back with zero per-request setup.
-//! * **Submission-order streaming** — [`EvalService::next_response`]
-//!   releases results strictly in ticket order (the reorder-buffer
-//!   discipline of `StudyBuilder`'s delivery lock), regardless of which
-//!   worker finished first. Multi-client callers use
-//!   [`EvalService::evaluate`]/[`EvalService::wait`] instead and block on
-//!   their own tickets.
+//!   coalesce up to `MAX_BATCH` (64) compatible requests (same scenario
+//!   fingerprint, same evaluator) from anywhere in the queue into one
+//!   batch sharing a single warmed [`EvalContext`] — the SoA Monte-Carlo
+//!   kernel and the prepared classic/Dodin paths then run back-to-back
+//!   with zero per-request setup.
+//! * **Tickets** — [`EvalService::submit`] returns a ticket and
+//!   [`EvalService::wait`] blocks on it; [`EvalService::evaluate`] does
+//!   both. A caller that needs answers in submission order waits on its
+//!   tickets in that order, as the `serve` front end does.
+//!
+//! The evaluator name is resolved once, at submission, and every cache
+//! keys it by [`Evaluator::name`], so aliases (`mc`, `MC`, `montecarlo`)
+//! share one prepared state and one result.
 //!
 //! Every bundled evaluator is deterministic, and prepared state never
 //! changes numerics (pinned by `tests/eval_cache.rs`), so a response is
@@ -58,12 +60,11 @@ use robusched_stochastic::par::{panic_message, worker_count};
 use robusched_stochastic::{
     evaluator_by_name, scenario_fingerprint, EvalContext, Evaluator, PreparedScenario,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Configuration of an [`EvalService`].
 #[derive(Debug, Clone)]
@@ -77,29 +78,6 @@ pub struct ServiceConfig {
     /// Maximum number of finished request results retained (LRU).
     /// `0` disables result caching (in-flight coalescing stays on).
     pub result_capacity: usize,
-    /// Maximum requests one worker coalesces into a single batch.
-    pub max_batch: usize,
-    /// Time-to-live for cached scenario entries: an entry not touched
-    /// within this window is purged at the next cache probe (counted in
-    /// [`ServiceStats::ttl_evictions`]). Prepared state for a scenario a
-    /// client stopped sending can hold graphs, cost matrices and quantile
-    /// tables alive indefinitely under a pure LRU bound; a TTL returns that
-    /// memory on long-running servers. `None` disables the TTL (the LRU
-    /// capacity bound still applies).
-    pub scenario_ttl: Option<Duration>,
-    /// Bound on the pending-request queue. A submission that would push
-    /// the queue past this is *shed* immediately with
-    /// [`ServiceError::Overloaded`] instead of growing the backlog
-    /// unboundedly — cache hits and in-flight coalesced duplicates are
-    /// never shed (they consume no queue slot). `None` disables load
-    /// shedding.
-    pub queue_capacity: Option<usize>,
-    /// Per-request deadline, measured from submission. A request still
-    /// unstarted when its deadline lapses is answered
-    /// [`ServiceError::TimedOut`] instead of evaluated — under overload
-    /// the service spends its workers on requests whose clients are
-    /// plausibly still waiting. `None` disables timeouts.
-    pub request_timeout: Option<Duration>,
 }
 
 impl Default for ServiceConfig {
@@ -108,13 +86,12 @@ impl Default for ServiceConfig {
             workers: None,
             scenario_capacity: 64,
             result_capacity: 4096,
-            max_batch: 64,
-            scenario_ttl: None,
-            queue_capacity: None,
-            request_timeout: None,
         }
     }
 }
+
+/// Maximum requests one worker coalesces into a single batch.
+const MAX_BATCH: usize = 64;
 
 /// One evaluation request: a scenario (shared, typically interned by the
 /// front end), a schedule, an evaluator registry name, and the metric
@@ -168,15 +145,6 @@ pub enum ServiceError {
     /// The evaluation panicked; the payload is preserved so the root cause
     /// is not masked (cf. [`crate::StudyError::WorkerPanic`]).
     Panicked(String),
-    /// The service is shutting down and will not accept the request.
-    ShuttingDown,
-    /// The pending queue is at [`ServiceConfig::queue_capacity`]; the
-    /// request was shed instead of queued (graceful degradation — retry
-    /// later or back off).
-    Overloaded,
-    /// The request waited past [`ServiceConfig::request_timeout`] without
-    /// starting and was abandoned.
-    TimedOut,
 }
 
 impl std::fmt::Display for ServiceError {
@@ -184,9 +152,6 @@ impl std::fmt::Display for ServiceError {
         match self {
             Self::UnknownEvaluator(n) => write!(f, "unknown evaluator '{n}'"),
             Self::Panicked(msg) => write!(f, "evaluation panicked: {msg}"),
-            Self::ShuttingDown => write!(f, "service is shutting down"),
-            Self::Overloaded => write!(f, "service overloaded: request shed"),
-            Self::TimedOut => write!(f, "request timed out before evaluation"),
         }
     }
 }
@@ -196,7 +161,7 @@ impl std::error::Error for ServiceError {}
 /// A submitted request's handle: its position in the submission order.
 pub type Ticket = u64;
 
-/// The response type every consumption surface yields.
+/// The response [`EvalService::wait`] yields for a ticket.
 pub type EvalResult = Result<EvalOutcome, ServiceError>;
 
 /// Monotonic service counters (a snapshot; see [`EvalService::stats`]).
@@ -212,8 +177,6 @@ pub struct ServiceStats {
     pub scenario_misses: u64,
     /// Scenario entries evicted by the LRU bound.
     pub evictions: u64,
-    /// Scenario entries purged by [`ServiceConfig::scenario_ttl`].
-    pub ttl_evictions: u64,
     /// Finished results evicted by the result-cache LRU bound.
     pub result_evictions: u64,
     /// Requests answered without evaluating: result-cache hits plus
@@ -223,45 +186,35 @@ pub struct ServiceStats {
     pub batches: u64,
     /// Requests that rode a batch of size ≥ 2.
     pub batched_requests: u64,
-    /// Requests shed with [`ServiceError::Overloaded`] (including
-    /// coalesced duplicates released when their leader was shed).
-    pub shed: u64,
-    /// Lead requests abandoned with [`ServiceError::TimedOut`] (coalesced
-    /// duplicates fail with the same error but are not double-counted).
-    pub timeouts: u64,
 }
 
 // ---------------------------------------------------------------------------
 // Internal state
 // ---------------------------------------------------------------------------
 
-/// Requests are batch-compatible when they share the scenario (by
-/// fingerprint) and the evaluator (by lower-cased registry name).
-type BatchKey = (u64, String);
-
 struct Job {
     ticket: Ticket,
     request: EvalRequest,
-    key: BatchKey,
+    /// Resolved at submission; its canonical name keys the batch, the
+    /// prepared-state map and the result cache.
+    evaluator: Box<dyn Evaluator>,
+    scenario_fp: u64,
     result_key: u64,
-    /// When the request entered the queue (the timeout clock).
-    submitted_at: Instant,
+}
+
+impl Job {
+    /// Requests are batch-compatible when they share the scenario (by
+    /// fingerprint) and the evaluator (by canonical name).
+    fn batches_with(&self, other: &Job) -> bool {
+        self.scenario_fp == other.scenario_fp && self.evaluator.name() == other.evaluator.name()
+    }
 }
 
 #[derive(Default)]
 struct QueueState {
     pending: VecDeque<Job>,
+    /// Set only by `Drop`: the workers exit once the queue is empty.
     shutdown: bool,
-}
-
-#[derive(Default)]
-struct ResponseState {
-    done: BTreeMap<Ticket, EvalResult>,
-    /// Next ticket [`EvalService::next_response`] will release.
-    next_emit: Ticket,
-    /// Tickets already consumed by [`EvalService::wait`]; the in-order
-    /// stream steps over these so the two consumption surfaces compose.
-    claimed: std::collections::HashSet<Ticket>,
 }
 
 /// Prepared state of one cached scenario: per-evaluator plans, filled on
@@ -270,8 +223,6 @@ struct ScenarioEntry {
     prepared: HashMap<String, PreparedScenario>,
     /// Last-touch stamp for LRU eviction.
     stamp: u64,
-    /// Last-touch wall time for TTL eviction.
-    touched: Instant,
 }
 
 #[derive(Default)]
@@ -298,20 +249,18 @@ struct Stats {
     scenario_hits: AtomicU64,
     scenario_misses: AtomicU64,
     evictions: AtomicU64,
-    ttl_evictions: AtomicU64,
     result_evictions: AtomicU64,
     result_hits: AtomicU64,
     batches: AtomicU64,
     batched_requests: AtomicU64,
-    shed: AtomicU64,
-    timeouts: AtomicU64,
 }
 
 struct Shared {
     config: ServiceConfig,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
-    responses: Mutex<ResponseState>,
+    /// Finished responses not yet claimed by [`EvalService::wait`].
+    responses: Mutex<HashMap<Ticket, EvalResult>>,
     responses_cv: Condvar,
     caches: Mutex<CacheState>,
     stats: Stats,
@@ -323,35 +272,17 @@ impl Shared {
             .responses
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        rs.done.insert(ticket, result);
+        rs.insert(ticket, result);
         self.stats.completed.fetch_add(1, Ordering::Relaxed);
         self.responses_cv.notify_all();
-    }
-
-    /// Tears down an in-flight leader reservation that will never run
-    /// (shed or shutdown), failing any duplicates that attached while the
-    /// reservation was live. Returns how many waiters were released.
-    fn release_in_flight(&self, result_key: u64, err: &ServiceError) -> u64 {
-        let waiters = self
-            .caches
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .in_flight
-            .remove(&result_key)
-            .unwrap_or_default();
-        let n = waiters.len() as u64;
-        for ticket in waiters {
-            self.complete(ticket, Err(err.clone()));
-        }
-        n
     }
 }
 
 /// FNV-1a over the full request identity: scenario fingerprint, schedule
-/// (assignment + per-machine order), evaluator name, metric options. Equal
-/// keys ⇒ bit-identical responses (64-bit collisions are ignored, as in
-/// every fingerprint cache of this workspace).
-fn request_fingerprint(scenario_fp: u64, req: &EvalRequest) -> u64 {
+/// (assignment + per-machine order), canonical evaluator name, metric
+/// options. Equal keys ⇒ bit-identical responses (64-bit collisions are
+/// ignored, as in every fingerprint cache of this workspace).
+fn request_fingerprint(scenario_fp: u64, req: &EvalRequest, evaluator: &str) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |bits: u64| {
@@ -370,7 +301,7 @@ fn request_fingerprint(scenario_fp: u64, req: &EvalRequest) -> u64 {
             mix(t as u64);
         }
     }
-    for b in req.evaluator.to_lowercase().bytes() {
+    for b in evaluator.bytes() {
         mix(b as u64);
     }
     mix(req.metric_opts.delta.to_bits());
@@ -414,7 +345,7 @@ impl EvalService {
             config,
             queue: Mutex::new(QueueState::default()),
             queue_cv: Condvar::new(),
-            responses: Mutex::new(ResponseState::default()),
+            responses: Mutex::new(HashMap::new()),
             responses_cv: Condvar::new(),
             caches: Mutex::new(CacheState::default()),
             stats: Stats::default(),
@@ -435,22 +366,24 @@ impl EvalService {
     /// Submits a request; returns its ticket (= submission index). Never
     /// blocks on evaluation: result-cache hits and coalesced duplicates
     /// complete immediately, everything else is queued for the workers.
+    /// Every ticket should be passed to [`wait`](Self::wait) once; until
+    /// then its response stays buffered in the service.
     pub fn submit(&self, request: EvalRequest) -> Ticket {
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
 
         // Resolve the evaluator up front so unknown names fail fast (and
         // cheaply) instead of poisoning a batch.
-        if evaluator_by_name(&request.evaluator).is_none() {
+        let Some(evaluator) = evaluator_by_name(&request.evaluator) else {
             self.shared.complete(
                 ticket,
                 Err(ServiceError::UnknownEvaluator(request.evaluator.clone())),
             );
             return ticket;
-        }
+        };
 
         let scenario_fp = scenario_fingerprint(&request.scenario);
-        let result_key = request_fingerprint(scenario_fp, &request);
+        let result_key = request_fingerprint(scenario_fp, &request, evaluator.name());
 
         {
             let mut caches = self
@@ -491,43 +424,19 @@ impl EvalService {
             caches.in_flight.insert(result_key, Vec::new());
         }
 
-        let key = (scenario_fp, request.evaluator.to_lowercase());
         let mut queue = self
             .shared
             .queue
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if queue.shutdown {
-            drop(queue);
-            self.shared
-                .release_in_flight(result_key, &ServiceError::ShuttingDown);
-            self.shared
-                .complete(ticket, Err(ServiceError::ShuttingDown));
-            return ticket;
-        }
-        // Graceful degradation: a full queue sheds the request (and any
-        // duplicates that raced onto its reservation) instead of growing
-        // the backlog without bound.
-        if let Some(cap) = self.shared.config.queue_capacity {
-            if queue.pending.len() >= cap {
-                drop(queue);
-                let followers = self
-                    .shared
-                    .release_in_flight(result_key, &ServiceError::Overloaded);
-                self.shared
-                    .stats
-                    .shed
-                    .fetch_add(1 + followers, Ordering::Relaxed);
-                self.shared.complete(ticket, Err(ServiceError::Overloaded));
-                return ticket;
-            }
-        }
+        // Only `Drop`, which holds the service exclusively, sets the flag.
+        debug_assert!(!queue.shutdown, "submit after shutdown");
         queue.pending.push_back(Job {
             ticket,
             request,
-            key,
+            evaluator,
+            scenario_fp,
             result_key,
-            submitted_at: Instant::now(),
         });
         drop(queue);
         self.shared.queue_cv.notify_one();
@@ -535,9 +444,7 @@ impl EvalService {
     }
 
     /// Blocks until `ticket`'s response is ready and removes it. Each
-    /// ticket yields its response exactly once. `wait` composes with
-    /// [`next_response`](Self::next_response): the in-order stream steps
-    /// over tickets consumed here instead of stalling on them.
+    /// ticket yields its response exactly once.
     pub fn wait(&self, ticket: Ticket) -> EvalResult {
         let mut rs = self
             .shared
@@ -545,11 +452,7 @@ impl EvalService {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         loop {
-            if let Some(result) = rs.done.remove(&ticket) {
-                rs.claimed.insert(ticket);
-                // Wake any `next_response` caller parked on this ticket so
-                // it can advance past the claim.
-                self.shared.responses_cv.notify_all();
+            if let Some(result) = rs.remove(&ticket) {
                 return result;
             }
             rs = self
@@ -567,38 +470,6 @@ impl EvalService {
         self.wait(ticket)
     }
 
-    /// Blocks until the *next* unclaimed response in submission order is
-    /// ready and returns `(ticket, response)` — the single-consumer
-    /// streaming surface (the reorder-buffer discipline: responses never
-    /// overtake each other even when workers finish out of order).
-    /// Tickets already consumed by [`wait`](Self::wait) are skipped.
-    pub fn next_response(&self) -> (Ticket, EvalResult) {
-        let mut rs = self
-            .shared
-            .responses
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            loop {
-                let cursor = rs.next_emit;
-                if !rs.claimed.remove(&cursor) {
-                    break;
-                }
-                rs.next_emit += 1;
-            }
-            let next = rs.next_emit;
-            if let Some(result) = rs.done.remove(&next) {
-                rs.next_emit += 1;
-                return (next, result);
-            }
-            rs = self
-                .shared
-                .responses_cv
-                .wait(rs)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
         let s = &self.shared.stats;
@@ -608,13 +479,10 @@ impl EvalService {
             scenario_hits: s.scenario_hits.load(Ordering::Relaxed),
             scenario_misses: s.scenario_misses.load(Ordering::Relaxed),
             evictions: s.evictions.load(Ordering::Relaxed),
-            ttl_evictions: s.ttl_evictions.load(Ordering::Relaxed),
             result_evictions: s.result_evictions.load(Ordering::Relaxed),
             result_hits: s.result_hits.load(Ordering::Relaxed),
             batches: s.batches.load(Ordering::Relaxed),
             batched_requests: s.batched_requests.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
-            timeouts: s.timeouts.load(Ordering::Relaxed),
         }
     }
 
@@ -656,7 +524,7 @@ impl Drop for EvalService {
 fn worker_loop(shared: &Shared) {
     loop {
         // Pull the oldest job, then coalesce batch-compatible jobs from
-        // anywhere in the queue (bounded by `max_batch`).
+        // anywhere in the queue (bounded by `MAX_BATCH`).
         let batch: Vec<Job> = {
             let mut queue = shared
                 .queue
@@ -665,11 +533,9 @@ fn worker_loop(shared: &Shared) {
             loop {
                 if let Some(leader) = queue.pending.pop_front() {
                     let mut batch = vec![leader];
-                    let key = batch[0].key.clone();
-                    let max = shared.config.max_batch.max(1);
                     let mut i = 0;
-                    while i < queue.pending.len() && batch.len() < max {
-                        if queue.pending[i].key == key {
+                    while i < queue.pending.len() && batch.len() < MAX_BATCH {
+                        if queue.pending[i].batches_with(&batch[0]) {
                             batch.push(queue.pending.remove(i).unwrap());
                         } else {
                             i += 1;
@@ -695,31 +561,9 @@ fn worker_loop(shared: &Shared) {
 /// cache lock; if another worker prepared the same (scenario, evaluator)
 /// concurrently, the first insertion wins so every later request shares
 /// one plan.
-/// Purges scenario entries staler than [`ServiceConfig::scenario_ttl`].
-/// Runs under the cache lock at every probe, so an idle scenario's memory
-/// is reclaimed the next time *any* request touches the cache.
-fn purge_stale_scenarios(shared: &Shared, caches: &mut CacheState) {
-    let Some(ttl) = shared.config.scenario_ttl else {
-        return;
-    };
-    let now = Instant::now();
-    let before = caches.scenarios.len();
-    caches
-        .scenarios
-        .retain(|_, entry| now.duration_since(entry.touched) < ttl);
-    let purged = (before - caches.scenarios.len()) as u64;
-    if purged > 0 {
-        shared
-            .stats
-            .ttl_evictions
-            .fetch_add(purged, Ordering::Relaxed);
-    }
-}
-
 fn prepared_for(
     shared: &Shared,
     fp: u64,
-    evaluator_key: &str,
     evaluator: &dyn Evaluator,
     scenario: &Scenario,
 ) -> (PreparedScenario, bool) {
@@ -728,12 +572,10 @@ fn prepared_for(
             .caches
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        purge_stale_scenarios(shared, &mut caches);
         let stamp = caches.tick();
         if let Some(entry) = caches.scenarios.get_mut(&fp) {
             entry.stamp = stamp;
-            entry.touched = Instant::now();
-            if let Some(prep) = entry.prepared.get(evaluator_key) {
+            if let Some(prep) = entry.prepared.get(evaluator.name()) {
                 shared.stats.scenario_hits.fetch_add(1, Ordering::Relaxed);
                 return (prep.clone(), true);
             }
@@ -749,13 +591,11 @@ fn prepared_for(
     let entry = caches.scenarios.entry(fp).or_insert_with(|| ScenarioEntry {
         prepared: HashMap::new(),
         stamp,
-        touched: Instant::now(),
     });
     entry.stamp = stamp;
-    entry.touched = Instant::now();
     let prep = entry
         .prepared
-        .entry(evaluator_key.to_string())
+        .entry(evaluator.name().to_string())
         .or_insert(prep)
         .clone();
     // Enforce the LRU bound (never evicting the entry just touched).
@@ -786,42 +626,19 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
             .batched_requests
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
     }
-    let (fp, evaluator_key) = batch[0].key.clone();
-    // Registry resolution was validated at submit; a stale registry would
-    // be a programming error, so fall back to a per-job error rather than
-    // panicking the worker.
-    let Some(evaluator) = evaluator_by_name(&evaluator_key) else {
-        for job in batch {
-            finish_job(
-                shared,
-                &job,
-                Err(ServiceError::UnknownEvaluator(evaluator_key.clone())),
-            );
-        }
-        return;
-    };
+    let leader = &batch[0];
+    let evaluator = leader.evaluator.as_ref();
     let (prep, scenario_hit) = prepared_for(
         shared,
-        fp,
-        &evaluator_key,
-        evaluator.as_ref(),
-        &batch[0].request.scenario,
+        leader.scenario_fp,
+        evaluator,
+        &leader.request.scenario,
     );
     // One context for the whole batch: scratch warmed by the first request
     // is reused by every one after (the same discipline as a study
     // worker's per-thread context).
     let mut cx = EvalContext::new(prep.clone());
-    for job in batch {
-        // A request that waited past its deadline is abandoned rather than
-        // evaluated: under overload the workers serve requests whose
-        // clients are plausibly still listening.
-        if let Some(timeout) = shared.config.request_timeout {
-            if job.submitted_at.elapsed() >= timeout {
-                shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                finish_job(shared, &job, Err(ServiceError::TimedOut));
-                continue;
-            }
-        }
+    for job in &batch {
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let rv = evaluator.evaluate_with(&job.request.scenario, &job.request.schedule, &mut cx);
             compute_metrics(
@@ -834,7 +651,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
         match result {
             Ok(metrics) => finish_job(
                 shared,
-                &job,
+                job,
                 Ok(EvalOutcome {
                     metrics,
                     scenario_hit,
@@ -847,7 +664,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
                 cx = EvalContext::new(prep.clone());
                 finish_job(
                     shared,
-                    &job,
+                    job,
                     Err(ServiceError::Panicked(panic_message(payload.as_ref()))),
                 );
             }
@@ -944,92 +761,26 @@ mod tests {
     }
 
     #[test]
-    fn responses_stream_in_submission_order() {
-        let service = EvalService::new(ServiceConfig {
-            workers: Some(4),
-            ..Default::default()
-        });
-        let s = scenario(7);
-        for i in 0..20u64 {
-            let sched = random_schedule(&s.graph.dag, s.machine_count(), i);
-            service.submit(EvalRequest::new(s.clone(), sched, "classic"));
-        }
-        for expect in 0..20u64 {
-            let (ticket, result) = service.next_response();
-            assert_eq!(ticket, expect);
-            assert!(result.is_ok());
-        }
-    }
-
-    #[test]
-    fn waited_tickets_do_not_stall_the_ordered_stream() {
-        // Mixing surfaces: tickets 0..5 consumed via wait(), the rest via
-        // next_response() — the stream must skip the claimed prefix
-        // instead of blocking on it.
-        let service = EvalService::new(ServiceConfig {
-            workers: Some(2),
-            ..Default::default()
-        });
-        let s = scenario(11);
-        let tickets: Vec<Ticket> = (0..10u64)
-            .map(|i| {
-                let sched = random_schedule(&s.graph.dag, s.machine_count(), i);
-                service.submit(EvalRequest::new(s.clone(), sched, "classic"))
-            })
-            .collect();
-        for &t in &tickets[..5] {
-            service.wait(t).unwrap();
-        }
-        for expect in 5..10u64 {
-            let (ticket, result) = service.next_response();
-            assert_eq!(ticket, expect);
-            assert!(result.is_ok());
-        }
-    }
-
-    #[test]
-    fn zero_ttl_forces_repreparation() {
-        // TTL 0 means every probe finds the entry stale: the second
-        // request must purge, re-prepare, and count a TTL eviction.
+    fn evaluator_aliases_share_one_cache_entry() {
+        // `mc` and any capitalization resolve to the `montecarlo`
+        // evaluator, so they must find its prepared state and its result.
         let service = EvalService::new(ServiceConfig {
             workers: Some(1),
-            scenario_ttl: Some(Duration::ZERO),
-            result_capacity: 0, // keep the result cache out of the way
             ..Default::default()
         });
-        let s = scenario(21);
-        for i in 0..3u64 {
-            let sched = random_schedule(&s.graph.dag, s.machine_count(), i);
-            service
-                .evaluate(EvalRequest::new(s.clone(), sched, "classic"))
+        let s = scenario(13);
+        let schedule = heft(&s);
+        let first = service
+            .evaluate(EvalRequest::new(s.clone(), schedule.clone(), "montecarlo"))
+            .unwrap();
+        for alias in ["mc", "MC", "MonteCarlo"] {
+            let again = service
+                .evaluate(EvalRequest::new(s.clone(), schedule.clone(), alias))
                 .unwrap();
+            assert!(again.result_hit, "{alias} missed the result cache");
+            assert_eq!(again.metrics, first.metrics, "{alias}");
         }
-        let stats = service.stats();
-        assert_eq!(stats.scenario_hits, 0, "nothing survives a zero TTL");
-        assert_eq!(stats.scenario_misses, 3);
-        assert!(stats.ttl_evictions >= 2, "got {}", stats.ttl_evictions);
-        assert_eq!(service.cached_scenarios(), 1, "last entry still resident");
-    }
-
-    #[test]
-    fn generous_ttl_keeps_entries_warm() {
-        let service = EvalService::new(ServiceConfig {
-            workers: Some(1),
-            scenario_ttl: Some(Duration::from_secs(3600)),
-            result_capacity: 0,
-            ..Default::default()
-        });
-        let s = scenario(22);
-        for i in 0..3u64 {
-            let sched = random_schedule(&s.graph.dag, s.machine_count(), i);
-            service
-                .evaluate(EvalRequest::new(s.clone(), sched, "classic"))
-                .unwrap();
-        }
-        let stats = service.stats();
-        assert_eq!(stats.scenario_misses, 1);
-        assert_eq!(stats.scenario_hits, 2);
-        assert_eq!(stats.ttl_evictions, 0);
+        assert_eq!(service.stats().scenario_misses, 1);
     }
 
     #[test]
@@ -1053,11 +804,9 @@ mod tests {
     #[test]
     fn in_flight_duplicates_coalesce() {
         // One worker, identical requests racing: the leader evaluates,
-        // the rest attach. With max_batch = 1 the duplicates cannot ride
-        // the leader's batch, so coalescing is what keeps evaluations at 1.
+        // the rest attach to it at submit and never enter the queue.
         let service = EvalService::new(ServiceConfig {
             workers: Some(1),
-            max_batch: 1,
             ..Default::default()
         });
         let s = scenario(9);
@@ -1073,126 +822,5 @@ mod tests {
         // At least the submissions that raced the (slow) leader coalesced;
         // by the time of the last waits the result cache serves the rest.
         assert!(service.stats().result_hits >= 1);
-    }
-
-    #[test]
-    fn zero_capacity_sheds_every_request() {
-        // Capacity 0: the queue can never admit, so every submission is
-        // shed with `Overloaded` — deterministically, at any worker count.
-        for workers in [1, 2, 4] {
-            let service = EvalService::new(ServiceConfig {
-                workers: Some(workers),
-                queue_capacity: Some(0),
-                ..Default::default()
-            });
-            let s = scenario(31);
-            for i in 0..6u64 {
-                let sched = random_schedule(&s.graph.dag, s.machine_count(), i);
-                let err = service
-                    .evaluate(EvalRequest::new(s.clone(), sched, "classic"))
-                    .unwrap_err();
-                assert_eq!(err, ServiceError::Overloaded, "workers={workers}");
-            }
-            // Shedding must tear down the leader's in-flight reservation:
-            // resubmitting the same request sheds again instead of
-            // attaching to a dead reservation and hanging forever.
-            let req = EvalRequest::new(s.clone(), heft(&s), "classic");
-            assert_eq!(
-                service.evaluate(req.clone()).unwrap_err(),
-                ServiceError::Overloaded
-            );
-            assert_eq!(service.evaluate(req).unwrap_err(), ServiceError::Overloaded);
-            let stats = service.stats();
-            assert_eq!(stats.shed, 8, "workers={workers}");
-            assert_eq!(stats.completed, 8, "every shed request still answers");
-        }
-    }
-
-    #[test]
-    fn zero_timeout_abandons_queued_requests() {
-        // A zero deadline has always lapsed by the time a worker looks:
-        // every queued request times out instead of evaluating.
-        for workers in [1, 2, 4] {
-            let service = EvalService::new(ServiceConfig {
-                workers: Some(workers),
-                request_timeout: Some(Duration::ZERO),
-                ..Default::default()
-            });
-            let s = scenario(33);
-            let tickets: Vec<Ticket> = (0..6u64)
-                .map(|i| {
-                    let sched = random_schedule(&s.graph.dag, s.machine_count(), i);
-                    service.submit(EvalRequest::new(s.clone(), sched, "classic"))
-                })
-                .collect();
-            for t in tickets {
-                assert_eq!(
-                    service.wait(t).unwrap_err(),
-                    ServiceError::TimedOut,
-                    "workers={workers}"
-                );
-            }
-            let stats = service.stats();
-            assert_eq!(stats.timeouts, 6, "workers={workers}");
-            assert_eq!(stats.shed, 0, "timeouts are not sheds");
-        }
-    }
-
-    #[test]
-    fn saturating_burst_sheds_instead_of_growing_queue() {
-        // The acceptance pin: one worker grinding slow evaluations, a
-        // bounded queue, and a burst of distinct requests. The first
-        // request always admits (empty queue); once the backlog hits the
-        // cap the rest shed — the queue never grows past capacity, and
-        // every ticket still gets an answer.
-        let service = EvalService::new(ServiceConfig {
-            workers: Some(1),
-            max_batch: 1,
-            queue_capacity: Some(2),
-            ..Default::default()
-        });
-        let s = Arc::new(Scenario::paper_random(40, 3, 1.1, 35));
-        let tickets: Vec<Ticket> = (0..32u64)
-            .map(|i| {
-                let sched = random_schedule(&s.graph.dag, s.machine_count(), i);
-                service.submit(EvalRequest::new(s.clone(), sched, "spelde"))
-            })
-            .collect();
-        let mut ok = 0u64;
-        let mut shed = 0u64;
-        for t in tickets {
-            match service.wait(t) {
-                Ok(_) => ok += 1,
-                Err(ServiceError::Overloaded) => shed += 1,
-                Err(e) => panic!("unexpected error under overload: {e}"),
-            }
-        }
-        assert_eq!(ok + shed, 32, "every request is answered exactly once");
-        assert!(ok >= 1, "the first request always admits");
-        assert!(shed >= 1, "a saturating burst must shed");
-        assert_eq!(service.stats().shed, shed);
-    }
-
-    #[test]
-    fn unbounded_service_never_sheds_or_times_out() {
-        // The default config keeps today's behavior: no shedding, no
-        // timeouts, however bursty the submission pattern.
-        let service = EvalService::new(ServiceConfig {
-            workers: Some(1),
-            ..Default::default()
-        });
-        let s = scenario(37);
-        let tickets: Vec<Ticket> = (0..8u64)
-            .map(|i| {
-                let sched = random_schedule(&s.graph.dag, s.machine_count(), i);
-                service.submit(EvalRequest::new(s.clone(), sched, "classic"))
-            })
-            .collect();
-        for t in tickets {
-            service.wait(t).unwrap();
-        }
-        let stats = service.stats();
-        assert_eq!(stats.shed, 0);
-        assert_eq!(stats.timeouts, 0);
     }
 }

@@ -18,7 +18,7 @@
 //! Module map:
 //!
 //! * [`stream`] — [`ArrivalStream`]: Poisson arrivals over a workload
-//!   pool, or trace replay (including `(time, workload)` CSV logs);
+//!   pool, or the replay of a fixed arrival list;
 //! * [`policy`] — [`DropPolicy`]: never-drop, deadline reaping,
 //!   probabilistic pruning, and admission gating;
 //! * [`fault`] — [`FaultModel`] (machine failure/repair processes and

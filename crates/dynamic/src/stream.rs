@@ -124,43 +124,6 @@ impl ReplayStream {
         }
     }
 
-    /// Parses a recorded `(time, workload)` arrival log — one
-    /// `time,workload` pair per line, `#` comments and blank lines
-    /// skipped, an optional `time,workload` header tolerated — resolving
-    /// each workload name against `workloads` (a named scenario pool).
-    /// Arrival times must be finite and non-negative; the stream is
-    /// sorted like [`ReplayStream::new`], so logs may be unordered.
-    pub fn from_csv(text: &str, workloads: &[(String, Arc<Scenario>)]) -> Result<Self, String> {
-        let mut arrivals = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if lineno == 0 && line.eq_ignore_ascii_case("time,workload") {
-                continue;
-            }
-            let (time, name) = line
-                .split_once(',')
-                .ok_or_else(|| format!("line {}: expected 'time,workload'", lineno + 1))?;
-            let time: f64 = time
-                .trim()
-                .parse()
-                .map_err(|_| format!("line {}: bad time '{}'", lineno + 1, time.trim()))?;
-            if !time.is_finite() || time < 0.0 {
-                return Err(format!("line {}: time {time} out of range", lineno + 1));
-            }
-            let name = name.trim();
-            let scenario = workloads
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, s)| s.clone())
-                .ok_or_else(|| format!("line {}: unknown workload '{name}'", lineno + 1))?;
-            arrivals.push(Arrival { time, scenario });
-        }
-        Ok(Self::new(arrivals))
-    }
-
     /// Number of arrivals left to replay.
     pub fn len(&self) -> usize {
         self.queue.len()
@@ -215,34 +178,6 @@ mod tests {
             .map(|a| a.scenario.task_count())
             .collect();
         assert_eq!(sizes, vec![8, 10, 8, 10]);
-    }
-
-    #[test]
-    fn replay_from_csv_parses_and_resolves_workloads() {
-        let p = pool();
-        let named: Vec<(String, Arc<Scenario>)> =
-            vec![("small".into(), p[0].clone()), ("big".into(), p[1].clone())];
-        let text = "time,workload\n# a comment\n3.5,big\n\n1.25, small\n2.0,big\n";
-        let mut s = ReplayStream::from_csv(text, &named).unwrap();
-        assert_eq!(s.len(), 3);
-        let a = s.next_arrival().unwrap();
-        assert_eq!((a.time, a.scenario.task_count()), (1.25, 8));
-        let b = s.next_arrival().unwrap();
-        assert_eq!((b.time, b.scenario.task_count()), (2.0, 10));
-        assert_eq!(s.next_arrival().unwrap().time, 3.5);
-
-        for bad in [
-            "1.0;small",
-            "x,small",
-            "-1.0,small",
-            "inf,small",
-            "1.0,unknown",
-        ] {
-            assert!(
-                ReplayStream::from_csv(bad, &named).is_err(),
-                "{bad} should not parse"
-            );
-        }
     }
 
     #[test]

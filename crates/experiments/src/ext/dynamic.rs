@@ -69,16 +69,6 @@ const DEADLINE_FACTOR: f64 = 3.0;
 /// small sizes plus the three committed real-workflow traces, all on the
 /// default 8-machine reference platform.
 pub fn workload_pool(seed: u64) -> Vec<Arc<Scenario>> {
-    named_workload_pool(seed)
-        .into_iter()
-        .map(|(_, s)| s)
-        .collect()
-}
-
-/// [`workload_pool`] with stable workload names — the pool recorded
-/// `(time, workload)` arrival logs resolve against (see
-/// [`robusched_dynamic::ReplayStream::from_csv`]).
-pub fn named_workload_pool(seed: u64) -> Vec<(String, Arc<Scenario>)> {
     let cal = TraceCalibration::default();
     let mut pool = Vec::with_capacity(8);
     // Sizes chosen so every class lands near 10–14 tasks (comparable per-
@@ -92,23 +82,17 @@ pub fn named_workload_pool(seed: u64) -> Vec<(String, Arc<Scenario>)> {
     ];
     for (i, (class, n)) in sizes.into_iter().enumerate() {
         let s = derive_seed(seed, 100 + i as u64);
-        pool.push((
-            format!("{}-{n}", class.name()),
-            Arc::new(Scenario::structured_app(
-                class.generate(n, s),
-                cal.machines,
-                cal.speed_cov,
-                UL,
-                s,
-            )),
-        ));
+        pool.push(Arc::new(Scenario::structured_app(
+            class.generate(n, s),
+            cal.machines,
+            cal.speed_cov,
+            UL,
+            s,
+        )));
     }
     for (i, trace) in crate::ext::traces::sample_traces().iter().enumerate() {
         let s = derive_seed(seed, 200 + i as u64);
-        pool.push((
-            trace.name.clone(),
-            Arc::new(Scenario::from_trace_with(trace, &cal, UL, s)),
-        ));
+        pool.push(Arc::new(Scenario::from_trace_with(trace, &cal, UL, s)));
     }
     pool
 }

@@ -19,9 +19,10 @@
 //! proportionally (CI smoke tests use `scale ≈ 0.01`, the paper-faithful
 //! run uses 1.0). All outputs also land as CSV under `out_dir`.
 //!
-//! Every figure and extension study is also registered behind the
-//! [`Experiment`] trait in [`mod@registry`] — the CLI's `list`, `all` and
-//! `ext-all` subcommands and single-name dispatch all read that table.
+//! Every figure and extension study is also registered as a
+//! [`registry::ExperimentEntry`] in [`mod@registry`] — the CLI's `list`,
+//! `all` and `ext-all` subcommands and single-name dispatch all read that
+//! table.
 
 pub mod cases;
 pub mod ext;
@@ -30,7 +31,7 @@ pub mod registry;
 pub mod report;
 pub mod serve;
 
-pub use registry::{experiment_by_name, registry, render_list, Experiment, ExperimentGroup};
+pub use registry::{experiment_by_name, registry, render_list, ExperimentGroup};
 
 use std::path::PathBuf;
 

@@ -13,8 +13,9 @@
 //! caps the per-study worker count (default: all cores). CSVs land in
 //! `--out` (default `results/`).
 
+use robusched_experiments::registry::ExperimentEntry;
 use robusched_experiments::{
-    experiment_by_name, registry, render_list, Experiment, ExperimentGroup, RunOptions,
+    experiment_by_name, registry, render_list, ExperimentGroup, RunOptions,
 };
 use std::path::PathBuf;
 use std::time::Instant;
@@ -90,7 +91,7 @@ fn main() {
         i += 1;
     }
 
-    let run_one = |e: &dyn Experiment, opts: &RunOptions| {
+    let run_one = |e: &ExperimentEntry, opts: &RunOptions| {
         let t0 = Instant::now();
         match e.run(opts) {
             Ok(text) => println!("{text}"),

@@ -1,5 +1,5 @@
-//! The experiment registry: every figure and extension study behind one
-//! [`Experiment`] trait, resolvable by name.
+//! The experiment registry: every figure and extension study as one
+//! [`ExperimentEntry`], resolvable by name.
 //!
 //! The CLI used to dispatch through a hand-maintained `match` in
 //! `main.rs`; adding a study meant editing three places. Now each study is
@@ -9,22 +9,6 @@
 
 use crate::{ext, figs, RunOptions};
 
-/// A runnable experiment: a named study that renders a human-readable
-/// report (and writes its CSV artifacts through [`RunOptions`]).
-pub trait Experiment: Sync {
-    /// CLI/registry name (e.g. `"fig3"`, `"ext-backends"`).
-    fn name(&self) -> &'static str;
-
-    /// One-line description for the `list` subcommand.
-    fn about(&self) -> &'static str;
-
-    /// Which group (`all` / `ext-all`) the experiment belongs to.
-    fn group(&self) -> ExperimentGroup;
-
-    /// Runs the study and returns the rendered report.
-    fn run(&self, opts: &RunOptions) -> std::io::Result<String>;
-}
-
 /// Grouping of experiments for the `all` / `ext-all` umbrella commands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentGroup {
@@ -32,12 +16,13 @@ pub enum ExperimentGroup {
     Figure,
     /// An extension study beyond the paper (`ext-all`).
     Extension,
-    /// An evaluation-serving entry point (`serve`, `serve-load`); excluded
-    /// from both umbrella commands because `serve` blocks on stdin.
+    /// The evaluation-serving entry point (`serve`); excluded from both
+    /// umbrella commands because it blocks on stdin.
     Service,
 }
 
-/// A registry row: static metadata plus the run function.
+/// A runnable experiment: a named study that renders a human-readable
+/// report (and writes its CSV artifacts through [`RunOptions`]).
 pub struct ExperimentEntry {
     name: &'static str,
     about: &'static str,
@@ -45,20 +30,24 @@ pub struct ExperimentEntry {
     run: fn(&RunOptions) -> std::io::Result<String>,
 }
 
-impl Experiment for ExperimentEntry {
-    fn name(&self) -> &'static str {
+impl ExperimentEntry {
+    /// CLI/registry name (e.g. `"fig3"`, `"ext-backends"`).
+    pub fn name(&self) -> &'static str {
         self.name
     }
 
-    fn about(&self) -> &'static str {
+    /// One-line description for the `list` subcommand.
+    pub fn about(&self) -> &'static str {
         self.about
     }
 
-    fn group(&self) -> ExperimentGroup {
+    /// Which group (`all` / `ext-all`) the experiment belongs to.
+    pub fn group(&self) -> ExperimentGroup {
         self.group
     }
 
-    fn run(&self, opts: &RunOptions) -> std::io::Result<String> {
+    /// Runs the study and returns the rendered report.
+    pub fn run(&self, opts: &RunOptions) -> std::io::Result<String> {
         (self.run)(opts)
     }
 }
@@ -74,7 +63,7 @@ fn run_fig6(opts: &RunOptions) -> std::io::Result<String> {
     Ok(figs::fig6::render(&f))
 }
 
-static REGISTRY: [ExperimentEntry; 23] = [
+static REGISTRY: [ExperimentEntry; 22] = [
     ExperimentEntry {
         name: "fig1",
         about: "KS/CM accuracy of the independence assumption vs graph size",
@@ -208,12 +197,6 @@ static REGISTRY: [ExperimentEntry; 23] = [
         group: ExperimentGroup::Service,
         run: crate::serve::run_serve,
     },
-    ExperimentEntry {
-        name: "serve-load",
-        about: "self-driving EvalService load generator (req/s, cache hit rates)",
-        group: ExperimentGroup::Service,
-        run: crate::serve::run_load,
-    },
 ];
 
 /// All registered experiments, figures first, in run order.
@@ -222,11 +205,8 @@ pub fn registry() -> &'static [ExperimentEntry] {
 }
 
 /// Resolves an experiment by CLI name. Returns `None` for unknown names.
-pub fn experiment_by_name(name: &str) -> Option<&'static dyn Experiment> {
-    REGISTRY
-        .iter()
-        .find(|e| e.name == name)
-        .map(|e| e as &dyn Experiment)
+pub fn experiment_by_name(name: &str) -> Option<&'static ExperimentEntry> {
+    REGISTRY.iter().find(|e| e.name == name)
 }
 
 /// The `list` subcommand's table.
@@ -256,10 +236,10 @@ mod tests {
     #[test]
     fn every_entry_resolvable_and_unique() {
         let mut names: Vec<&str> = registry().iter().map(|e| e.name()).collect();
-        assert_eq!(names.len(), 23);
+        assert_eq!(names.len(), 22);
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 23, "duplicate experiment names");
+        assert_eq!(names.len(), 22, "duplicate experiment names");
         for e in registry() {
             let found = experiment_by_name(e.name()).expect("resolvable");
             assert_eq!(found.name(), e.name());
@@ -284,7 +264,7 @@ mod tests {
             .count();
         assert_eq!(figures, 9);
         assert_eq!(extensions, 12);
-        assert_eq!(service, 2);
+        assert_eq!(service, 1);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The `serve` and `serve-load` registry entries: the protocol front end of
+//! The `serve` registry entry: the protocol front end of
 //! [`robusched_core::EvalService`].
 //!
 //! `serve` turns the binary into a long-running evaluation server speaking
 //! line-delimited JSON over stdin/stdout — one request object per line, one
 //! response object per line, responses strictly in request order (the
-//! service's reorder-buffer discipline carries through to the wire).
+//! writer waits on each request's ticket in turn).
 //! There is no `serde` in this workspace, so the protocol uses the
 //! hand-rolled recursive-descent JSON parser ([`Json`]) shared with the
 //! trace-ingestion layer (`robusched_dag::parsers::json`).
@@ -58,11 +58,6 @@
 //! [`robusched_dynamic::recovery_by_spec`] spec, e.g. `"exp@300:30"` with
 //! `"retry@3"` — and the response then also carries goodput, effective
 //! utilization, and the fault counters.)
-//!
-//! `serve-load` is the self-driving twin: it generates a deterministic
-//! request mix against the same service (no I/O on the hot path), measures
-//! cold-preparation, warm-cache and steady-state throughput, and writes
-//! `serve_load.csv`.
 
 use crate::RunOptions;
 use robusched_core::{EvalRequest, EvalService, MetricValues, ServiceConfig};
@@ -625,118 +620,6 @@ pub fn run_serve(opts: &RunOptions) -> std::io::Result<String> {
     serve_streams(stdin.lock(), std::io::stdout(), opts)
 }
 
-// ---------------------------------------------------------------------------
-// serve-load: self-driving load generator
-// ---------------------------------------------------------------------------
-
-/// The `serve-load` registry entry: drives a deterministic request mix
-/// through an in-process [`EvalService`] and reports throughput plus cache
-/// behaviour (`serve_load.csv`).
-pub fn run_load(opts: &RunOptions) -> std::io::Result<String> {
-    let scenarios: Vec<Arc<Scenario>> = (0..8)
-        .map(|i| {
-            Arc::new(Scenario::paper_random(
-                30,
-                8,
-                1.1,
-                opts.seed.wrapping_add(i),
-            ))
-        })
-        .collect();
-    let evaluators = ["classic", "spelde", "dodin"];
-    let schedules_per_scenario = opts.count(64, 8);
-    let repeats = opts.count(4, 2);
-
-    let service = EvalService::new(ServiceConfig {
-        workers: opts.threads,
-        ..Default::default()
-    });
-
-    // Phase 1 — cold: first touch of every (scenario, evaluator) pair pays
-    // the preparation; one schedule each.
-    let t_cold = Instant::now();
-    for s in &scenarios {
-        let sched = random_schedule(&s.graph.dag, s.machine_count(), 0);
-        for ev in evaluators {
-            service
-                .evaluate(EvalRequest::new(s.clone(), sched.clone(), ev))
-                .expect("load-generator request cannot fail");
-        }
-    }
-    let cold = t_cold.elapsed();
-    let cold_requests = scenarios.len() * evaluators.len();
-
-    // Phase 2 — steady state: distinct schedules over warm scenarios
-    // (prepared-state hits, batching across clients).
-    let t_steady = Instant::now();
-    let mut steady_requests = 0u64;
-    for round in 0..repeats {
-        for (si, s) in scenarios.iter().enumerate() {
-            for k in 0..schedules_per_scenario {
-                let seed = (round * 1_000_000 + si * 10_000 + k) as u64;
-                let sched = random_schedule(&s.graph.dag, s.machine_count(), seed);
-                let ev = evaluators[k % evaluators.len()];
-                service.submit(EvalRequest::new(s.clone(), sched, ev));
-                steady_requests += 1;
-            }
-        }
-    }
-    for _ in 0..steady_requests {
-        let (_, result) = service.next_response();
-        result.expect("load-generator request cannot fail");
-    }
-    let steady = t_steady.elapsed();
-
-    // Phase 3 — dedup: replay one identical request many times; everything
-    // after the first submission is a result-cache hit.
-    let replay = opts.count(2000, 100);
-    let hot_req = EvalRequest::new(
-        scenarios[0].clone(),
-        random_schedule(&scenarios[0].graph.dag, scenarios[0].machine_count(), 0),
-        "classic",
-    );
-    let t_hot = Instant::now();
-    for _ in 0..replay {
-        service
-            .evaluate(hot_req.clone())
-            .expect("load-generator request cannot fail");
-    }
-    let hot = t_hot.elapsed();
-
-    let stats = service.stats();
-    let steady_rps = steady_requests as f64 / steady.as_secs_f64().max(1e-9);
-    let hot_rps = replay as f64 / hot.as_secs_f64().max(1e-9);
-    let cold_ms = cold.as_secs_f64() * 1e3 / cold_requests as f64;
-    let hot_us = hot.as_secs_f64() * 1e6 / replay as f64;
-
-    let mut csv = String::from("phase,requests,seconds,requests_per_sec\n");
-    csv.push_str(&format!(
-        "cold,{cold_requests},{:.6},{:.1}\n",
-        cold.as_secs_f64(),
-        cold_requests as f64 / cold.as_secs_f64().max(1e-9)
-    ));
-    csv.push_str(&format!(
-        "steady,{steady_requests},{:.6},{steady_rps:.1}\n",
-        steady.as_secs_f64()
-    ));
-    csv.push_str(&format!(
-        "dedup,{replay},{:.6},{hot_rps:.1}\n",
-        hot.as_secs_f64()
-    ));
-    opts.write_artifact("serve_load.csv", &csv)?;
-
-    Ok(format!(
-        "EvalService load generator\n\
-         ==========================\n\
-         cold     : {cold_requests} requests, {cold_ms:.3} ms/request (first touch pays preparation)\n\
-         steady   : {steady_requests} requests, {steady_rps:.0} req/s (prepared-scenario hits: {})\n\
-         dedup    : {replay} identical requests, {hot_rps:.0} req/s ({hot_us:.1} µs/request)\n\
-         caches   : {} preparation(s), {} result-cache hit(s), {} eviction(s), {} batch(es)\n",
-        stats.scenario_hits, stats.scenario_misses, stats.result_hits, stats.evictions,
-        stats.batches,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1015,17 +898,5 @@ mod tests {
         assert_eq!(lines[3].get("ok"), Some(&Json::Bool(false)));
         // Same spec, same answer: the simulation is deterministic.
         assert_eq!(lines[4].get("dynamic"), lines[0].get("dynamic"));
-    }
-
-    #[test]
-    fn load_generator_smoke() {
-        let opts = RunOptions {
-            scale: 0.02,
-            out_dir: None,
-            seed: 1,
-            threads: Some(2),
-        };
-        let report = run_load(&opts).unwrap();
-        assert!(report.contains("req/s"), "{report}");
     }
 }

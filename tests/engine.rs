@@ -52,7 +52,6 @@ fn evaluator_registry_round_trips() {
 #[test]
 fn experiment_registry_round_trips() {
     for e in experiments::registry() {
-        use robusched::experiments::Experiment;
         let found = experiments::experiment_by_name(e.name()).unwrap();
         assert_eq!(found.name(), e.name());
     }

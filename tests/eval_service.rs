@@ -1,10 +1,11 @@
 //! Integration tests of the `EvalService` serving contract (DESIGN.md §11):
 //! bit-identical responses across every cache tier and worker count,
-//! submission-order streaming, LRU bounds, and panic containment — plus
-//! the NaN-safety regression tests of the `total_cmp` sweep.
+//! in-order answers from tickets waited in order, LRU bounds, and unknown
+//! evaluators answered in-band — plus the NaN-safety regression tests of
+//! the `total_cmp` sweep.
 
 use robusched::core::{
-    EvalOutcome, EvalRequest, EvalService, MetricValues, ServiceConfig, ServiceError,
+    EvalOutcome, EvalRequest, EvalService, MetricValues, ServiceConfig, ServiceError, Ticket,
 };
 use robusched::platform::Scenario;
 use robusched::sched::{heft, random_schedule};
@@ -111,14 +112,18 @@ fn responses_stream_in_submission_order() {
             cold_metrics(&EvalRequest::new(s.clone(), sched, "classic"))
         })
         .collect();
-    for i in 0..16u64 {
-        let sched = random_schedule(&s.graph.dag, s.machine_count(), i);
-        service.submit(EvalRequest::new(s.clone(), sched, "classic"));
-    }
-    for (i, want) in expected.iter().enumerate() {
-        let (ticket, result) = service.next_response();
-        assert_eq!(ticket, i as u64, "response overtook the stream");
-        assert_eq!(&result.unwrap().metrics, want);
+    // The whole burst is queued before the first wait, so the workers
+    // batch and finish it in any order; waiting on the tickets in
+    // submission order (as `serve`'s writer does) still yields the answers
+    // in that order.
+    let tickets: Vec<Ticket> = (0..16u64)
+        .map(|i| {
+            let sched = random_schedule(&s.graph.dag, s.machine_count(), i);
+            service.submit(EvalRequest::new(s.clone(), sched, "classic"))
+        })
+        .collect();
+    for (ticket, want) in tickets.into_iter().zip(&expected) {
+        assert_eq!(&service.wait(ticket).unwrap().metrics, want);
     }
 }
 
