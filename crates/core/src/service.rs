@@ -21,6 +21,13 @@
 //!   all preparation. A discretization entry holds `n·m` task slots plus
 //!   one communication slot per (edge, link class) — `2e` on the paper's
 //!   network — so an entry's size grows with `n·m + e`, not with `e·m²`.
+//! * **Fingerprint memo** — a request's scenario fingerprint is looked up
+//!   by its `Arc<Scenario>`'s identity in an LRU of at most
+//!   `scenario_capacity` entries, which holds each `Arc` it keys so no
+//!   address is reused while its entry lives. A miss hashes the content,
+//!   so a content-equal scenario in a fresh `Arc` still shares every
+//!   cache entry; a repeat costs a map lookup, not a hash of the whole
+//!   scenario.
 //! * **Result cache + in-flight coalescing** — a bounded LRU of finished
 //!   [`MetricValues`] keyed by the full request fingerprint (scenario +
 //!   schedule + evaluator + metric options). A repeat of a finished
@@ -242,6 +249,43 @@ impl CacheState {
     }
 }
 
+/// Content fingerprints of the most recently submitted scenarios, keyed
+/// by `Arc` identity. Each entry holds its `Arc`, so the address it is
+/// keyed by cannot be reused while the entry lives.
+#[derive(Default)]
+struct FingerprintMemo {
+    /// `Arc::as_ptr` address → (the `Arc`, its fingerprint, last-use stamp).
+    entries: HashMap<usize, (Arc<Scenario>, u64, u64)>,
+    clock: u64,
+}
+
+impl FingerprintMemo {
+    fn get(&mut self, identity: usize) -> Option<u64> {
+        self.clock += 1;
+        let entry = self.entries.get_mut(&identity)?;
+        entry.2 = self.clock;
+        Some(entry.1)
+    }
+
+    /// Files `scenario`'s fingerprint, evicting the least recently used
+    /// entries beyond `capacity`.
+    fn insert(&mut self, scenario: &Arc<Scenario>, fp: u64, capacity: usize) {
+        self.clock += 1;
+        let identity = Arc::as_ptr(scenario) as usize;
+        self.entries
+            .insert(identity, (scenario.clone(), fp, self.clock));
+        while self.entries.len() > capacity {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.2)
+                .map(|(k, _)| *k)
+                .expect("non-empty memo");
+            self.entries.remove(&victim);
+        }
+    }
+}
+
 #[derive(Default)]
 struct Stats {
     submitted: AtomicU64,
@@ -263,10 +307,29 @@ struct Shared {
     responses: Mutex<HashMap<Ticket, EvalResult>>,
     responses_cv: Condvar,
     caches: Mutex<CacheState>,
+    fingerprints: Mutex<FingerprintMemo>,
     stats: Stats,
 }
 
 impl Shared {
+    /// The content fingerprint of `scenario`, hashed once per `Arc` while
+    /// the memo keeps it.
+    fn scenario_fp(&self, scenario: &Arc<Scenario>) -> u64 {
+        let identity = Arc::as_ptr(scenario) as usize;
+        let memo = || {
+            self.fingerprints
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        if let Some(fp) = memo().get(identity) {
+            return fp;
+        }
+        // Hash outside the lock: at n = 300 it takes ~0.2 ms.
+        let fp = scenario_fingerprint(scenario);
+        memo().insert(scenario, fp, self.config.scenario_capacity.max(1));
+        fp
+    }
+
     fn complete(&self, ticket: Ticket, result: EvalResult) {
         let mut rs = self
             .responses
@@ -348,6 +411,7 @@ impl EvalService {
             responses: Mutex::new(HashMap::new()),
             responses_cv: Condvar::new(),
             caches: Mutex::new(CacheState::default()),
+            fingerprints: Mutex::new(FingerprintMemo::default()),
             stats: Stats::default(),
         });
         let handles = (0..workers)
@@ -382,7 +446,7 @@ impl EvalService {
             return ticket;
         };
 
-        let scenario_fp = scenario_fingerprint(&request.scenario);
+        let scenario_fp = self.shared.scenario_fp(&request.scenario);
         let result_key = request_fingerprint(scenario_fp, &request, evaluator.name());
 
         {
@@ -781,6 +845,62 @@ mod tests {
             assert_eq!(again.metrics, first.metrics, "{alias}");
         }
         assert_eq!(service.stats().scenario_misses, 1);
+    }
+
+    #[test]
+    fn content_equal_fresh_arcs_hit_the_result_cache() {
+        // A fresh `Arc` misses the identity memo; its content fingerprint
+        // must still find the first `Arc`'s result.
+        let service = EvalService::new(ServiceConfig {
+            workers: Some(1),
+            ..Default::default()
+        });
+        let s = scenario(31);
+        let first = service
+            .evaluate(EvalRequest::new(s.clone(), heft(&s), "dodin"))
+            .unwrap();
+        let fresh = Arc::new(Scenario::clone(&s));
+        assert!(!Arc::ptr_eq(&s, &fresh));
+        let again = service
+            .evaluate(EvalRequest::new(fresh.clone(), heft(&fresh), "dodin"))
+            .unwrap();
+        assert!(again.result_hit);
+        assert_eq!(again.metrics, first.metrics);
+        assert_eq!(service.stats().scenario_misses, 1);
+    }
+
+    #[test]
+    fn fingerprint_memo_keeps_its_lru_bound() {
+        let service = EvalService::new(ServiceConfig {
+            workers: Some(1),
+            scenario_capacity: 3,
+            ..Default::default()
+        });
+        let pool: Vec<Arc<Scenario>> = (0..8).map(scenario).collect();
+        for s in &pool {
+            service
+                .evaluate(EvalRequest::new(s.clone(), heft(s), "spelde"))
+                .unwrap();
+            assert!(service.shared.fingerprints.lock().unwrap().entries.len() <= 3);
+        }
+        // A hit refreshes its entry: touch the oldest survivor, then
+        // submit one more scenario, which must evict the next oldest.
+        service
+            .evaluate(EvalRequest::new(pool[5].clone(), heft(&pool[5]), "spelde"))
+            .unwrap();
+        let extra = scenario(8);
+        service
+            .evaluate(EvalRequest::new(extra.clone(), heft(&extra), "spelde"))
+            .unwrap();
+        let memo = service.shared.fingerprints.lock().unwrap();
+        let kept = |s: &Arc<Scenario>| memo.entries.contains_key(&(Arc::as_ptr(s) as usize));
+        assert_eq!(memo.entries.len(), 3);
+        assert!(kept(&pool[5]) && kept(&pool[7]) && kept(&extra));
+        assert!(!kept(&pool[6]));
+        // Evicted entries release their `Arc`s.
+        for s in &pool[..5] {
+            assert_eq!(Arc::strong_count(s), 1);
+        }
     }
 
     #[test]

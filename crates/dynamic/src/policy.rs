@@ -46,7 +46,9 @@ pub struct PolicyQuery<'a> {
     /// The instance's absolute deadline.
     pub deadline: f64,
     /// Estimated queueing backlog ahead of this instance: mean per-machine
-    /// work (running remainders + queued durations) at `now`.
+    /// work (running remainders + queued durations) at `now`. Filled only
+    /// at admission and only for policies whose
+    /// [`DropPolicy::needs_backlog`] is `true`; `0.0` everywhere else.
     pub backlog: f64,
     /// Completion-time distribution of the whole instance measured from
     /// its start (analytic, under the independence assumption).
@@ -66,6 +68,13 @@ pub trait DropPolicy: Send + Sync {
     /// distributions for this policy (they cost one backward recursion per
     /// distinct scenario; the non-probabilistic policies skip it).
     fn needs_distributions(&self) -> bool {
+        false
+    }
+
+    /// Whether [`admit`](Self::admit) reads [`PolicyQuery::backlog`]. The
+    /// estimate sums every queued entry of every machine, so the executor
+    /// computes it on each arrival only for policies that return `true`.
+    fn needs_backlog(&self) -> bool {
         false
     }
 
@@ -191,6 +200,10 @@ impl DropPolicy for AdmissionGate {
         true
     }
 
+    fn needs_backlog(&self) -> bool {
+        true
+    }
+
     fn admit(&self, query: &PolicyQuery) -> bool {
         meets_threshold(Self::admission_probability(query), self.theta)
     }
@@ -295,5 +308,10 @@ mod tests {
         assert!(policy_by_spec("reap").unwrap().reap_on_deadline());
         assert!(policy_by_spec("prune@0.5").unwrap().needs_distributions());
         assert!(!policy_by_spec("reap").unwrap().needs_distributions());
+        // Only the admission gate reads the backlog.
+        for spec in ["never", "reap", "prune@0.5"] {
+            assert!(!policy_by_spec(spec).unwrap().needs_backlog(), "{spec}");
+        }
+        assert!(policy_by_spec("gate@0.5").unwrap().needs_backlog());
     }
 }

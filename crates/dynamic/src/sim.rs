@@ -33,7 +33,10 @@
 //! `(ready time, instance, task)` entry through an indexed min-heap in
 //! O(log q). The backlog estimate and the `resched` machine choice sum
 //! queued durations in that `Vec`'s order, so the order is part of the
-//! contract: a different one would change their bits.
+//! contract: a different one would change their bits. The backlog sum
+//! reads every queued entry, so an arrival computes it only when the
+//! policy's [`DropPolicy::needs_backlog`] says its admission check reads
+//! it.
 //!
 //! ## Determinism of start dates
 //!
@@ -650,7 +653,11 @@ impl<'p> DynamicSim<'p> {
                 let inst =
                     self.admit_instance(arrival.scenario, state, arrival.time, deadline, idx);
 
-                let backlog = backlog_estimate(&machines, &instances, arrival.time);
+                let backlog = if self.policy.needs_backlog() {
+                    backlog_estimate(&machines, &instances, arrival.time)
+                } else {
+                    0.0
+                };
                 let admitted = self.policy.admit(&PolicyQuery {
                     now: arrival.time,
                     arrival: arrival.time,

@@ -4,7 +4,10 @@
 //! `serve` turns the binary into a long-running evaluation server speaking
 //! line-delimited JSON over stdin/stdout — one request object per line, one
 //! response object per line, responses strictly in request order (the
-//! writer waits on each request's ticket in turn).
+//! writer waits on each request's ticket in turn). The reader runs at most
+//! a fixed number of requests ahead of the writer and then stops reading,
+//! so a client that writes faster than the workers answer is slowed down
+//! rather than growing the service queue.
 //! There is no `serde` in this workspace, so the protocol uses the
 //! hand-rolled recursive-descent JSON parser ([`Json`]) shared with the
 //! trace-ingestion layer (`robusched_dag::parsers::json`).
@@ -520,6 +523,13 @@ enum WirePayload {
 /// One queue entry from reader to writer: the echoed id plus the payload.
 type WireEntry = (Json, WirePayload);
 
+/// Entries the reader may queue ahead of the writer. A client that writes
+/// faster than the workers answer fills this queue, and the reader then
+/// blocks instead of submitting more, so the service holds at most this
+/// many unanswered requests plus two. Four times the service's 64-request
+/// batch bound, so the workers still see full batches.
+const READ_AHEAD: usize = 256;
+
 /// Runs the protocol loop over arbitrary reader/writer (unit-testable);
 /// returns the rendered summary.
 pub fn serve_streams<R: BufRead, W: Write + Send>(
@@ -535,7 +545,7 @@ pub fn serve_streams<R: BufRead, W: Write + Send>(
     let service = EvalService::new(config);
     let mut dynamic = DynamicRunner::default();
     let t0 = Instant::now();
-    let (tx, rx) = std::sync::mpsc::channel::<WireEntry>();
+    let (tx, rx) = std::sync::mpsc::sync_channel::<WireEntry>(READ_AHEAD);
 
     let lines_seen = std::thread::scope(|scope| -> std::io::Result<u64> {
         let service_ref = &service;
@@ -590,6 +600,7 @@ pub fn serve_streams<R: BufRead, W: Write + Send>(
                 Decoded::Dynamic(payload) => WirePayload::Done(payload),
                 Decoded::Fail(e) => WirePayload::Fail(e),
             };
+            // Blocks while the writer is `READ_AHEAD` entries behind.
             if tx.send((id, payload)).is_err() {
                 break; // writer died (broken pipe); stop reading
             }
@@ -855,6 +866,98 @@ mod tests {
             interner.resolve(&spec(seed)).unwrap();
         }
         assert!(interner.evicted.len() <= capacity);
+    }
+
+    #[test]
+    fn reader_stops_within_the_read_ahead_bound_while_the_writer_blocks() {
+        use std::io::{BufReader, Read};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+
+        /// Hands out one line per `read`, counting them.
+        struct OneLinePerRead {
+            lines: std::vec::IntoIter<String>,
+            handed_out: Arc<AtomicUsize>,
+        }
+        impl Read for OneLinePerRead {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let Some(line) = self.lines.next() else {
+                    return Ok(0);
+                };
+                buf[..line.len()].copy_from_slice(line.as_bytes());
+                self.handed_out.fetch_add(1, Ordering::SeqCst);
+                Ok(line.len())
+            }
+        }
+        /// Blocks every write until the gate opens.
+        struct GatedWriter {
+            gate: Arc<(Mutex<bool>, Condvar)>,
+            out: Arc<Mutex<Vec<u8>>>,
+        }
+        impl Write for GatedWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                let (open, cv) = &*self.gate;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+                self.out.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        // Requests without a scenario: each answers with an in-stream
+        // error that echoes its id.
+        let total = 4 * READ_AHEAD;
+        let handed_out = Arc::new(AtomicUsize::new(0));
+        let input = BufReader::new(OneLinePerRead {
+            lines: (0..total)
+                .map(|i| format!("{{\"id\": {i}}}\n"))
+                .collect::<Vec<_>>()
+                .into_iter(),
+            handed_out: handed_out.clone(),
+        });
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let writer = GatedWriter {
+            gate: gate.clone(),
+            out: out.clone(),
+        };
+        let server = std::thread::spawn(move || {
+            let opts = RunOptions {
+                threads: Some(1),
+                out_dir: None,
+                ..Default::default()
+            };
+            serve_streams(input, writer, &opts).unwrap()
+        });
+
+        // The writer holds the first entry, the channel the next
+        // `READ_AHEAD`, and the reader blocks sending the one after.
+        let bound = READ_AHEAD + 2;
+        while handed_out.load(Ordering::SeqCst) < bound {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(handed_out.load(Ordering::SeqCst), bound);
+
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        let summary = server.join().unwrap();
+        assert!(
+            summary.contains(&format!("{total} request(s)")),
+            "{summary}"
+        );
+        let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
+        let ids: Vec<f64> = text
+            .lines()
+            .map(|l| parse_json(l).unwrap().get("id").unwrap().as_f64().unwrap())
+            .collect();
+        assert_eq!(ids, (0..total).map(|i| i as f64).collect::<Vec<_>>());
     }
 
     #[test]

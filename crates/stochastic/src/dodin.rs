@@ -25,12 +25,46 @@
 //! duplication; past the cap we finish the remaining network with the
 //! classical independence recursion, which the paper found to give
 //! "similar results".
+//!
+//! # Reduction order and worklists
+//!
+//! The reduction runs series sweeps until one changes nothing, then a
+//! parallel sweep, and repeats until neither changes anything; only then
+//! does it duplicate one event and start over. A series sweep reduces
+//! events in ascending index order; a parallel sweep visits tails in
+//! ascending order and merges the first pair of a tail's out-arcs (in
+//! list order) with a common head until none is left; a duplication picks
+//! the interior event with at least two in-arcs and one out-arc that has
+//! the fewest out-arcs, lowest index first. Arc lists keep their
+//! remove-in-place and append order, so every sum and maximum takes the
+//! same operands in the same order.
+//!
+//! No step rescans the network. Three invariants let each sweep visit
+//! only what can have changed:
+//!
+//! * after a series sweep no interior event has one in-arc and one
+//!   out-arc, and a series reduction changes no other event's degree
+//!   (its endpoints lose one arc and gain one), so the next sweep only
+//!   needs the events whose degree changed since the last one;
+//! * after a parallel sweep no event has two out-arcs to one head, and a
+//!   merge creates no pair at another tail, so the next sweep only needs
+//!   the tails of the arcs added since the last one;
+//! * the series sweep visits every event whose degree changed, so it also
+//!   refreshes that event's entry in the ordered `(out-degree, event)` set
+//!   of duplication candidates, whose first entry is the duplication's
+//!   choice.
+//!
+//! Visiting those lists in ascending event order performs the same
+//! reductions in the same order as sweeps over every event. Debug builds
+//! check each invariant with a full scan after every sweep and at every
+//! duplication.
 
 use crate::cache::DiscretizedScenario;
 use crate::disjunctive::DisjunctiveGraph;
 use robusched_platform::Scenario;
 use robusched_randvar::DiscreteRv;
 use robusched_sched::Schedule;
+use std::collections::BTreeSet;
 
 /// Growth cap: give up duplicating when the arc count exceeds this multiple
 /// of the initial count (then finish with the classical recursion).
@@ -43,18 +77,33 @@ struct Arc {
     rv: DiscreteRv,
 }
 
+#[derive(Default)]
 struct Net {
+    /// Every arc ever added; removed ones leave `None`.
     arcs: Vec<Option<Arc>>,
     in_arcs: Vec<Vec<usize>>,
     out_arcs: Vec<Vec<usize>>,
     source: usize,
     sink: usize,
+    /// Arcs not yet removed.
+    live: usize,
+    /// Events whose in- or out-degree changed since the last series sweep
+    /// (with repeats).
+    degree_changed: Vec<usize>,
+    /// Tails of the arcs added since the last parallel sweep (with
+    /// repeats).
+    new_tails: Vec<usize>,
+    /// Duplication candidates as `(out-degree, event)`.
+    candidates: BTreeSet<(usize, usize)>,
+    /// The out-degree each event is filed under in `candidates`.
+    candidate_key: Vec<Option<usize>>,
 }
 
 impl Net {
     fn add_event(&mut self) -> usize {
         self.in_arcs.push(Vec::new());
         self.out_arcs.push(Vec::new());
+        self.candidate_key.push(None);
         self.in_arcs.len() - 1
     }
 
@@ -63,6 +112,9 @@ impl Net {
         self.arcs.push(Some(Arc { from, to, rv }));
         self.out_arcs[from].push(id);
         self.in_arcs[to].push(id);
+        self.live += 1;
+        self.degree_changed.extend([from, to]);
+        self.new_tails.push(from);
         id
     }
 
@@ -70,21 +122,71 @@ impl Net {
         let arc = self.arcs[id].take().expect("arc already removed");
         self.out_arcs[arc.from].retain(|&a| a != id);
         self.in_arcs[arc.to].retain(|&a| a != id);
+        self.live -= 1;
+        self.degree_changed.extend([arc.from, arc.to]);
         arc
     }
 
-    fn live_arc_count(&self) -> usize {
-        self.arcs.iter().filter(|a| a.is_some()).count()
+    fn head(&self, id: usize) -> usize {
+        self.arcs[id].as_ref().expect("live arc").to
     }
 
-    /// One pass of series reductions; returns true if anything changed.
-    fn series_pass(&mut self) -> bool {
-        let mut changed = false;
-        for x in 0..self.in_arcs.len() {
-            if x == self.source || x == self.sink {
-                continue;
+    fn interior(&self, x: usize) -> bool {
+        x != self.source && x != self.sink
+    }
+
+    fn series_reducible(&self, x: usize) -> bool {
+        self.interior(x) && self.in_arcs[x].len() == 1 && self.out_arcs[x].len() == 1
+    }
+
+    /// The out-degree `x` is a duplication candidate under: an interior
+    /// event with ≥ 2 in-arcs and ≥ 1 out-arc.
+    fn candidate_out_degree(&self, x: usize) -> Option<usize> {
+        (self.interior(x) && self.in_arcs[x].len() >= 2 && !self.out_arcs[x].is_empty())
+            .then(|| self.out_arcs[x].len())
+    }
+
+    fn refresh_candidate(&mut self, x: usize) {
+        let key = self.candidate_out_degree(x);
+        if key != self.candidate_key[x] {
+            if let Some(k) = self.candidate_key[x] {
+                self.candidates.remove(&(k, x));
             }
-            while self.in_arcs[x].len() == 1 && self.out_arcs[x].len() == 1 {
+            if let Some(k) = key {
+                self.candidates.insert((k, x));
+            }
+            self.candidate_key[x] = key;
+        }
+    }
+
+    /// The first two out-arcs of `from` (in list order) with a common head.
+    fn first_parallel_pair(&self, from: usize) -> Option<(usize, usize)> {
+        let outs = &self.out_arcs[from];
+        for (i, &a) in outs.iter().enumerate() {
+            let head = self.head(a);
+            if let Some(&b) = outs[i + 1..].iter().find(|&&b| self.head(b) == head) {
+                return Some((a, b));
+            }
+        }
+        None
+    }
+
+    /// Full scan for the duplication choice: fewest out-arcs, lowest index.
+    fn scan_candidate(&self) -> Option<(usize, usize)> {
+        (0..self.in_arcs.len())
+            .filter_map(|x| self.candidate_out_degree(x).map(|k| (k, x)))
+            .min()
+    }
+
+    /// Series-reduces every event whose degree changed since the last
+    /// sweep, in ascending order; returns true if anything changed.
+    fn series_sweep(&mut self) -> bool {
+        let mut work = std::mem::take(&mut self.degree_changed);
+        work.sort_unstable();
+        work.dedup();
+        let mut changed = false;
+        for &x in &work {
+            if self.series_reducible(x) {
                 let ain = self.in_arcs[x][0];
                 let aout = self.out_arcs[x][0];
                 let a = self.remove_arc(ain);
@@ -92,66 +194,57 @@ impl Net {
                 let rv = a.rv.sum(&b.rv);
                 self.add_arc(a.from, b.to, rv);
                 changed = true;
-                if a.from == x || b.to == x {
-                    break; // defensive: self-referential structure
-                }
             }
+            self.refresh_candidate(x);
         }
+        // The reductions left each endpoint's degree as it was, so what
+        // they pushed needs no visit.
+        work.clear();
+        self.degree_changed = work;
+        debug_assert!(
+            !(0..self.in_arcs.len()).any(|x| self.series_reducible(x)),
+            "series sweep left a reducible event"
+        );
         changed
     }
 
-    /// One pass of parallel reductions; returns true if anything changed.
-    fn parallel_pass(&mut self) -> bool {
+    /// Merges every parallel pair at the tails of the arcs added since the
+    /// last sweep, in ascending tail order; returns true if anything
+    /// changed.
+    fn parallel_sweep(&mut self) -> bool {
+        let mut work = std::mem::take(&mut self.new_tails);
+        work.sort_unstable();
+        work.dedup();
         let mut changed = false;
-        for from in 0..self.out_arcs.len() {
-            loop {
-                // Find two arcs from `from` to the same head.
-                let mut found: Option<(usize, usize)> = None;
-                'outer: for (i, &a) in self.out_arcs[from].iter().enumerate() {
-                    for &b in self.out_arcs[from].iter().skip(i + 1) {
-                        let ta = self.arcs[a].as_ref().unwrap().to;
-                        let tb = self.arcs[b].as_ref().unwrap().to;
-                        if ta == tb {
-                            found = Some((a, b));
-                            break 'outer;
-                        }
-                    }
-                }
-                match found {
-                    Some((a, b)) => {
-                        let x = self.remove_arc(a);
-                        let y = self.remove_arc(b);
-                        let rv = x.rv.max(&y.rv);
-                        self.add_arc(x.from, x.to, rv);
-                        changed = true;
-                    }
-                    None => break,
-                }
+        for &from in &work {
+            while let Some((a, b)) = self.first_parallel_pair(from) {
+                let x = self.remove_arc(a);
+                let y = self.remove_arc(b);
+                let rv = x.rv.max(&y.rv);
+                self.add_arc(x.from, x.to, rv);
+                changed = true;
             }
         }
+        // Each merged arc's tail was resolved in its own loop.
+        work.clear();
+        self.new_tails = work;
+        debug_assert!(
+            (0..self.out_arcs.len()).all(|x| self.first_parallel_pair(x).is_none()),
+            "parallel sweep left a pair"
+        );
         changed
     }
 
     /// Dodin's duplication step. Returns false when no candidate exists
     /// (the network should then be a single arc) or the growth cap is hit.
     fn duplicate_step(&mut self, initial_arcs: usize) -> bool {
-        if self.live_arc_count() > GROWTH_CAP * initial_arcs {
+        if self.live > GROWTH_CAP * initial_arcs {
             return false;
         }
-        // Candidate: an interior event with ≥ 2 in-arcs and ≥ 1 out-arc.
-        // Prefer the one with the fewest out-arcs (cheapest duplication).
-        let mut best: Option<(usize, usize)> = None; // (out_count, event)
-        for x in 0..self.in_arcs.len() {
-            if x == self.source || x == self.sink {
-                continue;
-            }
-            if self.in_arcs[x].len() >= 2 && !self.out_arcs[x].is_empty() {
-                let key = self.out_arcs[x].len();
-                if best.is_none_or(|(k, _)| key < k) {
-                    best = Some((key, x));
-                }
-            }
-        }
+        // Prefer the candidate with the fewest out-arcs (cheapest
+        // duplication).
+        let best = self.candidates.first().copied();
+        debug_assert_eq!(best, self.scan_candidate(), "stale candidate set");
         let Some((_, x)) = best else {
             return false;
         };
@@ -223,11 +316,9 @@ pub(crate) fn evaluate_dodin_cached(
     let n = scenario.task_count();
 
     let mut net = Net {
-        arcs: Vec::new(),
-        in_arcs: Vec::new(),
-        out_arcs: Vec::new(),
         source: 0,
         sink: 1,
+        ..Net::default()
     };
     net.add_event(); // source
     net.add_event(); // sink
@@ -263,14 +354,11 @@ pub(crate) fn evaluate_dodin_cached(
         }
     }
 
-    let initial_arcs = net.live_arc_count().max(1);
+    let initial_arcs = net.live.max(1);
     loop {
-        let mut progressed = false;
-        while net.series_pass() || net.parallel_pass() {
-            progressed = true;
-        }
+        while net.series_sweep() || net.parallel_sweep() {}
         // Reduced to a single source→sink arc?
-        if net.live_arc_count() == 1 {
+        if net.live == 1 {
             let id = net.arcs.iter().position(|a| a.is_some()).unwrap();
             let arc = net.arcs[id].as_ref().unwrap();
             debug_assert_eq!(arc.from, net.source);
@@ -279,7 +367,6 @@ pub(crate) fn evaluate_dodin_cached(
         }
         if !net.duplicate_step(initial_arcs) {
             // Growth cap reached or irreducible: classical finish.
-            let _ = progressed;
             return net.fallback_topo();
         }
     }

@@ -345,30 +345,44 @@ impl Evaluator for MonteCarloEvaluator {
     }
 }
 
+/// Builds one bundled evaluator with its default configuration.
+type Constructor = fn() -> Box<dyn Evaluator>;
+
+/// Registry names and constructors of the bundled evaluators, classic
+/// first (the paper's choice), the Monte-Carlo estimators last.
+const REGISTRY: [(&str, Constructor); 6] = [
+    ("classic", || Box::new(ClassicEvaluator::default())),
+    ("spelde", || Box::new(SpeldeEvaluator::default())),
+    ("dodin", || Box::new(DodinEvaluator::default())),
+    ("montecarlo", || Box::new(MonteCarloEvaluator::default())),
+    ("mc-anti", || {
+        Box::new(MonteCarloEvaluator::with_estimator(McEstimator::Antithetic))
+    }),
+    ("mc-strat", || {
+        Box::new(MonteCarloEvaluator::with_estimator(McEstimator::Stratified))
+    }),
+];
+
 /// All bundled evaluators with their default configurations, classic
 /// first (the paper's choice), the Monte-Carlo estimators last.
 pub fn registry() -> Vec<Box<dyn Evaluator>> {
-    vec![
-        Box::new(ClassicEvaluator::default()),
-        Box::new(SpeldeEvaluator::default()),
-        Box::new(DodinEvaluator::default()),
-        Box::new(MonteCarloEvaluator::default()),
-        Box::new(MonteCarloEvaluator::with_estimator(McEstimator::Antithetic)),
-        Box::new(MonteCarloEvaluator::with_estimator(McEstimator::Stratified)),
-    ]
+    REGISTRY.iter().map(|(_, make)| make()).collect()
 }
 
 /// Resolves an evaluator (with its default configuration) by name,
 /// case-insensitively; `"mc"` is accepted as an alias of `"montecarlo"`.
-/// Returns `None` for unknown names.
+/// Returns `None` for unknown names. Only the matching evaluator is
+/// built.
 pub fn evaluator_by_name(name: &str) -> Option<Box<dyn Evaluator>> {
-    let lower = name.to_lowercase();
-    if lower == "mc" {
-        return Some(Box::new(MonteCarloEvaluator::default()));
-    }
-    registry()
-        .into_iter()
-        .find(|e| e.name().to_lowercase() == lower)
+    let name = if name.eq_ignore_ascii_case("mc") {
+        "montecarlo"
+    } else {
+        name
+    };
+    REGISTRY
+        .iter()
+        .find(|(canonical, _)| canonical.eq_ignore_ascii_case(name))
+        .map(|(_, make)| make())
 }
 
 #[cfg(test)]
@@ -394,7 +408,10 @@ mod tests {
             assert_eq!(e.name(), n);
         }
         assert_eq!(evaluator_by_name("MC").unwrap().name(), "montecarlo");
+        assert_eq!(evaluator_by_name("Dodin").unwrap().name(), "dodin");
+        assert_eq!(evaluator_by_name("MC-Strat").unwrap().name(), "mc-strat");
         assert!(evaluator_by_name("exact").is_none());
+        assert!(evaluator_by_name("mc-").is_none());
     }
 
     #[test]
