@@ -67,7 +67,7 @@ use robusched_stochastic::par::{panic_message, worker_count};
 use robusched_stochastic::{
     evaluator_by_name, scenario_fingerprint, EvalContext, Evaluator, PreparedScenario,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -232,10 +232,48 @@ struct ScenarioEntry {
     stamp: u64,
 }
 
+/// The finished-result LRU. Each entry carries its last-touch stamp, and
+/// `by_stamp` orders the live stamps, so the least recently used entry is
+/// its first: eviction pops it instead of scanning every entry. Stamps
+/// come from [`CacheState::tick`], so they are unique and the victim is
+/// the entry with the oldest stamp.
+#[derive(Default)]
+struct ResultCache {
+    entries: HashMap<u64, (MetricValues, u64)>,
+    by_stamp: BTreeMap<u64, u64>,
+}
+
+impl ResultCache {
+    /// The cached result for `key`, touched with `stamp`.
+    fn get(&mut self, key: u64, stamp: u64) -> Option<MetricValues> {
+        let (metrics, last) = self.entries.get_mut(&key)?;
+        self.by_stamp.remove(last);
+        *last = stamp;
+        self.by_stamp.insert(stamp, key);
+        Some(*metrics)
+    }
+
+    /// Stores `metrics` under `key`, touched with `stamp`, then evicts the
+    /// least recently used entries beyond `capacity`; returns how many.
+    fn insert(&mut self, key: u64, metrics: MetricValues, stamp: u64, capacity: usize) -> u64 {
+        if let Some((_, last)) = self.entries.insert(key, (metrics, stamp)) {
+            self.by_stamp.remove(&last);
+        }
+        self.by_stamp.insert(stamp, key);
+        let mut evicted = 0;
+        while self.entries.len() > capacity {
+            let (_, victim) = self.by_stamp.pop_first().expect("one stamp per entry");
+            self.entries.remove(&victim);
+            evicted += 1;
+        }
+        evicted
+    }
+}
+
 #[derive(Default)]
 struct CacheState {
     scenarios: HashMap<u64, ScenarioEntry>,
-    results: HashMap<u64, (MetricValues, u64)>,
+    results: ResultCache,
     /// result_key → tickets of coalesced duplicate requests waiting on the
     /// in-flight leader.
     in_flight: HashMap<u64, Vec<Ticket>>,
@@ -456,9 +494,8 @@ impl EvalService {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             // Tier 1: finished-result cache.
-            if let Some(&(metrics, _)) = caches.results.get(&result_key) {
-                let stamp = caches.tick();
-                caches.results.get_mut(&result_key).unwrap().1 = stamp;
+            let stamp = caches.tick();
+            if let Some(metrics) = caches.results.get(result_key, stamp) {
                 drop(caches);
                 self.shared
                     .stats
@@ -749,26 +786,14 @@ fn finish_job(shared: &Shared, job: &Job, result: EvalResult) {
             let capacity = shared.config.result_capacity;
             if capacity > 0 {
                 let stamp = caches.tick();
-                caches
-                    .results
-                    .insert(job.result_key, (outcome.metrics, stamp));
-                while caches.results.len() > capacity {
-                    let victim = caches
+                let evicted =
+                    caches
                         .results
-                        .iter()
-                        .min_by_key(|(_, (_, stamp))| *stamp)
-                        .map(|(k, _)| *k);
-                    match victim {
-                        Some(k) => {
-                            caches.results.remove(&k);
-                            shared
-                                .stats
-                                .result_evictions
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => break,
-                    }
-                }
+                        .insert(job.result_key, outcome.metrics, stamp, capacity);
+                shared
+                    .stats
+                    .result_evictions
+                    .fetch_add(evicted, Ordering::Relaxed);
             }
         }
         caches.in_flight.remove(&job.result_key).unwrap_or_default()
@@ -919,6 +944,51 @@ mod tests {
         }
         // Capacity 1: the 2nd and 3rd insertions each evict the previous.
         assert_eq!(service.stats().result_evictions, 2);
+    }
+
+    #[test]
+    fn result_cache_evicts_the_oldest_stamp_and_keeps_its_bound() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let s = scenario(29);
+        let metrics = EvalService::new(ServiceConfig {
+            workers: Some(1),
+            ..Default::default()
+        })
+        .evaluate(EvalRequest::new(s.clone(), heft(&s), "classic"))
+        .unwrap()
+        .metrics;
+        let capacity = 8;
+        let mut cache = ResultCache::default();
+        // The reference: key → last stamp, evicted by a full scan for the
+        // oldest stamp.
+        let mut reference: HashMap<u64, u64> = HashMap::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        for stamp in 1..=4_000u64 {
+            let key = rng.gen_range(0..24u64);
+            if rng.gen_bool(0.5) {
+                let hit = cache.get(key, stamp).is_some();
+                assert_eq!(hit, reference.contains_key(&key), "stamp {stamp}");
+                if hit {
+                    reference.insert(key, stamp);
+                }
+            } else {
+                let evicted = cache.insert(key, metrics, stamp, capacity);
+                reference.insert(key, stamp);
+                let mut victims = 0;
+                while reference.len() > capacity {
+                    let (&victim, _) = reference.iter().min_by_key(|(_, s)| **s).unwrap();
+                    reference.remove(&victim);
+                    victims += 1;
+                }
+                assert_eq!(evicted, victims, "stamp {stamp}");
+            }
+            assert!(cache.entries.len() <= capacity);
+            assert_eq!(cache.by_stamp.len(), cache.entries.len());
+            let stamps: HashMap<u64, u64> =
+                cache.entries.iter().map(|(&k, &(_, s))| (k, s)).collect();
+            assert_eq!(stamps, reference, "stamp {stamp}");
+        }
     }
 
     #[test]

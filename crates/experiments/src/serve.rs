@@ -134,14 +134,66 @@ const MAX_UL: f64 = 1000.0;
 /// scenario has the same fingerprint, so it still hits the service's
 /// prepared-state and result caches.
 struct ScenarioInterner {
-    /// The most recently resolved specs and their last-resolve stamps.
-    recent: HashMap<String, (Arc<Scenario>, u64)>,
+    /// The most recently resolved specs.
+    recent: HashMap<String, Interned>,
     /// Specs evicted from `recent`; dead handles are swept out whenever
     /// the map has doubled since the last sweep.
     evicted: HashMap<String, Weak<Scenario>>,
     capacity: usize,
     clock: u64,
     sweep_at: usize,
+}
+
+/// One interned scenario: the shared `Arc`, its last-resolve stamp, and
+/// the heuristic schedules already built on it, by canonical heuristic
+/// name. A repeated heuristic request clones its schedule instead of
+/// running the heuristic again; the schedules leave with the entry, so
+/// they are bounded by the interner's capacity.
+struct Interned {
+    scenario: Arc<Scenario>,
+    stamp: u64,
+    heuristic_schedules: HashMap<String, Schedule>,
+}
+
+impl Interned {
+    /// Resolves a request's `schedule` spec on this scenario.
+    fn schedule(&mut self, spec: &Json) -> Result<Schedule, String> {
+        let kind = spec
+            .get("kind")
+            .and_then(Json::as_str)
+            .ok_or("schedule.kind must be a string")?;
+        match kind {
+            "heuristic" => {
+                let name = spec
+                    .get("name")
+                    .and_then(Json::as_str)
+                    .ok_or("schedule.name must be a string")?;
+                let h =
+                    heuristic_by_name(name).ok_or_else(|| format!("unknown heuristic '{name}'"))?;
+                if let Some(schedule) = self.heuristic_schedules.get(h.name()) {
+                    return Ok(schedule.clone());
+                }
+                let schedule = h
+                    .schedule(&self.scenario)
+                    .map_err(|e| format!("heuristic '{name}' failed: {e}"))?;
+                self.heuristic_schedules
+                    .insert(h.name().to_string(), schedule.clone());
+                Ok(schedule)
+            }
+            "random" => {
+                let seed = spec
+                    .get("seed")
+                    .and_then(Json::as_u64)
+                    .ok_or("schedule.seed must be a non-negative integer")?;
+                Ok(random_schedule(
+                    &self.scenario.graph.dag,
+                    self.scenario.machine_count(),
+                    seed,
+                ))
+            }
+            other => Err(format!("unknown schedule kind '{other}'")),
+        }
+    }
 }
 
 impl ScenarioInterner {
@@ -155,7 +207,7 @@ impl ScenarioInterner {
         }
     }
 
-    fn resolve(&mut self, spec: &Json) -> Result<Arc<Scenario>, String> {
+    fn resolve(&mut self, spec: &Json) -> Result<&mut Interned, String> {
         let family = spec
             .get("family")
             .and_then(Json::as_str)
@@ -239,61 +291,38 @@ impl ScenarioInterner {
             other => return Err(format!("unknown scenario family '{other}'")),
         };
         self.clock += 1;
-        if let Some((scenario, stamp)) = self.recent.get_mut(&key) {
-            *stamp = self.clock;
-            return Ok(scenario.clone());
-        }
-        let scenario = self
-            .evicted
-            .remove(&key)
-            .and_then(|handle| handle.upgrade())
-            .unwrap_or_else(|| Arc::new(build()));
-        if self.recent.len() >= self.capacity {
-            let oldest = self
-                .recent
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone());
-            if let Some((k, (old, _))) = oldest.and_then(|k| self.recent.remove_entry(&k)) {
-                self.evicted.insert(k, Arc::downgrade(&old));
+        if !self.recent.contains_key(&key) {
+            let scenario = self
+                .evicted
+                .remove(&key)
+                .and_then(|handle| handle.upgrade())
+                .unwrap_or_else(|| Arc::new(build()));
+            if self.recent.len() >= self.capacity {
+                let oldest = self
+                    .recent
+                    .iter()
+                    .min_by_key(|(_, entry)| entry.stamp)
+                    .map(|(k, _)| k.clone());
+                if let Some((k, old)) = oldest.and_then(|k| self.recent.remove_entry(&k)) {
+                    self.evicted.insert(k, Arc::downgrade(&old.scenario));
+                }
+            }
+            self.recent.insert(
+                key.clone(),
+                Interned {
+                    scenario,
+                    stamp: 0,
+                    heuristic_schedules: HashMap::new(),
+                },
+            );
+            if self.evicted.len() >= self.sweep_at {
+                self.evicted.retain(|_, handle| handle.strong_count() > 0);
+                self.sweep_at = (2 * self.evicted.len()).max(self.capacity);
             }
         }
-        self.recent.insert(key, (scenario.clone(), self.clock));
-        if self.evicted.len() >= self.sweep_at {
-            self.evicted.retain(|_, handle| handle.strong_count() > 0);
-            self.sweep_at = (2 * self.evicted.len()).max(self.capacity);
-        }
-        Ok(scenario)
-    }
-}
-
-fn resolve_schedule(spec: &Json, scenario: &Scenario) -> Result<Schedule, String> {
-    let kind = spec
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("schedule.kind must be a string")?;
-    match kind {
-        "heuristic" => {
-            let name = spec
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("schedule.name must be a string")?;
-            let h = heuristic_by_name(name).ok_or_else(|| format!("unknown heuristic '{name}'"))?;
-            h.schedule(scenario)
-                .map_err(|e| format!("heuristic '{name}' failed: {e}"))
-        }
-        "random" => {
-            let seed = spec
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("schedule.seed must be a non-negative integer")?;
-            Ok(random_schedule(
-                &scenario.graph.dag,
-                scenario.machine_count(),
-                seed,
-            ))
-        }
-        other => Err(format!("unknown schedule kind '{other}'")),
+        let entry = self.recent.get_mut(&key).expect("interned above");
+        entry.stamp = self.clock;
+        Ok(entry)
     }
 }
 
@@ -434,9 +463,10 @@ fn decode_request(
     }
     let inner = (|| {
         let scenario_spec = doc.get("scenario").ok_or("missing 'scenario'")?;
-        let scenario = interner.resolve(scenario_spec)?;
+        let interned = interner.resolve(scenario_spec)?;
         let schedule_spec = doc.get("schedule").ok_or("missing 'schedule'")?;
-        let schedule = resolve_schedule(schedule_spec, &scenario)?;
+        let schedule = interned.schedule(schedule_spec)?;
+        let scenario = interned.scenario.clone();
         let evaluator = doc
             .get("evaluator")
             .and_then(Json::as_str)
@@ -840,8 +870,8 @@ mod tests {
             .unwrap()
         };
         // A queued request holds the first scenario; nothing holds the rest.
-        let held = interner.resolve(&spec(0)).unwrap();
-        let second = Arc::downgrade(&interner.resolve(&spec(1)).unwrap());
+        let held = interner.resolve(&spec(0)).unwrap().scenario.clone();
+        let second = Arc::downgrade(&interner.resolve(&spec(1)).unwrap().scenario);
         let second_fingerprint =
             robusched_stochastic::scenario_fingerprint(&second.upgrade().unwrap());
         for seed in 2..=capacity {
@@ -851,11 +881,14 @@ mod tests {
         assert_eq!(interner.recent.len(), capacity);
         // The first spec was evicted but is still alive, so it resolves to
         // the held scenario and pushes out the second, which nothing holds.
-        assert!(Arc::ptr_eq(&held, &interner.resolve(&spec(0)).unwrap()));
+        assert!(Arc::ptr_eq(
+            &held,
+            &interner.resolve(&spec(0)).unwrap().scenario
+        ));
         assert!(second.upgrade().is_none());
         // The second spec comes back rebuilt with the same fingerprint, so
         // the service's caches still recognise it.
-        let again = interner.resolve(&spec(1)).unwrap();
+        let again = interner.resolve(&spec(1)).unwrap().scenario.clone();
         assert_eq!(interner.recent.len(), capacity);
         assert_eq!(
             robusched_stochastic::scenario_fingerprint(&again),
@@ -866,6 +899,84 @@ mod tests {
             interner.resolve(&spec(seed)).unwrap();
         }
         assert!(interner.evicted.len() <= capacity);
+    }
+
+    #[test]
+    fn repeated_heuristic_requests_reuse_one_schedule_within_the_bound() {
+        let capacity = 4;
+        let mut interner = ScenarioInterner::new(capacity);
+        let spec = |seed: usize| {
+            parse_json(&format!(
+                r#"{{"family": "paper-random", "n": 30, "m": 4, "ul": 1.1, "seed": {seed}}}"#
+            ))
+            .unwrap()
+        };
+        let heft_spec = |name: &str| {
+            parse_json(&format!(r#"{{"kind": "heuristic", "name": "{name}"}}"#)).unwrap()
+        };
+        let first = interner.resolve(&spec(0)).unwrap();
+        let built = first.schedule(&heft_spec("HEFT")).unwrap();
+        assert_eq!(built, robusched_sched::heft(&first.scenario));
+        // Repeats and aliases of the name share the one stored schedule.
+        for name in ["HEFT", "heft", "Heft"] {
+            let entry = interner.resolve(&spec(0)).unwrap();
+            assert_eq!(entry.schedule(&heft_spec(name)).unwrap(), built);
+            assert_eq!(entry.heuristic_schedules.len(), 1);
+        }
+        // Random schedules and failed lookups store nothing.
+        let entry = interner.resolve(&spec(0)).unwrap();
+        let random = parse_json(r#"{"kind": "random", "seed": 3}"#).unwrap();
+        entry.schedule(&random).unwrap();
+        assert!(entry.schedule(&heft_spec("no-such")).is_err());
+        assert_eq!(entry.heuristic_schedules.len(), 1);
+        // Every entry keeps its schedules, and they leave with it.
+        for seed in 1..=3 * capacity {
+            let entry = interner.resolve(&spec(seed)).unwrap();
+            entry.schedule(&heft_spec("HEFT")).unwrap();
+            entry.schedule(&heft_spec("BIL")).unwrap();
+            assert!(interner.recent.len() <= capacity);
+        }
+        let stored: usize = interner
+            .recent
+            .values()
+            .map(|e| e.heuristic_schedules.len())
+            .sum();
+        assert_eq!(stored, 2 * capacity);
+        // The rebuilt first scenario builds the same schedule again.
+        let again = interner.resolve(&spec(0)).unwrap();
+        assert!(again.heuristic_schedules.is_empty());
+        assert_eq!(again.schedule(&heft_spec("HEFT")).unwrap(), built);
+    }
+
+    #[test]
+    fn repeated_heft_requests_get_equal_answers() {
+        let request = |id: usize, seed: usize| {
+            format!(
+                r#"{{"id": {id}, "scenario": {{"family": "paper-random", "n": 30, "m": 4, "ul": 1.1, "seed": {seed}}}, "schedule": {{"kind": "heuristic", "name": "HEFT"}}, "evaluator": "spelde"}}"#
+            )
+        };
+        // The same HEFT request before and after the interner has evicted
+        // its scenario (the capacity is 64), and twice in a row.
+        let mut lines = vec![request(0, 0), request(1, 0)];
+        lines.extend((1..=70).map(|seed| request(seed + 1, seed)));
+        lines.push(request(72, 0));
+        let opts = RunOptions {
+            threads: Some(2),
+            out_dir: None,
+            ..Default::default()
+        };
+        let mut output = Vec::new();
+        serve_streams(lines.join("\n").as_bytes(), &mut output, &opts).unwrap();
+        let responses: Vec<Json> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| parse_json(l).unwrap())
+            .collect();
+        assert_eq!(responses.len(), lines.len());
+        let metrics = |i: usize| responses[i].get("metrics").cloned().unwrap();
+        assert_eq!(metrics(0), metrics(1));
+        assert_eq!(metrics(0), metrics(72));
+        assert_eq!(responses[1].get("cache_hit"), Some(&Json::Bool(true)));
     }
 
     #[test]

@@ -526,17 +526,56 @@ impl MonotoneCubic {
     /// the knot range.
     #[inline]
     pub fn eval(&self, x: f64) -> f64 {
-        let x0 = self.iv[0].x;
-        if x <= x0 {
+        self.eval_from(x, 0)
+    }
+
+    /// [`eval`](Self::eval) with the interval walk started at knot `hint`
+    /// when that is further along than the uniform-cell guess.
+    ///
+    /// The walk from a start `s` ends on interval `max(s, i*)`, where `i*`
+    /// is the interval holding `x`; `eval` starts at the cell guess `g`.
+    /// So whenever `hint ≤ interval_of(x)` (which is `max(g, i*)`), both
+    /// end on the same interval and return the same bits. Callers whose
+    /// knots crowd far more densely than the cells (the quantile table's
+    /// geometric tail ladders) pass a hint to skip the long walk.
+    ///
+    /// # Panics
+    /// May panic if `hint` is not a valid interval index.
+    #[inline]
+    pub fn eval_from(&self, x: f64, hint: usize) -> f64 {
+        if x <= self.iv[0].x {
             return self.y_first;
         }
         if x >= self.iv[self.iv.len() - 1].x {
             return self.y_last;
         }
-        // Uniform-cell guess, then a forward walk (short except where the
-        // knots are much denser than the cells).
-        let cell = (((x - x0) * self.cell_scale) as usize).min(self.cells.len() - 1);
-        let mut i = self.cells[cell] as usize;
+        let r = &self.iv[self.locate(x, hint)];
+        let t = (x - r.x) * r.inv_w;
+        let c = &r.c;
+        ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
+    }
+
+    /// The interval [`eval`](Self::eval) evaluates at `x`: 0 at or below
+    /// the first knot, the last interval at or above the last knot. It is
+    /// non-decreasing in `x`, so its value at the low end of a range is a
+    /// valid [`eval_from`](Self::eval_from) hint for the whole range.
+    pub fn interval_of(&self, x: f64) -> usize {
+        if x <= self.iv[0].x {
+            0
+        } else if x >= self.iv[self.iv.len() - 1].x {
+            self.iv.len() - 2
+        } else {
+            self.locate(x, 0)
+        }
+    }
+
+    /// The interval walk for `x` strictly inside the knot range: from the
+    /// uniform-cell guess or `hint`, whichever is later, forward to the
+    /// first interval whose right knot exceeds `x`.
+    #[inline]
+    fn locate(&self, x: f64, hint: usize) -> usize {
+        let cell = (((x - self.iv[0].x) * self.cell_scale) as usize).min(self.cells.len() - 1);
+        let mut i = (self.cells[cell] as usize).max(hint);
         // The guess is at most one interval short almost everywhere (4
         // cells per knot): absorb that step branch-free, keep the loop for
         // the rare dense-knot (ladder) regions so it predicts ~never-taken.
@@ -544,10 +583,7 @@ impl MonotoneCubic {
         while x >= self.iv[i + 1].x {
             i += 1;
         }
-        let r = &self.iv[i];
-        let t = (x - r.x) * r.inv_w;
-        let c = &r.c;
-        ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
+        i
     }
 }
 
@@ -871,6 +907,36 @@ mod tests {
             assert!(mc.eval(x).is_finite());
             assert!((mc.eval(x) - x.sqrt()).abs() < 0.05);
         }
+    }
+
+    #[test]
+    fn monotone_cubic_hinted_walk_matches_eval_bitwise() {
+        // Geometric knots crowd toward 0, far denser than the uniform
+        // cells there, so the plain walk is long and a hint skips it.
+        let xs: Vec<f64> = (0..200)
+            .map(|i| if i == 0 { 0.0 } else { 0.9f64.powi(200 - i) })
+            .collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x.sqrt()).collect();
+        let mc = pchip(&xs, &ys);
+        let probes: Vec<f64> = (0..=5000)
+            .map(|k| 1.2 * (k as f64 / 5000.0).powi(3) - 0.1)
+            .collect();
+        for &lo in &probes {
+            let hint = mc.interval_of(lo);
+            for &x in probes.iter().filter(|&&x| x >= lo).step_by(37) {
+                assert_eq!(
+                    mc.eval_from(x, hint).to_bits(),
+                    mc.eval(x).to_bits(),
+                    "{x} from {lo}"
+                );
+            }
+        }
+        // The interval is non-decreasing and ends at the last interval.
+        assert!(probes
+            .windows(2)
+            .all(|w| mc.interval_of(w[0]) <= mc.interval_of(w[1])));
+        assert_eq!(mc.interval_of(-1.0), 0);
+        assert_eq!(mc.interval_of(2.0), xs.len() - 2);
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! density kink, e.g. the triangular family's mode, keeps ~1e-7 accuracy in
 //! the single knot interval containing the kink and 1e-9 elsewhere).
 //!
-//! Lookups are `O(1)`: an index-guess cell plus a short walk and one cubic
-//! Horner evaluation — no root find, no transcendental call.
+//! Lookups are `O(1)`: a direct-indexed bulk interval, or in the tails a
+//! locator cell plus a short walk, then one cubic Horner evaluation — no
+//! root find, no transcendental call.
 
 use crate::dist::{uniform01, Dist};
 use rand::RngCore;
@@ -39,6 +40,19 @@ const LADDER_PER_OCTAVE: usize = 24;
 /// bulk grid is dense enough, and probabilities below 2⁻⁴² (≈ 2·10⁻¹³ —
 /// drawn once per ~5·10¹² realizations) ride the clamped final interval.
 const LADDER_OCTAVES: std::ops::Range<i32> = 6..42;
+
+/// Tail-locator cells per octave, as a bit count: a distance `d` from the
+/// nearer endpoint is located by its `f64` exponent and the top 5 bits of
+/// its mantissa (32 cells per octave, finer than the 24 ladder knots).
+const TAIL_SUB_BITS: u32 = 5;
+/// Octaves the locator covers: distances `[2⁻⁵³, 2⁻⁵)`, from the smallest
+/// nonzero distance of a 53-bit draw to just past the bulk cut at 2⁻⁶.
+/// Smaller distances share the first cell; larger ones get no hint.
+const TAIL_OCTAVES: u64 = 48;
+/// The key (`d.to_bits() >> (52 − TAIL_SUB_BITS)`) of 2⁻⁵³, the first cell.
+const TAIL_KEY_BASE: u64 = (1023 - 53) << TAIL_SUB_BITS;
+/// Locator cells per tail.
+const TAIL_CELLS: usize = (TAIL_OCTAVES << TAIL_SUB_BITS) as usize;
 
 /// A tabulated inverse CDF with monotone-cubic interpolation between knots.
 ///
@@ -61,12 +75,18 @@ const LADDER_OCTAVES: std::ops::Range<i32> = 6..42;
 /// evaluated by a direct-indexed Horner cubic (one multiply to find the
 /// interval — the Monte-Carlo fill loops land here ~97% of the time), and
 /// everything else (tails, out-of-range clamps) goes through the general
-/// ladder-knot [`MonotoneCubic`]. Both tiers interpolate the same knot
-/// values with the same monotone-clamped derivatives.
+/// ladder-knot [`MonotoneCubic`], whose interval walk starts at a tail
+/// locator cell. Both tiers interpolate the same knot values with the same
+/// monotone-clamped derivatives.
 #[derive(Debug, Clone)]
 pub struct QuantileTable {
     /// The full interpolant over bulk + ladder knots (tail path).
     full: MonotoneCubic,
+    /// Tail locator, lower tail then upper: per cell of the distance to the
+    /// nearer endpoint, an interval of `full` no later than the one its
+    /// plain evaluation reaches anywhere in the cell (see
+    /// [`QuantileTable::quantile_tail`]).
+    tail_hints: [Vec<u32>; 2],
     /// Horner coefficients per uniform bulk interval (fast path; entries
     /// outside `[lo_cut, hi_cut)` are present but never addressed).
     bulk: Vec<[f64; 4]>,
@@ -79,6 +99,9 @@ pub struct QuantileTable {
     /// so a 53-bit uniform integer splits into interval index and fraction
     /// by shift/mask (see [`QuantileTable::quantile_u53`]); 0 = disabled.
     bits_shift: u32,
+    /// `2⁻ᵇⁱᵗˢ_ˢʰⁱᶠᵗ`, exact: the masked fraction bits times this is the
+    /// interval coordinate `t`.
+    frac_scale: f64,
     /// Fast-path window as interval indices (for the u53 entry point).
     i_bounds: (u64, u64),
 }
@@ -175,12 +198,14 @@ impl QuantileTable {
             0
         };
         Self {
+            tail_hints: tail_hints(&full),
             full,
             bulk: coeffs,
             scale: intervals as f64,
             lo_cut,
             hi_cut,
             bits_shift,
+            frac_scale: 1.0 / (1u64 << bits_shift) as f64,
             i_bounds: (i_lo as u64, i_hi as u64),
         }
     }
@@ -208,17 +233,36 @@ impl QuantileTable {
     /// line so the inlined fast path stays small in callers' hot loops.
     /// [`MonotoneCubic`] clamps to the end knot values, which is exactly
     /// the `[0, 1]` clamp a quantile needs.
-    #[inline]
+    ///
+    /// The ladders put up to ~100 knots in one of `full`'s uniform cells,
+    /// so its own walk would be long. The locator finds a start instead:
+    /// the distance `d` to the nearer endpoint (`u`, or `1 − u`, exact for
+    /// `u ≥ ½`) picks a cell by its exponent and top mantissa bits, and the
+    /// cell's hint is the interval `full` evaluates at the cell's lowest
+    /// `u`. That interval never decreases with `u`, so the hint is no later
+    /// than the one `full.eval(u)` reaches, and
+    /// [`MonotoneCubic::eval_from`] ends on that same interval: the same
+    /// bits after a walk of a knot or two. Negative, NaN and mid-range
+    /// input gets no hint and the plain walk.
+    #[inline(never)]
     fn quantile_tail(&self, u: f64) -> f64 {
-        self.full.eval(u)
+        let (d, hints) = if u < 0.5 {
+            (u, &self.tail_hints[0])
+        } else {
+            (1.0 - u, &self.tail_hints[1])
+        };
+        let cell = (d.to_bits() >> (52 - TAIL_SUB_BITS)).saturating_sub(TAIL_KEY_BASE);
+        let hint = hints.get(cell as usize).map_or(0, |&h| h as usize);
+        self.full.eval_from(u, hint)
     }
 
     /// Quantile at probability `bits·2⁻⁵³` for a 53-bit uniform integer
     /// (`bits < 2⁵³`, e.g. `rng.next_u64() >> 11`) — bit-identical to
     /// `quantile(bits as f64 / 2⁵³)`, but the interval index and fraction
     /// come from a shift/mask instead of float compares and a float floor.
-    /// This is the Monte-Carlo fill loops' entry point; it saves about a
-    /// nanosecond per draw, which is real money at 10⁸ draws per figure.
+    /// It saves about a nanosecond per draw, which is real money at 10⁸
+    /// draws per figure; [`QuantileTable::fill_row_u53`] applies it to a
+    /// whole row of draws.
     #[inline]
     pub fn quantile_u53(&self, bits: u64) -> f64 {
         debug_assert!(bits < (1 << 53), "u53 input out of range");
@@ -226,13 +270,152 @@ impl QuantileTable {
             let i = bits >> self.bits_shift;
             if i >= self.i_bounds.0 && i < self.i_bounds.1 {
                 let mask = (1u64 << self.bits_shift) - 1;
-                // 2^-shift: exact power-of-two scale.
-                let t = (bits & mask) as f64 / (mask + 1) as f64;
+                // Times 2^-shift: an exact power-of-two scale.
+                let t = (bits & mask) as f64 * self.frac_scale;
                 let c = &self.bulk[i as usize];
                 return ((c[3] * t + c[2]) * t + c[1]) * t + c[0];
             }
         }
         self.quantile(bits as f64 * (1.0 / (1u64 << 53) as f64))
+    }
+
+    /// Fills `row` with `lo + span·Q(u)` from `row.len()` draws of `rng`:
+    /// element `j` is bit for bit `lo + span * quantile_u53(b_j)` for the
+    /// `j`-th draw `b_j = rng.next_u64() >> 11`. This is the Monte-Carlo
+    /// engine's entry point for one uncertain slot across a block of
+    /// realizations.
+    ///
+    /// On an x86-64 CPU with AVX2 this runs a copy that evaluates four
+    /// bulk draws per step, chosen on each call; it performs the same IEEE
+    /// operations in the same order, so the two copies agree bit for bit.
+    #[inline]
+    pub fn fill_row_u53<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        lo: f64,
+        span: f64,
+        row: &mut [f64],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `fill_row_u53_avx2` only requires AVX2, and the line
+            // above checked that the running CPU has it.
+            return unsafe { self.fill_row_u53_avx2(rng, lo, span, row) };
+        }
+        self.fill_row_u53_baseline(rng, lo, span, row);
+    }
+
+    /// The body of [`QuantileTable::fill_row_u53`] for the build's
+    /// baseline target: one draw and one lookup per element.
+    #[inline(always)]
+    fn fill_row_u53_baseline<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        lo: f64,
+        span: f64,
+        row: &mut [f64],
+    ) {
+        for x in row {
+            *x = lo + span * self.quantile_u53(rng.next_u64() >> 11);
+        }
+    }
+
+    /// [`QuantileTable::fill_row_u53`] four elements per step: four draws,
+    /// one 32-byte load of each lane's bulk Horner coefficients, a 4×4
+    /// transpose to one vector per coefficient, and the bulk path's
+    /// multiplies and adds in its order (Rust never contracts them into an
+    /// FMA). A 53-bit draw's interval index is below `2⁵³⁻ˢʰⁱᶠᵗ`, the
+    /// length of `bulk`, so every load is in range. Lanes outside the bulk
+    /// window are marked in a bit mask, and once a run of up to 64 lanes
+    /// is drawn they are recomputed one by one through the tail lookup
+    /// that `quantile_u53` reaches for them: the step loop has no branch
+    /// on the data.
+    ///
+    /// # Safety
+    /// Callers without AVX2 enabled must call this through `unsafe` and
+    /// only after checking that the running CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn fill_row_u53_avx2<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        lo: f64,
+        span: f64,
+        row: &mut [f64],
+    ) {
+        use std::arch::x86_64::*;
+        let shift = self.bits_shift;
+        if shift == 0 {
+            return self.fill_row_u53_baseline(rng, lo, span, row);
+        }
+        let shift_count = _mm_cvtsi32_si128(shift as i32);
+        // The bulk window `[first, last]` of interval indices (both below
+        // 2¹¹ for the default table, far inside the signed range).
+        let first = _mm256_set1_epi64x(self.i_bounds.0 as i64);
+        let last = _mm256_set1_epi64x(self.i_bounds.1 as i64 - 1);
+        let frac_mask = _mm256_set1_epi64x(((1u64 << shift) - 1) as i64);
+        // 2⁵² as a bit pattern and as a value: OR-ing an integer below 2⁵²
+        // into the first's mantissa and subtracting the second converts the
+        // integer to f64 exactly, as the scalar `as f64` does.
+        let two52_bits = _mm256_set1_epi64x(0x4330_0000_0000_0000);
+        let two52 = _mm256_set1_pd(4_503_599_627_370_496.0);
+        let frac_scale = _mm256_set1_pd(self.frac_scale);
+        let (lo4, span4) = (_mm256_set1_pd(lo), _mm256_set1_pd(span));
+        // A run's draws, kept for the tail lanes' lookups.
+        let mut bits = [0u64; 64];
+        for run in row.chunks_mut(64) {
+            let mut tails = 0u64;
+            let mut groups = run.chunks_exact_mut(4);
+            for (g, out) in (&mut groups).enumerate() {
+                // `from_fn` fills in index order, so lane k takes the k-th
+                // draw.
+                let b: [u64; 4] = std::array::from_fn(|_| rng.next_u64() >> 11);
+                let c = b.map(|b| {
+                    let coeffs = &self.bulk[(b >> shift) as usize];
+                    // SAFETY: `coeffs` is four contiguous f64; AVX2 is
+                    // enabled.
+                    unsafe { _mm256_loadu_pd(coeffs.as_ptr()) }
+                });
+                let (lo01, hi01) = (
+                    _mm256_unpacklo_pd(c[0], c[1]),
+                    _mm256_unpackhi_pd(c[0], c[1]),
+                );
+                let (lo23, hi23) = (
+                    _mm256_unpacklo_pd(c[2], c[3]),
+                    _mm256_unpackhi_pd(c[2], c[3]),
+                );
+                let c0 = _mm256_permute2f128_pd::<0x20>(lo01, lo23);
+                let c1 = _mm256_permute2f128_pd::<0x20>(hi01, hi23);
+                let c2 = _mm256_permute2f128_pd::<0x31>(lo01, lo23);
+                let c3 = _mm256_permute2f128_pd::<0x31>(hi01, hi23);
+                let b4 = _mm256_set_epi64x(b[3] as i64, b[2] as i64, b[1] as i64, b[0] as i64);
+                let frac = _mm256_or_si256(_mm256_and_si256(b4, frac_mask), two52_bits);
+                let t = _mm256_mul_pd(_mm256_sub_pd(_mm256_castsi256_pd(frac), two52), frac_scale);
+                let mut q = _mm256_add_pd(_mm256_mul_pd(c3, t), c2);
+                q = _mm256_add_pd(_mm256_mul_pd(q, t), c1);
+                q = _mm256_add_pd(_mm256_mul_pd(q, t), c0);
+                let y = _mm256_add_pd(lo4, _mm256_mul_pd(span4, q));
+                // SAFETY: `out` is four contiguous f64; AVX2 is enabled.
+                unsafe { _mm256_storeu_pd(out.as_mut_ptr(), y) };
+                // SAFETY: `bits[4g..4g + 4]` is in range (at most 16 steps
+                // per run) and four contiguous u64; AVX2 is enabled.
+                unsafe { _mm256_storeu_si256(bits[4 * g..4 * g + 4].as_mut_ptr().cast(), b4) };
+                let i = _mm256_srl_epi64(b4, shift_count);
+                let outside =
+                    _mm256_or_si256(_mm256_cmpgt_epi64(first, i), _mm256_cmpgt_epi64(i, last));
+                tails |= (_mm256_movemask_pd(_mm256_castsi256_pd(outside)) as u64) << (4 * g);
+            }
+            self.fill_row_u53_baseline(rng, lo, span, groups.into_remainder());
+            while tails != 0 {
+                let j = tails.trailing_zeros() as usize;
+                // Outside the bulk window `quantile_u53` goes through
+                // `quantile` to the tail, whose float window is the same
+                // interval bounds scaled by an exact power of two.
+                let u = bits[j] as f64 * (1.0 / (1u64 << 53) as f64);
+                run[j] = lo + span * self.quantile_tail(u);
+                tails &= tails - 1;
+            }
+        }
     }
 
     /// Draws one sample: `Q(U)` with `U ~ Uniform(0,1)`.
@@ -248,6 +431,25 @@ impl QuantileTable {
     pub fn sample_scaled(&self, rng: &mut dyn RngCore, lo: f64, span: f64) -> f64 {
         lo + span * self.quantile(uniform01(rng))
     }
+}
+
+/// The tail locator's hints (see [`QuantileTable::quantile_tail`]): for
+/// each cell, the interval `full` evaluates at the cell's lowest `u`. A
+/// lower-tail cell starts at its distance key (the first cell at 0, as it
+/// also takes every smaller distance); an upper-tail cell holds `u` above
+/// `1 − d` for the next cell's first distance `d`, and the rounded
+/// difference is stepped down once so that it stays below every such `u`.
+fn tail_hints(full: &MonotoneCubic) -> [Vec<u32>; 2] {
+    let first_distance =
+        |cell: usize| f64::from_bits((TAIL_KEY_BASE + cell as u64) << (52 - TAIL_SUB_BITS));
+    let hint = |u: f64| u32::try_from(full.interval_of(u)).expect("fewer than 2³² knots");
+    let lower = (0..TAIL_CELLS)
+        .map(|c| hint(if c == 0 { 0.0 } else { first_distance(c) }))
+        .collect();
+    let upper = (0..TAIL_CELLS)
+        .map(|c| hint((1.0 - first_distance(c + 1)).next_down()))
+        .collect();
+    [lower, upper]
 }
 
 /// The knot probability grid: a uniform bulk plus geometric ladders toward
@@ -455,6 +657,163 @@ mod tests {
         for bits in [0u64, 123456789, (1 << 53) - 1] {
             let u = bits as f64 * (1.0 / (1u64 << 53) as f64);
             assert_eq!(odd.quantile_u53(bits).to_bits(), odd.quantile(u).to_bits());
+        }
+    }
+
+    /// Replays a fixed list of 53-bit draws as `next_u64` words (with
+    /// nonzero discarded low bits), so a test decides what every lane of a
+    /// row draws.
+    struct Scripted {
+        words: std::vec::IntoIter<u64>,
+    }
+
+    impl Scripted {
+        fn new(bits: &[u64]) -> Self {
+            let words: Vec<u64> = bits.iter().map(|b| b << 11 | 0x5a5).collect();
+            Self {
+                words: words.into_iter(),
+            }
+        }
+    }
+
+    impl RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.words.next().expect("scripted draws exhausted")
+        }
+    }
+
+    /// The three base shapes of the uncertainty models.
+    fn shapes() -> Vec<(&'static str, QuantileTable)> {
+        vec![
+            (
+                "beta",
+                QuantileTable::with_default_resolution(&Beta::paper_default()),
+            ),
+            (
+                "uniform",
+                QuantileTable::with_default_resolution(&Uniform::new(0.0, 1.0)),
+            ),
+            (
+                "triangular",
+                QuantileTable::with_default_resolution(&Triangular::new(0.0, 0.2, 1.0)),
+            ),
+        ]
+    }
+
+    /// Draws that exercise every path of a lookup: both ends, every
+    /// octave of both tails, both edges of the bulk window, and interval
+    /// edges inside the bulk.
+    fn special_draws(t: &QuantileTable) -> Vec<u64> {
+        let top = (1u64 << 53) - 1;
+        let mut v = vec![0, 1, 2, 3, top, top - 1, 1 << 52, (1 << 52) - 1];
+        for k in 0..53 {
+            v.extend([
+                1u64 << k,
+                (1u64 << k) + 1,
+                top - (1u64 << k) + 1,
+                top - (1u64 << k),
+            ]);
+        }
+        if t.bits_shift != 0 {
+            let step = 1u64 << t.bits_shift;
+            for i in [
+                t.i_bounds.0,
+                t.i_bounds.1,
+                t.i_bounds.0 + 1,
+                t.i_bounds.1 - 1,
+                1000,
+            ] {
+                v.extend([i * step - 1, i * step, i * step + 1]);
+            }
+        }
+        v.retain(|&b| b <= top);
+        v
+    }
+
+    #[test]
+    fn row_entry_point_matches_quantile_u53_bitwise_in_every_lane() {
+        let mut sm = crate::SplitMix64::new(17);
+        let (lo, span) = (3.7, 0.37);
+        let mut tables = shapes();
+        // Not a power-of-two interval count: the row falls back to `quantile`.
+        tables.push(("beta-130", QuantileTable::new(&Beta::paper_default(), 130)));
+        for (name, t) in &tables {
+            for &special in &special_draws(t) {
+                // Rows of 68 put the draw at every position of a 64-lane
+                // run, of a four-lane step, and of the remainder after them.
+                for pos in 0..68 {
+                    let mut bits: Vec<u64> = (0..68).map(|_| sm.next_u64() >> 11).collect();
+                    bits[pos] = special;
+                    let mut row = vec![f64::NAN; 68];
+                    t.fill_row_u53(&mut Scripted::new(&bits), lo, span, &mut row);
+                    for (j, (&b, &x)) in bits.iter().zip(&row).enumerate() {
+                        let want = lo + span * t.quantile_u53(b);
+                        assert_eq!(
+                            x.to_bits(),
+                            want.to_bits(),
+                            "{name}: lane {j} of draw {b:#x} at {pos}"
+                        );
+                    }
+                }
+            }
+            // Every length up to two runs, all-tail rows and empty rows.
+            for len in 0..=130 {
+                let bits: Vec<u64> = (0..len)
+                    .map(|i| match i % 3 {
+                        0 => sm.next_u64() >> 11,
+                        1 => sm.next_u64() >> 18,
+                        _ => (1u64 << 53) - 1 - (sm.next_u64() >> 18),
+                    })
+                    .collect();
+                let mut row = vec![f64::NAN; len];
+                t.fill_row_u53(&mut Scripted::new(&bits), lo, span, &mut row);
+                for (j, (&b, &x)) in bits.iter().zip(&row).enumerate() {
+                    let want = lo + span * t.quantile_u53(b);
+                    assert_eq!(x.to_bits(), want.to_bits(), "{name}: lane {j} of {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tail_locator_matches_the_plain_walk_at_every_cell_edge() {
+        let first_distance =
+            |cell: u64| f64::from_bits((TAIL_KEY_BASE + cell) << (52 - TAIL_SUB_BITS));
+        let two53 = (1u64 << 53) as f64;
+        for (name, t) in shapes() {
+            let check = |u: f64| {
+                assert_eq!(
+                    t.quantile_tail(u).to_bits(),
+                    t.full.eval(u).to_bits(),
+                    "{name}: u = {u:e}"
+                );
+            };
+            for cell in 0..=TAIL_CELLS as u64 {
+                let d = first_distance(cell);
+                for u in [d, d.next_down(), d.next_up()] {
+                    check(u);
+                    check(1.0 - u);
+                    check((1.0 - u).next_down());
+                    check((1.0 - u).next_up());
+                }
+                // The 53-bit draws on both sides of the edge, in both tails.
+                let b = (d * two53).floor() as u64;
+                for b in [b.saturating_sub(1), b, b + 1] {
+                    for b in [b, (1u64 << 53) - b] {
+                        if b < 1 << 53 {
+                            let u = b as f64 / two53;
+                            check(u);
+                            assert_eq!(t.quantile_u53(b).to_bits(), t.full.eval(u).to_bits());
+                        }
+                    }
+                }
+            }
+            for u in [0.0, -0.0, -1.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, f64::NAN] {
+                check(u);
+            }
         }
     }
 

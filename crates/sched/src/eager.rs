@@ -6,8 +6,8 @@
 //! of every predecessor's data. Those constraints form the *disjunctive
 //! graph* (§II / \[15\]), whose topological order depends only on the
 //! schedule — so we precompute it once per schedule ([`EagerPlan`]) and
-//! replay it cheaply for every realization (the Monte-Carlo engine calls
-//! [`EagerPlan::execute`] 100 000 times per schedule).
+//! replay it cheaply for every realization (the Monte-Carlo engine replays
+//! its order 100 000 times per schedule, 256 realizations at a time).
 
 use crate::schedule::{Schedule, ScheduleError};
 use robusched_dag::{Dag, EdgeId, NodeId};
@@ -21,22 +21,6 @@ pub struct ExecResult {
     pub finish: Vec<f64>,
     /// Completion time of the whole application.
     pub makespan: f64,
-}
-
-/// Reusable per-thread buffers for [`EagerPlan::replay_block`]: the
-/// `[task × lane]` finish matrix and the ready-time row. Create one per
-/// worker and reuse it across blocks — the steady state allocates nothing.
-#[derive(Debug, Default)]
-pub struct ReplayScratch {
-    finish: Vec<f64>,
-    ready: Vec<f64>,
-}
-
-impl ReplayScratch {
-    /// Empty scratch; buffers grow on first replay and are reused after.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// A schedule compiled for repeated eager execution: a topological order of
@@ -127,81 +111,6 @@ impl EagerPlan {
     /// times.
     pub fn disjunctive_sinks(&self) -> &[NodeId] {
         &self.sinks
-    }
-
-    /// Replays `lanes` independent realizations at once over
-    /// structure-of-arrays duration blocks — the Monte-Carlo engine's hot
-    /// kernel.
-    ///
-    /// `task_dur` is an `n × width` row-major matrix (`task_dur[v·width + r]`
-    /// is task `v`'s duration in realization lane `r`), `comm_dur` the
-    /// analogous `e × width` matrix over *original DAG edge* indices. Only
-    /// the first `lanes ≤ width` lanes of each row are read. On return,
-    /// `out[r]` holds lane `r`'s makespan.
-    ///
-    /// Lane `r`'s result is exactly (bit-for-bit) what
-    /// [`execute`](Self::execute) computes from the same durations: the
-    /// kernel performs the identical ready-time recurrence per lane — the
-    /// SoA layout only changes the loop order across lanes, never the
-    /// floating-point operation order within one.
-    ///
-    /// # Panics
-    /// Panics if a slice is shorter than its row layout requires,
-    /// `lanes > width`, or `out.len() != lanes`.
-    #[allow(clippy::too_many_arguments)] // a kernel call: two matrices + layout + scratch + sink
-    pub fn replay_block(
-        &self,
-        dag: &Dag,
-        task_dur: &[f64],
-        comm_dur: &[f64],
-        width: usize,
-        lanes: usize,
-        scratch: &mut ReplayScratch,
-        out: &mut [f64],
-    ) {
-        let n = dag.node_count();
-        assert!(lanes <= width, "lanes {lanes} exceed row width {width}");
-        assert!(task_dur.len() >= n * width, "task matrix too small");
-        assert!(
-            comm_dur.len() >= dag.edge_count() * width,
-            "comm matrix too small"
-        );
-        assert_eq!(out.len(), lanes, "output length must equal lanes");
-        scratch.finish.clear();
-        scratch.finish.resize(n * width, 0.0);
-        scratch.ready.clear();
-        scratch.ready.resize(width, 0.0);
-        let finish = &mut scratch.finish;
-        let ready = &mut scratch.ready[..lanes];
-        for &v in &self.order {
-            match self.prev_on_proc[v] {
-                Some(u) => ready.copy_from_slice(&finish[u * width..u * width + lanes]),
-                None => ready.fill(0.0),
-            }
-            for &(u, e) in dag.preds(v) {
-                let fu = &finish[u * width..u * width + lanes];
-                let cd = &comm_dur[e * width..e * width + lanes];
-                for r in 0..lanes {
-                    // Branchless max (same value as execute()'s compare —
-                    // durations are never NaN).
-                    ready[r] = ready[r].max(fu[r] + cd[r]);
-                }
-            }
-            let td = &task_dur[v * width..v * width + lanes];
-            let fv = &mut finish[v * width..v * width + lanes];
-            for r in 0..lanes {
-                fv[r] = ready[r] + td[r];
-            }
-        }
-        // The makespan is the max over the disjunctive sinks (every other
-        // finish is dominated by one of them).
-        out.fill(0.0);
-        for &s in &self.sinks {
-            let fs = &finish[s * width..s * width + lanes];
-            for r in 0..lanes {
-                out[r] = out[r].max(fs[r]);
-            }
-        }
     }
 
     /// Replays the eager execution with the given durations.
@@ -335,55 +244,6 @@ mod tests {
         let s2 = Schedule::new(vec![0, 1], vec![vec![0], vec![1]]);
         let plan2 = EagerPlan::new(&free, &s2).unwrap();
         assert_eq!(plan2.disjunctive_sinks(), &[0, 1]);
-    }
-
-    #[test]
-    fn replay_block_matches_scalar_execute_bitwise() {
-        let dag = diamond();
-        let s = Schedule::new(vec![0, 0, 1, 0], vec![vec![0, 1, 3], vec![2]]);
-        let plan = EagerPlan::new(&dag, &s).unwrap();
-        let (n, e) = (dag.node_count(), dag.edge_count());
-        let width = 8;
-        let lanes = 5;
-        // Arbitrary per-lane durations.
-        let task_dur: Vec<f64> = (0..n * width)
-            .map(|i| 1.0 + ((i * 37) % 11) as f64 * 0.731)
-            .collect();
-        let comm_dur: Vec<f64> = (0..e * width)
-            .map(|i| ((i * 13) % 7) as f64 * 1.113)
-            .collect();
-        let mut out = vec![0.0; lanes];
-        let mut scratch = ReplayScratch::new();
-        plan.replay_block(
-            &dag,
-            &task_dur,
-            &comm_dur,
-            width,
-            lanes,
-            &mut scratch,
-            &mut out,
-        );
-        for r in 0..lanes {
-            let scalar = plan.execute(
-                &dag,
-                |v| task_dur[v * width + r],
-                |edge, _, _| comm_dur[edge * width + r],
-            );
-            assert_eq!(out[r], scalar.makespan, "lane {r}");
-        }
-        // Scratch reuse with different lane counts must not leak state.
-        let mut out2 = vec![0.0; 2];
-        plan.replay_block(
-            &dag,
-            &task_dur,
-            &comm_dur,
-            width,
-            2,
-            &mut scratch,
-            &mut out2,
-        );
-        assert_eq!(out2[0], out[0]);
-        assert_eq!(out2[1], out[1]);
     }
 
     #[test]

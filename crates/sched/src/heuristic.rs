@@ -113,30 +113,41 @@ impl Heuristic for SigmaHeft {
     }
 }
 
+/// Builds one bundled heuristic with its default configuration.
+type Constructor = fn() -> Box<dyn Heuristic>;
+
+/// Registry names and constructors of the bundled heuristics, in the
+/// paper's order (HEFT, BIL, Hyb.BMCT) followed by the extensions
+/// (CPOP, σ-HEFT).
+const REGISTRY: [(&str, Constructor); 5] = [
+    ("HEFT", || Box::new(Heft)),
+    ("BIL", || Box::new(Bil)),
+    ("Hyb.BMCT", || Box::new(HybBmct)),
+    ("CPOP", || Box::new(Cpop)),
+    ("σ-HEFT", || Box::new(SigmaHeft::default())),
+];
+
 /// All bundled heuristics with their default configurations, in the
 /// paper's order (HEFT, BIL, Hyb.BMCT) followed by the extensions
 /// (CPOP, σ-HEFT).
 pub fn registry() -> Vec<Box<dyn Heuristic>> {
-    vec![
-        Box::new(Heft),
-        Box::new(Bil),
-        Box::new(HybBmct),
-        Box::new(Cpop),
-        Box::new(SigmaHeft::default()),
-    ]
+    REGISTRY.iter().map(|(_, make)| make()).collect()
 }
 
 /// Resolves a heuristic by name, case-insensitively; `"sigma-heft"` is
 /// accepted as an ASCII alias of `"σ-HEFT"`. Returns `None` for unknown
-/// names.
+/// names. Only the matching heuristic is built.
 pub fn heuristic_by_name(name: &str) -> Option<Box<dyn Heuristic>> {
     let lower = name.to_lowercase();
-    if lower == "sigma-heft" {
-        return Some(Box::new(SigmaHeft::default()));
-    }
-    registry()
-        .into_iter()
-        .find(|h| h.name().to_lowercase() == lower)
+    let lower = if lower == "sigma-heft" {
+        "σ-heft".to_string()
+    } else {
+        lower
+    };
+    REGISTRY
+        .iter()
+        .find(|(canonical, _)| canonical.to_lowercase() == lower)
+        .map(|(_, make)| make())
 }
 
 #[cfg(test)]
@@ -153,6 +164,13 @@ mod tests {
         for n in &names {
             let h = heuristic_by_name(n).unwrap_or_else(|| panic!("{n} not resolvable"));
             assert_eq!(h.name(), n);
+        }
+    }
+
+    #[test]
+    fn registry_names_match_the_built_heuristics() {
+        for (canonical, make) in REGISTRY {
+            assert_eq!(make().name(), canonical);
         }
     }
 

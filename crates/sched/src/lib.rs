@@ -45,7 +45,7 @@ pub mod timeline;
 pub use bil::bil;
 pub use bmct::hyb_bmct;
 pub use cpop::cpop;
-pub use eager::{EagerPlan, ExecResult, ReplayScratch};
+pub use eager::{EagerPlan, ExecResult};
 pub use heft::heft;
 pub use heuristic::{heuristic_by_name, registry, Heuristic};
 pub use random::random_schedule;

@@ -333,8 +333,8 @@ impl Evaluator for MonteCarloEvaluator {
             None => Arc::new(SamplingTables::new(scenario)),
         };
         // Serial path through the context scratch: a study worker reuses
-        // one duration matrix/replay buffer/sample buffer for every
-        // schedule it evaluates.
+        // one finish matrix/duration row/sample buffer for every schedule
+        // it evaluates.
         let mut samples = std::mem::take(&mut cx.mc.samples);
         samples.resize(cfg.realizations, 0.0);
         // `samples` was detached above, so the scratch borrow is safe.

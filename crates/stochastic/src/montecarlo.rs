@@ -4,11 +4,12 @@
 //! the worst cases … by running 100 000 realizations" (Fig. 1, Fig. 2).
 //!
 //! Each realization samples every task duration and every communication
-//! delay, then replays the eager schedule. The engine is *batched*: instead
-//! of one scalar replay per realization, it fills a `[slot × realization]`
-//! duration matrix block-at-a-time (256 realizations per block) through the
-//! shared inverse-CDF table and hands the whole block to the
-//! structure-of-arrays kernel [`EagerPlan::replay_block`]. Four design
+//! delay, then replays the eager schedule. The engine is *batched*: one
+//! block kernel runs 256 realizations at once as structure-of-arrays rows.
+//! It walks the plan's disjunctive topological order and, for every
+//! uncertain task or edge, draws that slot's 256-lane duration row through
+//! the shared inverse-CDF table just before the replay reads it; only the
+//! `[task × lane]` finish matrix and that one row are live. Four design
 //! points keep it fast and reproducible:
 //!
 //! * **shared quantile tables** — all uncertain weights are the same base
@@ -16,10 +17,10 @@
 //!   [`SamplingTables`] turn every draw into `lo + span·Q(u)`: a table
 //!   lookup, not a root find. Build them once per scenario
 //!   (`Evaluator::prepare`) and pass them to every [`mc_makespans`] call;
-//! * **compiled plan** — the disjunctive topological order and a *draw
-//!   program* (the uncertain slots, in a fixed canonical order) are
-//!   computed once per schedule; a realization block is then pure
-//!   streaming arithmetic;
+//! * **compiled plan** — the replay steps (each task's machine
+//!   predecessor, incoming arcs and duration) are compiled once per
+//!   schedule in the disjunctive topological order, which is also the
+//!   draw order; a realization block is then pure streaming arithmetic;
 //! * **fixed chunking** — realizations are split into fixed 2048-wide
 //!   chunks, each seeded as `derive_seed(seed, chunk_index)`;
 //!   [`par_map`] workers claim chunks and deliver them in chunk order, so
@@ -37,9 +38,16 @@
 //! plan's disjunctive topological order; for each task, first its incoming
 //! edges in predecessor-list order, then the task itself; slots whose
 //! duration is deterministic (`span = 0`) draw nothing. Within a block the
-//! matrix is filled slot-major — all lanes of a slot before the next slot —
-//! which permutes *where* the sequential uniforms land but is part of the
-//! same fixed contract.
+//! draws are slot-major — all lanes of a slot before the next slot — which
+//! permutes *where* the sequential uniforms land but is part of the same
+//! fixed contract. That is also the order in which the kernel reads the
+//! rows, so it draws one row at a time.
+//!
+//! On an x86-64 CPU with AVX2 the chunk loop runs a copy of the kernel
+//! compiled for 256-bit vectors, chosen on each call, and the Standard
+//! estimator's rows come from [`QuantileTable::fill_row_u53`]'s four-wide
+//! copy. Both copies perform the same IEEE operations in the same order,
+//! so the samples do not depend on the CPU.
 
 use crate::cache::SamplingTables;
 use crate::par::{par_map, worker_count};
@@ -47,7 +55,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use robusched_platform::Scenario;
 use robusched_randvar::{derive_seed, QuantileTable};
-use robusched_sched::{EagerPlan, ReplayScratch, Schedule};
+use robusched_sched::{EagerPlan, Schedule};
 
 /// Variance-reduction mode of the Monte-Carlo engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,128 +125,158 @@ impl Default for McConfig {
 /// guarantee, pinned by `tests/mc_engine.rs`.
 pub const CHUNK: usize = 2048;
 
-/// Realizations per SoA fill/replay block (fixed: the duration matrix of a
-/// block stays cache-resident; divides [`CHUNK`] so blocks never straddle a
-/// seeding boundary). Public for the same reason as [`CHUNK`]: the
-/// slot-major fill order within a block is part of the draw contract.
+/// Realizations per block: the lane count of every duration row and
+/// finish row of the block kernel (fixed: the rows stay cache-resident;
+/// divides [`CHUNK`] so blocks never straddle a seeding boundary). Public
+/// for the same reason as [`CHUNK`]: the slot-major draw order within a
+/// block is part of the draw contract.
 pub const BLOCK: usize = 256;
 
 // Blocks must tile chunks exactly or the per-chunk RNG stream would depend
 // on where a chunk boundary falls.
 const _: () = assert!(CHUNK.is_multiple_of(BLOCK));
 
-/// Reusable per-worker state of the batched engine: the `[slot × lane]`
-/// duration matrix, the replay scratch, the stratification permutation and
-/// the sample buffer. One per worker thread (or per
+/// One block-wide row of the kernel, aligned to a cache line so that its
+/// vector loads never straddle two.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Row([f64; BLOCK]);
+
+impl Default for Row {
+    fn default() -> Self {
+        Self([0.0; BLOCK])
+    }
+}
+
+/// Reusable per-worker state of the batched engine: the finish matrix
+/// (one row per replay step), the duration row, the stratification
+/// permutation and the sample buffer. One per worker thread (or per
 /// [`EvalContext`](crate::EvalContext)), reused across blocks, chunks and
 /// schedules — steady-state evaluations allocate nothing.
 #[derive(Debug, Default)]
 pub(crate) struct McScratch {
-    /// Task rows followed by edge rows, `BLOCK` lanes each.
-    dur: Vec<f64>,
-    replay: ReplayScratch,
+    finish: Vec<Row>,
+    row: Box<Row>,
     perm: Vec<u32>,
     pub(crate) samples: Vec<f64>,
 }
 
-/// One uncertain slot of the draw program: the row it fills and the affine
-/// transform of the shared base quantile.
+/// The duration of one task or edge: `lo + span·Q(u)` when `span > 0`,
+/// the constant `lo` otherwise (such a slot draws nothing).
 #[derive(Debug, Clone, Copy)]
-struct ProgSlot {
-    /// Row index into the combined duration matrix (`< n` task, else edge).
-    row: u32,
+struct Slot {
     lo: f64,
     span: f64,
 }
 
-/// Precompiled sampling plan: the uncertain slots in canonical draw order
-/// plus the constant value of every deterministic row.
-struct SamplingPlan {
-    /// Uncertain slots in draw order (topo order; edges before their task).
-    program: Vec<ProgSlot>,
-    /// `lo` per row of the combined matrix (the constant prefill).
-    row_lo: Vec<f64>,
-    tasks: usize,
-    edges: usize,
+impl Slot {
+    #[inline(always)]
+    fn draws(self) -> bool {
+        self.span > 0.0
+    }
 }
 
-impl SamplingPlan {
+/// One incoming DAG edge of a replay step: the predecessor's step and the
+/// edge's duration.
+#[derive(Debug, Clone, Copy)]
+struct InArc {
+    from: u32,
+    dur: Slot,
+}
+
+/// One task of the replay, in topological order. Steps refer to each
+/// other by position in that order, so every reference points back.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// Step of the task before this one on its machine, or [`NO_PREV`].
+    prev: u32,
+    /// End of this step's incoming arcs in [`BlockPlan::arcs`]; they start
+    /// where the previous step's arcs end.
+    arcs_end: u32,
+    dur: Slot,
+}
+
+const NO_PREV: u32 = u32::MAX;
+
+/// A schedule compiled for the block kernel: replay steps in the plan's
+/// disjunctive topological order, their arcs in predecessor-list order,
+/// and the steps of the disjunctive sinks. Walking steps and arcs in
+/// order visits the uncertain slots in canonical draw order.
+struct BlockPlan {
+    steps: Vec<Step>,
+    arcs: Vec<InArc>,
+    /// Steps of [`EagerPlan::disjunctive_sinks`], in ascending task order.
+    sinks: Vec<u32>,
+}
+
+impl BlockPlan {
     fn new(scenario: &Scenario, schedule: &Schedule, plan: &EagerPlan) -> Self {
         let dag = &scenario.graph.dag;
-        let n = scenario.task_count();
-        let e = dag.edge_count();
         let ul = scenario.uncertainty.ul;
-        let mut row_lo = vec![0.0f64; n + e];
-        for (v, lo) in row_lo.iter_mut().enumerate().take(n) {
-            *lo = scenario.det_task_cost(v, schedule.machine_of(v));
+        let order = plan.topo_order();
+        let mut step_of = vec![0u32; order.len()];
+        for (k, &v) in order.iter().enumerate() {
+            step_of[v] = k as u32;
         }
-        for (u, v, edge) in dag.edge_triples() {
-            row_lo[n + edge] =
-                scenario.det_comm_cost(edge, schedule.machine_of(u), schedule.machine_of(v));
-        }
-        let mut program = Vec::new();
-        for &v in plan.topo_order() {
-            for &(_, edge) in dag.preds(v) {
-                let lo = row_lo[n + edge];
-                let span = (ul - 1.0) * lo;
-                if span > 0.0 {
-                    program.push(ProgSlot {
-                        row: (n + edge) as u32,
-                        lo,
-                        span,
+        let mut arcs = Vec::with_capacity(dag.edge_count());
+        let steps = order
+            .iter()
+            .map(|&v| {
+                let m = schedule.machine_of(v);
+                for &(u, edge) in dag.preds(v) {
+                    let lo = scenario.det_comm_cost(edge, schedule.machine_of(u), m);
+                    arcs.push(InArc {
+                        from: step_of[u],
+                        dur: Slot {
+                            lo,
+                            span: (ul - 1.0) * lo,
+                        },
                     });
                 }
-            }
-            let lo = row_lo[v];
-            // Per-task UL (variable-UL extension) when installed.
-            let span = (scenario.task_ul(v) - 1.0) * lo;
-            if span > 0.0 {
-                program.push(ProgSlot {
-                    row: v as u32,
-                    lo,
-                    span,
-                });
-            }
-        }
-        Self {
-            program,
-            row_lo,
-            tasks: n,
-            edges: e,
-        }
+                let lo = scenario.det_task_cost(v, m);
+                Step {
+                    prev: plan.prev_on_proc()[v].map_or(NO_PREV, |u| step_of[u]),
+                    arcs_end: arcs.len() as u32,
+                    // Per-task UL (variable-UL extension) when installed.
+                    dur: Slot {
+                        lo,
+                        span: (scenario.task_ul(v) - 1.0) * lo,
+                    },
+                }
+            })
+            .collect();
+        let sinks = plan
+            .disjunctive_sinks()
+            .iter()
+            .map(|&v| step_of[v])
+            .collect();
+        Self { steps, arcs, sinks }
     }
 }
 
 /// 53-bit uniform in `[0, 1)` on the concrete chunk RNG (monomorphic, so
-/// the fill loops inline it — the `dyn RngCore` version costs a virtual
-/// call per draw).
+/// the draw loops inline it — the `dyn RngCore` version costs a virtual
+/// call per draw). It consumes one `next_u64`, like the `u53` draws of
+/// [`QuantileTable::fill_row_u53`], and `quantile(u01)` is bit for bit
+/// `quantile_u53` of the same word.
 #[inline]
 fn u01(rng: &mut StdRng) -> f64 {
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The same 53 uniform bits, kept as an integer for
-/// [`QuantileTable::quantile_u53`]. One `u53` draw consumes exactly one
-/// `next_u64`, like [`u01`], so the estimators can mix both forms on one
-/// stream (`quantile_u53(b)` ≡ `quantile(b·2⁻⁵³)` bit-for-bit).
-#[inline]
-fn u53(rng: &mut StdRng) -> u64 {
-    rng.next_u64() >> 11
-}
-
 /// Shared per-call setup of both entry points: validates the budget and
-/// compiles the replay plan + draw program. Keeping this single keeps
+/// compiles the replay plan and the block plan. Keeping this single keeps
 /// [`mc_makespans`] and the evaluator's path behaviorally identical by
 /// construction.
 fn compile_plan(
     scenario: &Scenario,
     schedule: &Schedule,
     cfg: &McConfig,
-) -> (EagerPlan, SamplingPlan) {
+) -> (EagerPlan, BlockPlan) {
     assert!(cfg.realizations > 0, "need at least one realization");
     let plan = EagerPlan::new(&scenario.graph.dag, schedule).expect("invalid schedule");
-    let sampling = SamplingPlan::new(scenario, schedule, &plan);
-    (plan, sampling)
+    let block = BlockPlan::new(scenario, schedule, &plan);
+    (plan, block)
 }
 
 /// Runs the Monte-Carlo engine against prepared sampling tables; returns
@@ -265,25 +303,18 @@ pub fn mc_makespans(
         rebuilt = SamplingTables::new(scenario);
         &rebuilt
     };
-    let dag = &scenario.graph.dag;
-    let (plan, sampling) = compile_plan(scenario, schedule, cfg);
+    let (plan, block) = compile_plan(scenario, schedule, cfg);
     let Some(table) = tables.base() else {
-        return vec![deterministic_makespan(scenario, &plan, &sampling); cfg.realizations];
+        return vec![deterministic_makespan(scenario, schedule, &plan); cfg.realizations];
     };
     let mut out = Vec::with_capacity(cfg.realizations);
     par_map(
         cfg.realizations.div_ceil(CHUNK),
         worker_count(cfg.threads),
-        || {
-            let mut scratch = McScratch::default();
-            prepare_matrix(&mut scratch, &sampling);
-            scratch
-        },
+        McScratch::default,
         |scratch, c| {
             let mut chunk = vec![0.0f64; CHUNK.min(cfg.realizations - c * CHUNK)];
-            run_chunk(
-                dag, &plan, &sampling, table, cfg, c as u64, &mut chunk, scratch,
-            );
+            run_chunk(&block, table, cfg, c as u64, &mut chunk, scratch);
             chunk
         },
         |_, chunk| out.extend_from_slice(&chunk),
@@ -308,16 +339,12 @@ pub(crate) fn mc_makespans_into(
     out: &mut [f64],
 ) {
     assert_eq!(out.len(), cfg.realizations);
-    let dag = &scenario.graph.dag;
-    let (plan, sampling) = compile_plan(scenario, schedule, cfg);
+    let (plan, block) = compile_plan(scenario, schedule, cfg);
     match tables.base() {
-        None => out.fill(deterministic_makespan(scenario, &plan, &sampling)),
+        None => out.fill(deterministic_makespan(scenario, schedule, &plan)),
         Some(table) => {
-            prepare_matrix(scratch, &sampling);
             for (idx, slice) in out.chunks_mut(CHUNK).enumerate() {
-                run_chunk(
-                    dag, &plan, &sampling, table, cfg, idx as u64, slice, scratch,
-                );
+                run_chunk(&block, table, cfg, idx as u64, slice, scratch);
             }
         }
     }
@@ -325,35 +352,63 @@ pub(crate) fn mc_makespans_into(
 
 /// The deterministic limit: every realization is the same replay of the
 /// minimum durations.
-fn deterministic_makespan(scenario: &Scenario, plan: &EagerPlan, sampling: &SamplingPlan) -> f64 {
-    let n = sampling.tasks;
+fn deterministic_makespan(scenario: &Scenario, schedule: &Schedule, plan: &EagerPlan) -> f64 {
     plan.execute(
         &scenario.graph.dag,
-        |v| sampling.row_lo[v],
-        |e, _, _| sampling.row_lo[n + e],
+        |v| scenario.det_task_cost(v, schedule.machine_of(v)),
+        |e, u, v| scenario.det_comm_cost(e, schedule.machine_of(u), schedule.machine_of(v)),
     )
     .makespan
 }
 
-/// Sizes the combined duration matrix and prefills every row with its
-/// deterministic `lo` (uncertain rows are overwritten block by block; rows
-/// with zero span keep the constant).
-fn prepare_matrix(scratch: &mut McScratch, sampling: &SamplingPlan) {
-    let rows = sampling.tasks + sampling.edges;
-    scratch.dur.clear();
-    scratch.dur.resize(rows * BLOCK, 0.0);
-    for (row, &lo) in sampling.row_lo.iter().enumerate() {
-        scratch.dur[row * BLOCK..(row + 1) * BLOCK].fill(lo);
+/// One seeding chunk: runs the block kernel over `BLOCK`-wide sub-blocks
+/// with the chunk's private RNG stream. On an x86-64 CPU with AVX2 this
+/// runs a copy compiled for 256-bit vectors, chosen on each call; the
+/// copies perform the same IEEE operations in the same order, so their
+/// samples are bit-identical.
+fn run_chunk(
+    block: &BlockPlan,
+    table: &QuantileTable,
+    cfg: &McConfig,
+    chunk_index: u64,
+    out: &mut [f64],
+    scratch: &mut McScratch,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `run_chunk_avx2` only requires AVX2, and the line above
+        // checked that the running CPU has it.
+        return unsafe { run_chunk_avx2(block, table, cfg, chunk_index, out, scratch) };
     }
+    run_chunk_baseline(block, table, cfg, chunk_index, out, scratch);
 }
 
-/// One seeding chunk: fill and replay `BLOCK`-wide sub-blocks with the
-/// chunk's private RNG stream.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    dag: &robusched_dag::Dag,
-    plan: &EagerPlan,
-    sampling: &SamplingPlan,
+/// [`run_chunk_baseline`] compiled for AVX2. Rust never contracts a
+/// multiply and an add into an FMA, nor reorders float operations, so the
+/// wider vectors change the speed and not a bit of the samples.
+///
+/// # Safety
+/// Callers without AVX2 enabled must call this through `unsafe` and only
+/// after checking that the running CPU has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_chunk_avx2(
+    block: &BlockPlan,
+    table: &QuantileTable,
+    cfg: &McConfig,
+    chunk_index: u64,
+    out: &mut [f64],
+    scratch: &mut McScratch,
+) {
+    run_chunk_baseline(block, table, cfg, chunk_index, out, scratch);
+}
+
+/// The body of [`run_chunk`] for the build's baseline target. It and the
+/// block kernel are `#[inline(always)]`, so that [`run_chunk_avx2`]
+/// compiles their loops for AVX2.
+#[inline(always)]
+fn run_chunk_baseline(
+    block: &BlockPlan,
     table: &QuantileTable,
     cfg: &McConfig,
     chunk_index: u64,
@@ -361,73 +416,118 @@ fn run_chunk(
     scratch: &mut McScratch,
 ) {
     let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, chunk_index));
-    let split = sampling.tasks * BLOCK;
-    for block in out.chunks_mut(BLOCK) {
-        let lanes = block.len();
-        fill_block(sampling, table, cfg.estimator, &mut rng, lanes, scratch);
-        let (task_dur, comm_dur) = scratch.dur.split_at(split);
-        plan.replay_block(
-            dag,
-            task_dur,
-            comm_dur,
-            BLOCK,
-            lanes,
-            &mut scratch.replay,
-            block,
-        );
+    scratch.finish.resize(block.steps.len(), Row::default());
+    for lanes_out in out.chunks_mut(BLOCK) {
+        run_block(block, table, cfg.estimator, &mut rng, scratch, lanes_out);
     }
 }
 
-/// Fills the uncertain rows of the duration matrix for one block, slot by
-/// slot, consuming the chunk RNG in the canonical order of the estimator.
-fn fill_block(
-    sampling: &SamplingPlan,
+/// The block kernel: replays `out.len() ≤ BLOCK` realizations. Per lane
+/// it performs exactly the ready-time recurrence of
+/// [`EagerPlan::execute`] — a task becomes ready at the maximum of its
+/// machine predecessor's finish and every `finish(u) + comm` arrival, and
+/// finishes its duration later — and the makespan is the maximum over the
+/// disjunctive sinks (every other finish is dominated by one of them).
+/// Each uncertain duration row is drawn just before its only read.
+#[inline(always)]
+fn run_block(
+    block: &BlockPlan,
     table: &QuantileTable,
     estimator: McEstimator,
     rng: &mut StdRng,
-    lanes: usize,
     scratch: &mut McScratch,
+    out: &mut [f64],
 ) {
-    match estimator {
-        McEstimator::Standard => {
-            for s in &sampling.program {
-                let row = &mut scratch.dur[s.row as usize * BLOCK..][..lanes];
-                for x in row {
-                    *x = s.lo + s.span * table.quantile_u53(u53(rng));
+    let lanes = out.len();
+    let McScratch {
+        finish, row, perm, ..
+    } = scratch;
+    let row = &mut row.0[..lanes];
+    let mut arc_start = 0usize;
+    for (k, step) in block.steps.iter().enumerate() {
+        // Every step this one reads comes earlier in topological order.
+        let (done, rest) = finish.split_at_mut(k);
+        let fv = &mut rest[0].0[..lanes];
+        match step.prev {
+            NO_PREV => fv.fill(0.0),
+            p => fv.copy_from_slice(&done[p as usize].0[..lanes]),
+        }
+        let arcs = &block.arcs[arc_start..step.arcs_end as usize];
+        arc_start = step.arcs_end as usize;
+        // Branchless max (same value as execute()'s compare — durations
+        // are never NaN).
+        for arc in arcs {
+            let fu = &done[arc.from as usize].0[..lanes];
+            if arc.dur.draws() {
+                draw_row(table, estimator, rng, arc.dur, perm, row);
+                for ((f, &a), &d) in fv.iter_mut().zip(fu).zip(&*row) {
+                    *f = f.max(a + d);
+                }
+            } else {
+                let d = arc.dur.lo;
+                for (f, &a) in fv.iter_mut().zip(fu) {
+                    *f = f.max(a + d);
                 }
             }
         }
+        if step.dur.draws() {
+            draw_row(table, estimator, rng, step.dur, perm, row);
+            for (f, &d) in fv.iter_mut().zip(&*row) {
+                *f += d;
+            }
+        } else {
+            let d = step.dur.lo;
+            for f in fv.iter_mut() {
+                *f += d;
+            }
+        }
+    }
+    out.fill(0.0);
+    for &s in &block.sinks {
+        for (o, &f) in out.iter_mut().zip(&finish[s as usize].0[..lanes]) {
+            *o = o.max(f);
+        }
+    }
+}
+
+/// Draws one uncertain slot's duration row, consuming the chunk RNG in the
+/// estimator's canonical order.
+#[inline(always)]
+fn draw_row(
+    table: &QuantileTable,
+    estimator: McEstimator,
+    rng: &mut StdRng,
+    s: Slot,
+    perm: &mut Vec<u32>,
+    row: &mut [f64],
+) {
+    let lanes = row.len();
+    match estimator {
+        McEstimator::Standard => table.fill_row_u53(rng, s.lo, s.span, row),
         McEstimator::Antithetic => {
-            for s in &sampling.program {
-                let row = &mut scratch.dur[s.row as usize * BLOCK..][..lanes];
-                let pairs = lanes / 2;
-                for j in 0..pairs {
-                    let u = u01(rng);
-                    row[2 * j] = s.lo + s.span * table.quantile(u);
-                    row[2 * j + 1] = s.lo + s.span * table.quantile(1.0 - u);
-                }
-                if lanes % 2 == 1 {
-                    row[lanes - 1] = s.lo + s.span * table.quantile(u01(rng));
-                }
+            let pairs = lanes / 2;
+            for j in 0..pairs {
+                let u = u01(rng);
+                row[2 * j] = s.lo + s.span * table.quantile(u);
+                row[2 * j + 1] = s.lo + s.span * table.quantile(1.0 - u);
+            }
+            if lanes % 2 == 1 {
+                row[lanes - 1] = s.lo + s.span * table.quantile(u01(rng));
             }
         }
         McEstimator::Stratified => {
+            // Random stratum permutation (Fisher–Yates off the chunk
+            // stream), then one jittered sample per stratum.
             let inv = 1.0 / lanes as f64;
-            for s in &sampling.program {
-                // Random stratum permutation (Fisher–Yates off the chunk
-                // stream), then one jittered sample per stratum.
-                let perm = &mut scratch.perm;
-                perm.clear();
-                perm.extend(0..lanes as u32);
-                for i in (1..lanes).rev() {
-                    let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                    perm.swap(i, j);
-                }
-                let row = &mut scratch.dur[s.row as usize * BLOCK..][..lanes];
-                for (x, &stratum) in row.iter_mut().zip(perm.iter()) {
-                    let u = (stratum as f64 + u01(rng)) * inv;
-                    *x = s.lo + s.span * table.quantile(u);
-                }
+            perm.clear();
+            perm.extend(0..lanes as u32);
+            for i in (1..lanes).rev() {
+                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                perm.swap(i, j);
+            }
+            for (x, &stratum) in row.iter_mut().zip(perm.iter()) {
+                let u = (stratum as f64 + u01(rng)) * inv;
+                *x = s.lo + s.span * table.quantile(u);
             }
         }
     }
@@ -610,6 +710,49 @@ mod tests {
         let strat = spread(McEstimator::Stratified);
         assert!(anti < plain, "antithetic {anti} vs plain {plain}");
         assert!(strat < plain, "stratified {strat} vs plain {plain}");
+    }
+
+    /// The AVX2 copy of the block kernel against its baseline body, for
+    /// every estimator, on full, partial and odd-width blocks. The copy is
+    /// reached through the dispatcher, which picks it whenever the CPU has
+    /// AVX2; the baseline body is called directly. (Both fill their rows
+    /// through `QuantileTable::fill_row_u53`, whose two copies
+    /// `robusched-randvar` compares.)
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_kernel_matches_baseline_bitwise() {
+        if !std::is_x86_feature_detected!("avx2") {
+            println!("skipped: this CPU has no AVX2, so only the baseline path runs");
+            return;
+        }
+        let base = Scenario::paper_random(30, 4, 1.3, 6);
+        let uls = (0..30)
+            .map(|v| if v % 4 == 0 { 1.0 } else { 1.3 })
+            .collect();
+        let s = base.with_per_task_ul(uls);
+        let sched = robusched_sched::random_schedule(&s.graph.dag, 4, 2);
+        let plan = EagerPlan::new(&s.graph.dag, &sched).unwrap();
+        let block = BlockPlan::new(&s, &sched, &plan);
+        let tables = SamplingTables::new(&s);
+        let table = tables.base().unwrap();
+        for estimator in [
+            McEstimator::Standard,
+            McEstimator::Antithetic,
+            McEstimator::Stratified,
+        ] {
+            let cfg = McConfig {
+                seed: 3,
+                estimator,
+                ..Default::default()
+            };
+            for len in [CHUNK, 3 * BLOCK + 5, 7] {
+                let (mut avx2, mut base) = (vec![0.0; len], vec![0.0; len]);
+                run_chunk(&block, table, &cfg, 2, &mut avx2, &mut McScratch::default());
+                run_chunk_baseline(&block, table, &cfg, 2, &mut base, &mut McScratch::default());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&avx2), bits(&base), "{estimator:?}, {len} lanes");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Integration suite for the batched Monte-Carlo engine: the sampling-table
-//! equivalence, the scalar-vs-SoA contract, thread-count determinism of all
-//! three estimators, the evaluator's serial path against the engine, and the
-//! antithetic closed-form invariant.
+//! equivalence, the scalar-vs-SoA contract of all three estimators,
+//! thread-count determinism, the evaluator's serial path against the
+//! engine, and the antithetic closed-form invariant.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use robusched::experiments::figs::fig5;
+use robusched::experiments::RunOptions;
 use robusched::platform::{CostMatrix, Platform, Scenario, UncertaintyKind, UncertaintyModel};
 use robusched::randvar::{derive_seed, DiscreteRv, Dist};
-use robusched::sched::{random_schedule, EagerPlan};
+use robusched::sched::{random_schedule, EagerPlan, Schedule};
 use robusched::stochastic::montecarlo::{BLOCK, CHUNK};
 use robusched::stochastic::{
     mc_makespans, EvalContext, Evaluator, McConfig, McEstimator, MonteCarloEvaluator,
@@ -41,35 +43,21 @@ fn sampling_table_matches_direct_quantile() {
 }
 
 /// Reimplements the engine's documented draw contract scalar-style — chunk
-/// RNGs from `derive_seed(seed, chunk)`, slot-major block fills in the
+/// RNGs from `derive_seed(seed, chunk)`, slot-major block draws in the
 /// plan's topological order (incoming edges before their task, zero-span
-/// slots skipped) — and replays each realization individually through
-/// `EagerPlan::execute`. The batched engine must reproduce it bit for bit.
-#[test]
-fn scalar_reference_matches_soa_engine_bitwise() {
-    let scenario = Scenario::paper_random(14, 4, 1.2, 9);
-    let schedule = random_schedule(&scenario.graph.dag, 4, 33);
-    let seed = 0xFEED;
-    // Covers a full chunk, a partial chunk and a partial block.
-    let realizations = CHUNK + 2 * BLOCK + 77;
-
-    let engine = mc_makespans(
-        &scenario,
-        &schedule,
-        &McConfig {
-            realizations,
-            seed,
-            threads: Some(1),
-            estimator: McEstimator::Standard,
-        },
-        &SamplingTables::new(&scenario),
-    );
-
-    // ---- Scalar reference. ----
+/// slots skipped), each estimator's per-slot rule — and replays each
+/// realization individually through `EagerPlan::execute`.
+fn scalar_reference(
+    scenario: &Scenario,
+    schedule: &Schedule,
+    seed: u64,
+    realizations: usize,
+    estimator: McEstimator,
+) -> Vec<f64> {
     let dag = &scenario.graph.dag;
     let n = scenario.task_count();
-    let plan = EagerPlan::new(dag, &schedule).unwrap();
-    let tables = SamplingTables::new(&scenario);
+    let plan = EagerPlan::new(dag, schedule).unwrap();
+    let tables = SamplingTables::new(scenario);
     let table = tables.base().unwrap();
     let ul = scenario.uncertainty.ul;
     // (row, lo, span) in canonical draw order; row < n is a task, else an
@@ -96,6 +84,7 @@ fn scalar_reference_matches_soa_engine_bitwise() {
         }
     }
 
+    let u01 = |rng: &mut StdRng| (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
     let mut reference = Vec::with_capacity(realizations);
     let mut durations = vec![0.0f64; (n + dag.edge_count()) * BLOCK];
     for (row, &lo) in task_lo.iter().chain(edge_lo.iter()).enumerate() {
@@ -109,9 +98,35 @@ fn scalar_reference_matches_soa_engine_bitwise() {
         while block_start < chunk_len {
             let lanes = BLOCK.min(chunk_len - block_start);
             for &(row, lo, span) in &program {
-                for r in 0..lanes {
-                    let bits = rng.next_u64() >> 11;
-                    durations[row * BLOCK + r] = lo + span * table.quantile_u53(bits);
+                let row = &mut durations[row * BLOCK..][..lanes];
+                match estimator {
+                    McEstimator::Standard => {
+                        for x in row.iter_mut() {
+                            let bits = rng.next_u64() >> 11;
+                            *x = lo + span * table.quantile_u53(bits);
+                        }
+                    }
+                    McEstimator::Antithetic => {
+                        for pair in row.chunks_exact_mut(2) {
+                            let u = u01(&mut rng);
+                            pair[0] = lo + span * table.quantile(u);
+                            pair[1] = lo + span * table.quantile(1.0 - u);
+                        }
+                        if lanes % 2 == 1 {
+                            row[lanes - 1] = lo + span * table.quantile(u01(&mut rng));
+                        }
+                    }
+                    McEstimator::Stratified => {
+                        let mut perm: Vec<u32> = (0..lanes as u32).collect();
+                        for i in (1..lanes).rev() {
+                            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                            perm.swap(i, j);
+                        }
+                        for (x, &stratum) in row.iter_mut().zip(&perm) {
+                            let u = (stratum as f64 + u01(&mut rng)) * (1.0 / lanes as f64);
+                            *x = lo + span * table.quantile(u);
+                        }
+                    }
                 }
             }
             for r in 0..lanes {
@@ -126,11 +141,94 @@ fn scalar_reference_matches_soa_engine_bitwise() {
         }
         start += chunk_len;
     }
+    reference
+}
 
-    assert_eq!(engine.len(), reference.len());
-    for (i, (a, b)) in engine.iter().zip(reference.iter()).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "realization {i}: {a} vs {b}");
+/// Runs the engine at one and two threads and asserts both streams equal
+/// the scalar reference bit for bit, for all three estimators.
+fn assert_engine_matches_scalar_reference(
+    scenario: &Scenario,
+    schedule: &Schedule,
+    realizations: usize,
+) {
+    let seed = 0xFEED;
+    let tables = SamplingTables::new(scenario);
+    for estimator in [
+        McEstimator::Standard,
+        McEstimator::Antithetic,
+        McEstimator::Stratified,
+    ] {
+        let reference = scalar_reference(scenario, schedule, seed, realizations, estimator);
+        for threads in [1, 2] {
+            let engine = mc_makespans(
+                scenario,
+                schedule,
+                &McConfig {
+                    realizations,
+                    seed,
+                    threads: Some(threads),
+                    estimator,
+                },
+                &tables,
+            );
+            assert_eq!(engine.len(), reference.len());
+            for (i, (a, b)) in engine.iter().zip(reference.iter()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{estimator:?}, {threads} threads, realization {i}: {a} vs {b}"
+                );
+            }
+        }
     }
+}
+
+/// The batched engine must reproduce the scalar reference bit for bit for
+/// every estimator — over a full chunk, a partial chunk and a partial
+/// block of odd width (an antithetic row with an unpaired lane).
+#[test]
+fn scalar_reference_matches_soa_engine_bitwise() {
+    let scenario = Scenario::paper_random(14, 4, 1.2, 9);
+    let schedule = random_schedule(&scenario.graph.dag, 4, 33);
+    assert_engine_matches_scalar_reference(&scenario, &schedule, CHUNK + 2 * BLOCK + 77);
+}
+
+/// The same contract on a fig5-size case (Gaussian elimination, 104 tasks,
+/// 16 machines), under per-task ULs where some tasks are certain (UL = 1:
+/// zero-span task slots draw nothing), and on schedules whose co-located
+/// edges cost nothing (zero-span edge slots).
+#[test]
+fn scalar_reference_matches_on_fig5_per_task_uls_and_colocated_edges() {
+    let opts = RunOptions {
+        scale: 1.0,
+        out_dir: None,
+        seed: 1,
+        threads: None,
+    };
+    let fig5 = fig5::case(&opts).scenario();
+    assert_eq!(fig5.task_count(), 104);
+    let heft = robusched::sched::heft(&fig5);
+    assert_engine_matches_scalar_reference(&fig5, &heft, BLOCK + 3);
+
+    let base = Scenario::paper_random(24, 3, 1.3, 17);
+    let uls: Vec<f64> = (0..base.task_count())
+        .map(|v| [1.0, 1.5, 1.1, 1.0, 1.7][v % 5])
+        .collect();
+    let varied = base.with_per_task_ul(uls);
+    let dag = &varied.graph.dag;
+    // Two machines, so many edges are co-located and some are not.
+    let schedule = random_schedule(dag, 2, 5);
+    let colocated = dag
+        .edge_triples()
+        .filter(|&(u, v, _)| schedule.machine_of(u) == schedule.machine_of(v))
+        .count();
+    assert!(colocated > 0 && colocated < dag.edge_count());
+    let free_edge = dag
+        .edge_triples()
+        .find(|&(u, v, _)| schedule.machine_of(u) == schedule.machine_of(v))
+        .map(|(u, v, e)| varied.det_comm_cost(e, schedule.machine_of(u), schedule.machine_of(v)));
+    assert_eq!(free_edge, Some(0.0));
+    assert_engine_matches_scalar_reference(&varied, &schedule, CHUNK + BLOCK + 5);
 }
 
 /// Every estimator must produce a bit-identical stream for any worker
