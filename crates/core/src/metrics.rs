@@ -2,9 +2,8 @@
 
 use robusched_platform::Scenario;
 use robusched_randvar::DiscreteRv;
-use robusched_sched::Schedule;
+use robusched_sched::{EagerPlan, Schedule};
 use robusched_stats::descriptive::{mean, population_std};
-use robusched_stochastic::DisjunctiveGraph;
 
 /// Labels of the eight §IV metrics, in the paper's Fig. 6 order.
 pub const METRIC_LABELS: [&str; 8] = [
@@ -172,29 +171,50 @@ pub fn compute_metrics(
 /// §IV: `sᵢ = M − Bl(i) − Tl(i)` where `M` is the average makespan and the
 /// levels use "the average value of … the task duration and the
 /// communication duration". Returns `(mean, population std, sum)`.
+///
+/// # Panics
+/// Panics if the schedule is invalid for the scenario.
 pub fn slack_metrics(
     scenario: &Scenario,
     schedule: &Schedule,
     avg_makespan: f64,
 ) -> (f64, f64, f64) {
-    let dg = DisjunctiveGraph::build(&scenario.graph.dag, schedule);
-    let node_w = |v: usize| scenario.mean_task_cost(v, schedule.machine_of(v));
-    let orig = &dg.orig_edge;
-    let edge_w = |e: usize| -> f64 {
-        match orig[e] {
-            Some(orig_e) => {
-                let (u, v) = dg.dag.edge_endpoints(e);
-                scenario.mean_comm_cost(orig_e, schedule.machine_of(u), schedule.machine_of(v))
-            }
-            None => 0.0,
-        }
-    };
-    let tl = dg.dag.top_levels(node_w, edge_w);
-    let bl = dg.dag.bottom_levels(node_w, edge_w);
-    let slacks: Vec<f64> = (0..scenario.task_count())
-        .map(|v| avg_makespan - bl[v] - tl[v])
-        .collect();
+    let slacks = task_slacks(scenario, schedule, avg_makespan);
     (mean(&slacks), population_std(&slacks), slacks.iter().sum())
+}
+
+/// The per-task slacks `sᵢ = M − Bl(i) − Tl(i)` over the plan's
+/// disjunctive graph under mean durations.
+fn task_slacks(scenario: &Scenario, schedule: &Schedule, avg_makespan: f64) -> Vec<f64> {
+    let dag = &scenario.graph.dag;
+    let plan = EagerPlan::new(dag, schedule).expect("invalid schedule");
+    let node_w = |v: usize| scenario.mean_task_cost(v, schedule.machine_of(v));
+    let edge_w = |e: usize, u: usize, v: usize| {
+        scenario.mean_comm_cost(e, schedule.machine_of(u), schedule.machine_of(v))
+    };
+    // Tl(i): the longest path into `i`, which is `i`'s eager start date.
+    let tl = plan.execute(dag, node_w, edge_w).start;
+    // Bl(i): `i`'s weight plus the longest path out of it.
+    let mut bl = vec![0.0f64; dag.node_count()];
+    for &v in plan.topo_order().iter().rev() {
+        let mut best = 0.0f64;
+        for &(s, e) in dag.succs(v) {
+            let cand = edge_w(e, v, s) + bl[s];
+            if cand > best {
+                best = cand;
+            }
+        }
+        if let Some(w) = plan.machine_succ(v) {
+            if bl[w] > best {
+                best = bl[w];
+            }
+        }
+        bl[v] = node_w(v) + best;
+    }
+    tl.iter()
+        .zip(&bl)
+        .map(|(t, b)| avg_makespan - b - t)
+        .collect()
 }
 
 /// Online robustness counters of one dynamic (arrival-driven) run — the
@@ -393,6 +413,100 @@ mod tests {
         let m = compute_metrics(&s, &sched, &rv, &MetricOptions::default());
         assert!(m.avg_slack > 10.0, "avg slack {}", m.avg_slack);
         assert!(m.slack_std > 10.0, "slack std {}", m.slack_std);
+    }
+
+    /// Every slack-test schedule: HEFT and four random schedules on
+    /// paper-random scenarios from n = 10 to 100.
+    fn slack_cases() -> Vec<(Scenario, Schedule)> {
+        let mut cases = Vec::new();
+        for (i, &(n, m, ul)) in [(10, 3, 1.1), (30, 8, 1.5), (60, 4, 1.01), (100, 16, 1.1)]
+            .iter()
+            .enumerate()
+        {
+            let s = Scenario::paper_random(n, m, ul, 40 + i as u64);
+            cases.push((s.clone(), robusched_sched::heft(&s)));
+            for seed in 0..4 {
+                let r = robusched_sched::random_schedule(&s.graph.dag, m, seed);
+                cases.push((s.clone(), r));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn slack_identity_on_critical_path() {
+        // With M the mean-duration makespan, Tl(i) + Bl(i) is the longest
+        // path through i: no slack is negative and the critical path's is
+        // zero.
+        for (s, sched) in slack_cases() {
+            let m = robusched_sched::mean_makespan(&s, &sched);
+            let slacks = task_slacks(&s, &sched, m);
+            let min = slacks.iter().copied().fold(f64::INFINITY, f64::min);
+            assert!(min >= -1e-12 * m, "slack {min} below 0 (M = {m})");
+            assert!(min <= 1e-12 * m, "no zero slack: smallest {min} (M = {m})");
+        }
+    }
+
+    /// The slack metrics as computed before the plan owned the disjunctive
+    /// graph: an augmented `Dag` with every machine edge that repeats no
+    /// precedence edge, and both levels by Kahn order.
+    fn augmented_graph_slack_metrics(s: &Scenario, sched: &Schedule, m: f64) -> (f64, f64, f64) {
+        use robusched_dag::Dag;
+        let dag = &s.graph.dag;
+        let n = dag.node_count();
+        let mut aug = Dag::new(n);
+        let mut orig_edge = Vec::new();
+        for (u, v, e) in dag.edge_triples() {
+            aug.add_edge(u, v);
+            orig_edge.push(Some(e));
+        }
+        for p in 0..sched.machine_count() {
+            for w in sched.order_on(p).windows(2) {
+                if !aug.has_edge(w[0], w[1]) {
+                    aug.add_edge(w[0], w[1]);
+                    orig_edge.push(None);
+                }
+            }
+        }
+        let node_w = |v: usize| s.mean_task_cost(v, sched.machine_of(v));
+        let edge_w = |e: usize| match orig_edge[e] {
+            Some(o) => {
+                let (u, v) = aug.edge_endpoints(e);
+                s.mean_comm_cost(o, sched.machine_of(u), sched.machine_of(v))
+            }
+            None => 0.0,
+        };
+        let mut tl = vec![0.0f64; n];
+        for &v in &aug.topo_order().unwrap() {
+            let mut best = 0.0f64;
+            for &(u, e) in aug.preds(v) {
+                let cand = tl[u] + node_w(u) + edge_w(e);
+                if cand > best {
+                    best = cand;
+                }
+            }
+            tl[v] = best;
+        }
+        let bl = aug.bottom_levels(node_w, edge_w);
+        let slacks: Vec<f64> = (0..n).map(|v| m - bl[v] - tl[v]).collect();
+        (mean(&slacks), population_std(&slacks), slacks.iter().sum())
+    }
+
+    #[test]
+    fn slack_metrics_match_the_augmented_graph_bit_for_bit() {
+        for (s, sched) in slack_cases() {
+            let mean_ms = robusched_sched::mean_makespan(&s, &sched);
+            for m in [mean_ms, 1.03 * mean_ms] {
+                let (a, b, c) = slack_metrics(&s, &sched, m);
+                let (x, y, z) = augmented_graph_slack_metrics(&s, &sched, m);
+                assert_eq!(
+                    [a.to_bits(), b.to_bits(), c.to_bits()],
+                    [x.to_bits(), y.to_bits(), z.to_bits()],
+                    "n = {}: ({a}, {b}, {c}) vs ({x}, {y}, {z})",
+                    s.task_count()
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   [`RankReservoir`] (plus an optional caller [`MetricSink`]), so
 //!   correlation matrices no longer require materializing every
 //!   [`MetricValues`] — 100k+-schedule sweeps run in constant memory.
-//!   Buffering remains available ([`StudyBuilder::buffer_metrics`]) for
-//!   consumers that need the raw rows.
+//!   Consumers that need the raw rows collect them with a sink.
 //!
 //! Work is split into small chunks of random schedules, each schedule
 //! seeded as `derive_seed(seed, index)`, and run through
@@ -25,8 +24,8 @@
 //! but deliver them in index order, so every accumulator state — and
 //! therefore every streamed matrix — is bit-identical for any thread count
 //! and any chunk size.
-//! Buffered rows ([`StudyBuilder::buffer_metrics`]) feed the two-pass
-//! [`pearson_matrix`] and [`spearman_matrix`].
+//! Rows collected by a sink feed the two-pass [`pearson_matrix`] and
+//! [`spearman_matrix`].
 
 use crate::metrics::{compute_metrics, MetricOptions, MetricValues, METRIC_LABELS};
 use crate::streaming::{RankReservoir, StreamingMoments};
@@ -92,7 +91,23 @@ impl From<ScheduleError> for StudyError {
 /// computed the rows. Sinks must be `Send` (they are invoked from worker
 /// threads, one row at a time).
 ///
-/// Any `FnMut(usize, &MetricValues) + Send` closure is a sink.
+/// Any `FnMut(usize, &MetricValues) + Send` closure is a sink, e.g. one
+/// that collects every row:
+///
+/// ```
+/// use robusched_core::{MetricValues, StudyBuilder};
+/// use robusched_platform::Scenario;
+///
+/// let scenario = Scenario::paper_random(10, 3, 1.1, 5);
+/// let mut rows: Vec<MetricValues> = Vec::new();
+/// let mut collect = |_: usize, m: &MetricValues| rows.push(*m);
+/// StudyBuilder::new(&scenario)
+///     .random_schedules(50)
+///     .sink(&mut collect)
+///     .run()
+///     .unwrap();
+/// assert_eq!(rows.len(), 50);
+/// ```
 pub trait MetricSink: Send {
     /// Consumes the metric row of schedule `index`.
     fn record(&mut self, index: usize, values: &MetricValues);
@@ -116,9 +131,6 @@ pub struct StudyResult {
     /// Rank reservoir over the same rows (exact while the schedule count
     /// does not exceed its capacity).
     pub reservoir: RankReservoir,
-    /// Every random schedule's metrics in sampling order — only when
-    /// [`StudyBuilder::buffer_metrics`] was requested.
-    pub random: Option<Vec<MetricValues>>,
 }
 
 impl StudyResult {
@@ -128,7 +140,7 @@ impl StudyResult {
     }
 
     /// The streamed Pearson matrix (paper orientation). Agrees with the
-    /// buffered two-pass [`pearson_matrix`] to ~1e-13 per cell.
+    /// two-pass [`pearson_matrix`] over the same rows to ~1e-13 per cell.
     pub fn pearson_streamed(&self) -> CorrMatrix {
         self.moments.pearson_matrix(&METRIC_LABELS)
     }
@@ -178,14 +190,13 @@ pub struct StudyBuilder<'a> {
     heuristic_names: Vec<String>,
     evaluator: Box<dyn Evaluator>,
     evaluator_name: Option<String>,
-    buffer: bool,
     reservoir_capacity: usize,
     sink: Option<&'a mut dyn MetricSink>,
 }
 
 impl<'a> StudyBuilder<'a> {
     /// A builder with the paper's defaults: 10 000 random schedules, seed
-    /// 1, classic evaluator, no heuristics, streaming only (no buffering).
+    /// 1, classic evaluator, no heuristics, no sink.
     pub fn new(scenario: &'a Scenario) -> Self {
         Self {
             scenario,
@@ -196,7 +207,6 @@ impl<'a> StudyBuilder<'a> {
             heuristic_names: Vec::new(),
             evaluator: Box::new(ClassicEvaluator::default()),
             evaluator_name: None,
-            buffer: false,
             reservoir_capacity: DEFAULT_RESERVOIR,
             sink: None,
         }
@@ -258,13 +268,6 @@ impl<'a> StudyBuilder<'a> {
         self
     }
 
-    /// Also buffer every random schedule's [`MetricValues`] in sampling
-    /// order (`O(n·k)` memory — the legacy pipeline's behavior).
-    pub fn buffer_metrics(mut self, yes: bool) -> Self {
-        self.buffer = yes;
-        self
-    }
-
     /// Capacity of the Spearman rank reservoir (default 4096; minimum 2,
     /// checked by [`run`](Self::run)). Studies whose Spearman artifacts
     /// must stay *exact* rather than sampled set this to the schedule
@@ -321,9 +324,6 @@ impl<'a> StudyBuilder<'a> {
         let mut moments = StreamingMoments::new(k);
         let mut reservoir =
             RankReservoir::new(k, self.reservoir_capacity, derive_seed(self.seed, !0));
-        let mut buffer = self
-            .buffer
-            .then(|| Vec::with_capacity(self.random_schedules));
         let mut sink = self.sink;
         par_map(
             self.random_schedules.div_ceil(CHUNK),
@@ -354,9 +354,6 @@ impl<'a> StudyBuilder<'a> {
                     if let Some(sink) = sink.as_deref_mut() {
                         sink.record(c * CHUNK + off, &values);
                     }
-                    if let Some(buf) = &mut buffer {
-                        buf.push(values);
-                    }
                 }
             },
         )
@@ -375,17 +372,16 @@ impl<'a> StudyBuilder<'a> {
             heuristics: heuristic_rows,
             moments,
             reservoir,
-            random: buffer,
         })
     }
 }
 
-/// The §VI Pearson matrix of a buffered metric sample (paper orientation).
+/// The §VI Pearson matrix of a collected metric sample (paper orientation).
 pub fn pearson_matrix(rows: &[MetricValues]) -> CorrMatrix {
     matrix_with(rows, robusched_stats::pearson)
 }
 
-/// Spearman (rank) correlation matrix of a buffered metric sample — an
+/// Spearman (rank) correlation matrix of a collected metric sample — an
 /// extension robust to the "slightly curved set of points" the paper notes
 /// Pearson merely tolerates.
 pub fn spearman_matrix(rows: &[MetricValues]) -> CorrMatrix {
@@ -419,24 +415,30 @@ fn matrix_with(rows: &[MetricValues], corr: fn(&[f64], &[f64]) -> f64) -> CorrMa
 mod tests {
     use super::*;
 
-    /// The paper's protocol on `k` random schedules with buffered rows:
-    /// classic evaluator plus the three paper heuristics.
-    fn quick_study(scenario: &Scenario, k: usize, threads: usize) -> StudyResult {
-        StudyBuilder::new(scenario)
+    /// The paper's protocol on `k` random schedules: classic evaluator
+    /// plus the three paper heuristics, with the rows a sink collected.
+    fn quick_study(
+        scenario: &Scenario,
+        k: usize,
+        threads: usize,
+    ) -> (StudyResult, Vec<MetricValues>) {
+        let mut rows = Vec::new();
+        let mut collect = |_: usize, m: &MetricValues| rows.push(*m);
+        let res = StudyBuilder::new(scenario)
             .random_schedules(k)
             .seed(3)
             .threads(threads)
             .heuristics(&["HEFT", "BIL", "Hyb.BMCT"])
-            .buffer_metrics(true)
+            .sink(&mut collect)
             .run()
-            .unwrap()
+            .unwrap();
+        (res, rows)
     }
 
     #[test]
     fn small_case_runs_and_correlates() {
         let scenario = Scenario::paper_random(10, 3, 1.1, 5);
-        let res = quick_study(&scenario, 200, 2);
-        let random = res.random.unwrap();
+        let (res, random) = quick_study(&scenario, 200, 2);
         assert_eq!(random.len(), 200);
         assert_eq!(res.heuristics.len(), 3);
         // Core finding: σ, lateness and 1−A(δ) strongly positively
@@ -452,8 +454,7 @@ mod tests {
     #[test]
     fn heuristics_beat_random_on_makespan() {
         let scenario = Scenario::paper_random(20, 4, 1.1, 11);
-        let res = quick_study(&scenario, 300, 2);
-        let random = res.random.unwrap();
+        let (res, random) = quick_study(&scenario, 300, 2);
         let best_random = random
             .iter()
             .map(|m| m.expected_makespan)
@@ -482,8 +483,8 @@ mod tests {
     #[test]
     fn spearman_agrees_with_pearson_on_strong_cluster() {
         let scenario = Scenario::paper_random(12, 3, 1.1, 19);
-        let res = quick_study(&scenario, 200, 2);
-        let sp = spearman_matrix(&res.random.unwrap());
+        let (_, random) = quick_study(&scenario, 200, 2);
+        let sp = spearman_matrix(&random);
         let idx = |name: &str| METRIC_LABELS.iter().position(|&l| l == name).unwrap();
         // On the near-linear cluster, rank correlation is as strong.
         let r = sp.get(idx("makespan_std"), idx("avg_lateness"));
@@ -500,9 +501,9 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         let scenario = Scenario::paper_random(10, 3, 1.1, 7);
-        let a = quick_study(&scenario, 130, 1);
-        let b = quick_study(&scenario, 130, 4);
-        assert_eq!(a.random, b.random);
+        let (a, rows_a) = quick_study(&scenario, 130, 1);
+        let (b, rows_b) = quick_study(&scenario, 130, 4);
+        assert_eq!(rows_a, rows_b);
         assert_eq!(a.heuristics, b.heuristics);
         // A heuristic row equals a fresh-context evaluation. `{:?}` prints
         // each `f64` in its shortest round-trip form, so equal text means
@@ -526,16 +527,17 @@ mod tests {
     #[test]
     fn streamed_matrices_match_buffered_within_1e12() {
         let scenario = Scenario::paper_random(12, 3, 1.1, 23);
+        let mut rows = Vec::new();
+        let mut collect = |_: usize, m: &MetricValues| rows.push(*m);
         let res = StudyBuilder::new(&scenario)
             .random_schedules(200)
             .seed(9)
-            .buffer_metrics(true)
+            .sink(&mut collect)
             .run()
             .unwrap();
-        let rows = res.random.as_ref().unwrap();
-        let pearson_buf = pearson_matrix(rows);
+        let pearson_buf = pearson_matrix(&rows);
         let pearson_str = res.pearson_streamed();
-        let spearman_buf = spearman_matrix(rows);
+        let spearman_buf = spearman_matrix(&rows);
         let spearman_str = res.spearman_streamed();
         assert!(res.reservoir.is_exact());
         for i in 0..pearson_buf.dim() {
@@ -588,22 +590,25 @@ mod tests {
             indices.push(idx);
             means.push(m.expected_makespan);
         };
-        let res = StudyBuilder::new(&scenario)
+        StudyBuilder::new(&scenario)
             .random_schedules(150)
             .seed(5)
             .threads(4)
-            .buffer_metrics(true)
             .sink(&mut sink)
             .run()
             .unwrap();
         assert_eq!(indices, (0..150).collect::<Vec<_>>());
-        let buffered: Vec<f64> = res
-            .random
-            .unwrap()
-            .iter()
-            .map(|m| m.expected_makespan)
-            .collect();
-        assert_eq!(means, buffered);
+        // Row `i` belongs to the schedule drawn from seed `derive_seed(5, i)`.
+        let evaluator = ClassicEvaluator::default();
+        let m = scenario.machine_count();
+        for (i, &mean) in means.iter().enumerate() {
+            let sched = random_schedule(&scenario.graph.dag, m, derive_seed(5, i as u64));
+            assert_eq!(
+                evaluator.evaluate(&scenario, &sched).mean(),
+                mean,
+                "row {i}"
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@ pub type EdgeId = usize;
 /// A directed acyclic graph with dense node and edge indices.
 ///
 /// Acyclicity is *enforced lazily*: edges can be added freely, and
-/// [`Dag::topo_order`] returns `None` if a cycle slipped in. Generators and
-/// the disjunctive-graph construction assert acyclicity after building.
+/// [`Dag::topo_order`] returns `None` if a cycle slipped in. Generators
+/// assert acyclicity after building.
 #[derive(Debug, Clone, Default)]
 pub struct Dag {
     /// `succs[u]` = list of `(v, edge)` with an edge `u → v`.
@@ -169,33 +169,6 @@ impl Dag {
         seen
     }
 
-    /// Top levels under the given weights: `tl[v]` is the length of the
-    /// longest path from any entry node to `v`, **excluding** `v`'s own
-    /// weight (the paper's `Tl`). Communication weights are charged on the
-    /// edges of the path.
-    ///
-    /// # Panics
-    /// Panics if the graph is cyclic.
-    pub fn top_levels<F, G>(&self, node_w: F, edge_w: G) -> Vec<f64>
-    where
-        F: Fn(NodeId) -> f64,
-        G: Fn(EdgeId) -> f64,
-    {
-        let order = self.topo_order().expect("top_levels on a cyclic graph");
-        let mut tl = vec![0.0f64; self.node_count()];
-        for &v in &order {
-            let mut best = 0.0f64;
-            for &(u, e) in &self.preds[v] {
-                let cand = tl[u] + node_w(u) + edge_w(e);
-                if cand > best {
-                    best = cand;
-                }
-            }
-            tl[v] = best;
-        }
-        tl
-    }
-
     /// Bottom levels: `bl[v]` is the length of the longest path from `v` to
     /// any exit node, **including** `v`'s own weight (the paper's `Bl`).
     ///
@@ -336,8 +309,6 @@ mod tests {
     #[test]
     fn levels_unit_weights() {
         let g = diamond();
-        let tl = g.top_levels(|_| 1.0, |_| 0.0);
-        assert_eq!(tl, vec![0.0, 1.0, 1.0, 2.0]);
         let bl = g.bottom_levels(|_| 1.0, |_| 0.0);
         assert_eq!(bl, vec![3.0, 2.0, 2.0, 1.0]);
         assert_eq!(g.critical_path_length(|_| 1.0, |_| 0.0), 3.0);
@@ -358,23 +329,8 @@ mod tests {
                 0.0
             }
         };
-        let tl = g.top_levels(|_| 2.0, w);
-        assert_eq!(tl, vec![0.0, 7.0, 10.0]);
         let bl = g.bottom_levels(|_| 2.0, w);
         assert_eq!(bl, vec![12.0, 5.0, 2.0]);
-    }
-
-    #[test]
-    fn slack_identity_on_critical_path() {
-        // Paper's validation: Bl(entry on CP) == Tl(exit) + Bl(exit) == CP.
-        let g = diamond();
-        let node_w = |_: NodeId| 2.0;
-        let edge_w = |_: EdgeId| 1.0;
-        let tl = g.top_levels(node_w, edge_w);
-        let bl = g.bottom_levels(node_w, edge_w);
-        let cp = g.critical_path_length(node_w, edge_w);
-        assert_eq!(bl[0], cp);
-        assert_eq!(tl[3] + bl[3], cp);
     }
 
     #[test]

@@ -38,14 +38,15 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Fig6> {
     let mut rel_corrs = Vec::with_capacity(cases.len());
     for case in &cases {
         let scenario = case.scenario();
-        let res = StudyBuilder::new(&scenario)
+        let mut random = Vec::new();
+        let mut collect = |_: usize, m: &MetricValues| random.push(*m);
+        StudyBuilder::new(&scenario)
             .random_schedules(opts.count(case.schedules, 60))
             .seed(case.seed)
             .threads_opt(opts.threads)
-            .buffer_metrics(true)
+            .sink(&mut collect)
             .run()
             .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let random = res.random.expect("buffering requested");
         rel_corrs.push(rel_prob_variants(&random));
         matrices.push(pearson_matrix(&random));
     }
@@ -127,12 +128,6 @@ pub fn rel_prob_variants(rows: &[MetricValues]) -> RelProbVariants {
         r_div_by_makespan: pearson(&rdiv, &sigma),
         gaussian_inversion: pearson(&gauss, &sigma),
     }
-}
-
-/// Back-compat shim used by the integration tests: the headline
-/// (Gaussian-inversion) correlation.
-pub fn rel_by_makespan_correlation(rows: &[MetricValues]) -> f64 {
-    rel_prob_variants(rows).gaussian_inversion
 }
 
 /// Human-readable rendering (the paper's combined matrix layout).

@@ -37,23 +37,24 @@ pub struct CaseResult {
 /// with the paper's protocol and writes the per-schedule metric CSV plus
 /// the Pearson matrix.
 ///
-/// Buffers the metric rows (the figure CSVs list every schedule) and
-/// computes the two-pass Pearson matrix over them.
+/// Collects the metric rows with a sink (the figure CSVs list every
+/// schedule) and computes the two-pass Pearson matrix over them.
 pub fn correlation_figure(
     case: &Case,
     opts: &RunOptions,
     fig_name: &str,
 ) -> std::io::Result<CaseResult> {
     let scenario = case.scenario();
+    let mut random = Vec::new();
+    let mut collect = |_: usize, m: &MetricValues| random.push(*m);
     let study = StudyBuilder::new(&scenario)
         .random_schedules(opts.count(case.schedules, 60))
         .seed(case.seed)
         .threads_opt(opts.threads)
         .heuristics(&PAPER_HEURISTICS)
-        .buffer_metrics(true)
+        .sink(&mut collect)
         .run()
         .map_err(|e| std::io::Error::other(e.to_string()))?;
-    let random = study.random.expect("buffering requested");
     let res = CaseResult {
         pearson: pearson_matrix(&random),
         heuristics: study.heuristics,

@@ -9,8 +9,8 @@
 //! so a client that writes faster than the workers answer is slowed down
 //! rather than growing the service queue.
 //! There is no `serde` in this workspace, so the protocol uses the
-//! hand-rolled recursive-descent JSON parser ([`Json`]) shared with the
-//! trace-ingestion layer (`robusched_dag::parsers::json`).
+//! hand-rolled recursive-descent JSON parser of
+//! [`robusched_dag::parsers::json`], shared with the trace-ingestion layer.
 //!
 //! Request shape (`id` is echoed verbatim; `metrics` optionally filters
 //! which fields the response carries):
@@ -64,6 +64,7 @@
 
 use crate::RunOptions;
 use robusched_core::{EvalRequest, EvalService, MetricValues, ServiceConfig};
+use robusched_dag::parsers::json::{parse_json, write_json, Json};
 use robusched_dag::AppClass;
 use robusched_platform::{Scenario, TraceCalibration};
 use robusched_sched::{heuristic_by_name, random_schedule, Schedule};
@@ -71,17 +72,6 @@ use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON — shared with the trace-ingestion layer
-// ---------------------------------------------------------------------------
-
-/// The protocol's JSON value type and (de)serializers. The hand-rolled
-/// recursive-descent parser originally lived here; it moved to
-/// `robusched_dag::parsers::json` so the WfCommons trace reader can share
-/// it. The re-export keeps the historical
-/// `crate::serve::{Json, parse_json, write_json}` paths valid.
-pub use robusched_dag::parsers::json::{parse_json, write_json, Json};
 
 // ---------------------------------------------------------------------------
 // Request decoding

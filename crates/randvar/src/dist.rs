@@ -5,7 +5,7 @@
 //! absolutely continuous distribution over an *effectively finite* support.
 //! Finite support is what makes the sampled-grid calculus of
 //! [`crate::discrete::DiscreteRv`] well-posed; unbounded distributions
-//! (Normal, Exponential) truncate at a negligible tail mass and document it.
+//! (Normal) truncate at a negligible tail mass and document it.
 
 use rand::RngCore;
 

@@ -11,8 +11,8 @@
 //! * [`dist`] — the [`dist::Dist`] trait (PDF/CDF/moments/sampling over a
 //!   finite support) with implementations: [`uniform::Uniform`],
 //!   [`beta::Beta`], [`beta::ScaledBeta`], [`gamma::Gamma`],
-//!   [`normal::Normal`] (support truncated at ±8σ), [`exponential::Exponential`]
-//!   (truncated), [`triangular::Triangular`], [`dirac::Dirac`] and
+//!   [`normal::Normal`] (support truncated at ±8σ),
+//!   [`triangular::Triangular`], [`dirac::Dirac`] and
 //!   [`concat_beta::ConcatBeta`] — the paper's multi-modal "special
 //!   distribution" of Fig. 7;
 //! * [`discrete`] — [`discrete::DiscreteRv`], a PDF sampled on a uniform
@@ -33,7 +33,6 @@ pub mod concat_beta;
 pub mod dirac;
 pub mod discrete;
 pub mod dist;
-pub mod exponential;
 pub mod gamma;
 pub mod normal;
 pub mod qtable;
@@ -47,7 +46,6 @@ pub use concat_beta::ConcatBeta;
 pub use dirac::Dirac;
 pub use discrete::DiscreteRv;
 pub use dist::{uniform01, Dist};
-pub use exponential::Exponential;
 pub use gamma::Gamma;
 pub use normal::Normal;
 pub use qtable::QuantileTable;

@@ -5,7 +5,7 @@
 //! closed forms, so an algebra slip in a moment formula cannot hide behind
 //! a loose numerical tolerance.
 
-use robusched_randvar::{Beta, ConcatBeta, Dist, Exponential, ScaledBeta, Triangular};
+use robusched_randvar::{Beta, ConcatBeta, Dist, ScaledBeta, Triangular};
 
 const TOL: f64 = 1e-12;
 
@@ -105,30 +105,12 @@ fn triangular_moments_closed_form() {
 }
 
 #[test]
-fn exponential_moments_closed_form() {
-    // Exponential(λ): E = 1/λ, Var = 1/λ² (untruncated closed forms; the
-    // support truncation carries all but 10⁻¹² of the mass).
-    for &rate in &[0.1, 1.0, 2.5, 40.0] {
-        let d = Exponential::new(rate);
-        assert_close(d.mean(), 1.0 / rate, "Exponential mean");
-        assert_close(d.variance(), 1.0 / (rate * rate), "Exponential variance");
-        // Median closed form: ln 2 / λ.
-        assert_close(
-            d.quantile(0.5),
-            std::f64::consts::LN_2 / rate,
-            "Exponential median",
-        );
-    }
-}
-
-#[test]
 fn means_sit_inside_supports() {
     let dists: Vec<Box<dyn Dist>> = vec![
         Box::new(Beta::new(2.0, 5.0)),
         Box::new(ScaledBeta::paper_default(10.0, 1.3)),
         Box::new(ConcatBeta::paper_special()),
         Box::new(Triangular::new(0.0, 1.0, 3.0)),
-        Box::new(Exponential::new(0.7)),
     ];
     for d in &dists {
         let (lo, hi) = d.support();

@@ -8,6 +8,16 @@
 //! schedule — so we precompute it once per schedule ([`EagerPlan`]) and
 //! replay it cheaply for every realization (the Monte-Carlo engine replays
 //! its order 100 000 times per schedule, 256 realizations at a time).
+//!
+//! [`EagerPlan`] is the workspace's one disjunctive graph. Its edges are
+//! the DAG's precedence edges plus one *machine edge* from each task to
+//! the next task on its machine, unless a precedence edge already links
+//! the pair ([`EagerPlan::machine_pred`] / [`EagerPlan::machine_succ`]).
+//! The analytic evaluators and the slack metrics read those edges: under
+//! the independence assumption a repeated constraint would take
+//! `max(X, X)` and bias the result. The exact replays read the raw
+//! machine neighbours ([`EagerPlan::prev_on_proc`] /
+//! [`EagerPlan::next_on_proc`]), where a repeated constraint is harmless.
 
 use crate::schedule::{Schedule, ScheduleError};
 use robusched_dag::{Dag, EdgeId, NodeId};
@@ -24,15 +34,20 @@ pub struct ExecResult {
 }
 
 /// A schedule compiled for repeated eager execution: a topological order of
-/// the disjunctive graph, the same-machine neighbors of every task, and the
-/// disjunctive sinks (precomputed once so per-evaluation passes stop
-/// rebuilding them — the analytic evaluators take the makespan as the max
-/// over exactly these tasks).
+/// the disjunctive graph, the same-machine neighbors of every task, which
+/// of them are machine edges of the disjunctive graph, and the disjunctive
+/// sinks (precomputed once so per-evaluation passes stop rebuilding them —
+/// the analytic evaluators take the makespan as the max over exactly these
+/// tasks).
 #[derive(Debug, Clone)]
 pub struct EagerPlan {
     order: Vec<NodeId>,
     prev_on_proc: Vec<Option<NodeId>>,
     next_on_proc: Vec<Option<NodeId>>,
+    /// `machine_edge[v]`: `v` has a machine predecessor and no precedence
+    /// edge links the two, so the disjunctive graph has a machine edge
+    /// into `v`.
+    machine_edge: Vec<bool>,
     sinks: Vec<NodeId>,
 }
 
@@ -78,6 +93,13 @@ impl EagerPlan {
         if order.len() != n {
             return Err(ScheduleError::Deadlock);
         }
+        // A machine neighbour that is also a DAG predecessor is already
+        // ordered by that precedence edge: no second constraint.
+        let machine_edge: Vec<bool> = prev_on_proc
+            .iter()
+            .enumerate()
+            .map(|(v, prev)| prev.is_some_and(|u| !dag.has_edge(u, v)))
+            .collect();
         // Disjunctive sinks: no DAG successor and no machine successor —
         // every other task's finish is dominated by one of these.
         let sinks: Vec<NodeId> = (0..n)
@@ -87,6 +109,7 @@ impl EagerPlan {
             order,
             prev_on_proc,
             next_on_proc,
+            machine_edge,
             sinks,
         })
     }
@@ -96,14 +119,30 @@ impl EagerPlan {
         &self.order
     }
 
-    /// Same-machine predecessor of each task.
+    /// Same-machine predecessor of each task, whether or not a precedence
+    /// edge also links the pair (what the exact replays wait on).
     pub fn prev_on_proc(&self) -> &[Option<NodeId>] {
         &self.prev_on_proc
     }
 
-    /// Same-machine successor of each task.
+    /// Same-machine successor of each task, whether or not a precedence
+    /// edge also links the pair.
     pub fn next_on_proc(&self) -> &[Option<NodeId>] {
         &self.next_on_proc
+    }
+
+    /// The tail of the disjunctive graph's machine edge into `v`: `v`'s
+    /// machine predecessor, unless a precedence edge already links the
+    /// pair.
+    pub fn machine_pred(&self, v: NodeId) -> Option<NodeId> {
+        self.prev_on_proc[v].filter(|_| self.machine_edge[v])
+    }
+
+    /// The head of the disjunctive graph's machine edge out of `u`: `u`'s
+    /// machine successor, unless a precedence edge already links the
+    /// pair.
+    pub fn machine_succ(&self, u: NodeId) -> Option<NodeId> {
+        self.next_on_proc[u].filter(|&v| self.machine_edge[v])
     }
 
     /// Tasks with neither a DAG successor nor a machine successor, in
@@ -244,6 +283,65 @@ mod tests {
         let s2 = Schedule::new(vec![0, 1], vec![vec![0], vec![1]]);
         let plan2 = EagerPlan::new(&free, &s2).unwrap();
         assert_eq!(plan2.disjunctive_sinks(), &[0, 1]);
+    }
+
+    /// The disjunctive graph's machine edges `(u, v)`, by tail, checked
+    /// against the pred accessor.
+    fn machine_edges(plan: &EagerPlan, n: usize) -> Vec<(NodeId, NodeId)> {
+        let edges: Vec<(NodeId, NodeId)> = (0..n)
+            .filter_map(|u| plan.machine_succ(u).map(|v| (u, v)))
+            .collect();
+        for v in 0..n {
+            let tail = edges.iter().find(|&&(_, w)| w == v).map(|&(u, _)| u);
+            assert_eq!(plan.machine_pred(v), tail, "task {v}");
+        }
+        edges
+    }
+
+    #[test]
+    fn machine_edge_added_between_independent_neighbours() {
+        let dag = diamond();
+        // 1 and 2 are independent but share machine 0, order [1, 2].
+        let s = Schedule::new(vec![0, 0, 0, 1], vec![vec![0, 1, 2], vec![3]]);
+        let plan = EagerPlan::new(&dag, &s).unwrap();
+        // 0 → 1 already exists as a precedence edge; 1 → 2 is new.
+        assert_eq!(machine_edges(&plan, 4), vec![(1, 2)]);
+        // The raw neighbours keep both pairs.
+        assert_eq!(plan.next_on_proc()[0], Some(1));
+        assert_eq!(plan.prev_on_proc()[1], Some(0));
+    }
+
+    #[test]
+    fn machine_edge_repeating_a_precedence_edge_skipped() {
+        let dag = diamond();
+        // Orders 0,1 and 2,3 repeat the precedence edges 0→1 and 2→3.
+        let s = Schedule::new(vec![0, 0, 1, 1], vec![vec![0, 1], vec![2, 3]]);
+        let plan = EagerPlan::new(&dag, &s).unwrap();
+        assert!(machine_edges(&plan, 4).is_empty());
+        assert_eq!(plan.prev_on_proc()[1], Some(0));
+        assert_eq!(plan.prev_on_proc()[3], Some(2));
+    }
+
+    #[test]
+    fn sequential_schedule_has_one_sink() {
+        let dag = diamond();
+        let s = Schedule::new(vec![0; 4], vec![vec![0, 2, 1, 3]]);
+        let plan = EagerPlan::new(&dag, &s).unwrap();
+        // Only 2 → 1 is new; 0 → 2 and 1 → 3 repeat precedence edges.
+        assert_eq!(machine_edges(&plan, 4), vec![(2, 1)]);
+        assert_eq!(plan.disjunctive_sinks(), &[3]);
+        // The graph is now one chain of depth 4.
+        assert_eq!(plan.topo_order(), &[0, 2, 1, 3]);
+    }
+
+    #[test]
+    fn independent_tasks_serialized_by_machine_edges() {
+        let dag = Dag::new(3); // no precedence at all
+        let s = Schedule::new(vec![0, 0, 0], vec![vec![2, 0, 1]]);
+        let plan = EagerPlan::new(&dag, &s).unwrap();
+        assert_eq!(machine_edges(&plan, 3), vec![(0, 1), (2, 0)]);
+        assert_eq!(plan.disjunctive_sinks(), &[1]);
+        assert_eq!(plan.topo_order(), &[2, 0, 1]);
     }
 
     #[test]

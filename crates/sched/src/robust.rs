@@ -118,7 +118,6 @@ pub fn sigma_heft(scenario: &Scenario, kappa: f64) -> Schedule {
 mod tests {
     use super::*;
     use crate::det_makespan;
-    use robusched_randvar::derive_seed;
 
     #[test]
     fn sigma_heft_valid_and_reasonable() {
@@ -140,111 +139,5 @@ mod tests {
         let h = det_makespan(&s, &crate::heft(&s));
         let r = det_makespan(&s, &sigma_heft(&s, 0.0));
         assert!((r - h).abs() / h < 0.25, "{r} vs {h}");
-    }
-
-    #[test]
-    fn variable_ul_rewards_sigma_awareness() {
-        // With strongly heterogeneous ULs, σ-HEFT should find schedules at
-        // least as robust as HEFT most of the time.
-        use robusched_stochastic_shim::*;
-        let mut better = 0usize;
-        let trials = 6usize;
-        for seed in 0..trials as u64 {
-            let base = Scenario::paper_random(20, 4, 1.05, 100 + seed);
-            let n = base.task_count();
-            // Half the tasks are wildly uncertain, half are nearly exact.
-            let uls: Vec<f64> = (0..n)
-                .map(|v| {
-                    if derive_seed(seed, v as u64).is_multiple_of(2) {
-                        1.8
-                    } else {
-                        1.01
-                    }
-                })
-                .collect();
-            let s = base.with_per_task_ul(uls);
-            let heft_sched = crate::heft(&s);
-            let sig_sched = sigma_heft(&s, 2.0);
-            let std_h = spelde_std(&s, &heft_sched);
-            let std_s = spelde_std(&s, &sig_sched);
-            if std_s <= std_h * 1.001 {
-                better += 1;
-            }
-        }
-        assert!(
-            better * 2 >= trials,
-            "σ-HEFT more robust in only {better}/{trials} trials"
-        );
-    }
-
-    /// Minimal Spelde-style σ estimator local to the test (the real one
-    /// lives in robusched-stochastic, which depends on this crate — no
-    /// cyclic dev-dependency).
-    mod robusched_stochastic_shim {
-        use crate::{EagerPlan, Schedule};
-        use robusched_numeric::special::{norm_cdf, norm_pdf};
-        use robusched_platform::Scenario;
-        use robusched_randvar::Dist;
-
-        pub fn spelde_std(s: &Scenario, sched: &Schedule) -> f64 {
-            let dag = &s.graph.dag;
-            let plan = EagerPlan::new(dag, sched).unwrap();
-            let n = dag.node_count();
-            let mut mean = vec![0.0f64; n];
-            let mut var = vec![0.0f64; n];
-            for &v in plan.topo_order() {
-                let pv = sched.machine_of(v);
-                let mut sm = 0.0;
-                let mut sv = 0.0;
-                let mut any = false;
-                let consider = |m2: f64, v2: f64, sm: &mut f64, sv: &mut f64, any: &mut bool| {
-                    if !*any {
-                        *sm = m2;
-                        *sv = v2;
-                        *any = true;
-                    } else {
-                        // Clark's max.
-                        let a2 = *sv + v2;
-                        if a2 <= 1e-300 {
-                            *sm = sm.max(m2);
-                        } else {
-                            let a = a2.sqrt();
-                            let al = (*sm - m2) / a;
-                            let m1 = *sm * norm_cdf(al) + m2 * norm_cdf(-al) + a * norm_pdf(al);
-                            let s2 = (*sm * *sm + *sv) * norm_cdf(al)
-                                + (m2 * m2 + v2) * norm_cdf(-al)
-                                + (*sm + m2) * a * norm_pdf(al);
-                            *sm = m1;
-                            *sv = (s2 - m1 * m1).max(0.0);
-                        }
-                    }
-                };
-                if let Some(u) = plan.prev_on_proc()[v].filter(|&u| !dag.has_edge(u, v)) {
-                    consider(mean[u], var[u], &mut sm, &mut sv, &mut any);
-                }
-                for &(u, e) in dag.preds(v) {
-                    let pu = sched.machine_of(u);
-                    let (cm, cv) = if pu == pv {
-                        (0.0, 0.0)
-                    } else {
-                        let d = s.comm_dist(e, pu, pv);
-                        (d.mean(), d.variance())
-                    };
-                    consider(mean[u] + cm, var[u] + cv, &mut sm, &mut sv, &mut any);
-                }
-                let d = s.task_dist(v, pv);
-                mean[v] = sm + d.mean();
-                var[v] = sv + d.variance();
-            }
-            let mut acc_m = f64::NEG_INFINITY;
-            let mut acc_v = 0.0;
-            for v in 0..n {
-                if mean[v] > acc_m {
-                    acc_m = mean[v];
-                    acc_v = var[v];
-                }
-            }
-            acc_v.sqrt()
-        }
     }
 }

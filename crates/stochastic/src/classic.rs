@@ -132,13 +132,11 @@ pub(crate) fn evaluate_classic_cached(
     for &v in plan.topo_order() {
         let pv = schedule.machine_of(v);
         // Start = max of machine-predecessor finish and data arrivals.
-        // When the machine predecessor is also a DAG predecessor its
-        // constraint is identical to the (zero-communication) precedence
-        // constraint; including both would take max(X, X) under the
-        // independence assumption and bias the mean upward. The disjunctive
-        // graph de-duplicates these edges for the same reason.
+        // The plan's machine edge skips a machine predecessor that is also
+        // a DAG predecessor: under the independence assumption the repeated
+        // constraint would take max(X, X) and bias the mean upward.
         let mut start = MaxAccum::new(&mut *start_a, &mut *start_b);
-        if let Some(u) = plan.prev_on_proc()[v].filter(|&u| !dag.has_edge(u, v)) {
+        if let Some(u) = plan.machine_pred(v) {
             start.fold(&finish[u], ws);
         }
         for &(u, e) in dag.preds(v) {

@@ -6,9 +6,10 @@
 //! complete graph. A mechanism is used to transform any graph into a
 //! series-parallel one with some approximation."*
 //!
-//! We build the *activity-on-arc* network of the scheduled (disjunctive)
-//! task graph — every task and every communication becomes an arc carrying
-//! its duration RV — and reduce:
+//! We build the *activity-on-arc* network of the scheduled task graph's
+//! disjunctive graph ([`EagerPlan`]) — every task and every communication
+//! becomes an arc carrying its duration RV, every machine edge a zero arc —
+//! and reduce:
 //!
 //! * **series**: an interior event with one in-arc and one out-arc merges
 //!   them into their independent sum (convolution);
@@ -60,10 +61,9 @@
 //! duplication.
 
 use crate::cache::DiscretizedScenario;
-use crate::disjunctive::DisjunctiveGraph;
 use robusched_platform::Scenario;
 use robusched_randvar::DiscreteRv;
-use robusched_sched::Schedule;
+use robusched_sched::{EagerPlan, Schedule};
 use std::collections::BTreeSet;
 
 /// Growth cap: give up duplicating when the arc count exceeds this multiple
@@ -312,7 +312,8 @@ pub(crate) fn evaluate_dodin_cached(
     schedule: &Schedule,
     cache: &DiscretizedScenario,
 ) -> DiscreteRv {
-    let dg = DisjunctiveGraph::build(&scenario.graph.dag, schedule);
+    let dag = &scenario.graph.dag;
+    let plan = EagerPlan::new(dag, schedule).expect("invalid schedule");
     let n = scenario.task_count();
 
     let mut net = Net {
@@ -330,26 +331,31 @@ pub(crate) fn evaluate_dodin_cached(
         let rv = cache.task(scenario, v, p).clone();
         net.add_arc(ev_in[v], ev_out[v], rv);
     }
-    for (u, v, aug_e) in dg.dag.edge_triples() {
-        let rv = match dg.orig_edge[aug_e] {
-            Some(orig) => {
-                let pu = schedule.machine_of(u);
-                let pv = schedule.machine_of(v);
-                if pu == pv {
-                    DiscreteRv::point(0.0)
-                } else {
-                    cache.comm(scenario, orig, pu, pv).clone()
-                }
-            }
-            None => DiscreteRv::point(0.0),
+    // The arc order decides every reduction's operands: DAG edges, then
+    // each machine's machine edges in its task order, then the source and
+    // sink arcs task by task.
+    for (u, v, e) in dag.edge_triples() {
+        let pu = schedule.machine_of(u);
+        let pv = schedule.machine_of(v);
+        let rv = if pu == pv {
+            DiscreteRv::point(0.0)
+        } else {
+            cache.comm(scenario, e, pu, pv).clone()
         };
         net.add_arc(ev_out[u], ev_in[v], rv);
     }
+    for p in 0..schedule.machine_count() {
+        for &u in schedule.order_on(p) {
+            if let Some(v) = plan.machine_succ(u) {
+                net.add_arc(ev_out[u], ev_in[v], DiscreteRv::point(0.0));
+            }
+        }
+    }
     for v in 0..n {
-        if dg.dag.in_degree(v) == 0 {
+        if dag.in_degree(v) == 0 && plan.machine_pred(v).is_none() {
             net.add_arc(net.source, ev_in[v], DiscreteRv::point(0.0));
         }
-        if dg.dag.out_degree(v) == 0 {
+        if dag.out_degree(v) == 0 && plan.machine_succ(v).is_none() {
             net.add_arc(ev_out[v], net.sink, DiscreteRv::point(0.0));
         }
     }

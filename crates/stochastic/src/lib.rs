@@ -31,12 +31,13 @@
 //! and threads of a study and reuses scratch buffers, keeping the analytic
 //! hot path allocation-free; [`Evaluator::evaluate`] is the one-shot form.
 //!
-//! [`disjunctive`] builds the schedule-augmented precedence graph
-//! (§II: "adding edges between independent tasks when they are scheduled
-//! consecutively on the same processor"); [`accuracy`] measures the KS and
-//! area (CM) distances between an analytic distribution and the empirical
-//! one (Fig. 1 / Fig. 2); [`par`] is the ordered-parallel helper every
-//! parallel loop of the workspace runs on.
+//! Every method walks the schedule's disjunctive graph (§II: "adding edges
+//! between independent tasks when they are scheduled consecutively on the
+//! same processor"), which [`robusched_sched::EagerPlan`] compiles once per
+//! schedule. [`accuracy`] measures the KS and area (CM) distances between
+//! an analytic distribution and the empirical one (Fig. 1 / Fig. 2);
+//! [`par`] is the ordered-parallel helper every parallel loop of the
+//! workspace runs on.
 
 #![deny(missing_docs)]
 
@@ -44,7 +45,6 @@ pub mod accuracy;
 pub mod cache;
 pub mod classic;
 pub mod criticality;
-pub mod disjunctive;
 pub mod dodin;
 pub mod evaluator;
 pub mod montecarlo;
@@ -55,7 +55,6 @@ pub mod spelde;
 pub use accuracy::AccuracyReport;
 pub use cache::{scenario_fingerprint, DiscretizedScenario, SamplingTables};
 pub use criticality::criticality_indices;
-pub use disjunctive::DisjunctiveGraph;
 pub use evaluator::{
     evaluator_by_name, registry, ClassicEvaluator, DodinEvaluator, EvalContext, Evaluator,
     MonteCarloEvaluator, PreparedScenario, SpeldeEvaluator,

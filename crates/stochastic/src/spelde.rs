@@ -96,15 +96,13 @@ pub fn evaluate_spelde(scenario: &Scenario, schedule: &Schedule) -> SpeldeResult
 
     for &v in plan.topo_order() {
         let pv = schedule.machine_of(v);
-        // Skip the machine-predecessor constraint when it duplicates a
-        // precedence edge (see `classic.rs`: max(X, X) bias under the
+        // The plan's machine edge skips a machine predecessor that is also
+        // a DAG predecessor (see `classic.rs`: max(X, X) bias under the
         // independence assumption).
-        let mut start: Option<MomentPair> = plan.prev_on_proc()[v]
-            .filter(|&u| !dag.has_edge(u, v))
-            .map(|u| {
-                debug_assert!(done[u]);
-                finish[u]
-            });
+        let mut start: Option<MomentPair> = plan.machine_pred(v).map(|u| {
+            debug_assert!(done[u]);
+            finish[u]
+        });
         for &(u, e) in dag.preds(v) {
             debug_assert!(done[u]);
             let pu = schedule.machine_of(u);
@@ -232,6 +230,40 @@ mod tests {
             "stds {} vs {}",
             sp.std_dev,
             cl.std_dev()
+        );
+    }
+
+    #[test]
+    fn variable_ul_rewards_sigma_awareness() {
+        // With strongly heterogeneous ULs, σ-HEFT should find schedules at
+        // least as robust (by Spelde's σ) as HEFT most of the time.
+        use robusched_randvar::derive_seed;
+        use robusched_sched::{heft, sigma_heft};
+        let mut better = 0usize;
+        let trials = 6usize;
+        for seed in 0..trials as u64 {
+            let base = Scenario::paper_random(20, 4, 1.05, 100 + seed);
+            let n = base.task_count();
+            // Half the tasks are wildly uncertain, half are nearly exact.
+            let uls: Vec<f64> = (0..n)
+                .map(|v| {
+                    if derive_seed(seed, v as u64).is_multiple_of(2) {
+                        1.8
+                    } else {
+                        1.01
+                    }
+                })
+                .collect();
+            let s = base.with_per_task_ul(uls);
+            let std_h = evaluate_spelde(&s, &heft(&s)).std_dev;
+            let std_s = evaluate_spelde(&s, &sigma_heft(&s, 2.0)).std_dev;
+            if std_s <= std_h * 1.001 {
+                better += 1;
+            }
+        }
+        assert!(
+            better * 2 >= trials,
+            "σ-HEFT more robust in only {better}/{trials} trials"
         );
     }
 

@@ -9,8 +9,8 @@
 
 use robusched::core::adversarial::CLUSTER_THRESHOLD;
 use robusched::core::{
-    metric_index, pearson_matrix, spearman_matrix, ClusterDeficit, Objective, RankGap,
-    StudyBuilder, METRIC_LABELS,
+    metric_index, pearson_matrix, spearman_matrix, ClusterDeficit, MetricValues, Objective,
+    RankGap, StudyBuilder, METRIC_LABELS,
 };
 use robusched::dag::parsers::wfcommons::parse_wfcommons;
 use robusched::experiments::ext::adversarial;
@@ -134,20 +134,22 @@ fn streamed_objectives_match_two_pass_recomputation() {
     let scenario = Scenario::paper_random(12, 4, 1.1, 23);
     let (schedules, seed) = (32, 17);
 
-    // Brute force: the same study with buffered rows, two-pass matrices.
-    let res = StudyBuilder::new(&scenario)
+    // Brute force: the same study with every row collected, two-pass
+    // matrices.
+    let mut rows = Vec::new();
+    let mut collect = |_: usize, m: &MetricValues| rows.push(*m);
+    StudyBuilder::new(&scenario)
         .random_schedules(schedules)
         .seed(seed)
         .threads(1)
         .evaluator_named("classic")
         .reservoir_capacity(schedules)
-        .buffer_metrics(true)
+        .sink(&mut collect)
         .run()
         .unwrap();
-    let rows = res.random.as_deref().unwrap();
     assert_eq!(rows.len(), schedules);
-    let pearson = pearson_matrix(rows);
-    let spearman = spearman_matrix(rows);
+    let pearson = pearson_matrix(&rows);
+    let spearman = spearman_matrix(&rows);
     let (i_std, i_lat, i_abs, i_rel) = (
         metric_index("makespan_std"),
         metric_index("avg_lateness"),

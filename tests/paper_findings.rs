@@ -3,7 +3,8 @@
 //! Each test encodes one claim of §VI–§VIII so a regression anywhere in
 //! the stack that would change the *science* fails loudly.
 
-use robusched::core::{pearson_matrix, StudyBuilder, METRIC_LABELS};
+use robusched::core::{pearson_matrix, MetricValues, StudyBuilder, METRIC_LABELS};
+use robusched::experiments::figs::fig6::rel_prob_variants;
 use robusched::experiments::figs::{CaseResult, PAPER_HEURISTICS};
 use robusched::platform::Scenario;
 use robusched::randvar::{ConcatBeta, DiscreteRv, Normal};
@@ -12,16 +13,17 @@ fn idx(name: &str) -> usize {
     METRIC_LABELS.iter().position(|&l| l == name).unwrap()
 }
 
-/// One §V case with buffered rows and the two-pass Pearson matrix.
+/// One §V case with every row collected and the two-pass Pearson matrix.
 fn run(scenario: &Scenario, k: usize, seed: u64, heuristics: &[&str]) -> CaseResult {
+    let mut random = Vec::new();
+    let mut collect = |_: usize, m: &MetricValues| random.push(*m);
     let res = StudyBuilder::new(scenario)
         .random_schedules(k)
         .seed(seed)
         .heuristics(heuristics)
-        .buffer_metrics(true)
+        .sink(&mut collect)
         .run()
         .unwrap();
-    let random = res.random.unwrap();
     CaseResult {
         pearson: pearson_matrix(&random),
         random,
@@ -91,7 +93,7 @@ fn finding_4_relative_prob_needs_normalization() {
     let s = Scenario::paper_random(20, 4, 1.1, 4);
     let res = run(&s, 400, 11, &[]);
     let raw = res.pearson.get(idx("rel_prob"), idx("makespan_std"));
-    let normalized = robusched::experiments::figs::fig6::rel_by_makespan_correlation(&res.random);
+    let normalized = rel_prob_variants(&res.random).gaussian_inversion;
     assert!(
         normalized > raw + 0.1,
         "normalization should strengthen the correlation: raw {raw}, normalized {normalized}"

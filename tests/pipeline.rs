@@ -1,7 +1,7 @@
 //! Integration: the full pipeline from generation to correlation matrices.
 
 use robusched::core::{
-    compute_metrics, pearson_matrix, MetricOptions, StudyBuilder, METRIC_LABELS,
+    compute_metrics, pearson_matrix, MetricOptions, MetricValues, StudyBuilder, METRIC_LABELS,
 };
 use robusched::platform::Scenario;
 use robusched::randvar::DiscreteRv;
@@ -66,14 +66,15 @@ fn metrics_well_defined_for_many_random_schedules() {
 #[test]
 fn study_produces_full_matrix_and_heuristics() {
     let s = Scenario::paper_random(12, 3, 1.1, 77);
+    let mut random = Vec::new();
+    let mut collect = |_: usize, m: &MetricValues| random.push(*m);
     let res = StudyBuilder::new(&s)
         .random_schedules(150)
         .seed(5)
         .heuristics(&["HEFT", "BIL", "Hyb.BMCT", "CPOP"])
-        .buffer_metrics(true)
+        .sink(&mut collect)
         .run()
         .unwrap();
-    let random = res.random.unwrap();
     assert_eq!(random.len(), 150);
     assert_eq!(res.heuristics.len(), 4);
     let pearson = pearson_matrix(&random);

@@ -6,21 +6,22 @@
 //! matrix — in a few seconds, so CI catches pipeline-level regressions
 //! immediately.
 
-use robusched::core::{pearson_matrix, StudyBuilder, METRIC_LABELS};
+use robusched::core::{pearson_matrix, MetricValues, StudyBuilder, METRIC_LABELS};
 use robusched::experiments::figs::PAPER_HEURISTICS;
 use robusched::platform::Scenario;
 
 #[test]
 fn tiny_paper_random_case_end_to_end() {
     let s = Scenario::paper_random(10, 3, 1.1, 2024);
+    let mut random = Vec::new();
+    let mut collect = |_: usize, m: &MetricValues| random.push(*m);
     let res = StudyBuilder::new(&s)
         .random_schedules(50)
         .seed(7)
         .heuristics(&PAPER_HEURISTICS)
-        .buffer_metrics(true)
+        .sink(&mut collect)
         .run()
         .unwrap();
-    let random = res.random.unwrap();
 
     assert_eq!(random.len(), 50);
     assert!(!res.heuristics.is_empty());
