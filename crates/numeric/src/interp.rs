@@ -258,9 +258,9 @@ impl UniformSpline<'_> {
     /// Evaluates the spline at `x`; clamps (linear-extends by the boundary
     /// cubic) outside the knot range, like [`CubicSpline::eval`].
     ///
-    /// `#[inline]` so the per-point loops of other crates inline it (the
-    /// operand resampling of a `sum` calls it ~230 times per fit).
-    #[inline]
+    /// Always inlined: the scalar body of [`eval_grid`](Self::eval_grid)
+    /// calls it once per point.
+    #[inline(always)]
     pub fn eval(&self, x: f64) -> f64 {
         let last = self.ys.len() - 2;
         let i = uniform_interval(x, self.lo, self.inv_step, last);
@@ -277,6 +277,131 @@ impl UniformSpline<'_> {
         let b = (x - x0) * self.inv_step;
         a * ys[0] + b * ys[1] + ((a * a * a - a) * m[0] + (b * b * b - b) * m[1]) * self.h2_over_6
     }
+
+    /// Fills `out[i]` with the spline at `x = lo + step·i`, where `lo` is
+    /// the first knot: a point past `hi` takes the value at `hi`, and a
+    /// point past `cut` is `0.0`. This is the operand resample of
+    /// `DiscreteRv::sum` (about 240 points for an accumulated finish time).
+    ///
+    /// On an x86-64 CPU with AVX2 this runs a copy that evaluates four
+    /// points per step, chosen on each call; it performs the same IEEE
+    /// operations in the same order as [`eval`](Self::eval), so the two
+    /// copies agree bit for bit.
+    pub fn eval_grid(&self, step: f64, cut: f64, out: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `eval_grid_avx2` only requires AVX2, and the line
+            // above checked that the running CPU has it.
+            return unsafe { self.eval_grid_avx2(step, cut, out) };
+        }
+        self.eval_grid_from(step, cut, out, 0);
+    }
+
+    /// The scalar body of [`eval_grid`](Self::eval_grid), for the points
+    /// from index `first` on.
+    #[inline(always)]
+    fn eval_grid_from(&self, step: f64, cut: f64, out: &mut [f64], first: usize) {
+        for (i, v) in (first..).zip(&mut out[first..]) {
+            let x = self.lo + step * i as f64;
+            // `x` is finite, so the compare-select equals `x.min(hi)`
+            // without `f64::min`'s NaN fix-up.
+            let x_in = if x < self.hi { x } else { self.hi };
+            *v = if x > cut { 0.0 } else { self.eval(x_in) };
+        }
+    }
+
+    /// [`eval_grid`](Self::eval_grid) four points per step. Each lane runs
+    /// [`eval`](Self::eval)'s multiplies, adds and subtractions in their
+    /// scalar order (Rust never contracts them into an FMA); the clamp to
+    /// `hi`, the pinned last knot and the cut are compare-and-blend, and
+    /// each lane gathers its two samples and two second derivatives. The
+    /// remainder under four points runs the scalar body.
+    ///
+    /// # Safety
+    /// Callers without AVX2 enabled must call this through `unsafe` and
+    /// only after checking that the running CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn eval_grid_avx2(&self, step: f64, cut: f64, out: &mut [f64]) {
+        use std::arch::x86_64::*;
+        // The gathers index with `i32`: a longer grid stays scalar.
+        let Ok(last) = i32::try_from(self.ys.len() - 2) else {
+            return self.eval_grid_from(step, cut, out, 0);
+        };
+        let (lo, hi) = (_mm256_set1_pd(self.lo), _mm256_set1_pd(self.hi));
+        let (knot_step, inv_step) = (_mm256_set1_pd(self.step), _mm256_set1_pd(self.inv_step));
+        let h2_over_6 = _mm256_set1_pd(self.h2_over_6);
+        let last_knot = _mm256_set1_pd(f64::from(last));
+        let (step4, cut4) = (_mm256_set1_pd(step), _mm256_set1_pd(cut));
+        let (one, four) = (_mm256_set1_pd(1.0), _mm256_set1_pd(4.0));
+        let mut index = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+        let done = out.len() / 4 * 4;
+        for group in out[..done].chunks_exact_mut(4) {
+            let x = _mm256_add_pd(lo, _mm256_mul_pd(step4, index));
+            index = _mm256_add_pd(index, four);
+            let x_in = _mm256_blendv_pd(hi, x, _mm256_cmp_pd::<_CMP_LT_OQ>(x, hi));
+            let i = uniform_interval_avx2(x_in, lo, inv_step, last);
+            let i_f = _mm256_cvtepi32_pd(i);
+            let x0 = _mm256_add_pd(lo, _mm256_mul_pd(knot_step, i_f));
+            let x1 = _mm256_blendv_pd(
+                _mm256_add_pd(lo, _mm256_mul_pd(knot_step, _mm256_add_pd(i_f, one))),
+                hi,
+                _mm256_cmp_pd::<_CMP_EQ_OQ>(i_f, last_knot),
+            );
+            // SAFETY: every lane of `i` is in `[0, last]`, so `i` and
+            // `i + 1` index `ys` and `m` (both `last + 2` long:
+            // `fit_uniform` sizes `m` to `ys`); AVX2 is enabled.
+            let (y0, y1, m0, m1) = unsafe {
+                (
+                    _mm256_i32gather_pd::<8>(self.ys.as_ptr(), i),
+                    _mm256_i32gather_pd::<8>(self.ys.as_ptr().add(1), i),
+                    _mm256_i32gather_pd::<8>(self.m.as_ptr(), i),
+                    _mm256_i32gather_pd::<8>(self.m.as_ptr().add(1), i),
+                )
+            };
+            let a = _mm256_mul_pd(_mm256_sub_pd(x1, x_in), inv_step);
+            let b = _mm256_mul_pd(_mm256_sub_pd(x_in, x0), inv_step);
+            let a3 = _mm256_sub_pd(_mm256_mul_pd(_mm256_mul_pd(a, a), a), a);
+            let b3 = _mm256_sub_pd(_mm256_mul_pd(_mm256_mul_pd(b, b), b), b);
+            let linear = _mm256_add_pd(_mm256_mul_pd(a, y0), _mm256_mul_pd(b, y1));
+            let curve = _mm256_mul_pd(
+                _mm256_add_pd(_mm256_mul_pd(a3, m0), _mm256_mul_pd(b3, m1)),
+                h2_over_6,
+            );
+            let v = _mm256_add_pd(linear, curve);
+            let v = _mm256_andnot_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(x, cut4), v);
+            // SAFETY: `group` is four contiguous f64; AVX2 is enabled.
+            unsafe { _mm256_storeu_pd(group.as_mut_ptr(), v) };
+        }
+        self.eval_grid_from(step, cut, out, done);
+    }
+}
+
+/// [`uniform_interval`] for four points: each lane's interval index as an
+/// `i32` in `[0, last]`.
+///
+/// The product is first capped at `last` (`min` returns the product when
+/// it is NaN), then truncated to `i32` and clamped to `[0, last]`. Below
+/// the cap, truncation is the scalar `as i64`; a product at or above it
+/// gives `last`, as the scalar `.min(last)` does; and `x ≤ lo`, a NaN or
+/// a product below `i32::MIN` (which truncates to `i32::MIN`) gives 0, as
+/// the scalar branch and cast do. So the index equals the scalar one for
+/// every input, and the clamp keeps it in `[0, last]` whatever the
+/// truncation returns.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn uniform_interval_avx2(
+    x: std::arch::x86_64::__m256d,
+    lo: std::arch::x86_64::__m256d,
+    inv_step: std::arch::x86_64::__m256d,
+    last: i32,
+) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::*;
+    let product = _mm256_mul_pd(_mm256_sub_pd(x, lo), inv_step);
+    let capped = _mm256_min_pd(_mm256_set1_pd(f64::from(last)), product);
+    let i = _mm256_cvttpd_epi32(capped);
+    _mm_min_epi32(_mm_max_epi32(i, _mm_setzero_si128()), _mm_set1_epi32(last))
 }
 
 /// Index of the knot interval holding `x` on the uniform grid from `lo`
@@ -348,8 +473,8 @@ impl<'a> UniformLocalCubic<'a> {
 
     /// Evaluates at `x` (clamped extrapolation by the boundary stencil).
     ///
-    /// Always inlined: `DiscreteRv::sum_into` calls it once per output
-    /// point, and its AVX2 copy would otherwise call this baseline copy.
+    /// Always inlined: the scalar body of [`eval_grid`](Self::eval_grid)
+    /// calls it once per point.
     #[inline(always)]
     pub fn eval(&self, x: f64) -> f64 {
         let n = self.ys.len();
@@ -379,6 +504,125 @@ impl<'a> UniformLocalCubic<'a> {
         let w3 = t * t1 * t2 / 6.0;
         let ys = &self.ys[s..s + 4];
         w0 * ys[0] + w1 * ys[1] + w2 * ys[2] + w3 * ys[3]
+    }
+
+    /// Fills `out[i]` with the interpolant at `x = lo + step·i`, except
+    /// that the last point is `hi` (the grid of `linspace(lo, hi,
+    /// out.len())` when `step` is its step); a point past `cut` is `0.0`.
+    /// This is the down-sample at the end of `DiscreteRv::sum`.
+    ///
+    /// On an x86-64 CPU with AVX2 this runs a copy that evaluates four
+    /// points per step, chosen on each call; it performs the same IEEE
+    /// operations in the same order as [`eval`](Self::eval), so the two
+    /// copies agree bit for bit.
+    pub fn eval_grid(&self, lo: f64, step: f64, hi: f64, cut: f64, out: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `eval_grid_avx2` only requires AVX2, and the line
+            // above checked that the running CPU has it.
+            return unsafe { self.eval_grid_avx2(lo, step, hi, cut, out) };
+        }
+        self.eval_grid_from(lo, step, hi, cut, out, 0);
+    }
+
+    /// The scalar body of [`eval_grid`](Self::eval_grid), for the points
+    /// from index `first` on.
+    #[inline(always)]
+    fn eval_grid_from(&self, lo: f64, step: f64, hi: f64, cut: f64, out: &mut [f64], first: usize) {
+        let n = out.len();
+        for (i, v) in (first..).zip(&mut out[first..]) {
+            let x = if i == n - 1 { hi } else { lo + step * i as f64 };
+            *v = if x > cut { 0.0 } else { self.eval(x) };
+        }
+    }
+
+    /// [`eval_grid`](Self::eval_grid) four points per step. Each lane
+    /// runs [`eval`](Self::eval)'s stencil arithmetic in its scalar order
+    /// (no FMA, `/ 6.0` kept as a division), gathers its four samples,
+    /// and blends the cut. The pinned last point and the remainder under
+    /// four points run the scalar body, and so do the two- and
+    /// three-sample polynomials, which are not hot.
+    ///
+    /// # Safety
+    /// Callers without AVX2 enabled must call this through `unsafe` and
+    /// only after checking that the running CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn eval_grid_avx2(&self, lo: f64, step: f64, hi: f64, cut: f64, out: &mut [f64]) {
+        use std::arch::x86_64::*;
+        // `last = n − 2` for `n` samples. The gathers index with `i32`, and
+        // the stencil needs four samples: the two- and three-sample
+        // polynomials and longer grids stay scalar.
+        let last = match i32::try_from(self.ys.len() - 2) {
+            Ok(last) if last >= 2 => last,
+            _ => return self.eval_grid_from(lo, step, hi, cut, out, 0),
+        };
+        let (knot_lo, knot_step) = (_mm256_set1_pd(self.lo), _mm256_set1_pd(self.step));
+        let inv_step = _mm256_set1_pd(self.inv_step);
+        let (lo4, step4, cut4) = (
+            _mm256_set1_pd(lo),
+            _mm256_set1_pd(step),
+            _mm256_set1_pd(cut),
+        );
+        let (one, two, three) = (
+            _mm256_set1_pd(1.0),
+            _mm256_set1_pd(2.0),
+            _mm256_set1_pd(3.0),
+        );
+        let (half, minus_half, six) = (
+            _mm256_set1_pd(0.5),
+            _mm256_set1_pd(-0.5),
+            _mm256_set1_pd(6.0),
+        );
+        let sign = _mm256_set1_pd(-0.0);
+        let four = _mm256_set1_pd(4.0);
+        // `last − 2 = n − 4`, the last stencil start.
+        let last_start = _mm_set1_epi32(last - 2);
+        let mut index = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+        // Every point but the pinned last one, four at a time.
+        let done = out.len().saturating_sub(1) / 4 * 4;
+        for group in out[..done].chunks_exact_mut(4) {
+            let x = _mm256_add_pd(lo4, _mm256_mul_pd(step4, index));
+            index = _mm256_add_pd(index, four);
+            let i = uniform_interval_avx2(x, knot_lo, inv_step, last);
+            // `i.saturating_sub(1).min(n − 4)`: `i ≥ 0`, so `i − 1` does
+            // not wrap.
+            let s = _mm_min_epi32(
+                _mm_max_epi32(_mm_sub_epi32(i, _mm_set1_epi32(1)), _mm_setzero_si128()),
+                last_start,
+            );
+            let start = _mm256_add_pd(knot_lo, _mm256_mul_pd(knot_step, _mm256_cvtepi32_pd(s)));
+            let t = _mm256_mul_pd(_mm256_sub_pd(x, start), inv_step);
+            let t1 = _mm256_sub_pd(t, one);
+            let t2 = _mm256_sub_pd(t, two);
+            let t3 = _mm256_sub_pd(t, three);
+            // `-t1` flips the sign bit, as the scalar negation does.
+            let w0 = _mm256_div_pd(
+                _mm256_mul_pd(_mm256_mul_pd(_mm256_xor_pd(t1, sign), t2), t3),
+                six,
+            );
+            let w1 = _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(half, t), t2), t3);
+            let w2 = _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(minus_half, t), t1), t3);
+            let w3 = _mm256_div_pd(_mm256_mul_pd(_mm256_mul_pd(t, t1), t2), six);
+            // SAFETY: every lane of `s` is in `[0, n − 4]` (`n ≥ 4`), so
+            // `s` to `s + 3` index the `n` samples of `ys`; AVX2 is enabled.
+            let (y0, y1, y2, y3) = unsafe {
+                let ys = self.ys.as_ptr();
+                (
+                    _mm256_i32gather_pd::<8>(ys, s),
+                    _mm256_i32gather_pd::<8>(ys.add(1), s),
+                    _mm256_i32gather_pd::<8>(ys.add(2), s),
+                    _mm256_i32gather_pd::<8>(ys.add(3), s),
+                )
+            };
+            let mut v = _mm256_add_pd(_mm256_mul_pd(w0, y0), _mm256_mul_pd(w1, y1));
+            v = _mm256_add_pd(v, _mm256_mul_pd(w2, y2));
+            v = _mm256_add_pd(v, _mm256_mul_pd(w3, y3));
+            let v = _mm256_andnot_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(x, cut4), v);
+            // SAFETY: `group` is four contiguous f64; AVX2 is enabled.
+            unsafe { _mm256_storeu_pd(group.as_mut_ptr(), v) };
+        }
+        self.eval_grid_from(lo, step, hi, cut, out, done);
     }
 }
 
@@ -943,5 +1187,160 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn monotone_cubic_rejects_unsorted() {
         pchip(&[0.0, 2.0, 1.0], &[0.0, 1.0, 2.0]);
+    }
+
+    /// The AVX2 grid bodies against their scalar bodies. The AVX2 bodies
+    /// are reached through the public `eval_grid` dispatchers, which pick
+    /// them whenever the CPU has AVX2; the scalar bodies are called
+    /// directly. Output buffers start as NaN, so a point left unwritten
+    /// shows up.
+    #[cfg(target_arch = "x86_64")]
+    mod avx2_grid {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn avx2_present() -> bool {
+            let present = std::is_x86_feature_detected!("avx2");
+            if !present {
+                println!("skipped: this CPU has no AVX2, so only the scalar bodies run");
+            }
+            present
+        }
+
+        /// The first knot: the origin (`kind` 0), near 1e6 (1) or
+        /// `offset` itself.
+        fn origin(kind: usize, offset: f64) -> f64 {
+            match kind {
+                0 => 0.0,
+                1 => 1e6 + offset,
+                _ => offset,
+            }
+        }
+
+        /// A grid step: `num/den` knot steps (`commensurate`), or
+        /// `reach` spans over the grid's `len` points.
+        fn grid_step(
+            knot_step: f64,
+            span: f64,
+            len: usize,
+            choice: (bool, usize, usize, f64),
+        ) -> f64 {
+            let (commensurate, num, den, reach) = choice;
+            if commensurate {
+                knot_step * num as f64 / den as f64
+            } else {
+                span * reach / len.saturating_sub(1).max(1) as f64
+            }
+        }
+
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+
+        #[test]
+        fn grids_far_outside_the_knots_match_scalar_bodies_bitwise() {
+            if !avx2_present() {
+                return;
+            }
+            // Points up to 1e12 from a 3-wide support: their cell products
+            // pass both ends of the `i32` range.
+            let ys: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).sin() + 1.5).collect();
+            let (lo, hi) = (2.0, 5.0);
+            let mut scratch = SplineScratch::new();
+            let spline = scratch.fit_uniform(lo, hi, &ys);
+            let interp = UniformLocalCubic::new(lo, hi, &ys);
+            for step in [1e10, -1e10, 0.37, -0.37] {
+                let mut avx2 = vec![f64::NAN; 203];
+                let mut scalar = vec![f64::NAN; 203];
+                spline.eval_grid(step, f64::INFINITY, &mut avx2);
+                spline.eval_grid_from(step, f64::INFINITY, &mut scalar, 0);
+                assert_eq!(bits(&avx2), bits(&scalar), "spline, step {step:e}");
+                let grid_lo = lo - 101.0 * step;
+                let grid_hi = lo + 101.0 * step;
+                interp.eval_grid(grid_lo, step, grid_hi, f64::INFINITY, &mut avx2);
+                interp.eval_grid_from(grid_lo, step, grid_hi, f64::INFINITY, &mut scalar, 0);
+                assert_eq!(bits(&avx2), bits(&scalar), "local cubic, step {step:e}");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn spline_grid_matches_scalar_body_bitwise(
+                ys in prop::collection::vec(-2.0f64..5.0, 2..=130),
+                kind in 0usize..3,
+                offset in -50.0f64..50.0,
+                span in 0.01f64..100.0,
+                len in 0usize..=300,
+                commensurate in 0usize..2,
+                num in 1usize..=4,
+                den in 1usize..=4,
+                // Up to 2.5 spans: most grids run past `hi`.
+                reach in 0.1f64..2.5,
+                // The cut from a quarter span below `hi` to 1.5 spans past it.
+                cut_at in -0.25f64..1.5,
+            ) {
+                if !avx2_present() {
+                    return Ok(());
+                }
+                let lo = origin(kind, offset);
+                let hi = lo + span;
+                let mut scratch = SplineScratch::new();
+                let spline = scratch.fit_uniform(lo, hi, &ys);
+                let knot_step = span / (ys.len() - 1) as f64;
+                let choice = (commensurate == 1, num, den, reach);
+                let step = grid_step(knot_step, span, len, choice);
+                // The drawn cut and the resample's own, `max(hi, top − step)`.
+                let top = lo + step * len.saturating_sub(1) as f64;
+                for cut in [hi + cut_at * span, hi.max(top - step)] {
+                    let mut avx2 = vec![f64::NAN; len];
+                    let mut scalar = vec![f64::NAN; len];
+                    spline.eval_grid(step, cut, &mut avx2);
+                    spline.eval_grid_from(step, cut, &mut scalar, 0);
+                    prop_assert_eq!(bits(&avx2), bits(&scalar), "cut {:e}", cut);
+                }
+            }
+
+            #[test]
+            fn local_cubic_grid_matches_scalar_body_bitwise(
+                // Two and three samples take the exact low-order polynomials.
+                ys in prop::collection::vec(-2.0f64..5.0, 2..=130),
+                kind in 0usize..3,
+                offset in -50.0f64..50.0,
+                span in 0.01f64..100.0,
+                len in 0usize..=300,
+                commensurate in 0usize..2,
+                num in 1usize..=4,
+                den in 1usize..=4,
+                reach in 0.1f64..2.5,
+                // The grid's first point from a quarter span below the
+                // first knot, and its pinned last point within a step of
+                // where the unpinned formula puts it.
+                start_at in -0.25f64..0.5,
+                end_shift in -1.0f64..1.0,
+                cut_at in -0.25f64..1.5,
+            ) {
+                if !avx2_present() {
+                    return Ok(());
+                }
+                let lo = origin(kind, offset);
+                let hi = lo + span;
+                let interp = UniformLocalCubic::new(lo, hi, &ys);
+                let knot_step = span / (ys.len() - 1) as f64;
+                let choice = (commensurate == 1, num, den, reach);
+                let step = grid_step(knot_step, span, len, choice);
+                let grid_lo = lo + start_at * span;
+                let grid_hi = grid_lo + step * (len.saturating_sub(1) as f64 + end_shift);
+                // The drawn cut and the down-sample's own, the last knot.
+                for cut in [hi + cut_at * span, hi] {
+                    let mut avx2 = vec![f64::NAN; len];
+                    let mut scalar = vec![f64::NAN; len];
+                    interp.eval_grid(grid_lo, step, grid_hi, cut, &mut avx2);
+                    interp.eval_grid_from(grid_lo, step, grid_hi, cut, &mut scalar, 0);
+                    prop_assert_eq!(bits(&avx2), bits(&scalar), "cut {:e}", cut);
+                }
+            }
+        }
     }
 }

@@ -53,6 +53,8 @@ fn quad_weight(i: usize, n: usize, h: f64) -> f64 {
 /// wrapper-vs-`_into` and fused-vs-materialized bit-identity contracts
 /// (asserted in the tests and in `tests/eval_cache.rs`) hold only while
 /// all grid abscissae are produced by identical floating-point operations.
+/// The AVX2 max scan and `UniformLocalCubic::eval_grid` repeat its
+/// arithmetic, `lo + step·i` with the last point `hi`.
 #[inline]
 fn grid_x(lo: f64, hi: f64, step: f64, n: usize, i: usize) -> f64 {
     if i == n - 1 {
@@ -629,12 +631,10 @@ impl DiscreteRv {
         out.lo = lo;
         out.hi = hi;
         out.pdf.clear();
-        out.pdf.reserve(n_out);
+        out.pdf.resize(n_out, 0.0);
+        // The output grid by `grid_x`'s arithmetic, last point `hi`.
         let out_step = (hi - lo) / (n_out - 1) as f64;
-        for i in 0..n_out {
-            let x = grid_x(lo, hi, out_step, n_out, i);
-            out.pdf.push(if x > conv_hi { 0.0 } else { interp.eval(x) });
-        }
+        interp.eval_grid(lo, out_step, hi, conv_hi, &mut out.pdf);
         out.finish_normalize();
     }
 
@@ -660,13 +660,7 @@ impl DiscreteRv {
             let top = self.lo + h * (n - 1) as f64;
             // `cut ≥ hi` (`hi` is finite), so `x > cut` implies `x > hi`.
             let cut = self.hi.max(top - h);
-            for (i, v) in out.iter_mut().enumerate() {
-                let x = self.lo + h * i as f64;
-                // `x` is finite, so the compare-select equals `x.min(hi)`
-                // without `f64::min`'s NaN fix-up.
-                let x_in = if x < self.hi { x } else { self.hi };
-                *v = if x > cut { 0.0 } else { spline.eval(x_in) };
-            }
+            spline.eval_grid(h, cut, out);
         }
         clamp_nonnegative(out);
         let mass = trapezoid_uniform(out, h);
@@ -709,6 +703,73 @@ impl DiscreteRv {
         )
     }
 
+    /// [`DiscreteRv::pdf_cdf_at`] at four points. Each lane interpolates
+    /// with the scalar operations in their order (`/ h` kept as a
+    /// division, no FMA) from gathered samples, then the `x < lo`,
+    /// `x == lo` and `x ≥ hi` cases are blended over it. For `x` strictly
+    /// inside the support, truncating `t` to `i32` and clamping it to
+    /// `[0, n − 2]` is the scalar [`grid_cell`]: `t` is positive there and
+    /// at most about `n − 1`, far inside the `i32` range.
+    ///
+    /// # Panics
+    /// Panics on a point mass. On a grid of more than `i32::MAX` points
+    /// the index is capped below `n − 2`: still in bounds, but no longer
+    /// the scalar one, so callers keep such grids on the scalar path.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn pdf_cdf_at_avx2(
+        &self,
+        x: std::arch::x86_64::__m256d,
+    ) -> (std::arch::x86_64::__m256d, std::arch::x86_64::__m256d) {
+        use std::arch::x86_64::*;
+        let n = self.pdf.len();
+        // The gathers below rely on both: a point mass has no samples.
+        assert!(
+            n >= 2 && self.cdf.len() == n,
+            "pdf_cdf_at_avx2 needs a grid of two or more points"
+        );
+        let (lo, hi) = (_mm256_set1_pd(self.lo), _mm256_set1_pd(self.hi));
+        let one = _mm256_set1_pd(1.0);
+        let t = _mm256_div_pd(_mm256_sub_pd(x, lo), _mm256_set1_pd(self.step()));
+        let last = (n - 2).min(i32::MAX as usize) as i32;
+        let i = _mm_min_epi32(
+            _mm_max_epi32(_mm256_cvttpd_epi32(t), _mm_setzero_si128()),
+            _mm_set1_epi32(last),
+        );
+        let frac = _mm256_sub_pd(t, _mm256_cvtepi32_pd(i));
+        let rest = _mm256_sub_pd(one, frac);
+        // SAFETY: every lane of `i` is in `[0, last]` and `last ≤ n − 2`,
+        // whatever `t` was (lanes outside the support are blended away
+        // below), so `i` and `i + 1` index `pdf` and `cdf` (both `n`
+        // long); AVX2 is enabled.
+        let (f0, f1, c0, c1) = unsafe {
+            (
+                _mm256_i32gather_pd::<8>(self.pdf.as_ptr(), i),
+                _mm256_i32gather_pd::<8>(self.pdf.as_ptr().add(1), i),
+                _mm256_i32gather_pd::<8>(self.cdf.as_ptr(), i),
+                _mm256_i32gather_pd::<8>(self.cdf.as_ptr().add(1), i),
+            )
+        };
+        let mut f = _mm256_add_pd(_mm256_mul_pd(f0, rest), _mm256_mul_pd(f1, frac));
+        let mut c = _mm256_add_pd(_mm256_mul_pd(c0, rest), _mm256_mul_pd(c1, frac));
+        // `x ≥ hi`: density `pdf[n − 1]` at `hi` and 0 past it, CDF 1.
+        let top = _mm256_cmp_pd::<_CMP_GE_OQ>(x, hi);
+        let f_top = _mm256_andnot_pd(
+            _mm256_cmp_pd::<_CMP_GT_OQ>(x, hi),
+            _mm256_set1_pd(self.pdf[n - 1]),
+        );
+        f = _mm256_blendv_pd(f, f_top, top);
+        c = _mm256_blendv_pd(c, one, top);
+        // `x == lo`: density `pdf[0]`, CDF 0.
+        let at_lo = _mm256_cmp_pd::<_CMP_EQ_OQ>(x, lo);
+        f = _mm256_blendv_pd(f, _mm256_set1_pd(self.pdf[0]), at_lo);
+        c = _mm256_andnot_pd(at_lo, c);
+        // `x < lo`: both 0.
+        let below = _mm256_cmp_pd::<_CMP_LT_OQ>(x, lo);
+        (_mm256_andnot_pd(below, f), _mm256_andnot_pd(below, c))
+    }
+
     /// Distribution of `max(X, Y)` for independent `X`, `Y`.
     ///
     /// Uses the exact product-rule density `f = f₁·F₂ + F₁·f₂` rather than
@@ -743,15 +804,75 @@ impl DiscreteRv {
         out.lo = lo;
         out.hi = hi;
         out.pdf.clear();
-        out.pdf.reserve(n_out);
-        let step = (hi - lo) / (n_out - 1) as f64;
-        for i in 0..n_out {
-            let x = grid_x(lo, hi, step, n_out, i);
+        out.pdf.resize(n_out, 0.0);
+        self.max_scan(other, lo, hi, &mut out.pdf);
+        out.finish_normalize();
+    }
+
+    /// The unnormalized density `f₁·F₂ + F₁·f₂` of `max(self, other)` at
+    /// the `pdf.len()` points of `linspace(lo, hi, pdf.len())`: the merged
+    /// scan of [`DiscreteRv::max_into`].
+    ///
+    /// On an x86-64 CPU with AVX2 this runs a copy that evaluates four
+    /// points per step, chosen on each call; it performs the same IEEE
+    /// operations in the same order, so the two copies agree bit for bit.
+    fn max_scan(&self, other: &Self, lo: f64, hi: f64, pdf: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `max_scan_avx2` only requires AVX2, and the line
+            // above checked that the running CPU has it.
+            return unsafe { self.max_scan_avx2(other, lo, hi, pdf) };
+        }
+        self.max_scan_from(other, lo, hi, pdf, 0);
+    }
+
+    /// The scalar body of [`DiscreteRv::max_scan`], for the points from
+    /// index `first` on.
+    #[inline(always)]
+    fn max_scan_from(&self, other: &Self, lo: f64, hi: f64, pdf: &mut [f64], first: usize) {
+        let n = pdf.len();
+        let step = (hi - lo) / (n - 1) as f64;
+        for (i, v) in (first..).zip(&mut pdf[first..]) {
+            let x = grid_x(lo, hi, step, n, i);
             let (f1, c1) = self.pdf_cdf_at(x);
             let (f2, c2) = other.pdf_cdf_at(x);
-            out.pdf.push(f1 * c2 + c1 * f2);
+            *v = f1 * c2 + c1 * f2;
         }
-        out.finish_normalize();
+    }
+
+    /// [`DiscreteRv::max_scan`] four points per step through
+    /// [`DiscreteRv::pdf_cdf_at_avx2`]. The pinned last point and the
+    /// remainder under four points run the scalar body.
+    ///
+    /// # Safety
+    /// Callers without AVX2 enabled must call this through `unsafe` and
+    /// only after checking that the running CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn max_scan_avx2(&self, other: &Self, lo: f64, hi: f64, pdf: &mut [f64]) {
+        use std::arch::x86_64::*;
+        let n = pdf.len();
+        // Past the `i32` range `pdf_cdf_at_avx2` caps its cell index, which
+        // would no longer be the scalar one.
+        if i32::try_from(self.pdf.len().max(other.pdf.len())).is_err() {
+            return self.max_scan_from(other, lo, hi, pdf, 0);
+        }
+        let step = _mm256_set1_pd((hi - lo) / (n - 1) as f64);
+        let lo4 = _mm256_set1_pd(lo);
+        let four = _mm256_set1_pd(4.0);
+        let mut index = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+        // Every point but the pinned last one, four at a time.
+        let done = n.saturating_sub(1) / 4 * 4;
+        for group in pdf[..done].chunks_exact_mut(4) {
+            let x = _mm256_add_pd(lo4, _mm256_mul_pd(step, index));
+            index = _mm256_add_pd(index, four);
+            let (f1, c1) = self.pdf_cdf_at_avx2(x);
+            let (f2, c2) = other.pdf_cdf_at_avx2(x);
+            let v = _mm256_add_pd(_mm256_mul_pd(f1, c2), _mm256_mul_pd(c1, f2));
+            // SAFETY: `group` is four contiguous f64; AVX2 is enabled.
+            unsafe { _mm256_storeu_pd(group.as_mut_ptr(), v) };
+        }
+        self.max_scan_from(other, lo, hi, pdf, done);
     }
 
     /// Distribution of `min(X, Y)` for independent `X`, `Y`
@@ -1304,9 +1425,12 @@ mod tests {
         }
     }
 
-    /// The AVX2 copy of `sum_into` against its baseline body. The copy is
-    /// reached through the public dispatcher, which picks it whenever the
-    /// CPU has AVX2; the baseline body is called directly.
+    /// The AVX2 copy of `sum_into` and the AVX2 max scan against their
+    /// baseline bodies. The AVX2 code is reached through the dispatchers,
+    /// which pick it whenever the CPU has AVX2; the baseline bodies are
+    /// called directly. `sum_into_baseline` still reaches the AVX2 grid
+    /// bodies of `numeric::interp`, which `interp::tests::avx2_grid`
+    /// compares with their scalar bodies.
     #[cfg(target_arch = "x86_64")]
     mod avx2_path {
         use super::*;
@@ -1336,15 +1460,15 @@ mod tests {
             Ok(())
         }
 
-        /// A variable on `[lo, lo + span]` with `n` grid points, its density
-        /// taken from `weights` (values below 0.1 become exact zeros).
-        fn rv(lo: f64, span: f64, n: usize, weights: &[f64]) -> DiscreteRv {
+        /// A variable on `[lo, hi]` with `n` grid points, its density taken
+        /// from `weights` (values below 0.1 become exact zeros).
+        fn rv(lo: f64, hi: f64, n: usize, weights: &[f64]) -> DiscreteRv {
             let mut pdf: Vec<f64> = weights[..n]
                 .iter()
                 .map(|&w| if w < 0.1 { 0.0 } else { w })
                 .collect();
             pdf[n / 2] += 1.0;
-            DiscreteRv::from_grid(lo, lo + span, pdf)
+            DiscreteRv::from_grid(lo, hi, pdf)
         }
 
         fn avx2_present() -> bool {
@@ -1416,23 +1540,89 @@ mod tests {
                 if !avx2_present() {
                     return Ok(());
                 }
-                let a = rv(lo, span, n1, &weights);
-                let b = rv(
-                    lo + offset * span,
-                    span * log2_ratio.exp2(),
-                    n2,
-                    &weights[256 - n2..],
-                );
+                let a = rv(lo, lo + span, n1, &weights);
+                let b_lo = lo + offset * span;
+                let b = rv(b_lo, b_lo + span * log2_ratio.exp2(), n2, &weights[256 - n2..]);
                 paths_agree(&a, &b)?;
                 paths_agree(&a, &DiscreteRv::point(lo + offset * span))?;
                 // A partner on `a`'s own step: both resamples copy.
                 let partner = rv(
                     lo,
-                    span * (WORK_POINTS - n1) as f64 / (n1 - 1) as f64,
+                    lo + span * (WORK_POINTS - n1) as f64 / (n1 - 1) as f64,
                     WORK_POINTS + 1 - n1,
                     &weights,
                 );
                 paths_agree(&a, &partner)?;
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn avx2_max_scan_matches_baseline_bitwise(
+                origin in 0usize..3,
+                offset in -50.0f64..50.0,
+                span in 0.01f64..100.0,
+                len in 2usize..=130,
+                n1 in 2usize..=130,
+                n2 in 2usize..=130,
+                // Overlapping, nested, disjoint or touching supports.
+                layout in 0usize..4,
+                first in -40i64..100,
+                gaps in prop::collection::vec(1i64..50, 3),
+                weights in prop::collection::vec(0.0f64..1.0, 256),
+            ) {
+                if !avx2_present() {
+                    return Ok(());
+                }
+                // A scan grid of `len` points over `[lo, lo + span]`, at
+                // the origin, near 1e6 or anywhere in [-50, 50).
+                let lo = [0.0, 1e6 + offset, offset][origin];
+                let hi = lo + span;
+                let step = (hi - lo) / (len - 1) as f64;
+                // The operands' ends are grid points (or points past the
+                // grid by the same arithmetic), so scan points land exactly
+                // on them.
+                let x = |k: i64| {
+                    if k == len as i64 - 1 {
+                        hi
+                    } else {
+                        lo + step * k as f64
+                    }
+                };
+                let p0 = first;
+                let p1 = p0 + gaps[0];
+                let p2 = p1 + gaps[1];
+                let p3 = p2 + gaps[2];
+                let (a_ends, b_ends) = match layout {
+                    0 => ((p0, p2), (p1, p3)),
+                    1 => ((p0, p3), (p1, p2)),
+                    2 => ((p0, p1), (p2, p3)),
+                    _ => ((p0, p1), (p1, p3)),
+                };
+                let a = rv(x(a_ends.0), x(a_ends.1), n1, &weights);
+                let b = rv(x(b_ends.0), x(b_ends.1), n2, &weights[256 - n2..]);
+                for (p, q, order) in [(&a, &b, "a, b"), (&b, &a, "b, a")] {
+                    // The scan grid above and `max_into`'s own.
+                    let own = (p.lo.max(q.lo), p.hi.max(q.hi), n1.max(n2));
+                    for (g_lo, g_hi, n) in [(lo, hi, len), own] {
+                        let mut avx2 = vec![f64::NAN; n];
+                        let mut base = vec![f64::NAN; n];
+                        p.max_scan(q, g_lo, g_hi, &mut avx2);
+                        p.max_scan_from(q, g_lo, g_hi, &mut base, 0);
+                        let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        prop_assert_eq!(
+                            to_bits(&avx2),
+                            to_bits(&base),
+                            "max of {} on [{:e}, {:e}] with {} points",
+                            order,
+                            g_lo,
+                            g_hi,
+                            n
+                        );
+                    }
+                }
             }
         }
     }
