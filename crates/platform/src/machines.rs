@@ -18,6 +18,11 @@ pub struct Platform {
     tau: Vec<f64>,
     /// Row-major `m × m` latencies, zero diagonal.
     lat: Vec<f64>,
+    /// Mean off-diagonal `τ`, computed once (rank functions read it per
+    /// edge).
+    mean_tau: f64,
+    /// Mean off-diagonal latency, computed once.
+    mean_latency: f64,
 }
 
 impl Platform {
@@ -40,7 +45,15 @@ impl Platform {
             assert_eq!(tau[p * m + p], 0.0, "τ diagonal must be zero");
             assert_eq!(lat[p * m + p], 0.0, "L diagonal must be zero");
         }
-        Self { m, tau, lat }
+        let mean_tau = off_diagonal_mean(m, &tau);
+        let mean_latency = off_diagonal_mean(m, &lat);
+        Self {
+            m,
+            tau,
+            lat,
+            mean_tau,
+            mean_latency,
+        }
     }
 
     /// Homogeneous network: every off-diagonal pair has the same `τ`/`L`.
@@ -107,36 +120,33 @@ impl Platform {
 
     /// Mean off-diagonal `τ` (used by rank functions that need an "average"
     /// communication cost, as in HEFT).
+    #[inline]
     pub fn mean_tau(&self) -> f64 {
-        if self.m <= 1 {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for p in 0..self.m {
-            for q in 0..self.m {
-                if p != q {
-                    acc += self.tau(p, q);
-                }
-            }
-        }
-        acc / (self.m * (self.m - 1)) as f64
+        self.mean_tau
     }
 
     /// Mean off-diagonal latency.
+    #[inline]
     pub fn mean_latency(&self) -> f64 {
-        if self.m <= 1 {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for p in 0..self.m {
-            for q in 0..self.m {
-                if p != q {
-                    acc += self.latency(p, q);
-                }
+        self.mean_latency
+    }
+}
+
+/// Mean of the off-diagonal entries of a row-major `m × m` matrix (zero
+/// when `m ≤ 1`).
+fn off_diagonal_mean(m: usize, matrix: &[f64]) -> f64 {
+    if m <= 1 {
+        return 0.0;
+    }
+    let mut acc = 0.0;
+    for p in 0..m {
+        for q in 0..m {
+            if p != q {
+                acc += matrix[p * m + q];
             }
         }
-        acc / (self.m * (self.m - 1)) as f64
     }
+    acc / (m * (m - 1)) as f64
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! Ha's construction; DESIGN.md records it as a faithful reconstruction.
 
 use crate::schedule::Schedule;
-use crate::timeline::ProcTimeline;
+use crate::timeline::PartialSchedule;
 use robusched_platform::Scenario;
 
 /// Computes the BIL table (`n × m`, row-major).
@@ -57,14 +57,18 @@ fn bil_table(scenario: &Scenario) -> Vec<f64> {
 
 /// Runs BIL scheduling on the deterministic (minimum) costs.
 pub fn bil(scenario: &Scenario) -> Schedule {
+    plan(scenario).into_schedule()
+}
+
+/// BIL's placement, before it becomes a [`Schedule`].
+pub(crate) fn plan(scenario: &Scenario) -> PartialSchedule<'_> {
     let dag = &scenario.graph.dag;
     let n = dag.node_count();
     let m = scenario.machine_count();
     let table = bil_table(scenario);
+    let comm = |e, p, q| scenario.det_comm_cost(e, p, q);
 
-    let mut timelines: Vec<ProcTimeline> = vec![ProcTimeline::new(); m];
-    let mut assignment = vec![usize::MAX; n];
-    let mut finish = vec![0.0f64; n];
+    let mut plan = PartialSchedule::new(dag, m);
     let mut indeg: Vec<usize> = (0..n).map(|v| dag.in_degree(v)).collect();
     let mut ready: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
     // Reusable scratch for per-task BIM rows.
@@ -78,19 +82,10 @@ pub fn bil(scenario: &Scenario) -> Schedule {
         let mut chosen_score = f64::NEG_INFINITY;
         for (idx, &t) in ready.iter().enumerate() {
             for (j, slot) in bims.iter_mut().enumerate() {
-                let mut est = 0.0f64;
-                for &(u, e) in dag.preds(t) {
-                    let arrival = finish[u] + scenario.det_comm_cost(e, assignment[u], j);
-                    if arrival > est {
-                        est = arrival;
-                    }
-                }
-                let start = timelines[j].earliest_append(est);
+                let start = plan.earliest_append(j, plan.data_ready(t, j, comm));
                 *slot = start + table[t * m + j];
             }
-            let mut sorted = bims.clone();
-            sorted.sort_by(f64::total_cmp);
-            let score = sorted[k - 1];
+            let score = *bims.select_nth_unstable_by(k - 1, f64::total_cmp).1;
             if score > chosen_score || (score == chosen_score && ready[idx] < ready[chosen_idx]) {
                 chosen_score = score;
                 chosen_idx = idx;
@@ -103,15 +98,8 @@ pub fn bil(scenario: &Scenario) -> Schedule {
         let mut best_j = 0usize;
         let mut best_val = f64::INFINITY;
         let mut best_start = 0.0f64;
-        for (j, timeline) in timelines.iter().enumerate() {
-            let mut est = 0.0f64;
-            for &(u, e) in dag.preds(t) {
-                let arrival = finish[u] + scenario.det_comm_cost(e, assignment[u], j);
-                if arrival > est {
-                    est = arrival;
-                }
-            }
-            let start = timeline.earliest_append(est);
+        for j in 0..m {
+            let start = plan.earliest_append(j, plan.data_ready(t, j, comm));
             let w = scenario.det_task_cost(t, j);
             let bim_star = start + table[t * m + j] + w * oversub;
             if bim_star < best_val {
@@ -120,10 +108,7 @@ pub fn bil(scenario: &Scenario) -> Schedule {
                 best_start = start;
             }
         }
-        let dur = scenario.det_task_cost(t, best_j);
-        timelines[best_j].insert(best_start, dur, t);
-        assignment[t] = best_j;
-        finish[t] = best_start + dur;
+        plan.commit(t, best_j, best_start, scenario.det_task_cost(t, best_j));
         for &(s, _) in dag.succs(t) {
             indeg[s] -= 1;
             if indeg[s] == 0 {
@@ -131,11 +116,7 @@ pub fn bil(scenario: &Scenario) -> Schedule {
             }
         }
     }
-
-    Schedule::new(
-        assignment,
-        timelines.into_iter().map(|tl| tl.task_order()).collect(),
-    )
+    plan
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 
 use crate::rank::{tasks_by_decreasing_rank, upward_ranks};
 use crate::schedule::Schedule;
+use crate::timeline::data_ready;
 use robusched_platform::Scenario;
 
 /// Runs Hyb.BMCT on the deterministic (minimum) costs.
@@ -51,20 +52,9 @@ pub fn hyb_bmct(scenario: &Scenario) -> Schedule {
     let mut assignment = vec![usize::MAX; n];
     let mut proc_order: Vec<Vec<usize>> = vec![Vec::new(); m];
 
-    for group in &groups {
-        // Data-ready time of each group task on each machine (preds are all
-        // committed in earlier groups).
-        let ready = |t: usize, j: usize, assignment: &[usize], finish: &[f64]| -> f64 {
-            let mut r = 0.0f64;
-            for &(u, e) in dag.preds(t) {
-                let arr = finish[u] + scenario.det_comm_cost(e, assignment[u], j);
-                if arr > r {
-                    r = arr;
-                }
-            }
-            r
-        };
+    let comm = |e, p, q| scenario.det_comm_cost(e, p, q);
 
+    for group in &groups {
         // Initial BMCT assignment: fastest machine per task.
         let mut g_assign: Vec<usize> = group
             .iter()
@@ -88,10 +78,11 @@ pub fn hyb_bmct(scenario: &Scenario) -> Schedule {
             let mut cursor = avail.clone();
             let mut fin = vec![0.0f64; group.len()];
             // Tasks hit each machine in rank order (the group vector is
-            // already rank-sorted).
+            // already rank-sorted); their predecessors are all committed in
+            // earlier groups.
             for (idx, &t) in group.iter().enumerate() {
                 let j = g_assign[idx];
-                let start = cursor[j].max(ready(t, j, &assignment, &finish));
+                let start = cursor[j].max(data_ready(dag, &assignment, &finish, t, j, comm));
                 let f = start + scenario.det_task_cost(t, j);
                 cursor[j] = f;
                 fin[idx] = f;

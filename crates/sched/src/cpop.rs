@@ -8,7 +8,7 @@
 
 use crate::rank::{downward_ranks, upward_ranks};
 use crate::schedule::Schedule;
-use crate::timeline::ProcTimeline;
+use crate::timeline::PartialSchedule;
 use robusched_platform::Scenario;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -40,6 +40,11 @@ impl Ord for Entry {
 
 /// Runs CPOP on the deterministic (minimum) costs.
 pub fn cpop(scenario: &Scenario) -> Schedule {
+    plan(scenario).into_schedule()
+}
+
+/// CPOP's placement, before it becomes a [`Schedule`].
+pub(crate) fn plan(scenario: &Scenario) -> PartialSchedule<'_> {
     let dag = &scenario.graph.dag;
     let n = dag.node_count();
     let m = scenario.machine_count();
@@ -49,32 +54,20 @@ pub fn cpop(scenario: &Scenario) -> Schedule {
 
     // The critical path: walk from the highest-priority entry node, always
     // following the successor with the highest priority.
-    let cp_value = prio.iter().copied().fold(0.0f64, f64::max);
-    let eps = 1e-9 * cp_value.max(1.0);
     let mut cp_member = vec![false; n];
-    let mut cursor = dag
-        .entry_nodes()
-        .into_iter()
-        .max_by(|&a, &b| prio[a].total_cmp(&prio[b]))
-        .expect("graph has at least one entry");
-    loop {
-        cp_member[cursor] = true;
-        let next = dag
-            .succs(cursor)
+    let mut cursor = Some(
+        dag.entry_nodes()
+            .into_iter()
+            .max_by(|&a, &b| prio[a].total_cmp(&prio[b]))
+            .expect("graph has at least one entry"),
+    );
+    while let Some(v) = cursor {
+        cp_member[v] = true;
+        cursor = dag
+            .succs(v)
             .iter()
             .map(|&(s, _)| s)
             .max_by(|&a, &b| prio[a].total_cmp(&prio[b]));
-        match next {
-            Some(s) if (prio[s] - cp_value).abs() <= eps || prio[s] >= cp_value - eps => {
-                cursor = s;
-            }
-            Some(s) => {
-                // Keep walking the heaviest successor even if numerically
-                // below cp_value (defensive; classic CPOP assumes equality).
-                cursor = s;
-            }
-            None => break,
-        }
     }
 
     // The critical-path machine minimizes the total CP execution time.
@@ -92,10 +85,9 @@ pub fn cpop(scenario: &Scenario) -> Schedule {
         })
         .expect("at least one machine");
 
-    // Priority-driven list scheduling.
-    let mut timelines: Vec<ProcTimeline> = vec![ProcTimeline::new(); m];
-    let mut assignment = vec![usize::MAX; n];
-    let mut finish = vec![0.0f64; n];
+    // Priority-driven list scheduling; critical-path tasks may only go to
+    // the critical-path machine.
+    let mut plan = PartialSchedule::new(dag, m);
     let mut indeg: Vec<usize> = (0..n).map(|v| dag.in_degree(v)).collect();
     let mut heap: BinaryHeap<Entry> = (0..n)
         .filter(|&v| indeg[v] == 0)
@@ -106,34 +98,17 @@ pub fn cpop(scenario: &Scenario) -> Schedule {
         .collect();
 
     while let Some(Entry { task: t, .. }) = heap.pop() {
-        let candidates: Vec<usize> = if cp_member[t] {
-            vec![cp_machine]
+        let machines = if cp_member[t] {
+            cp_machine..cp_machine + 1
         } else {
-            (0..m).collect()
+            0..m
         };
-        let mut best_p = candidates[0];
-        let mut best_start = f64::INFINITY;
-        let mut best_eft = f64::INFINITY;
-        for &p in &candidates {
-            let mut ready = 0.0f64;
-            for &(u, e) in dag.preds(t) {
-                let arrival = finish[u] + scenario.det_comm_cost(e, assignment[u], p);
-                if arrival > ready {
-                    ready = arrival;
-                }
-            }
-            let dur = scenario.det_task_cost(t, p);
-            let start = timelines[p].earliest_slot(ready, dur);
-            if start + dur < best_eft {
-                best_eft = start + dur;
-                best_start = start;
-                best_p = p;
-            }
-        }
-        let dur = scenario.det_task_cost(t, best_p);
-        timelines[best_p].insert(best_start, dur, t);
-        assignment[t] = best_p;
-        finish[t] = best_eft;
+        plan.place_earliest_finish(
+            t,
+            machines,
+            |p| scenario.det_task_cost(t, p),
+            |e, p, q| scenario.det_comm_cost(e, p, q),
+        );
         for &(s, _) in dag.succs(t) {
             indeg[s] -= 1;
             if indeg[s] == 0 {
@@ -144,11 +119,7 @@ pub fn cpop(scenario: &Scenario) -> Schedule {
             }
         }
     }
-
-    Schedule::new(
-        assignment,
-        timelines.into_iter().map(|tl| tl.task_order()).collect(),
-    )
+    plan
 }
 
 #[cfg(test)]

@@ -10,58 +10,48 @@
 //!    already-placed tasks may be used).
 //!
 //! The result is an eager schedule: replaying the per-machine orders with
-//! the same deterministic durations reproduces the HEFT start times.
+//! the same deterministic durations reproduces the planned finish times
+//! bit for bit (a unit test in [`crate::timeline`] checks this for HEFT,
+//! σ-HEFT, CPOP and BIL).
 
 use crate::rank::{tasks_by_decreasing_rank, upward_ranks};
 use crate::schedule::Schedule;
-use crate::timeline::ProcTimeline;
+use crate::timeline::PartialSchedule;
+use robusched_dag::{EdgeId, NodeId};
 use robusched_platform::Scenario;
 
 /// Runs HEFT on the deterministic (minimum) costs.
 pub fn heft(scenario: &Scenario) -> Schedule {
-    let dag = &scenario.graph.dag;
-    let n = dag.node_count();
-    let m = scenario.machine_count();
-    let ranks = upward_ranks(scenario);
-    let order = tasks_by_decreasing_rank(&ranks);
-
-    let mut timelines: Vec<ProcTimeline> = vec![ProcTimeline::new(); m];
-    let mut assignment = vec![usize::MAX; n];
-    let mut finish = vec![0.0f64; n];
-
-    for &t in &order {
-        let mut best_p = 0usize;
-        let mut best_start = f64::INFINITY;
-        let mut best_eft = f64::INFINITY;
-        for (p, timeline) in timelines.iter().enumerate() {
-            // Data-ready time on machine p.
-            let mut ready = 0.0f64;
-            for &(u, e) in dag.preds(t) {
-                debug_assert_ne!(assignment[u], usize::MAX, "rank order broke precedence");
-                let arrival = finish[u] + scenario.det_comm_cost(e, assignment[u], p);
-                if arrival > ready {
-                    ready = arrival;
-                }
-            }
-            let dur = scenario.det_task_cost(t, p);
-            let start = timeline.earliest_slot(ready, dur);
-            let eft = start + dur;
-            if eft < best_eft {
-                best_eft = eft;
-                best_start = start;
-                best_p = p;
-            }
-        }
-        let dur = scenario.det_task_cost(t, best_p);
-        timelines[best_p].insert(best_start, dur, t);
-        assignment[t] = best_p;
-        finish[t] = best_eft;
-    }
-
-    Schedule::new(
-        assignment,
-        timelines.into_iter().map(|tl| tl.task_order()).collect(),
+    rank_then_place(
+        scenario,
+        &upward_ranks(scenario),
+        |t, p| scenario.det_task_cost(t, p),
+        |e, p, q| scenario.det_comm_cost(e, p, q),
     )
+    .into_schedule()
+}
+
+/// HEFT's two phases under any cost model: tasks in decreasing `ranks`
+/// order, each placed by the insertion policy on the machine where it
+/// finishes first, `dur(t, p)` being its duration there and `comm(e, p,
+/// q)` the transfer time of edge `e` from machine `p` to `q`. σ-HEFT calls
+/// it with risk-adjusted costs.
+pub(crate) fn rank_then_place<'a, D, C>(
+    scenario: &'a Scenario,
+    ranks: &[f64],
+    dur: D,
+    comm: C,
+) -> PartialSchedule<'a>
+where
+    D: Fn(NodeId, usize) -> f64,
+    C: Fn(EdgeId, usize, usize) -> f64,
+{
+    let m = scenario.machine_count();
+    let mut plan = PartialSchedule::new(&scenario.graph.dag, m);
+    for t in tasks_by_decreasing_rank(ranks) {
+        plan.place_earliest_finish(t, 0..m, |p| dur(t, p), &comm);
+    }
+    plan
 }
 
 #[cfg(test)]

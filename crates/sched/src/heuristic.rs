@@ -20,7 +20,7 @@ use robusched_platform::Scenario;
 /// A scheduling heuristic: a named, reusable `Scenario → Schedule` mapping.
 ///
 /// Implementations must be `Send + Sync` so one instance can serve every
-/// worker of a parallel study. All bundled impls are infallible (they
+/// worker of a parallel study. The bundled heuristics are infallible (they
 /// construct valid eager schedules by design) but the trait returns
 /// `Result` so external heuristics can reject scenarios they cannot handle
 /// instead of aborting the process.
@@ -32,111 +32,42 @@ pub trait Heuristic: Send + Sync {
     fn schedule(&self, scenario: &Scenario) -> Result<Schedule, ScheduleError>;
 }
 
-/// HEFT (Topcuoglu, Hariri & Wu) as a [`Heuristic`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Heft;
-
-impl Heuristic for Heft {
-    fn name(&self) -> &str {
-        "HEFT"
-    }
-
-    fn schedule(&self, scenario: &Scenario) -> Result<Schedule, ScheduleError> {
-        Ok(heft(scenario))
-    }
-}
-
-/// BIL (Oh & Ha) as a [`Heuristic`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Bil;
-
-impl Heuristic for Bil {
-    fn name(&self) -> &str {
-        "BIL"
-    }
-
-    fn schedule(&self, scenario: &Scenario) -> Result<Schedule, ScheduleError> {
-        Ok(bil(scenario))
-    }
-}
-
-/// Hyb.BMCT (Sakellariou & Zhao) as a [`Heuristic`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HybBmct;
-
-impl Heuristic for HybBmct {
-    fn name(&self) -> &str {
-        "Hyb.BMCT"
-    }
-
-    fn schedule(&self, scenario: &Scenario) -> Result<Schedule, ScheduleError> {
-        Ok(hyb_bmct(scenario))
-    }
-}
-
-/// CPOP (Topcuoglu et al.) as a [`Heuristic`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Cpop;
-
-impl Heuristic for Cpop {
-    fn name(&self) -> &str {
-        "CPOP"
-    }
-
-    fn schedule(&self, scenario: &Scenario) -> Result<Schedule, ScheduleError> {
-        Ok(cpop(scenario))
-    }
-}
-
-/// σ-HEFT (the paper's §VIII future-work heuristic) as a [`Heuristic`],
-/// parameterized by the risk weight κ.
+/// A bundled heuristic: its registry name and its free function.
 #[derive(Debug, Clone, Copy)]
-pub struct SigmaHeft {
-    /// Risk weight κ of the `mean + κ·σ` cost (κ = 0 reduces to
-    /// HEFT-on-means).
-    pub kappa: f64,
-}
+struct Bundled(&'static str, fn(&Scenario) -> Schedule);
 
-impl Default for SigmaHeft {
-    fn default() -> Self {
-        Self { kappa: 1.0 }
-    }
-}
-
-impl Heuristic for SigmaHeft {
+impl Heuristic for Bundled {
     fn name(&self) -> &str {
-        "σ-HEFT"
+        self.0
     }
 
     fn schedule(&self, scenario: &Scenario) -> Result<Schedule, ScheduleError> {
-        Ok(sigma_heft(scenario, self.kappa))
+        Ok((self.1)(scenario))
     }
 }
 
-/// Builds one bundled heuristic with its default configuration.
-type Constructor = fn() -> Box<dyn Heuristic>;
-
-/// Registry names and constructors of the bundled heuristics, in the
-/// paper's order (HEFT, BIL, Hyb.BMCT) followed by the extensions
-/// (CPOP, σ-HEFT).
-const REGISTRY: [(&str, Constructor); 5] = [
-    ("HEFT", || Box::new(Heft)),
-    ("BIL", || Box::new(Bil)),
-    ("Hyb.BMCT", || Box::new(HybBmct)),
-    ("CPOP", || Box::new(Cpop)),
-    ("σ-HEFT", || Box::new(SigmaHeft::default())),
+/// The bundled heuristics, in the paper's order (HEFT, BIL, Hyb.BMCT)
+/// followed by the extensions (CPOP, σ-HEFT at risk weight κ = 1).
+const REGISTRY: [Bundled; 5] = [
+    Bundled("HEFT", heft),
+    Bundled("BIL", bil),
+    Bundled("Hyb.BMCT", hyb_bmct),
+    Bundled("CPOP", cpop),
+    Bundled("σ-HEFT", |scenario| sigma_heft(scenario, 1.0)),
 ];
 
-/// All bundled heuristics with their default configurations, in the
-/// paper's order (HEFT, BIL, Hyb.BMCT) followed by the extensions
-/// (CPOP, σ-HEFT).
+/// All bundled heuristics, in the paper's order (HEFT, BIL, Hyb.BMCT)
+/// followed by the extensions (CPOP, σ-HEFT at κ = 1).
 pub fn registry() -> Vec<Box<dyn Heuristic>> {
-    REGISTRY.iter().map(|(_, make)| make()).collect()
+    REGISTRY
+        .iter()
+        .map(|&h| Box::new(h) as Box<dyn Heuristic>)
+        .collect()
 }
 
 /// Resolves a heuristic by name, case-insensitively; `"sigma-heft"` is
 /// accepted as an ASCII alias of `"σ-HEFT"`. Returns `None` for unknown
-/// names. Only the matching heuristic is built.
+/// names.
 pub fn heuristic_by_name(name: &str) -> Option<Box<dyn Heuristic>> {
     let lower = name.to_lowercase();
     let lower = if lower == "sigma-heft" {
@@ -146,8 +77,8 @@ pub fn heuristic_by_name(name: &str) -> Option<Box<dyn Heuristic>> {
     };
     REGISTRY
         .iter()
-        .find(|(canonical, _)| canonical.to_lowercase() == lower)
-        .map(|(_, make)| make())
+        .find(|h| h.0.to_lowercase() == lower)
+        .map(|&h| Box::new(h) as Box<dyn Heuristic>)
 }
 
 #[cfg(test)]
@@ -168,13 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_names_match_the_built_heuristics() {
-        for (canonical, make) in REGISTRY {
-            assert_eq!(make().name(), canonical);
-        }
-    }
-
-    #[test]
     fn lookup_is_case_insensitive_with_ascii_alias() {
         assert_eq!(heuristic_by_name("heft").unwrap().name(), "HEFT");
         assert_eq!(heuristic_by_name("hyb.bmct").unwrap().name(), "Hyb.BMCT");
@@ -185,14 +109,19 @@ mod tests {
     #[test]
     fn trait_schedules_match_free_functions() {
         let s = Scenario::paper_random(12, 3, 1.1, 5);
-        assert_eq!(Heft.schedule(&s).unwrap(), heft(&s));
-        assert_eq!(Bil.schedule(&s).unwrap(), bil(&s));
-        assert_eq!(HybBmct.schedule(&s).unwrap(), hyb_bmct(&s));
-        assert_eq!(Cpop.schedule(&s).unwrap(), cpop(&s));
-        assert_eq!(
-            SigmaHeft { kappa: 0.5 }.schedule(&s).unwrap(),
-            sigma_heft(&s, 0.5)
-        );
+        let free: [(&str, Schedule); 5] = [
+            ("HEFT", heft(&s)),
+            ("BIL", bil(&s)),
+            ("Hyb.BMCT", hyb_bmct(&s)),
+            ("CPOP", cpop(&s)),
+            ("σ-HEFT", sigma_heft(&s, 1.0)),
+        ];
+        let bundled = registry();
+        assert_eq!(bundled.len(), free.len());
+        for (h, (name, schedule)) in bundled.iter().zip(free) {
+            assert_eq!(h.name(), name);
+            assert_eq!(h.schedule(&s).unwrap(), schedule, "{name}");
+        }
     }
 
     #[test]

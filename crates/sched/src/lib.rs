@@ -21,12 +21,15 @@
 //!   groups refined by balanced minimum completion time;
 //! * [`mod@cpop`] — CPOP (Topcuoglu et al.), an extension beyond the paper's
 //!   evaluated set;
+//! * [`robust`] — σ-HEFT, HEFT on risk-adjusted `mean + κ·σ` costs (the
+//!   paper's §VIII future work);
 //! * [`random`] — the paper's random schedule generator (uniform ready task
 //!   → uniform processor → eager placement).
 //!
-//! [`heuristic`] wraps all of the above behind the object-safe
-//! [`Heuristic`] trait with a by-name [`registry`], so studies can swap
-//! heuristics without naming concrete functions.
+//! HEFT, σ-HEFT, CPOP and BIL place tasks through one list-scheduling core
+//! in [`timeline`]. [`heuristic`] puts the five heuristics behind the
+//! object-safe [`Heuristic`] trait with a by-name [`registry`], so studies
+//! can swap heuristics without naming concrete functions.
 
 #![deny(missing_docs)]
 

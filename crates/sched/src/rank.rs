@@ -11,20 +11,10 @@ use robusched_platform::Scenario;
 /// Upward ranks with mean costs: `rank_u(i) = w̄(i) + max_{j ∈ succ(i)}
 /// (c̄(i,j) + rank_u(j))`.
 pub fn upward_ranks(scenario: &Scenario) -> Vec<f64> {
-    let dag = &scenario.graph.dag;
-    let order = dag.topo_order().expect("scenario graphs are acyclic");
-    let mut rank = vec![0.0f64; dag.node_count()];
-    for &v in order.iter().rev() {
-        let mut best = 0.0f64;
-        for &(s, e) in dag.succs(v) {
-            let cand = scenario.avg_det_comm_cost(e) + rank[s];
-            if cand > best {
-                best = cand;
-            }
-        }
-        rank[v] = scenario.avg_det_task_cost(v) + best;
-    }
-    rank
+    scenario.graph.dag.bottom_levels(
+        |v| scenario.avg_det_task_cost(v),
+        |e| scenario.avg_det_comm_cost(e),
+    )
 }
 
 /// Downward ranks with mean costs: `rank_d(i) = max_{j ∈ pred(i)}

@@ -21,8 +21,9 @@
 //! genuinely more robust schedules — exactly the regime the future-work
 //! remark anticipates.
 
+use crate::heft::rank_then_place;
 use crate::schedule::Schedule;
-use crate::timeline::ProcTimeline;
+use crate::timeline::PartialSchedule;
 use robusched_platform::Scenario;
 
 /// Risk-adjusted cost of task `v` on machine `p`: `mean + κ·σ`.
@@ -31,86 +32,41 @@ fn risk_cost(scenario: &Scenario, v: usize, p: usize, kappa: f64) -> f64 {
     scenario.mean_task_cost(v, p) + kappa * scenario.std_task_cost(v, p)
 }
 
-/// Machine-averaged risk-adjusted cost (rank ingredient).
-fn avg_risk_cost(scenario: &Scenario, v: usize, kappa: f64) -> f64 {
-    let m = scenario.machine_count();
-    (0..m)
-        .map(|p| risk_cost(scenario, v, p, kappa))
-        .sum::<f64>()
-        / m as f64
-}
-
-/// Upward ranks on risk-adjusted costs.
-fn risk_ranks(scenario: &Scenario, kappa: f64) -> Vec<f64> {
-    let dag = &scenario.graph.dag;
-    let order = dag.topo_order().expect("acyclic");
-    let mut rank = vec![0.0f64; dag.node_count()];
-    for &v in order.iter().rev() {
-        let mut best = 0.0f64;
-        for &(s, e) in dag.succs(v) {
-            // Mean communication cost over distinct pairs plus κ·σ of the
-            // same (σ of comm is proportional to its mean under the model).
-            let cbar = scenario.avg_det_comm_cost(e);
-            let cbar_risk = scenario.uncertainty.mean_weight(cbar)
-                + kappa * (scenario.uncertainty.ul - 1.0) * cbar * BETA25_STD;
-            let cand = cbar_risk + rank[s];
-            if cand > best {
-                best = cand;
-            }
-        }
-        rank[v] = avg_risk_cost(scenario, v, kappa) + best;
-    }
-    rank
-}
-
-/// Standard deviation of the unit Beta(2, 5): √(10/(49·8)).
+/// Standard deviation of the unit Beta(2, 5): √(10/(49·8)). The literal is
+/// 15 ulps from the `(10/392).sqrt()` that `UncertaintyModel` computes;
+/// σ-HEFT's ranks, and so its schedules, depend on these bits.
 const BETA25_STD: f64 = 0.159_719_141_249_985_4;
 
 /// Runs σ-HEFT with risk weight `κ` (κ = 1 is a good default).
 pub fn sigma_heft(scenario: &Scenario, kappa: f64) -> Schedule {
+    plan(scenario, kappa).into_schedule()
+}
+
+/// σ-HEFT's placement, before it becomes a [`Schedule`].
+pub(crate) fn plan(scenario: &Scenario, kappa: f64) -> PartialSchedule<'_> {
     assert!(kappa >= 0.0, "risk weight must be non-negative");
-    let dag = &scenario.graph.dag;
-    let n = dag.node_count();
     let m = scenario.machine_count();
-    let ranks = risk_ranks(scenario, kappa);
-    let order = crate::rank::tasks_by_decreasing_rank(&ranks);
-
-    let mut timelines: Vec<ProcTimeline> = vec![ProcTimeline::new(); m];
-    let mut assignment = vec![usize::MAX; n];
-    let mut finish = vec![0.0f64; n];
-
-    for &t in &order {
-        let mut best_p = 0usize;
-        let mut best_start = f64::INFINITY;
-        let mut best_eft = f64::INFINITY;
-        for (p, timeline) in timelines.iter().enumerate() {
-            let mut ready = 0.0f64;
-            for &(u, e) in dag.preds(t) {
-                let pu = assignment[u];
-                let mean_comm = scenario.mean_comm_cost(e, pu, p);
-                let comm_risk = mean_comm + kappa * scenario.std_comm_cost(e, pu, p);
-                let arrival = finish[u] + comm_risk;
-                if arrival > ready {
-                    ready = arrival;
-                }
-            }
-            let dur = risk_cost(scenario, t, p, kappa);
-            let start = timeline.earliest_slot(ready, dur);
-            if start + dur < best_eft {
-                best_eft = start + dur;
-                best_start = start;
-                best_p = p;
-            }
-        }
-        let dur = risk_cost(scenario, t, best_p, kappa);
-        timelines[best_p].insert(best_start, dur, t);
-        assignment[t] = best_p;
-        finish[t] = best_eft;
-    }
-
-    Schedule::new(
-        assignment,
-        timelines.into_iter().map(|tl| tl.task_order()).collect(),
+    let model = &scenario.uncertainty;
+    // Upward ranks on machine-averaged risk-adjusted computation costs and
+    // risk-adjusted mean communication costs (σ of a communication is
+    // proportional to its mean under the model).
+    let ranks = scenario.graph.dag.bottom_levels(
+        |v| {
+            (0..m)
+                .map(|p| risk_cost(scenario, v, p, kappa))
+                .sum::<f64>()
+                / m as f64
+        },
+        |e| {
+            let cbar = scenario.avg_det_comm_cost(e);
+            model.mean_weight(cbar) + kappa * (model.ul - 1.0) * cbar * BETA25_STD
+        },
+    );
+    rank_then_place(
+        scenario,
+        &ranks,
+        |t, p| risk_cost(scenario, t, p, kappa),
+        |e, p, q| scenario.mean_comm_cost(e, p, q) + kappa * scenario.std_comm_cost(e, p, q),
     )
 }
 

@@ -5,7 +5,7 @@ use robusched_dag::{Dag, NodeId};
 /// An eager schedule: task → machine assignment plus the execution order on
 /// every machine. Start dates are *not* stored (§II: eager schedules start
 /// every task as soon as possible), so the same schedule replays under any
-//  realization of the random durations.
+/// realization of the random durations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     assignment: Vec<usize>,

@@ -1,11 +1,18 @@
-//! Per-machine busy timelines with insertion slots.
+//! Per-machine busy timelines with insertion slots, and the list-scheduling
+//! core the heuristics share.
 //!
-//! HEFT and CPOP use the *insertion-based* policy: a task may be placed in
-//! an idle gap between two already-scheduled tasks if the gap is long
-//! enough. [`ProcTimeline`] maintains the busy intervals of one machine in
+//! HEFT, σ-HEFT and CPOP *insert*: a task may be placed in an idle gap
+//! between two already-scheduled tasks if the gap is long enough
+//! ([`ProcTimeline::earliest_slot`]). BIL *appends*: a task starts no
+//! earlier than the last booked finish of its machine
+//! ([`ProcTimeline::earliest_append`]). Hyb.BMCT books whole groups in
+//! rank order on its own per-machine lists and only shares the data-ready
+//! fold. [`ProcTimeline`] maintains the busy intervals of one machine in
 //! start order and answers "earliest start ≥ ready of length `dur`".
 
-use robusched_dag::NodeId;
+use crate::schedule::Schedule;
+use robusched_dag::{Dag, EdgeId, NodeId};
+use std::ops::Range;
 
 /// Busy intervals of one machine, kept sorted by start time.
 #[derive(Debug, Clone, Default)]
@@ -78,9 +85,182 @@ impl ProcTimeline {
     }
 }
 
+/// A schedule under construction: the machines' timelines plus each placed
+/// task's machine and planned finish time.
+pub(crate) struct PartialSchedule<'a> {
+    dag: &'a Dag,
+    timelines: Vec<ProcTimeline>,
+    assignment: Vec<usize>,
+    finish: Vec<f64>,
+}
+
+impl<'a> PartialSchedule<'a> {
+    /// No task placed yet on `m` machines.
+    pub(crate) fn new(dag: &'a Dag, m: usize) -> Self {
+        let n = dag.node_count();
+        Self {
+            dag,
+            timelines: vec![ProcTimeline::new(); m],
+            assignment: vec![usize::MAX; n],
+            finish: vec![0.0; n],
+        }
+    }
+
+    /// [`data_ready`] of `t` on machine `p`.
+    pub(crate) fn data_ready<C>(&self, t: NodeId, p: usize, comm: C) -> f64
+    where
+        C: Fn(EdgeId, usize, usize) -> f64,
+    {
+        data_ready(self.dag, &self.assignment, &self.finish, t, p, comm)
+    }
+
+    /// Earliest start `≥ ready` on machine `p` after its last booking.
+    pub(crate) fn earliest_append(&self, p: usize, ready: f64) -> f64 {
+        self.timelines[p].earliest_append(ready)
+    }
+
+    /// Places `t` by the insertion policy on the machine of `machines`
+    /// where it finishes first, `dur(p)` being its duration on `p` and
+    /// `comm` pricing its incoming data; the first machine wins ties.
+    pub(crate) fn place_earliest_finish<D, C>(
+        &mut self,
+        t: NodeId,
+        machines: Range<usize>,
+        dur: D,
+        comm: C,
+    ) where
+        D: Fn(usize) -> f64,
+        C: Fn(EdgeId, usize, usize) -> f64,
+    {
+        let mut best_p = machines.start;
+        let mut best_start = f64::INFINITY;
+        let mut best_eft = f64::INFINITY;
+        for p in machines {
+            let d = dur(p);
+            let start = self.timelines[p].earliest_slot(self.data_ready(t, p, &comm), d);
+            if start + d < best_eft {
+                best_eft = start + d;
+                best_start = start;
+                best_p = p;
+            }
+        }
+        self.commit(t, best_p, best_start, dur(best_p));
+    }
+
+    /// Books `t` on machine `p` from `start` for `dur` (BIL's appends pass
+    /// an [`Self::earliest_append`] start); its planned finish is
+    /// `start + dur`.
+    pub(crate) fn commit(&mut self, t: NodeId, p: usize, start: f64, dur: f64) {
+        self.timelines[p].insert(start, dur, t);
+        self.assignment[t] = p;
+        self.finish[t] = start + dur;
+    }
+
+    /// The placed tasks as an eager schedule: each machine runs its tasks
+    /// in booked start order.
+    pub(crate) fn into_schedule(self) -> Schedule {
+        Schedule::new(
+            self.assignment,
+            self.timelines
+                .into_iter()
+                .map(|tl| tl.task_order())
+                .collect(),
+        )
+    }
+}
+
+/// Data-ready time of task `t` on machine `p`: the latest arrival (from
+/// `0.0`) of its predecessors' data, each predecessor `u` finishing at
+/// `finish[u]` on machine `assignment[u]` and `comm(e, assignment[u], p)`
+/// pricing edge `e`. Every predecessor must be placed.
+pub(crate) fn data_ready<C>(
+    dag: &Dag,
+    assignment: &[usize],
+    finish: &[f64],
+    t: NodeId,
+    p: usize,
+    comm: C,
+) -> f64
+where
+    C: Fn(EdgeId, usize, usize) -> f64,
+{
+    let mut ready = 0.0f64;
+    for &(u, e) in dag.preds(t) {
+        debug_assert_ne!(assignment[u], usize::MAX, "predecessor {u} of {t} unplaced");
+        let arrival = finish[u] + comm(e, assignment[u], p);
+        if arrival > ready {
+            ready = arrival;
+        }
+    }
+    ready
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eager::EagerPlan;
+    use crate::rank::upward_ranks;
+    use crate::{bil, cpop, heft, robust};
+    use robusched_platform::Scenario;
+
+    /// Asserts that `plan`'s finish times equal, bit for bit, the eager
+    /// replay of its schedule under the costs it was planned with.
+    fn assert_replays<D, C>(label: &str, s: &Scenario, plan: PartialSchedule<'_>, dur: D, comm: C)
+    where
+        D: Fn(NodeId, usize) -> f64,
+        C: Fn(EdgeId, usize, usize) -> f64,
+    {
+        let planned = plan.finish.clone();
+        let schedule = plan.into_schedule();
+        let dag = &s.graph.dag;
+        let on = |v| schedule.machine_of(v);
+        let replay = EagerPlan::new(dag, &schedule)
+            .expect("heuristic schedules are valid")
+            .execute(dag, |v| dur(v, on(v)), |e, u, v| comm(e, on(u), on(v)));
+        for (v, (p, r)) in planned.iter().zip(&replay.finish).enumerate() {
+            assert_eq!(
+                p.to_bits(),
+                r.to_bits(),
+                "{label}: task {v} planned {p}, replayed {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn planned_finish_times_equal_the_eager_replay() {
+        let mut seed = 0;
+        for n in [5, 23, 60, 100] {
+            for m in [2, 5, 16] {
+                for ul in [1.01, 1.5] {
+                    seed += 1;
+                    let s = Scenario::paper_random(n, m, ul, seed);
+                    let label = format!("n={n} m={m} ul={ul} seed={seed}");
+                    let det_dur = |t, p| s.det_task_cost(t, p);
+                    let det_comm = |e, p, q| s.det_comm_cost(e, p, q);
+                    let det_plans = [
+                        (
+                            "HEFT",
+                            heft::rank_then_place(&s, &upward_ranks(&s), det_dur, det_comm),
+                        ),
+                        ("CPOP", cpop::plan(&s)),
+                        ("BIL", bil::plan(&s)),
+                    ];
+                    for (name, plan) in det_plans {
+                        assert_replays(&format!("{name} {label}"), &s, plan, det_dur, det_comm);
+                    }
+                    for kappa in [0.0, 2.0] {
+                        assert_replays(
+                            &format!("σ-HEFT κ={kappa} {label}"),
+                            &s,
+                            robust::plan(&s, kappa),
+                            |t, p| s.mean_task_cost(t, p) + kappa * s.std_task_cost(t, p),
+                            |e, p, q| s.mean_comm_cost(e, p, q) + kappa * s.std_comm_cost(e, p, q),
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn empty_timeline_starts_at_ready() {
