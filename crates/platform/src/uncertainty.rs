@@ -120,16 +120,21 @@ impl UncertaintyModel {
 
     /// [`UncertaintyModel::std_weight`] with an explicit uncertainty level.
     pub fn std_weight_with_ul(&self, w: f64, ul: f64) -> f64 {
-        let base_std = match self.kind {
-            UncertaintyKind::None => return 0.0,
+        (ul - 1.0) * w * self.base_std()
+    }
+
+    /// Standard deviation of the family's unit-support base shape (0 for
+    /// `None`): a weight `w` at level `UL` has `σ = (UL−1)·w·base_std`.
+    pub fn base_std(&self) -> f64 {
+        match self.kind {
+            UncertaintyKind::None => 0.0,
             // √Var of the unit-support base shapes: Beta(2, 5) has
             // αβ/((α+β)²(α+β+1)) = 10/392; U(0, 1) has 1/12;
             // Tri(0, 0.2, 1) has (a²+b²+c²−ab−ac−bc)/18 = 0.84/18.
             UncertaintyKind::Beta25 => (10.0f64 / 392.0).sqrt(),
             UncertaintyKind::Uniform => (1.0f64 / 12.0).sqrt(),
             UncertaintyKind::Triangular => (0.84f64 / 18.0).sqrt(),
-        };
-        (ul - 1.0) * w * base_std
+        }
     }
 }
 

@@ -22,6 +22,10 @@
 //!   lateness, interval probabilities, quantiles and KS/CM distances;
 //! * [`seed`] — SplitMix64 sub-seed derivation so every experiment is
 //!   reproducible bit-for-bit regardless of thread count;
+//! * [`rng4`] — [`rng4::StdRngX4`], four `StdRng` streams advanced in
+//!   lockstep in AVX2 lanes, from which
+//!   [`qtable::QuantileTable::fill_row_x4_u53`] draws four Monte-Carlo
+//!   chunks' rows at once;
 //! * [`workspace`] — [`workspace::RvWorkspace`], reusable scratch buffers
 //!   behind the allocation-free `sum_into`/`max_into`/`min_into` kernels
 //!   (the allocating operators route through a thread-local instance).
@@ -36,6 +40,7 @@ pub mod dist;
 pub mod gamma;
 pub mod normal;
 pub mod qtable;
+pub mod rng4;
 pub mod seed;
 pub mod triangular;
 pub mod uniform;
@@ -49,6 +54,7 @@ pub use dist::{uniform01, Dist};
 pub use gamma::Gamma;
 pub use normal::Normal;
 pub use qtable::QuantileTable;
+pub use rng4::StdRngX4;
 pub use seed::{derive_seed, SplitMix64};
 pub use triangular::Triangular;
 pub use uniform::Uniform;

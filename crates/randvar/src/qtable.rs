@@ -27,6 +27,9 @@
 //! root find, no transcendental call.
 
 use crate::dist::{uniform01, Dist};
+#[cfg(target_arch = "x86_64")]
+use crate::rng4::Lanes;
+use crate::rng4::StdRngX4;
 use rand::RngCore;
 use robusched_numeric::{monotone_clamp, MonotoneCubic};
 
@@ -320,16 +323,9 @@ impl QuantileTable {
         }
     }
 
-    /// [`QuantileTable::fill_row_u53`] four elements per step: four draws,
-    /// one 32-byte load of each lane's bulk Horner coefficients, a 4×4
-    /// transpose to one vector per coefficient, and the bulk path's
-    /// multiplies and adds in its order (Rust never contracts them into an
-    /// FMA). A 53-bit draw's interval index is below `2⁵³⁻ˢʰⁱᶠᵗ`, the
-    /// length of `bulk`, so every load is in range. Lanes outside the bulk
-    /// window are marked in a bit mask, and once a run of up to 64 lanes
-    /// is drawn they are recomputed one by one through the tail lookup
-    /// that `quantile_u53` reaches for them: the step loop has no branch
-    /// on the data.
+    /// [`QuantileTable::fill_row_u53`] four elements per step through
+    /// [`QuantileTable::fill_bulk_avx2`]; the `len % 4` elements after the
+    /// last full step take the baseline body's draws and lookups.
     ///
     /// # Safety
     /// Callers without AVX2 enabled must call this through `unsafe` and
@@ -344,10 +340,117 @@ impl QuantileTable {
         row: &mut [f64],
     ) {
         use std::arch::x86_64::*;
-        let shift = self.bits_shift;
-        if shift == 0 {
+        if self.bits_shift == 0 {
             return self.fill_row_u53_baseline(rng, lo, span, row);
         }
+        let steps = row.len() / 4 * 4;
+        let (head, rest) = row.split_at_mut(steps);
+        self.fill_bulk_avx2(lo, span, head, || {
+            // `from_fn` fills in index order, so lane k takes the k-th draw.
+            let w: [u64; 4] = std::array::from_fn(|_| rng.next_u64());
+            _mm256_set_epi64x(w[3] as i64, w[2] as i64, w[1] as i64, w[0] as i64)
+        });
+        self.fill_row_u53_baseline(rng, lo, span, rest);
+    }
+
+    /// Fills `row` from the four lockstep streams of `rng`: `row[4k + l]`
+    /// is bit for bit `lo + span * quantile_u53(b)` for the `k`-th draw
+    /// `b = next_u64() >> 11` of lane `l`. That is element `k` of what
+    /// [`QuantileTable::fill_row_u53`] writes into a row of `row.len() / 4`
+    /// elements from lane `l`'s own `StdRng`, so one call draws one
+    /// uncertain slot for four Monte-Carlo chunks at once, interleaved.
+    ///
+    /// ```
+    /// use rand::rngs::StdRng;
+    /// use rand::SeedableRng;
+    /// use robusched_randvar::{Beta, QuantileTable, StdRngX4};
+    ///
+    /// let table = QuantileTable::with_default_resolution(&Beta::paper_default());
+    /// let rngs = [1, 2, 3, 4].map(StdRng::seed_from_u64);
+    /// // `None` on a CPU without AVX2: draw from `rngs` one by one there.
+    /// if let Some(mut x4) = StdRngX4::new(&rngs) {
+    ///     let mut row = [0.0; 4 * 8];
+    ///     table.fill_row_x4_u53(&mut x4, 20.0, 2.0, &mut row);
+    ///     let mut lane2 = [0.0; 8];
+    ///     table.fill_row_u53(&mut rngs[2].clone(), 20.0, 2.0, &mut lane2);
+    ///     assert_eq!(row[4 * 5 + 2], lane2[5]);
+    /// }
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if `row.len()` is not a multiple of four.
+    #[inline]
+    pub fn fill_row_x4_u53(&self, rng: &mut StdRngX4, lo: f64, span: f64, row: &mut [f64]) {
+        assert!(
+            row.len().is_multiple_of(4),
+            "a four-stream row has four lanes per draw"
+        );
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `StdRngX4::new` returns a generator only on a CPU with
+        // AVX2, and `fill_row_x4_u53_avx2` only requires AVX2.
+        unsafe {
+            self.fill_row_x4_u53_avx2(rng, lo, span, row)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (rng, lo, span, row);
+            unreachable!("a StdRngX4 exists only on a CPU with AVX2")
+        }
+    }
+
+    /// The body of [`QuantileTable::fill_row_x4_u53`]: each step of
+    /// [`QuantileTable::fill_bulk_avx2`] takes one lockstep step of the
+    /// four generators. A table without the u53 split takes the same
+    /// words and looks each one up through `quantile_u53`.
+    ///
+    /// # Safety
+    /// Callers without AVX2 enabled must call this through `unsafe` and
+    /// only after checking that the running CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn fill_row_x4_u53_avx2(&self, rng: &mut StdRngX4, lo: f64, span: f64, row: &mut [f64]) {
+        let mut lanes = Lanes::load(rng);
+        if self.bits_shift == 0 {
+            for out in row.chunks_exact_mut(4) {
+                // SAFETY: an `__m256i` is four u64.
+                let words: [u64; 4] = unsafe { std::mem::transmute(lanes.next()) };
+                for (x, w) in out.iter_mut().zip(words) {
+                    *x = lo + span * self.quantile_u53(w >> 11);
+                }
+            }
+        } else {
+            self.fill_bulk_avx2(lo, span, row, || lanes.next());
+        }
+        lanes.store(rng);
+    }
+
+    /// The bulk loop of both AVX2 row fills, four elements per step: four
+    /// 64-bit words from `words` (lane `k` for element `4g + k`), their
+    /// top 53 bits as draws, each lane's bulk Horner coefficients loaded
+    /// as two 128-bit halves and unpacked into one vector per
+    /// coefficient, and the bulk path's multiplies and adds in its order
+    /// (Rust never contracts them into an FMA). A 53-bit draw's interval
+    /// index is below `2⁵³⁻ˢʰⁱᶠᵗ`, the length of `bulk`, so every load is
+    /// in range. Lanes outside the bulk window are marked in a bit mask,
+    /// and once a run of up to 64 lanes is drawn they are recomputed one
+    /// by one through the tail lookup that `quantile_u53` reaches for
+    /// them: the step loop has no branch on the data.
+    ///
+    /// `row.len()` must be a multiple of four and the table must have the
+    /// u53 split (`bits_shift != 0`).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn fill_bulk_avx2<W: FnMut() -> std::arch::x86_64::__m256i>(
+        &self,
+        lo: f64,
+        span: f64,
+        row: &mut [f64],
+        mut words: W,
+    ) {
+        use std::arch::x86_64::*;
+        debug_assert!(row.len().is_multiple_of(4) && self.bits_shift != 0);
+        let shift = self.bits_shift;
         let shift_count = _mm_cvtsi32_si128(shift as i32);
         // The bulk window `[first, last]` of interval indices (both below
         // 2¹¹ for the default table, far inside the signed range).
@@ -365,30 +468,29 @@ impl QuantileTable {
         let mut bits = [0u64; 64];
         for run in row.chunks_mut(64) {
             let mut tails = 0u64;
-            let mut groups = run.chunks_exact_mut(4);
-            for (g, out) in (&mut groups).enumerate() {
-                // `from_fn` fills in index order, so lane k takes the k-th
-                // draw.
-                let b: [u64; 4] = std::array::from_fn(|_| rng.next_u64() >> 11);
-                let c = b.map(|b| {
-                    let coeffs = &self.bulk[(b >> shift) as usize];
-                    // SAFETY: `coeffs` is four contiguous f64; AVX2 is
-                    // enabled.
-                    unsafe { _mm256_loadu_pd(coeffs.as_ptr()) }
-                });
-                let (lo01, hi01) = (
-                    _mm256_unpacklo_pd(c[0], c[1]),
-                    _mm256_unpackhi_pd(c[0], c[1]),
-                );
-                let (lo23, hi23) = (
-                    _mm256_unpacklo_pd(c[2], c[3]),
-                    _mm256_unpackhi_pd(c[2], c[3]),
-                );
-                let c0 = _mm256_permute2f128_pd::<0x20>(lo01, lo23);
-                let c1 = _mm256_permute2f128_pd::<0x20>(hi01, hi23);
-                let c2 = _mm256_permute2f128_pd::<0x31>(lo01, lo23);
-                let c3 = _mm256_permute2f128_pd::<0x31>(hi01, hi23);
-                let b4 = _mm256_set_epi64x(b[3] as i64, b[2] as i64, b[1] as i64, b[0] as i64);
+            for (g, out) in run.chunks_exact_mut(4).enumerate() {
+                let b4 = _mm256_srli_epi64::<11>(words());
+                let i4 = _mm256_srl_epi64(b4, shift_count);
+                // SAFETY: an `__m256i` is four u64.
+                let i: [u64; 4] = unsafe { std::mem::transmute(i4) };
+                // Lane k's coefficients `[c0, c1, c2, c3]`, low and high
+                // halves.
+                let half = |k: usize, h: usize| {
+                    let c = &self.bulk[i[k] as usize][2 * h..2 * h + 2];
+                    // SAFETY: `c` is two contiguous f64; AVX2 is enabled.
+                    unsafe { _mm_loadu_pd(c.as_ptr()) }
+                };
+                // `(c0, c1)` of lanes 0 and 2 against lanes 1 and 3, then
+                // `(c2, c3)`; the unpacks pair lane 0 with 1 and 2 with 3.
+                let pair = |a: usize, b: usize, h: usize| {
+                    _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(half(a, h)), half(b, h))
+                };
+                let (lo02, lo13) = (pair(0, 2, 0), pair(1, 3, 0));
+                let (hi02, hi13) = (pair(0, 2, 1), pair(1, 3, 1));
+                let c0 = _mm256_unpacklo_pd(lo02, lo13);
+                let c1 = _mm256_unpackhi_pd(lo02, lo13);
+                let c2 = _mm256_unpacklo_pd(hi02, hi13);
+                let c3 = _mm256_unpackhi_pd(hi02, hi13);
                 let frac = _mm256_or_si256(_mm256_and_si256(b4, frac_mask), two52_bits);
                 let t = _mm256_mul_pd(_mm256_sub_pd(_mm256_castsi256_pd(frac), two52), frac_scale);
                 let mut q = _mm256_add_pd(_mm256_mul_pd(c3, t), c2);
@@ -400,12 +502,10 @@ impl QuantileTable {
                 // SAFETY: `bits[4g..4g + 4]` is in range (at most 16 steps
                 // per run) and four contiguous u64; AVX2 is enabled.
                 unsafe { _mm256_storeu_si256(bits[4 * g..4 * g + 4].as_mut_ptr().cast(), b4) };
-                let i = _mm256_srl_epi64(b4, shift_count);
                 let outside =
-                    _mm256_or_si256(_mm256_cmpgt_epi64(first, i), _mm256_cmpgt_epi64(i, last));
+                    _mm256_or_si256(_mm256_cmpgt_epi64(first, i4), _mm256_cmpgt_epi64(i4, last));
                 tails |= (_mm256_movemask_pd(_mm256_castsi256_pd(outside)) as u64) << (4 * g);
             }
-            self.fill_row_u53_baseline(rng, lo, span, groups.into_remainder());
             while tails != 0 {
                 let j = tails.trailing_zeros() as usize;
                 // Outside the bulk window `quantile_u53` goes through
@@ -773,6 +873,41 @@ mod tests {
                 for (j, (&b, &x)) in bits.iter().zip(&row).enumerate() {
                     let want = lo + span * t.quantile_u53(b);
                     assert_eq!(x.to_bits(), want.to_bits(), "{name}: lane {j} of {len}");
+                }
+            }
+        }
+    }
+
+    /// The four-stream fill against `fill_row_u53` on each lane's own
+    /// generator, for rows of 0–130 and 256 elements per lane, two rows in
+    /// a row (the second continues the streams). The table without the
+    /// u53 split takes the word-by-word lookups.
+    #[test]
+    fn avx2_four_stream_fill_matches_fill_row_u53_per_stream() {
+        let (lo, span) = (3.7, 0.37);
+        let mut tables = shapes();
+        tables.push(("beta-130", QuantileTable::new(&Beta::paper_default(), 130)));
+        for (name, t) in &tables {
+            for len in (0..=130).chain([256]) {
+                let mut rngs = [5, 6, 7, len as u64].map(StdRng::seed_from_u64);
+                let Some(mut x4) = StdRngX4::new(&rngs) else {
+                    println!("skipped: this CPU has no AVX2, so no lockstep generator exists");
+                    return;
+                };
+                for pass in 0..2 {
+                    let mut row = vec![f64::NAN; 4 * len];
+                    t.fill_row_x4_u53(&mut x4, lo, span, &mut row);
+                    for (l, rng) in rngs.iter_mut().enumerate() {
+                        let mut own = vec![f64::NAN; len];
+                        t.fill_row_u53(rng, lo, span, &mut own);
+                        for (k, &want) in own.iter().enumerate() {
+                            assert_eq!(
+                                row[4 * k + l].to_bits(),
+                                want.to_bits(),
+                                "{name}: lane {l}, element {k} of {len}, row {pass}"
+                            );
+                        }
+                    }
                 }
             }
         }

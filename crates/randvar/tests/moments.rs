@@ -34,8 +34,8 @@ fn beta_moments_closed_form() {
 
 #[test]
 fn paper_beta_constants() {
-    // The paper's Beta(2, 5): E = 2/7, Var = 10/392 — the constants baked
-    // into sigma-HEFT's BETA25_STD and the Spelde moment reduction.
+    // The paper's Beta(2, 5): E = 2/7, Var = 10/392 — the constants of
+    // `UncertaintyModel::base_std` and the Spelde moment reduction.
     let d = Beta::paper_default();
     assert_close(d.mean(), 2.0 / 7.0, "Beta(2,5) mean");
     assert_close(d.variance(), 10.0 / 392.0, "Beta(2,5) variance");

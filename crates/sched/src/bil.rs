@@ -24,12 +24,20 @@ use crate::timeline::PartialSchedule;
 use robusched_platform::Scenario;
 
 /// Computes the BIL table (`n × m`, row-major).
+///
+/// `min_{q ≠ j} BIL(k, q) + c̄` is `fl(x + c̄)` at the smallest `x` over
+/// `q ≠ j`, because rounding `x + c̄` is monotone in `x`; that smallest `x`
+/// is the row's minimum unless `j` holds it, and then the runner-up. Each
+/// finished row's two smallest entries make the table `O(e·m)`.
 fn bil_table(scenario: &Scenario) -> Vec<f64> {
     let dag = &scenario.graph.dag;
     let n = dag.node_count();
     let m = scenario.machine_count();
     let order = dag.topo_order().expect("acyclic");
     let mut bil = vec![0.0f64; n * m];
+    // Per finished row: its smallest entry's machine, the entry, and the
+    // smallest entry on any other machine (∞ with one machine).
+    let mut smallest = vec![(0usize, 0.0f64, 0.0f64); n];
     for &v in order.iter().rev() {
         for j in 0..m {
             let mut level = 0.0f64;
@@ -38,12 +46,8 @@ fn bil_table(scenario: &Scenario) -> Vec<f64> {
                 // Option A: successor stays on j (no transfer).
                 let stay = bil[k * m + j];
                 // Option B: successor moves to the best other processor.
-                let mut go = f64::INFINITY;
-                for q in 0..m {
-                    if q != j {
-                        go = go.min(bil[k * m + q] + cbar);
-                    }
-                }
+                let (q_min, min, runner_up) = smallest[k];
+                let go = if j == q_min { runner_up } else { min } + cbar;
                 let best = stay.min(go);
                 if best > level {
                     level = best;
@@ -51,8 +55,23 @@ fn bil_table(scenario: &Scenario) -> Vec<f64> {
             }
             bil[v * m + j] = scenario.det_task_cost(v, j) + level;
         }
+        smallest[v] = two_smallest(&bil[v * m..(v + 1) * m]);
     }
     bil
+}
+
+/// The first smallest entry's index, that entry, and the smallest entry at
+/// any other index (`∞` for a single entry).
+fn two_smallest(row: &[f64]) -> (usize, f64, f64) {
+    let (mut at, mut min, mut runner_up) = (0, f64::INFINITY, f64::INFINITY);
+    for (q, &x) in row.iter().enumerate() {
+        if x < min {
+            (at, min, runner_up) = (q, x, min);
+        } else if x < runner_up {
+            runner_up = x;
+        }
+    }
+    (at, min, runner_up)
 }
 
 /// Runs BIL scheduling on the deterministic (minimum) costs.
@@ -71,6 +90,10 @@ pub(crate) fn plan(scenario: &Scenario) -> PartialSchedule<'_> {
     let mut plan = PartialSchedule::new(dag, m);
     let mut indeg: Vec<usize> = (0..n).map(|v| dag.in_degree(v)).collect();
     let mut ready: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+    // Each ready task's data-ready time per machine (`n × m`), fixed once
+    // all its predecessors are placed: filled when it becomes ready (an
+    // entry task's stays at the fold's start, 0.0).
+    let mut data_ready = vec![0.0f64; n * m];
     // Reusable scratch for per-task BIM rows.
     let mut bims = vec![0.0f64; m];
 
@@ -82,7 +105,7 @@ pub(crate) fn plan(scenario: &Scenario) -> PartialSchedule<'_> {
         let mut chosen_score = f64::NEG_INFINITY;
         for (idx, &t) in ready.iter().enumerate() {
             for (j, slot) in bims.iter_mut().enumerate() {
-                let start = plan.earliest_append(j, plan.data_ready(t, j, comm));
+                let start = plan.earliest_append(j, data_ready[t * m + j]);
                 *slot = start + table[t * m + j];
             }
             let score = *bims.select_nth_unstable_by(k - 1, f64::total_cmp).1;
@@ -99,7 +122,7 @@ pub(crate) fn plan(scenario: &Scenario) -> PartialSchedule<'_> {
         let mut best_val = f64::INFINITY;
         let mut best_start = 0.0f64;
         for j in 0..m {
-            let start = plan.earliest_append(j, plan.data_ready(t, j, comm));
+            let start = plan.earliest_append(j, data_ready[t * m + j]);
             let w = scenario.det_task_cost(t, j);
             let bim_star = start + table[t * m + j] + w * oversub;
             if bim_star < best_val {
@@ -112,6 +135,9 @@ pub(crate) fn plan(scenario: &Scenario) -> PartialSchedule<'_> {
         for &(s, _) in dag.succs(t) {
             indeg[s] -= 1;
             if indeg[s] == 0 {
+                for (j, dr) in data_ready[s * m..(s + 1) * m].iter_mut().enumerate() {
+                    *dr = plan.data_ready(s, j, comm);
+                }
                 ready.push(s);
             }
         }
@@ -152,6 +178,32 @@ mod tests {
         );
         let t = bil_table(&s);
         assert_eq!(t, vec![4.0, 4.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn bil_table_matches_the_minimum_over_other_machines() {
+        // The recurrence with `min_{q ≠ j}` taken machine by machine.
+        for (n, m, seed) in [(20, 1, 1), (30, 2, 2), (40, 5, 3), (25, 8, 4)] {
+            let s = Scenario::paper_random(n, m, 1.1, seed);
+            let dag = &s.graph.dag;
+            let mut want = vec![0.0f64; n * m];
+            for &v in dag.topo_order().unwrap().iter().rev() {
+                for j in 0..m {
+                    let mut level = 0.0f64;
+                    for &(k, e) in dag.succs(v) {
+                        let cbar = s.avg_det_comm_cost(e);
+                        let go = (0..m)
+                            .filter(|&q| q != j)
+                            .map(|q| want[k * m + q] + cbar)
+                            .fold(f64::INFINITY, f64::min);
+                        level = level.max(want[k * m + j].min(go));
+                    }
+                    want[v * m + j] = s.det_task_cost(v, j) + level;
+                }
+            }
+            let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&bil_table(&s)), bits(&want), "n = {n}, m = {m}");
+        }
     }
 
     #[test]

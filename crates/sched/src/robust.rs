@@ -32,10 +32,14 @@ fn risk_cost(scenario: &Scenario, v: usize, p: usize, kappa: f64) -> f64 {
     scenario.mean_task_cost(v, p) + kappa * scenario.std_task_cost(v, p)
 }
 
-/// Standard deviation of the unit Beta(2, 5): √(10/(49·8)). The literal is
-/// 15 ulps from the `(10/392).sqrt()` that `UncertaintyModel` computes;
-/// σ-HEFT's ranks, and so its schedules, depend on these bits.
-const BETA25_STD: f64 = 0.159_719_141_249_985_4;
+/// Risk-adjusted mean communication cost of edge `e` for the ranks:
+/// `mean + κ·σ` of its machine-averaged deterministic cost, priced by the
+/// scenario's uncertainty family as placements are.
+fn rank_comm_cost(scenario: &Scenario, e: usize, kappa: f64) -> f64 {
+    let model = &scenario.uncertainty;
+    let cbar = scenario.avg_det_comm_cost(e);
+    model.mean_weight(cbar) + kappa * model.std_weight(cbar)
+}
 
 /// Runs σ-HEFT with risk weight `κ` (κ = 1 is a good default).
 pub fn sigma_heft(scenario: &Scenario, kappa: f64) -> Schedule {
@@ -46,10 +50,8 @@ pub fn sigma_heft(scenario: &Scenario, kappa: f64) -> Schedule {
 pub(crate) fn plan(scenario: &Scenario, kappa: f64) -> PartialSchedule<'_> {
     assert!(kappa >= 0.0, "risk weight must be non-negative");
     let m = scenario.machine_count();
-    let model = &scenario.uncertainty;
     // Upward ranks on machine-averaged risk-adjusted computation costs and
-    // risk-adjusted mean communication costs (σ of a communication is
-    // proportional to its mean under the model).
+    // risk-adjusted mean communication costs.
     let ranks = scenario.graph.dag.bottom_levels(
         |v| {
             (0..m)
@@ -57,10 +59,7 @@ pub(crate) fn plan(scenario: &Scenario, kappa: f64) -> PartialSchedule<'_> {
                 .sum::<f64>()
                 / m as f64
         },
-        |e| {
-            let cbar = scenario.avg_det_comm_cost(e);
-            model.mean_weight(cbar) + kappa * (model.ul - 1.0) * cbar * BETA25_STD
-        },
+        |e| rank_comm_cost(scenario, e, kappa),
     );
     rank_then_place(
         scenario,
@@ -74,6 +73,7 @@ pub(crate) fn plan(scenario: &Scenario, kappa: f64) -> PartialSchedule<'_> {
 mod tests {
     use super::*;
     use crate::det_makespan;
+    use robusched_platform::{UncertaintyKind, UncertaintyModel};
 
     #[test]
     fn sigma_heft_valid_and_reasonable() {
@@ -84,6 +84,29 @@ mod tests {
             let h = det_makespan(&s, &crate::heft(&s));
             let r = det_makespan(&s, &sched);
             assert!(r < 1.5 * h, "σ-HEFT makespan {r} vs HEFT {h}");
+        }
+    }
+
+    #[test]
+    fn rank_edges_follow_the_uncertainty_family() {
+        // Uniform at UL 1.5: a weight c has mean 1.25·c and σ 0.5·c/√12.
+        let mut s = Scenario::paper_random(10, 3, 1.5, 1);
+        s.uncertainty = UncertaintyModel {
+            ul: 1.5,
+            kind: UncertaintyKind::Uniform,
+        };
+        let kappa = 2.0;
+        for e in 0..s.graph.dag.edge_count() {
+            let cbar = s.avg_det_comm_cost(e);
+            let model = &s.uncertainty;
+            let rank = rank_comm_cost(&s, e, kappa);
+            let priced = model.mean_weight(cbar) + kappa * model.std_weight(cbar);
+            assert_eq!(rank.to_bits(), priced.to_bits(), "edge {e}");
+            let closed = 1.25 * cbar + kappa * 0.5 * cbar / 12f64.sqrt();
+            assert!(
+                (rank - closed).abs() <= 1e-12 * closed,
+                "edge {e}: {rank} vs {closed}"
+            );
         }
     }
 

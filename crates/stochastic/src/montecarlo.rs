@@ -5,12 +5,16 @@
 //!
 //! Each realization samples every task duration and every communication
 //! delay, then replays the eager schedule. The engine is *batched*: one
-//! block kernel runs 256 realizations at once as structure-of-arrays rows.
-//! It walks the plan's disjunctive topological order and, for every
-//! uncertain task or edge, draws that slot's 256-lane duration row through
-//! the shared inverse-CDF table just before the replay reads it; only the
-//! `[task × lane]` finish matrix and that one row are live. Four design
-//! points keep it fast and reproducible:
+//! block kernel runs a block of 256 realizations of a chunk at once as
+//! structure-of-arrays rows. It walks the plan's disjunctive topological
+//! order and, for every uncertain task or edge, draws that slot's duration
+//! row through the shared inverse-CDF table just before the replay reads
+//! it. Finish rows live in a small pool: each step writes a free row, a
+//! row is freed after its last reader, and each disjunctive sink folds
+//! into the output row as soon as it is computed, so only the live rows,
+//! the duration row and the output row take memory (19 to 27 finish rows
+//! for the 104 tasks of the fig5 case). Five design points keep it fast
+//! and reproducible:
 //!
 //! * **shared quantile tables** — all uncertain weights are the same base
 //!   shape (Beta(2, 5)) rescaled affinely, so the per-scenario
@@ -23,8 +27,20 @@
 //!   draw order; a realization block is then pure streaming arithmetic;
 //! * **fixed chunking** — realizations are split into fixed 2048-wide
 //!   chunks, each seeded as `derive_seed(seed, chunk_index)`;
-//!   [`par_map`] workers claim chunks and deliver them in chunk order, so
-//!   results are bit-identical for any thread count (per estimator);
+//!   [`par_map`] workers claim passes of one or four chunks and deliver
+//!   them in chunk order, so results are bit-identical for any thread
+//!   count (per estimator);
+//! * **four chunks per pass** — on a CPU with AVX2 the Standard
+//!   estimator runs its full chunks four at a time, over 1024-lane rows
+//!   that interleave them (lane `4k + l` is lane `k` of the `l`-th chunk).
+//!   [`QuantileTable::fill_row_x4_u53`] advances the four chunks'
+//!   xoshiro256++ generators in the four lanes of AVX2 vectors
+//!   ([`StdRngX4`]), so each chunk's generator yields its words in the
+//!   order a chunk of its own would draw them and every lane runs the
+//!   same replay: the samples do not change. Leftover full chunks, a
+//!   partial last chunk, the other estimators (whose draws are not one
+//!   word per lane) and other CPUs run one chunk per pass through the
+//!   same kernel;
 //! * **variance reduction** — [`McEstimator::Antithetic`] mirrors every
 //!   uniform draw across realization pairs and [`McEstimator::Stratified`]
 //!   stratifies each slot's `u ∈ [0, 1)` stream within a block
@@ -43,18 +59,18 @@
 //! fixed contract. That is also the order in which the kernel reads the
 //! rows, so it draws one row at a time.
 //!
-//! On an x86-64 CPU with AVX2 the chunk loop runs a copy of the kernel
+//! On an x86-64 CPU with AVX2 each pass runs a copy of the kernel
 //! compiled for 256-bit vectors, chosen on each call, and the Standard
-//! estimator's rows come from [`QuantileTable::fill_row_u53`]'s four-wide
-//! copy. Both copies perform the same IEEE operations in the same order,
-//! so the samples do not depend on the CPU.
+//! estimator's rows come from the row fills' four-wide copies. Every copy
+//! performs the same IEEE operations in the same order, so the samples do
+//! not depend on the CPU.
 
 use crate::cache::SamplingTables;
 use crate::par::{par_map, worker_count};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use robusched_platform::Scenario;
-use robusched_randvar::{derive_seed, QuantileTable};
+use robusched_randvar::{derive_seed, QuantileTable, StdRngX4};
 use robusched_sched::{EagerPlan, Schedule};
 
 /// Variance-reduction mode of the Monte-Carlo engine.
@@ -125,40 +141,59 @@ impl Default for McConfig {
 /// guarantee, pinned by `tests/mc_engine.rs`.
 pub const CHUNK: usize = 2048;
 
-/// Realizations per block: the lane count of every duration row and
-/// finish row of the block kernel (fixed: the rows stay cache-resident;
-/// divides [`CHUNK`] so blocks never straddle a seeding boundary). Public
-/// for the same reason as [`CHUNK`]: the slot-major draw order within a
-/// block is part of the draw contract.
+/// Realizations per block of one chunk (fixed: divides [`CHUNK`] so blocks
+/// never straddle a seeding boundary). Public for the same reason as
+/// [`CHUNK`]: the slot-major draw order within a block is part of the draw
+/// contract. A kernel row holds one block of one chunk, or one block of
+/// each of four chunks side by side.
 pub const BLOCK: usize = 256;
 
 // Blocks must tile chunks exactly or the per-chunk RNG stream would depend
 // on where a chunk boundary falls.
 const _: () = assert!(CHUNK.is_multiple_of(BLOCK));
 
-/// One block-wide row of the kernel, aligned to a cache line so that its
-/// vector loads never straddle two.
+/// Lanes of a kernel row: a block of each of four chunks, interleaved.
+const ROW: usize = 4 * BLOCK;
+
+/// One kernel row, aligned to a cache line so that its vector loads never
+/// straddle two.
 #[derive(Debug, Clone, Copy)]
 #[repr(C, align(64))]
-struct Row([f64; BLOCK]);
+struct Row([f64; ROW]);
 
 impl Default for Row {
     fn default() -> Self {
-        Self([0.0; BLOCK])
+        Self([0.0; ROW])
     }
 }
 
-/// Reusable per-worker state of the batched engine: the finish matrix
-/// (one row per replay step), the duration row, the stratification
-/// permutation and the sample buffer. One per worker thread (or per
-/// [`EvalContext`](crate::EvalContext)), reused across blocks, chunks and
-/// schedules — steady-state evaluations allocate nothing.
+/// The pool rows before the [`BlockPlan`] slots: the duration row each
+/// draw fills (row 0), and the output row the sinks fold into.
+const OUT_ROW: usize = 1;
+const SLOTS_START: usize = 2;
+
+/// Reusable per-worker state of the batched engine: the row pool (the
+/// duration row, the output row, then one row per [`BlockPlan`] slot), the
+/// stratification permutation and the sample buffer. One per worker thread
+/// (or per [`EvalContext`](crate::EvalContext)), reused across blocks,
+/// chunks and schedules — steady-state evaluations allocate nothing.
 #[derive(Debug, Default)]
 pub(crate) struct McScratch {
-    finish: Vec<Row>,
-    row: Box<Row>,
+    pool: Vec<Row>,
     perm: Vec<u32>,
     pub(crate) samples: Vec<f64>,
+}
+
+/// `pool`, grown in one allocation to hold `block`'s slots and at least
+/// `⌈n/4⌉` of them, so that schedules of the same scenario rarely grow it
+/// again.
+fn pool_for<'a>(pool: &'a mut Vec<Row>, block: &BlockPlan) -> &'a mut [Row] {
+    let rows = SLOTS_START + block.rows.max(block.steps.len().div_ceil(4));
+    if pool.len() < rows {
+        pool.reserve_exact(rows - pool.len());
+        pool.resize(rows, Row::default());
+    }
+    pool
 }
 
 /// The duration of one task or edge: `lo + span·Q(u)` when `span > 0`,
@@ -176,37 +211,43 @@ impl Slot {
     }
 }
 
-/// One incoming DAG edge of a replay step: the predecessor's step and the
-/// edge's duration.
+/// One incoming DAG edge of a replay step: the pool slot of the
+/// predecessor's finish row and the edge's duration.
 #[derive(Debug, Clone, Copy)]
 struct InArc {
     from: u32,
     dur: Slot,
 }
 
-/// One task of the replay, in topological order. Steps refer to each
-/// other by position in that order, so every reference points back.
+/// One task of the replay, in topological order.
 #[derive(Debug, Clone, Copy)]
 struct Step {
-    /// Step of the task before this one on its machine, or [`NO_PREV`].
+    /// Slot of the finish row of the task before this one on its machine,
+    /// or [`NO_PREV`].
     prev: u32,
     /// End of this step's incoming arcs in [`BlockPlan::arcs`]; they start
     /// where the previous step's arcs end.
     arcs_end: u32,
     dur: Slot,
+    /// Slot this step writes its finish row to; never one that it reads.
+    slot: u32,
+    /// A disjunctive sink: its finish row folds into the output row.
+    sink: bool,
 }
 
 const NO_PREV: u32 = u32::MAX;
 
 /// A schedule compiled for the block kernel: replay steps in the plan's
-/// disjunctive topological order, their arcs in predecessor-list order,
-/// and the steps of the disjunctive sinks. Walking steps and arcs in
-/// order visits the uncertain slots in canonical draw order.
+/// disjunctive topological order with their arcs in predecessor-list
+/// order, so that walking steps and arcs in order visits the uncertain
+/// slots in canonical draw order. Steps name finish rows by pool slot: a
+/// slot is taken by the step that writes it and freed after its last
+/// reader, so only the live rows need memory.
 struct BlockPlan {
     steps: Vec<Step>,
     arcs: Vec<InArc>,
-    /// Steps of [`EagerPlan::disjunctive_sinks`], in ascending task order.
-    sinks: Vec<u32>,
+    /// Pool slots the steps use, at most one per step.
+    rows: usize,
 }
 
 impl BlockPlan {
@@ -219,7 +260,7 @@ impl BlockPlan {
             step_of[v] = k as u32;
         }
         let mut arcs = Vec::with_capacity(dag.edge_count());
-        let steps = order
+        let mut steps: Vec<Step> = order
             .iter()
             .map(|&v| {
                 let m = schedule.machine_of(v);
@@ -242,16 +283,69 @@ impl BlockPlan {
                         lo,
                         span: (scenario.task_ul(v) - 1.0) * lo,
                     },
+                    slot: 0,
+                    sink: false,
                 }
             })
             .collect();
-        let sinks = plan
-            .disjunctive_sinks()
-            .iter()
-            .map(|&v| step_of[v])
-            .collect();
-        Self { steps, arcs, sinks }
+        for &v in plan.disjunctive_sinks() {
+            steps[step_of[v] as usize].sink = true;
+        }
+        let rows = assign_slots(&mut steps, &mut arcs);
+        Self { steps, arcs, rows }
     }
+}
+
+/// Gives every step a pool slot for its finish row and rewrites the steps'
+/// `prev` and the arcs' `from` from step positions to slots. A step takes a
+/// free slot before it runs, and the slots of the steps it was the last to
+/// read are freed after it ran (its own right away when nothing reads it,
+/// as for a sink), so a step never writes a slot that it reads. Returns
+/// the number of slots used.
+fn assign_slots(steps: &mut [Step], arcs: &mut [InArc]) -> usize {
+    const FREED: u32 = u32::MAX;
+    // The last step that reads each step's row (itself when none does).
+    let mut last_read: Vec<u32> = (0..steps.len() as u32).collect();
+    let mut arc_start = 0;
+    for (k, step) in steps.iter().enumerate() {
+        let reads = arcs[arc_start..step.arcs_end as usize]
+            .iter()
+            .map(|a| a.from);
+        for r in reads.chain((step.prev != NO_PREV).then_some(step.prev)) {
+            last_read[r as usize] = k as u32;
+        }
+        arc_start = step.arcs_end as usize;
+    }
+    let mut slot_of = vec![0u32; steps.len()];
+    let mut free = Vec::new();
+    let mut rows = 0u32;
+    let mut arc_start = 0;
+    for (k, step) in steps.iter_mut().enumerate() {
+        let slot = free.pop().unwrap_or_else(|| {
+            rows += 1;
+            rows - 1
+        });
+        slot_of[k] = slot;
+        let mut read = |r: u32| {
+            if last_read[r as usize] == k as u32 {
+                free.push(slot_of[r as usize]);
+                last_read[r as usize] = FREED;
+            }
+            slot_of[r as usize]
+        };
+        for arc in &mut arcs[arc_start..step.arcs_end as usize] {
+            arc.from = read(arc.from);
+        }
+        if step.prev != NO_PREV {
+            step.prev = read(step.prev);
+        }
+        step.slot = slot;
+        if last_read[k] == k as u32 {
+            free.push(slot);
+        }
+        arc_start = step.arcs_end as usize;
+    }
+    rows as usize
 }
 
 /// 53-bit uniform in `[0, 1)` on the concrete chunk RNG (monomorphic, so
@@ -307,17 +401,19 @@ pub fn mc_makespans(
     let Some(table) = tables.base() else {
         return vec![deterministic_makespan(scenario, schedule, &plan); cfg.realizations];
     };
+    let passes: Vec<(Pass, usize)> = passes(cfg).collect();
     let mut out = Vec::with_capacity(cfg.realizations);
     par_map(
-        cfg.realizations.div_ceil(CHUNK),
+        passes.len(),
         worker_count(cfg.threads),
         McScratch::default,
-        |scratch, c| {
-            let mut chunk = vec![0.0f64; CHUNK.min(cfg.realizations - c * CHUNK)];
-            run_chunk(&block, table, cfg, c as u64, &mut chunk, scratch);
-            chunk
+        |scratch, i| {
+            let (pass, len) = passes[i];
+            let mut samples = vec![0.0f64; len];
+            run_pass(&block, table, cfg, pass, &mut samples, scratch);
+            samples
         },
-        |_, chunk| out.extend_from_slice(&chunk),
+        |_, samples| out.extend_from_slice(&samples),
     )
     // The plan compiled above, so a panic here is an engine bug: re-raise
     // it on the caller's thread with the worker's message.
@@ -343,8 +439,11 @@ pub(crate) fn mc_makespans_into(
     match tables.base() {
         None => out.fill(deterministic_makespan(scenario, schedule, &plan)),
         Some(table) => {
-            for (idx, slice) in out.chunks_mut(CHUNK).enumerate() {
-                run_chunk(&block, table, cfg, idx as u64, slice, scratch);
+            let mut rest = out;
+            for (pass, len) in passes(cfg) {
+                let (samples, tail) = rest.split_at_mut(len);
+                run_pass(&block, table, cfg, pass, samples, scratch);
+                rest = tail;
             }
         }
     }
@@ -361,29 +460,57 @@ fn deterministic_makespan(scenario: &Scenario, schedule: &Schedule, plan: &Eager
     .makespan
 }
 
-/// One seeding chunk: runs the block kernel over `BLOCK`-wide sub-blocks
-/// with the chunk's private RNG stream. On an x86-64 CPU with AVX2 this
-/// runs a copy compiled for 256-bit vectors, chosen on each call; the
-/// copies perform the same IEEE operations in the same order, so their
-/// samples are bit-identical.
-fn run_chunk(
+/// A unit of the engine's work: one seeding chunk, or four full chunks
+/// drawn together (the first one's index given).
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    One(u64),
+    Four(u64),
+}
+
+/// A call's passes in chunk order, with their realization counts. The
+/// Standard estimator runs its full chunks four at a time; leftover full
+/// chunks, a partial last chunk and the other estimators, whose draws are
+/// not one word per lane, run one chunk at a time.
+fn passes(cfg: &McConfig) -> impl Iterator<Item = (Pass, usize)> {
+    let n = cfg.realizations;
+    let quads = match cfg.estimator {
+        McEstimator::Standard => n / CHUNK / 4,
+        McEstimator::Antithetic | McEstimator::Stratified => 0,
+    };
+    let fours = (0..quads).map(|q| (Pass::Four(4 * q as u64), 4 * CHUNK));
+    let ones = (4 * quads..n.div_ceil(CHUNK))
+        .map(move |c| (Pass::One(c as u64), CHUNK.min(n - c * CHUNK)));
+    fours.chain(ones)
+}
+
+/// The seeding chunk `c`'s generator.
+fn chunk_rng(seed: u64, c: u64) -> StdRng {
+    StdRng::seed_from_u64(derive_seed(seed, c))
+}
+
+/// Runs one pass into `out` (its realizations, in chunk order). On an
+/// x86-64 CPU with AVX2 this runs a copy compiled for 256-bit vectors,
+/// chosen on each call; the copies perform the same IEEE operations in the
+/// same order, so their samples are bit-identical.
+fn run_pass(
     block: &BlockPlan,
     table: &QuantileTable,
     cfg: &McConfig,
-    chunk_index: u64,
+    pass: Pass,
     out: &mut [f64],
     scratch: &mut McScratch,
 ) {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: `run_chunk_avx2` only requires AVX2, and the line above
+        // SAFETY: `run_pass_avx2` only requires AVX2, and the line above
         // checked that the running CPU has it.
-        return unsafe { run_chunk_avx2(block, table, cfg, chunk_index, out, scratch) };
+        return unsafe { run_pass_avx2(block, table, cfg, pass, out, scratch) };
     }
-    run_chunk_baseline(block, table, cfg, chunk_index, out, scratch);
+    run_pass_baseline(block, table, cfg, pass, out, scratch);
 }
 
-/// [`run_chunk_baseline`] compiled for AVX2. Rust never contracts a
+/// [`run_pass_baseline`] compiled for AVX2. Rust never contracts a
 /// multiply and an add into an FMA, nor reorders float operations, so the
 /// wider vectors change the speed and not a bit of the samples.
 ///
@@ -392,74 +519,138 @@ fn run_chunk(
 /// after checking that the running CPU has AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn run_chunk_avx2(
+fn run_pass_avx2(
     block: &BlockPlan,
     table: &QuantileTable,
     cfg: &McConfig,
-    chunk_index: u64,
+    pass: Pass,
     out: &mut [f64],
     scratch: &mut McScratch,
 ) {
-    run_chunk_baseline(block, table, cfg, chunk_index, out, scratch);
+    run_pass_baseline(block, table, cfg, pass, out, scratch);
 }
 
-/// The body of [`run_chunk`] for the build's baseline target. It and the
-/// block kernel are `#[inline(always)]`, so that [`run_chunk_avx2`]
-/// compiles their loops for AVX2.
+/// The body of [`run_pass`] for the build's baseline target. It and the
+/// block kernel are `#[inline(always)]`, so that [`run_pass_avx2`] compiles
+/// their loops for AVX2. Without AVX2 there is no lockstep generator, and a
+/// four-chunk pass runs its chunks one after another.
 #[inline(always)]
-fn run_chunk_baseline(
+fn run_pass_baseline(
     block: &BlockPlan,
     table: &QuantileTable,
     cfg: &McConfig,
-    chunk_index: u64,
+    pass: Pass,
     out: &mut [f64],
     scratch: &mut McScratch,
 ) {
-    let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, chunk_index));
-    scratch.finish.resize(block.steps.len(), Row::default());
-    for lanes_out in out.chunks_mut(BLOCK) {
-        run_block(block, table, cfg.estimator, &mut rng, scratch, lanes_out);
+    let McScratch { pool, perm, .. } = scratch;
+    let pool = pool_for(pool, block);
+    match pass {
+        Pass::One(c) => {
+            let rng = chunk_rng(cfg.seed, c);
+            run_chunk(block, table, cfg.estimator, rng, out, pool, perm);
+        }
+        Pass::Four(first) => {
+            let rngs = [0, 1, 2, 3].map(|l| chunk_rng(cfg.seed, first + l));
+            match StdRngX4::new(&rngs) {
+                Some(rng) => run_four_chunks(block, table, rng, out, pool),
+                None => {
+                    for (rng, out) in rngs.into_iter().zip(out.chunks_mut(CHUNK)) {
+                        run_chunk(block, table, cfg.estimator, rng, out, pool, perm);
+                    }
+                }
+            }
+        }
     }
 }
 
-/// The block kernel: replays `out.len() ≤ BLOCK` realizations. Per lane
-/// it performs exactly the ready-time recurrence of
-/// [`EagerPlan::execute`] — a task becomes ready at the maximum of its
-/// machine predecessor's finish and every `finish(u) + comm` arrival, and
-/// finishes its duration later — and the makespan is the maximum over the
-/// disjunctive sinks (every other finish is dominated by one of them).
-/// Each uncertain duration row is drawn just before its only read.
+/// Four full chunks of the Standard estimator as one: each block's rows
+/// hold 256 lanes of every chunk, lane `k` of chunk `l` at `4k + l`, drawn
+/// by [`QuantileTable::fill_row_x4_u53`] from the four chunks' generators
+/// in lockstep. Every chunk's generator thus yields its words in the order
+/// [`run_chunk`] draws them, and every lane runs the same replay, so the
+/// samples are the same.
 #[inline(always)]
-fn run_block(
+fn run_four_chunks(
+    block: &BlockPlan,
+    table: &QuantileTable,
+    mut rng: StdRngX4,
+    out: &mut [f64],
+    pool: &mut [Row],
+) {
+    for b in 0..CHUNK / BLOCK {
+        run_block(block, ROW, pool, |s, row| {
+            table.fill_row_x4_u53(&mut rng, s.lo, s.span, row)
+        });
+        let lanes = &pool[OUT_ROW].0;
+        for (l, chunk) in out.chunks_exact_mut(CHUNK).enumerate() {
+            let block_out = &mut chunk[b * BLOCK..][..BLOCK];
+            for (o, x) in block_out.iter_mut().zip(lanes.chunks_exact(4)) {
+                *o = x[l];
+            }
+        }
+    }
+}
+
+/// One seeding chunk from its generator, `BLOCK` realizations at a time.
+#[inline(always)]
+fn run_chunk(
     block: &BlockPlan,
     table: &QuantileTable,
     estimator: McEstimator,
-    rng: &mut StdRng,
-    scratch: &mut McScratch,
+    mut rng: StdRng,
     out: &mut [f64],
+    pool: &mut [Row],
+    perm: &mut Vec<u32>,
 ) {
-    let lanes = out.len();
-    let McScratch {
-        finish, row, perm, ..
-    } = scratch;
-    let row = &mut row.0[..lanes];
+    for lanes_out in out.chunks_mut(BLOCK) {
+        let lanes = lanes_out.len();
+        run_block(block, lanes, pool, |s, row| {
+            draw_row(table, estimator, &mut rng, s, perm, row)
+        });
+        lanes_out.copy_from_slice(&pool[OUT_ROW].0[..lanes]);
+    }
+}
+
+/// The block kernel: replays `lanes` realizations into the output row.
+/// Per lane it performs exactly the ready-time recurrence of
+/// [`EagerPlan::execute`] — a task becomes ready at the maximum of its
+/// machine predecessor's finish and every `finish(u) + comm` arrival, and
+/// finishes its duration later — and the makespan is the maximum over the
+/// disjunctive sinks (every other finish is dominated by one of them),
+/// folded in as each sink finishes. `draw` fills the duration row of an
+/// uncertain slot, just before its only read.
+#[inline(always)]
+fn run_block<D: FnMut(Slot, &mut [f64])>(
+    block: &BlockPlan,
+    lanes: usize,
+    pool: &mut [Row],
+    mut draw: D,
+) {
+    let (io, live) = pool.split_at_mut(SLOTS_START);
+    let [row, out] = io else {
+        unreachable!("the duration and output rows come first")
+    };
+    let (row, out) = (&mut row.0[..lanes], &mut out.0[..lanes]);
+    out.fill(0.0);
     let mut arc_start = 0usize;
-    for (k, step) in block.steps.iter().enumerate() {
-        // Every step this one reads comes earlier in topological order.
-        let (done, rest) = finish.split_at_mut(k);
-        let fv = &mut rest[0].0[..lanes];
+    for step in &block.steps {
+        let slot = step.slot as usize;
         match step.prev {
-            NO_PREV => fv.fill(0.0),
-            p => fv.copy_from_slice(&done[p as usize].0[..lanes]),
+            NO_PREV => live[slot].0[..lanes].fill(0.0),
+            p => {
+                let (fv, fp) = write_and_read(live, slot, p, lanes);
+                fv.copy_from_slice(fp);
+            }
         }
         let arcs = &block.arcs[arc_start..step.arcs_end as usize];
         arc_start = step.arcs_end as usize;
         // Branchless max (same value as execute()'s compare — durations
         // are never NaN).
         for arc in arcs {
-            let fu = &done[arc.from as usize].0[..lanes];
+            let (fv, fu) = write_and_read(live, slot, arc.from, lanes);
             if arc.dur.draws() {
-                draw_row(table, estimator, rng, arc.dur, perm, row);
+                draw(arc.dur, row);
                 for ((f, &a), &d) in fv.iter_mut().zip(fu).zip(&*row) {
                     *f = f.max(a + d);
                 }
@@ -470,8 +661,9 @@ fn run_block(
                 }
             }
         }
+        let fv = &mut live[slot].0[..lanes];
         if step.dur.draws() {
-            draw_row(table, estimator, rng, step.dur, perm, row);
+            draw(step.dur, row);
             for (f, &d) in fv.iter_mut().zip(&*row) {
                 *f += d;
             }
@@ -481,13 +673,22 @@ fn run_block(
                 *f += d;
             }
         }
-    }
-    out.fill(0.0);
-    for &s in &block.sinks {
-        for (o, &f) in out.iter_mut().zip(&finish[s as usize].0[..lanes]) {
-            *o = o.max(f);
+        if step.sink {
+            for (o, &f) in out.iter_mut().zip(&*fv) {
+                *o = o.max(f);
+            }
         }
     }
+}
+
+/// The first `lanes` of the row a step writes (`slot`) and of a row it
+/// reads (`from`), never the same slot.
+#[inline(always)]
+fn write_and_read(live: &mut [Row], slot: usize, from: u32, lanes: usize) -> (&mut [f64], &[f64]) {
+    let [fv, fu] = live
+        .get_disjoint_mut([slot, from as usize])
+        .expect("a step never writes a slot it reads");
+    (&mut fv.0[..lanes], &fu.0[..lanes])
 }
 
 /// Draws one uncertain slot's duration row, consuming the chunk RNG in the
@@ -712,12 +913,12 @@ mod tests {
         assert!(strat < plain, "stratified {strat} vs plain {plain}");
     }
 
-    /// The AVX2 copy of the block kernel against its baseline body, for
-    /// every estimator, on full, partial and odd-width blocks. The copy is
-    /// reached through the dispatcher, which picks it whenever the CPU has
-    /// AVX2; the baseline body is called directly. (Both fill their rows
-    /// through `QuantileTable::fill_row_u53`, whose two copies
-    /// `robusched-randvar` compares.)
+    /// The AVX2 copy of the kernel against its baseline body, for every
+    /// estimator, on full, partial and odd-width blocks of one chunk and on
+    /// a four-chunk pass. The copy is reached through the dispatcher, which
+    /// picks it whenever the CPU has AVX2; the baseline body is called
+    /// directly. (Both fill their rows through `QuantileTable`'s row
+    /// entry points, whose copies `robusched-randvar` compares.)
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_kernel_matches_baseline_bitwise() {
@@ -745,12 +946,136 @@ mod tests {
                 estimator,
                 ..Default::default()
             };
-            for len in [CHUNK, 3 * BLOCK + 5, 7] {
+            let passes = [CHUNK, 3 * BLOCK + 5, 7]
+                .map(|len| (Pass::One(2), len))
+                .into_iter()
+                .chain((estimator == McEstimator::Standard).then_some((Pass::Four(4), 4 * CHUNK)));
+            for (pass, len) in passes {
                 let (mut avx2, mut base) = (vec![0.0; len], vec![0.0; len]);
-                run_chunk(&block, table, &cfg, 2, &mut avx2, &mut McScratch::default());
-                run_chunk_baseline(&block, table, &cfg, 2, &mut base, &mut McScratch::default());
+                run_pass(
+                    &block,
+                    table,
+                    &cfg,
+                    pass,
+                    &mut avx2,
+                    &mut McScratch::default(),
+                );
+                run_pass_baseline(
+                    &block,
+                    table,
+                    &cfg,
+                    pass,
+                    &mut base,
+                    &mut McScratch::default(),
+                );
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&avx2), bits(&base), "{estimator:?}, {len} lanes");
+                assert_eq!(
+                    bits(&avx2),
+                    bits(&base),
+                    "{estimator:?}, {pass:?}, {len} lanes"
+                );
+            }
+        }
+    }
+
+    /// The engine against the single-chunk path run chunk by chunk, for
+    /// all three estimators at 1–3 threads and through the serial entry
+    /// point, on budgets around the four-chunk boundaries. A quarter of
+    /// the tasks have UL 1 and draw nothing. On a CPU with AVX2 the
+    /// Standard estimator's full chunks run four at a time.
+    #[test]
+    fn avx2_four_chunk_passes_match_the_single_chunk_path() {
+        let base = Scenario::paper_random(12, 3, 1.3, 8);
+        let uls = (0..12)
+            .map(|v| if v % 4 == 1 { 1.0 } else { 1.3 })
+            .collect();
+        let s = base.with_per_task_ul(uls);
+        let sched = robusched_sched::random_schedule(&s.graph.dag, 3, 5);
+        let plan = EagerPlan::new(&s.graph.dag, &sched).unwrap();
+        let block = BlockPlan::new(&s, &sched, &plan);
+        let tables = SamplingTables::new(&s);
+        let table = tables.base().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut reused = McScratch::default();
+        for estimator in [
+            McEstimator::Standard,
+            McEstimator::Antithetic,
+            McEstimator::Stratified,
+        ] {
+            for realizations in [1, 2047, 8191, 8192, 8193, 10_000, 18_449] {
+                let cfg = McConfig {
+                    realizations,
+                    seed: 11,
+                    threads: None,
+                    estimator,
+                };
+                let mut want = vec![0.0; realizations];
+                for (c, chunk) in want.chunks_mut(CHUNK).enumerate() {
+                    let pass = Pass::One(c as u64);
+                    run_pass(&block, table, &cfg, pass, chunk, &mut McScratch::default());
+                }
+                for threads in 1..=3 {
+                    let cfg = McConfig {
+                        threads: Some(threads),
+                        ..cfg.clone()
+                    };
+                    let got = mc_makespans(&s, &sched, &cfg, &tables);
+                    let what = format!("{estimator:?}, {realizations}, {threads} threads");
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                }
+                let mut got = vec![0.0; realizations];
+                mc_makespans_into(&s, &sched, &cfg, &tables, &mut reused, &mut got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{estimator:?}, {realizations}, serial"
+                );
+            }
+        }
+    }
+
+    /// The pool slots of compiled plans: every row a step reads still
+    /// holds the finish of the task it reads when it is read, no step
+    /// writes a slot it reads, sinks are the steps nobody reads, and the
+    /// pool never needs more than one row per task.
+    #[test]
+    fn block_plan_slots_hold_each_row_until_its_last_reader() {
+        for (n, m, seed) in [(1, 1, 1), (5, 2, 1), (30, 4, 2), (80, 8, 3), (120, 3, 4)] {
+            let s = Scenario::paper_random(n, m, 1.2, seed);
+            let dag = &s.graph.dag;
+            let schedules = [
+                robusched_sched::heft(&s),
+                robusched_sched::random_schedule(dag, m, seed),
+            ];
+            for sched in &schedules {
+                let plan = EagerPlan::new(dag, sched).unwrap();
+                let block = BlockPlan::new(&s, sched, &plan);
+                assert!(block.rows <= n, "{} rows for {n} tasks", block.rows);
+                let mut holds = vec![usize::MAX; block.rows];
+                let mut read = vec![false; n];
+                let mut arc_start = 0;
+                for (step, &v) in block.steps.iter().zip(plan.topo_order()) {
+                    let arcs = &block.arcs[arc_start..step.arcs_end as usize];
+                    arc_start = step.arcs_end as usize;
+                    let mut reads: Vec<(u32, usize)> = arcs
+                        .iter()
+                        .zip(dag.preds(v))
+                        .map(|(a, &(u, _))| (a.from, u))
+                        .collect();
+                    match plan.prev_on_proc()[v] {
+                        None => assert_eq!(step.prev, NO_PREV),
+                        Some(u) => reads.push((step.prev, u)),
+                    }
+                    for (slot, u) in reads {
+                        assert_eq!(holds[slot as usize], u, "task {v} reads a reused slot");
+                        assert_ne!(slot, step.slot, "task {v} writes a slot it reads");
+                        read[u] = true;
+                    }
+                    holds[step.slot as usize] = v;
+                }
+                for (step, &v) in block.steps.iter().zip(plan.topo_order()) {
+                    assert_eq!(step.sink, !read[v], "task {v}");
+                }
             }
         }
     }
