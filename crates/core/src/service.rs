@@ -30,11 +30,11 @@
 //!   scenario.
 //! * **Result cache + in-flight coalescing** — a bounded LRU of finished
 //!   [`MetricValues`] keyed by the full request fingerprint (scenario +
-//!   schedule + evaluator + metric options). A repeat of a finished
-//!   request is served from the cache without touching a worker; a repeat
-//!   of an *in-flight* request attaches to the leader and receives the
-//!   same result when it lands — identical requests are evaluated exactly
-//!   once no matter how many clients race.
+//!   schedule + evaluator). A repeat of a finished request is served from
+//!   the cache without touching a worker; a repeat of an *in-flight*
+//!   request attaches to the leader and receives the same result when it
+//!   lands — identical requests are evaluated exactly once no matter how
+//!   many clients race.
 //! * **Batching queue** — workers pull the oldest pending request and
 //!   coalesce up to `MAX_BATCH` (64) compatible requests (same scenario
 //!   fingerprint, same evaluator) from anywhere in the queue into one
@@ -101,10 +101,10 @@ impl Default for ServiceConfig {
 const MAX_BATCH: usize = 64;
 
 /// One evaluation request: a scenario (shared, typically interned by the
-/// front end), a schedule, an evaluator registry name, and the metric
-/// parameters. The service always computes the full [`MetricValues`]
-/// vector — metric-*set* filtering is a wire-protocol concern (see the
-/// `serve` subcommand), not an evaluation one.
+/// front end), a schedule and an evaluator registry name. The service
+/// always computes the full [`MetricValues`] vector under the default
+/// [`MetricOptions`] — metric-*set* filtering is a wire-protocol concern
+/// (see the `serve` subcommand), not an evaluation one.
 #[derive(Debug, Clone)]
 pub struct EvalRequest {
     /// The problem instance. `Arc` so repeated submissions of one scenario
@@ -115,18 +115,15 @@ pub struct EvalRequest {
     /// Evaluator registry name (see
     /// [`robusched_stochastic::evaluator_by_name`]).
     pub evaluator: String,
-    /// Probabilistic-metric parameters.
-    pub metric_opts: MetricOptions,
 }
 
 impl EvalRequest {
-    /// A request with the default metric options.
+    /// A request for `schedule` on `scenario` under `evaluator`.
     pub fn new(scenario: Arc<Scenario>, schedule: Schedule, evaluator: &str) -> Self {
         Self {
             scenario,
             schedule,
             evaluator: evaluator.to_string(),
-            metric_opts: MetricOptions::default(),
         }
     }
 }
@@ -380,9 +377,9 @@ impl Shared {
 }
 
 /// FNV-1a over the full request identity: scenario fingerprint, schedule
-/// (assignment + per-machine order), canonical evaluator name, metric
-/// options. Equal keys ⇒ bit-identical responses (64-bit collisions are
-/// ignored, as in every fingerprint cache of this workspace).
+/// (assignment + per-machine order), canonical evaluator name. Equal keys
+/// ⇒ bit-identical responses (64-bit collisions are ignored, as in every
+/// fingerprint cache of this workspace).
 fn request_fingerprint(scenario_fp: u64, req: &EvalRequest, evaluator: &str) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -405,8 +402,6 @@ fn request_fingerprint(scenario_fp: u64, req: &EvalRequest, evaluator: &str) -> 
     for b in evaluator.bytes() {
         mix(b as u64);
     }
-    mix(req.metric_opts.delta.to_bits());
-    mix(req.metric_opts.gamma.to_bits());
     h
 }
 
@@ -746,7 +741,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
                 &job.request.scenario,
                 &job.request.schedule,
                 &rv,
-                &job.request.metric_opts,
+                &MetricOptions::default(),
             )
         }));
         match result {

@@ -185,7 +185,6 @@ pub struct StudyBuilder<'a> {
     scenario: &'a Scenario,
     random_schedules: usize,
     seed: u64,
-    metric_opts: MetricOptions,
     threads: Option<usize>,
     heuristic_names: Vec<String>,
     evaluator: Box<dyn Evaluator>,
@@ -202,7 +201,6 @@ impl<'a> StudyBuilder<'a> {
             scenario,
             random_schedules: 10_000,
             seed: 1,
-            metric_opts: MetricOptions::default(),
             threads: None,
             heuristic_names: Vec::new(),
             evaluator: Box::new(ClassicEvaluator::default()),
@@ -221,12 +219,6 @@ impl<'a> StudyBuilder<'a> {
     /// Master seed for schedule sampling (and the rank reservoir).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Probabilistic-metric parameters.
-    pub fn metric_opts(mut self, opts: MetricOptions) -> Self {
-        self.metric_opts = opts;
         self
     }
 
@@ -315,7 +307,7 @@ impl<'a> StudyBuilder<'a> {
         let prep = evaluator.prepare(scenario);
         let eval_one = |cx: &mut EvalContext, schedule: &Schedule| -> MetricValues {
             let rv = evaluator.evaluate_with(scenario, schedule, cx);
-            compute_metrics(scenario, schedule, &rv, &self.metric_opts)
+            compute_metrics(scenario, schedule, &rv, &MetricOptions::default())
         };
 
         // ---- Random schedules: parallel chunk computation, in-order

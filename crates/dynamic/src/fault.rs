@@ -72,8 +72,9 @@ pub trait FaultModel: Send + Sync {
 pub struct NoFaults;
 
 impl NoFaults {
-    /// The canonical fault-free model (the `FaultModel::none()` of the
-    /// issue): a shared static so executors can default to a reference.
+    /// The canonical fault-free model: a shared static, so
+    /// [`DynamicSim::new`](crate::DynamicSim::new) can default to a
+    /// reference.
     pub fn none() -> &'static NoFaults {
         static NONE: NoFaults = NoFaults;
         &NONE

@@ -22,6 +22,11 @@
 //! repeats, platforms and (for the study harness, which shards whole
 //! simulations) thread counts.
 //!
+//! A run's mutable state is one `RunState`; the arrival step and the
+//! handler of each event kind are its methods. Every event enters the
+//! heap through its one `push`, which assigns the sequence number, so the
+//! order of the pushes decides every tie between events.
+//!
 //! An arrival finds its scenario's cached state by the identity of its
 //! `Arc<Scenario>` in O(1); only an `Arc` the run has not seen yet pays
 //! for the content fingerprint, so content-equal scenarios in different
@@ -46,10 +51,11 @@
 //! same floating-point operations as [`EagerPlan::execute`] whenever an
 //! instance runs without cross-instance contention — which is what makes
 //! the executor's makespans *exactly* (bit-for-bit) equal to the static
-//! eager executor's on spaced arrival streams (pinned by
-//! `tests/dynamic.rs`). Under contention a task additionally waits for
-//! its machine (`start = max(ready, machine free)`), which can only delay
-//! it.
+//! eager executor's on spaced arrival streams (pinned by the
+//! `spaced_zero_uncertainty_reproduces_eager_makespans` proptest in
+//! `crates/dynamic/tests/executor.rs`). Under contention a task
+//! additionally waits for its machine (`start = max(ready, machine
+//! free)`), which can only delay it.
 //!
 //! ## Dropping
 //!
@@ -79,7 +85,7 @@
 use crate::fault::{FaultModel, NoFaults, RecoveryAction, RecoveryPolicy};
 use crate::policy::{DropPolicy, PolicyQuery};
 use crate::remaining::RemainingDists;
-use crate::stream::ArrivalStream;
+use crate::stream::{Arrival, ArrivalStream};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use robusched_core::OnlineMetrics;
@@ -109,8 +115,6 @@ pub struct SimConfig {
     /// sub-seed `i + 1`) and, under a fault model, the per-machine fault
     /// streams and transient-fault draws.
     pub seed: u64,
-    /// PDF grid resolution for the policy-query distributions.
-    pub grid: usize,
     /// Fixed schedule override: when set, every scenario uses this
     /// schedule instead of the heuristic's. Intended for single-scenario
     /// streams (e.g. ranking a candidate schedule under faults); the
@@ -124,7 +128,6 @@ impl Default for SimConfig {
             heuristic: "heft".into(),
             deadline_factor: 1.5,
             seed: 42,
-            grid: DEFAULT_GRID,
             schedule: None,
         }
     }
@@ -246,8 +249,6 @@ struct ScenarioState {
 struct Instance {
     state: Arc<ScenarioState>,
     scenario: Arc<Scenario>,
-    arrival: f64,
-    deadline: f64,
     /// Sampled task durations on the assigned machines.
     task_dur: Vec<f64>,
     /// Sampled communication delays on the assigned machine pairs
@@ -261,15 +262,9 @@ struct Instance {
     finish_rel: Vec<f64>,
     /// Failed attempts per task (machine kills + transient faults).
     attempts: Vec<usize>,
-    tasks_completed: usize,
-    tasks_met: usize,
-    executed_time: f64,
-    lost_time: f64,
-    retries: usize,
-    admitted: bool,
-    dropped: bool,
-    finish: Option<f64>,
-    makespan: Option<f64>,
+    /// The instance's fate, filled in as the run goes (`arrival`,
+    /// `deadline`, `det_makespan` and `tasks` are set at arrival).
+    outcome: InstanceOutcome,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -278,17 +273,12 @@ enum Event {
         inst: usize,
         task: usize,
     },
+    /// The attempt `run_id` on `machine` ends; a mismatch against the
+    /// machine's running attempt means the attempt was killed and the
+    /// event is stale.
     Finish {
-        inst: usize,
-        task: usize,
         machine: usize,
-        /// Identity of the attempt; a mismatch against the machine's
-        /// running attempt means the attempt was killed and the event is
-        /// stale.
         run_id: u64,
-        /// The attempt was pre-drawn to fail transiently: the duration is
-        /// spent, the result discarded.
-        faulty: bool,
     },
     DeadlineLapse {
         inst: usize,
@@ -336,6 +326,31 @@ impl Ord for Queued {
         self.time
             .total_cmp(&other.time)
             .then(self.seq.cmp(&other.seq))
+    }
+}
+
+/// The event queue: a binary heap of [`Queued`] keys and the sequence
+/// number the next push takes.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<Queued>>,
+    seq: u64,
+}
+
+impl EventQueue {
+    /// Queues `event` at `time`, after every queued event of equal time.
+    fn push(&mut self, time: f64, event: Event) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(Queued { time, seq, event }));
+    }
+
+    fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|Reverse(q)| q.time)
+    }
+
+    fn pop(&mut self) -> Option<(f64, Event)> {
+        self.heap.pop().map(|Reverse(q)| (q.time, q.event))
     }
 }
 
@@ -480,30 +495,31 @@ struct RunningTask {
     inst: usize,
     task: usize,
     dur: f64,
+    /// The attempt was pre-drawn to fail transiently: the duration is
+    /// spent, the result discarded.
+    faulty: bool,
 }
 
 struct Machine {
-    busy: bool,
+    /// When the running attempt ends; while the machine is down, when
+    /// the repair is due.
     busy_until: f64,
     queue: ReadyQueue,
-    /// The running attempt's identity (stale `Finish` events miss it).
+    /// The running attempt (stale `Finish` events miss its `run_id`);
+    /// `None` while the machine is idle.
     running: Option<RunningTask>,
-    /// The machine is failed; its queue is frozen until repair.
-    down: bool,
-    /// When the current outage began (defined while `down`).
-    down_since: f64,
+    /// When the current outage began; `None` while the machine is up. A
+    /// down machine's queue is frozen until repair.
+    down_since: Option<f64>,
     /// The machine's failure/repair RNG stream; `None` under [`NoFaults`].
     fault_rng: Option<StdRng>,
 }
 
-/// Fault-side totals of one run, carried into [`OnlineMetrics`].
-#[derive(Debug, Clone, Copy, Default)]
-struct FaultTotals {
-    down_time: f64,
-    machine_failures: usize,
-    killed_tasks: usize,
-    transient_faults: usize,
-    retries: usize,
+impl Machine {
+    /// Up and running nothing: dispatch may start an attempt.
+    fn available(&self) -> bool {
+        self.running.is_none() && self.down_since.is_none()
+    }
 }
 
 /// The executor. Construct once, [`run`](DynamicSim::run) a stream.
@@ -548,462 +564,190 @@ impl<'p> DynamicSim<'p> {
     pub fn run(&self, stream: &mut dyn ArrivalStream) -> Result<SimResult, SimError> {
         let heuristic = heuristic_by_name(&self.config.heuristic)
             .ok_or_else(|| SimError::UnknownHeuristic(self.config.heuristic.clone()))?;
-
-        // Scenario state by `Arc` identity, then by content fingerprint
-        // (module docs). Each identity entry holds its `Arc`, so no
-        // address can be reused while the map lives.
-        let mut by_identity: HashMap<*const Scenario, (Arc<Scenario>, Arc<ScenarioState>)> =
-            HashMap::new();
-        let mut by_fingerprint: HashMap<u64, Arc<ScenarioState>> = HashMap::new();
-        let mut instances: Vec<Instance> = Vec::new();
-        let mut machines: Vec<Machine> = Vec::new();
-        let mut heap: BinaryHeap<Reverse<Queued>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut run_ids = 0u64;
-        let mut first_arrival: Option<f64> = None;
-        let mut last_time: f64 = 0.0;
-        let mut busy_time = 0.0f64;
-        let mut dist_builds = 0usize;
-        // Admitted instances still in flight — the fault processes fall
-        // silent once the stream is exhausted and this hits zero, so runs
-        // terminate.
-        let mut live = 0usize;
-        let mut faults = FaultTotals::default();
-
-        let mut next_arrival = stream.next_arrival();
+        let mut run = RunState::new(self, heuristic, stream.next_arrival());
         loop {
             // Interleave arrivals with queued events; arrivals win ties so
             // an admission decision always sees the backlog as of strictly
             // earlier events.
-            let take_arrival = match (&next_arrival, heap.peek()) {
-                (Some(a), Some(Reverse(q))) => a.time.total_cmp(&q.time).is_le(),
+            let take_arrival = match (&run.next_arrival, run.events.peek_time()) {
+                (Some(a), Some(t)) => a.time.total_cmp(&t).is_le(),
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
-                (None, None) => break,
+                (None, None) => return Ok(run.finalize()),
             };
             if take_arrival {
-                let arrival = next_arrival.take().expect("checked above");
-                next_arrival = stream.next_arrival();
-                last_time = last_time.max(arrival.time);
-                first_arrival.get_or_insert(arrival.time);
-
-                let m = arrival.scenario.machine_count();
-                if machines.is_empty() {
-                    machines.resize_with(m, || Machine {
-                        busy: false,
-                        busy_until: 0.0,
-                        queue: ReadyQueue::default(),
-                        running: None,
-                        down: false,
-                        down_since: 0.0,
-                        fault_rng: None,
-                    });
-                    if !self.fault.is_fault_free() {
-                        // Arm each machine's failure process. The streams
-                        // derive from a tag space disjoint from the
-                        // instance sub-seeds, so injecting faults never
-                        // perturbs a duration draw.
-                        for (mi, mach) in machines.iter_mut().enumerate() {
-                            let mut rng = StdRng::seed_from_u64(derive_seed(
-                                self.config.seed,
-                                FAULT_STREAM_TAG | mi as u64,
-                            ));
-                            let up = self.fault.sample_uptime(&mut rng);
-                            if up.is_finite() {
-                                heap.push(Reverse(Queued {
-                                    time: arrival.time + up,
-                                    seq: post_inc(&mut seq),
-                                    event: Event::MachineFail { machine: mi },
-                                }));
-                            }
-                            mach.fault_rng = Some(rng);
-                        }
-                    }
-                } else if machines.len() != m {
-                    return Err(SimError::MachineMismatch {
-                        expected: machines.len(),
-                        got: m,
-                    });
-                }
-
-                let identity = Arc::as_ptr(&arrival.scenario);
-                let state = match by_identity.get(&identity) {
-                    Some((_, state)) => state.clone(),
-                    None => {
-                        let fp = scenario_fingerprint(&arrival.scenario);
-                        let state = match by_fingerprint.get(&fp) {
-                            Some(state) => state.clone(),
-                            None => {
-                                let state = Arc::new(self.scenario_state(
-                                    heuristic.as_ref(),
-                                    &arrival.scenario,
-                                    &mut dist_builds,
-                                )?);
-                                by_fingerprint.insert(fp, state.clone());
-                                state
-                            }
-                        };
-                        by_identity.insert(identity, (arrival.scenario.clone(), state.clone()));
-                        state
-                    }
-                };
-
-                let idx = instances.len();
-                let deadline = arrival.time + self.config.deadline_factor * state.det_makespan;
-                let inst =
-                    self.admit_instance(arrival.scenario, state, arrival.time, deadline, idx);
-
-                let backlog = if self.policy.needs_backlog() {
-                    backlog_estimate(&machines, &instances, arrival.time)
-                } else {
-                    0.0
-                };
-                let admitted = self.policy.admit(&PolicyQuery {
-                    now: arrival.time,
-                    arrival: arrival.time,
-                    deadline,
-                    backlog,
-                    total: inst.state.dists.as_ref().map(|d| &d.total),
-                    remaining: None,
-                });
-
-                instances.push(inst);
-                if !admitted {
-                    instances[idx].admitted = false;
-                    instances[idx].dropped = true;
-                    continue;
-                }
-                live += 1;
-                // Queue the entry tasks and arm the deadline reaper.
-                let n = instances[idx].pending.len();
-                for task in 0..n {
-                    if instances[idx].pending[task] == 0 {
-                        heap.push(Reverse(Queued {
-                            time: instances[idx].arrival,
-                            seq: post_inc(&mut seq),
-                            event: Event::Ready { inst: idx, task },
-                        }));
-                    }
-                }
-                if self.policy.reap_on_deadline() {
-                    heap.push(Reverse(Queued {
-                        time: deadline,
-                        seq: post_inc(&mut seq),
-                        event: Event::DeadlineLapse { inst: idx },
-                    }));
-                }
-                continue;
-            }
-
-            let Reverse(q) = heap.pop().expect("checked above");
-            // Fault processes fall silent once no live work remains (the
-            // events neither extend the horizon nor fire), otherwise the
-            // failure/repair chain would run forever.
-            if matches!(q.event, Event::MachineFail { .. }) && next_arrival.is_none() && live == 0 {
-                continue;
-            }
-            // A Finish whose attempt was killed by a machine failure is
-            // stale: the kill already handled the task.
-            if let Event::Finish {
-                machine, run_id, ..
-            } = q.event
-            {
-                let current = machines[machine].running.map(|r| r.run_id);
-                if current != Some(run_id) {
-                    continue;
-                }
-            }
-            last_time = last_time.max(q.time);
-            match q.event {
-                Event::Ready { inst, task } => {
-                    if instances[inst].dropped {
-                        continue;
-                    }
-                    let machine = instances[inst].state.schedule.machine_of(task);
-                    let entry = QueueEntry {
-                        ready_abs: q.time,
-                        ready_rel: instances[inst].ready_rel[task],
-                        inst,
-                        task,
-                        dur: instances[inst].task_dur[task],
-                    };
-                    machines[machine].queue.push(entry);
-                    self.dispatch(
-                        machine,
-                        q.time,
-                        &mut machines,
-                        &mut instances,
-                        &mut heap,
-                        &mut seq,
-                        &mut run_ids,
-                        &mut busy_time,
-                        &mut live,
-                    );
-                }
-                Event::Finish {
-                    inst,
-                    task,
-                    machine,
-                    run_id: _,
-                    faulty,
-                } => {
-                    machines[machine].busy = false;
-                    let run = machines[machine]
-                        .running
-                        .take()
-                        .expect("validated before last_time");
-                    let now = q.time;
-                    if faulty {
-                        // Transient fault: the whole duration is spent and
-                        // the result discarded; recovery decides what next.
-                        faults.transient_faults += 1;
-                        let i = &mut instances[inst];
-                        i.lost_time += run.dur;
-                        i.finish_rel[task] = f64::NAN;
-                        self.fail_task(
-                            inst,
-                            task,
-                            now,
-                            &mut instances,
-                            &mut heap,
-                            &mut seq,
-                            &mut live,
-                        );
-                        self.dispatch(
-                            machine,
-                            now,
-                            &mut machines,
-                            &mut instances,
-                            &mut heap,
-                            &mut seq,
-                            &mut run_ids,
-                            &mut busy_time,
-                            &mut live,
-                        );
-                        continue;
-                    }
-                    let i = &mut instances[inst];
-                    i.tasks_completed += 1;
-                    if now <= i.deadline {
-                        i.tasks_met += 1;
-                    }
-                    if !i.dropped {
-                        let finish_rel = i.finish_rel[task];
-                        // Propagate the eager recurrence to the gated tasks:
-                        // DAG successors (plus communication) and the next
-                        // task on the machine. Identical FP operations to
-                        // EagerPlan::execute in the relative frame.
-                        let dag = &i.scenario.graph.dag;
-                        let mut newly_ready: Vec<usize> = Vec::new();
-                        for &(s, e) in dag.succs(task) {
-                            let contrib = finish_rel + i.comm_dur[e];
-                            if contrib > i.ready_rel[s] {
-                                i.ready_rel[s] = contrib;
-                            }
-                            i.pending[s] -= 1;
-                            if i.pending[s] == 0 {
-                                newly_ready.push(s);
-                            }
-                        }
-                        if let Some(w) = i.state.plan.next_on_proc()[task] {
-                            if finish_rel > i.ready_rel[w] {
-                                i.ready_rel[w] = finish_rel;
-                            }
-                            i.pending[w] -= 1;
-                            if i.pending[w] == 0 {
-                                newly_ready.push(w);
-                            }
-                        }
-                        for s in newly_ready {
-                            heap.push(Reverse(Queued {
-                                time: i.arrival + i.ready_rel[s],
-                                seq: post_inc(&mut seq),
-                                event: Event::Ready { inst, task: s },
-                            }));
-                        }
-                        if i.tasks_completed == i.pending.len() {
-                            // Same fold as EagerPlan::execute's makespan.
-                            let makespan_rel = i.finish_rel.iter().copied().fold(0.0, f64::max);
-                            i.makespan = Some(makespan_rel);
-                            i.finish = Some(i.arrival + makespan_rel);
-                            live -= 1;
-                        }
-                    }
-                    self.dispatch(
-                        machine,
-                        now,
-                        &mut machines,
-                        &mut instances,
-                        &mut heap,
-                        &mut seq,
-                        &mut run_ids,
-                        &mut busy_time,
-                        &mut live,
-                    );
-                }
-                Event::DeadlineLapse { inst } => {
-                    let i = &mut instances[inst];
-                    if i.finish.is_none() && !i.dropped {
-                        i.dropped = true;
-                        live -= 1;
-                    }
-                }
-                Event::MachineFail { machine } => {
-                    faults.machine_failures += 1;
-                    let now = q.time;
-                    let rng = machines[machine]
-                        .fault_rng
-                        .as_mut()
-                        .expect("fault events require a fault stream");
-                    let downtime = self.fault.sample_downtime(rng);
-                    let up_at = now + downtime;
-                    machines[machine].down = true;
-                    machines[machine].down_since = now;
-                    if let Some(run) = machines[machine].running.take() {
-                        // Kill the running attempt: the spent fraction is
-                        // lost work, the unexecuted remainder is refunded.
-                        machines[machine].busy = false;
-                        let remainder = (machines[machine].busy_until - now).max(0.0);
-                        busy_time -= remainder;
-                        faults.killed_tasks += 1;
-                        let (inst, task) = (run.inst, run.task);
-                        let i = &mut instances[inst];
-                        i.executed_time -= remainder;
-                        i.lost_time += (run.dur - remainder).max(0.0);
-                        i.finish_rel[task] = f64::NAN;
-                        self.fail_task(
-                            inst,
-                            task,
-                            now,
-                            &mut instances,
-                            &mut heap,
-                            &mut seq,
-                            &mut live,
-                        );
-                    }
-                    // The machine is unavailable until repair; queued work
-                    // waits (frozen queue), and post-repair starts rebase
-                    // on the repair time.
-                    machines[machine].busy_until = up_at;
-                    heap.push(Reverse(Queued {
-                        time: up_at,
-                        seq: post_inc(&mut seq),
-                        event: Event::MachineRepair { machine },
-                    }));
-                }
-                Event::MachineRepair { machine } => {
-                    let now = q.time;
-                    faults.down_time += now - machines[machine].down_since;
-                    machines[machine].down = false;
-                    // Re-arm the failure process only while work remains.
-                    if !(next_arrival.is_none() && live == 0) {
-                        let rng = machines[machine]
-                            .fault_rng
-                            .as_mut()
-                            .expect("fault events require a fault stream");
-                        let up = self.fault.sample_uptime(rng);
-                        if up.is_finite() {
-                            heap.push(Reverse(Queued {
-                                time: now + up,
-                                seq: post_inc(&mut seq),
-                                event: Event::MachineFail { machine },
-                            }));
-                        }
-                    }
-                    self.dispatch(
-                        machine,
-                        now,
-                        &mut machines,
-                        &mut instances,
-                        &mut heap,
-                        &mut seq,
-                        &mut run_ids,
-                        &mut busy_time,
-                        &mut live,
-                    );
-                }
-                Event::Redispatch {
-                    inst,
-                    task,
-                    resched,
-                } => {
-                    if instances[inst].dropped {
-                        continue;
-                    }
-                    faults.retries += 1;
-                    instances[inst].retries += 1;
-                    let now = q.time;
-                    let static_m = instances[inst].state.schedule.machine_of(task);
-                    let machine = if resched {
-                        pick_surviving(&machines, &instances, now, static_m)
-                    } else {
-                        static_m
-                    };
-                    let dur = if machine == static_m {
-                        instances[inst].task_dur[task]
-                    } else {
-                        // Moving machines rescales the sampled duration by
-                        // the deterministic cost ratio, preserving the
-                        // draw's luck; communication delays keep their
-                        // static-assignment samples (documented
-                        // approximation).
-                        let i = &instances[inst];
-                        let det_old = i.scenario.det_task_cost(task, static_m);
-                        let det_new = i.scenario.det_task_cost(task, machine);
-                        if det_old > 0.0 {
-                            i.task_dur[task] * (det_new / det_old)
-                        } else {
-                            det_new
-                        }
-                    };
-                    let entry = QueueEntry {
-                        ready_abs: now,
-                        ready_rel: now - instances[inst].arrival,
-                        inst,
-                        task,
-                        dur,
-                    };
-                    machines[machine].queue.push(entry);
-                    self.dispatch(
-                        machine,
-                        now,
-                        &mut machines,
-                        &mut instances,
-                        &mut heap,
-                        &mut seq,
-                        &mut run_ids,
-                        &mut busy_time,
-                        &mut live,
-                    );
-                }
+                let next = stream.next_arrival();
+                let arrival = std::mem::replace(&mut run.next_arrival, next);
+                run.arrive(arrival.expect("checked above"))?;
+            } else {
+                let (time, event) = run.events.pop().expect("checked above");
+                run.on_event(time, event);
             }
         }
+    }
+}
 
-        let machine_count = machines.len();
-        Ok(finalize(
-            instances,
-            machine_count,
-            first_arrival.unwrap_or(0.0),
-            last_time,
-            busy_time,
-            faults,
-            dist_builds,
-        ))
+/// The mutable state of one [`DynamicSim::run`]. The arrival step, the
+/// handler of each event kind, dispatch and the final tally are its
+/// methods.
+struct RunState<'r> {
+    sim: &'r DynamicSim<'r>,
+    heuristic: Box<dyn Heuristic>,
+    /// The stream's next arrival; `None` once the stream is exhausted.
+    next_arrival: Option<Arrival>,
+    /// Scenario state by `Arc` identity, then by content fingerprint
+    /// (module docs). Each identity entry holds its `Arc`, so no address
+    /// can be reused while the map lives.
+    by_identity: HashMap<*const Scenario, (Arc<Scenario>, Arc<ScenarioState>)>,
+    by_fingerprint: HashMap<u64, Arc<ScenarioState>>,
+    machines: Vec<Machine>,
+    instances: Vec<Instance>,
+    events: EventQueue,
+    /// The `run_id` the next started attempt takes.
+    run_ids: u64,
+    /// Admitted instances still in flight.
+    live: usize,
+    /// The counters events update as they happen (busy time and the fault
+    /// totals); [`RunState::finalize`] fills in the rest.
+    metrics: OnlineMetrics,
+    last_time: f64,
+}
+
+impl<'r> RunState<'r> {
+    fn new(
+        sim: &'r DynamicSim<'r>,
+        heuristic: Box<dyn Heuristic>,
+        next_arrival: Option<Arrival>,
+    ) -> Self {
+        Self {
+            sim,
+            heuristic,
+            next_arrival,
+            by_identity: HashMap::new(),
+            by_fingerprint: HashMap::new(),
+            machines: Vec::new(),
+            instances: Vec::new(),
+            events: EventQueue::default(),
+            run_ids: 0,
+            live: 0,
+            metrics: OnlineMetrics::default(),
+            last_time: 0.0,
+        }
+    }
+
+    /// `true` once the stream is exhausted and no admitted instance is in
+    /// flight: the fault processes then fall silent, so runs terminate.
+    fn idle(&self) -> bool {
+        self.next_arrival.is_none() && self.live == 0
+    }
+
+    /// The arrival step: find the scenario's state, build the instance
+    /// and ask the policy to admit it. An admitted instance queues its
+    /// entry tasks and arms its deadline reaper.
+    fn arrive(&mut self, arrival: Arrival) -> Result<(), SimError> {
+        let now = arrival.time;
+        self.last_time = self.last_time.max(now);
+        let m = arrival.scenario.machine_count();
+        if self.machines.is_empty() {
+            self.open_pool(m, now);
+        } else if self.machines.len() != m {
+            return Err(SimError::MachineMismatch {
+                expected: self.machines.len(),
+                got: m,
+            });
+        }
+
+        let state = self.scenario_state(&arrival.scenario)?;
+        let mut inst = self.new_instance(arrival.scenario, state, now);
+        let policy = self.sim.policy;
+        let backlog = if policy.needs_backlog() {
+            self.backlog_estimate(now)
+        } else {
+            0.0
+        };
+        let admitted = policy.admit(&PolicyQuery {
+            now,
+            arrival: now,
+            deadline: inst.outcome.deadline,
+            backlog,
+            total: inst.state.dists.as_ref().map(|d| &d.total),
+            remaining: None,
+        });
+        inst.outcome.admitted = admitted;
+        inst.outcome.dropped = !admitted;
+        let idx = self.instances.len();
+        if admitted {
+            self.live += 1;
+            // Queue the entry tasks and arm the deadline reaper.
+            for (task, &p) in inst.pending.iter().enumerate() {
+                if p == 0 {
+                    self.events.push(now, Event::Ready { inst: idx, task });
+                }
+            }
+            if policy.reap_on_deadline() {
+                let lapse = Event::DeadlineLapse { inst: idx };
+                self.events.push(inst.outcome.deadline, lapse);
+            }
+        }
+        self.instances.push(inst);
+        Ok(())
+    }
+
+    /// Opens the machine pool at the first arrival and, under a fault
+    /// model, arms each machine's failure process.
+    fn open_pool(&mut self, m: usize, now: f64) {
+        let fault = self.sim.fault;
+        for machine in 0..m {
+            // The fault streams derive from a tag space disjoint from the
+            // instance sub-seeds, so injecting faults never perturbs a
+            // duration draw.
+            let fault_rng = (!fault.is_fault_free()).then(|| {
+                let tag = FAULT_STREAM_TAG | machine as u64;
+                let mut rng = StdRng::seed_from_u64(derive_seed(self.sim.config.seed, tag));
+                let up = fault.sample_uptime(&mut rng);
+                if up.is_finite() {
+                    self.events.push(now + up, Event::MachineFail { machine });
+                }
+                rng
+            });
+            self.machines.push(Machine {
+                busy_until: 0.0,
+                queue: ReadyQueue::default(),
+                running: None,
+                down_since: None,
+                fault_rng,
+            });
+        }
+    }
+
+    /// The state of `scenario`, found by `Arc` identity, then by content
+    /// fingerprint, and built on a miss of both.
+    fn scenario_state(&mut self, scenario: &Arc<Scenario>) -> Result<Arc<ScenarioState>, SimError> {
+        let identity = Arc::as_ptr(scenario);
+        if let Some((_, state)) = self.by_identity.get(&identity) {
+            return Ok(state.clone());
+        }
+        let fp = scenario_fingerprint(scenario);
+        let state = match self.by_fingerprint.get(&fp) {
+            Some(state) => state.clone(),
+            None => {
+                let state = Arc::new(self.build_scenario_state(scenario)?);
+                self.by_fingerprint.insert(fp, state.clone());
+                state
+            }
+        };
+        self.by_identity
+            .insert(identity, (scenario.clone(), state.clone()));
+        Ok(state)
     }
 
     /// Builds the state every instance of `scenario` shares: schedule,
     /// eager plan, deterministic makespan, sampling tables and, when the
-    /// policy asks, the remaining-work distributions (counted in
-    /// `dist_builds`).
-    fn scenario_state(
-        &self,
-        heuristic: &dyn Heuristic,
-        scenario: &Scenario,
-        dist_builds: &mut usize,
-    ) -> Result<ScenarioState, SimError> {
-        let schedule = match &self.config.schedule {
+    /// policy asks, the remaining-work distributions.
+    fn build_scenario_state(&self, scenario: &Scenario) -> Result<ScenarioState, SimError> {
+        let schedule = match &self.sim.config.schedule {
             Some(s) => s.clone(),
-            None => heuristic.schedule(scenario)?,
+            None => self.heuristic.schedule(scenario)?,
         };
         let plan = EagerPlan::new(&scenario.graph.dag, &schedule)?;
         let det_makespan = plan
@@ -1013,9 +757,8 @@ impl<'p> DynamicSim<'p> {
                 |e, u, v| scenario.det_comm_cost(e, schedule.machine_of(u), schedule.machine_of(v)),
             )
             .makespan;
-        let dists = self.policy.needs_distributions().then(|| {
-            *dist_builds += 1;
-            let disc = DiscretizedScenario::new(scenario, self.config.grid);
+        let dists = self.sim.policy.needs_distributions().then(|| {
+            let disc = DiscretizedScenario::new(scenario, DEFAULT_GRID);
             RemainingDists::build(scenario, &schedule, &plan, &disc)
         });
         Ok(ScenarioState {
@@ -1027,19 +770,19 @@ impl<'p> DynamicSim<'p> {
         })
     }
 
-    /// Builds the per-instance state: deadline, sampled durations, eager
+    /// Builds the next instance: deadline, sampled durations, eager
     /// recurrence bookkeeping.
-    fn admit_instance(
+    fn new_instance(
         &self,
         scenario: Arc<Scenario>,
         state: Arc<ScenarioState>,
         arrival: f64,
-        deadline: f64,
-        idx: usize,
     ) -> Instance {
+        let idx = self.instances.len();
+        let config = &self.sim.config;
         let n = scenario.task_count();
         let edges = scenario.graph.edge_count();
-        let mut rng = StdRng::seed_from_u64(derive_seed(self.config.seed, idx as u64 + 1));
+        let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, idx as u64 + 1));
         let base = state.tables.base();
         // Fixed sampling order (tasks 0..n, then edges 0..e) with the
         // Monte-Carlo engine's affine formula `w + (UL−1)·w·Q(u53)`. With
@@ -1074,163 +817,440 @@ impl<'p> DynamicSim<'p> {
                     + usize::from(state.plan.prev_on_proc()[v].is_some())
             })
             .collect();
+        let outcome = InstanceOutcome {
+            arrival,
+            deadline: arrival + config.deadline_factor * state.det_makespan,
+            det_makespan: state.det_makespan,
+            finish: None,
+            makespan: None,
+            admitted: true,
+            dropped: false,
+            tasks: n,
+            tasks_completed: 0,
+            tasks_met: 0,
+            executed_time: 0.0,
+            lost_time: 0.0,
+            retries: 0,
+        };
         Instance {
             scenario,
             state,
-            arrival,
-            deadline,
             task_dur,
             comm_dur,
             pending,
             ready_rel: vec![0.0; n],
             finish_rel: vec![f64::NAN; n],
             attempts: vec![0; n],
-            tasks_completed: 0,
-            tasks_met: 0,
-            executed_time: 0.0,
-            lost_time: 0.0,
-            retries: 0,
-            admitted: true,
-            dropped: false,
-            finish: None,
-            makespan: None,
+            outcome,
         }
+    }
+
+    /// Handles one queued event. A machine failure once the run is idle
+    /// and the `Finish` of a killed attempt are skipped, and neither
+    /// extends the horizon.
+    fn on_event(&mut self, now: f64, event: Event) {
+        let skip = match event {
+            // Fault processes fall silent once no live work remains,
+            // otherwise the failure/repair chain would run forever.
+            Event::MachineFail { .. } => self.idle(),
+            // The kill already handled the task.
+            Event::Finish { machine, run_id } => {
+                self.machines[machine].running.map(|r| r.run_id) != Some(run_id)
+            }
+            _ => false,
+        };
+        if skip {
+            return;
+        }
+        self.last_time = self.last_time.max(now);
+        match event {
+            Event::Ready { inst, task } => self.on_ready(now, inst, task),
+            Event::Finish { machine, .. } => self.on_finish(now, machine),
+            Event::DeadlineLapse { inst } => self.on_deadline_lapse(inst),
+            Event::MachineFail { machine } => self.on_machine_fail(now, machine),
+            Event::MachineRepair { machine } => self.on_machine_repair(now, machine),
+            Event::Redispatch {
+                inst,
+                task,
+                resched,
+            } => self.on_redispatch(now, inst, task, resched),
+        }
+    }
+
+    /// A task's prerequisites are done: queue it on its machine.
+    fn on_ready(&mut self, now: f64, inst: usize, task: usize) {
+        let i = &self.instances[inst];
+        if i.outcome.dropped {
+            return;
+        }
+        let machine = i.state.schedule.machine_of(task);
+        self.machines[machine].queue.push(QueueEntry {
+            ready_abs: now,
+            ready_rel: i.ready_rel[task],
+            inst,
+            task,
+            dur: i.task_dur[task],
+        });
+        self.dispatch(machine, now);
+    }
+
+    /// The running attempt on `machine` ends: a transient fault hands the
+    /// task to recovery, a success releases the tasks it gated.
+    fn on_finish(&mut self, now: f64, machine: usize) {
+        let run = self.machines[machine]
+            .running
+            .take()
+            .expect("validated before last_time");
+        let (inst, task) = (run.inst, run.task);
+        let i = &mut self.instances[inst];
+        if run.faulty {
+            // Transient fault: the whole duration is spent and the result
+            // discarded; recovery decides what next.
+            self.metrics.transient_faults += 1;
+            i.outcome.lost_time += run.dur;
+            i.finish_rel[task] = f64::NAN;
+            self.fail_task(inst, task, now);
+            self.dispatch(machine, now);
+            return;
+        }
+        i.outcome.tasks_completed += 1;
+        if now <= i.outcome.deadline {
+            i.outcome.tasks_met += 1;
+        }
+        if !i.outcome.dropped {
+            let finish_rel = i.finish_rel[task];
+            let arrival = i.outcome.arrival;
+            // Propagate the eager recurrence to the gated tasks: DAG
+            // successors (plus communication) and the next task on the
+            // machine. Identical FP operations to EagerPlan::execute in the
+            // relative frame; a task is queued once its last prerequisite
+            // is done, when its ready time is final.
+            let dag = &i.scenario.graph.dag;
+            for &(s, e) in dag.succs(task) {
+                let contrib = finish_rel + i.comm_dur[e];
+                if contrib > i.ready_rel[s] {
+                    i.ready_rel[s] = contrib;
+                }
+                i.pending[s] -= 1;
+                if i.pending[s] == 0 {
+                    self.events
+                        .push(arrival + i.ready_rel[s], Event::Ready { inst, task: s });
+                }
+            }
+            if let Some(w) = i.state.plan.next_on_proc()[task] {
+                if finish_rel > i.ready_rel[w] {
+                    i.ready_rel[w] = finish_rel;
+                }
+                i.pending[w] -= 1;
+                if i.pending[w] == 0 {
+                    self.events
+                        .push(arrival + i.ready_rel[w], Event::Ready { inst, task: w });
+                }
+            }
+            if i.outcome.tasks_completed == i.outcome.tasks {
+                // Same fold as EagerPlan::execute's makespan.
+                let makespan_rel = i.finish_rel.iter().copied().fold(0.0, f64::max);
+                i.outcome.makespan = Some(makespan_rel);
+                i.outcome.finish = Some(arrival + makespan_rel);
+                self.live -= 1;
+            }
+        }
+        self.dispatch(machine, now);
+    }
+
+    /// The deadline passes: reap the instance unless it finished or was
+    /// dropped already.
+    fn on_deadline_lapse(&mut self, inst: usize) {
+        let o = &self.instances[inst].outcome;
+        if o.finish.is_none() && !o.dropped {
+            self.abandon(inst);
+        }
+    }
+
+    /// The machine fails: kill its running attempt and freeze its queue
+    /// until the repair event.
+    fn on_machine_fail(&mut self, now: f64, machine: usize) {
+        self.metrics.machine_failures += 1;
+        let m = &mut self.machines[machine];
+        let rng = m
+            .fault_rng
+            .as_mut()
+            .expect("fault events require a fault stream");
+        let up_at = now + self.sim.fault.sample_downtime(rng);
+        m.down_since = Some(now);
+        if let Some(run) = m.running.take() {
+            // Kill the running attempt: the spent fraction is lost work,
+            // the unexecuted remainder is refunded.
+            let remainder = (m.busy_until - now).max(0.0);
+            self.metrics.busy_time -= remainder;
+            self.metrics.killed_tasks += 1;
+            let i = &mut self.instances[run.inst];
+            i.outcome.executed_time -= remainder;
+            i.outcome.lost_time += (run.dur - remainder).max(0.0);
+            i.finish_rel[run.task] = f64::NAN;
+            self.fail_task(run.inst, run.task, now);
+        }
+        // Post-repair starts rebase on the repair time.
+        self.machines[machine].busy_until = up_at;
+        self.events.push(up_at, Event::MachineRepair { machine });
+    }
+
+    /// The machine is repaired: re-arm its failure process while work
+    /// remains and resume its queue.
+    fn on_machine_repair(&mut self, now: f64, machine: usize) {
+        let since = self.machines[machine]
+            .down_since
+            .take()
+            .expect("a repair follows a failure");
+        self.metrics.down_time += now - since;
+        if !self.idle() {
+            let rng = self.machines[machine]
+                .fault_rng
+                .as_mut()
+                .expect("fault events require a fault stream");
+            let up = self.sim.fault.sample_uptime(rng);
+            if up.is_finite() {
+                self.events.push(now + up, Event::MachineFail { machine });
+            }
+        }
+        self.dispatch(machine, now);
+    }
+
+    /// A recovered task re-enters a queue: its static machine, or under
+    /// `resched` the least-loaded surviving one.
+    fn on_redispatch(&mut self, now: f64, inst: usize, task: usize, resched: bool) {
+        if self.instances[inst].outcome.dropped {
+            return;
+        }
+        self.metrics.retries += 1;
+        self.instances[inst].outcome.retries += 1;
+        let static_m = self.instances[inst].state.schedule.machine_of(task);
+        let machine = if resched {
+            self.pick_surviving(now, static_m)
+        } else {
+            static_m
+        };
+        let i = &self.instances[inst];
+        let dur = if machine == static_m {
+            i.task_dur[task]
+        } else {
+            // Moving machines rescales the sampled duration by the
+            // deterministic cost ratio, preserving the draw's luck;
+            // communication delays keep their static-assignment samples
+            // (documented approximation).
+            let det_old = i.scenario.det_task_cost(task, static_m);
+            let det_new = i.scenario.det_task_cost(task, machine);
+            if det_old > 0.0 {
+                i.task_dur[task] * (det_new / det_old)
+            } else {
+                det_new
+            }
+        };
+        self.machines[machine].queue.push(QueueEntry {
+            ready_abs: now,
+            ready_rel: now - i.outcome.arrival,
+            inst,
+            task,
+            dur,
+        });
+        self.dispatch(machine, now);
+    }
+
+    /// Abandons an admitted instance in flight: its running tasks
+    /// complete, its queued entries are skipped.
+    fn abandon(&mut self, inst: usize) {
+        self.instances[inst].outcome.dropped = true;
+        self.live -= 1;
     }
 
     /// A task attempt failed (machine kill or transient fault): count it
     /// and consult the recovery policy — abandon the instance, or arm a
     /// re-dispatch after the policy's backoff.
-    #[allow(clippy::too_many_arguments)] // the event loop's whole mutable state
-    fn fail_task(
-        &self,
-        inst: usize,
-        task: usize,
-        now: f64,
-        instances: &mut [Instance],
-        heap: &mut BinaryHeap<Reverse<Queued>>,
-        seq: &mut u64,
-        live: &mut usize,
-    ) {
-        let i = &mut instances[inst];
-        if i.dropped {
+    fn fail_task(&mut self, inst: usize, task: usize, now: f64) {
+        let i = &mut self.instances[inst];
+        if i.outcome.dropped {
             // Abandoned work gets no recovery; the attempt just dies.
             return;
         }
         i.attempts[task] += 1;
-        let action = self.recovery.on_failure(i.attempts[task]);
-        let (time, resched) = match action {
-            RecoveryAction::Abandon => {
-                i.dropped = true;
-                *live -= 1;
-                return;
-            }
+        let (time, resched) = match self.sim.recovery.on_failure(i.attempts[task]) {
+            RecoveryAction::Abandon => return self.abandon(inst),
             RecoveryAction::Retry { delay } => (now + delay, false),
             RecoveryAction::Resched { delay } => (now + delay, true),
         };
-        heap.push(Reverse(Queued {
+        self.events.push(
             time,
-            seq: post_inc(seq),
-            event: Event::Redispatch {
+            Event::Redispatch {
                 inst,
                 task,
                 resched,
             },
-        }));
+        );
     }
 
-    /// Starts queued work on `machine` while it is free: pick the entry
-    /// with the least `(ready time, instance, task)` key, consult the
-    /// policy, and either start it or drop its instance and keep looking.
-    #[allow(clippy::too_many_arguments)] // the event loop's whole mutable state
-    fn dispatch(
-        &self,
-        machine: usize,
-        now: f64,
-        machines: &mut [Machine],
-        instances: &mut [Instance],
-        heap: &mut BinaryHeap<Reverse<Queued>>,
-        seq: &mut u64,
-        run_ids: &mut u64,
-        busy_time: &mut f64,
-        live: &mut usize,
-    ) {
-        while !machines[machine].busy && !machines[machine].down {
+    /// Starts queued work on `machine` while it is available: pick the
+    /// entry with the least `(ready time, instance, task)` key, consult
+    /// the policy, and either start it or drop its instance and keep
+    /// looking.
+    fn dispatch(&mut self, machine: usize, now: f64) {
+        while self.machines[machine].available() {
             // Deterministic selection: least (ready_abs, inst, task).
-            let Some(entry) = machines[machine].queue.pop_min() else {
+            let Some(entry) = self.machines[machine].queue.pop_min() else {
                 return;
             };
-            if instances[entry.inst].dropped {
+            let i = &self.instances[entry.inst];
+            if i.outcome.dropped {
                 continue;
             }
-            {
-                let i = &instances[entry.inst];
-                let keep = self.policy.keep_task(&PolicyQuery {
-                    now,
-                    arrival: i.arrival,
-                    deadline: i.deadline,
-                    backlog: 0.0,
-                    total: i.state.dists.as_ref().map(|d| &d.total),
-                    remaining: i.state.dists.as_ref().map(|d| &d.rem[entry.task]),
-                });
-                if !keep {
-                    instances[entry.inst].dropped = true;
-                    *live -= 1;
-                    continue;
-                }
+            let keep = self.sim.policy.keep_task(&PolicyQuery {
+                now,
+                arrival: i.outcome.arrival,
+                deadline: i.outcome.deadline,
+                backlog: 0.0,
+                total: i.state.dists.as_ref().map(|d| &d.total),
+                remaining: i.state.dists.as_ref().map(|d| &d.rem[entry.task]),
+            });
+            if !keep {
+                self.abandon(entry.inst);
+                continue;
             }
             // Transient fate, decided deterministically per attempt from a
             // seed stream disjoint from every duration draw.
-            let p = self.fault.transient_probability();
+            let p = self.sim.fault.transient_probability();
             let faulty = p > 0.0
                 && transient_draw(
-                    self.config.seed,
+                    self.sim.config.seed,
                     entry.inst,
                     entry.task,
-                    instances[entry.inst].attempts[entry.task],
+                    i.attempts[entry.task],
                     p,
                 );
-            let i = &mut instances[entry.inst];
+            let m = &mut self.machines[machine];
+            let i = &mut self.instances[entry.inst];
             // Uncontended starts stay in the relative frame (the exact
             // EagerPlan::execute operations); a contended start waits for
             // the machine and is rebased once.
-            let finish_rel = if machines[machine].busy_until > entry.ready_abs {
-                (machines[machine].busy_until - i.arrival) + entry.dur
+            let finish_rel = if m.busy_until > entry.ready_abs {
+                (m.busy_until - i.outcome.arrival) + entry.dur
             } else {
                 entry.ready_rel + entry.dur
             };
             i.finish_rel[entry.task] = finish_rel;
-            i.executed_time += entry.dur;
-            *busy_time += entry.dur;
-            let finish_abs = i.arrival + finish_rel;
-            machines[machine].busy = true;
-            machines[machine].busy_until = finish_abs;
-            let run_id = post_inc(run_ids);
-            machines[machine].running = Some(RunningTask {
+            i.outcome.executed_time += entry.dur;
+            self.metrics.busy_time += entry.dur;
+            let finish_abs = i.outcome.arrival + finish_rel;
+            m.busy_until = finish_abs;
+            let run_id = self.run_ids;
+            self.run_ids += 1;
+            m.running = Some(RunningTask {
                 run_id,
-                dur: entry.dur,
                 inst: entry.inst,
                 task: entry.task,
+                dur: entry.dur,
+                faulty,
             });
-            heap.push(Reverse(Queued {
-                time: finish_abs,
-                seq: post_inc(seq),
-                event: Event::Finish {
-                    inst: entry.inst,
-                    task: entry.task,
-                    machine,
-                    run_id,
-                    faulty,
-                },
-            }));
+            self.events
+                .push(finish_abs, Event::Finish { machine, run_id });
         }
     }
-}
 
-#[inline]
-fn post_inc(seq: &mut u64) -> u64 {
-    let s = *seq;
-    *seq += 1;
-    s
+    /// The `resched` machine choice: least current load (running
+    /// remainder + queued live durations) over surviving machines, lowest
+    /// index on ties; `fallback` when every machine is down.
+    fn pick_surviving(&self, now: f64, fallback: usize) -> usize {
+        let mut best: Option<(f64, usize)> = None;
+        for (mi, m) in self.machines.iter().enumerate() {
+            if m.down_since.is_some() {
+                continue;
+            }
+            let mut load = if m.running.is_some() && m.busy_until > now {
+                m.busy_until - now
+            } else {
+                0.0
+            };
+            for entry in m.queue.entries() {
+                if !self.instances[entry.inst].outcome.dropped {
+                    load += entry.dur;
+                }
+            }
+            if best.is_none_or(|(b, _)| load < b) {
+                best = Some((load, mi));
+            }
+        }
+        best.map_or(fallback, |(_, mi)| mi)
+    }
+
+    /// Mean per-machine work ahead at `now`: running remainders plus
+    /// queued sampled durations, averaged over the pool — the
+    /// [`PolicyQuery::backlog`] estimate of the admission gate.
+    fn backlog_estimate(&self, now: f64) -> f64 {
+        if self.machines.is_empty() {
+            return 0.0;
+        }
+        let mut work = 0.0;
+        for m in &self.machines {
+            if m.running.is_some() && m.busy_until > now {
+                work += m.busy_until - now;
+            }
+            for entry in m.queue.entries() {
+                if !self.instances[entry.inst].outcome.dropped {
+                    work += entry.dur;
+                }
+            }
+        }
+        work / self.machines.len() as f64
+    }
+
+    /// The run's result: the outcomes in arrival order, the metrics summed
+    /// over them, and one distribution build per distinct scenario content
+    /// when the policy needs distributions.
+    fn finalize(self) -> SimResult {
+        let first_arrival = self.instances.first().map_or(0.0, |i| i.outcome.arrival);
+        let dist_builds = self
+            .by_fingerprint
+            .values()
+            .filter(|s| s.dists.is_some())
+            .count();
+        let mut metrics = OnlineMetrics {
+            machines: self.machines.len(),
+            horizon: (self.last_time - first_arrival).max(0.0),
+            ..self.metrics
+        };
+        let outcomes: Vec<InstanceOutcome> =
+            self.instances.into_iter().map(|i| i.outcome).collect();
+        for outcome in &outcomes {
+            metrics.instances += 1;
+            metrics.tasks_total += outcome.tasks;
+            metrics.tasks_completed += outcome.tasks_completed;
+            metrics.tasks_met += outcome.tasks_met;
+            metrics.lost_time += outcome.lost_time;
+            if outcome.admitted {
+                metrics.admitted += 1;
+                if outcome.dropped {
+                    metrics.dropped += 1;
+                }
+            } else {
+                metrics.rejected += 1;
+            }
+            if outcome.finish.is_some() {
+                metrics.completed += 1;
+            }
+            if outcome.met_deadline() {
+                metrics.workflows_met += 1;
+                // Failed attempts of an on-time instance are still wasted
+                // machine-time (zero without faults, so the fault-free sum
+                // is bit-identical to the pre-fault executor's).
+                metrics.wasted_time += outcome.lost_time;
+            } else {
+                metrics.wasted_time += outcome.executed_time;
+            }
+        }
+        SimResult {
+            outcomes,
+            metrics,
+            dist_builds,
+        }
+    }
 }
 
 /// The per-attempt transient-fault draw: one derived-seed RNG keyed by
@@ -1242,129 +1262,6 @@ fn transient_draw(seed: u64, inst: usize, task: usize, attempt: usize, p: f64) -
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, key));
     let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
     u < p
-}
-
-/// The `resched` machine choice: least current load (running remainder +
-/// queued live durations) over surviving machines, lowest index on ties;
-/// `fallback` when every machine is down.
-fn pick_surviving(
-    machines: &[Machine],
-    instances: &[Instance],
-    now: f64,
-    fallback: usize,
-) -> usize {
-    let mut best: Option<(f64, usize)> = None;
-    for (mi, m) in machines.iter().enumerate() {
-        if m.down {
-            continue;
-        }
-        let mut load = if m.busy && m.busy_until > now {
-            m.busy_until - now
-        } else {
-            0.0
-        };
-        for entry in m.queue.entries() {
-            if !instances[entry.inst].dropped {
-                load += entry.dur;
-            }
-        }
-        if best.is_none_or(|(b, _)| load < b) {
-            best = Some((load, mi));
-        }
-    }
-    best.map_or(fallback, |(_, mi)| mi)
-}
-
-/// Mean per-machine work ahead at `now`: running remainders plus queued
-/// sampled durations, averaged over the pool — the [`PolicyQuery::backlog`]
-/// estimate of the admission gate.
-fn backlog_estimate(machines: &[Machine], instances: &[Instance], now: f64) -> f64 {
-    if machines.is_empty() {
-        return 0.0;
-    }
-    let mut work = 0.0;
-    for m in machines {
-        if m.busy && m.busy_until > now {
-            work += m.busy_until - now;
-        }
-        for entry in m.queue.entries() {
-            if !instances[entry.inst].dropped {
-                work += entry.dur;
-            }
-        }
-    }
-    work / machines.len() as f64
-}
-
-fn finalize(
-    instances: Vec<Instance>,
-    machines: usize,
-    first_arrival: f64,
-    last_time: f64,
-    busy_time: f64,
-    faults: FaultTotals,
-    dist_builds: usize,
-) -> SimResult {
-    let mut metrics = OnlineMetrics {
-        machines,
-        busy_time,
-        horizon: (last_time - first_arrival).max(0.0),
-        down_time: faults.down_time,
-        machine_failures: faults.machine_failures,
-        killed_tasks: faults.killed_tasks,
-        transient_faults: faults.transient_faults,
-        retries: faults.retries,
-        ..Default::default()
-    };
-    let mut outcomes = Vec::with_capacity(instances.len());
-    for i in instances {
-        let outcome = InstanceOutcome {
-            arrival: i.arrival,
-            deadline: i.deadline,
-            det_makespan: i.state.det_makespan,
-            finish: i.finish,
-            makespan: i.makespan,
-            admitted: i.admitted,
-            dropped: i.dropped,
-            tasks: i.pending.len(),
-            tasks_completed: i.tasks_completed,
-            tasks_met: i.tasks_met,
-            executed_time: i.executed_time,
-            lost_time: i.lost_time,
-            retries: i.retries,
-        };
-        metrics.instances += 1;
-        metrics.tasks_total += outcome.tasks;
-        metrics.tasks_completed += outcome.tasks_completed;
-        metrics.tasks_met += outcome.tasks_met;
-        metrics.lost_time += outcome.lost_time;
-        if outcome.admitted {
-            metrics.admitted += 1;
-            if outcome.dropped {
-                metrics.dropped += 1;
-            }
-        } else {
-            metrics.rejected += 1;
-        }
-        if outcome.finish.is_some() {
-            metrics.completed += 1;
-        }
-        if outcome.met_deadline() {
-            metrics.workflows_met += 1;
-            // Failed attempts of an on-time instance are still wasted
-            // machine-time (zero without faults, so the fault-free sum is
-            // bit-identical to the pre-fault executor's).
-            metrics.wasted_time += outcome.lost_time;
-        } else {
-            metrics.wasted_time += outcome.executed_time;
-        }
-        outcomes.push(outcome);
-    }
-    SimResult {
-        outcomes,
-        metrics,
-        dist_builds,
-    }
 }
 
 #[cfg(test)]
