@@ -32,6 +32,7 @@
 //! ask it to buffer them and take the two-pass [`pearson_matrix`].
 
 pub mod adversarial;
+mod lru;
 pub mod metrics;
 pub mod optimize;
 pub mod service;
@@ -42,6 +43,7 @@ pub use adversarial::{
     anneal, objective_by_name, objective_registry, AnnealConfig, AnnealResult, AnnealStats,
     ClusterDeficit, HeuristicRegret, Objective, ObjectiveReport, RankGap,
 };
+pub use lru::Lru;
 pub use metrics::{
     compute_metrics, distribution_stats, metric_index, DistributionStats, MetricOptions,
     MetricValues, OnlineMetrics, METRIC_LABELS,

@@ -12,7 +12,10 @@
 //! [`EvalService`] makes the prepared state request-scoped instead of
 //! study-scoped:
 //!
-//! * **Scenario cache** — a bounded LRU keyed by
+//! All three caches below are one [`Lru`]: a bounded map that evicts the
+//! entry touched longest ago.
+//!
+//! * **Scenario cache** — an LRU keyed by
 //!   [`robusched_stochastic::scenario_fingerprint`] (structure +
 //!   uncertainty model + costs). Each entry holds the per-evaluator
 //!   [`PreparedScenario`] plans
@@ -28,7 +31,7 @@
 //!   so a content-equal scenario in a fresh `Arc` still shares every
 //!   cache entry; a repeat costs a map lookup, not a hash of the whole
 //!   scenario.
-//! * **Result cache + in-flight coalescing** — a bounded LRU of finished
+//! * **Result cache + in-flight coalescing** — an LRU of finished
 //!   [`MetricValues`] keyed by the full request fingerprint (scenario +
 //!   schedule + evaluator). A repeat of a finished request is served from
 //!   the cache without touching a worker; a repeat of an *in-flight*
@@ -60,6 +63,7 @@
 //! request and returned as [`ServiceError::Panicked`] — the service keeps
 //! serving, which is the whole point of a long-running front end.
 
+use crate::lru::Lru;
 use crate::metrics::{compute_metrics, MetricOptions, MetricValues};
 use robusched_platform::Scenario;
 use robusched_sched::Schedule;
@@ -67,7 +71,7 @@ use robusched_stochastic::par::{panic_message, worker_count};
 use robusched_stochastic::{
     evaluator_by_name, scenario_fingerprint, EvalContext, Evaluator, PreparedScenario,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -221,104 +225,16 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// Prepared state of one cached scenario: per-evaluator plans, filled on
-/// first use by each backend.
-struct ScenarioEntry {
-    prepared: HashMap<String, PreparedScenario>,
-    /// Last-touch stamp for LRU eviction.
-    stamp: u64,
-}
-
-/// The finished-result LRU. Each entry carries its last-touch stamp, and
-/// `by_stamp` orders the live stamps, so the least recently used entry is
-/// its first: eviction pops it instead of scanning every entry. Stamps
-/// come from [`CacheState::tick`], so they are unique and the victim is
-/// the entry with the oldest stamp.
-#[derive(Default)]
-struct ResultCache {
-    entries: HashMap<u64, (MetricValues, u64)>,
-    by_stamp: BTreeMap<u64, u64>,
-}
-
-impl ResultCache {
-    /// The cached result for `key`, touched with `stamp`.
-    fn get(&mut self, key: u64, stamp: u64) -> Option<MetricValues> {
-        let (metrics, last) = self.entries.get_mut(&key)?;
-        self.by_stamp.remove(last);
-        *last = stamp;
-        self.by_stamp.insert(stamp, key);
-        Some(*metrics)
-    }
-
-    /// Stores `metrics` under `key`, touched with `stamp`, then evicts the
-    /// least recently used entries beyond `capacity`; returns how many.
-    fn insert(&mut self, key: u64, metrics: MetricValues, stamp: u64, capacity: usize) -> u64 {
-        if let Some((_, last)) = self.entries.insert(key, (metrics, stamp)) {
-            self.by_stamp.remove(&last);
-        }
-        self.by_stamp.insert(stamp, key);
-        let mut evicted = 0;
-        while self.entries.len() > capacity {
-            let (_, victim) = self.by_stamp.pop_first().expect("one stamp per entry");
-            self.entries.remove(&victim);
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
-#[derive(Default)]
 struct CacheState {
-    scenarios: HashMap<u64, ScenarioEntry>,
-    results: ResultCache,
+    /// Scenario fingerprint → per-evaluator plans, filled on first use by
+    /// each backend.
+    scenarios: Lru<u64, HashMap<String, PreparedScenario>>,
+    /// Request fingerprint → finished result; `None` when result caching
+    /// is off.
+    results: Option<Lru<u64, MetricValues>>,
     /// result_key → tickets of coalesced duplicate requests waiting on the
     /// in-flight leader.
     in_flight: HashMap<u64, Vec<Ticket>>,
-    clock: u64,
-}
-
-impl CacheState {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-}
-
-/// Content fingerprints of the most recently submitted scenarios, keyed
-/// by `Arc` identity. Each entry holds its `Arc`, so the address it is
-/// keyed by cannot be reused while the entry lives.
-#[derive(Default)]
-struct FingerprintMemo {
-    /// `Arc::as_ptr` address → (the `Arc`, its fingerprint, last-use stamp).
-    entries: HashMap<usize, (Arc<Scenario>, u64, u64)>,
-    clock: u64,
-}
-
-impl FingerprintMemo {
-    fn get(&mut self, identity: usize) -> Option<u64> {
-        self.clock += 1;
-        let entry = self.entries.get_mut(&identity)?;
-        entry.2 = self.clock;
-        Some(entry.1)
-    }
-
-    /// Files `scenario`'s fingerprint, evicting the least recently used
-    /// entries beyond `capacity`.
-    fn insert(&mut self, scenario: &Arc<Scenario>, fp: u64, capacity: usize) {
-        self.clock += 1;
-        let identity = Arc::as_ptr(scenario) as usize;
-        self.entries
-            .insert(identity, (scenario.clone(), fp, self.clock));
-        while self.entries.len() > capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.2)
-                .map(|(k, _)| *k)
-                .expect("non-empty memo");
-            self.entries.remove(&victim);
-        }
-    }
 }
 
 #[derive(Default)]
@@ -335,14 +251,16 @@ struct Stats {
 }
 
 struct Shared {
-    config: ServiceConfig,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
     /// Finished responses not yet claimed by [`EvalService::wait`].
     responses: Mutex<HashMap<Ticket, EvalResult>>,
     responses_cv: Condvar,
     caches: Mutex<CacheState>,
-    fingerprints: Mutex<FingerprintMemo>,
+    /// The fingerprint memo: `Arc::as_ptr` address → (the `Arc`, its
+    /// content fingerprint). Each entry holds its `Arc`, so the address
+    /// it is keyed by cannot be reused while the entry lives.
+    fingerprints: Mutex<Lru<usize, (Arc<Scenario>, u64)>>,
     stats: Stats,
 }
 
@@ -356,12 +274,12 @@ impl Shared {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
         };
-        if let Some(fp) = memo().get(identity) {
-            return fp;
+        if let Some((_, fp)) = memo().get_mut(&identity) {
+            return *fp;
         }
         // Hash outside the lock: at n = 300 it takes ~0.2 ms.
         let fp = scenario_fingerprint(scenario);
-        memo().insert(scenario, fp, self.config.scenario_capacity.max(1));
+        memo().get_or_insert_with(identity, |_| (scenario.clone(), fp));
         fp
     }
 
@@ -438,13 +356,16 @@ impl EvalService {
     pub fn new(config: ServiceConfig) -> Self {
         let workers = worker_count(config.workers);
         let shared = Arc::new(Shared {
-            config,
             queue: Mutex::new(QueueState::default()),
             queue_cv: Condvar::new(),
             responses: Mutex::new(HashMap::new()),
             responses_cv: Condvar::new(),
-            caches: Mutex::new(CacheState::default()),
-            fingerprints: Mutex::new(FingerprintMemo::default()),
+            caches: Mutex::new(CacheState {
+                scenarios: Lru::new(config.scenario_capacity),
+                results: (config.result_capacity > 0).then(|| Lru::new(config.result_capacity)),
+                in_flight: HashMap::new(),
+            }),
+            fingerprints: Mutex::new(Lru::new(config.scenario_capacity)),
             stats: Stats::default(),
         });
         let handles = (0..workers)
@@ -489,8 +410,8 @@ impl EvalService {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             // Tier 1: finished-result cache.
-            let stamp = caches.tick();
-            if let Some(metrics) = caches.results.get(result_key, stamp) {
+            let cached = caches.results.as_mut().and_then(|r| r.get_mut(&result_key));
+            if let Some(metrics) = cached.copied() {
                 drop(caches);
                 self.shared
                     .stats
@@ -663,53 +584,28 @@ fn prepared_for(
     evaluator: &dyn Evaluator,
     scenario: &Scenario,
 ) -> (PreparedScenario, bool) {
-    {
-        let mut caches = shared
+    let lock = || {
+        shared
             .caches
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let stamp = caches.tick();
-        if let Some(entry) = caches.scenarios.get_mut(&fp) {
-            entry.stamp = stamp;
-            if let Some(prep) = entry.prepared.get(evaluator.name()) {
-                shared.stats.scenario_hits.fetch_add(1, Ordering::Relaxed);
-                return (prep.clone(), true);
-            }
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    };
+    if let Some(plans) = lock().scenarios.get_mut(&fp) {
+        if let Some(prep) = plans.get(evaluator.name()) {
+            shared.stats.scenario_hits.fetch_add(1, Ordering::Relaxed);
+            return (prep.clone(), true);
         }
     }
     shared.stats.scenario_misses.fetch_add(1, Ordering::Relaxed);
     let prep = evaluator.prepare(scenario);
-    let mut caches = shared
-        .caches
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let stamp = caches.tick();
-    let entry = caches.scenarios.entry(fp).or_insert_with(|| ScenarioEntry {
-        prepared: HashMap::new(),
-        stamp,
-    });
-    entry.stamp = stamp;
-    let prep = entry
-        .prepared
+    let mut caches = lock();
+    let (plans, evicted) = caches.scenarios.get_or_insert_with(fp, |_| HashMap::new());
+    let prep = plans
         .entry(evaluator.name().to_string())
         .or_insert(prep)
         .clone();
-    // Enforce the LRU bound (never evicting the entry just touched).
-    let capacity = shared.config.scenario_capacity.max(1);
-    while caches.scenarios.len() > capacity {
-        let victim = caches
-            .scenarios
-            .iter()
-            .filter(|(k, _)| **k != fp)
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(k, _)| *k);
-        match victim {
-            Some(k) => {
-                caches.scenarios.remove(&k);
-                shared.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            None => break,
-        }
+    if evicted.is_some() {
+        shared.stats.evictions.fetch_add(1, Ordering::Relaxed);
     }
     (prep, false)
 }
@@ -777,18 +673,13 @@ fn finish_job(shared: &Shared, job: &Job, result: EvalResult) {
             .caches
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Ok(outcome) = &result {
-            let capacity = shared.config.result_capacity;
-            if capacity > 0 {
-                let stamp = caches.tick();
-                let evicted =
-                    caches
-                        .results
-                        .insert(job.result_key, outcome.metrics, stamp, capacity);
+        if let (Ok(outcome), Some(results)) = (&result, caches.results.as_mut()) {
+            let (_, evicted) = results.get_or_insert_with(job.result_key, |_| outcome.metrics);
+            if evicted.is_some() {
                 shared
                     .stats
                     .result_evictions
-                    .fetch_add(evicted, Ordering::Relaxed);
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
         caches.in_flight.remove(&job.result_key).unwrap_or_default()
@@ -901,7 +792,7 @@ mod tests {
             service
                 .evaluate(EvalRequest::new(s.clone(), heft(s), "spelde"))
                 .unwrap();
-            assert!(service.shared.fingerprints.lock().unwrap().entries.len() <= 3);
+            assert!(service.shared.fingerprints.lock().unwrap().len() <= 3);
         }
         // A hit refreshes its entry: touch the oldest survivor, then
         // submit one more scenario, which must evict the next oldest.
@@ -912,9 +803,9 @@ mod tests {
         service
             .evaluate(EvalRequest::new(extra.clone(), heft(&extra), "spelde"))
             .unwrap();
-        let memo = service.shared.fingerprints.lock().unwrap();
-        let kept = |s: &Arc<Scenario>| memo.entries.contains_key(&(Arc::as_ptr(s) as usize));
-        assert_eq!(memo.entries.len(), 3);
+        let mut memo = service.shared.fingerprints.lock().unwrap();
+        assert_eq!(memo.len(), 3);
+        let mut kept = |s: &Arc<Scenario>| memo.get_mut(&(Arc::as_ptr(s) as usize)).is_some();
         assert!(kept(&pool[5]) && kept(&pool[7]) && kept(&extra));
         assert!(!kept(&pool[6]));
         // Evicted entries release their `Arc`s.
@@ -939,51 +830,6 @@ mod tests {
         }
         // Capacity 1: the 2nd and 3rd insertions each evict the previous.
         assert_eq!(service.stats().result_evictions, 2);
-    }
-
-    #[test]
-    fn result_cache_evicts_the_oldest_stamp_and_keeps_its_bound() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let s = scenario(29);
-        let metrics = EvalService::new(ServiceConfig {
-            workers: Some(1),
-            ..Default::default()
-        })
-        .evaluate(EvalRequest::new(s.clone(), heft(&s), "classic"))
-        .unwrap()
-        .metrics;
-        let capacity = 8;
-        let mut cache = ResultCache::default();
-        // The reference: key → last stamp, evicted by a full scan for the
-        // oldest stamp.
-        let mut reference: HashMap<u64, u64> = HashMap::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        for stamp in 1..=4_000u64 {
-            let key = rng.gen_range(0..24u64);
-            if rng.gen_bool(0.5) {
-                let hit = cache.get(key, stamp).is_some();
-                assert_eq!(hit, reference.contains_key(&key), "stamp {stamp}");
-                if hit {
-                    reference.insert(key, stamp);
-                }
-            } else {
-                let evicted = cache.insert(key, metrics, stamp, capacity);
-                reference.insert(key, stamp);
-                let mut victims = 0;
-                while reference.len() > capacity {
-                    let (&victim, _) = reference.iter().min_by_key(|(_, s)| **s).unwrap();
-                    reference.remove(&victim);
-                    victims += 1;
-                }
-                assert_eq!(evicted, victims, "stamp {stamp}");
-            }
-            assert!(cache.entries.len() <= capacity);
-            assert_eq!(cache.by_stamp.len(), cache.entries.len());
-            let stamps: HashMap<u64, u64> =
-                cache.entries.iter().map(|(&k, &(_, s))| (k, s)).collect();
-            assert_eq!(stamps, reference, "stamp {stamp}");
-        }
     }
 
     #[test]

@@ -162,16 +162,7 @@ impl StreamingMoments {
     /// Panics if `labels.len() != k` or fewer than two rows were absorbed.
     pub fn pearson_matrix(&self, labels: &[&str]) -> CorrMatrix {
         assert_eq!(labels.len(), self.k, "label count mismatch");
-        let mut values = vec![0.0; self.k * self.k];
-        for i in 0..self.k {
-            values[i * self.k + i] = 1.0;
-            for j in i + 1..self.k {
-                let r = self.pearson(i, j);
-                values[i * self.k + j] = r;
-                values[j * self.k + i] = r;
-            }
-        }
-        CorrMatrix::from_values(labels.iter().map(|s| s.to_string()).collect(), values)
+        CorrMatrix::from_pairwise(labels, |i, j| self.pearson(i, j))
     }
 }
 
@@ -260,23 +251,23 @@ impl RankReservoir {
     pub fn spearman_matrix(&self, labels: &[&str]) -> CorrMatrix {
         assert_eq!(labels.len(), self.k, "label count mismatch");
         assert!(self.rows.len() >= 2, "need at least two rows");
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(self.rows.len()); self.k];
-        for row in &self.rows {
-            for (c, &v) in row.iter().enumerate() {
-                columns[c].push(v);
-            }
-        }
-        let mut values = vec![0.0; self.k * self.k];
-        for i in 0..self.k {
-            values[i * self.k + i] = 1.0;
-            for j in i + 1..self.k {
-                let r = spearman(&columns[i], &columns[j]);
-                values[i * self.k + j] = r;
-                values[j * self.k + i] = r;
-            }
-        }
-        CorrMatrix::from_values(labels.iter().map(|s| s.to_string()).collect(), values)
+        let columns = columns(self.rows.iter(), self.k);
+        CorrMatrix::from_pairwise(labels, |i, j| spearman(&columns[i], &columns[j]))
     }
+}
+
+/// The `k` columns of `rows`, each row `k` values wide.
+pub(crate) fn columns<R: AsRef<[f64]>>(
+    rows: impl ExactSizeIterator<Item = R>,
+    k: usize,
+) -> Vec<Vec<f64>> {
+    let mut columns = vec![Vec::with_capacity(rows.len()); k];
+    for row in rows {
+        for (column, &v) in columns.iter_mut().zip(row.as_ref()) {
+            column.push(v);
+        }
+    }
+    columns
 }
 
 #[cfg(test)]

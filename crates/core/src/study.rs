@@ -381,26 +381,11 @@ pub fn spearman_matrix(rows: &[MetricValues]) -> CorrMatrix {
 }
 
 fn matrix_with(rows: &[MetricValues], corr: fn(&[f64], &[f64]) -> f64) -> CorrMatrix {
-    let k = METRIC_LABELS.len();
-    let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(rows.len()); k];
-    for r in rows {
-        for (c, v) in r.oriented_vector().into_iter().enumerate() {
-            columns[c].push(v);
-        }
-    }
-    let mut values = vec![0.0; k * k];
-    for i in 0..k {
-        values[i * k + i] = 1.0;
-        for j in i + 1..k {
-            let r = corr(&columns[i], &columns[j]);
-            values[i * k + j] = r;
-            values[j * k + i] = r;
-        }
-    }
-    CorrMatrix::from_values(
-        METRIC_LABELS.iter().map(|s| s.to_string()).collect(),
-        values,
-    )
+    let columns = crate::streaming::columns(
+        rows.iter().map(MetricValues::oriented_vector),
+        METRIC_LABELS.len(),
+    );
+    CorrMatrix::from_pairwise(&METRIC_LABELS, |i, j| corr(&columns[i], &columns[j]))
 }
 
 #[cfg(test)]

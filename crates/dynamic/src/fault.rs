@@ -314,7 +314,9 @@ pub trait RecoveryPolicy: Send + Sync {
     fn name(&self) -> String;
 
     /// The action after a task's `attempt`-th failure (1-based count of
-    /// failed attempts of that task).
+    /// failed attempts of that task). Under transient faults each attempt
+    /// draws its fate from a key that tells failure counts apart only
+    /// below 64, so a policy must abandon a task by its 64th failure.
     fn on_failure(&self, attempt: usize) -> RecoveryAction;
 }
 
@@ -394,8 +396,9 @@ impl RecoveryPolicy for Resched {
     }
 }
 
-/// Parses a recovery spec: `abandon`, `retry@K` (`K ∈ 1..=64`), or
-/// `resched`. Returns `None` on unknown names or out-of-range caps.
+/// Parses a recovery spec: `abandon`, `retry@K` (`K ∈ 1..=63`, the most
+/// retries [`RecoveryPolicy::on_failure`] allows), or `resched`. Returns
+/// `None` on unknown names or out-of-range caps.
 pub fn recovery_by_spec(spec: &str) -> Option<Box<dyn RecoveryPolicy>> {
     match spec {
         "abandon" => return Some(Box::new(Abandon)),
@@ -403,7 +406,7 @@ pub fn recovery_by_spec(spec: &str) -> Option<Box<dyn RecoveryPolicy>> {
         _ => {}
     }
     let k = spec.strip_prefix("retry@")?.parse::<usize>().ok()?;
-    (1..=64)
+    (1..=63)
         .contains(&k)
         .then(|| Box::new(Retry { max_attempts: k }) as Box<dyn RecoveryPolicy>)
 }
@@ -477,11 +480,15 @@ mod tests {
 
     #[test]
     fn recovery_specs_parse_and_name_roundtrip() {
-        for spec in ["abandon", "retry@3", "retry@1", "resched"] {
+        for spec in ["abandon", "retry@3", "retry@1", "retry@63", "resched"] {
             let r = recovery_by_spec(spec).expect(spec);
             assert_eq!(r.name(), spec);
         }
-        for bad in ["retry@0", "retry@65", "retry@x", "retry", "panic"] {
+        // `retry@64` would draw a task's fate at its 64th failure with
+        // the transient key of a neighbouring task's first attempt.
+        for bad in [
+            "retry@0", "retry@64", "retry@65", "retry@x", "retry", "panic",
+        ] {
             assert!(recovery_by_spec(bad).is_none(), "{bad} should not parse");
         }
     }

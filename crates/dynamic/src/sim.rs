@@ -102,6 +102,9 @@ use std::sync::Arc;
 const FAULT_STREAM_TAG: u64 = 1 << 62;
 /// Sub-seed tag of the per-attempt transient-fault draws.
 const TRANSIENT_DRAW_TAG: u64 = 1 << 63;
+/// Tasks per scenario that a run with transient faults accepts: the
+/// draw key holds a task index in 14 bits (see [`transient_key`]).
+const TRANSIENT_MAX_TASKS: usize = 1 << 14;
 
 /// Configuration of a dynamic run.
 #[derive(Debug, Clone)]
@@ -148,6 +151,14 @@ pub enum SimError {
         /// Machines of the offending scenario.
         got: usize,
     },
+    /// Under a fault model with transient faults, an arriving scenario
+    /// has more tasks than the per-attempt fault draw tells apart.
+    TooManyTasks {
+        /// Tasks of the offending scenario.
+        tasks: usize,
+        /// The most tasks such a run accepts.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -157,6 +168,12 @@ impl std::fmt::Display for SimError {
             Self::Schedule(e) => write!(f, "scheduling failed: {e}"),
             Self::MachineMismatch { expected, got } => {
                 write!(f, "scenario has {got} machines, pool has {expected}")
+            }
+            Self::TooManyTasks { tasks, max } => {
+                write!(
+                    f,
+                    "scenario has {tasks} tasks; transient faults allow at most {max}"
+                )
             }
         }
     }
@@ -645,6 +662,13 @@ impl<'r> RunState<'r> {
     /// and ask the policy to admit it. An admitted instance queues its
     /// entry tasks and arms its deadline reaper.
     fn arrive(&mut self, arrival: Arrival) -> Result<(), SimError> {
+        let tasks = arrival.scenario.task_count();
+        if tasks > TRANSIENT_MAX_TASKS && self.sim.fault.transient_probability() > 0.0 {
+            return Err(SimError::TooManyTasks {
+                tasks,
+                max: TRANSIENT_MAX_TASKS,
+            });
+        }
         let now = arrival.time;
         self.last_time = self.last_time.max(now);
         let m = arrival.scenario.machine_count();
@@ -1258,10 +1282,20 @@ impl<'r> RunState<'r> {
 /// uniform convention. Pure, so re-running an attempt count reproduces
 /// its fate bit for bit.
 fn transient_draw(seed: u64, inst: usize, task: usize, attempt: usize, p: f64) -> bool {
-    let key = TRANSIENT_DRAW_TAG | ((inst as u64) << 20) ^ ((task as u64) << 6) ^ attempt as u64;
-    let mut rng = StdRng::seed_from_u64(derive_seed(seed, key));
+    let mut rng = StdRng::seed_from_u64(derive_seed(seed, transient_key(inst, task, attempt)));
     let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
     u < p
+}
+
+/// The sub-seed key of one transient draw: under the tag bit, the
+/// instance in bits 20–62, the task in bits 6–19 and the count of failed
+/// attempts in bits 0–5. The fields never overlap, so the key is
+/// injective while `inst < 2^43`, `task < 2^14` (arrivals past
+/// [`TRANSIENT_MAX_TASKS`] are rejected) and `attempt < 64`
+/// ([`RecoveryPolicy::on_failure`] abandons a task by its 64th failure).
+fn transient_key(inst: usize, task: usize, attempt: usize) -> u64 {
+    debug_assert!((inst as u64) < 1 << 43 && task < TRANSIENT_MAX_TASKS && attempt < 64);
+    TRANSIENT_DRAW_TAG | (inst as u64) << 20 | (task as u64) << 6 | attempt as u64
 }
 
 #[cfg(test)]
@@ -1295,6 +1329,28 @@ mod tests {
             })
             .map(|(i, _)| i)?;
         Some(queue.swap_remove(best))
+    }
+
+    #[test]
+    fn transient_keys_are_distinct_at_the_corners_and_unmoved() {
+        // The key as it was built before its inputs were bounded.
+        let xor_key = |inst: usize, task: usize, attempt: usize| {
+            TRANSIENT_DRAW_TAG | ((inst as u64) << 20) ^ ((task as u64) << 6) ^ attempt as u64
+        };
+        let mut seen = HashSet::new();
+        for inst in [0, 1, 2, (1 << 43) - 1] {
+            for task in [0, 1, 2, TRANSIENT_MAX_TASKS - 1] {
+                for attempt in [0, 1, 2, 63] {
+                    let key = transient_key(inst, task, attempt);
+                    assert_eq!(key, xor_key(inst, task, attempt));
+                    assert!(seen.insert(key), "({inst}, {task}, {attempt})");
+                }
+            }
+        }
+        // The collisions the bounds rule out: a 64th attempt, and a task
+        // index past the 14-bit field.
+        assert_eq!(xor_key(0, 0, 64), xor_key(0, 1, 0));
+        assert_eq!(xor_key(0, TRANSIENT_MAX_TASKS, 0), xor_key(1, 0, 0));
     }
 
     proptest! {

@@ -5,9 +5,9 @@
 use proptest::prelude::*;
 use robusched_dynamic::{
     fault_by_spec, policy_by_spec, recovery_by_spec, Abandon, Arrival, DynamicSim, NeverDrop,
-    NoFaults, PoissonStream, ReplayStream, SimConfig, SimResult,
+    NoFaults, PoissonStream, ReplayStream, SimConfig, SimError, SimResult,
 };
-use robusched_platform::Scenario;
+use robusched_platform::{CostMatrix, Platform, Scenario, UncertaintyModel};
 use std::sync::Arc;
 
 fn pool(seeds: &[u64], n: usize, m: usize) -> Vec<Arc<Scenario>> {
@@ -255,4 +255,37 @@ fn schedule_override_matches_heuristic_schedule() {
         ..SimConfig::default()
     });
     assert_bit_identical(&by_name, &by_override);
+}
+
+/// A transient fault's draw key holds a task index in 14 bits, so under
+/// transient faults an arrival of more than 2^14 tasks is an error, while
+/// the same arrival runs under machine failures alone.
+#[test]
+fn transient_faults_reject_scenarios_past_the_draw_key_range() {
+    let chain = |n: usize| {
+        Arc::new(Scenario::new(
+            robusched_dag::chain(n),
+            Platform::homogeneous(2, 1.0, 0.0),
+            CostMatrix::from_rows(n, 2, vec![1.0; 2 * n]),
+            UncertaintyModel::paper(1.1),
+        ))
+    };
+    let run = |scenario: &Arc<Scenario>, fault: &str| {
+        let mut stream = ReplayStream::new(vec![Arrival {
+            time: 0.0,
+            scenario: scenario.clone(),
+        }]);
+        let fault = fault_by_spec(fault).unwrap();
+        DynamicSim::with_faults(&NeverDrop, SimConfig::default(), fault.as_ref(), &Abandon)
+            .run(&mut stream)
+    };
+    let largest = (1 << 14) + 1;
+    match run(&chain(largest), "exp@1e9:1+trans@0.01") {
+        Err(SimError::TooManyTasks { tasks, max }) => {
+            assert_eq!((tasks, max), (largest, 1 << 14));
+        }
+        other => panic!("expected too many tasks, got {other:?}"),
+    }
+    assert!(run(&chain(largest), "exp@1e9:1").is_ok());
+    assert!(run(&chain(1 << 14), "trans@0.01").is_ok());
 }

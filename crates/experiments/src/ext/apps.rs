@@ -14,6 +14,7 @@
 //! (one mean matrix each) and the cross-class `ext_apps_summary.csv`.
 
 use crate::RunOptions;
+use robusched_core::adversarial::CLUSTER_THRESHOLD;
 use robusched_core::{metric_index, StudyBuilder};
 use robusched_dag::apps::AppClass;
 use robusched_platform::Scenario;
@@ -180,7 +181,7 @@ pub fn render(a: &Apps) -> String {
     let weak: Vec<&str> = a
         .classes
         .iter()
-        .filter(|c| c.pearson("makespan_std", "avg_lateness") < 0.9)
+        .filter(|c| c.pearson("makespan_std", "avg_lateness") < CLUSTER_THRESHOLD)
         .map(|c| c.class.name())
         .collect();
     out.push_str(&if weak.is_empty() {

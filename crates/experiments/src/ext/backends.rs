@@ -19,6 +19,7 @@
 //! backend) and the cross-backend `ext_backends_summary.csv`.
 
 use crate::RunOptions;
+use robusched_core::adversarial::CLUSTER_THRESHOLD;
 use robusched_core::{metric_index, StudyBuilder};
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
@@ -124,10 +125,6 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Backends> {
 pub const SUMMARY_HEADER: &str = "evaluator,cases,\
 p_std_lateness,p_std_absprob,p_std_relprob,p_std_entropy,p_makespan_std,\
 s_std_lateness,cluster_survives";
-
-/// Pearson threshold above which the σ/lateness/1−A cluster counts as
-/// intact under a backend.
-pub const CLUSTER_THRESHOLD: f64 = 0.9;
 
 /// Whether the equivalence cluster survives under one backend.
 pub fn cluster_survives(b: &BackendResult) -> bool {

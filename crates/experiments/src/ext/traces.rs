@@ -18,8 +18,8 @@
 //! `ext_traces_<name>_spearman.csv` (one mean matrix each) and the
 //! cross-trace `ext_traces_summary.csv`.
 
-use crate::ext::backends::CLUSTER_THRESHOLD;
 use crate::RunOptions;
+use robusched_core::adversarial::CLUSTER_THRESHOLD;
 use robusched_core::{metric_index, StudyBuilder};
 use robusched_dag::parsers::{parse_trace, TraceDag};
 use robusched_platform::{Scenario, TraceCalibration};

@@ -63,7 +63,7 @@
 //! utilization, and the fault counters.)
 
 use crate::RunOptions;
-use robusched_core::{EvalRequest, EvalService, MetricValues, ServiceConfig};
+use robusched_core::{EvalRequest, EvalService, Lru, MetricValues, ServiceConfig, Ticket};
 use robusched_dag::parsers::json::{parse_json, write_json, Json};
 use robusched_dag::AppClass;
 use robusched_platform::{Scenario, TraceCalibration};
@@ -125,23 +125,20 @@ const MAX_UL: f64 = 1000.0;
 /// prepared-state and result caches.
 struct ScenarioInterner {
     /// The most recently resolved specs.
-    recent: HashMap<String, Interned>,
+    recent: Lru<String, Interned>,
     /// Specs evicted from `recent`; dead handles are swept out whenever
     /// the map has doubled since the last sweep.
     evicted: HashMap<String, Weak<Scenario>>,
-    capacity: usize,
-    clock: u64,
     sweep_at: usize,
 }
 
-/// One interned scenario: the shared `Arc`, its last-resolve stamp, and
-/// the heuristic schedules already built on it, by canonical heuristic
-/// name. A repeated heuristic request clones its schedule instead of
-/// running the heuristic again; the schedules leave with the entry, so
-/// they are bounded by the interner's capacity.
+/// One interned scenario: the shared `Arc` and the heuristic schedules
+/// already built on it, by canonical heuristic name. A repeated heuristic
+/// request clones its schedule instead of running the heuristic again;
+/// the schedules leave with the entry, so they are bounded by the
+/// interner's capacity.
 struct Interned {
     scenario: Arc<Scenario>,
-    stamp: u64,
     heuristic_schedules: HashMap<String, Schedule>,
 }
 
@@ -189,10 +186,8 @@ impl Interned {
 impl ScenarioInterner {
     fn new(capacity: usize) -> Self {
         Self {
-            recent: HashMap::new(),
+            recent: Lru::new(capacity),
             evicted: HashMap::new(),
-            capacity,
-            clock: 0,
             sweep_at: capacity,
         }
     }
@@ -280,38 +275,22 @@ impl ScenarioInterner {
             }
             other => return Err(format!("unknown scenario family '{other}'")),
         };
-        self.clock += 1;
-        if !self.recent.contains_key(&key) {
-            let scenario = self
-                .evicted
-                .remove(&key)
-                .and_then(|handle| handle.upgrade())
-                .unwrap_or_else(|| Arc::new(build()));
-            if self.recent.len() >= self.capacity {
-                let oldest = self
-                    .recent
-                    .iter()
-                    .min_by_key(|(_, entry)| entry.stamp)
-                    .map(|(k, _)| k.clone());
-                if let Some((k, old)) = oldest.and_then(|k| self.recent.remove_entry(&k)) {
-                    self.evicted.insert(k, Arc::downgrade(&old.scenario));
-                }
+        let capacity = self.recent.capacity();
+        let evicted = &mut self.evicted;
+        let (entry, old) = self.recent.get_or_insert_with(key, |key| {
+            let revived = evicted.remove(key).and_then(|handle| handle.upgrade());
+            Interned {
+                scenario: revived.unwrap_or_else(|| Arc::new(build())),
+                heuristic_schedules: HashMap::new(),
             }
-            self.recent.insert(
-                key.clone(),
-                Interned {
-                    scenario,
-                    stamp: 0,
-                    heuristic_schedules: HashMap::new(),
-                },
-            );
-            if self.evicted.len() >= self.sweep_at {
-                self.evicted.retain(|_, handle| handle.strong_count() > 0);
-                self.sweep_at = (2 * self.evicted.len()).max(self.capacity);
+        });
+        if let Some((k, old)) = old {
+            evicted.insert(k, Arc::downgrade(&old.scenario));
+            if evicted.len() >= self.sweep_at {
+                evicted.retain(|_, handle| handle.strong_count() > 0);
+                self.sweep_at = (2 * evicted.len()).max(capacity);
             }
         }
-        let entry = self.recent.get_mut(&key).expect("interned above");
-        entry.stamp = self.clock;
         Ok(entry)
     }
 }
@@ -421,37 +400,43 @@ impl DynamicRunner {
     }
 }
 
-/// One decoded request line, before service submission.
-enum Decoded {
-    /// An evaluation request (plus its optional metric filter) for the
-    /// batched service.
-    Eval(EvalRequest, Option<Vec<String>>),
-    /// A `dynamic` simulation, already run — the response payload.
-    Dynamic(Json),
-    /// A protocol error to echo back.
+/// What the writer must do for one request, in submission order.
+enum WirePayload {
+    /// Wait on the service ticket, then render the metrics (optionally
+    /// filtered).
+    Eval(Ticket, Option<Vec<String>>),
+    /// A `dynamic` simulation already ran on the reader thread — emit its
+    /// payload as `{"id", "ok": true, "dynamic": {...}}`.
+    Done(Json),
+    /// Echo a protocol/simulation error.
     Fail(String),
 }
 
-/// Decodes one request line. Evaluation requests are pure decoding; the
-/// `dynamic` family runs its (small, capped) simulation right here, on the
-/// reader thread, so responses stay strictly in request order.
+/// One queue entry from reader to writer: the echoed id plus the payload.
+type WireEntry = (Json, WirePayload);
+
+/// Decodes one request line and starts it. An evaluation request is
+/// submitted to `service`; the `dynamic` family runs its (small, capped)
+/// simulation right here, on the reader thread, so responses stay
+/// strictly in request order.
 fn decode_request(
     line: &str,
+    service: &EvalService,
     interner: &mut ScenarioInterner,
     dynamic: &mut DynamicRunner,
-) -> (Json, Decoded) {
+) -> WireEntry {
     let doc = match parse_json(line) {
         Ok(doc) => doc,
-        Err(e) => return (Json::Null, Decoded::Fail(format!("invalid JSON: {e}"))),
+        Err(e) => return (Json::Null, WirePayload::Fail(format!("invalid JSON: {e}"))),
     };
     let id = doc.get("id").cloned().unwrap_or(Json::Null);
     if let Some(spec) = doc.get("dynamic") {
-        return match dynamic.run(spec) {
-            Ok(payload) => (id, Decoded::Dynamic(payload)),
-            Err(e) => (id, Decoded::Fail(e)),
-        };
+        let payload = dynamic
+            .run(spec)
+            .map_or_else(WirePayload::Fail, WirePayload::Done);
+        return (id, payload);
     }
-    let inner = (|| {
+    let payload = (|| {
         let scenario_spec = doc.get("scenario").ok_or("missing 'scenario'")?;
         let interned = interner.resolve(scenario_spec)?;
         let schedule_spec = doc.get("schedule").ok_or("missing 'schedule'")?;
@@ -479,13 +464,10 @@ fn decode_request(
             }
             Some(_) => return Err("'metrics' must be an array of strings".to_string()),
         };
-        Ok((EvalRequest::new(scenario, schedule, &evaluator), filter))
+        let ticket = service.submit(EvalRequest::new(scenario, schedule, &evaluator));
+        Ok(WirePayload::Eval(ticket, filter))
     })();
-    let decoded = match inner {
-        Ok((request, filter)) => Decoded::Eval(request, filter),
-        Err(e) => Decoded::Fail(e),
-    };
-    (id, decoded)
+    (id, payload.unwrap_or_else(WirePayload::Fail))
 }
 
 fn render_response(
@@ -527,21 +509,6 @@ fn render_response(
 // ---------------------------------------------------------------------------
 // serve: stdin/stdout protocol loop
 // ---------------------------------------------------------------------------
-
-/// What the writer must do for one request, in submission order.
-enum WirePayload {
-    /// Wait on the service ticket, then render the metrics (optionally
-    /// filtered).
-    Eval(robusched_core::Ticket, Option<Vec<String>>),
-    /// A `dynamic` simulation already ran on the reader thread — emit its
-    /// payload as `{"id", "ok": true, "dynamic": {...}}`.
-    Done(Json),
-    /// Echo a protocol/simulation error.
-    Fail(String),
-}
-
-/// One queue entry from reader to writer: the echoed id plus the payload.
-type WireEntry = (Json, WirePayload);
 
 /// Entries the reader may queue ahead of the writer. A client that writes
 /// faster than the workers answer fills this queue, and the reader then
@@ -612,16 +579,9 @@ pub fn serve_streams<R: BufRead, W: Write + Send>(
                 continue;
             }
             lines_seen += 1;
-            let (id, decoded) = decode_request(&line, &mut interner, &mut dynamic);
-            let payload = match decoded {
-                Decoded::Eval(request, filter) => {
-                    WirePayload::Eval(service.submit(request), filter)
-                }
-                Decoded::Dynamic(payload) => WirePayload::Done(payload),
-                Decoded::Fail(e) => WirePayload::Fail(e),
-            };
+            let entry = decode_request(&line, &service, &mut interner, &mut dynamic);
             // Blocks while the writer is `READ_AHEAD` entries behind.
-            if tx.send((id, payload)).is_err() {
+            if tx.send(entry).is_err() {
                 break; // writer died (broken pipe); stop reading
             }
         }
@@ -926,12 +886,11 @@ mod tests {
             entry.schedule(&heft_spec("BIL")).unwrap();
             assert!(interner.recent.len() <= capacity);
         }
-        let stored: usize = interner
-            .recent
-            .values()
-            .map(|e| e.heuristic_schedules.len())
-            .sum();
-        assert_eq!(stored, 2 * capacity);
+        for seed in 2 * capacity + 1..=3 * capacity {
+            let entry = interner.resolve(&spec(seed)).unwrap();
+            assert_eq!(entry.heuristic_schedules.len(), 2);
+        }
+        assert_eq!(interner.recent.len(), capacity);
         // The rebuilt first scenario builds the same schedule again.
         let again = interner.resolve(&spec(0)).unwrap();
         assert!(again.heuristic_schedules.is_empty());

@@ -2,14 +2,14 @@
 //!
 //! The final artifact of the paper (Fig. 6) is "two matrices, one with the
 //! average Pearson coefficients between each metrics, while the other
-//! contains their standard deviation". [`CorrMatrix`] computes one matrix
-//! per case from metric columns; [`CorrMatrix::aggregate`] folds many cases
-//! into the mean/std pair.
+//! contains their standard deviation". [`CorrMatrix::from_pairwise`]
+//! builds one matrix per case from a pairwise coefficient;
+//! [`CorrMatrix::aggregate`] folds many cases into the mean/std pair.
 
-use crate::correlation::pearson;
 use crate::descriptive::{mean, population_std};
 
-/// A symmetric matrix of pairwise Pearson coefficients with column labels.
+/// A symmetric matrix of pairwise correlation coefficients with column
+/// labels.
 #[derive(Debug, Clone)]
 pub struct CorrMatrix {
     labels: Vec<String>,
@@ -18,29 +18,21 @@ pub struct CorrMatrix {
 }
 
 impl CorrMatrix {
-    /// Computes pairwise Pearson coefficients of the given columns.
-    ///
-    /// # Panics
-    /// Panics when columns have mismatched lengths or fewer than 2 rows.
-    pub fn from_columns(labels: &[&str], columns: &[Vec<f64>]) -> Self {
-        assert_eq!(labels.len(), columns.len(), "one label per column");
-        let k = columns.len();
-        assert!(k >= 1, "need at least one column");
-        let rows = columns[0].len();
-        assert!(columns.iter().all(|c| c.len() == rows), "ragged columns");
+    /// The matrix whose diagonal is 1 and whose cell `(i, j)` is
+    /// `corr(i, j)`, called once per pair `i < j` in row-major order and
+    /// mirrored to `(j, i)`.
+    pub fn from_pairwise(labels: &[&str], mut corr: impl FnMut(usize, usize) -> f64) -> Self {
+        let k = labels.len();
         let mut values = vec![0.0; k * k];
         for i in 0..k {
             values[i * k + i] = 1.0;
             for j in i + 1..k {
-                let r = pearson(&columns[i], &columns[j]);
+                let r = corr(i, j);
                 values[i * k + j] = r;
                 values[j * k + i] = r;
             }
         }
-        Self {
-            labels: labels.iter().map(|s| s.to_string()).collect(),
-            values,
-        }
+        Self::from_values(labels.iter().map(|s| s.to_string()).collect(), values)
     }
 
     /// Builds directly from precomputed values (aggregation output).
@@ -150,12 +142,18 @@ fn truncate(s: &str, n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correlation::pearson;
+
+    /// The Pearson matrix of `columns`.
+    fn from_columns(labels: &[&str], columns: &[Vec<f64>]) -> CorrMatrix {
+        CorrMatrix::from_pairwise(labels, |i, j| pearson(&columns[i], &columns[j]))
+    }
 
     #[test]
     fn perfect_pair() {
         let a: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let b: Vec<f64> = a.iter().map(|x| 2.0 * x).collect();
-        let m = CorrMatrix::from_columns(&["a", "b"], &[a, b]);
+        let m = from_columns(&["a", "b"], &[a, b]);
         assert_eq!(m.dim(), 2);
         assert!((m.get(0, 1) - 1.0).abs() < 1e-12);
         assert_eq!(m.get(0, 0), 1.0);
@@ -167,8 +165,8 @@ mod tests {
         let a: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let up: Vec<f64> = a.clone();
         let down: Vec<f64> = a.iter().map(|x| -x).collect();
-        let m1 = CorrMatrix::from_columns(&["x", "y"], &[a.clone(), up]);
-        let m2 = CorrMatrix::from_columns(&["x", "y"], &[a, down]);
+        let m1 = from_columns(&["x", "y"], &[a.clone(), up]);
+        let m2 = from_columns(&["x", "y"], &[a, down]);
         let (mean_m, std_m) = CorrMatrix::aggregate(&[m1, m2]);
         // Correlations are +1 and −1: mean 0, std 1.
         assert!(mean_m.get(0, 1).abs() < 1e-12);
@@ -179,7 +177,7 @@ mod tests {
     fn render_combined_layout() {
         let a: Vec<f64> = (0..5).map(|i| i as f64).collect();
         let b: Vec<f64> = a.iter().map(|x| x + 1.0).collect();
-        let m = CorrMatrix::from_columns(&["alpha", "beta"], &[a, b]);
+        let m = from_columns(&["alpha", "beta"], &[a, b]);
         let s = m.render_combined(&m);
         assert!(s.contains("alpha"));
         assert!(s.contains("—"));
@@ -189,15 +187,26 @@ mod tests {
     #[test]
     fn csv_round_shape() {
         let a: Vec<f64> = (0..5).map(|i| i as f64).collect();
-        let m = CorrMatrix::from_columns(&["only"], &[a]);
+        let m = from_columns(&["only"], &[a]);
         let csv = m.to_csv();
         assert!(csv.starts_with("metric,only"));
         assert!(csv.lines().count() == 2);
     }
 
     #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_columns_rejected() {
-        CorrMatrix::from_columns(&["a", "b"], &[vec![1.0, 2.0], vec![1.0]]);
+    fn pairs_are_visited_once_in_row_major_order() {
+        let mut visited = Vec::new();
+        let m = CorrMatrix::from_pairwise(&["a", "b", "c"], |i, j| {
+            visited.push((i, j));
+            (10 * i + j) as f64
+        });
+        assert_eq!(visited, [(0, 1), (0, 2), (1, 2)]);
+        for i in 0..3 {
+            assert_eq!(m.get(i, i), 1.0);
+            for j in i + 1..3 {
+                assert_eq!(m.get(i, j), (10 * i + j) as f64);
+                assert_eq!(m.get(j, i), m.get(i, j));
+            }
+        }
     }
 }
