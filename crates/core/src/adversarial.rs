@@ -53,6 +53,13 @@ use robusched_stochastic::perturb::{
 /// pairwise Pearson correlation below this counts as a cluster break.
 pub const CLUSTER_THRESHOLD: f64 = 0.9;
 
+/// The one cluster rule of the extension studies: the σ/lateness/1−A
+/// cluster holds when both paper-cluster Pearson correlations,
+/// `ρ(σ, lateness)` and `ρ(σ, 1−A)`, reach [`CLUSTER_THRESHOLD`].
+pub fn cluster_holds(p_std_lateness: f64, p_std_absprob: f64) -> bool {
+    p_std_lateness.min(p_std_absprob) >= CLUSTER_THRESHOLD
+}
+
 /// One objective evaluation's outcome.
 #[derive(Debug, Clone)]
 pub struct ObjectiveReport {
@@ -71,11 +78,10 @@ pub struct ObjectiveReport {
 }
 
 impl ObjectiveReport {
-    /// Whether this evaluation certifies a paper-cluster break: one of the
-    /// two cluster correlations fell below [`CLUSTER_THRESHOLD`] on a
-    /// non-degenerate scenario.
+    /// Whether this evaluation certifies a paper-cluster break: the
+    /// scenario is non-degenerate and [`cluster_holds`] fails.
     pub fn cluster_broken(&self) -> bool {
-        self.score.is_finite() && self.p_std_lateness.min(self.p_std_absprob) < CLUSTER_THRESHOLD
+        self.score.is_finite() && !cluster_holds(self.p_std_lateness, self.p_std_absprob)
     }
 }
 

@@ -77,6 +77,12 @@ impl std::fmt::Display for StudyError {
 
 impl std::error::Error for StudyError {}
 
+impl From<StudyError> for std::io::Error {
+    fn from(e: StudyError) -> Self {
+        std::io::Error::other(e)
+    }
+}
+
 impl From<ScheduleError> for StudyError {
     fn from(e: ScheduleError) -> Self {
         Self::Schedule(e)

@@ -316,7 +316,9 @@ pub trait RecoveryPolicy: Send + Sync {
     /// The action after a task's `attempt`-th failure (1-based count of
     /// failed attempts of that task). Under transient faults each attempt
     /// draws its fate from a key that tells failure counts apart only
-    /// below 64, so a policy must abandon a task by its 64th failure.
+    /// below 64, so a policy must abandon a task by its 64th failure:
+    /// [`DynamicSim::run`](crate::DynamicSim::run) refuses a policy whose
+    /// `on_failure(64)` is not [`RecoveryAction::Abandon`].
     fn on_failure(&self, attempt: usize) -> RecoveryAction;
 }
 

@@ -105,6 +105,9 @@ const TRANSIENT_DRAW_TAG: u64 = 1 << 63;
 /// Tasks per scenario that a run with transient faults accepts: the
 /// draw key holds a task index in 14 bits (see [`transient_key`]).
 const TRANSIENT_MAX_TASKS: usize = 1 << 14;
+/// Failures per task that a run with transient faults allows: the draw
+/// key holds the failure count in 6 bits (see [`transient_key`]).
+const TRANSIENT_MAX_ATTEMPTS: usize = 1 << 6;
 
 /// Configuration of a dynamic run.
 #[derive(Debug, Clone)]
@@ -159,6 +162,13 @@ pub enum SimError {
         /// The most tasks such a run accepts.
         max: usize,
     },
+    /// Under a fault model with transient faults, the recovery policy
+    /// keeps a task past its `max`-th failure, where the per-attempt fault
+    /// draws would repeat another attempt's.
+    TooManyAttempts {
+        /// The failure count by which a task must be abandoned.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -175,11 +185,22 @@ impl std::fmt::Display for SimError {
                     "scenario has {tasks} tasks; transient faults allow at most {max}"
                 )
             }
+            Self::TooManyAttempts { max } => write!(
+                f,
+                "recovery policy keeps a task past its {max}th failure; \
+                 transient faults allow at most {max} failures per task"
+            ),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+impl From<SimError> for std::io::Error {
+    fn from(e: SimError) -> Self {
+        std::io::Error::other(e)
+    }
+}
 
 impl From<ScheduleError> for SimError {
     fn from(e: ScheduleError) -> Self {
@@ -581,6 +602,17 @@ impl<'p> DynamicSim<'p> {
     pub fn run(&self, stream: &mut dyn ArrivalStream) -> Result<SimResult, SimError> {
         let heuristic = heuristic_by_name(&self.config.heuristic)
             .ok_or_else(|| SimError::UnknownHeuristic(self.config.heuristic.clone()))?;
+        // The transient draw key tells failure counts apart only below
+        // 64. The bundled policies abandon from some failure count on, so
+        // they abandon a task by its 64th failure exactly when the 64th
+        // failure abandons it.
+        if self.fault.transient_probability() > 0.0
+            && self.recovery.on_failure(TRANSIENT_MAX_ATTEMPTS) != RecoveryAction::Abandon
+        {
+            return Err(SimError::TooManyAttempts {
+                max: TRANSIENT_MAX_ATTEMPTS,
+            });
+        }
         let mut run = RunState::new(self, heuristic, stream.next_arrival());
         loop {
             // Interleave arrivals with queued events; arrivals win ties so
@@ -1291,10 +1323,13 @@ fn transient_draw(seed: u64, inst: usize, task: usize, attempt: usize, p: f64) -
 /// instance in bits 20–62, the task in bits 6–19 and the count of failed
 /// attempts in bits 0–5. The fields never overlap, so the key is
 /// injective while `inst < 2^43`, `task < 2^14` (arrivals past
-/// [`TRANSIENT_MAX_TASKS`] are rejected) and `attempt < 64`
-/// ([`RecoveryPolicy::on_failure`] abandons a task by its 64th failure).
+/// [`TRANSIENT_MAX_TASKS`] are rejected) and `attempt < 64` (a recovery
+/// policy that keeps a task past [`TRANSIENT_MAX_ATTEMPTS`] failures is
+/// rejected).
 fn transient_key(inst: usize, task: usize, attempt: usize) -> u64 {
-    debug_assert!((inst as u64) < 1 << 43 && task < TRANSIENT_MAX_TASKS && attempt < 64);
+    debug_assert!(
+        (inst as u64) < 1 << 43 && task < TRANSIENT_MAX_TASKS && attempt < TRANSIENT_MAX_ATTEMPTS
+    );
     TRANSIENT_DRAW_TAG | (inst as u64) << 20 | (task as u64) << 6 | attempt as u64
 }
 

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use robusched_dynamic::{
     fault_by_spec, policy_by_spec, recovery_by_spec, Abandon, Arrival, DynamicSim, NeverDrop,
-    NoFaults, PoissonStream, ReplayStream, SimConfig, SimError, SimResult,
+    NoFaults, PoissonStream, RecoveryPolicy, ReplayStream, Retry, SimConfig, SimError, SimResult,
 };
 use robusched_platform::{CostMatrix, Platform, Scenario, UncertaintyModel};
 use std::sync::Arc;
@@ -288,4 +288,28 @@ fn transient_faults_reject_scenarios_past_the_draw_key_range() {
     }
     assert!(run(&chain(largest), "exp@1e9:1").is_ok());
     assert!(run(&chain(1 << 14), "trans@0.01").is_ok());
+}
+
+/// A transient fault's draw key holds the failure count in 6 bits, so
+/// under transient faults a recovery policy that keeps a task past its
+/// 64th failure is an error: its 64th retry would draw the fate of
+/// another attempt. The same policy runs without transient faults.
+#[test]
+fn transient_faults_reject_recovery_past_the_draw_key_range() {
+    let run = |fault: &str, recovery: &dyn RecoveryPolicy| {
+        let mut stream = PoissonStream::new(pool(&[3, 4], 8, 3), 0.05, 6, 11);
+        let fault = fault_by_spec(fault).unwrap();
+        DynamicSim::with_faults(&NeverDrop, SimConfig::default(), fault.as_ref(), recovery)
+            .run(&mut stream)
+    };
+    let persistent = Retry { max_attempts: 64 };
+    match run("trans@0.999", &persistent) {
+        Err(SimError::TooManyAttempts { max }) => assert_eq!(max, 64),
+        other => panic!("expected too many attempts, got {other:?}"),
+    }
+    for spec in ["retry@63", "resched"] {
+        let recovery = recovery_by_spec(spec).unwrap();
+        assert!(run("trans@0.999", recovery.as_ref()).is_ok(), "{spec}");
+    }
+    assert!(run("exp@300:30", &persistent).is_ok());
 }

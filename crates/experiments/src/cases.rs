@@ -11,10 +11,19 @@
 //! (n ≤ ~100, the Fig. 6 input) and a 28-case tier-B replication set —
 //! 52 cases in total. The ~1000-node "indication" graphs stay out of the
 //! grid; Fig. 1 builds them itself. See DESIGN.md for the substitution note.
+//!
+//! [`CaseSet`] is the Fig. 6 aggregation the extension studies share: one
+//! streaming study per case, then the mean and std of the per-case
+//! matrices.
 
+use crate::RunOptions;
+use robusched_core::adversarial::cluster_holds;
+use robusched_core::{metric_index, StudyBuilder};
 use robusched_dag::generators::{cholesky, gaussian_elimination};
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
+use robusched_stats::CorrMatrix;
+use robusched_stochastic::{ClassicEvaluator, Evaluator};
 
 /// Which graph family a case draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,9 +202,135 @@ pub fn tier_b(master_seed: u64) -> Vec<Case> {
     cases
 }
 
+/// The Fig. 6 aggregation over a set of cases: per case one streaming
+/// [`StudyBuilder`] pass (Pearson from the co-moment accumulator, Spearman
+/// from an exact rank reservoir), then the mean and std of the per-case
+/// matrices, cell by cell and in case order.
+#[derive(Debug, Clone)]
+pub struct CaseSet {
+    /// Number of cases aggregated.
+    pub cases: usize,
+    /// Mean Pearson matrix over the cases (paper orientation).
+    pub pearson_mean: CorrMatrix,
+    /// Std of the Pearson cells over the cases.
+    pub pearson_std: CorrMatrix,
+    /// Mean Spearman matrix over the cases.
+    pub spearman_mean: CorrMatrix,
+}
+
+impl CaseSet {
+    /// Runs `schedules` random schedules on every `(scenario, study seed)`
+    /// case under the classic evaluator.
+    pub fn run(
+        opts: &RunOptions,
+        schedules: usize,
+        cases: impl IntoIterator<Item = (Scenario, u64)>,
+    ) -> std::io::Result<Self> {
+        Self::run_with(opts, schedules, cases, || {
+            Box::new(ClassicEvaluator::default())
+        })
+    }
+
+    /// [`run`](Self::run) under the evaluator `evaluator()` builds, one
+    /// per case. The reservoir holds every schedule, so the Spearman
+    /// matrices are exact at any `--scale`.
+    pub fn run_with(
+        opts: &RunOptions,
+        schedules: usize,
+        cases: impl IntoIterator<Item = (Scenario, u64)>,
+        evaluator: impl Fn() -> Box<dyn Evaluator>,
+    ) -> std::io::Result<Self> {
+        let mut pearsons = Vec::new();
+        let mut spearmans = Vec::new();
+        for (scenario, seed) in cases {
+            let res = StudyBuilder::new(&scenario)
+                .random_schedules(schedules)
+                .seed(seed)
+                .threads_opt(opts.threads)
+                .evaluator(evaluator())
+                .reservoir_capacity(schedules.max(2))
+                .run()?;
+            pearsons.push(res.pearson_streamed());
+            spearmans.push(res.spearman_streamed());
+        }
+        let (pearson_mean, pearson_std) = CorrMatrix::aggregate(&pearsons);
+        let (spearman_mean, _) = CorrMatrix::aggregate(&spearmans);
+        Ok(Self {
+            cases: pearsons.len(),
+            pearson_mean,
+            pearson_std,
+            spearman_mean,
+        })
+    }
+
+    /// A mean-Pearson cell by metric labels.
+    pub fn pearson(&self, a: &str, b: &str) -> f64 {
+        self.pearson_mean.get(metric_index(a), metric_index(b))
+    }
+
+    /// A mean-Spearman cell by metric labels.
+    pub fn spearman(&self, a: &str, b: &str) -> f64 {
+        self.spearman_mean.get(metric_index(a), metric_index(b))
+    }
+
+    /// Whether the σ/lateness/1−A equivalence cluster holds on the mean
+    /// Pearson matrix ([`cluster_holds`], the rule the adversarial
+    /// search's `ObjectiveReport::cluster_broken` negates).
+    pub fn cluster_holds(&self) -> bool {
+        cluster_holds(
+            self.pearson("makespan_std", "avg_lateness"),
+            self.pearson("makespan_std", "abs_prob"),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use robusched_core::{ObjectiveReport, METRIC_LABELS};
+
+    /// A one-case set whose mean Pearson matrix reads `p_lat` for σ~L and
+    /// `p_abs` for σ~(1−A).
+    fn case_set(p_lat: f64, p_abs: f64) -> CaseSet {
+        let (std, lat, abs) = (
+            metric_index("makespan_std"),
+            metric_index("avg_lateness"),
+            metric_index("abs_prob"),
+        );
+        let pearson = CorrMatrix::from_pairwise(&METRIC_LABELS, |i, j| match [i, j] {
+            pair if pair.contains(&std) && pair.contains(&lat) => p_lat,
+            pair if pair.contains(&std) && pair.contains(&abs) => p_abs,
+            _ => 0.0,
+        });
+        let (pearson_mean, pearson_std) = CorrMatrix::aggregate(&[pearson]);
+        CaseSet {
+            cases: 1,
+            spearman_mean: pearson_mean.clone(),
+            pearson_mean,
+            pearson_std,
+        }
+    }
+
+    #[test]
+    fn case_sets_and_objective_reports_share_one_cluster_rule() {
+        for (p_lat, p_abs, holds) in [(0.99, 0.6, false), (0.6, 0.99, false), (0.95, 0.95, true)] {
+            let set = case_set(p_lat, p_abs);
+            assert_eq!(set.pearson("makespan_std", "avg_lateness"), p_lat);
+            assert_eq!(set.pearson("abs_prob", "makespan_std"), p_abs);
+            let report = ObjectiveReport {
+                score: 1.0 - p_lat.min(p_abs),
+                p_std_lateness: p_lat,
+                p_std_absprob: p_abs,
+                detail: String::new(),
+            };
+            assert_eq!(set.cluster_holds(), holds, "σ~L {p_lat}, σ~(1−A) {p_abs}");
+            assert_eq!(
+                report.cluster_broken(),
+                !holds,
+                "σ~L {p_lat}, σ~(1−A) {p_abs}"
+            );
+        }
+    }
 
     #[test]
     fn tier_sizes_match_paper() {

@@ -10,9 +10,9 @@
 //! adversarial objectives (`cluster-deficit`, `rank-gap`,
 //! `heuristic-regret`). Chains start from the committed sample traces and
 //! from paper-style layered random DAGs; restarts are independent chains
-//! with derived seeds, sharded across threads by [`par_map`] — results
-//! arrive in chain order, so `ext_adversarial_summary.csv` is bit-identical
-//! for any `--threads`.
+//! with derived seeds, sharded across threads by [`RunOptions::sweep`] —
+//! results arrive in chain order, so `ext_adversarial_summary.csv` is
+//! bit-identical for any `--threads`.
 //!
 //! Chains whose best point certifies a cluster break (a paper-cluster
 //! Pearson correlation below the shared 0.9 threshold, non-degenerate)
@@ -38,7 +38,6 @@ use robusched_dag::parsers::{TraceDag, REF_BANDWIDTH, REF_SPEED};
 use robusched_dag::TaskGraph;
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
-use robusched_stochastic::par::{par_map, worker_count};
 use robusched_stochastic::perturb::SearchPoint;
 
 /// The start platform every chain shares — the `ext-traces` default
@@ -281,19 +280,9 @@ fn run_chain(
 pub fn run(opts: &RunOptions) -> std::io::Result<Adversarial> {
     let steps = opts.count(48, 4);
     let schedules = opts.count(160, 24);
-    let mut results = Vec::with_capacity(CELLS.len());
-    par_map(
-        CELLS.len(),
-        worker_count(opts.threads),
-        || (),
-        |_, idx| run_chain(idx, &CELLS[idx], opts, steps, schedules),
-        |_, chain| results.push(chain),
-    )
-    .map_err(std::io::Error::other)?;
-    let mut chains = results
-        .into_iter()
-        .collect::<Result<Vec<_>, StudyError>>()
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
+    let mut chains = opts.sweep(CELLS.len(), |idx| {
+        run_chain(idx, &CELLS[idx], opts, steps, schedules)
+    })?;
 
     // Commit the gallery: cluster-breaking, from_trace-replayable bests.
     // Each candidate is round-tripped through the WfCommons writer/parser
@@ -321,8 +310,7 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Adversarial> {
             c.best.seed,
             c.schedules,
             c.study_seed,
-        )
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
+        )?;
         if !report.cluster_broken() {
             continue;
         }

@@ -13,13 +13,11 @@
 //! Artifacts: `ext_apps_<class>_pearson.csv` / `ext_apps_<class>_spearman.csv`
 //! (one mean matrix each) and the cross-class `ext_apps_summary.csv`.
 
+use crate::cases::CaseSet;
 use crate::RunOptions;
-use robusched_core::adversarial::CLUSTER_THRESHOLD;
-use robusched_core::{metric_index, StudyBuilder};
 use robusched_dag::apps::AppClass;
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
-use robusched_stats::CorrMatrix;
 
 /// Speed-vector coefficient of variation of the structured platforms (the
 /// paper's `V_mach`).
@@ -42,28 +40,10 @@ fn class_sizes(class: AppClass) -> [usize; 2] {
 pub struct ClassResult {
     /// The class.
     pub class: AppClass,
-    /// Number of cases aggregated.
-    pub cases: usize,
     /// Largest task count among the cases.
     pub largest_tasks: usize,
-    /// Mean Pearson matrix over the cases (paper orientation).
-    pub pearson_mean: CorrMatrix,
-    /// Std of the Pearson cells over the cases.
-    pub pearson_std: CorrMatrix,
-    /// Mean Spearman matrix over the cases.
-    pub spearman_mean: CorrMatrix,
-}
-
-impl ClassResult {
-    /// A mean-Pearson cell by metric labels.
-    pub fn pearson(&self, a: &str, b: &str) -> f64 {
-        self.pearson_mean.get(metric_index(a), metric_index(b))
-    }
-
-    /// A mean-Spearman cell by metric labels.
-    pub fn spearman(&self, a: &str, b: &str) -> f64 {
-        self.spearman_mean.get(metric_index(a), metric_index(b))
-    }
+    /// The class's correlation matrices over its cases.
+    pub corr: CaseSet,
 }
 
 /// Result of the whole study.
@@ -74,55 +54,36 @@ pub struct Apps {
 }
 
 /// Runs the study: per class, 2 sizes × 2 uncertainty levels (machine
-/// count scales with size), a streaming [`StudyBuilder`] pass on each
-/// (no metric buffering — Pearson from the co-moment accumulator,
-/// Spearman from the rank reservoir), mean/std aggregation.
+/// count scales with size), aggregated by one [`CaseSet`].
 pub fn run(opts: &RunOptions) -> std::io::Result<Apps> {
     let schedules = opts.count(2_000, 60);
     let mut classes = Vec::with_capacity(AppClass::ALL.len());
     for (ci, class) in AppClass::ALL.into_iter().enumerate() {
-        let mut pearsons = Vec::new();
-        let mut spearmans = Vec::new();
-        let mut largest_tasks = 0usize;
-        let mut case_idx = 0u64;
+        let mut cases = Vec::new();
         for (si, n) in class_sizes(class).into_iter().enumerate() {
             let machines = if si == 0 { 3 } else { 8 };
             for ul in [1.01, 1.1] {
-                case_idx += 1;
+                let case_idx = cases.len() as u64 + 1;
                 let seed = derive_seed(opts.seed, 9000 + 100 * ci as u64 + case_idx);
                 let graph = class.generate(n, derive_seed(seed, 1));
-                largest_tasks = largest_tasks.max(graph.task_count());
                 let scenario = Scenario::structured_app(graph, machines, SPEED_COV, ul, seed);
-                let res = StudyBuilder::new(&scenario)
-                    .random_schedules(schedules)
-                    .seed(derive_seed(seed, 2))
-                    .threads_opt(opts.threads)
-                    // The Spearman CSVs are exact, not sampled, at any
-                    // --scale: size the reservoir to the schedule count.
-                    .reservoir_capacity(schedules.max(2))
-                    .run()
-                    .map_err(|e| std::io::Error::other(e.to_string()))?;
-                spearmans.push(res.spearman_streamed());
-                pearsons.push(res.pearson_streamed());
+                cases.push((scenario, derive_seed(seed, 2)));
             }
         }
-        let (pearson_mean, pearson_std) = CorrMatrix::aggregate(&pearsons);
-        let (spearman_mean, _) = CorrMatrix::aggregate(&spearmans);
+        let largest_tasks = cases.iter().map(|(s, _)| s.task_count()).max().unwrap_or(0);
+        let corr = CaseSet::run(opts, schedules, cases)?;
         opts.write_artifact(
             &format!("ext_apps_{}_pearson.csv", class.name()),
-            &pearson_mean.to_csv(),
+            &corr.pearson_mean.to_csv(),
         )?;
         opts.write_artifact(
             &format!("ext_apps_{}_spearman.csv", class.name()),
-            &spearman_mean.to_csv(),
+            &corr.spearman_mean.to_csv(),
         )?;
         classes.push(ClassResult {
             class,
-            cases: pearsons.len(),
             largest_tasks,
-            pearson_mean,
-            pearson_std,
-            spearman_mean,
+            corr,
         });
     }
     let out = Apps { classes };
@@ -140,25 +101,26 @@ s_std_lateness,s_std_absprob";
 pub fn summary_csv(a: &Apps) -> String {
     let mut out = format!("{SUMMARY_HEADER}\n");
     for c in &a.classes {
+        let r = &c.corr;
         out.push_str(&format!(
             "{},{},{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}\n",
             c.class.name(),
-            c.cases,
+            r.cases,
             c.largest_tasks,
-            c.pearson("makespan_std", "avg_lateness"),
-            c.pearson("makespan_std", "abs_prob"),
-            c.pearson("makespan_std", "rel_prob"),
-            c.pearson("avg_makespan", "makespan_std"),
-            c.pearson("avg_makespan", "avg_slack"),
-            c.spearman("makespan_std", "avg_lateness"),
-            c.spearman("makespan_std", "abs_prob"),
+            r.pearson("makespan_std", "avg_lateness"),
+            r.pearson("makespan_std", "abs_prob"),
+            r.pearson("makespan_std", "rel_prob"),
+            r.pearson("avg_makespan", "makespan_std"),
+            r.pearson("avg_makespan", "avg_slack"),
+            r.spearman("makespan_std", "avg_lateness"),
+            r.spearman("makespan_std", "abs_prob"),
         ));
     }
     out
 }
 
 /// Human-readable rendering: the cross-class table plus the verdict on the
-/// equivalence cluster.
+/// equivalence cluster ([`CaseSet::cluster_holds`]).
 pub fn render(a: &Apps) -> String {
     let mut out = String::from(
         "Extension: metric correlations on structured application DAGs\n\
@@ -166,22 +128,23 @@ pub fn render(a: &Apps) -> String {
          class      cases  tasks  p(σ~L)  p(σ~1−A)  p(σ~1−R)  p(E~σ)  s(σ~L)\n",
     );
     for c in &a.classes {
+        let r = &c.corr;
         out.push_str(&format!(
             "{:<10} {:>5} {:>6} {:>7.3} {:>9.3} {:>9.3} {:>7.3} {:>7.3}\n",
             c.class.name(),
-            c.cases,
+            r.cases,
             c.largest_tasks,
-            c.pearson("makespan_std", "avg_lateness"),
-            c.pearson("makespan_std", "abs_prob"),
-            c.pearson("makespan_std", "rel_prob"),
-            c.pearson("avg_makespan", "makespan_std"),
-            c.spearman("makespan_std", "avg_lateness"),
+            r.pearson("makespan_std", "avg_lateness"),
+            r.pearson("makespan_std", "abs_prob"),
+            r.pearson("makespan_std", "rel_prob"),
+            r.pearson("avg_makespan", "makespan_std"),
+            r.spearman("makespan_std", "avg_lateness"),
         ));
     }
     let weak: Vec<&str> = a
         .classes
         .iter()
-        .filter(|c| c.pearson("makespan_std", "avg_lateness") < CLUSTER_THRESHOLD)
+        .filter(|c| !c.corr.cluster_holds())
         .map(|c| c.class.name())
         .collect();
     out.push_str(&if weak.is_empty() {
@@ -212,13 +175,13 @@ mod tests {
         let a = run(&opts).unwrap();
         assert_eq!(a.classes.len(), 5);
         for c in &a.classes {
-            assert_eq!(c.cases, 4);
-            assert_eq!(c.pearson_mean.dim(), METRIC_LABELS.len());
+            assert_eq!(c.corr.cases, 4);
+            assert_eq!(c.corr.pearson_mean.dim(), METRIC_LABELS.len());
             // The paper's core finding should extend to structured DAGs.
-            let r = c.pearson("makespan_std", "avg_lateness");
+            let r = c.corr.pearson("makespan_std", "avg_lateness");
             assert!(r > 0.8, "{}: σ~L = {r}", c.class.name());
             // Spearman agrees in sign and strength on the cluster.
-            let s = c.spearman("makespan_std", "avg_lateness");
+            let s = c.corr.spearman("makespan_std", "avg_lateness");
             assert!(s > 0.7, "{}: Spearman σ~L = {s}", c.class.name());
         }
         // Summary table has one row per class.

@@ -12,18 +12,16 @@
 //! (classic, Spelde, Dodin, Monte-Carlo), comparing the resulting Pearson
 //! matrices cell by cell.
 //!
-//! Every pass is a streaming [`StudyBuilder`] run — no metric buffering —
-//! so the per-backend sweeps are memory-flat.
+//! Every pass is one [`CaseSet`] of streaming study runs — no metric
+//! buffering — so the per-backend sweeps are memory-flat.
 //!
 //! Artifacts: `ext_backends_<evaluator>_pearson.csv` (one mean matrix per
 //! backend) and the cross-backend `ext_backends_summary.csv`.
 
+use crate::cases::CaseSet;
 use crate::RunOptions;
-use robusched_core::adversarial::CLUSTER_THRESHOLD;
-use robusched_core::{metric_index, StudyBuilder};
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
-use robusched_stats::CorrMatrix;
 use robusched_stochastic::{evaluator_by_name, Evaluator, MonteCarloEvaluator};
 
 /// Aggregated result of one evaluator backend.
@@ -31,26 +29,8 @@ use robusched_stochastic::{evaluator_by_name, Evaluator, MonteCarloEvaluator};
 pub struct BackendResult {
     /// Registry name of the evaluator.
     pub evaluator: String,
-    /// Number of cases aggregated.
-    pub cases: usize,
-    /// Mean Pearson matrix over the cases (paper orientation).
-    pub pearson_mean: CorrMatrix,
-    /// Std of the Pearson cells over the cases.
-    pub pearson_std: CorrMatrix,
-    /// Mean Spearman matrix over the cases (from the rank reservoirs).
-    pub spearman_mean: CorrMatrix,
-}
-
-impl BackendResult {
-    /// A mean-Pearson cell by metric labels.
-    pub fn pearson(&self, a: &str, b: &str) -> f64 {
-        self.pearson_mean.get(metric_index(a), metric_index(b))
-    }
-
-    /// A mean-Spearman cell by metric labels.
-    pub fn spearman(&self, a: &str, b: &str) -> f64 {
-        self.spearman_mean.get(metric_index(a), metric_index(b))
-    }
+    /// The backend's correlation matrices over the cases.
+    pub corr: CaseSet,
 }
 
 /// Result of the whole study.
@@ -75,45 +55,29 @@ fn scaled_montecarlo(opts: &RunOptions) -> Box<dyn Evaluator> {
 }
 
 /// Runs the study: per registered evaluator, the same four cases with the
-/// same schedule streams, mean/std aggregation of the per-case matrices.
+/// same schedule streams, aggregated by one [`CaseSet`].
 pub fn run(opts: &RunOptions) -> std::io::Result<Backends> {
     let schedules = opts.count(1_000, 40);
     let mut backends = Vec::new();
     for name in ["classic", "spelde", "dodin", "montecarlo"] {
-        let mut pearsons = Vec::with_capacity(CASES.len());
-        let mut spearmans = Vec::with_capacity(CASES.len());
-        for (ci, (n, m, ul)) in CASES.into_iter().enumerate() {
+        let cases = CASES.into_iter().enumerate().map(|(ci, (n, m, ul))| {
             let seed = derive_seed(opts.seed, 0xB000 + ci as u64);
-            let scenario = Scenario::paper_random(n, m, ul, seed);
-            let evaluator: Box<dyn Evaluator> = if name == "montecarlo" {
+            (Scenario::paper_random(n, m, ul, seed), derive_seed(seed, 1))
+        });
+        let corr = CaseSet::run_with(opts, schedules, cases, || {
+            if name == "montecarlo" {
                 scaled_montecarlo(opts)
             } else {
                 evaluator_by_name(name).expect("registered evaluator")
-            };
-            let res = StudyBuilder::new(&scenario)
-                .random_schedules(schedules)
-                .seed(derive_seed(seed, 1))
-                .threads_opt(opts.threads)
-                .evaluator(evaluator)
-                // Keep the summary's Spearman cells exact at any --scale.
-                .reservoir_capacity(schedules.max(2))
-                .run()
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            pearsons.push(res.pearson_streamed());
-            spearmans.push(res.spearman_streamed());
-        }
-        let (pearson_mean, pearson_std) = CorrMatrix::aggregate(&pearsons);
-        let (spearman_mean, _) = CorrMatrix::aggregate(&spearmans);
+            }
+        })?;
         opts.write_artifact(
             &format!("ext_backends_{name}_pearson.csv"),
-            &pearson_mean.to_csv(),
+            &corr.pearson_mean.to_csv(),
         )?;
         backends.push(BackendResult {
             evaluator: name.to_string(),
-            cases: CASES.len(),
-            pearson_mean,
-            pearson_std,
-            spearman_mean,
+            corr,
         });
     }
     let out = Backends { backends };
@@ -126,20 +90,15 @@ pub const SUMMARY_HEADER: &str = "evaluator,cases,\
 p_std_lateness,p_std_absprob,p_std_relprob,p_std_entropy,p_makespan_std,\
 s_std_lateness,cluster_survives";
 
-/// Whether the equivalence cluster survives under one backend.
-pub fn cluster_survives(b: &BackendResult) -> bool {
-    b.pearson("makespan_std", "avg_lateness") > CLUSTER_THRESHOLD
-        && b.pearson("makespan_std", "abs_prob") > CLUSTER_THRESHOLD
-}
-
 /// The cross-backend comparison table: key Pearson (`p_`) and Spearman
-/// (`s_`) cells per evaluator plus the cluster verdict.
+/// (`s_`) cells per evaluator plus the cluster verdict
+/// ([`CaseSet::cluster_holds`]).
 pub fn summary_csv(b: &Backends) -> String {
     let mut out = format!("{SUMMARY_HEADER}\n");
-    for r in &b.backends {
+    for BackendResult { evaluator, corr: r } in &b.backends {
         out.push_str(&format!(
             "{},{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{}\n",
-            r.evaluator,
+            evaluator,
             r.cases,
             r.pearson("makespan_std", "avg_lateness"),
             r.pearson("makespan_std", "abs_prob"),
@@ -147,7 +106,7 @@ pub fn summary_csv(b: &Backends) -> String {
             r.pearson("makespan_std", "makespan_entropy"),
             r.pearson("avg_makespan", "makespan_std"),
             r.spearman("makespan_std", "avg_lateness"),
-            cluster_survives(r),
+            r.cluster_holds(),
         ));
     }
     out
@@ -160,10 +119,10 @@ pub fn render(b: &Backends) -> String {
          (same graphs/schedules/seeds per backend; Pearson p / Spearman s means)\n\n\
          evaluator   cases  p(σ~L)  p(σ~1−A)  p(σ~1−R)  p(σ~h)  p(E~σ)  s(σ~L)\n",
     );
-    for r in &b.backends {
+    for BackendResult { evaluator, corr: r } in &b.backends {
         out.push_str(&format!(
             "{:<11} {:>5} {:>7.3} {:>9.3} {:>9.3} {:>7.3} {:>7.3} {:>7.3}\n",
-            r.evaluator,
+            evaluator,
             r.cases,
             r.pearson("makespan_std", "avg_lateness"),
             r.pearson("makespan_std", "abs_prob"),
@@ -176,7 +135,7 @@ pub fn render(b: &Backends) -> String {
     let broken: Vec<&str> = b
         .backends
         .iter()
-        .filter(|r| !cluster_survives(r))
+        .filter(|r| !r.corr.cluster_holds())
         .map(|r| r.evaluator.as_str())
         .collect();
     out.push_str(&if broken.is_empty() {
@@ -208,19 +167,19 @@ mod tests {
         let b = run(&opts).unwrap();
         assert_eq!(b.backends.len(), 4);
         assert_eq!(b.backends[0].evaluator, "classic");
-        for r in &b.backends {
+        for BackendResult { evaluator, corr: r } in &b.backends {
             assert_eq!(r.cases, 4);
             assert_eq!(r.pearson_mean.dim(), METRIC_LABELS.len());
             // The analytic backends agree on the cluster even at 40
             // schedules; Monte-Carlo at 400 realizations is noisier but
             // the near-affine σ/L/A relation still dominates.
             let r_sl = r.pearson("makespan_std", "avg_lateness");
-            let floor = if r.evaluator == "montecarlo" {
+            let floor = if evaluator == "montecarlo" {
                 0.75
             } else {
                 0.85
             };
-            assert!(r_sl > floor, "{}: σ~L = {r_sl}", r.evaluator);
+            assert!(r_sl > floor, "{evaluator}: σ~L = {r_sl}");
         }
         // Summary: header + one row per backend.
         let csv = summary_csv(&b);

@@ -6,8 +6,8 @@
 //! study under each built-in family (Beta, Uniform, Triangular) and report
 //! the equivalence-cluster correlations.
 
+use crate::cases::CaseSet;
 use crate::RunOptions;
-use robusched_core::{metric_index, StudyBuilder};
 use robusched_platform::{Scenario, UncertaintyKind, UncertaintyModel};
 use robusched_randvar::derive_seed;
 
@@ -27,7 +27,6 @@ pub struct FamilyResult {
 /// Runs the experiment.
 pub fn run(opts: &RunOptions) -> std::io::Result<Vec<FamilyResult>> {
     let schedules = opts.count(2_000, 80);
-    let idx = metric_index;
     let mut out = Vec::new();
     for kind in [
         UncertaintyKind::Beta25,
@@ -35,29 +34,18 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Vec<FamilyResult>> {
         UncertaintyKind::Triangular,
     ] {
         // Average over a few graphs per family.
-        let mut sl = Vec::new();
-        let mut sa = Vec::new();
-        let mut se = Vec::new();
-        for k in 0..3u64 {
+        let cases = (0..3u64).map(|k| {
             let seed = derive_seed(opts.seed, 8000 + k);
             let mut s = Scenario::paper_random(20, 4, 1.1, seed);
             s.uncertainty = UncertaintyModel { ul: 1.1, kind };
-            let res = StudyBuilder::new(&s)
-                .random_schedules(schedules)
-                .seed(seed)
-                .threads_opt(opts.threads)
-                .run()
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            let pearson = res.pearson_streamed();
-            sl.push(pearson.get(idx("makespan_std"), idx("avg_lateness")));
-            sa.push(pearson.get(idx("makespan_std"), idx("abs_prob")));
-            se.push(pearson.get(idx("makespan_std"), idx("makespan_entropy")));
-        }
+            (s, seed)
+        });
+        let corr = CaseSet::run(opts, schedules, cases)?;
         out.push(FamilyResult {
             kind,
-            sigma_lateness: robusched_stats::mean(&sl),
-            sigma_absprob: robusched_stats::mean(&sa),
-            sigma_entropy: robusched_stats::mean(&se),
+            sigma_lateness: corr.pearson("makespan_std", "avg_lateness"),
+            sigma_absprob: corr.pearson("makespan_std", "abs_prob"),
+            sigma_entropy: corr.pearson("makespan_std", "makespan_entropy"),
         });
     }
     let mut csv = String::from("family,sigma~lateness,sigma~absprob,sigma~entropy\n");

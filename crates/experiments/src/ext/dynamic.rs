@@ -15,10 +15,11 @@
 //! thresholds). The workload pool mixes all five structured application
 //! classes with the three committed real-workflow traces, so every DAG
 //! family the repository can generate flows through the same event loop.
-//! Each cell runs one deterministic [`DynamicSim`] over a Poisson stream;
-//! cells are sharded across threads by index with per-cell derived seeds
-//! ([`par_map`]), so the summary CSV is bit-identical for any `--threads`
-//! value.
+//! Each cell is one [`SimCell`]: a deterministic [`DynamicSim`] over a
+//! Poisson stream. Cells are sharded across threads by index with
+//! per-cell derived seeds ([`RunOptions::sweep`]), so the summary CSV is
+//! bit-identical for any `--threads` value. `ext-faults` and `serve`'s
+//! `dynamic` family run the same [`SimCell`].
 //!
 //! Artifact: `ext_dynamic_summary.csv` (one row per cell). The headline
 //! verdict — pinned by `tests/ext_dynamic.rs` on the committed full-scale
@@ -28,11 +29,13 @@
 use crate::RunOptions;
 use robusched_core::OnlineMetrics;
 use robusched_dag::apps::AppClass;
-use robusched_dynamic::{policy_by_spec, DynamicSim, PoissonStream, SimConfig};
+use robusched_dynamic::{
+    policy_by_spec, Abandon, DropPolicy, DynamicSim, FaultModel, NoFaults, PoissonStream,
+    RecoveryPolicy, SimConfig, SimError,
+};
 use robusched_platform::{Scenario, TraceCalibration};
 use robusched_randvar::derive_seed;
 use robusched_sched::heuristic_by_name;
-use robusched_stochastic::par::{par_map, worker_count};
 use std::sync::Arc;
 
 /// Uncertainty level of every workload (the paper's mid/high setting).
@@ -115,6 +118,49 @@ pub fn mean_instance_work(pool: &[Arc<Scenario>]) -> f64 {
     total / pool.len() as f64
 }
 
+/// One online simulation over a workload pool: Poisson arrivals at
+/// `λ = oversub × m ÷ W̄`, each instance scheduled by HEFT with deadline
+/// `arrival + deadline_factor × isolated makespan`.
+pub struct SimCell<'a> {
+    /// Arrival rate ÷ nominal platform capacity.
+    pub oversub: f64,
+    /// Arrivals in the stream.
+    pub instances: usize,
+    /// Cell seed: the stream uses `derive_seed(seed, 1)`, the simulation
+    /// `derive_seed(seed, 2)`.
+    pub seed: u64,
+    /// Deadline slack factor.
+    pub deadline_factor: f64,
+    /// Dropping policy.
+    pub policy: &'a dyn DropPolicy,
+    /// Machine and transient fault model ([`NoFaults`] for none).
+    pub fault: &'a dyn FaultModel,
+    /// Recovery of killed tasks ([`Abandon`] when nothing fails).
+    pub recovery: &'a dyn RecoveryPolicy,
+}
+
+impl SimCell<'_> {
+    /// Runs the cell over `pool`, whose mean per-instance machine work is
+    /// `mean_work` ([`mean_instance_work`]).
+    pub fn run(&self, pool: &[Arc<Scenario>], mean_work: f64) -> Result<OnlineMetrics, SimError> {
+        let rate = self.oversub * pool[0].machine_count() as f64 / mean_work;
+        let mut stream = PoissonStream::new(
+            pool.to_vec(),
+            rate,
+            self.instances,
+            derive_seed(self.seed, 1),
+        );
+        let config = SimConfig {
+            heuristic: "heft".into(),
+            deadline_factor: self.deadline_factor,
+            seed: derive_seed(self.seed, 2),
+            schedule: None,
+        };
+        let sim = DynamicSim::with_faults(self.policy, config, self.fault, self.recovery);
+        Ok(sim.run(&mut stream)?.metrics)
+    }
+}
+
 /// One cell of the sweep.
 #[derive(Debug, Clone)]
 pub struct CellResult {
@@ -161,51 +207,36 @@ impl Dynamic {
     }
 }
 
-/// Runs the sweep: `OVERSUB × POLICIES` cells, each one deterministic
-/// event-driven simulation, sharded across threads by cell index.
+/// Runs the sweep: `OVERSUB × POLICIES` cells, each one [`SimCell`],
+/// sharded across threads by cell index.
 pub fn run(opts: &RunOptions) -> std::io::Result<Dynamic> {
     let instances = opts.count(400, 24);
     let pool = workload_pool(derive_seed(opts.seed, 12_000));
     let mean_work = mean_instance_work(&pool);
-    let machines = pool[0].machine_count() as f64;
 
     let cells: Vec<(f64, &str)> = OVERSUB
         .iter()
         .flat_map(|&o| POLICIES.iter().map(move |&p| (o, p)))
         .collect();
-    let run_cell = |idx: usize| -> std::io::Result<CellResult> {
+    let cells = opts.sweep(cells.len(), |idx| -> std::io::Result<CellResult> {
         let (oversub, spec) = cells[idx];
         let policy = policy_by_spec(spec)
             .ok_or_else(|| std::io::Error::other(format!("bad policy spec '{spec}'")))?;
-        let cell_seed = derive_seed(opts.seed, 12_100 + idx as u64);
-        let rate = oversub * machines / mean_work;
-        let mut stream =
-            PoissonStream::new(pool.clone(), rate, instances, derive_seed(cell_seed, 1));
-        let config = SimConfig {
-            heuristic: "heft".into(),
+        let cell = SimCell {
+            oversub,
+            instances,
+            seed: derive_seed(opts.seed, 12_100 + idx as u64),
             deadline_factor: DEADLINE_FACTOR,
-            seed: derive_seed(cell_seed, 2),
-            ..SimConfig::default()
+            policy: policy.as_ref(),
+            fault: NoFaults::none(),
+            recovery: &Abandon,
         };
-        let result = DynamicSim::new(policy.as_ref(), config)
-            .run(&mut stream)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
         Ok(CellResult {
             oversub,
             policy: spec.to_string(),
-            metrics: result.metrics,
+            metrics: cell.run(&pool, mean_work)?,
         })
-    };
-    let mut results = Vec::with_capacity(cells.len());
-    par_map(
-        cells.len(),
-        worker_count(opts.threads),
-        || (),
-        |_, idx| run_cell(idx),
-        |_, cell| results.push(cell),
-    )
-    .map_err(std::io::Error::other)?;
-    let cells = results.into_iter().collect::<std::io::Result<_>>()?;
+    })?;
     let out = Dynamic { cells, instances };
     opts.write_artifact("ext_dynamic_summary.csv", &summary_csv(&out))?;
     Ok(out)

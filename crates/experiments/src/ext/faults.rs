@@ -26,10 +26,11 @@
 //!    each offline metric (oriented so larger = worse) against the faulted
 //!    deadline miss-rate.
 //!
-//! Cells are sharded across threads by index with per-cell derived seeds
-//! ([`par_map`], the `ext-dynamic` discipline), so both CSVs are
-//! bit-identical for any `--threads` value.
+//! Sweep cells are `ext-dynamic`'s [`SimCell`], sharded across threads by
+//! index with per-cell derived seeds ([`RunOptions::sweep`]), so both
+//! CSVs are bit-identical for any `--threads` value.
 
+use super::dynamic::{mean_instance_work, workload_pool, SimCell};
 use crate::RunOptions;
 use robusched_core::{compute_metrics, MetricOptions, OnlineMetrics, METRIC_LABELS};
 use robusched_dynamic::{
@@ -40,7 +41,6 @@ use robusched_randvar::derive_seed;
 use robusched_sched::{heft, random_schedule, Schedule};
 use robusched_stats::spearman;
 use robusched_stochastic::evaluator_by_name;
-use robusched_stochastic::par::{par_map, worker_count};
 use std::sync::Arc;
 
 /// Uncertainty level of every workload (the paper's mid/high setting).
@@ -172,9 +172,8 @@ impl Faults {
 /// across threads by cell index) followed by the sequential ranking phase.
 pub fn run(opts: &RunOptions) -> std::io::Result<Faults> {
     let instances = opts.count(400, 24);
-    let pool = super::dynamic::workload_pool(derive_seed(opts.seed, 13_000));
-    let mean_work = super::dynamic::mean_instance_work(&pool);
-    let machines = pool[0].machine_count() as f64;
+    let pool = workload_pool(derive_seed(opts.seed, 13_000));
+    let mean_work = mean_instance_work(&pool);
 
     let cells: Vec<(f64, &str, &str)> = OVERSUB
         .iter()
@@ -184,7 +183,7 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Faults> {
                 .flat_map(move |&f| RECOVERY.iter().map(move |&r| (o, f, r)))
         })
         .collect();
-    let run_cell = |idx: usize| -> std::io::Result<CellResult> {
+    let cells = opts.sweep(cells.len(), |idx| -> std::io::Result<CellResult> {
         let (oversub, fault_label, recovery_spec) = cells[idx];
         let policy = policy_by_spec(DROP_POLICY)
             .ok_or_else(|| std::io::Error::other(format!("bad policy spec '{DROP_POLICY}'")))?;
@@ -197,37 +196,22 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Faults> {
         // faces the *same* arrivals, duration draws, and fault streams, so
         // goodput differences are attributable to recovery alone (and the
         // fault-free cells are bit-identical across recovery policies).
-        let cell_seed = derive_seed(opts.seed, 13_100 + (idx / RECOVERY.len()) as u64);
-        let rate = oversub * machines / mean_work;
-        let mut stream =
-            PoissonStream::new(pool.clone(), rate, instances, derive_seed(cell_seed, 1));
-        let config = SimConfig {
-            heuristic: "heft".into(),
+        let cell = SimCell {
+            oversub,
+            instances,
+            seed: derive_seed(opts.seed, 13_100 + (idx / RECOVERY.len()) as u64),
             deadline_factor: DEADLINE_FACTOR,
-            seed: derive_seed(cell_seed, 2),
-            ..SimConfig::default()
+            policy: policy.as_ref(),
+            fault: fault.as_ref(),
+            recovery: recovery.as_ref(),
         };
-        let result =
-            DynamicSim::with_faults(policy.as_ref(), config, fault.as_ref(), recovery.as_ref())
-                .run(&mut stream)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
         Ok(CellResult {
             oversub,
             fault: fault_label.to_string(),
             recovery: recovery_spec.to_string(),
-            metrics: result.metrics,
+            metrics: cell.run(&pool, mean_work)?,
         })
-    };
-    let mut results = Vec::with_capacity(cells.len());
-    par_map(
-        cells.len(),
-        worker_count(opts.threads),
-        || (),
-        |_, idx| run_cell(idx),
-        |_, cell| results.push(cell),
-    )
-    .map_err(std::io::Error::other)?;
-    let cells = results.into_iter().collect::<std::io::Result<_>>()?;
+    })?;
 
     let (ranking, ranked_schedules) = ranking_phase(opts)?;
     let out = Faults {
@@ -303,8 +287,7 @@ fn ranking_phase(opts: &RunOptions) -> std::io::Result<(Vec<RankingRow>, usize)>
         };
         let result =
             DynamicSim::with_faults(policy.as_ref(), config, fault.as_ref(), recovery.as_ref())
-                .run(&mut stream)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
+                .run(&mut stream)?;
         miss_rates.push(1.0 - result.metrics.workflow_hit_rate());
     }
 

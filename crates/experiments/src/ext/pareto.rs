@@ -43,8 +43,7 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Pareto> {
             .seed(seed)
             .threads_opt(opts.threads)
             .sink(&mut collect)
-            .run()
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+            .run()?;
         let es: Vec<f64> = rows.iter().map(|r| r.0).collect();
         let ss: Vec<f64> = rows.iter().map(|r| r.1).collect();
         full.push(pearson(&es, &ss));

@@ -18,13 +18,11 @@
 //! `ext_traces_<name>_spearman.csv` (one mean matrix each) and the
 //! cross-trace `ext_traces_summary.csv`.
 
+use crate::cases::CaseSet;
 use crate::RunOptions;
-use robusched_core::adversarial::CLUSTER_THRESHOLD;
-use robusched_core::{metric_index, StudyBuilder};
 use robusched_dag::parsers::{parse_trace, TraceDag};
 use robusched_platform::{Scenario, TraceCalibration};
 use robusched_randvar::derive_seed;
-use robusched_stats::CorrMatrix;
 
 /// The committed sample traces: `(filename, content)`, one per format.
 /// Embedded at compile time so the study (and the `trace` serve family)
@@ -87,31 +85,8 @@ pub struct TraceResult {
     /// Realized communication-to-computation ratio of the converted graph
     /// (preserved from the trace by the unit convention).
     pub ccr: f64,
-    /// Number of (UL) cases aggregated.
-    pub cases: usize,
-    /// Mean Pearson matrix over the cases (paper orientation).
-    pub pearson_mean: CorrMatrix,
-    /// Mean Spearman matrix over the cases.
-    pub spearman_mean: CorrMatrix,
-}
-
-impl TraceResult {
-    /// A mean-Pearson cell by metric labels.
-    pub fn pearson(&self, a: &str, b: &str) -> f64 {
-        self.pearson_mean.get(metric_index(a), metric_index(b))
-    }
-
-    /// A mean-Spearman cell by metric labels.
-    pub fn spearman(&self, a: &str, b: &str) -> f64 {
-        self.spearman_mean.get(metric_index(a), metric_index(b))
-    }
-
-    /// Whether the σ/lateness/1−A equivalence cluster survives on this
-    /// trace (same threshold as the `ext-backends` verdict).
-    pub fn cluster_survives(&self) -> bool {
-        self.pearson("makespan_std", "avg_lateness") > CLUSTER_THRESHOLD
-            && self.pearson("makespan_std", "abs_prob") > CLUSTER_THRESHOLD
-    }
+    /// The trace's correlation matrices over its (UL) cases.
+    pub corr: CaseSet,
 }
 
 /// Result of the whole study.
@@ -127,10 +102,9 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Traces> {
     run_with(opts, &TraceCalibration::default())
 }
 
-/// Runs the study: per trace, 2 uncertainty levels × one streaming
-/// [`StudyBuilder`] pass each, mean aggregation across the levels. The
-/// `calibration` chooses the platform each trace is replayed on (machine
-/// count + speed heterogeneity).
+/// Runs the study: per trace, 2 uncertainty levels aggregated by one
+/// [`CaseSet`]. The `calibration` chooses the platform each trace is
+/// replayed on (machine count + speed heterogeneity).
 pub fn run_with(opts: &RunOptions, calibration: &TraceCalibration) -> std::io::Result<Traces> {
     let schedules = opts.count(2_000, 60);
     let mut traces = Vec::with_capacity(SAMPLE_TRACES.len());
@@ -138,42 +112,27 @@ pub fn run_with(opts: &RunOptions, calibration: &TraceCalibration) -> std::io::R
         let trace = parse_trace(file, content)
             .map_err(|e| std::io::Error::other(format!("{file}: {e}")))?;
         let format = file.rsplit_once('.').map(|(_, ext)| ext).unwrap_or("?");
-        let graph = trace.to_task_graph();
-        let mut pearsons = Vec::new();
-        let mut spearmans = Vec::new();
-        for (ui, ul) in [1.01, 1.1].into_iter().enumerate() {
+        let cases = [1.01, 1.1].into_iter().enumerate().map(|(ui, ul)| {
             let seed = derive_seed(opts.seed, 11_000 + 10 * ti as u64 + ui as u64);
             let scenario = Scenario::from_trace_with(&trace, calibration, ul, seed);
-            let res = StudyBuilder::new(&scenario)
-                .random_schedules(schedules)
-                .seed(derive_seed(seed, 2))
-                .threads_opt(opts.threads)
-                // Exact Spearman at any --scale: reservoir = schedule count.
-                .reservoir_capacity(schedules.max(2))
-                .run()
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            spearmans.push(res.spearman_streamed());
-            pearsons.push(res.pearson_streamed());
-        }
-        let (pearson_mean, _) = CorrMatrix::aggregate(&pearsons);
-        let (spearman_mean, _) = CorrMatrix::aggregate(&spearmans);
+            (scenario, derive_seed(seed, 2))
+        });
+        let corr = CaseSet::run(opts, schedules, cases)?;
         opts.write_artifact(
             &format!("ext_traces_{}_pearson.csv", trace.name),
-            &pearson_mean.to_csv(),
+            &corr.pearson_mean.to_csv(),
         )?;
         opts.write_artifact(
             &format!("ext_traces_{}_spearman.csv", trace.name),
-            &spearman_mean.to_csv(),
+            &corr.spearman_mean.to_csv(),
         )?;
         traces.push(TraceResult {
             name: trace.name.clone(),
             format: format.to_string(),
             tasks: trace.task_count(),
             edges: trace.edge_count(),
-            ccr: graph.realized_ccr(),
-            cases: pearsons.len(),
-            pearson_mean,
-            spearman_mean,
+            ccr: trace.to_task_graph().realized_ccr(),
+            corr,
         });
     }
     let out = Traces { traces };
@@ -198,14 +157,14 @@ pub fn summary_csv(t: &Traces) -> String {
             r.tasks,
             r.edges,
             r.ccr,
-            r.cases,
-            r.pearson("makespan_std", "avg_lateness"),
-            r.pearson("makespan_std", "abs_prob"),
-            r.pearson("makespan_std", "rel_prob"),
-            r.pearson("avg_makespan", "makespan_std"),
-            r.spearman("makespan_std", "avg_lateness"),
-            r.spearman("makespan_std", "abs_prob"),
-            r.cluster_survives(),
+            r.corr.cases,
+            r.corr.pearson("makespan_std", "avg_lateness"),
+            r.corr.pearson("makespan_std", "abs_prob"),
+            r.corr.pearson("makespan_std", "rel_prob"),
+            r.corr.pearson("avg_makespan", "makespan_std"),
+            r.corr.spearman("makespan_std", "avg_lateness"),
+            r.corr.spearman("makespan_std", "abs_prob"),
+            r.corr.cluster_holds(),
         ));
     }
     out
@@ -227,16 +186,16 @@ pub fn render(t: &Traces) -> String {
             r.tasks,
             r.edges,
             r.ccr,
-            r.pearson("makespan_std", "avg_lateness"),
-            r.pearson("makespan_std", "abs_prob"),
-            r.spearman("makespan_std", "avg_lateness"),
-            if r.cluster_survives() { "yes" } else { "NO" },
+            r.corr.pearson("makespan_std", "avg_lateness"),
+            r.corr.pearson("makespan_std", "abs_prob"),
+            r.corr.spearman("makespan_std", "avg_lateness"),
+            if r.corr.cluster_holds() { "yes" } else { "NO" },
         ));
     }
     let broken: Vec<&str> = t
         .traces
         .iter()
-        .filter(|r| !r.cluster_survives())
+        .filter(|r| !r.corr.cluster_holds())
         .map(|r| r.name.as_str())
         .collect();
     out.push_str(&if broken.is_empty() {
@@ -283,12 +242,12 @@ mod tests {
         let t = run(&opts).unwrap();
         assert_eq!(t.traces.len(), 3);
         for r in &t.traces {
-            assert_eq!(r.cases, 2);
-            assert_eq!(r.pearson_mean.dim(), METRIC_LABELS.len());
+            assert_eq!(r.corr.cases, 2);
+            assert_eq!(r.corr.pearson_mean.dim(), METRIC_LABELS.len());
             assert!(r.ccr > 0.0, "{}: CCR {}", r.name, r.ccr);
             // The cells are defined (not NaN) even at tiny scale.
-            assert!(r.pearson("makespan_std", "avg_lateness").is_finite());
-            assert!(r.spearman("makespan_std", "avg_lateness").is_finite());
+            assert!(r.corr.pearson("makespan_std", "avg_lateness").is_finite());
+            assert!(r.corr.spearman("makespan_std", "avg_lateness").is_finite());
         }
         let csv = summary_csv(&t);
         assert_eq!(csv.lines().count(), 4);
@@ -317,8 +276,12 @@ mod tests {
         .unwrap();
         let default = run(&opts).unwrap();
         assert_eq!(custom.traces.len(), default.traces.len());
-        let d = default.traces[0].pearson("makespan_std", "avg_lateness");
-        let c = custom.traces[0].pearson("makespan_std", "avg_lateness");
+        let d = default.traces[0]
+            .corr
+            .pearson("makespan_std", "avg_lateness");
+        let c = custom.traces[0]
+            .corr
+            .pearson("makespan_std", "avg_lateness");
         assert!(c.is_finite() && d.is_finite());
         assert_ne!(c.to_bits(), d.to_bits(), "platform had no effect");
     }

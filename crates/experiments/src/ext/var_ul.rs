@@ -7,8 +7,8 @@
 //! per-task ULs drawn from {low, high}, and compares the Pearson
 //! correlation between expected makespan and makespan standard deviation.
 
+use crate::cases::CaseSet;
 use crate::RunOptions;
-use robusched_core::{metric_index, StudyBuilder};
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
 
@@ -23,39 +23,18 @@ pub struct VarUl {
     pub cases: usize,
 }
 
-fn makespan_sigma_corr(
-    scenario: &Scenario,
-    schedules: usize,
-    seed: u64,
-    threads: Option<usize>,
-) -> std::io::Result<f64> {
-    // Streaming pass: the per-schedule rows are never materialized.
-    let res = StudyBuilder::new(scenario)
-        .random_schedules(schedules)
-        .seed(seed)
-        .threads_opt(threads)
-        .run()
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
-    Ok(res
-        .pearson_streamed()
-        .get(metric_index("avg_makespan"), metric_index("makespan_std")))
-}
-
 /// Runs the experiment.
 pub fn run(opts: &RunOptions) -> std::io::Result<VarUl> {
     let cases = 6usize;
     let schedules = opts.count(2_000, 80);
-    let mut const_corrs = Vec::new();
-    let mut var_corrs = Vec::new();
+    let mut constant = Vec::with_capacity(cases);
+    let mut variable = Vec::with_capacity(cases);
     for k in 0..cases {
         let seed = derive_seed(opts.seed, 7000 + k as u64);
         let base = Scenario::paper_random(25, 4, 1.1, seed);
-        const_corrs.push(makespan_sigma_corr(&base, schedules, seed, opts.threads)?);
-
         // Same graph & costs, but per-task ULs split between nearly exact
         // and wildly uncertain: the spread no longer tracks the mean.
-        let n = base.task_count();
-        let uls: Vec<f64> = (0..n)
+        let uls: Vec<f64> = (0..base.task_count())
             .map(|v| {
                 if derive_seed(seed, v as u64).is_multiple_of(2) {
                     1.5
@@ -64,12 +43,13 @@ pub fn run(opts: &RunOptions) -> std::io::Result<VarUl> {
                 }
             })
             .collect();
-        let varied = base.with_per_task_ul(uls);
-        var_corrs.push(makespan_sigma_corr(&varied, schedules, seed, opts.threads)?);
+        variable.push((base.clone().with_per_task_ul(uls), seed));
+        constant.push((base, seed));
     }
+    let corr = |set: CaseSet| set.pearson("avg_makespan", "makespan_std");
     let out = VarUl {
-        constant_ul_corr: robusched_stats::mean(&const_corrs),
-        variable_ul_corr: robusched_stats::mean(&var_corrs),
+        constant_ul_corr: corr(CaseSet::run(opts, schedules, constant)?),
+        variable_ul_corr: corr(CaseSet::run(opts, schedules, variable)?),
         cases,
     };
     let csv = format!(

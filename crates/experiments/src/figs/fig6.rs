@@ -45,8 +45,7 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Fig6> {
             .seed(case.seed)
             .threads_opt(opts.threads)
             .sink(&mut collect)
-            .run()
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+            .run()?;
         rel_corrs.push(rel_prob_variants(&random));
         matrices.push(pearson_matrix(&random));
     }

@@ -53,8 +53,7 @@ pub fn correlation_figure(
         .threads_opt(opts.threads)
         .heuristics(&PAPER_HEURISTICS)
         .sink(&mut collect)
-        .run()
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
+        .run()?;
     let res = CaseResult {
         pearson: pearson_matrix(&random),
         heuristics: study.heuristics,

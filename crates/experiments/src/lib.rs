@@ -33,6 +33,7 @@ pub mod serve;
 
 pub use registry::{experiment_by_name, registry, render_list, ExperimentGroup};
 
+use robusched_stochastic::par::{par_map, worker_count};
 use std::path::PathBuf;
 
 /// Options shared by all experiment entry points.
@@ -66,6 +67,30 @@ impl RunOptions {
     /// A scaled count: `full·scale`, at least `min`.
     pub fn count(&self, full: usize, min: usize) -> usize {
         ((full as f64 * self.scale) as usize).max(min)
+    }
+
+    /// Runs `cell(i)` for every `i in 0..n`, sharded across the run's
+    /// `--threads` workers; returns the results in index order, or the
+    /// error of the first failing index. Cells that derive their seeds
+    /// from their index give results independent of the thread count.
+    pub fn sweep<T: Send, E: Send>(
+        &self,
+        n: usize,
+        cell: impl Fn(usize) -> Result<T, E> + Sync,
+    ) -> std::io::Result<Vec<T>>
+    where
+        std::io::Error: From<E>,
+    {
+        let mut results = Vec::with_capacity(n);
+        par_map(
+            n,
+            worker_count(self.threads),
+            || (),
+            |_, idx| cell(idx),
+            |_, result| results.push(result),
+        )
+        .map_err(std::io::Error::other)?;
+        Ok(results.into_iter().collect::<Result<_, E>>()?)
     }
 
     /// Writes `content` to `<out_dir>/<name>` when file output is enabled;

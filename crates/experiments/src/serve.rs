@@ -62,6 +62,7 @@
 //! `"retry@3"` — and the response then also carries goodput, effective
 //! utilization, and the fault counters.)
 
+use crate::ext::dynamic::{mean_instance_work, workload_pool, SimCell};
 use crate::RunOptions;
 use robusched_core::{EvalRequest, EvalService, Lru, MetricValues, ServiceConfig, Ticket};
 use robusched_dag::parsers::json::{parse_json, write_json, Json};
@@ -347,31 +348,20 @@ impl DynamicRunner {
                 .ok_or("dynamic.seed must be a non-negative integer")?,
         };
         let (pool, mean_work) = self.pool.get_or_insert_with(|| {
-            let pool = crate::ext::dynamic::workload_pool(0);
-            let mean_work = crate::ext::dynamic::mean_instance_work(&pool);
+            let pool = workload_pool(0);
+            let mean_work = mean_instance_work(&pool);
             (pool, mean_work)
         });
-        let machines = pool[0].machine_count() as f64;
-        let rate = oversub * machines / *mean_work;
-        let mut stream = robusched_dynamic::PoissonStream::new(
-            pool.clone(),
-            rate,
+        let cell = SimCell {
+            oversub,
             instances,
-            robusched_randvar::derive_seed(seed, 1),
-        );
-        let config = robusched_dynamic::SimConfig {
-            seed: robusched_randvar::derive_seed(seed, 2),
-            ..Default::default()
+            seed,
+            deadline_factor: robusched_dynamic::SimConfig::default().deadline_factor,
+            policy: policy.as_ref(),
+            fault: fault.as_ref(),
+            recovery: recovery.as_ref(),
         };
-        let result = robusched_dynamic::DynamicSim::with_faults(
-            policy.as_ref(),
-            config,
-            fault.as_ref(),
-            recovery.as_ref(),
-        )
-        .run(&mut stream)
-        .map_err(|e| e.to_string())?;
-        let m = &result.metrics;
+        let m = &cell.run(pool, *mean_work).map_err(|e| e.to_string())?;
         let count = |n: usize| Json::Num(n as f64);
         Ok(Json::Obj(vec![
             ("policy".into(), Json::Str(policy_spec.to_string())),
@@ -1018,6 +1008,71 @@ mod tests {
             .map(|l| parse_json(l).unwrap().get("id").unwrap().as_f64().unwrap())
             .collect();
         assert_eq!(ids, (0..total).map(|i| i as f64).collect::<Vec<_>>());
+    }
+
+    /// Every byte truncation and every single-byte mutation of one small
+    /// request per family gets exactly one answer carrying `ok`, none of
+    /// them a caught panic, and the session ends cleanly. The alphabet is
+    /// the trace parsers' malformed-input sweep's; mutations that break
+    /// UTF-8 are skipped, like there. The untruncated requests are part of
+    /// the sweep and succeed.
+    #[test]
+    fn every_truncated_or_mutated_request_gets_one_answer() {
+        const ALPHABET: [u8; 16] = [
+            b'<', b'>', b'{', b'}', b'[', b']', b'"', b'\\', b'0', b'9', b'-', b'.', b' ', b'\n',
+            0x00, 0xFF,
+        ];
+        let requests = [
+            r#"{"id":1,"scenario":{"family":"paper-random","n":6,"m":2,"ul":1.1,"seed":5},"schedule":{"kind":"heuristic","name":"heft"}}"#,
+            r#"{"id":2,"scenario":{"family":"app","class":"forkjoin","n":4,"m":2,"speed_cov":0.3,"ul":1.1,"seed":5},"schedule":{"kind":"random","seed":3},"evaluator":"spelde"}"#,
+            r#"{"id":3,"scenario":{"family":"trace","trace":"montage-like","m":2,"speed_cov":0.3,"ul":1.1,"seed":5},"schedule":{"kind":"random","seed":3}}"#,
+            r#"{"id":4,"dynamic":{"policy":"reap","instances":2,"seed":7,"fault":"exp@300:30+trans@0.05","recovery":"retry@3"}}"#,
+        ];
+        let mut input = String::new();
+        for request in requests {
+            let bytes = request.as_bytes();
+            for cut in 0..=bytes.len() {
+                input.push_str(&request[..cut]);
+                input.push('\n');
+            }
+            for pos in 0..bytes.len() {
+                for &b in ALPHABET.iter().filter(|&&b| b != bytes[pos]) {
+                    let mut mutated = bytes.to_vec();
+                    mutated[pos] = b;
+                    if let Ok(variant) = String::from_utf8(mutated) {
+                        input.push_str(&variant);
+                        input.push('\n');
+                    }
+                }
+            }
+        }
+        let expected = input.lines().filter(|l| !l.trim().is_empty()).count();
+        let mut output = Vec::new();
+        let opts = RunOptions {
+            threads: Some(2),
+            out_dir: None,
+            ..Default::default()
+        };
+        serve_streams(input.as_bytes(), &mut output, &opts).unwrap();
+        let output = String::from_utf8(output).unwrap();
+        assert_eq!(output.lines().count(), expected);
+        let mut answered = std::collections::HashSet::new();
+        for line in output.lines() {
+            let answer = parse_json(line).unwrap();
+            match answer.get("ok") {
+                Some(Json::Bool(true)) => {
+                    answered.insert(answer.get("id").and_then(Json::as_u64));
+                }
+                Some(Json::Bool(false)) => {
+                    let error = answer.get("error").and_then(Json::as_str).unwrap();
+                    assert!(!error.contains("evaluation panicked"), "{line}");
+                }
+                _ => panic!("answer without 'ok': {line}"),
+            }
+        }
+        for id in 1..=requests.len() as u64 {
+            assert!(answered.contains(&Some(id)), "request {id} never succeeded");
+        }
     }
 
     #[test]

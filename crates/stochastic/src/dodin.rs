@@ -397,7 +397,7 @@ mod tests {
             UncertaintyModel::paper(1.2),
         );
         let sched = Schedule::new(vec![0; 4], vec![vec![0, 1, 2, 3]]);
-        let d = DodinEvaluator::default().evaluate(&s, &sched);
+        let d = DodinEvaluator.evaluate(&s, &sched);
         let c = ClassicEvaluator::default().evaluate(&s, &sched);
         assert!(approx_eq(d.mean(), c.mean(), 1e-3));
         assert!(approx_eq(d.std_dev(), c.std_dev(), 1e-2));
@@ -416,7 +416,7 @@ mod tests {
             UncertaintyModel::paper(1.5),
         );
         let sched = Schedule::new(vec![0, 1, 2, 0], vec![vec![0, 3], vec![1], vec![2]]);
-        let d = DodinEvaluator::default().evaluate(&s, &sched);
+        let d = DodinEvaluator.evaluate(&s, &sched);
         let c = ClassicEvaluator::default().evaluate(&s, &sched);
         assert!(
             approx_eq(d.mean(), c.mean(), 1e-2),
@@ -433,7 +433,7 @@ mod tests {
         // paper reports "similar results" between the methods.
         let s = Scenario::paper_random(15, 3, 1.1, 23);
         let sched = robusched_sched::heft(&s);
-        let d = DodinEvaluator::default().evaluate(&s, &sched);
+        let d = DodinEvaluator.evaluate(&s, &sched);
         let c = ClassicEvaluator::default().evaluate(&s, &sched);
         assert!(
             (d.mean() - c.mean()).abs() / c.mean() < 0.02,
@@ -455,7 +455,7 @@ mod tests {
             UncertaintyModel::none(),
         );
         let sched = Schedule::new(vec![0, 0, 1, 0], vec![vec![0, 1, 3], vec![2]]);
-        let d = DodinEvaluator::default().evaluate(&s, &sched);
+        let d = DodinEvaluator.evaluate(&s, &sched);
         let det = robusched_sched::det_makespan(&s, &sched);
         assert!(approx_eq(d.mean(), det, 1e-6), "{} vs {det}", d.mean());
         assert!(d.std_dev() < 1e-6);

@@ -9,9 +9,11 @@
 //! changes). [`Evaluator`] unifies the four backends of this crate behind
 //! `evaluate(&Scenario, &Schedule) -> DiscreteRv` — the only way to get a
 //! makespan distribution out of this crate; each implementation
-//! carries its own configuration (grid resolution, Monte-Carlo realization
-//! budget, …) so a study can be re-run under a different backend by
-//! swapping one trait object.
+//! carries its own configuration (the classic evaluator's grid
+//! resolution, the Monte-Carlo realization budget, …) so a study can be
+//! re-run under a different backend by swapping one trait object. The
+//! other backends materialize their distributions on the paper's
+//! [`DEFAULT_GRID`] of 64 points.
 
 use crate::cache::{DiscretizedScenario, SamplingTables};
 use crate::classic::{evaluate_classic_cached, ClassicScratch};
@@ -177,18 +179,9 @@ impl Evaluator for ClassicEvaluator {
 }
 
 /// Spelde's central-limit evaluator: moment pairs with Clark's max
-/// equations, materialized as a Gaussian on the grid.
-#[derive(Debug, Clone, Copy)]
-pub struct SpeldeEvaluator {
-    /// Grid resolution of the materialized Gaussian.
-    pub grid: usize,
-}
-
-impl Default for SpeldeEvaluator {
-    fn default() -> Self {
-        Self { grid: DEFAULT_GRID }
-    }
-}
+/// equations, materialized as a Gaussian on the [`DEFAULT_GRID`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpeldeEvaluator;
 
 impl Evaluator for SpeldeEvaluator {
     fn name(&self) -> &str {
@@ -203,23 +196,14 @@ impl Evaluator for SpeldeEvaluator {
     ) -> DiscreteRv {
         // Spelde works on closed-form moment pairs — there is nothing to
         // discretize or cache.
-        evaluate_spelde(scenario, schedule).to_rv(self.grid)
+        evaluate_spelde(scenario, schedule).to_rv(DEFAULT_GRID)
     }
 }
 
 /// Dodin's series-parallel-reduction evaluator (node duplication on the
-/// activity-on-arc network).
-#[derive(Debug, Clone, Copy)]
-pub struct DodinEvaluator {
-    /// PDF grid resolution.
-    pub grid: usize,
-}
-
-impl Default for DodinEvaluator {
-    fn default() -> Self {
-        Self { grid: DEFAULT_GRID }
-    }
-}
+/// activity-on-arc network), on the [`DEFAULT_GRID`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DodinEvaluator;
 
 impl Evaluator for DodinEvaluator {
     fn name(&self) -> &str {
@@ -227,7 +211,7 @@ impl Evaluator for DodinEvaluator {
     }
 
     fn prepare(&self, scenario: &Scenario) -> PreparedScenario {
-        PreparedScenario::Discretized(Arc::new(DiscretizedScenario::new(scenario, self.grid)))
+        PreparedScenario::Discretized(Arc::new(DiscretizedScenario::new(scenario, DEFAULT_GRID)))
     }
 
     fn evaluate_with(
@@ -236,10 +220,10 @@ impl Evaluator for DodinEvaluator {
         schedule: &Schedule,
         cx: &mut EvalContext,
     ) -> DiscreteRv {
-        match cx.discretized(scenario, self.grid) {
+        match cx.discretized(scenario, DEFAULT_GRID) {
             Some(cache) => evaluate_dodin_cached(scenario, schedule, cache),
             None => {
-                let cache = DiscretizedScenario::new(scenario, self.grid);
+                let cache = DiscretizedScenario::new(scenario, DEFAULT_GRID);
                 evaluate_dodin_cached(scenario, schedule, &cache)
             }
         }
@@ -247,8 +231,8 @@ impl Evaluator for DodinEvaluator {
 }
 
 /// The Monte-Carlo ground truth as an [`Evaluator`]: sampled realizations
-/// replayed block-at-a-time through the batched engine, binned into a grid
-/// RV.
+/// replayed block-at-a-time through the batched engine, binned into an RV
+/// on the [`DEFAULT_GRID`].
 ///
 /// Every `evaluate` call reuses the same fixed seed — common random
 /// numbers across schedules, which *reduces* the variance of between-
@@ -274,8 +258,6 @@ pub struct MonteCarloEvaluator {
     pub realizations: usize,
     /// Fixed seed shared by every evaluation.
     pub seed: u64,
-    /// Grid resolution of the fitted empirical distribution.
-    pub grid: usize,
     /// Variance-reduction mode (selects the registry name).
     pub estimator: McEstimator,
 }
@@ -285,7 +267,6 @@ impl Default for MonteCarloEvaluator {
         Self {
             realizations: 10_000,
             seed: 0xC0FFEE,
-            grid: DEFAULT_GRID,
             estimator: McEstimator::Standard,
         }
     }
@@ -339,7 +320,7 @@ impl Evaluator for MonteCarloEvaluator {
         samples.resize(cfg.realizations, 0.0);
         // `samples` was detached above, so the scratch borrow is safe.
         mc_makespans_into(scenario, schedule, &cfg, &tables, &mut cx.mc, &mut samples);
-        let rv = DiscreteRv::from_samples(&samples, self.grid);
+        let rv = DiscreteRv::from_samples(&samples, DEFAULT_GRID);
         cx.mc.samples = samples;
         rv
     }
@@ -352,8 +333,8 @@ type Constructor = fn() -> Box<dyn Evaluator>;
 /// first (the paper's choice), the Monte-Carlo estimators last.
 const REGISTRY: [(&str, Constructor); 6] = [
     ("classic", || Box::new(ClassicEvaluator::default())),
-    ("spelde", || Box::new(SpeldeEvaluator::default())),
-    ("dodin", || Box::new(DodinEvaluator::default())),
+    ("spelde", || Box::new(SpeldeEvaluator)),
+    ("dodin", || Box::new(DodinEvaluator)),
     ("montecarlo", || Box::new(MonteCarloEvaluator::default())),
     ("mc-anti", || {
         Box::new(MonteCarloEvaluator::with_estimator(McEstimator::Antithetic))

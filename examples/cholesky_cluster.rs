@@ -92,7 +92,7 @@ fn main() {
     let sched = &candidates.iter().find(|(n, _)| *n == pick.0).unwrap().1;
     let analytic = classic.evaluate_with(&scenario, sched, &mut cx);
     let spelde = evaluate_spelde(&scenario, sched);
-    let dodin = DodinEvaluator::default().evaluate(&scenario, sched);
+    let dodin = DodinEvaluator.evaluate(&scenario, sched);
     let mc = mc_makespans(
         &scenario,
         sched,

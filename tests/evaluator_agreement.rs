@@ -39,7 +39,7 @@ fn mc_mean_std(scenario: &Scenario, sched: &Schedule, n: usize) -> (f64, f64) {
 fn assert_agreement(scenario: &Scenario, sched: &Schedule, mean_tol: f64, std_factor: f64) {
     let classic = classic_rv(scenario, sched);
     let spelde = evaluate_spelde(scenario, sched);
-    let dodin = DodinEvaluator::default().evaluate(scenario, sched);
+    let dodin = DodinEvaluator.evaluate(scenario, sched);
     let (mc_mean, mc_std) = mc_mean_std(scenario, sched, 40_000);
 
     for (name, mean) in [

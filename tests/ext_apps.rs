@@ -21,7 +21,7 @@ fn ext_apps_smoke_run_emits_per_class_csvs() {
     assert_eq!(a.classes.len(), AppClass::ALL.len());
     for (c, class) in a.classes.iter().zip(AppClass::ALL) {
         assert_eq!(c.class, class);
-        assert_eq!(c.cases, 4);
+        assert_eq!(c.corr.cases, 4);
         assert!(
             c.largest_tasks >= 75,
             "{}: {}",

@@ -93,19 +93,18 @@ fn ext_traces_thread_count_invariance() {
         let other = run_with(Some(threads));
         for (a, b) in base.traces.iter().zip(&other.traces) {
             assert_eq!(a.name, b.name);
+            let (a, b, name) = (&a.corr, &b.corr, &a.name);
             for i in 0..a.pearson_mean.dim() {
                 for j in 0..a.pearson_mean.dim() {
                     assert_eq!(
                         a.pearson_mean.get(i, j).to_bits(),
                         b.pearson_mean.get(i, j).to_bits(),
-                        "{}: pearson[{i}][{j}] differs at {threads} threads",
-                        a.name
+                        "{name}: pearson[{i}][{j}] differs at {threads} threads"
                     );
                     assert_eq!(
                         a.spearman_mean.get(i, j).to_bits(),
                         b.spearman_mean.get(i, j).to_bits(),
-                        "{}: spearman[{i}][{j}] differs at {threads} threads",
-                        a.name
+                        "{name}: spearman[{i}][{j}] differs at {threads} threads"
                     );
                 }
             }

@@ -8,7 +8,7 @@ use rand::{RngCore, SeedableRng};
 use robusched::experiments::figs::fig5;
 use robusched::experiments::RunOptions;
 use robusched::platform::{CostMatrix, Platform, Scenario, UncertaintyKind, UncertaintyModel};
-use robusched::randvar::{derive_seed, DiscreteRv, Dist};
+use robusched::randvar::{derive_seed, DiscreteRv, Dist, DEFAULT_GRID};
 use robusched::sched::{random_schedule, EagerPlan, Schedule};
 use robusched::stochastic::montecarlo::{BLOCK, CHUNK};
 use robusched::stochastic::{
@@ -287,7 +287,6 @@ fn evaluator_bins_the_engine_samples_bitwise() {
             realizations,
             seed: 0xFEED,
             estimator,
-            ..Default::default()
         };
         let mut cx = EvalContext::new(evaluator.prepare(&scenario));
         evaluator.evaluate_with(&scenario, &other, &mut cx);
@@ -304,7 +303,7 @@ fn evaluator_bins_the_engine_samples_bitwise() {
             },
             &tables,
         );
-        let expect = DiscreteRv::from_samples(&samples, evaluator.grid);
+        let expect = DiscreteRv::from_samples(&samples, DEFAULT_GRID);
         let bits = |rv: &DiscreteRv| {
             [rv.lo(), rv.hi()]
                 .iter()
