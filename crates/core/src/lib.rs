@@ -39,10 +39,7 @@ pub mod service;
 pub mod streaming;
 pub mod study;
 
-pub use adversarial::{
-    anneal, objective_by_name, objective_registry, AnnealConfig, AnnealResult, AnnealStats,
-    ClusterDeficit, HeuristicRegret, Objective, ObjectiveReport, RankGap,
-};
+pub use adversarial::{anneal, AnnealConfig, AnnealResult, Objective, ObjectiveReport};
 pub use lru::Lru;
 pub use metrics::{
     compute_metrics, distribution_stats, metric_index, DistributionStats, MetricOptions,

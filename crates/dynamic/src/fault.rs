@@ -33,12 +33,7 @@
 use rand::rngs::StdRng;
 use rand::RngCore;
 use robusched_numeric::ln_gamma;
-
-/// Uniform `[0, 1)` from the top 53 bits (the workspace-wide convention).
-#[inline]
-fn unit_f64(rng: &mut StdRng) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
+use robusched_randvar::uniform01_word;
 
 /// A per-machine failure/repair process plus per-task transient faults.
 /// Object-safe; the executor holds a `&dyn FaultModel`.
@@ -114,7 +109,7 @@ pub struct ExpFaults {
 /// Exponential draw with mean `mean`: `−mean·ln(1−u)`, `u ∈ [0, 1)`.
 #[inline]
 fn exp_draw(mean: f64, rng: &mut StdRng) -> f64 {
-    -mean * (1.0 - unit_f64(rng)).ln()
+    -mean * (1.0 - uniform01_word(rng.next_u64())).ln()
 }
 
 impl FaultModel for ExpFaults {
@@ -160,7 +155,7 @@ impl WeibullFaults {
 
     fn draw(&self, mean: f64, rng: &mut StdRng) -> f64 {
         let scale = mean / self.mean_factor();
-        scale * (-(1.0 - unit_f64(rng)).ln()).powf(1.0 / self.shape)
+        scale * (-(1.0 - uniform01_word(rng.next_u64())).ln()).powf(1.0 / self.shape)
     }
 }
 

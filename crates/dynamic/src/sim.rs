@@ -90,7 +90,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use robusched_core::OnlineMetrics;
 use robusched_platform::Scenario;
-use robusched_randvar::{derive_seed, DEFAULT_GRID};
+use robusched_randvar::{derive_seed, uniform01_word, DEFAULT_GRID};
 use robusched_sched::{heuristic_by_name, EagerPlan, Heuristic, Schedule, ScheduleError};
 use robusched_stochastic::{scenario_fingerprint, DiscretizedScenario, SamplingTables};
 use std::cmp::Reverse;
@@ -169,6 +169,9 @@ pub enum SimError {
         /// The failure count by which a task must be abandoned.
         max: usize,
     },
+    /// A Poisson arrival stream's rate, computed from a load level, is
+    /// not finite and positive (a `PoissonStream` would refuse it).
+    ArrivalRate,
 }
 
 impl std::fmt::Display for SimError {
@@ -190,6 +193,7 @@ impl std::fmt::Display for SimError {
                 "recovery policy keeps a task past its {max}th failure; \
                  transient faults allow at most {max} failures per task"
             ),
+            Self::ArrivalRate => write!(f, "arrival rate is not a finite positive number"),
         }
     }
 }
@@ -1315,8 +1319,7 @@ impl<'r> RunState<'r> {
 /// its fate bit for bit.
 fn transient_draw(seed: u64, inst: usize, task: usize, attempt: usize, p: f64) -> bool {
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, transient_key(inst, task, attempt)));
-    let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    u < p
+    uniform01_word(rng.next_u64()) < p
 }
 
 /// The sub-seed key of one transient draw: under the tag bit, the

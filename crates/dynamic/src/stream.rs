@@ -13,13 +13,14 @@
 //!
 //! Both are seed-deterministic: the same constructor arguments yield the
 //! same arrival sequence bit for bit. Interarrival sampling uses the same
-//! top-53-bit uniform convention as the Monte-Carlo engine
-//! (`u = (next_u64() >> 11) · 2⁻⁵³`), so streams are reproducible across
-//! platforms.
+//! top-53-bit uniform conversion as the Monte-Carlo engine
+//! (`robusched_randvar::uniform01_word`, `u = (next_u64() >> 11) · 2⁻⁵³`),
+//! so streams are reproducible across platforms.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use robusched_platform::Scenario;
+use robusched_randvar::uniform01_word;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -41,12 +42,6 @@ pub struct Arrival {
 pub trait ArrivalStream {
     /// The next arrival, or `None` when the stream is exhausted.
     fn next_arrival(&mut self) -> Option<Arrival>;
-}
-
-/// Uniform `[0, 1)` from the top 53 bits (the workspace-wide convention).
-#[inline]
-fn unit_f64(rng: &mut StdRng) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Poisson arrivals at rate `rate` over a round-robin workload pool,
@@ -96,7 +91,7 @@ impl ArrivalStream for PoissonStream {
         }
         self.remaining -= 1;
         // Exponential interarrival: −ln(1−u)/λ, u ∈ [0, 1) so 1−u ∈ (0, 1].
-        let u = unit_f64(&mut self.rng);
+        let u = uniform01_word(self.rng.next_u64());
         self.t += -(1.0 - u).ln() / self.rate;
         let scenario = self.workloads[self.emitted % self.workloads.len()].clone();
         self.emitted += 1;

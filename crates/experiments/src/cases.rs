@@ -321,7 +321,6 @@ mod tests {
                 score: 1.0 - p_lat.min(p_abs),
                 p_std_lateness: p_lat,
                 p_std_absprob: p_abs,
-                detail: String::new(),
             };
             assert_eq!(set.cluster_holds(), holds, "σ~L {p_lat}, σ~(1−A) {p_abs}");
             assert_eq!(

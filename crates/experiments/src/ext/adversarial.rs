@@ -5,14 +5,13 @@
 //! the paper's σ/lateness/1−A cluster intact. Following PISA
 //! (arXiv 2403.07120) this study *searches*: per cell, one simulated-
 //! annealing chain (`robusched_core::anneal`) walks scenario space under
-//! the seed-deterministic perturbation registry
-//! (`robusched_stochastic::perturb`), maximizing one of the registered
-//! adversarial objectives (`cluster-deficit`, `rank-gap`,
-//! `heuristic-regret`). Chains start from the committed sample traces and
-//! from paper-style layered random DAGs; restarts are independent chains
-//! with derived seeds, sharded across threads by [`RunOptions::sweep`] —
-//! results arrive in chain order, so `ext_adversarial_summary.csv` is
-//! bit-identical for any `--threads`.
+//! the seed-deterministic move table (`robusched_stochastic::perturb`),
+//! maximizing one of the three adversarial objectives ([`Objective`]:
+//! `cluster-deficit`, `rank-gap`, `heuristic-regret`). Chains start from
+//! the committed sample traces and from paper-style layered random DAGs;
+//! restarts are independent chains with derived seeds, sharded across
+//! threads by [`RunOptions::sweep`] — results arrive in chain order, so
+//! `ext_adversarial_summary.csv` is bit-identical for any `--threads`.
 //!
 //! Chains whose best point certifies a cluster break (a paper-cluster
 //! Pearson correlation below the shared 0.9 threshold, non-degenerate)
@@ -28,10 +27,8 @@
 
 use crate::ext::traces::sample_trace;
 use crate::RunOptions;
-use robusched_core::{
-    anneal, objective_by_name, AnnealConfig, AnnealResult, ClusterDeficit, Objective,
-    ObjectiveReport, StudyError,
-};
+use robusched_core::Objective::{ClusterDeficit, HeuristicRegret, RankGap};
+use robusched_core::{anneal, AnnealConfig, AnnealResult, Objective, ObjectiveReport, StudyError};
 use robusched_dag::generators::{layered_random, LayeredRandomConfig};
 use robusched_dag::parsers::wfcommons::{parse_wfcommons, write_wfcommons};
 use robusched_dag::parsers::{TraceDag, REF_BANDWIDTH, REF_SPEED};
@@ -49,7 +46,7 @@ const START_UL: f64 = 1.1;
 
 /// One search cell: an objective, a start, and a move-set flavour.
 struct CellSpec {
-    objective: &'static str,
+    objective: Objective,
     /// Start name: a sample-trace stem or `layered-<n>`.
     start: &'static str,
     /// Restrict the chain to replayable moves (gallery-eligible)?
@@ -60,67 +57,20 @@ struct CellSpec {
 /// widest start pool (it feeds the gallery); one chain per objective also
 /// runs the *full* move set (per-task UL jitter, unrelatedness) to probe
 /// the knobs the gallery cannot commit.
+#[rustfmt::skip]
 const CELLS: [CellSpec; 12] = [
-    CellSpec {
-        objective: "cluster-deficit",
-        start: "montage-like",
-        replayable_only: true,
-    },
-    CellSpec {
-        objective: "cluster-deficit",
-        start: "epigenomics-like",
-        replayable_only: true,
-    },
-    CellSpec {
-        objective: "cluster-deficit",
-        start: "cybershake-like",
-        replayable_only: true,
-    },
-    CellSpec {
-        objective: "cluster-deficit",
-        start: "layered-16",
-        replayable_only: true,
-    },
-    CellSpec {
-        objective: "cluster-deficit",
-        start: "layered-24",
-        replayable_only: true,
-    },
-    CellSpec {
-        objective: "cluster-deficit",
-        start: "layered-32",
-        replayable_only: true,
-    },
-    CellSpec {
-        objective: "cluster-deficit",
-        start: "layered-24",
-        replayable_only: false,
-    },
-    CellSpec {
-        objective: "rank-gap",
-        start: "montage-like",
-        replayable_only: true,
-    },
-    CellSpec {
-        objective: "rank-gap",
-        start: "layered-24",
-        replayable_only: true,
-    },
-    CellSpec {
-        objective: "rank-gap",
-        start: "epigenomics-like",
-        replayable_only: false,
-    },
-    CellSpec {
-        objective: "heuristic-regret",
-        start: "cybershake-like",
-        replayable_only: true,
-    },
-    CellSpec {
-        objective: "heuristic-regret",
-        start: "layered-16",
-        replayable_only: true,
-    },
+    CellSpec { objective: ClusterDeficit,  start: "montage-like",     replayable_only: true },
+    CellSpec { objective: ClusterDeficit,  start: "epigenomics-like", replayable_only: true },
+    CellSpec { objective: ClusterDeficit,  start: "cybershake-like",  replayable_only: true },
+    CellSpec { objective: ClusterDeficit,  start: "layered-16",       replayable_only: true },
+    CellSpec { objective: ClusterDeficit,  start: "layered-24",       replayable_only: true },
+    CellSpec { objective: ClusterDeficit,  start: "layered-32",       replayable_only: true },
+    CellSpec { objective: ClusterDeficit,  start: "layered-24",       replayable_only: false },
+    CellSpec { objective: RankGap,         start: "montage-like",     replayable_only: true },
+    CellSpec { objective: RankGap,         start: "layered-24",       replayable_only: true },
+    CellSpec { objective: RankGap,         start: "epigenomics-like", replayable_only: false },
+    CellSpec { objective: HeuristicRegret, start: "cybershake-like",  replayable_only: true },
+    CellSpec { objective: HeuristicRegret, start: "layered-16",       replayable_only: true },
 ];
 
 /// Converts a generated [`TaskGraph`] into a [`TraceDag`] start point
@@ -166,8 +116,8 @@ fn start_trace(name: &str, study_seed: u64) -> TraceDag {
 /// One chain's outcome.
 #[derive(Debug)]
 pub struct ChainResult {
-    /// Objective name.
-    pub objective: String,
+    /// The objective the chain maximized.
+    pub objective: Objective,
     /// Chain index (also the restart index).
     pub chain: usize,
     /// Move set: `"replayable"` or `"full"`.
@@ -243,17 +193,17 @@ fn run_chain(
         schedules,
         seed: cell_seed,
         replayable_only: spec.replayable_only,
-        ..Default::default()
     };
-    let objective = objective_by_name(spec.objective).expect("registered objective");
     let AnnealResult {
         start_report,
         best,
         best_report,
-        stats,
-    } = anneal(&start, &*objective, &cfg)?;
+        evals,
+        accepted,
+        best_step,
+    } = anneal(&start, spec.objective, &cfg)?;
     Ok(ChainResult {
-        objective: spec.objective.to_string(),
+        objective: spec.objective,
         chain: idx,
         moves: if spec.replayable_only {
             "replayable"
@@ -264,9 +214,9 @@ fn run_chain(
         best,
         start_report,
         best_report,
-        evals: stats.evals,
-        accepted: stats.accepted,
-        best_step: stats.best_step,
+        evals,
+        accepted,
+        best_step,
         schedules,
         steps,
         study_seed: derive_seed(cell_seed, 1),
@@ -321,7 +271,7 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Adversarial> {
         gallery_csv.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{},{}\n",
             file,
-            c.objective,
+            c.objective.name(),
             c.chain,
             c.best.machines,
             c.best.speed_cov,
@@ -359,7 +309,7 @@ pub fn replay_gallery_entry(
     study_seed: u64,
 ) -> Result<ObjectiveReport, StudyError> {
     let scenario = Scenario::from_trace(trace, machines, speed_cov, ul, scenario_seed);
-    ClusterDeficit.evaluate(&scenario, schedules, study_seed)
+    Objective::ClusterDeficit.evaluate(&scenario, schedules, study_seed)
 }
 
 /// Header of [`summary_csv`] — the schema `tests/ext_adversarial.rs`
@@ -381,7 +331,7 @@ pub fn summary_csv(a: &Adversarial) -> String {
     for c in &a.chains {
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},{},{:.6},{:.6},{},{}\n",
-            c.objective,
+            c.objective.name(),
             c.chain,
             c.moves,
             c.start,
@@ -411,13 +361,13 @@ pub fn summary_csv(a: &Adversarial) -> String {
 pub fn render(a: &Adversarial) -> String {
     let mut out = String::from(
         "Extension: adversarial scenario search (PISA-style)\n\
-         (simulated annealing over the perturbation registry, per-chain derived seeds)\n\n\
+         (simulated annealing over the move table, per-chain derived seeds)\n\n\
          objective         chain start             start→best score   p(σ~L)  p(σ~1−A)  counter\n",
     );
     for c in &a.chains {
         out.push_str(&format!(
             "{:<17} {:>5} {:<17} {:>7.3} → {:>6.3} {:>8.3} {:>9.3}  {}\n",
-            c.objective,
+            c.objective.name(),
             c.chain,
             c.start,
             c.start_report.score,

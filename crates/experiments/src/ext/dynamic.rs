@@ -141,9 +141,14 @@ pub struct SimCell<'a> {
 
 impl SimCell<'_> {
     /// Runs the cell over `pool`, whose mean per-instance machine work is
-    /// `mean_work` ([`mean_instance_work`]).
+    /// `mean_work` ([`mean_instance_work`]). An arrival rate that is not
+    /// finite and positive (an `oversub` so large that the rate
+    /// overflows) is [`SimError::ArrivalRate`].
     pub fn run(&self, pool: &[Arc<Scenario>], mean_work: f64) -> Result<OnlineMetrics, SimError> {
         let rate = self.oversub * pool[0].machine_count() as f64 / mean_work;
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(SimError::ArrivalRate);
+        }
         let mut stream = PoissonStream::new(
             pool.to_vec(),
             rate,

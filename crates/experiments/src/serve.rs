@@ -40,7 +40,8 @@
 //! Responses: `{"id": ..., "ok": true, "cache_hit": bool, "scenario_hit":
 //! bool, "metrics": {...}}` on success, `{"id": ..., "ok": false,
 //! "error": "..."}` on evaluation or parse errors. Malformed lines get an
-//! error response in-stream — the server never dies on bad input.
+//! error response in-stream — a line that is not UTF-8 or not JSON is
+//! answered with `"id": null` — and the server never dies on bad input.
 //!
 //! A second request family drives the arrival-driven executor
 //! ([`robusched_dynamic`]): a line carrying a `"dynamic"` object instead
@@ -510,7 +511,7 @@ const READ_AHEAD: usize = 256;
 /// Runs the protocol loop over arbitrary reader/writer (unit-testable);
 /// returns the rendered summary.
 pub fn serve_streams<R: BufRead, W: Write + Send>(
-    input: R,
+    mut input: R,
     output: W,
     opts: &RunOptions,
 ) -> std::io::Result<String> {
@@ -563,13 +564,25 @@ pub fn serve_streams<R: BufRead, W: Write + Send>(
         });
 
         let mut lines_seen = 0u64;
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        let mut raw = Vec::new();
+        loop {
+            raw.clear();
+            if input.read_until(b'\n', &mut raw)? == 0 {
+                break;
             }
+            // Strip the line ending as `BufRead::lines` does.
+            if raw.ends_with(b"\n") {
+                raw.pop();
+                if raw.ends_with(b"\r") {
+                    raw.pop();
+                }
+            }
+            let entry = match std::str::from_utf8(&raw) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => decode_request(line, &service, &mut interner, &mut dynamic),
+                Err(e) => (Json::Null, WirePayload::Fail(format!("invalid UTF-8: {e}"))),
+            };
             lines_seen += 1;
-            let entry = decode_request(&line, &service, &mut interner, &mut dynamic);
             // Blocks while the writer is `READ_AHEAD` entries behind.
             if tx.send(entry).is_err() {
                 break; // writer died (broken pipe); stop reading
@@ -1013,8 +1026,8 @@ mod tests {
     /// Every byte truncation and every single-byte mutation of one small
     /// request per family gets exactly one answer carrying `ok`, none of
     /// them a caught panic, and the session ends cleanly. The alphabet is
-    /// the trace parsers' malformed-input sweep's; mutations that break
-    /// UTF-8 are skipped, like there. The untruncated requests are part of
+    /// the trace parsers' malformed-input sweep's; its `0xFF` mutations
+    /// make lines that are not UTF-8. The untruncated requests are part of
     /// the sweep and succeed.
     #[test]
     fn every_truncated_or_mutated_request_gets_one_answer() {
@@ -1028,32 +1041,34 @@ mod tests {
             r#"{"id":3,"scenario":{"family":"trace","trace":"montage-like","m":2,"speed_cov":0.3,"ul":1.1,"seed":5},"schedule":{"kind":"random","seed":3}}"#,
             r#"{"id":4,"dynamic":{"policy":"reap","instances":2,"seed":7,"fault":"exp@300:30+trans@0.05","recovery":"retry@3"}}"#,
         ];
-        let mut input = String::new();
+        let mut input = Vec::new();
         for request in requests {
             let bytes = request.as_bytes();
             for cut in 0..=bytes.len() {
-                input.push_str(&request[..cut]);
-                input.push('\n');
+                input.extend_from_slice(&bytes[..cut]);
+                input.push(b'\n');
             }
             for pos in 0..bytes.len() {
                 for &b in ALPHABET.iter().filter(|&&b| b != bytes[pos]) {
-                    let mut mutated = bytes.to_vec();
-                    mutated[pos] = b;
-                    if let Ok(variant) = String::from_utf8(mutated) {
-                        input.push_str(&variant);
-                        input.push('\n');
-                    }
+                    input.extend_from_slice(&bytes[..pos]);
+                    input.push(b);
+                    input.extend_from_slice(&bytes[pos + 1..]);
+                    input.push(b'\n');
                 }
             }
         }
-        let expected = input.lines().filter(|l| !l.trim().is_empty()).count();
+        let lines = input.split(|&b| b == b'\n');
+        let expected = lines
+            .filter(|l| !String::from_utf8_lossy(l).trim().is_empty())
+            .count();
+        assert!(std::str::from_utf8(&input).is_err());
         let mut output = Vec::new();
         let opts = RunOptions {
             threads: Some(2),
             out_dir: None,
             ..Default::default()
         };
-        serve_streams(input.as_bytes(), &mut output, &opts).unwrap();
+        serve_streams(&input[..], &mut output, &opts).unwrap();
         let output = String::from_utf8(output).unwrap();
         assert_eq!(output.lines().count(), expected);
         let mut answered = std::collections::HashSet::new();
@@ -1086,7 +1101,9 @@ mod tests {
             "\n",
             r#"{"id": 4, "dynamic": {"instances": 999999}}"#,
             "\n",
-            r#"{"id": 5, "dynamic": {"policy": "prune@0.5", "oversub": 2.0, "instances": 10, "seed": 7}}"#,
+            r#"{"id": 5, "dynamic": {"oversub": 1e308, "instances": 2}}"#,
+            "\n",
+            r#"{"id": 6, "dynamic": {"policy": "prune@0.5", "oversub": 2.0, "instances": 10, "seed": 7}}"#,
             "\n",
         );
         let mut output = Vec::new();
@@ -1096,13 +1113,13 @@ mod tests {
             ..Default::default()
         };
         let summary = serve_streams(input.as_bytes(), &mut output, &opts).unwrap();
-        assert!(summary.contains("5 request(s)"), "{summary}");
+        assert!(summary.contains("6 request(s)"), "{summary}");
         let lines: Vec<Json> = String::from_utf8(output)
             .unwrap()
             .lines()
             .map(|l| parse_json(l).unwrap())
             .collect();
-        assert_eq!(lines.len(), 5);
+        assert_eq!(lines.len(), 6);
         // The simulation answered with its counters, in order.
         assert_eq!(lines[0].get("ok"), Some(&Json::Bool(true)));
         let sim = lines[0].get("dynamic").unwrap();
@@ -1111,10 +1128,14 @@ mod tests {
         assert!((0.0..=1.0).contains(&hit_rate));
         // Evaluation requests interleave untouched.
         assert_eq!(lines[1].get("ok"), Some(&Json::Bool(true)));
-        // Bad policy specs and oversized runs error in-stream.
+        // Bad policy specs, oversized runs and an arrival rate that
+        // overflows error in-stream.
         assert_eq!(lines[2].get("ok"), Some(&Json::Bool(false)));
         assert_eq!(lines[3].get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(lines[4].get("ok"), Some(&Json::Bool(false)));
+        let error = lines[4].get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("arrival rate"), "{error}");
         // Same spec, same answer: the simulation is deterministic.
-        assert_eq!(lines[4].get("dynamic"), lines[0].get("dynamic"));
+        assert_eq!(lines[5].get("dynamic"), lines[0].get("dynamic"));
     }
 }

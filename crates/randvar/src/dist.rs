@@ -65,8 +65,16 @@ pub trait Dist: Send + Sync + std::fmt::Debug {
 /// [`RngCore::next_u64`] so it works through `dyn RngCore`.
 #[inline]
 pub fn uniform01(rng: &mut dyn RngCore) -> f64 {
-    // Take the top 53 bits — the mantissa width of f64.
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    uniform01_word(rng.next_u64())
+}
+
+/// The one 53-bit uniform conversion: the top 53 bits of a 64-bit
+/// random word (the mantissa width of f64) scaled into `[0, 1)`. It
+/// takes the word rather than a generator so that every generator's
+/// draws go through it, `SplitMix64` (no `RngCore`) included.
+#[inline]
+pub fn uniform01_word(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Uniform deviate in the *open* interval `(0, 1)` — never exactly 0 or 1,

@@ -50,7 +50,7 @@ pub use beta::{Beta, ScaledBeta};
 pub use concat_beta::ConcatBeta;
 pub use dirac::Dirac;
 pub use discrete::DiscreteRv;
-pub use dist::{uniform01, Dist};
+pub use dist::{uniform01, uniform01_word, Dist};
 pub use gamma::Gamma;
 pub use normal::Normal;
 pub use qtable::QuantileTable;

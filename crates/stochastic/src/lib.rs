@@ -60,8 +60,5 @@ pub use evaluator::{
     MonteCarloEvaluator, PreparedScenario, SpeldeEvaluator,
 };
 pub use montecarlo::{mc_makespans, McConfig, McEstimator};
-pub use perturb::{
-    perturbation_by_name, perturbation_registry, replayable_perturbations, Perturbation,
-    SearchPoint,
-};
+pub use perturb::{Move, SearchPoint, MOVES};
 pub use spelde::{evaluate_spelde, SpeldeResult};

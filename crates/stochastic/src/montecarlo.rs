@@ -70,7 +70,7 @@ use crate::par::{par_map, worker_count};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use robusched_platform::Scenario;
-use robusched_randvar::{derive_seed, QuantileTable, StdRngX4};
+use robusched_randvar::{derive_seed, uniform01_word, QuantileTable, StdRngX4};
 use robusched_sched::{EagerPlan, Schedule};
 
 /// Variance-reduction mode of the Monte-Carlo engine.
@@ -346,16 +346,6 @@ fn assign_slots(steps: &mut [Step], arcs: &mut [InArc]) -> usize {
         arc_start = step.arcs_end as usize;
     }
     rows as usize
-}
-
-/// 53-bit uniform in `[0, 1)` on the concrete chunk RNG (monomorphic, so
-/// the draw loops inline it — the `dyn RngCore` version costs a virtual
-/// call per draw). It consumes one `next_u64`, like the `u53` draws of
-/// [`QuantileTable::fill_row_u53`], and `quantile(u01)` is bit for bit
-/// `quantile_u53` of the same word.
-#[inline]
-fn u01(rng: &mut StdRng) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Shared per-call setup of both entry points: validates the budget and
@@ -692,7 +682,9 @@ fn write_and_read(live: &mut [Row], slot: usize, from: u32, lanes: usize) -> (&m
 }
 
 /// Draws one uncertain slot's duration row, consuming the chunk RNG in the
-/// estimator's canonical order.
+/// estimator's canonical order. Each uniform consumes one `next_u64`, like
+/// the `u53` draws of [`QuantileTable::fill_row_u53`], and
+/// `quantile(uniform01_word(w))` is bit for bit `quantile_u53(w >> 11)`.
 #[inline(always)]
 fn draw_row(
     table: &QuantileTable,
@@ -708,12 +700,12 @@ fn draw_row(
         McEstimator::Antithetic => {
             let pairs = lanes / 2;
             for j in 0..pairs {
-                let u = u01(rng);
+                let u = uniform01_word(rng.next_u64());
                 row[2 * j] = s.lo + s.span * table.quantile(u);
                 row[2 * j + 1] = s.lo + s.span * table.quantile(1.0 - u);
             }
             if lanes % 2 == 1 {
-                row[lanes - 1] = s.lo + s.span * table.quantile(u01(rng));
+                row[lanes - 1] = s.lo + s.span * table.quantile(uniform01_word(rng.next_u64()));
             }
         }
         McEstimator::Stratified => {
@@ -727,7 +719,7 @@ fn draw_row(
                 perm.swap(i, j);
             }
             for (x, &stratum) in row.iter_mut().zip(perm.iter()) {
-                let u = (stratum as f64 + u01(rng)) * inv;
+                let u = (stratum as f64 + uniform01_word(rng.next_u64())) * inv;
                 *x = s.lo + s.span * table.quantile(u);
             }
         }

@@ -15,19 +15,18 @@
 //!   through `Scenario::from_trace` alone, which is what lets found
 //!   counterexamples be committed as WfCommons JSON and re-evaluated later
 //!   ([`SearchPoint::replays_from_trace`]).
-//! * [`Perturbation`] — an object-safe move operator with a registry
-//!   ([`perturbation_registry`] / [`perturbation_by_name`]), mirroring the
-//!   `DropPolicy` registry of `robusched_dynamic`. Each operator is a
-//!   *pure function* of `(point, seed)`: the same inputs yield the same
-//!   proposal bit for bit, which is what keeps the sharded annealing
-//!   chains reproducible at any thread count.
+//! * [`MOVES`] — the move table: ten named moves in a fixed order, each a
+//!   plain function of `(point, seed)` plus a flag saying whether its
+//!   proposals keep [`SearchPoint::replays_from_trace`]. Each move is a
+//!   *pure function*: the same inputs yield the same proposal bit for bit,
+//!   which is what keeps the sharded annealing chains reproducible at any
+//!   thread count.
 //!
-//! ## The operator contract
+//! ## The move contract
 //!
-//! [`Perturbation::apply`] returns `Some(neighbour)` only when the
-//! neighbour's *induced scenario* genuinely differs — i.e.
-//! [`scenario_fingerprint`] changes — and
-//! `None` when no valid move exists for the drawn randomness (e.g. a
+//! A move returns `Some(neighbour)` only when the neighbour's *induced
+//! scenario* genuinely differs — i.e. [`scenario_fingerprint`] changes —
+//! and `None` when no valid move exists for the drawn randomness (e.g. a
 //! rewire that would break acyclicity, a machine removal at the floor).
 //! Structural moves preserve every [`TraceDag`] validity invariant
 //! (acyclicity, finite non-negative weights, positive total work) *and*
@@ -39,7 +38,7 @@
 //! trace → `TaskGraph` conversion renormalizes mean work to the paper's
 //! `μ_task = 20`, so a uniform rescale of every flop count would be a
 //! no-op. Skewing one task (or one edge) at a time is the only scale move
-//! that survives normalization, and the operators verify survival by
+//! that survives normalization, and the moves verify survival by
 //! comparing the normalized work/volume vectors bitwise before reporting
 //! a change.
 
@@ -47,14 +46,14 @@ use crate::scenario_fingerprint;
 use robusched_dag::parsers::TraceDag;
 use robusched_dag::NodeId;
 use robusched_platform::Scenario;
-use robusched_randvar::{derive_seed, SplitMix64};
+use robusched_randvar::{derive_seed, uniform01_word, SplitMix64};
 
 /// The unrelatedness noise `Scenario::from_trace` bakes in (10 %); a
 /// [`SearchPoint`] at this value (and without per-task ULs) replays
 /// through `from_trace` alone.
 pub const DEFAULT_UNRELATEDNESS: f64 = 0.1;
 
-/// Bounds the UL jitter operator: per-task uncertainty levels stay in
+/// Bounds the UL moves: per-task uncertainty levels stay in
 /// `[1 + 1e-6, UL_MAX]`.
 pub const UL_MAX: f64 = 3.0;
 
@@ -64,7 +63,7 @@ pub const SPEED_COV_MAX: f64 = 1.5;
 /// Bounds the unrelatedness nudge: `[0, UNRELATEDNESS_MAX]`.
 pub const UNRELATEDNESS_MAX: f64 = 0.6;
 
-/// Machine-count bounds for the add/remove operators.
+/// Machine-count bounds for the add/remove moves.
 pub const MACHINES_MIN: usize = 2;
 /// Upper machine-count bound (see [`MACHINES_MIN`]).
 pub const MACHINES_MAX: usize = 32;
@@ -129,7 +128,7 @@ impl SearchPoint {
     }
 
     /// The induced scenario's fingerprint (the equality oracle of the
-    /// operator contract).
+    /// move contract).
     pub fn fingerprint(&self) -> u64 {
         scenario_fingerprint(&self.to_scenario())
     }
@@ -143,28 +142,37 @@ impl SearchPoint {
     }
 }
 
-/// A seed-deterministic move operator on [`SearchPoint`]s. Object-safe;
-/// the annealing driver holds `Box<dyn Perturbation>`s from the registry.
-pub trait Perturbation: Send + Sync {
-    /// Registry name (e.g. `"rewire"`, `"task-scale"`).
-    fn name(&self) -> &'static str;
-
+/// One move of the search: its name, whether its proposals keep
+/// [`SearchPoint::replays_from_trace`] intact, and the move itself.
+#[derive(Debug, Clone, Copy)]
+pub struct Move {
+    /// The move's name (e.g. `"rewire"`, `"task-scale"`).
+    pub name: &'static str,
     /// Whether proposals keep [`SearchPoint::replays_from_trace`] intact.
-    /// The gallery search restricts itself to operators answering `true`.
-    fn preserves_from_trace_replay(&self) -> bool {
-        true
-    }
-
-    /// Proposes a neighbour of `point`. Pure in `(point, seed)`; returns
+    /// The gallery search draws from these moves only.
+    pub replayable: bool,
+    /// Proposes a neighbour of a point. Pure in `(point, seed)`; returns
     /// `None` when the drawn move is invalid or would not change the
     /// induced scenario (see the module docs for the full contract).
-    fn apply(&self, point: &SearchPoint, seed: u64) -> Option<SearchPoint>;
+    pub apply: fn(&SearchPoint, u64) -> Option<SearchPoint>,
 }
 
-/// Uniform draw in `[0, 1)` from the top 53 bits.
-fn u01(sm: &mut SplitMix64) -> f64 {
-    (sm.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
+/// Every move, in the fixed order the annealing chain indexes (a chain
+/// picks entry `next_u64() % len` of this table, or of its replayable
+/// entries).
+#[rustfmt::skip]
+pub const MOVES: [Move; 10] = [
+    Move { name: "rewire",         replayable: true,  apply: rewire },
+    Move { name: "task-scale",     replayable: true,  apply: task_scale },
+    Move { name: "edge-scale",     replayable: true,  apply: edge_scale },
+    Move { name: "ul-jitter",      replayable: false, apply: ul_jitter },
+    Move { name: "ul-shift",       replayable: true,  apply: ul_shift },
+    Move { name: "speed-cov",      replayable: true,  apply: speed_cov },
+    Move { name: "unrelatedness",  replayable: false, apply: unrelatedness },
+    Move { name: "machine-add",    replayable: true,  apply: machine_add },
+    Move { name: "machine-remove", replayable: true,  apply: machine_remove },
+    Move { name: "reseed",         replayable: true,  apply: reseed },
+];
 
 /// Uniform index in `0..n` (`n` tiny here, modulo bias immaterial).
 fn index(sm: &mut SplitMix64, n: usize) -> usize {
@@ -183,7 +191,7 @@ fn sign(sm: &mut SplitMix64) -> f64 {
 /// A multiplicative factor log-uniform in `±[lo, hi]` octaves around 1,
 /// never in the dead zone near 1 (so a drawn move is always a real move).
 fn log_factor(sm: &mut SplitMix64, lo: f64, hi: f64) -> f64 {
-    let mag = lo + (hi - lo) * u01(sm);
+    let mag = lo + (hi - lo) * uniform01_word(sm.next_u64());
     (sign(sm) * mag.ln()).exp()
 }
 
@@ -215,8 +223,8 @@ fn trace_changed(a: &TraceDag, b: &TraceDag) -> bool {
             .any(|(x, y)| x.to_bits() != y.to_bits())
 }
 
-/// Rebuilds `point.trace` with one edge's endpoints (or the weight
-/// vectors) replaced; shared by the structural operators.
+/// Rebuilds `point.trace` with new task flops and edge list; shared by
+/// the structural and weight moves.
 fn rebuild_trace(
     point: &SearchPoint,
     flops: impl Fn(NodeId) -> f64,
@@ -242,375 +250,246 @@ fn edge_list(trace: &TraceDag) -> Vec<(NodeId, NodeId, f64)> {
         .collect()
 }
 
-/// Edge rewire: one edge `(u, v)` is replaced by `(u', v')`, preserving
+/// `rewire`: one edge `(u, v)` is replaced by `(u', v')`, preserving
 /// acyclicity and the exact entry/exit node sets (degree floors on all
 /// four endpoints), keeping the edge's byte volume.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EdgeRewire;
-
-impl Perturbation for EdgeRewire {
-    fn name(&self) -> &'static str {
-        "rewire"
+fn rewire(point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
+    let dag = &point.trace.dag;
+    let n = point.trace.task_count();
+    let m = point.trace.edge_count();
+    if m == 0 || n < 2 {
+        return None;
     }
-
-    fn apply(&self, point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
-        let dag = &point.trace.dag;
-        let n = point.trace.task_count();
-        let m = point.trace.edge_count();
-        if m == 0 || n < 2 {
-            return None;
+    let mut sm = SplitMix64::new(derive_seed(seed, 0x5E31));
+    for _ in 0..16 {
+        let e = index(&mut sm, m);
+        let (u, v) = dag.edge_endpoints(e);
+        // Removal must not create a new sink at `u` or source at `v`.
+        if dag.out_degree(u) < 2 || dag.in_degree(v) < 2 {
+            continue;
         }
-        let mut sm = SplitMix64::new(derive_seed(seed, 0x5E31));
-        for _ in 0..16 {
-            let e = index(&mut sm, m);
-            let (u, v) = dag.edge_endpoints(e);
-            // Removal must not create a new sink at `u` or source at `v`.
-            if dag.out_degree(u) < 2 || dag.in_degree(v) < 2 {
-                continue;
-            }
-            let u2 = index(&mut sm, n);
-            let v2 = index(&mut sm, n);
-            if u2 == v2 || dag.edge_between(u2, v2).is_some() {
-                continue;
-            }
-            // Addition must not absorb an existing source/sink: both new
-            // endpoints keep positive degrees in the graph minus `e`.
-            let out_minus = dag.out_degree(u2) - usize::from(u2 == u);
-            let in_minus = dag.in_degree(v2) - usize::from(v2 == v);
-            if out_minus == 0 || in_minus == 0 {
-                continue;
-            }
-            // Conservative acyclicity check on the full graph (a fortiori
-            // valid for the graph minus `e`).
-            if dag.reachable_from(v2)[u2] {
-                continue;
-            }
-            let mut edges = edge_list(&point.trace);
-            edges[e] = (u2, v2, point.trace.edge_bytes[e]);
-            let trace = rebuild_trace(point, |t| point.trace.tasks[t].flops, edges)?;
-            debug_assert!(trace.dag.is_acyclic());
+        let u2 = index(&mut sm, n);
+        let v2 = index(&mut sm, n);
+        if u2 == v2 || dag.edge_between(u2, v2).is_some() {
+            continue;
+        }
+        // Addition must not absorb an existing source/sink: both new
+        // endpoints keep positive degrees in the graph minus `e`.
+        let out_minus = dag.out_degree(u2) - usize::from(u2 == u);
+        let in_minus = dag.in_degree(v2) - usize::from(v2 == v);
+        if out_minus == 0 || in_minus == 0 {
+            continue;
+        }
+        // Conservative acyclicity check on the full graph (a fortiori
+        // valid for the graph minus `e`).
+        if dag.reachable_from(v2)[u2] {
+            continue;
+        }
+        let mut edges = edge_list(&point.trace);
+        edges[e] = (u2, v2, point.trace.edge_bytes[e]);
+        let trace = rebuild_trace(point, |t| point.trace.tasks[t].flops, edges)?;
+        debug_assert!(trace.dag.is_acyclic());
+        return Some(SearchPoint {
+            trace,
+            ..point.clone()
+        });
+    }
+    None
+}
+
+/// The weight moves' shared step: draws the index `i` of one of `len`
+/// weights, then a log-uniform factor `f` in `±[1.5, 8]×`, and rebuilds
+/// the trace with `skewed(i, f)`; a zero weight or a change that the
+/// mean-work normalization swallows is redrawn, up to eight draws.
+fn skew_one(
+    point: &SearchPoint,
+    seed: u64,
+    tag: u64,
+    len: usize,
+    weight: impl Fn(usize) -> f64,
+    skewed: impl Fn(usize, f64) -> Option<TraceDag>,
+) -> Option<SearchPoint> {
+    if len == 0 {
+        return None;
+    }
+    let mut sm = SplitMix64::new(derive_seed(seed, tag));
+    for _ in 0..8 {
+        let i = index(&mut sm, len);
+        let f = log_factor(&mut sm, 1.5, 8.0);
+        if weight(i) <= 0.0 {
+            continue;
+        }
+        let trace = skewed(i, f)?;
+        if trace_changed(&point.trace, &trace) {
             return Some(SearchPoint {
                 trace,
                 ..point.clone()
             });
         }
-        None
     }
+    None
 }
 
-/// Task-weight scale: one task's flop count is multiplied by a log-uniform
+/// `task-scale`: one task's flop count is multiplied by a log-uniform
 /// factor in `±[1.5, 8]×`, skewing the trace's *relative* sizes (absolute
 /// scale is normalized away — see the module docs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TaskScale;
-
-impl Perturbation for TaskScale {
-    fn name(&self) -> &'static str {
-        "task-scale"
+fn task_scale(point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
+    let n = point.trace.task_count();
+    if n < 2 {
+        return None;
     }
-
-    fn apply(&self, point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
-        let n = point.trace.task_count();
-        if n < 2 {
-            return None;
-        }
-        let mut sm = SplitMix64::new(derive_seed(seed, 0x7A5C));
-        for _ in 0..8 {
-            let t = index(&mut sm, n);
-            let f = log_factor(&mut sm, 1.5, 8.0);
-            if point.trace.tasks[t].flops <= 0.0 {
-                continue;
-            }
-            let trace = rebuild_trace(
-                point,
-                |v| {
-                    if v == t {
-                        point.trace.tasks[v].flops * f
-                    } else {
-                        point.trace.tasks[v].flops
-                    }
-                },
-                edge_list(&point.trace),
-            )?;
-            if !trace_changed(&point.trace, &trace) {
-                continue;
-            }
-            return Some(SearchPoint {
-                trace,
-                ..point.clone()
-            });
-        }
-        None
-    }
+    let flops = |v: NodeId| point.trace.tasks[v].flops;
+    skew_one(point, seed, 0x7A5C, n, flops, |t, f| {
+        let skewed = |v| if v == t { flops(v) * f } else { flops(v) };
+        rebuild_trace(point, skewed, edge_list(&point.trace))
+    })
 }
 
-/// Edge-weight scale: one edge's byte volume is multiplied by a
-/// log-uniform factor in `±[1.5, 8]×`, skewing the trace's communication
-/// profile (and its realized CCR).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EdgeScale;
-
-impl Perturbation for EdgeScale {
-    fn name(&self) -> &'static str {
-        "edge-scale"
-    }
-
-    fn apply(&self, point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
-        let m = point.trace.edge_count();
-        if m == 0 {
-            return None;
-        }
-        let mut sm = SplitMix64::new(derive_seed(seed, 0xED5C));
-        for _ in 0..8 {
-            let e = index(&mut sm, m);
-            let f = log_factor(&mut sm, 1.5, 8.0);
-            if point.trace.edge_bytes[e] <= 0.0 {
-                continue;
-            }
-            let mut edges = edge_list(&point.trace);
-            edges[e].2 *= f;
-            let trace = rebuild_trace(point, |v| point.trace.tasks[v].flops, edges)?;
-            if !trace_changed(&point.trace, &trace) {
-                continue;
-            }
-            return Some(SearchPoint {
-                trace,
-                ..point.clone()
-            });
-        }
-        None
-    }
+/// `edge-scale`: one edge's byte volume is multiplied by a log-uniform
+/// factor in `±[1.5, 8]×`, skewing the trace's communication profile
+/// (and its realized CCR).
+fn edge_scale(point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
+    let m = point.trace.edge_count();
+    let bytes = |e: usize| point.trace.edge_bytes[e];
+    skew_one(point, seed, 0xED5C, m, bytes, |e, f| {
+        let mut edges = edge_list(&point.trace);
+        edges[e].2 *= f;
+        rebuild_trace(point, |v| point.trace.tasks[v].flops, edges)
+    })
 }
 
-/// Per-task UL jitter: one task's uncertainty level is multiplied by a
+/// `ul-jitter`: one task's uncertainty level is multiplied by a
 /// log-uniform factor in `±[1.05, 1.6]×` and clamped to
 /// `[1 + 1e-6, UL_MAX]` (the variable-UL extension). Initializes the
 /// per-task vector from the global level on first use. Proposals no
 /// longer replay through `from_trace` (the vector is not part of the
-/// WfCommons file), so the gallery search excludes this operator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UlJitter;
-
-impl Perturbation for UlJitter {
-    fn name(&self) -> &'static str {
-        "ul-jitter"
-    }
-
-    fn preserves_from_trace_replay(&self) -> bool {
-        false
-    }
-
-    fn apply(&self, point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
-        let n = point.trace.task_count();
-        let mut sm = SplitMix64::new(derive_seed(seed, 0x01_1E77));
-        let base = point
-            .per_task_ul
-            .clone()
-            .unwrap_or_else(|| vec![point.ul; n]);
-        for _ in 0..8 {
-            let t = index(&mut sm, n);
-            let f = log_factor(&mut sm, 1.05, 1.6);
-            let new_ul = (base[t] * f).clamp(1.0 + 1e-6, UL_MAX);
-            if new_ul.to_bits() == base[t].to_bits() {
-                continue;
-            }
-            let mut uls = base.clone();
-            uls[t] = new_ul;
-            return Some(SearchPoint {
-                per_task_ul: Some(uls),
-                ..point.clone()
-            });
+/// WfCommons file), so the gallery search excludes this move.
+fn ul_jitter(point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
+    let n = point.trace.task_count();
+    let mut sm = SplitMix64::new(derive_seed(seed, 0x01_1E77));
+    let base = point
+        .per_task_ul
+        .clone()
+        .unwrap_or_else(|| vec![point.ul; n]);
+    for _ in 0..8 {
+        let t = index(&mut sm, n);
+        let f = log_factor(&mut sm, 1.05, 1.6);
+        let new_ul = (base[t] * f).clamp(1.0 + 1e-6, UL_MAX);
+        if new_ul.to_bits() == base[t].to_bits() {
+            continue;
         }
-        None
+        let mut uls = base.clone();
+        uls[t] = new_ul;
+        return Some(SearchPoint {
+            per_task_ul: Some(uls),
+            ..point.clone()
+        });
     }
+    None
 }
 
-/// Global-UL nudge: the scenario-wide uncertainty level is multiplied by a
-/// log-uniform factor in `±[1.02, 1.5]×` on its excess over 1 (so UL 1.01
+/// `ul-shift`: the scenario-wide uncertainty level is multiplied by a
+/// log-uniform factor in `±[1.2, 4]×` on its excess over 1 (so UL 1.01
 /// moves in percent-scale steps, UL 2 in large ones), clamped to
 /// `[1 + 1e-6, UL_MAX]`. Replays through `from_trace` — the gallery
 /// search's uncertainty knob.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UlShift;
-
-impl Perturbation for UlShift {
-    fn name(&self) -> &'static str {
-        "ul-shift"
+fn ul_shift(point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
+    if point.per_task_ul.is_some() {
+        // The global level is inert once a per-task vector exists.
+        return None;
     }
-
-    fn apply(&self, point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
-        if point.per_task_ul.is_some() {
-            // The global level is inert once a per-task vector exists.
-            return None;
-        }
-        let mut sm = SplitMix64::new(derive_seed(seed, 0x01_5817));
-        let f = log_factor(&mut sm, 1.2, 4.0);
-        let ul = (1.0 + (point.ul - 1.0) * f).clamp(1.0 + 1e-6, UL_MAX);
-        if ul.to_bits() == point.ul.to_bits() {
-            return None;
-        }
-        Some(SearchPoint {
-            ul,
-            ..point.clone()
-        })
+    let mut sm = SplitMix64::new(derive_seed(seed, 0x01_5817));
+    let f = log_factor(&mut sm, 1.2, 4.0);
+    let ul = (1.0 + (point.ul - 1.0) * f).clamp(1.0 + 1e-6, UL_MAX);
+    if ul.to_bits() == point.ul.to_bits() {
+        return None;
     }
+    Some(SearchPoint {
+        ul,
+        ..point.clone()
+    })
 }
 
-/// Speed-CoV nudge: the platform's speed heterogeneity moves by a uniform
+/// The platform nudges' shared step: moves `value` by a uniform
+/// `±[lo, lo + span]` step (the sign drawn first, then the step size)
+/// and clamps it to `[0, max]`; when the clamp lands back on `value`,
+/// the mirrored step is tried.
+fn nudge(value: f64, seed: u64, tag: u64, lo: f64, span: f64, max: f64) -> Option<f64> {
+    let mut sm = SplitMix64::new(derive_seed(seed, tag));
+    let step = sign(&mut sm) * (lo + span * uniform01_word(sm.next_u64()));
+    [value + step, value - step]
+        .into_iter()
+        .map(|candidate| candidate.clamp(0.0, max))
+        .find(|moved| moved.to_bits() != value.to_bits())
+}
+
+/// `speed-cov`: the platform's speed heterogeneity moves by a uniform
 /// `±[0.05, 0.3]` step, clamped to `[0, SPEED_COV_MAX]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpeedCovNudge;
-
-impl Perturbation for SpeedCovNudge {
-    fn name(&self) -> &'static str {
-        "speed-cov"
-    }
-
-    fn apply(&self, point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
-        let mut sm = SplitMix64::new(derive_seed(seed, 0x5C0F));
-        let step = sign(&mut sm) * (0.05 + 0.25 * u01(&mut sm));
-        for candidate in [point.speed_cov + step, point.speed_cov - step] {
-            let cov = candidate.clamp(0.0, SPEED_COV_MAX);
-            if cov.to_bits() != point.speed_cov.to_bits() {
-                return Some(SearchPoint {
-                    speed_cov: cov,
-                    ..point.clone()
-                });
-            }
-        }
-        None
-    }
+fn speed_cov(point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
+    let speed_cov = nudge(point.speed_cov, seed, 0x5C0F, 0.05, 0.25, SPEED_COV_MAX)?;
+    Some(SearchPoint {
+        speed_cov,
+        ..point.clone()
+    })
 }
 
-/// Unrelatedness nudge: the cost matrix's unrelatedness noise moves by a
+/// `unrelatedness`: the cost matrix's unrelatedness noise moves by a
 /// uniform `±[0.02, 0.15]` step, clamped to `[0, UNRELATEDNESS_MAX]`.
-/// Off the 10 % default the point no longer replays through `from_trace`,
-/// so the gallery search excludes this operator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnrelatednessNudge;
-
-impl Perturbation for UnrelatednessNudge {
-    fn name(&self) -> &'static str {
-        "unrelatedness"
-    }
-
-    fn preserves_from_trace_replay(&self) -> bool {
-        false
-    }
-
-    fn apply(&self, point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
-        let mut sm = SplitMix64::new(derive_seed(seed, 0x0B5E));
-        let step = sign(&mut sm) * (0.02 + 0.13 * u01(&mut sm));
-        for candidate in [point.unrelatedness + step, point.unrelatedness - step] {
-            let unrelatedness = candidate.clamp(0.0, UNRELATEDNESS_MAX);
-            if unrelatedness.to_bits() != point.unrelatedness.to_bits() {
-                return Some(SearchPoint {
-                    unrelatedness,
-                    ..point.clone()
-                });
-            }
-        }
-        None
-    }
+/// Off the 10 % default the point no longer replays through
+/// `from_trace`, so the gallery search excludes this move.
+fn unrelatedness(point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
+    let unrelatedness = nudge(
+        point.unrelatedness,
+        seed,
+        0x0B5E,
+        0.02,
+        0.13,
+        UNRELATEDNESS_MAX,
+    )?;
+    Some(SearchPoint {
+        unrelatedness,
+        ..point.clone()
+    })
 }
 
-/// Machine add: one more machine (up to [`MACHINES_MAX`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MachineAdd;
-
-impl Perturbation for MachineAdd {
-    fn name(&self) -> &'static str {
-        "machine-add"
+/// `machine-add`: one more machine (up to [`MACHINES_MAX`]).
+fn machine_add(point: &SearchPoint, _seed: u64) -> Option<SearchPoint> {
+    if point.machines >= MACHINES_MAX {
+        return None;
     }
-
-    fn apply(&self, point: &SearchPoint, _seed: u64) -> Option<SearchPoint> {
-        if point.machines >= MACHINES_MAX {
-            return None;
-        }
-        Some(SearchPoint {
-            machines: point.machines + 1,
-            ..point.clone()
-        })
-    }
+    Some(SearchPoint {
+        machines: point.machines + 1,
+        ..point.clone()
+    })
 }
 
-/// Machine remove: one machine fewer (down to [`MACHINES_MIN`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MachineRemove;
-
-impl Perturbation for MachineRemove {
-    fn name(&self) -> &'static str {
-        "machine-remove"
+/// `machine-remove`: one machine fewer (down to [`MACHINES_MIN`]).
+fn machine_remove(point: &SearchPoint, _seed: u64) -> Option<SearchPoint> {
+    if point.machines <= MACHINES_MIN {
+        return None;
     }
-
-    fn apply(&self, point: &SearchPoint, _seed: u64) -> Option<SearchPoint> {
-        if point.machines <= MACHINES_MIN {
-            return None;
-        }
-        Some(SearchPoint {
-            machines: point.machines - 1,
-            ..point.clone()
-        })
-    }
+    Some(SearchPoint {
+        machines: point.machines - 1,
+        ..point.clone()
+    })
 }
 
-/// Platform reseed: a fresh realization seed for the speed vector and
-/// cost noise — a jump move between platforms with identical knobs.
-/// Returns `None` on a fully deterministic platform (zero speed CoV *and*
-/// zero unrelatedness), where the seed is inert.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PlatformReseed;
-
-impl Perturbation for PlatformReseed {
-    fn name(&self) -> &'static str {
-        "reseed"
+/// `reseed`: a fresh realization seed for the speed vector and cost
+/// noise — a jump move between platforms with identical knobs. Returns
+/// `None` on a fully deterministic platform (zero speed CoV *and* zero
+/// unrelatedness), where the seed is inert.
+fn reseed(point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
+    if point.speed_cov == 0.0 && point.unrelatedness == 0.0 {
+        return None;
     }
-
-    fn apply(&self, point: &SearchPoint, seed: u64) -> Option<SearchPoint> {
-        if point.speed_cov == 0.0 && point.unrelatedness == 0.0 {
-            return None;
-        }
-        let new_seed = derive_seed(seed, 0x5EED);
-        if new_seed == point.seed {
-            return None;
-        }
-        Some(SearchPoint {
-            seed: new_seed,
-            ..point.clone()
-        })
+    let new_seed = derive_seed(seed, 0x5EED);
+    if new_seed == point.seed {
+        return None;
     }
-}
-
-/// All registered perturbations, in a fixed order.
-pub fn perturbation_registry() -> Vec<Box<dyn Perturbation>> {
-    vec![
-        Box::new(EdgeRewire),
-        Box::new(TaskScale),
-        Box::new(EdgeScale),
-        Box::new(UlJitter),
-        Box::new(UlShift),
-        Box::new(SpeedCovNudge),
-        Box::new(UnrelatednessNudge),
-        Box::new(MachineAdd),
-        Box::new(MachineRemove),
-        Box::new(PlatformReseed),
-    ]
-}
-
-/// The subset whose proposals keep [`SearchPoint::replays_from_trace`]
-/// intact — the gallery search's move set.
-pub fn replayable_perturbations() -> Vec<Box<dyn Perturbation>> {
-    perturbation_registry()
-        .into_iter()
-        .filter(|p| p.preserves_from_trace_replay())
-        .collect()
-}
-
-/// Resolves a perturbation by registry name. `None` for unknown names.
-pub fn perturbation_by_name(name: &str) -> Option<Box<dyn Perturbation>> {
-    perturbation_registry()
-        .into_iter()
-        .find(|p| p.name() == name)
+    Some(SearchPoint {
+        seed: new_seed,
+        ..point.clone()
+    })
 }
 
 #[cfg(test)]
@@ -629,23 +508,19 @@ mod tests {
     }
 
     #[test]
-    fn registry_names_unique_and_resolvable() {
-        let reg = perturbation_registry();
-        let mut names: Vec<&str> = reg.iter().map(|p| p.name()).collect();
+    fn move_names_are_unique() {
+        let mut names: Vec<&str> = MOVES.iter().map(|mv| mv.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), reg.len(), "duplicate perturbation names");
-        for p in &reg {
-            assert!(perturbation_by_name(p.name()).is_some());
-        }
-        assert!(perturbation_by_name("nope").is_none());
+        assert_eq!(names.len(), MOVES.len(), "duplicate move names");
     }
 
     #[test]
     fn replayable_subset_excludes_ul_jitter_and_unrelatedness() {
-        let names: Vec<&str> = replayable_perturbations()
+        let names: Vec<&str> = MOVES
             .iter()
-            .map(|p| p.name())
+            .filter(|mv| mv.replayable)
+            .map(|mv| mv.name)
             .collect();
         assert!(!names.contains(&"ul-jitter"));
         assert!(!names.contains(&"unrelatedness"));
@@ -667,33 +542,31 @@ mod tests {
     }
 
     #[test]
-    fn every_operator_changes_the_fingerprint_when_it_reports_a_change() {
+    fn every_move_changes_the_fingerprint_when_it_reports_a_change() {
         let p = point();
         let fp = p.fingerprint();
         let mut applied = 0;
-        for op in perturbation_registry() {
+        for mv in &MOVES {
             for seed in 0..8u64 {
-                if let Some(q) = op.apply(&p, seed) {
+                if let Some(q) = (mv.apply)(&p, seed) {
                     applied += 1;
-                    assert_ne!(fp, q.fingerprint(), "{} produced a no-op", op.name());
+                    assert_ne!(fp, q.fingerprint(), "{} produced a no-op", mv.name);
                 }
             }
         }
-        assert!(applied > 0, "no operator ever applied");
+        assert!(applied > 0, "no move ever applied");
     }
 
     #[test]
-    fn operators_are_seed_deterministic() {
+    fn moves_are_seed_deterministic() {
         let p = point();
-        for op in perturbation_registry() {
-            let a = op.apply(&p, 42);
-            let b = op.apply(&p, 42);
-            match (a, b) {
+        for mv in &MOVES {
+            match ((mv.apply)(&p, 42), (mv.apply)(&p, 42)) {
                 (None, None) => {}
                 (Some(x), Some(y)) => {
-                    assert_eq!(x.fingerprint(), y.fingerprint(), "{}", op.name())
+                    assert_eq!(x.fingerprint(), y.fingerprint(), "{}", mv.name)
                 }
-                _ => panic!("{} not deterministic", op.name()),
+                _ => panic!("{} not deterministic", mv.name),
             }
         }
     }
@@ -705,7 +578,7 @@ mod tests {
         let exits = p.trace.dag.exit_nodes();
         let mut seen = 0;
         for seed in 0..64u64 {
-            if let Some(q) = EdgeRewire.apply(&p, seed) {
+            if let Some(q) = rewire(&p, seed) {
                 seen += 1;
                 assert!(q.trace.dag.is_acyclic());
                 assert_eq!(q.trace.dag.entry_nodes(), entries);
@@ -720,11 +593,11 @@ mod tests {
     fn machine_bounds_are_respected() {
         let mut p = point();
         p.machines = MACHINES_MAX;
-        assert!(MachineAdd.apply(&p, 0).is_none());
+        assert!(machine_add(&p, 0).is_none());
         p.machines = MACHINES_MIN;
-        assert!(MachineRemove.apply(&p, 0).is_none());
+        assert!(machine_remove(&p, 0).is_none());
         p.machines = 4;
-        assert_eq!(MachineAdd.apply(&p, 0).unwrap().machines, 5);
-        assert_eq!(MachineRemove.apply(&p, 0).unwrap().machines, 3);
+        assert_eq!(machine_add(&p, 0).unwrap().machines, 5);
+        assert_eq!(machine_remove(&p, 0).unwrap().machines, 3);
     }
 }

@@ -1,5 +1,5 @@
-//! Property tests for the adversarial perturbation layer: every operator
-//! applied to random search points
+//! Property tests for the adversarial perturbation layer: every entry of
+//! the move table applied to random search points
 //!
 //! * preserves the validity invariants — the trace stays acyclic with the
 //!   *same* entry/exit node sets (a single-source/single-sink workflow
@@ -11,16 +11,16 @@
 //! * is seed-deterministic: the same `(point, seed)` yields a bit-identical
 //!   proposal.
 //!
-//! Points are diversified by chaining a few registry moves before
-//! checking, so operators are also exercised on already-perturbed states
-//! (e.g. `ul-jitter` on an existing per-task vector).
+//! Points are diversified by chaining a few table moves before checking,
+//! so moves are also exercised on already-perturbed states (e.g.
+//! `ul-jitter` on an existing per-task vector).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use robusched_dag::parsers::dot::parse_dot;
 use robusched_dag::parsers::TraceDag;
-use robusched_stochastic::perturb::{perturbation_registry, SearchPoint, MACHINES_MIN, UL_MAX};
+use robusched_stochastic::perturb::{SearchPoint, MACHINES_MIN, MOVES, UL_MAX};
 use robusched_stochastic::scenario_fingerprint;
 
 /// A random layered trace (same generator idiom as the parser proptests).
@@ -44,8 +44,8 @@ fn random_trace(n: usize, density: f64, seed: u64) -> TraceDag {
     parse_dot(&doc, "random").expect("generated DOT is valid")
 }
 
-/// A random start point, walked `warm` registry moves away from its
-/// pristine state.
+/// A random start point, walked `warm` table moves away from its pristine
+/// state.
 fn random_point(n: usize, density: f64, seed: u64, warm: usize) -> SearchPoint {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37);
     let mut point = SearchPoint::from_trace(
@@ -55,10 +55,9 @@ fn random_point(n: usize, density: f64, seed: u64, warm: usize) -> SearchPoint {
         rng.gen_range(1.001..2.0),
         rng.gen_range(0u64..u64::MAX),
     );
-    let ops = perturbation_registry();
     for step in 0..warm {
-        let op = &ops[rng.gen_range(0..ops.len())];
-        if let Some(next) = op.apply(&point, seed.wrapping_add(step as u64)) {
+        let mv = &MOVES[rng.gen_range(0..MOVES.len())];
+        if let Some(next) = (mv.apply)(&point, seed.wrapping_add(step as u64)) {
             point = next;
         }
     }
@@ -134,17 +133,17 @@ proptest! {
         let fp = point.fingerprint();
         // The point itself is valid (materializes without panicking).
         let _ = point.to_scenario();
-        for op in perturbation_registry() {
-            for op_seed in 0..3u64 {
-                let Some(next) = op.apply(&point, seed.wrapping_mul(3).wrapping_add(op_seed))
+        for mv in &MOVES {
+            for move_seed in 0..3u64 {
+                let Some(next) = (mv.apply)(&point, seed.wrapping_mul(3).wrapping_add(move_seed))
                 else {
                     continue;
                 };
-                assert_valid(&point, &next, op.name())?;
+                assert_valid(&point, &next, mv.name)?;
                 prop_assert!(
                     fp != next.fingerprint(),
                     "{} reported a change without moving the scenario",
-                    op.name()
+                    mv.name
                 );
             }
         }
@@ -158,9 +157,9 @@ proptest! {
         warm in 0usize..4,
     ) {
         let point = random_point(n, density, seed, warm);
-        for op in perturbation_registry() {
-            let a = op.apply(&point, seed);
-            let b = op.apply(&point, seed);
+        for mv in &MOVES {
+            let a = (mv.apply)(&point, seed);
+            let b = (mv.apply)(&point, seed);
             match (a, b) {
                 (None, None) => {}
                 (Some(x), Some(y)) => {
@@ -169,7 +168,7 @@ proptest! {
                         scenario_fingerprint(&x.to_scenario()),
                         scenario_fingerprint(&y.to_scenario()),
                         "{} not deterministic",
-                        op.name()
+                        mv.name
                     );
                     prop_assert_eq!(x.machines, y.machines);
                     prop_assert_eq!(x.speed_cov.to_bits(), y.speed_cov.to_bits());
@@ -180,7 +179,7 @@ proptest! {
                 _ => {
                     return Err(TestCaseError::fail(format!(
                         "{} Some/None flipped between runs",
-                        op.name()
+                        mv.name
                     )));
                 }
             }
@@ -193,7 +192,7 @@ proptest! {
         density in 0.1f64..0.5,
         seed in 20_000u64..30_000,
     ) {
-        // A pristine from_trace point walked only through replayable ops
+        // A pristine from_trace point walked only through replayable moves
         // must keep the from_trace replay property at every step.
         let mut point = SearchPoint::from_trace(
             random_trace(n, density, seed),
@@ -202,13 +201,13 @@ proptest! {
             1.1,
             seed,
         );
-        let ops = robusched_stochastic::perturb::replayable_perturbations();
+        let moves: Vec<_> = MOVES.iter().filter(|mv| mv.replayable).collect();
         for step in 0..6u64 {
-            let op = &ops[(seed.wrapping_add(step) % ops.len() as u64) as usize];
-            if let Some(next) = op.apply(&point, seed.wrapping_add(100 + step)) {
+            let mv = moves[(seed.wrapping_add(step) % moves.len() as u64) as usize];
+            if let Some(next) = (mv.apply)(&point, seed.wrapping_add(100 + step)) {
                 point = next;
             }
-            prop_assert!(point.replays_from_trace(), "{} broke replayability", op.name());
+            prop_assert!(point.replays_from_trace(), "{} broke replayability", mv.name);
         }
     }
 }

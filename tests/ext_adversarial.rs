@@ -9,8 +9,8 @@
 
 use robusched::core::adversarial::CLUSTER_THRESHOLD;
 use robusched::core::{
-    metric_index, pearson_matrix, spearman_matrix, ClusterDeficit, MetricValues, Objective,
-    RankGap, StudyBuilder, METRIC_LABELS,
+    metric_index, pearson_matrix, spearman_matrix, MetricValues, Objective, StudyBuilder,
+    METRIC_LABELS,
 };
 use robusched::dag::parsers::wfcommons::parse_wfcommons;
 use robusched::experiments::ext::adversarial;
@@ -46,7 +46,7 @@ fn ext_adversarial_smoke_run_locks_summary_schema() {
     for (line, chain) in lines[1..].iter().zip(&a.chains) {
         let fields: Vec<&str> = line.split(',').collect();
         assert_eq!(fields.len(), columns, "{line}");
-        assert_eq!(fields[0], chain.objective);
+        assert_eq!(fields[0], chain.objective.name());
         assert_eq!(fields[1].parse::<usize>().unwrap(), chain.chain);
         assert!(fields[2] == "replayable" || fields[2] == "full");
         // The scenario knobs replay: shortest-roundtrip floats and seeds.
@@ -157,7 +157,9 @@ fn streamed_objectives_match_two_pass_recomputation() {
         metric_index("rel_prob"),
     );
 
-    let rank = RankGap.evaluate(&scenario, schedules, seed).unwrap();
+    let rank = Objective::RankGap
+        .evaluate(&scenario, schedules, seed)
+        .unwrap();
     let streamed_spearman = 1.0 - rank.score;
     assert!(
         (streamed_spearman - spearman.get(i_std, i_rel)).abs() <= 1e-12,
@@ -166,7 +168,9 @@ fn streamed_objectives_match_two_pass_recomputation() {
         spearman.get(i_std, i_rel)
     );
 
-    let cluster = ClusterDeficit.evaluate(&scenario, schedules, seed).unwrap();
+    let cluster = Objective::ClusterDeficit
+        .evaluate(&scenario, schedules, seed)
+        .unwrap();
     for (streamed, j) in [
         (cluster.p_std_lateness, i_lat),
         (cluster.p_std_absprob, i_abs),
