@@ -69,7 +69,7 @@ use robusched_platform::Scenario;
 use robusched_sched::Schedule;
 use robusched_stochastic::par::{panic_message, worker_count};
 use robusched_stochastic::{
-    evaluator_by_name, scenario_fingerprint, EvalContext, Evaluator, PreparedScenario,
+    evaluator_by_name, scenario_fingerprint, EvalContext, Evaluator, Fnv1a, PreparedScenario,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -299,28 +299,21 @@ impl Shared {
 /// ⇒ bit-identical responses (64-bit collisions are ignored, as in every
 /// fingerprint cache of this workspace).
 fn request_fingerprint(scenario_fp: u64, req: &EvalRequest, evaluator: &str) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |bits: u64| {
-        for shift in (0..64).step_by(8) {
-            h ^= (bits >> shift) & 0xff;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    mix(scenario_fp);
+    let mut h = Fnv1a::default();
+    h.mix(scenario_fp);
     for &p in req.schedule.assignment() {
-        mix(p as u64);
+        h.mix(p as u64);
     }
     for p in 0..req.schedule.machine_count() {
-        mix(!0); // machine separator
+        h.mix(!0); // machine separator
         for &t in req.schedule.order_on(p) {
-            mix(t as u64);
+            h.mix(t as u64);
         }
     }
     for b in evaluator.bytes() {
-        mix(b as u64);
+        h.mix(b as u64);
     }
-    h
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------

@@ -172,6 +172,9 @@ pub enum SimError {
     /// A Poisson arrival stream's rate, computed from a load level, is
     /// not finite and positive (a `PoissonStream` would refuse it).
     ArrivalRate,
+    /// An arrival's time is not finite: a positive rate so small that an
+    /// interarrival time overflows, or a replayed arrival at ±∞ or NaN.
+    ArrivalTime,
 }
 
 impl std::fmt::Display for SimError {
@@ -194,6 +197,7 @@ impl std::fmt::Display for SimError {
                  transient faults allow at most {max} failures per task"
             ),
             Self::ArrivalRate => write!(f, "arrival rate is not a finite positive number"),
+            Self::ArrivalTime => write!(f, "arrival time is not finite"),
         }
     }
 }
@@ -698,6 +702,9 @@ impl<'r> RunState<'r> {
     /// and ask the policy to admit it. An admitted instance queues its
     /// entry tasks and arms its deadline reaper.
     fn arrive(&mut self, arrival: Arrival) -> Result<(), SimError> {
+        if !arrival.time.is_finite() {
+            return Err(SimError::ArrivalTime);
+        }
         let tasks = arrival.scenario.task_count();
         if tasks > TRANSIENT_MAX_TASKS && self.sim.fault.transient_probability() > 0.0 {
             return Err(SimError::TooManyTasks {
@@ -845,30 +852,33 @@ impl<'r> RunState<'r> {
         let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, idx as u64 + 1));
         let base = state.tables.base();
         // Fixed sampling order (tasks 0..n, then edges 0..e) with the
-        // Monte-Carlo engine's affine formula `w + (UL−1)·w·Q(u53)`. With
-        // no uncertainty (or zero weight) the duration is exactly the
-        // deterministic cost — the zero-uncertainty equivalence tests rely
-        // on this bit-level identity.
-        let sample = |w: f64, ul: f64, rng: &mut StdRng| -> f64 {
+        // scenario's draw rule `w + span·Q(u53)`. With no uncertainty (or
+        // zero weight) the duration is exactly the deterministic cost —
+        // the zero-uncertainty equivalence tests rely on this bit-level
+        // identity.
+        let sample = |(w, span): (f64, f64), ul: f64, rng: &mut StdRng| -> f64 {
             match base {
                 Some(table) if w > 0.0 && ul > 1.0 => {
-                    w + (ul - 1.0) * w * table.quantile_u53(rng.next_u64() >> 11)
+                    w + span * table.quantile_u53(rng.next_u64() >> 11)
                 }
                 _ => w,
             }
         };
         let task_dur: Vec<f64> = (0..n)
             .map(|v| {
-                let w = scenario.det_task_cost(v, state.schedule.machine_of(v));
-                sample(w, scenario.task_ul(v), &mut rng)
+                let rule = scenario.task_affine(v, state.schedule.machine_of(v));
+                sample(rule, scenario.task_ul(v), &mut rng)
             })
             .collect();
         let comm_dur: Vec<f64> = (0..edges)
             .map(|e| {
                 let (u, v) = scenario.graph.dag.edge_endpoints(e);
                 let (pu, pv) = (state.schedule.machine_of(u), state.schedule.machine_of(v));
-                let w = scenario.det_comm_cost(e, pu, pv);
-                sample(w, scenario.uncertainty.ul, &mut rng)
+                sample(
+                    scenario.comm_affine(e, pu, pv),
+                    scenario.uncertainty.ul,
+                    &mut rng,
+                )
             })
             .collect();
         let pending: Vec<usize> = (0..n)

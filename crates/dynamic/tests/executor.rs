@@ -211,6 +211,24 @@ fn unknown_heuristic_and_machine_mismatch_error() {
 }
 
 #[test]
+fn arrivals_at_times_that_are_not_finite_error() {
+    let s = Arc::new(Scenario::paper_random(8, 3, 1.1, 1));
+    let sim = DynamicSim::new(&NeverDrop, SimConfig::default());
+    for late in [f64::INFINITY, f64::NAN] {
+        // The first arrival runs to completion before the second one.
+        let arrivals = [0.0, late].map(|time| Arrival {
+            time,
+            scenario: s.clone(),
+        });
+        let mut stream = ReplayStream::new(arrivals.to_vec());
+        assert_eq!(sim.run(&mut stream).err(), Some(SimError::ArrivalTime));
+    }
+    // A positive subnormal rate: every interarrival time overflows.
+    let mut stream = PoissonStream::new(vec![s], 1e-320, 5, 7);
+    assert_eq!(sim.run(&mut stream).err(), Some(SimError::ArrivalTime));
+}
+
+#[test]
 fn fresh_arcs_share_state_with_interned_scenarios_bit_for_bit() {
     // The executor finds scenario state by `Arc` identity and falls back
     // to the content fingerprint. A stream whose every arrival carries a

@@ -1138,4 +1138,33 @@ mod tests {
         // Same spec, same answer: the simulation is deterministic.
         assert_eq!(lines[5].get("dynamic"), lines[0].get("dynamic"));
     }
+
+    #[test]
+    fn an_interarrival_time_that_overflows_errors_in_stream() {
+        // A positive `oversub` so small that the rate is subnormal: every
+        // arrival would land at t = ∞.
+        let input = concat!(
+            r#"{"id":2,"dynamic":{"oversub":1e-320,"instances":5}}"#,
+            "\n",
+            r#"{"id": 3, "dynamic": {"instances": 2}}"#,
+            "\n",
+        );
+        let mut output = Vec::new();
+        let opts = RunOptions {
+            threads: Some(2),
+            out_dir: None,
+            ..Default::default()
+        };
+        serve_streams(input.as_bytes(), &mut output, &opts).unwrap();
+        let lines: Vec<Json> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| parse_json(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0].get("ok"), Some(&Json::Bool(false)));
+        let error = lines[0].get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("arrival time is not finite"), "{error}");
+        assert_eq!(lines[1].get("ok"), Some(&Json::Bool(true)));
+    }
 }

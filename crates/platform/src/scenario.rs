@@ -231,6 +231,29 @@ impl Scenario {
         self.platform.comm_time(self.graph.volume(e), p, q)
     }
 
+    /// The draw rule of task `i` on machine `p`: `(lo, span) = (w,
+    /// (UL−1)·w)`, with `w` the deterministic cost and `UL` the task's own
+    /// level, so that a duration is `lo + span·Q(u)` over `[w, UL·w]` (§II
+    /// of the paper), `Q` being the quantile table of the family's
+    /// unit-support base shape. The Monte-Carlo engine, the criticality
+    /// estimator and the online simulator all draw through this rule and
+    /// [`Scenario::comm_affine`]; a family without a base shape
+    /// ([`crate::UncertaintyKind::None`]) draws nothing whatever the span.
+    #[inline]
+    pub fn task_affine(&self, i: NodeId, p: usize) -> (f64, f64) {
+        let w = self.det_task_cost(i, p);
+        (w, (self.task_ul(i) - 1.0) * w)
+    }
+
+    /// The draw rule of edge `e` on machine pair `(p, q)`: `(w, (UL−1)·w)`
+    /// with the model's level, which communications keep under per-task
+    /// levels (see [`Scenario::task_affine`]).
+    #[inline]
+    pub fn comm_affine(&self, e: EdgeId, p: usize, q: usize) -> (f64, f64) {
+        let w = self.det_comm_cost(e, p, q);
+        (w, (self.uncertainty.ul - 1.0) * w)
+    }
+
     /// *Mean* duration of task `i` on machine `p` under the uncertainty
     /// model (the slack metrics use mean values).
     #[inline]
@@ -424,6 +447,27 @@ mod tests {
         let (lo, hi) = d.support();
         assert!((hi / lo - 1.1).abs() < 1e-9);
         assert_eq!(lo, s.det_task_cost(4, 2));
+    }
+
+    #[test]
+    fn draw_rule_spans_the_weight_support() {
+        let s = Scenario::paper_random(10, 3, 1.1, 1).with_per_task_ul(vec![1.3; 10]);
+        let (lo, span) = s.task_affine(4, 2);
+        let (a, b) = s.task_dist(4, 2).support();
+        assert_eq!(lo, a);
+        assert!(
+            (lo + span - b).abs() < 1e-12 * b,
+            "task: {lo} + {span} vs {b}"
+        );
+        let (lo, span) = s.comm_affine(0, 0, 1);
+        let (a, b) = s.comm_dist(0, 0, 1).support();
+        assert_eq!(lo, a);
+        assert!(
+            (lo + span - b).abs() < 1e-12 * b,
+            "edge: {lo} + {span} vs {b}"
+        );
+        // Co-located endpoints: a zero weight, so nothing to draw.
+        assert_eq!(s.comm_affine(0, 1, 1), (0.0, 0.0));
     }
 
     #[test]

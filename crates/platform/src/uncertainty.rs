@@ -9,7 +9,6 @@
 //! question ("different probability densities"), and `None` for the
 //! deterministic limit.
 
-use rand::RngCore;
 use robusched_randvar::{Dirac, Dist, ScaledBeta, Triangular, Uniform};
 
 /// The family of per-weight distributions.
@@ -82,8 +81,9 @@ impl UncertaintyModel {
     }
 
     /// The *standard* (unit-support) shape of this family, if any — the
-    /// base of the shared quantile table used by the Monte-Carlo engine
-    /// (every weight is `w + (UL−1)·w · Q_base(U)`).
+    /// base of the shared quantile table every sampler draws through (a
+    /// weight is `lo + span·Q_base(U)` with `(lo, span)` from
+    /// `Scenario::task_affine`/`comm_affine`).
     pub fn base_shape(&self) -> Option<WeightDist> {
         match self.kind {
             UncertaintyKind::Beta25 => Some(WeightDist::Beta(ScaledBeta::new(2.0, 5.0, 0.0, 1.0))),
@@ -179,9 +179,6 @@ impl Dist for WeightDist {
     fn support(&self) -> (f64, f64) {
         delegate!(self, support)
     }
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        delegate!(self, sample, rng)
-    }
     fn quantile(&self, p: f64) -> f64 {
         delegate!(self, quantile, p)
     }
@@ -190,8 +187,6 @@ impl Dist for WeightDist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn paper_model_support() {
@@ -275,20 +270,6 @@ mod tests {
         let base = u.base_shape().unwrap();
         assert_eq!(base.support(), (0.0, 1.0));
         assert!(UncertaintyModel::none().base_shape().is_none());
-    }
-
-    #[test]
-    fn sampling_stays_in_support() {
-        let u = UncertaintyModel {
-            ul: 2.0,
-            kind: UncertaintyKind::Triangular,
-        };
-        let d = u.weight_dist(3.0);
-        let mut rng = StdRng::seed_from_u64(19);
-        for _ in 0..500 {
-            let x = d.sample(&mut rng);
-            assert!((3.0..=6.0).contains(&x));
-        }
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! uncertainty substitution turns a deterministic weight `w` into
 //! `ScaledBeta::paper_default(w, UL)` supported on `[w, UL·w]`.
 
-use crate::dist::{sample_standard_gamma, Dist};
-use rand::RngCore;
+use crate::dist::Dist;
 use robusched_numeric::special::{ln_beta, reg_inc_beta};
 
 /// Beta(α, β) on `[0, 1]`.
@@ -172,17 +171,6 @@ impl Dist for Beta {
     fn support(&self) -> (f64, f64) {
         (0.0, 1.0)
     }
-
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        // Classic gamma-ratio method: X/(X+Y) with X~Γ(α), Y~Γ(β).
-        let x = sample_standard_gamma(rng, self.alpha);
-        let y = sample_standard_gamma(rng, self.beta);
-        if x + y == 0.0 {
-            0.5 // vanishingly unlikely; any interior value is acceptable
-        } else {
-            x / (x + y)
-        }
-    }
 }
 
 /// Beta(α, β) affinely mapped onto `[lo, hi]`.
@@ -260,17 +248,11 @@ impl Dist for ScaledBeta {
     fn support(&self) -> (f64, f64) {
         (self.lo, self.hi)
     }
-
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.lo + (self.hi - self.lo) * self.base.sample(rng)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use robusched_numeric::{approx_eq, integrate::integrate_fn};
 
     #[test]
@@ -340,18 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_moments_match() {
-        let b = Beta::paper_default();
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| b.sample(&mut rng)).collect();
-        let m = xs.iter().sum::<f64>() / n as f64;
-        let v = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64;
-        assert!((m - b.mean()).abs() < 0.005);
-        assert!((v - b.variance()).abs() < 0.002);
-    }
-
-    #[test]
     fn right_skew_of_paper_default() {
         // β > α ⇒ more small values than large ones: median < midpoint.
         let b = Beta::paper_default();
@@ -367,16 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_beta_samples_in_support() {
-        let s = ScaledBeta::paper_default(5.0, 1.01);
-        let mut rng = StdRng::seed_from_u64(13);
-        for _ in 0..1000 {
-            let x = s.sample(&mut rng);
-            assert!((5.0..=5.05).contains(&x), "{x}");
-        }
-    }
-
-    #[test]
     fn degenerate_scaled_beta_is_point_mass() {
         let s = ScaledBeta::paper_default(0.0, 1.5); // zero weight ⇒ [0, 0]
         assert_eq!(s.support(), (0.0, 0.0));
@@ -384,8 +344,6 @@ mod tests {
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.cdf(0.0), 1.0);
         assert_eq!(s.cdf(-0.1), 0.0);
-        let mut rng = StdRng::seed_from_u64(17);
-        assert_eq!(s.sample(&mut rng), 0.0);
     }
 
     #[test]

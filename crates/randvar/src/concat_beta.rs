@@ -13,8 +13,7 @@
 //! the "special" profile plotted in the paper.
 
 use crate::beta::Beta;
-use crate::dist::{uniform01, Dist};
-use rand::RngCore;
+use crate::dist::Dist;
 
 /// Equal-weight mixture of `k` Beta(α, β) lobes on adjacent subintervals.
 #[derive(Debug, Clone)]
@@ -147,21 +146,11 @@ impl Dist for ConcatBeta {
     fn support(&self) -> (f64, f64) {
         (self.lo, self.hi)
     }
-
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        // Pick a lobe uniformly, then sample inside it.
-        let k = self.lobes.len();
-        let idx = ((uniform01(rng) * k as f64) as usize).min(k - 1);
-        let lobe = &self.lobes[idx];
-        lobe.lo + lobe.width() * lobe.base.sample(rng)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use robusched_numeric::{approx_eq, integrate::integrate_fn};
 
     #[test]
@@ -254,21 +243,5 @@ mod tests {
             prev = f;
         }
         assert!(approx_eq(c.cdf(40.0), 1.0, 1e-12));
-    }
-
-    #[test]
-    fn sampling_respects_lobes() {
-        let c = ConcatBeta::new(2, 2.0, 5.0, 0.0, 2.0);
-        let mut rng = StdRng::seed_from_u64(47);
-        let n = 20_000;
-        let mut first = 0usize;
-        for _ in 0..n {
-            if c.sample(&mut rng) < 1.0 {
-                first += 1;
-            }
-        }
-        // Equal lobe weights ⇒ ≈ half the samples in each half.
-        let frac = first as f64 / n as f64;
-        assert!((frac - 0.5).abs() < 0.02, "{frac}");
     }
 }

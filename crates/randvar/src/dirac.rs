@@ -7,7 +7,6 @@
 //! support and handles them algebraically (sum = shift, max = clamp).
 
 use crate::dist::Dist;
-use rand::RngCore;
 
 /// A point mass at `value`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,10 +57,6 @@ impl Dist for Dirac {
         (self.value, self.value)
     }
 
-    fn sample(&self, _rng: &mut dyn RngCore) -> f64 {
-        self.value
-    }
-
     fn quantile(&self, _p: f64) -> f64 {
         self.value
     }
@@ -70,8 +65,6 @@ impl Dist for Dirac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn all_the_mass_at_the_point() {
@@ -81,15 +74,6 @@ mod tests {
         assert_eq!(d.mean(), 3.0);
         assert_eq!(d.variance(), 0.0);
         assert_eq!(d.support(), (3.0, 3.0));
-    }
-
-    #[test]
-    fn sampling_is_constant() {
-        let d = Dirac::new(-1.5);
-        let mut rng = StdRng::seed_from_u64(43);
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), -1.5);
-        }
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl DiscreteRv {
     ///
     /// # Panics
     /// Panics if the grid is ill-formed or carries no mass.
-    pub fn from_grid(lo: f64, hi: f64, pdf: Vec<f64>) -> Self {
+    fn from_grid(lo: f64, hi: f64, pdf: Vec<f64>) -> Self {
         let mut out = Self {
             lo,
             hi,
@@ -499,7 +499,7 @@ impl DiscreteRv {
     }
 
     // ------------------------------------------------------------------
-    // The calculus: affine, sum, max, min
+    // The calculus: affine, sum, max
     // ------------------------------------------------------------------
 
     /// Shift by a constant: `X + c`.
@@ -672,8 +672,8 @@ impl DiscreteRv {
     }
 
     /// Density and CDF at `x` in one interval lookup — the merged kernel
-    /// behind [`DiscreteRv::max_into`] / [`DiscreteRv::min_into`]. Matches
-    /// [`DiscreteRv::pdf_at`] and [`DiscreteRv::cdf_at`] pointwise.
+    /// behind [`DiscreteRv::max_into`]. Matches [`DiscreteRv::pdf_at`] and
+    /// [`DiscreteRv::cdf_at`] pointwise.
     ///
     /// Always inlined: both scans call it twice per output point.
     #[inline(always)]
@@ -875,54 +875,14 @@ impl DiscreteRv {
         self.max_scan_from(other, lo, hi, pdf, done);
     }
 
-    /// Distribution of `min(X, Y)` for independent `X`, `Y`
-    /// (`f = f₁·(1−F₂) + (1−F₁)·f₂`).
-    ///
-    /// Allocating wrapper over [`DiscreteRv::min_into`] (thread-local
-    /// workspace).
-    pub fn min(&self, other: &Self) -> Self {
-        let mut out = Self::point(0.0);
-        with_thread_workspace(|ws| self.min_into(other, ws, &mut out));
-        out
-    }
-
-    /// [`DiscreteRv::min`] written into caller-owned storage (merged scan,
-    /// no intermediate allocation). Bit-identical to `min`.
-    pub fn min_into(&self, other: &Self, _ws: &mut RvWorkspace, out: &mut Self) {
-        match (self.is_point(), other.is_point()) {
-            (true, true) => return out.set_point(self.lo.min(other.lo)),
-            (true, false) => return *out = other.clamp_above(self.lo),
-            (false, true) => return *out = self.clamp_above(other.lo),
-            (false, false) => {}
-        }
-        let n_out = self.points().max(other.points());
-        let lo = self.lo.min(other.lo);
-        let hi = self.hi.min(other.hi);
-        if lo == hi {
-            return out.set_point(lo);
-        }
-        out.lo = lo;
-        out.hi = hi;
-        out.pdf.clear();
-        out.pdf.reserve(n_out);
-        let step = (hi - lo) / (n_out - 1) as f64;
-        for i in 0..n_out {
-            let x = grid_x(lo, hi, step, n_out, i);
-            let (f1, c1) = self.pdf_cdf_at(x);
-            let (f2, c2) = other.pdf_cdf_at(x);
-            out.pdf.push(f1 * (1.0 - c2) + (1.0 - c1) * f2);
-        }
-        out.finish_normalize();
-    }
-
     /// `max(X, c)` for a constant `c`.
     ///
     /// For `lo < c < hi` the exact result has an atom of mass `F(c)` at `c`;
     /// we smear that atom into the first grid cell (a `O(span/n)` support
-    /// approximation, documented in DESIGN.md). The schedule evaluator never
-    /// hits this case — task durations always have positive span — but the
-    /// public API must behave sensibly.
-    pub fn clamp_below(&self, c: f64) -> Self {
+    /// approximation, documented in DESIGN.md). Only [`DiscreteRv::max_into`]
+    /// reaches it, with a point-mass operand; the schedule evaluator never
+    /// does, as task durations always have positive span.
+    fn clamp_below(&self, c: f64) -> Self {
         if self.is_point() {
             return Self::point(self.lo.max(c));
         }
@@ -942,27 +902,6 @@ impl DiscreteRv {
         // the atom is preserved.
         pdf[0] += atom / quad_weight(0, n, h);
         Self::from_grid(c, self.hi, pdf)
-    }
-
-    /// `min(X, c)` for a constant `c` (atom smeared into the last cell).
-    pub fn clamp_above(&self, c: f64) -> Self {
-        if self.is_point() {
-            return Self::point(self.lo.min(c));
-        }
-        if c >= self.hi {
-            return self.clone();
-        }
-        if c <= self.lo {
-            return Self::point(c);
-        }
-        let n = self.points();
-        let atom = 1.0 - self.cdf_at(c);
-        let xs = linspace(self.lo, c, n);
-        let h = (c - self.lo) / (n - 1) as f64;
-        let mut pdf: Vec<f64> = xs.iter().map(|&x| self.pdf_at(x)).collect();
-        // Mirror of `clamp_below`.
-        pdf[n - 1] += atom / quad_weight(n - 1, n, h);
-        Self::from_grid(self.lo, c, pdf)
     }
 
     /// `k`-fold sum of the variable with itself (`k ≥ 1`), i.e. the
@@ -1051,7 +990,6 @@ mod tests {
         assert!(p.sum(&q).is_point());
         assert_eq!(p.sum(&q).mean(), 7.0);
         assert_eq!(p.max(&q).mean(), 4.0);
-        assert_eq!(p.min(&q).mean(), 3.0);
         assert_eq!(p.entropy(), f64::NEG_INFINITY);
         assert_eq!(p.std_dev(), 0.0);
     }
@@ -1112,23 +1050,12 @@ mod tests {
     }
 
     #[test]
-    fn min_of_uniforms() {
-        let a = unit_uniform();
-        let m = a.min(&a);
-        // E[min of two U(0,1)] = 1/3.
-        assert!(approx_eq(m.mean(), 1.0 / 3.0, 1e-2));
-    }
-
-    #[test]
-    fn clamp_below_above() {
+    fn clamp_below_smears_the_atom() {
         let a = unit_uniform();
         let c = a.clamp_below(0.5);
         assert!(approx_eq(c.lo(), 0.5, 1e-12));
         // E[max(U, 0.5)] = 0.625.
         assert!(approx_eq(c.mean(), 0.625, 2e-2));
-        let d = a.clamp_above(0.5);
-        // E[min(U, 0.5)] = 0.375.
-        assert!(approx_eq(d.mean(), 0.375, 2e-2));
         assert!(a.clamp_below(-1.0).span() > 0.0);
         assert!(a.clamp_below(2.0).is_point());
     }
@@ -1230,9 +1157,12 @@ mod tests {
     fn from_samples_recovers_uniform() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
+        // U(2, 4) as `2 + 2·Q(u)` through the unit uniform's table.
         let d = Uniform::new(2.0, 4.0);
+        let table = crate::QuantileTable::with_default_resolution(&Uniform::new(0.0, 1.0));
         let mut rng = StdRng::seed_from_u64(71);
-        let samples: Vec<f64> = (0..100_000).map(|_| d.sample(&mut rng)).collect();
+        let mut samples = vec![0.0; 100_000];
+        table.fill_row_u53(&mut rng, 2.0, 2.0, &mut samples);
         let rv = DiscreteRv::from_samples(&samples, 64);
         assert!(approx_eq(rv.mean(), 3.0, 1e-2));
         // Uniform(2, 4): σ = √((4−2)²/12).
@@ -1272,7 +1202,7 @@ mod tests {
 
     #[test]
     fn into_kernels_bit_identical_to_operators() {
-        // sum/max/min are wrappers over the `_into` kernels, and a reused
+        // sum/max are wrappers over the `_into` kernels, and a reused
         // (dirty) workspace + output must not change a single bit.
         let x = DiscreteRv::from_dist_default(&ScaledBeta::paper_default(20.0, 1.1));
         let y = DiscreteRv::from_dist(&ScaledBeta::paper_default(15.0, 1.4), 48);
@@ -1291,10 +1221,6 @@ mod tests {
         for (a, b, what) in [(&x, &y, "max"), (&p, &y, "max point")] {
             a.max_into(b, &mut ws, &mut out);
             assert_rv_bits_eq(&out, &a.max(b), what);
-        }
-        for (a, b, what) in [(&x, &y, "min"), (&x, &p, "min point")] {
-            a.min_into(b, &mut ws, &mut out);
-            assert_rv_bits_eq(&out, &a.min(b), what);
         }
         // Repeat a sum with the now well-used workspace: still identical.
         x.sum_into(&y, &mut ws, &mut out);
@@ -1350,25 +1276,17 @@ mod tests {
         )
     }
 
-    /// The merged max (`max = true`) or min scan over `linspace(lo, hi)`
-    /// with the floor-based lookup, normalized by `from_grid`.
-    fn floor_extreme(a: &DiscreteRv, b: &DiscreteRv, max: bool) -> DiscreteRv {
-        let (lo, hi) = if max {
-            (a.lo.max(b.lo), a.hi.max(b.hi))
-        } else {
-            (a.lo.min(b.lo), a.hi.min(b.hi))
-        };
+    /// The merged max scan over `linspace(lo, hi)` with the floor-based
+    /// lookup, normalized by `from_grid`.
+    fn floor_max(a: &DiscreteRv, b: &DiscreteRv) -> DiscreteRv {
+        let (lo, hi) = (a.lo.max(b.lo), a.hi.max(b.hi));
         let n = a.points().max(b.points());
         let pdf = linspace(lo, hi, n)
             .into_iter()
             .map(|x| {
                 let (f1, c1) = floor_pdf_cdf_at(a, x);
                 let (f2, c2) = floor_pdf_cdf_at(b, x);
-                if max {
-                    f1 * c2 + c1 * f2
-                } else {
-                    f1 * (1.0 - c2) + (1.0 - c1) * f2
-                }
+                f1 * c2 + c1 * f2
             })
             .collect();
         DiscreteRv::from_grid(lo, hi, pdf)
@@ -1416,11 +1334,7 @@ mod tests {
         for (i, a) in rvs.iter().enumerate() {
             for (j, b) in rvs.iter().enumerate() {
                 a.max_into(b, &mut ws, &mut out);
-                assert_rv_bits_eq(&out, &floor_extreme(a, b, true), &format!("max {i} {j}"));
-                if a.lo.min(b.lo) < a.hi.min(b.hi) {
-                    a.min_into(b, &mut ws, &mut out);
-                    assert_rv_bits_eq(&out, &floor_extreme(a, b, false), &format!("min {i} {j}"));
-                }
+                assert_rv_bits_eq(&out, &floor_max(a, b), &format!("max {i} {j}"));
             }
         }
     }

@@ -11,9 +11,10 @@ use rand::RngCore;
 
 /// A continuous probability distribution over a finite support.
 ///
-/// Object-safe so heterogeneous weight tables can store `Box<dyn Dist>`.
-/// Implementations must be `Send + Sync`: the Monte-Carlo engine samples the
-/// same distribution objects from many threads (each with its own RNG).
+/// Object-safe, so the discretization and the quantile tables take any
+/// family as `&dyn Dist`. A `Dist` is not a sampler: every duration draw
+/// goes through the [`crate::QuantileTable`] of a base shape (see the
+/// crate docs).
 pub trait Dist: Send + Sync + std::fmt::Debug {
     /// Probability density at `x` (0 outside the support).
     fn pdf(&self, x: f64) -> f64;
@@ -29,12 +30,6 @@ pub trait Dist: Send + Sync + std::fmt::Debug {
 
     /// The (effective) support `[lo, hi]`, with `lo ≤ hi` finite.
     fn support(&self) -> (f64, f64);
-
-    /// Draws one realization.
-    ///
-    /// Takes `&mut dyn RngCore` for object safety; implementations use
-    /// [`uniform01`] and friends on top of the raw generator.
-    fn sample(&self, rng: &mut dyn RngCore) -> f64;
 
     /// Standard deviation (derived).
     fn std_dev(&self) -> f64 {
@@ -61,13 +56,6 @@ pub trait Dist: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Uniform deviate in `[0, 1)` with 53 random bits, built directly on
-/// [`RngCore::next_u64`] so it works through `dyn RngCore`.
-#[inline]
-pub fn uniform01(rng: &mut dyn RngCore) -> f64 {
-    uniform01_word(rng.next_u64())
-}
-
 /// The one 53-bit uniform conversion: the top 53 bits of a 64-bit
 /// random word (the mantissa width of f64) scaled into `[0, 1)`. It
 /// takes the word rather than a generator so that every generator's
@@ -80,9 +68,9 @@ pub fn uniform01_word(word: u64) -> f64 {
 /// Uniform deviate in the *open* interval `(0, 1)` — never exactly 0 or 1,
 /// which keeps `ln(u)` and quantile transforms finite.
 #[inline]
-pub fn uniform01_open(rng: &mut dyn RngCore) -> f64 {
+fn uniform01_open(rng: &mut dyn RngCore) -> f64 {
     loop {
-        let u = uniform01(rng);
+        let u = uniform01_word(rng.next_u64());
         if u > 0.0 {
             return u;
         }
@@ -92,13 +80,13 @@ pub fn uniform01_open(rng: &mut dyn RngCore) -> f64 {
 /// One standard-normal deviate by the Marsaglia polar method.
 ///
 /// Polar rather than Box–Muller avoids the trig calls; the rejection rate is
-/// ~21%. The pair's second deviate is discarded for statelessness — the
-/// samplers here are called through `&dyn Dist` with no per-call cache, and
-/// sampling cost is dwarfed by the scheduling simulation around it.
-pub fn sample_standard_normal(rng: &mut dyn RngCore) -> f64 {
+/// ~21%. The pair's second deviate is discarded for statelessness; only
+/// [`sample_gamma_mean_cv`] reaches it, from the scenario generators' cost
+/// draws.
+fn sample_standard_normal(rng: &mut dyn RngCore) -> f64 {
     loop {
-        let u = 2.0 * uniform01(rng) - 1.0;
-        let v = 2.0 * uniform01(rng) - 1.0;
+        let u = 2.0 * uniform01_word(rng.next_u64()) - 1.0;
+        let v = 2.0 * uniform01_word(rng.next_u64()) - 1.0;
         let s = u * u + v * v;
         if s > 0.0 && s < 1.0 {
             return u * (-2.0 * s.ln() / s).sqrt();
@@ -108,7 +96,7 @@ pub fn sample_standard_normal(rng: &mut dyn RngCore) -> f64 {
 
 /// One Gamma(shape `a`, scale 1) deviate by Marsaglia–Tsang (2000), with the
 /// standard `U^{1/a}` boost for `a < 1`.
-pub fn sample_standard_gamma(rng: &mut dyn RngCore, a: f64) -> f64 {
+fn sample_standard_gamma(rng: &mut dyn RngCore, a: f64) -> f64 {
     assert!(a > 0.0, "gamma shape must be positive");
     if a < 1.0 {
         // Boost: Gamma(a) = Gamma(a+1) · U^{1/a}.
@@ -161,18 +149,20 @@ mod tests {
     }
 
     #[test]
-    fn uniform01_in_range() {
+    fn uniform01_word_in_range() {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..10_000 {
-            let u = uniform01(&mut rng);
+            let u = uniform01_word(rng.next_u64());
             assert!((0.0..1.0).contains(&u));
         }
     }
 
     #[test]
-    fn uniform01_mean_close_to_half() {
+    fn uniform01_word_mean_close_to_half() {
         let mut rng = StdRng::seed_from_u64(2);
-        let xs: Vec<f64> = (0..50_000).map(|_| uniform01(&mut rng)).collect();
+        let xs: Vec<f64> = (0..50_000)
+            .map(|_| uniform01_word(rng.next_u64()))
+            .collect();
         let (m, v) = mean_var(&xs);
         assert!((m - 0.5).abs() < 0.01, "mean {m}");
         assert!((v - 1.0 / 12.0).abs() < 0.01, "var {v}");

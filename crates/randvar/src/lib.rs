@@ -8,13 +8,19 @@
 //! a composition of `+` (serial dependencies) and `max` (joins) over these
 //! variables. This crate provides:
 //!
-//! * [`dist`] — the [`dist::Dist`] trait (PDF/CDF/moments/sampling over a
+//! * [`dist`] — the [`dist::Dist`] trait (PDF/CDF/moments/quantile over a
 //!   finite support) with implementations: [`uniform::Uniform`],
-//!   [`beta::Beta`], [`beta::ScaledBeta`], [`gamma::Gamma`],
-//!   [`normal::Normal`] (support truncated at ±8σ),
-//!   [`triangular::Triangular`], [`dirac::Dirac`] and
+//!   [`beta::Beta`], [`beta::ScaledBeta`], [`normal::Normal`] (support
+//!   truncated at ±8σ), [`triangular::Triangular`], [`dirac::Dirac`] and
 //!   [`concat_beta::ConcatBeta`] — the paper's multi-modal "special
-//!   distribution" of Fig. 7;
+//!   distribution" of Fig. 7 — plus [`dist::sample_gamma_mean_cv`], the
+//!   CV-parameterized Gamma draw of the scenario generators;
+//! * [`qtable`] — [`qtable::QuantileTable`], the one duration sampler.
+//!   Every duration is `lo + span·Q(u)` with `Q` the tabulated quantile
+//!   function of its family's unit-support base shape; the table's
+//!   [`qtable::QuantileTable::quantile_u53`] and row fills serve the
+//!   Monte-Carlo engine, the criticality estimator and the online
+//!   simulator alike. A [`dist::Dist`] has no sampler of its own;
 //! * [`discrete`] — [`discrete::DiscreteRv`], a PDF sampled on a uniform
 //!   64-point grid with the closed calculus the paper uses: `sum` =
 //!   convolution of PDFs, `max` = product of CDFs (evaluated exactly as
@@ -27,8 +33,8 @@
 //!   [`qtable::QuantileTable::fill_row_x4_u53`] draws four Monte-Carlo
 //!   chunks' rows at once;
 //! * [`workspace`] — [`workspace::RvWorkspace`], reusable scratch buffers
-//!   behind the allocation-free `sum_into`/`max_into`/`min_into` kernels
-//!   (the allocating operators route through a thread-local instance).
+//!   behind the allocation-free `sum_into`/`max_into` kernels (the
+//!   allocating operators route through a thread-local instance).
 
 #![deny(missing_docs)]
 
@@ -37,7 +43,6 @@ pub mod concat_beta;
 pub mod dirac;
 pub mod discrete;
 pub mod dist;
-pub mod gamma;
 pub mod normal;
 pub mod qtable;
 pub mod rng4;
@@ -50,8 +55,7 @@ pub use beta::{Beta, ScaledBeta};
 pub use concat_beta::ConcatBeta;
 pub use dirac::Dirac;
 pub use discrete::DiscreteRv;
-pub use dist::{uniform01, uniform01_word, Dist};
-pub use gamma::Gamma;
+pub use dist::{uniform01_word, Dist};
 pub use normal::Normal;
 pub use qtable::QuantileTable;
 pub use rng4::StdRngX4;

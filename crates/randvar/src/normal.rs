@@ -8,8 +8,7 @@
 //! The effective support is truncated at ±8σ (tail mass < 10⁻¹⁵), which is
 //! what makes the grid discretization of `DiscreteRv` applicable.
 
-use crate::dist::{sample_standard_normal, Dist};
-use rand::RngCore;
+use crate::dist::Dist;
 use robusched_numeric::special::{norm_cdf, norm_pdf, norm_quantile};
 
 /// Truncation half-width in standard deviations.
@@ -71,10 +70,6 @@ impl Dist for Normal {
         )
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.mu + self.sigma * sample_standard_normal(rng)
-    }
-
     fn quantile(&self, p: f64) -> f64 {
         // Closed form beats the generic bisection.
         self.mu + self.sigma * norm_quantile(p)
@@ -84,8 +79,6 @@ impl Dist for Normal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use robusched_numeric::{approx_eq, integrate::integrate_fn};
 
     #[test]
@@ -119,18 +112,6 @@ mod tests {
         for &p in &[0.01, 0.25, 0.5, 0.75, 0.99] {
             assert!(approx_eq(n.cdf(n.quantile(p)), p, 1e-8));
         }
-    }
-
-    #[test]
-    fn sample_moments() {
-        let n = Normal::new(100.0, 15.0);
-        let mut rng = StdRng::seed_from_u64(31);
-        let k = 100_000;
-        let xs: Vec<f64> = (0..k).map(|_| n.sample(&mut rng)).collect();
-        let m = xs.iter().sum::<f64>() / k as f64;
-        let v = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / k as f64;
-        assert!((m - 100.0).abs() < 0.3);
-        assert!((v - 225.0).abs() < 7.0);
     }
 
     #[test]

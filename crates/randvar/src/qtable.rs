@@ -26,7 +26,7 @@
 //! locator cell plus a short walk, then one cubic Horner evaluation — no
 //! root find, no transcendental call.
 
-use crate::dist::{uniform01, Dist};
+use crate::dist::Dist;
 #[cfg(target_arch = "x86_64")]
 use crate::rng4::Lanes;
 use crate::rng4::StdRngX4;
@@ -61,16 +61,16 @@ const TAIL_CELLS: usize = (TAIL_OCTAVES << TAIL_SUB_BITS) as usize;
 ///
 /// ```
 /// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
+/// use rand::{RngCore, SeedableRng};
 /// use robusched_randvar::{Beta, Dist, QuantileTable};
 ///
 /// let shape = Beta::paper_default();
 /// let table = QuantileTable::with_default_resolution(&shape);
 /// // A lookup replaces a CDF root-find, to ≤ 1e-9:
 /// assert!((table.quantile(0.5) - shape.quantile(0.5)).abs() < 1e-9);
-/// // Sampling is `Q(U)`; scaled sampling maps onto `[lo, lo + span]`:
+/// // A draw is `lo + span·Q(u)` for a 53-bit uniform `u`, here on `[20, 22]`:
 /// let mut rng = StdRng::seed_from_u64(7);
-/// let x = table.sample_scaled(&mut rng, 20.0, 2.0);
+/// let x = 20.0 + 2.0 * table.quantile_u53(rng.next_u64() >> 11);
 /// assert!((20.0..=22.0).contains(&x));
 /// ```
 ///
@@ -517,20 +517,6 @@ impl QuantileTable {
             }
         }
     }
-
-    /// Draws one sample: `Q(U)` with `U ~ Uniform(0,1)`.
-    #[inline]
-    pub fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.quantile(uniform01(rng))
-    }
-
-    /// Draws one sample rescaled onto `[lo, lo + span·(Q-range)]` — the
-    /// pattern for scaled-Beta weights: `lo + span·Q(u)` when the table
-    /// holds the standard (unit-support) shape.
-    #[inline]
-    pub fn sample_scaled(&self, rng: &mut dyn RngCore, lo: f64, span: f64) -> f64 {
-        lo + span * self.quantile(uniform01(rng))
-    }
 }
 
 /// The tail locator's hints (see [`QuantileTable::quantile_tail`]): for
@@ -958,7 +944,9 @@ mod tests {
         let t = QuantileTable::with_default_resolution(&b);
         let mut rng = StdRng::seed_from_u64(97);
         let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| t.sample(&mut rng)).collect();
+        let xs: Vec<f64> = (0..n)
+            .map(|_| t.quantile_u53(rng.next_u64() >> 11))
+            .collect();
         let m = xs.iter().sum::<f64>() / n as f64;
         let v = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64;
         assert!((m - b.mean()).abs() < 0.003, "mean {m}");
@@ -966,14 +954,13 @@ mod tests {
     }
 
     #[test]
-    fn scaled_sampling() {
+    fn scaled_row_fills_stay_in_support() {
         let b = Beta::paper_default();
         let t = QuantileTable::with_default_resolution(&b);
         let mut rng = StdRng::seed_from_u64(101);
-        for _ in 0..1000 {
-            let x = t.sample_scaled(&mut rng, 20.0, 2.0);
-            assert!((20.0..=22.0).contains(&x));
-        }
+        let mut row = vec![0.0; 1000];
+        t.fill_row_u53(&mut rng, 20.0, 2.0, &mut row);
+        assert!(row.iter().all(|x| (20.0..=22.0).contains(x)));
     }
 
     #[test]

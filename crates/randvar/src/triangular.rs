@@ -6,8 +6,7 @@
 //! (the paper's future work explicitly asks for "different probability
 //! densities").
 
-use crate::dist::{uniform01, Dist};
-use rand::RngCore;
+use crate::dist::Dist;
 
 /// Triangular(lo, mode, hi).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,25 +69,11 @@ impl Dist for Triangular {
     fn support(&self) -> (f64, f64) {
         (self.lo, self.hi)
     }
-
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        // Inverse-CDF sampling.
-        let (a, c, b) = (self.lo, self.mode, self.hi);
-        let u = uniform01(rng);
-        let fc = (c - a) / (b - a);
-        if u < fc {
-            a + (u * (b - a) * (c - a)).sqrt()
-        } else {
-            b - ((1.0 - u) * (b - a) * (b - c)).sqrt()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use robusched_numeric::{approx_eq, integrate::integrate_fn};
 
     #[test]
@@ -113,17 +98,6 @@ mod tests {
             let num = integrate_fn(|y| t.pdf(y), 1.0, x, 3001);
             assert!(approx_eq(num, t.cdf(x), 1e-6));
         }
-    }
-
-    #[test]
-    fn sample_within_support_and_mean() {
-        let t = Triangular::new(0.0, 0.2, 1.0);
-        let mut rng = StdRng::seed_from_u64(41);
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| t.sample(&mut rng)).collect();
-        assert!(xs.iter().all(|&x| (0.0..=1.0).contains(&x)));
-        let m = xs.iter().sum::<f64>() / n as f64;
-        assert!((m - t.mean()).abs() < 0.005);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! costs "uniformly in the interval [minVal; 2 × minVal]") and by tests as
 //! the simplest non-degenerate duration model.
 
-use crate::dist::{uniform01, Dist};
-use rand::RngCore;
+use crate::dist::Dist;
 
 /// Uniform(lo, hi) with `hi > lo`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,17 +66,11 @@ impl Dist for Uniform {
     fn support(&self) -> (f64, f64) {
         (self.lo, self.hi)
     }
-
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.lo + (self.hi - self.lo) * uniform01(rng)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn pdf_integrates_to_one() {
@@ -110,16 +103,6 @@ mod tests {
         assert!((u.quantile(0.25) - 6.0).abs() < 1e-9);
         assert_eq!(u.quantile(0.0), 5.0);
         assert_eq!(u.quantile(1.0), 9.0);
-    }
-
-    #[test]
-    fn samples_within_support() {
-        let u = Uniform::new(-1.0, 1.0);
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..1000 {
-            let x = u.sample(&mut rng);
-            assert!((-1.0..=1.0).contains(&x));
-        }
     }
 
     #[test]

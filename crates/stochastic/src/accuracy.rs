@@ -33,14 +33,23 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use robusched_randvar::{Dist, ScaledBeta};
+    use robusched_randvar::{Beta, Dist, QuantileTable, ScaledBeta};
+
+    /// `n` draws of `d` through the Beta(2, 5) table, `lo + span·Q(u)`:
+    /// the row fill the Monte-Carlo engine draws its slots with.
+    fn draws(d: &ScaledBeta, n: usize, rng: &mut StdRng) -> Vec<f64> {
+        let table = QuantileTable::with_default_resolution(&Beta::paper_default());
+        let mut row = vec![0.0; n];
+        table.fill_row_u53(rng, d.support().0, d.span(), &mut row);
+        row
+    }
 
     #[test]
     fn samples_from_the_distribution_score_well() {
         let d = ScaledBeta::paper_default(20.0, 1.5);
         let rv = DiscreteRv::from_dist(&d, 128);
         let mut rng = StdRng::seed_from_u64(5);
-        let samples: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng)).collect();
+        let samples = draws(&d, 50_000, &mut rng);
         let rep = compare(&rv, &samples);
         assert!(rep.ks < 0.01, "ks = {}", rep.ks);
         assert!(rep.cm < 0.05, "cm = {}", rep.cm);
@@ -51,7 +60,7 @@ mod tests {
         let d = ScaledBeta::paper_default(20.0, 1.5);
         let shifted = DiscreteRv::from_dist(&ScaledBeta::paper_default(25.0, 1.5), 128);
         let mut rng = StdRng::seed_from_u64(7);
-        let samples: Vec<f64> = (0..10_000).map(|_| d.sample(&mut rng)).collect();
+        let samples = draws(&d, 10_000, &mut rng);
         let rep = compare(&shifted, &samples);
         assert!(rep.ks > 0.5, "ks = {}", rep.ks);
         assert!(rep.cm > 1.0, "cm = {}", rep.cm);
@@ -65,8 +74,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let narrow_rv = DiscreteRv::from_dist(&ScaledBeta::paper_default(10.5, 1.1), 128);
         let wide_rv = DiscreteRv::from_dist(&ScaledBeta::paper_default(1050.0, 1.1), 128);
-        let s1: Vec<f64> = (0..5_000).map(|_| narrow.sample(&mut rng)).collect();
-        let s2: Vec<f64> = (0..5_000).map(|_| wide.sample(&mut rng)).collect();
+        let s1 = draws(&narrow, 5_000, &mut rng);
+        let s2 = draws(&wide, 5_000, &mut rng);
         let r1 = compare(&narrow_rv, &s1);
         let r2 = compare(&wide_rv, &s2);
         assert!((r1.ks - r2.ks).abs() < 0.2);

@@ -32,6 +32,33 @@ use robusched_randvar::{DiscreteRv, QuantileTable};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
+/// 64-bit FNV-1a over 8-byte words, low byte first: the one mixer behind
+/// [`scenario_fingerprint`] and `robusched-core`'s request keys.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Folds the eight bytes of `word` into the hash.
+    #[inline]
+    pub fn mix(&mut self, word: u64) {
+        for shift in (0..64).step_by(8) {
+            self.0 ^= (word >> shift) & 0xff;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of the words mixed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 /// FNV-1a fingerprint of everything that determines the evaluation
 /// semantics of a scenario: dimensions, uncertainty model (incl. per-task
 /// ULs), every deterministic task cost, every edge volume, and the
@@ -46,41 +73,32 @@ use std::sync::{Arc, OnceLock};
 /// whose scenarios hash equal share one prepared-state entry, so repeated
 /// scenarios skip all preparation.
 pub fn scenario_fingerprint(scenario: &Scenario) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |bits: u64| {
-        // FNV-1a over the 8 bytes.
-        for shift in (0..64).step_by(8) {
-            h ^= (bits >> shift) & 0xff;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv1a::default();
     let n = scenario.task_count();
     let m = scenario.machine_count();
     let e = scenario.graph.edge_count();
-    mix(n as u64);
-    mix(m as u64);
-    mix(e as u64);
-    mix(scenario.uncertainty.ul.to_bits());
-    mix(match scenario.uncertainty.kind {
+    h.mix(n as u64);
+    h.mix(m as u64);
+    h.mix(e as u64);
+    h.mix(scenario.uncertainty.ul.to_bits());
+    h.mix(match scenario.uncertainty.kind {
         UncertaintyKind::Beta25 => 1,
         UncertaintyKind::Uniform => 2,
         UncertaintyKind::Triangular => 3,
         UncertaintyKind::None => 4,
     });
     match &scenario.per_task_ul {
-        None => mix(0),
+        None => h.mix(0),
         Some(uls) => {
-            mix(1);
+            h.mix(1);
             for ul in uls {
-                mix(ul.to_bits());
+                h.mix(ul.to_bits());
             }
         }
     }
     for v in 0..n {
         for p in 0..m {
-            mix(scenario.det_task_cost(v, p).to_bits());
+            h.mix(scenario.det_task_cost(v, p).to_bits());
         }
     }
     for edge in 0..e {
@@ -88,17 +106,17 @@ pub fn scenario_fingerprint(scenario: &Scenario) -> u64 {
         // every weight while wiring the edges differently, and rewiring
         // changes which (pu, pv) pairs a schedule exercises.
         let (u, v) = scenario.graph.dag.edge_endpoints(edge);
-        mix(u as u64);
-        mix(v as u64);
-        mix(scenario.graph.volume(edge).to_bits());
+        h.mix(u as u64);
+        h.mix(v as u64);
+        h.mix(scenario.graph.volume(edge).to_bits());
     }
     for p in 0..m {
         for q in 0..m {
-            mix(scenario.platform.tau(p, q).to_bits());
-            mix(scenario.platform.latency(p, q).to_bits());
+            h.mix(scenario.platform.tau(p, q).to_bits());
+            h.mix(scenario.platform.latency(p, q).to_bits());
         }
     }
-    h
+    h.finish()
 }
 
 /// Per-(scenario, grid) table of discretized task and communication

@@ -9,12 +9,12 @@
 //! realization the critical chain is recovered by walking constraints
 //! backwards from the makespan-defining task.
 
+use crate::cache::SamplingTables;
 use crate::par::{par_map, worker_count};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use robusched_platform::Scenario;
-use robusched_randvar::dist::uniform01;
-use robusched_randvar::{derive_seed, QuantileTable};
+use robusched_randvar::derive_seed;
 use robusched_sched::{EagerPlan, Schedule};
 
 /// Timing comparison tolerance when matching the binding constraint.
@@ -48,26 +48,17 @@ pub fn criticality_indices(
     let dag = &scenario.graph.dag;
     let plan = EagerPlan::new(dag, schedule).expect("invalid schedule");
     let n = dag.node_count();
-    let ul = |v: usize| scenario.task_ul(v);
 
-    // Affine sampling plan (same construction as the MC engine).
+    // The scenario's draw rule per task and per edge, in id order.
     let task_affine: Vec<(f64, f64)> = (0..n)
-        .map(|v| {
-            let w = scenario.det_task_cost(v, schedule.machine_of(v));
-            (w, (ul(v) - 1.0) * w)
-        })
+        .map(|v| scenario.task_affine(v, schedule.machine_of(v)))
         .collect();
     let edge_affine: Vec<(f64, f64)> = dag
         .edge_triples()
-        .map(|(u, v, e)| {
-            let w = scenario.det_comm_cost(e, schedule.machine_of(u), schedule.machine_of(v));
-            (w, (scenario.uncertainty.ul - 1.0) * w)
-        })
+        .map(|(u, v, e)| scenario.comm_affine(e, schedule.machine_of(u), schedule.machine_of(v)))
         .collect();
-    let table = scenario
-        .uncertainty
-        .base_shape()
-        .map(|b| QuantileTable::with_default_resolution(&b));
+    let tables = SamplingTables::new(scenario);
+    let table = tables.base();
 
     // Per-chunk critical-path counts, summed in chunk order on delivery
     // (integer sums: the totals cannot depend on the thread count).
@@ -92,19 +83,17 @@ pub fn criticality_indices(
             } = w;
             let mut hits = vec![0usize; n];
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, c as u64));
+            let mut draw = |&(lo, span): &(f64, f64)| match table {
+                Some(t) if span > 0.0 => lo + span * t.quantile_u53(rng.next_u64() >> 11),
+                _ => lo,
+            };
             for _ in 0..CHUNK.min(realizations - c * CHUNK) {
                 // Sample and execute.
-                for (v, &(lo, span)) in task_affine.iter().enumerate() {
-                    dur[v] = match &table {
-                        Some(t) if span > 0.0 => lo + span * t.quantile(uniform01(&mut rng)),
-                        _ => lo,
-                    };
+                for (x, rule) in dur.iter_mut().zip(&task_affine) {
+                    *x = draw(rule);
                 }
-                for (e, &(lo, span)) in edge_affine.iter().enumerate() {
-                    comm[e] = match &table {
-                        Some(t) if span > 0.0 => lo + span * t.quantile(uniform01(&mut rng)),
-                        _ => lo,
-                    };
+                for (x, rule) in comm.iter_mut().zip(&edge_affine) {
+                    *x = draw(rule);
                 }
                 let mut sink = 0usize;
                 let mut best = f64::NEG_INFINITY;
@@ -238,6 +227,59 @@ mod tests {
         // Complementary branches: probabilities sum to ≈ 1 (ties are
         // measure-zero under continuous durations).
         assert!((c[0] + c[1] - 1.0).abs() < 0.05);
+    }
+
+    /// The indices bit for bit: an FNV-1a digest of their f64 bits per
+    /// case, at 3,000 realizations (two full chunks and a partial one).
+    /// The cases cover a HEFT and a random schedule, per-task ULs (some
+    /// at 1, whose tasks draw nothing), the uniform family and no
+    /// uncertainty. A change to the draw order, the draw rule, the table
+    /// or the replay shows up here; on a mismatch the test prints the new
+    /// digests.
+    #[test]
+    fn indices_match_recorded_digests() {
+        use robusched_platform::UncertaintyKind;
+        let paper = Scenario::paper_random(40, 5, 1.3, 17);
+        let per_task = Scenario::paper_random(30, 4, 1.1, 23)
+            .with_per_task_ul((0..30).map(|v| 1.0 + 0.05 * (v % 7) as f64).collect());
+        let mut uniform = Scenario::paper_random(30, 4, 1.2, 29);
+        uniform.uncertainty = UncertaintyModel {
+            ul: 1.2,
+            kind: UncertaintyKind::Uniform,
+        };
+        let mut none = Scenario::paper_random(30, 4, 1.2, 31);
+        none.uncertainty = UncertaintyModel::none();
+        let cases = [
+            (&paper, robusched_sched::heft(&paper)),
+            (
+                &paper,
+                robusched_sched::random_schedule(&paper.graph.dag, 5, 3),
+            ),
+            (&per_task, robusched_sched::heft(&per_task)),
+            (&uniform, robusched_sched::heft(&uniform)),
+            (&none, robusched_sched::heft(&none)),
+        ];
+        let digests: Vec<u64> = cases
+            .iter()
+            .map(|(s, sched)| {
+                let mut h = crate::Fnv1a::default();
+                for x in criticality_indices(s, sched, 3_000, 5) {
+                    h.mix(x.to_bits());
+                }
+                h.finish()
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                0x226379e0ec5616a1,
+                0x4b986fd4bd9f502f,
+                0x32ef52b7538a77b2,
+                0x5fac25f21b6c157f,
+                0x95503819978e5078,
+            ],
+            "new digests: {digests:#018x?}"
+        );
     }
 
     #[test]

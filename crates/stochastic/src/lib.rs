@@ -53,7 +53,7 @@ pub mod perturb;
 pub mod spelde;
 
 pub use accuracy::AccuracyReport;
-pub use cache::{scenario_fingerprint, DiscretizedScenario, SamplingTables};
+pub use cache::{scenario_fingerprint, DiscretizedScenario, Fnv1a, SamplingTables};
 pub use criticality::criticality_indices;
 pub use evaluator::{
     evaluator_by_name, registry, ClassicEvaluator, DodinEvaluator, EvalContext, Evaluator,

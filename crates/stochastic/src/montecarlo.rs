@@ -197,7 +197,8 @@ fn pool_for<'a>(pool: &'a mut Vec<Row>, block: &BlockPlan) -> &'a mut [Row] {
 }
 
 /// The duration of one task or edge: `lo + span·Q(u)` when `span > 0`,
-/// the constant `lo` otherwise (such a slot draws nothing).
+/// the constant `lo` otherwise (such a slot draws nothing). `(lo, span)`
+/// is the scenario's draw rule, `Scenario::task_affine`/`comm_affine`.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     lo: f64,
@@ -253,7 +254,6 @@ struct BlockPlan {
 impl BlockPlan {
     fn new(scenario: &Scenario, schedule: &Schedule, plan: &EagerPlan) -> Self {
         let dag = &scenario.graph.dag;
-        let ul = scenario.uncertainty.ul;
         let order = plan.topo_order();
         let mut step_of = vec![0u32; order.len()];
         for (k, &v) in order.iter().enumerate() {
@@ -265,24 +265,17 @@ impl BlockPlan {
             .map(|&v| {
                 let m = schedule.machine_of(v);
                 for &(u, edge) in dag.preds(v) {
-                    let lo = scenario.det_comm_cost(edge, schedule.machine_of(u), m);
+                    let (lo, span) = scenario.comm_affine(edge, schedule.machine_of(u), m);
                     arcs.push(InArc {
                         from: step_of[u],
-                        dur: Slot {
-                            lo,
-                            span: (ul - 1.0) * lo,
-                        },
+                        dur: Slot { lo, span },
                     });
                 }
-                let lo = scenario.det_task_cost(v, m);
+                let (lo, span) = scenario.task_affine(v, m);
                 Step {
                     prev: plan.prev_on_proc()[v].map_or(NO_PREV, |u| step_of[u]),
                     arcs_end: arcs.len() as u32,
-                    // Per-task UL (variable-UL extension) when installed.
-                    dur: Slot {
-                        lo,
-                        span: (scenario.task_ul(v) - 1.0) * lo,
-                    },
+                    dur: Slot { lo, span },
                     slot: 0,
                     sink: false,
                 }
