@@ -2,8 +2,9 @@
 
 use robusched_platform::Scenario;
 use robusched_randvar::DiscreteRv;
-use robusched_sched::{EagerPlan, Schedule};
+use robusched_sched::{EagerPlan, FoldAlgebra, Schedule, ScheduleError};
 use robusched_stats::descriptive::{mean, population_std};
+use robusched_stochastic::{EvalContext, Evaluator};
 
 /// Labels of the eight §IV metrics, in the paper's Fig. 6 order.
 pub const METRIC_LABELS: [&str; 8] = [
@@ -104,8 +105,8 @@ impl MetricValues {
 /// context): makespan standard deviation, average lateness
 /// `L = E[M | M > E(M)] − E(M)`, and differential entropy — the quantities
 /// the Monte-Carlo convergence study (`ext-mc-convergence`) measures
-/// estimator error on, computed with exactly the conventions of
-/// [`compute_metrics`].
+/// estimator error on. [`compute_metrics`] takes them, and `E(M)`, from
+/// [`distribution_stats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistributionStats {
     /// `E(M)`.
@@ -134,60 +135,85 @@ pub fn distribution_stats(makespan: &DiscreteRv) -> DistributionStats {
 /// Computes every §IV metric for one schedule given its makespan
 /// distribution (produced by any of the `robusched-stochastic`
 /// evaluators).
+///
+/// # Panics
+/// Panics if the schedule is invalid for the scenario.
 pub fn compute_metrics(
     scenario: &Scenario,
     schedule: &Schedule,
     makespan: &DiscreteRv,
     opts: &MetricOptions,
 ) -> MetricValues {
-    let e = makespan.mean();
-    let std = makespan.std_dev();
-    let entropy = makespan.entropy();
-    let lateness = makespan
-        .conditional_mean_above(e)
-        .map_or(0.0, |m_late| m_late - e);
-    let late_fraction = 1.0 - makespan.cdf_at(e);
-    let prob_absolute = makespan.prob_between(e - opts.delta, e + opts.delta);
-    let prob_relative = makespan.prob_between(e / opts.gamma, e * opts.gamma);
+    let plan = EagerPlan::new(&scenario.graph.dag, schedule).expect("invalid schedule");
+    plan_metrics(scenario, schedule, &plan, makespan, opts)
+}
 
-    let (avg_slack, slack_std, total_slack) = slack_metrics(scenario, schedule, e);
+/// One schedule's metrics under `evaluator` (default options), on one
+/// compiled plan that the evaluation and the slack metrics share.
+pub(crate) fn evaluate_metrics(
+    evaluator: &dyn Evaluator,
+    scenario: &Scenario,
+    schedule: &Schedule,
+    cx: &mut EvalContext,
+) -> Result<MetricValues, ScheduleError> {
+    let plan = EagerPlan::new(&scenario.graph.dag, schedule)?;
+    let rv = evaluator.evaluate_plan(scenario, schedule, &plan, cx);
+    let opts = MetricOptions::default();
+    Ok(plan_metrics(scenario, schedule, &plan, &rv, &opts))
+}
 
+/// [`compute_metrics`] on `schedule`'s compiled `plan`.
+fn plan_metrics(
+    scenario: &Scenario,
+    schedule: &Schedule,
+    plan: &EagerPlan,
+    makespan: &DiscreteRv,
+    opts: &MetricOptions,
+) -> MetricValues {
+    let stats = distribution_stats(makespan);
+    let e = stats.mean;
+    let slacks = task_slacks(scenario, schedule, plan, e);
     MetricValues {
         expected_makespan: e,
-        makespan_std: std,
-        makespan_entropy: entropy,
-        avg_slack,
-        slack_std,
-        avg_lateness: lateness,
-        prob_absolute,
-        prob_relative,
-        late_fraction,
-        total_slack,
+        makespan_std: stats.std_dev,
+        makespan_entropy: stats.entropy,
+        avg_slack: mean(&slacks),
+        slack_std: population_std(&slacks),
+        avg_lateness: stats.avg_lateness,
+        prob_absolute: makespan.prob_between(e - opts.delta, e + opts.delta),
+        prob_relative: makespan.prob_between(e / opts.gamma, e * opts.gamma),
+        late_fraction: 1.0 - makespan.cdf_at(e),
+        total_slack: slacks.iter().sum(),
     }
 }
 
-/// Slack metrics on the mean-duration disjunctive graph.
-///
-/// §IV: `sᵢ = M − Bl(i) − Tl(i)` where `M` is the average makespan and the
-/// levels use "the average value of … the task duration and the
-/// communication duration". Returns `(mean, population std, sum)`.
-///
-/// # Panics
-/// Panics if the schedule is invalid for the scenario.
-pub fn slack_metrics(
-    scenario: &Scenario,
-    schedule: &Schedule,
-    avg_makespan: f64,
-) -> (f64, f64, f64) {
-    let slacks = task_slacks(scenario, schedule, avg_makespan);
-    (mean(&slacks), population_std(&slacks), slacks.iter().sum())
+/// The backward fold's `(max, +)` algebra over mean durations: `Bl(i)` is
+/// `i`'s weight plus the longest path out of it.
+struct MeanLevels<'a>(&'a Scenario);
+
+impl FoldAlgebra for MeanLevels<'_> {
+    type Value = f64;
+
+    fn edge(&mut self, x: &f64, e: usize, p: usize, q: usize, out: &mut f64) {
+        *out = self.0.mean_comm_cost(e, p, q) + x;
+    }
+
+    fn task(&mut self, tail: Option<&f64>, v: usize, p: usize, out: &mut f64) {
+        let w = self.0.mean_task_cost(v, p);
+        *out = tail.map_or(w, |t| w + t);
+    }
+
+    fn max(&mut self, acc: &f64, x: &f64, out: &mut f64) {
+        *out = acc.max(*x);
+    }
 }
 
-/// The per-task slacks `sᵢ = M − Bl(i) − Tl(i)` over the plan's
-/// disjunctive graph under mean durations.
-fn task_slacks(scenario: &Scenario, schedule: &Schedule, avg_makespan: f64) -> Vec<f64> {
+/// The per-task slacks over the plan's disjunctive graph under mean
+/// durations. §IV: `sᵢ = M − Bl(i) − Tl(i)` where `M` is the average
+/// makespan `m` and the levels use "the average value of … the task
+/// duration and the communication duration".
+fn task_slacks(scenario: &Scenario, schedule: &Schedule, plan: &EagerPlan, m: f64) -> Vec<f64> {
     let dag = &scenario.graph.dag;
-    let plan = EagerPlan::new(dag, schedule).expect("invalid schedule");
     let node_w = |v: usize| scenario.mean_task_cost(v, schedule.machine_of(v));
     let edge_w = |e: usize, u: usize, v: usize| {
         scenario.mean_comm_cost(e, schedule.machine_of(u), schedule.machine_of(v))
@@ -196,25 +222,9 @@ fn task_slacks(scenario: &Scenario, schedule: &Schedule, avg_makespan: f64) -> V
     let tl = plan.execute(dag, node_w, edge_w).start;
     // Bl(i): `i`'s weight plus the longest path out of it.
     let mut bl = vec![0.0f64; dag.node_count()];
-    for &v in plan.topo_order().iter().rev() {
-        let mut best = 0.0f64;
-        for &(s, e) in dag.succs(v) {
-            let cand = edge_w(e, v, s) + bl[s];
-            if cand > best {
-                best = cand;
-            }
-        }
-        if let Some(w) = plan.machine_succ(v) {
-            if bl[w] > best {
-                best = bl[w];
-            }
-        }
-        bl[v] = node_w(v) + best;
-    }
-    tl.iter()
-        .zip(&bl)
-        .map(|(t, b)| avg_makespan - b - t)
-        .collect()
+    let levels = &mut MeanLevels(scenario);
+    plan.fold_backward(dag, schedule, levels, &mut bl, &mut [0.0; 3]);
+    tl.iter().zip(&bl).map(|(t, b)| m - b - t).collect()
 }
 
 /// Online robustness counters of one dynamic (arrival-driven) run — the
@@ -440,7 +450,8 @@ mod tests {
         // zero.
         for (s, sched) in slack_cases() {
             let m = robusched_sched::mean_makespan(&s, &sched);
-            let slacks = task_slacks(&s, &sched, m);
+            let plan = EagerPlan::new(&s.graph.dag, &sched).unwrap();
+            let slacks = task_slacks(&s, &sched, &plan, m);
             let min = slacks.iter().copied().fold(f64::INFINITY, f64::min);
             assert!(min >= -1e-12 * m, "slack {min} below 0 (M = {m})");
             assert!(min <= 1e-12 * m, "no zero slack: smallest {min} (M = {m})");
@@ -496,8 +507,14 @@ mod tests {
     fn slack_metrics_match_the_augmented_graph_bit_for_bit() {
         for (s, sched) in slack_cases() {
             let mean_ms = robusched_sched::mean_makespan(&s, &sched);
+            let plan = EagerPlan::new(&s.graph.dag, &sched).unwrap();
             for m in [mean_ms, 1.03 * mean_ms] {
-                let (a, b, c) = slack_metrics(&s, &sched, m);
+                let slacks = task_slacks(&s, &sched, &plan, m);
+                let (a, b, c) = (
+                    mean(&slacks),
+                    population_std(&slacks),
+                    slacks.iter().sum::<f64>(),
+                );
                 let (x, y, z) = augmented_graph_slack_metrics(&s, &sched, m);
                 assert_eq!(
                     [a.to_bits(), b.to_bits(), c.to_bits()],

@@ -59,14 +59,16 @@
 //! cache hit, a coalesced in-flight follower, or the result cache — and
 //! for any worker count. `tests/eval_service.rs` locks this.
 //!
-//! A worker panic (e.g. a heuristic fed an impossible state) is caught per
-//! request and returned as [`ServiceError::Panicked`] — the service keeps
-//! serving, which is the whole point of a long-running front end.
+//! A schedule that would deadlock is answered with
+//! [`ServiceError::InvalidSchedule`] when its plan is compiled, and a
+//! worker panic (a bug) is caught per request and returned as
+//! [`ServiceError::Panicked`] — the service keeps serving, which is the
+//! whole point of a long-running front end.
 
 use crate::lru::Lru;
-use crate::metrics::{compute_metrics, MetricOptions, MetricValues};
+use crate::metrics::{evaluate_metrics, MetricValues};
 use robusched_platform::Scenario;
-use robusched_sched::Schedule;
+use robusched_sched::{Schedule, ScheduleError};
 use robusched_stochastic::par::{panic_message, worker_count};
 use robusched_stochastic::{
     evaluator_by_name, scenario_fingerprint, EvalContext, Evaluator, Fnv1a, PreparedScenario,
@@ -107,8 +109,9 @@ const MAX_BATCH: usize = 64;
 /// One evaluation request: a scenario (shared, typically interned by the
 /// front end), a schedule and an evaluator registry name. The service
 /// always computes the full [`MetricValues`] vector under the default
-/// [`MetricOptions`] — metric-*set* filtering is a wire-protocol concern
-/// (see the `serve` subcommand), not an evaluation one.
+/// [`MetricOptions`](crate::MetricOptions) — metric-*set* filtering is a
+/// wire-protocol concern (see the `serve` subcommand), not an evaluation
+/// one.
 #[derive(Debug, Clone)]
 pub struct EvalRequest {
     /// The problem instance. `Arc` so repeated submissions of one scenario
@@ -150,6 +153,9 @@ pub struct EvalOutcome {
 pub enum ServiceError {
     /// The evaluator name did not resolve in the registry.
     UnknownEvaluator(String),
+    /// The schedule cannot run on the scenario's graph (its plan failed
+    /// to compile).
+    InvalidSchedule(ScheduleError),
     /// The evaluation panicked; the payload is preserved so the root cause
     /// is not masked (cf. [`crate::StudyError::WorkerPanic`]).
     Panicked(String),
@@ -159,6 +165,7 @@ impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::UnknownEvaluator(n) => write!(f, "unknown evaluator '{n}'"),
+            Self::InvalidSchedule(e) => write!(f, "invalid schedule: {e}"),
             Self::Panicked(msg) => write!(f, "evaluation panicked: {msg}"),
         }
     }
@@ -625,16 +632,16 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
     let mut cx = EvalContext::new(prep.clone());
     for job in &batch {
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let rv = evaluator.evaluate_with(&job.request.scenario, &job.request.schedule, &mut cx);
-            compute_metrics(
+            evaluate_metrics(
+                evaluator,
                 &job.request.scenario,
                 &job.request.schedule,
-                &rv,
-                &MetricOptions::default(),
+                &mut cx,
             )
         }));
         match result {
-            Ok(metrics) => finish_job(
+            Ok(Err(e)) => finish_job(shared, job, Err(ServiceError::InvalidSchedule(e))),
+            Ok(Ok(metrics)) => finish_job(
                 shared,
                 job,
                 Ok(EvalOutcome {

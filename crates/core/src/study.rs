@@ -27,7 +27,7 @@
 //! Rows collected by a sink feed the two-pass [`pearson_matrix`] and
 //! [`spearman_matrix`].
 
-use crate::metrics::{compute_metrics, MetricOptions, MetricValues, METRIC_LABELS};
+use crate::metrics::{evaluate_metrics, MetricValues, METRIC_LABELS};
 use crate::streaming::{RankReservoir, StreamingMoments};
 use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
@@ -312,8 +312,7 @@ impl<'a> StudyBuilder<'a> {
         // schedules of that worker.
         let prep = evaluator.prepare(scenario);
         let eval_one = |cx: &mut EvalContext, schedule: &Schedule| -> MetricValues {
-            let rv = evaluator.evaluate_with(scenario, schedule, cx);
-            compute_metrics(scenario, schedule, &rv, &MetricOptions::default())
+            evaluate_metrics(evaluator.as_ref(), scenario, schedule, cx).expect("invalid schedule")
         };
 
         // ---- Random schedules: parallel chunk computation, in-order
@@ -397,6 +396,8 @@ fn matrix_with(rows: &[MetricValues], corr: fn(&[f64], &[f64]) -> f64) -> CorrMa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{compute_metrics, MetricOptions};
+    use robusched_sched::EagerPlan;
 
     /// The paper's protocol on `k` random schedules: classic evaluator
     /// plus the three paper heuristics, with the rows a sink collected.
@@ -650,10 +651,11 @@ mod tests {
             fn name(&self) -> &str {
                 "panicker"
             }
-            fn evaluate_with(
+            fn evaluate_plan(
                 &self,
                 _scenario: &Scenario,
                 _schedule: &Schedule,
+                _plan: &EagerPlan,
                 _cx: &mut EvalContext,
             ) -> DiscreteRv {
                 panic!("injected failure");

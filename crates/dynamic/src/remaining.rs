@@ -15,24 +15,17 @@
 //!                        rem(machine_succ(v)) )
 //! ```
 //!
-//! with co-located successors contributing `rem(s)` directly (their
-//! communication is free). `machine_succ` is the plan's machine edge
-//! ([`EagerPlan::machine_succ`]): a next task on `v`'s machine that is
-//! also a DAG successor is already folded once, and folding it again would
-//! take `max(X, X)` — under the independence assumption that squares the
-//! CDF and biases the total upward. The instance-level completion
-//! distribution is the max of `rem` over the disjunctive *entry* tasks
-//! (no DAG predecessor, first on their machine) — the backward
-//! counterpart of taking the max over disjunctive sinks forward.
-//!
-//! Every duration distribution comes from the shared
-//! [`DiscretizedScenario`] cache, so building the table for a scenario
-//! costs one `O(n + e)` sweep of `sum`/`max` grid operations and is then
-//! reused by every instance of that scenario in a dynamic run.
+//! and the instance total is the max of `rem` over the disjunctive entry
+//! tasks. The walk — machine edges ([`EagerPlan::machine_succ`]), free
+//! co-located communication, the entries — is [`EagerPlan::fold_backward`];
+//! this module supplies its algebra. Every duration comes from the shared
+//! [`DiscretizedScenario`], so a scenario's table costs one `O(n + e)`
+//! sweep of grid operations, reused by every instance of the scenario.
 
+use robusched_dag::{EdgeId, NodeId};
 use robusched_platform::Scenario;
-use robusched_randvar::DiscreteRv;
-use robusched_sched::{EagerPlan, Schedule};
+use robusched_randvar::{DiscreteRv, RvWorkspace};
+use robusched_sched::{EagerPlan, FoldAlgebra, Schedule};
 use robusched_stochastic::DiscretizedScenario;
 
 /// Per-task remaining completion-time distributions plus the instance
@@ -46,9 +39,42 @@ pub struct RemainingDists {
     pub total: DiscreteRv,
 }
 
+/// The backward fold's algebra over remaining-time distributions:
+/// `comm ⊕ rem(s)`, `dur ⊕ tail`, and the CDF-product `max`.
+struct Remaining<'a> {
+    scenario: &'a Scenario,
+    disc: &'a DiscretizedScenario,
+    ws: &'a mut RvWorkspace,
+}
+
+impl FoldAlgebra for Remaining<'_> {
+    type Value = DiscreteRv;
+
+    fn edge(&mut self, x: &DiscreteRv, e: EdgeId, p: usize, q: usize, out: &mut DiscreteRv) {
+        let comm = self.disc.comm(self.scenario, e, p, q);
+        comm.sum_into(x, self.ws, out);
+    }
+
+    fn task(&mut self, tail: Option<&DiscreteRv>, v: NodeId, p: usize, out: &mut DiscreteRv) {
+        let dur = self.disc.task(self.scenario, v, p);
+        match tail {
+            None => out.copy_from(dur),
+            Some(tail) => dur.sum_into(tail, self.ws, out),
+        }
+    }
+
+    fn max(&mut self, acc: &DiscreteRv, x: &DiscreteRv, out: &mut DiscreteRv) {
+        acc.max_into(x, self.ws, out);
+    }
+
+    fn copy(&mut self, x: &DiscreteRv, out: &mut DiscreteRv) {
+        out.copy_from(x);
+    }
+}
+
 impl RemainingDists {
-    /// Builds the table by one backward sweep over `plan`'s disjunctive
-    /// topological order.
+    /// Builds the table by one backward fold over `plan`, the compiled
+    /// `schedule`.
     pub fn build(
         scenario: &Scenario,
         schedule: &Schedule,
@@ -56,54 +82,13 @@ impl RemainingDists {
         disc: &DiscretizedScenario,
     ) -> Self {
         let dag = &scenario.graph.dag;
-        let n = dag.node_count();
-        let mut rem: Vec<Option<DiscreteRv>> = vec![None; n];
-        for &v in plan.topo_order().iter().rev() {
-            let pv = schedule.machine_of(v);
-            // Max over everything v's finish gates.
-            let mut tail: Option<DiscreteRv> = None;
-            let fold = |contrib: DiscreteRv, tail: &mut Option<DiscreteRv>| {
-                *tail = Some(match tail.take() {
-                    None => contrib,
-                    Some(prev) => prev.max(&contrib),
-                });
-            };
-            for &(s, e) in dag.succs(v) {
-                let ps = schedule.machine_of(s);
-                let rem_s = rem[s].as_ref().expect("reverse topo order");
-                let contrib = if pv == ps {
-                    rem_s.clone()
-                } else {
-                    disc.comm(scenario, e, pv, ps).sum(rem_s)
-                };
-                fold(contrib, &mut tail);
-            }
-            if let Some(w) = plan.machine_succ(v) {
-                let contrib = rem[w].as_ref().expect("reverse topo order").clone();
-                fold(contrib, &mut tail);
-            }
-            let dur = disc.task(scenario, v, pv);
-            rem[v] = Some(match tail {
-                None => dur.clone(),
-                Some(tail) => dur.sum(&tail),
-            });
-        }
-        let rem: Vec<DiscreteRv> = rem
-            .into_iter()
-            .map(|r| r.expect("every task visited"))
-            .collect();
-        // Entry tasks of the disjunctive graph start at time 0; the
-        // instance completes when the last of their gated chains does.
-        let mut total: Option<DiscreteRv> = None;
-        for (v, rem_v) in rem.iter().enumerate() {
-            if dag.in_degree(v) == 0 && plan.prev_on_proc()[v].is_none() {
-                total = Some(match total {
-                    None => rem_v.clone(),
-                    Some(prev) => prev.max(rem_v),
-                });
-            }
-        }
-        let total = total.expect("a DAG has at least one entry task");
+        let mut rem = vec![DiscreteRv::point(0.0); dag.node_count()];
+        let mut scratch = std::array::from_fn(|_| DiscreteRv::point(0.0));
+        let ws = &mut RvWorkspace::new();
+        let mut alg = Remaining { scenario, disc, ws };
+        let total = plan
+            .fold_backward(dag, schedule, &mut alg, &mut rem, &mut scratch)
+            .clone();
         Self { rem, total }
     }
 }

@@ -77,22 +77,6 @@ impl Beta {
     pub fn paper_default() -> Self {
         Self::new(2.0, 5.0)
     }
-
-    /// Shape α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Mode of the distribution (requires α > 1, β > 1 for an interior mode).
-    pub fn mode(&self) -> f64 {
-        if self.alpha > 1.0 && self.beta > 1.0 {
-            (self.alpha - 1.0) / (self.alpha + self.beta - 2.0)
-        } else if self.alpha <= 1.0 {
-            0.0
-        } else {
-            1.0
-        }
-    }
 }
 
 impl Dist for Beta {
@@ -260,7 +244,6 @@ mod tests {
         let b = Beta::paper_default();
         assert!(approx_eq(b.mean(), 2.0 / 7.0, 1e-12));
         assert!(approx_eq(b.variance(), 10.0 / (49.0 * 8.0), 1e-12));
-        assert!(approx_eq(b.mode(), 0.2, 1e-12));
     }
 
     #[test]

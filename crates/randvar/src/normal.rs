@@ -34,16 +34,6 @@ impl Normal {
         );
         Self { mu, sigma }
     }
-
-    /// Mean μ.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// Standard deviation σ.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
 }
 
 impl Dist for Normal {

@@ -13,11 +13,12 @@
 //! the DAG's precedence edges plus one *machine edge* from each task to
 //! the next task on its machine, unless a precedence edge already links
 //! the pair ([`EagerPlan::machine_pred`] / [`EagerPlan::machine_succ`]).
-//! The analytic evaluators and the slack metrics read those edges: under
-//! the independence assumption a repeated constraint would take
-//! `max(X, X)` and bias the result. The exact replays read the raw
-//! machine neighbours ([`EagerPlan::prev_on_proc`] /
-//! [`EagerPlan::next_on_proc`]), where a repeated constraint is harmless.
+//! The analytic evaluators, the remaining times and the slack metrics walk
+//! those edges with [`EagerPlan::fold_forward`] / [`EagerPlan::fold_backward`]
+//! and their own [`FoldAlgebra`]: under the independence assumption a
+//! repeated constraint would take `max(X, X)` and bias the result. The
+//! exact replays read the raw machine neighbours ([`EagerPlan::prev_on_proc`]
+//! / [`EagerPlan::next_on_proc`]), where a repeated constraint is harmless.
 
 use crate::schedule::{Schedule, ScheduleError};
 use robusched_dag::{Dag, EdgeId, NodeId};
@@ -36,9 +37,7 @@ pub struct ExecResult {
 /// A schedule compiled for repeated eager execution: a topological order of
 /// the disjunctive graph, the same-machine neighbors of every task, which
 /// of them are machine edges of the disjunctive graph, and the disjunctive
-/// sinks (precomputed once so per-evaluation passes stop rebuilding them —
-/// the analytic evaluators take the makespan as the max over exactly these
-/// tasks).
+/// sinks and entries, over which the folds take their result.
 #[derive(Debug, Clone)]
 pub struct EagerPlan {
     order: Vec<NodeId>,
@@ -49,6 +48,73 @@ pub struct EagerPlan {
     /// into `v`.
     machine_edge: Vec<bool>,
     sinks: Vec<NodeId>,
+    entries: Vec<NodeId>,
+}
+
+/// The operations of one walk over the disjunctive graph
+/// ([`EagerPlan::fold_forward`], [`EagerPlan::fold_backward`]) on one
+/// value per task — a distribution, a moment pair, a date. Each writes
+/// into caller-owned storage and keeps its own operand order, since a sum
+/// need not be symmetric bit for bit.
+pub trait FoldAlgebra {
+    /// What the walk carries per task.
+    type Value: Clone;
+
+    /// `out ← x` extended across edge `e`, whose tail runs on machine `p`
+    /// and head on machine `q ≠ p`; `x` is the tail's value forward and
+    /// the head's backward.
+    fn edge(&mut self, x: &Self::Value, e: EdgeId, p: usize, q: usize, out: &mut Self::Value);
+
+    /// `out ← acc` extended by the duration of task `v` on its machine
+    /// `p`, or that duration alone when nothing precedes `v` (forward) or
+    /// follows it (backward).
+    fn task(&mut self, acc: Option<&Self::Value>, v: NodeId, p: usize, out: &mut Self::Value);
+
+    /// `out ← max(acc, x)`.
+    fn max(&mut self, acc: &Self::Value, x: &Self::Value, out: &mut Self::Value);
+
+    /// `out ← x`; override it where `clone_from` would allocate.
+    fn copy(&mut self, x: &Self::Value, out: &mut Self::Value) {
+        out.clone_from(x);
+    }
+}
+
+/// Joins `x` into the running max in `acc`: the first contribution is
+/// copied as is, each later one joined as `max(acc, x)` through `spare`.
+fn join<A: FoldAlgebra>(
+    alg: &mut A,
+    acc: &mut A::Value,
+    spare: &mut A::Value,
+    joined: &mut bool,
+    x: &A::Value,
+) {
+    if *joined {
+        alg.max(acc, x, spare);
+        std::mem::swap(acc, spare);
+    } else {
+        alg.copy(x, acc);
+        *joined = true;
+    }
+}
+
+/// The value `x` carried along the DAG edge `e = (u, v)`: unchanged
+/// between co-located tasks, extended into `edge` across machines.
+fn carry<'x, A: FoldAlgebra>(
+    alg: &mut A,
+    schedule: &Schedule,
+    x: &'x A::Value,
+    e: EdgeId,
+    u: NodeId,
+    v: NodeId,
+    edge: &'x mut A::Value,
+) -> &'x A::Value {
+    let (p, q) = (schedule.machine_of(u), schedule.machine_of(v));
+    if p == q {
+        x
+    } else {
+        alg.edge(x, e, p, q, edge);
+        edge
+    }
 }
 
 impl EagerPlan {
@@ -57,23 +123,20 @@ impl EagerPlan {
     pub fn new(dag: &Dag, schedule: &Schedule) -> Result<Self, ScheduleError> {
         let n = dag.node_count();
         let mut prev_on_proc = vec![None; n];
-        for p in 0..schedule.machine_count() {
-            let order = schedule.order_on(p);
-            for w in order.windows(2) {
-                prev_on_proc[w[1]] = Some(w[0]);
-            }
-        }
-        // Kahn over DAG edges + prev_on_proc edges.
         let mut next_on_proc = vec![None; n];
-        for (v, &prev) in prev_on_proc.iter().enumerate() {
-            if let Some(u) = prev {
-                next_on_proc[u] = Some(v);
+        for p in 0..schedule.machine_count() {
+            for w in schedule.order_on(p).windows(2) {
+                prev_on_proc[w[1]] = Some(w[0]);
+                next_on_proc[w[0]] = Some(w[1]);
             }
         }
+        // Kahn over DAG edges + same-machine edges, seeded with the
+        // disjunctive entries: no DAG predecessor, first on their machine.
         let mut indeg: Vec<usize> = (0..n)
             .map(|v| dag.in_degree(v) + usize::from(prev_on_proc[v].is_some()))
             .collect();
-        let mut stack: Vec<NodeId> = (0..n).filter(|&v| indeg[v] == 0).collect();
+        let entries: Vec<NodeId> = (0..n).filter(|&v| indeg[v] == 0).collect();
+        let mut stack = entries.clone();
         let mut order = Vec::with_capacity(n);
         while let Some(u) = stack.pop() {
             order.push(u);
@@ -111,6 +174,7 @@ impl EagerPlan {
             next_on_proc,
             machine_edge,
             sinks,
+            entries,
         })
     }
 
@@ -150,6 +214,81 @@ impl EagerPlan {
     /// times.
     pub fn disjunctive_sinks(&self) -> &[NodeId] {
         &self.sinks
+    }
+
+    /// The forward fold: in topological order, `values[v] ←
+    /// alg.task(start, v)`, where `start` joins the machine predecessor's
+    /// value ([`EagerPlan::machine_pred`]), then each DAG predecessor's in
+    /// `dag.preds(v)` order, carried by [`FoldAlgebra::edge`] unless the
+    /// two tasks share a machine (co-located communication is free).
+    /// Returns the join over the disjunctive sinks, held in `scratch`.
+    /// `values` (one per task) and `scratch` are overwritten, so warm
+    /// buffers keep the walk allocation-free when the algebra is. With
+    /// finish-time values this is §II's recursion and returns the
+    /// makespan.
+    pub fn fold_forward<'s, A: FoldAlgebra>(
+        &self,
+        dag: &Dag,
+        schedule: &Schedule,
+        alg: &mut A,
+        values: &mut [A::Value],
+        scratch: &'s mut [A::Value; 3],
+    ) -> &'s A::Value {
+        let [acc, spare, edge] = scratch;
+        for &v in &self.order {
+            let mut joined = false;
+            if let Some(u) = self.machine_pred(v) {
+                join(alg, acc, spare, &mut joined, &values[u]);
+            }
+            for &(u, e) in dag.preds(v) {
+                let x = carry(alg, schedule, &values[u], e, u, v, edge);
+                join(alg, acc, spare, &mut joined, x);
+            }
+            let p = schedule.machine_of(v);
+            alg.task(joined.then_some(&*acc), v, p, &mut values[v]);
+        }
+        let mut joined = false;
+        for &v in &self.sinks {
+            join(alg, acc, spare, &mut joined, &values[v]);
+        }
+        assert!(joined, "a plan has at least one sink");
+        acc
+    }
+
+    /// The backward fold, [`EagerPlan::fold_forward`]'s mirror: in reverse
+    /// topological order, `values[v] ← alg.task(tail, v)`, where `tail`
+    /// joins each DAG successor's value in `dag.succs(v)` order (carried
+    /// likewise), then the machine successor's ([`EagerPlan::machine_succ`]).
+    /// Returns the join over the disjunctive entries (no DAG predecessor,
+    /// first on their machine). With durations as values, `values[v]` is
+    /// `v`'s bottom level.
+    pub fn fold_backward<'s, A: FoldAlgebra>(
+        &self,
+        dag: &Dag,
+        schedule: &Schedule,
+        alg: &mut A,
+        values: &mut [A::Value],
+        scratch: &'s mut [A::Value; 3],
+    ) -> &'s A::Value {
+        let [acc, spare, edge] = scratch;
+        for &v in self.order.iter().rev() {
+            let mut joined = false;
+            for &(s, e) in dag.succs(v) {
+                let x = carry(alg, schedule, &values[s], e, v, s, edge);
+                join(alg, acc, spare, &mut joined, x);
+            }
+            if let Some(w) = self.machine_succ(v) {
+                join(alg, acc, spare, &mut joined, &values[w]);
+            }
+            let p = schedule.machine_of(v);
+            alg.task(joined.then_some(&*acc), v, p, &mut values[v]);
+        }
+        let mut joined = false;
+        for &v in &self.entries {
+            join(alg, acc, spare, &mut joined, &values[v]);
+        }
+        assert!(joined, "a plan has at least one entry");
+        acc
     }
 
     /// Replays the eager execution with the given durations.

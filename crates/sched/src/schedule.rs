@@ -1,5 +1,6 @@
 //! The eager schedule representation.
 
+use crate::eager::EagerPlan;
 use robusched_dag::{Dag, NodeId};
 
 /// An eager schedule: task → machine assignment plus the execution order on
@@ -49,8 +50,8 @@ impl Schedule {
     ///
     /// Structural coherence (each task listed exactly once, on its assigned
     /// machine) is checked eagerly; deadlock-freedom is checked by
-    /// [`Schedule::validate`] / [`crate::eager::EagerPlan::new`] because it
-    /// needs the DAG.
+    /// [`Schedule::validate`] / [`EagerPlan::new`] because it needs the
+    /// DAG.
     ///
     /// # Panics
     /// Panics on structurally incoherent inputs.
@@ -115,47 +116,10 @@ impl Schedule {
     }
 
     /// Checks that the eager execution cannot deadlock: the union of
-    /// precedence edges and same-machine successor edges must be acyclic.
+    /// precedence edges and same-machine successor edges must be acyclic,
+    /// which is what compiling the schedule's [`EagerPlan`] checks.
     pub fn validate(&self, dag: &Dag) -> Result<(), ScheduleError> {
-        // Kahn's algorithm over the disjunctive structure without
-        // materializing a graph: in-degrees = DAG preds + (1 if not first on
-        // its machine).
-        let n = self.assignment.len();
-        let mut pos_on_proc = vec![0usize; n];
-        for order in &self.proc_order {
-            for (k, &t) in order.iter().enumerate() {
-                pos_on_proc[t] = k;
-            }
-        }
-        let mut indeg: Vec<usize> = (0..n)
-            .map(|v| dag.in_degree(v) + usize::from(pos_on_proc[v] > 0))
-            .collect();
-        let mut stack: Vec<NodeId> = (0..n).filter(|&v| indeg[v] == 0).collect();
-        let mut done = 0usize;
-        while let Some(u) = stack.pop() {
-            done += 1;
-            for &(v, _) in dag.succs(u) {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    stack.push(v);
-                }
-            }
-            // Same-machine successor.
-            let p = self.assignment[u];
-            let order = &self.proc_order[p];
-            if pos_on_proc[u] + 1 < order.len() {
-                let next = order[pos_on_proc[u] + 1];
-                indeg[next] -= 1;
-                if indeg[next] == 0 {
-                    stack.push(next);
-                }
-            }
-        }
-        if done == n {
-            Ok(())
-        } else {
-            Err(ScheduleError::Deadlock)
-        }
+        EagerPlan::new(dag, self).map(|_| ())
     }
 
     /// Machine of task `t`.

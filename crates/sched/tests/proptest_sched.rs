@@ -3,9 +3,11 @@
 //! execution respects all constraints.
 
 use proptest::prelude::*;
+use robusched_dag::{EdgeId, NodeId};
 use robusched_platform::Scenario;
 use robusched_sched::{
-    bil, cpop, det_makespan, heft, hyb_bmct, random_schedule, sigma_heft, EagerPlan, Schedule,
+    bil, cpop, det_makespan, heft, hyb_bmct, random_schedule, sigma_heft, EagerPlan, FoldAlgebra,
+    Schedule,
 };
 
 /// Checks the physical validity of one deterministic execution: machine
@@ -50,8 +52,90 @@ fn check_execution(s: &Scenario, sched: &Schedule) -> Result<(), String> {
     Ok(())
 }
 
+/// The `(max, +)` algebra over dates under the deterministic costs. The
+/// forward fold's values are finish dates, and `start` records each join
+/// the fold hands to `task`.
+struct Dates<'a> {
+    s: &'a Scenario,
+    start: Vec<f64>,
+}
+
+impl FoldAlgebra for Dates<'_> {
+    type Value = f64;
+
+    fn edge(&mut self, x: &f64, e: EdgeId, p: usize, q: usize, out: &mut f64) {
+        *out = x + self.s.det_comm_cost(e, p, q);
+    }
+
+    fn task(&mut self, acc: Option<&f64>, v: NodeId, p: usize, out: &mut f64) {
+        let start = acc.copied().unwrap_or(0.0);
+        self.start[v] = start;
+        *out = start + self.s.det_task_cost(v, p);
+    }
+
+    fn max(&mut self, acc: &f64, x: &f64, out: &mut f64) {
+        *out = acc.max(*x);
+    }
+}
+
+/// Runs both folds under [`Dates`] and compares them with the exact
+/// replay: the forward fold's starts, finishes and makespan bit for bit
+/// (co-located communication costs exactly 0.0, so the replay's raw
+/// machine neighbours add nothing the plan's machine edges miss), the
+/// backward fold's total within 1e-12 relative (it sums in another order).
+fn check_folds(s: &Scenario, sched: &Schedule) -> Result<(), String> {
+    let dag = &s.graph.dag;
+    let n = s.task_count();
+    let plan = EagerPlan::new(dag, sched).map_err(|e| e.to_string())?;
+    let r = plan.execute(
+        dag,
+        |v| s.det_task_cost(v, sched.machine_of(v)),
+        |e, u, v| s.det_comm_cost(e, sched.machine_of(u), sched.machine_of(v)),
+    );
+    let mut alg = Dates {
+        s,
+        start: vec![f64::NAN; n],
+    };
+    let mut finish = vec![f64::NAN; n];
+    let makespan = *plan.fold_forward(dag, sched, &mut alg, &mut finish, &mut [f64::NAN; 3]);
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    if bits(&alg.start) != bits(&r.start) {
+        return Err(format!("starts {:?} vs replay {:?}", alg.start, r.start));
+    }
+    if bits(&finish) != bits(&r.finish) {
+        return Err(format!("finishes {finish:?} vs replay {:?}", r.finish));
+    }
+    if makespan.to_bits() != r.makespan.to_bits() {
+        return Err(format!("makespan {makespan} vs replay {}", r.makespan));
+    }
+    let mut rem = vec![f64::NAN; n];
+    let total = *plan.fold_backward(dag, sched, &mut alg, &mut rem, &mut [f64::NAN; 3]);
+    if (total - makespan).abs() > 1e-12 * makespan {
+        return Err(format!(
+            "backward total {total} vs forward makespan {makespan}"
+        ));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
+
+    #[test]
+    fn folds_reproduce_the_eager_replay(
+        n in 2usize..60,
+        m in 1usize..8,
+        seed in 0u64..500,
+    ) {
+        let s = Scenario::paper_random(n, m, 1.2, seed);
+        for (name, sched) in [
+            ("heft", heft(&s)),
+            ("random", random_schedule(&s.graph.dag, m, seed ^ 0x5a)),
+        ] {
+            check_folds(&s, &sched)
+                .map_err(|e| TestCaseError::fail(format!("{name}: {e}")))?;
+        }
+    }
 
     #[test]
     fn all_heuristics_produce_physical_schedules(

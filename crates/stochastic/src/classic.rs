@@ -14,156 +14,93 @@
 //! ```
 //!
 //! with `⊕` the independent-sum (PDF convolution) and `max` the CDF
-//! product, both on 64-point grids (`robusched_randvar::DiscreteRv`).
-//!
-//! It is reached through [`ClassicEvaluator`](crate::ClassicEvaluator):
-//! the per-(task, machine) and per-(edge, machine-pair) discretizations come
-//! from the shared read-only [`DiscretizedScenario`] its
-//! [`prepare`](crate::Evaluator::prepare) builds, every intermediate RV is
-//! built with the `*_into` kernels into the per-worker
-//! [`EvalContext`](crate::EvalContext) scratch, and the disjunctive sinks
-//! come precomputed from [`EagerPlan`] — one schedule evaluation allocates
-//! nothing in the steady state beyond the returned distribution.
+//! product, both on 64-point grids (`robusched_randvar::DiscreteRv`). The
+//! walk, with its machine edges and free co-located communication, is
+//! [`EagerPlan::fold_forward`]; this module supplies its algebra, reached
+//! through [`ClassicEvaluator`](crate::ClassicEvaluator). The
+//! discretizations come from the shared [`DiscretizedScenario`] its
+//! [`prepare`](crate::Evaluator::prepare) builds and every intermediate
+//! goes into the per-worker [`EvalContext`](crate::EvalContext) scratch,
+//! so a warm evaluation allocates only its answer.
 
 use crate::cache::DiscretizedScenario;
+use robusched_dag::{EdgeId, NodeId};
 use robusched_platform::Scenario;
 use robusched_randvar::{DiscreteRv, RvWorkspace};
-use robusched_sched::{EagerPlan, Schedule};
+use robusched_sched::{EagerPlan, FoldAlgebra, Schedule};
 
 /// Reusable per-worker storage for the classic recursion: the per-task
-/// finish distributions plus the ping-pong accumulators for `start` and the
-/// makespan. Buffers grow to the case size on first use and are reused for
-/// every subsequent schedule.
+/// finish distributions, the fold's scratch and the RV workspace. Buffers
+/// grow to the case size on first use and are reused for every subsequent
+/// schedule.
 #[derive(Debug)]
 pub(crate) struct ClassicScratch {
     pub(crate) finish: Vec<DiscreteRv>,
-    start_a: DiscreteRv,
-    start_b: DiscreteRv,
-    arrival: DiscreteRv,
-    acc_a: DiscreteRv,
-    acc_b: DiscreteRv,
-}
-
-impl ClassicScratch {
-    /// Empty scratch; buffers grow on first evaluation.
-    pub(crate) fn new() -> Self {
-        Self {
-            finish: Vec::new(),
-            start_a: DiscreteRv::point(0.0),
-            start_b: DiscreteRv::point(0.0),
-            arrival: DiscreteRv::point(0.0),
-            acc_a: DiscreteRv::point(0.0),
-            acc_b: DiscreteRv::point(0.0),
-        }
-    }
+    fold: [DiscreteRv; 3],
+    ws: RvWorkspace,
 }
 
 impl Default for ClassicScratch {
+    /// Empty scratch; buffers grow on first evaluation.
     fn default() -> Self {
-        Self::new()
+        Self {
+            finish: Vec::new(),
+            fold: std::array::from_fn(|_| DiscreteRv::point(0.0)),
+            ws: RvWorkspace::new(),
+        }
     }
 }
 
-/// A pair of ping-pong buffers accumulating a running `max` without
-/// allocating: `fold` writes `current.max(x)` into the idle buffer and
-/// flips. Returns which buffer holds the final value.
-struct MaxAccum<'a> {
-    a: &'a mut DiscreteRv,
-    b: &'a mut DiscreteRv,
-    state: Option<bool>, // Some(true) = `a` is current
+/// The forward fold's algebra over finish-time distributions:
+/// `finish(u) ⊕ comm`, `start ⊕ dur`, and the CDF-product `max`.
+struct Finish<'a> {
+    scenario: &'a Scenario,
+    disc: &'a DiscretizedScenario,
+    ws: &'a mut RvWorkspace,
 }
 
-impl<'a> MaxAccum<'a> {
-    fn new(a: &'a mut DiscreteRv, b: &'a mut DiscreteRv) -> Self {
-        Self { a, b, state: None }
+impl FoldAlgebra for Finish<'_> {
+    type Value = DiscreteRv;
+
+    fn edge(&mut self, x: &DiscreteRv, e: EdgeId, p: usize, q: usize, out: &mut DiscreteRv) {
+        x.sum_into(self.disc.comm(self.scenario, e, p, q), self.ws, out);
     }
 
-    fn fold(&mut self, x: &DiscreteRv, ws: &mut RvWorkspace) {
-        match self.state {
-            None => {
-                self.a.copy_from(x);
-                self.state = Some(true);
-            }
-            Some(true) => {
-                self.a.max_into(x, ws, self.b);
-                self.state = Some(false);
-            }
-            Some(false) => {
-                self.b.max_into(x, ws, self.a);
-                self.state = Some(true);
-            }
+    fn task(&mut self, start: Option<&DiscreteRv>, v: NodeId, p: usize, out: &mut DiscreteRv) {
+        let dur = self.disc.task(self.scenario, v, p);
+        match start {
+            None => out.copy_from(dur), // entry task starts at 0
+            Some(s) => s.sum_into(dur, self.ws, out),
         }
     }
 
-    fn current(&self) -> Option<&DiscreteRv> {
-        self.state
-            .map(|a_is_cur| if a_is_cur { &*self.a } else { &*self.b })
+    fn max(&mut self, acc: &DiscreteRv, x: &DiscreteRv, out: &mut DiscreteRv) {
+        acc.max_into(x, self.ws, out);
+    }
+
+    fn copy(&mut self, x: &DiscreteRv, out: &mut DiscreteRv) {
+        out.copy_from(x);
     }
 }
 
-/// The allocation-free classic evaluation: shared discretization `cache`,
-/// per-worker `ws` + `scratch`. On return `scratch.finish[v]` holds task
-/// `v`'s finish distribution.
-///
-/// # Panics
-/// Panics if the schedule is invalid for the scenario.
+/// The allocation-free classic evaluation of `schedule`'s compiled `plan`:
+/// shared discretization `disc`, per-worker `scratch`. On return
+/// `scratch.finish[v]` holds task `v`'s finish distribution.
 pub(crate) fn evaluate_classic_cached(
     scenario: &Scenario,
     schedule: &Schedule,
-    cache: &DiscretizedScenario,
-    ws: &mut RvWorkspace,
+    plan: &EagerPlan,
+    disc: &DiscretizedScenario,
     scratch: &mut ClassicScratch,
 ) -> DiscreteRv {
+    let ClassicScratch { finish, fold, ws } = scratch;
     let dag = &scenario.graph.dag;
-    let plan = EagerPlan::new(dag, schedule).expect("invalid schedule");
-    let n = dag.node_count();
-    let ClassicScratch {
-        finish,
-        start_a,
-        start_b,
-        arrival,
-        acc_a,
-        acc_b,
-    } = scratch;
-    if finish.len() < n {
-        finish.resize_with(n, || DiscreteRv::point(0.0));
+    if finish.len() < dag.node_count() {
+        finish.resize_with(dag.node_count(), || DiscreteRv::point(0.0));
     }
-
-    for &v in plan.topo_order() {
-        let pv = schedule.machine_of(v);
-        // Start = max of machine-predecessor finish and data arrivals.
-        // The plan's machine edge skips a machine predecessor that is also
-        // a DAG predecessor: under the independence assumption the repeated
-        // constraint would take max(X, X) and bias the mean upward.
-        let mut start = MaxAccum::new(&mut *start_a, &mut *start_b);
-        if let Some(u) = plan.machine_pred(v) {
-            start.fold(&finish[u], ws);
-        }
-        for &(u, e) in dag.preds(v) {
-            let pu = schedule.machine_of(u);
-            if pu == pv {
-                // Same machine: zero communication.
-                start.fold(&finish[u], ws);
-            } else {
-                finish[u].sum_into(cache.comm(scenario, e, pu, pv), ws, arrival);
-                start.fold(arrival, ws);
-            }
-        }
-        let dur = cache.task(scenario, v, pv);
-        match start.current() {
-            None => finish[v].copy_from(dur), // entry task starts at 0
-            Some(s) => s.sum_into(dur, ws, &mut finish[v]),
-        }
-    }
-
-    // Makespan: max over the precomputed disjunctive sinks (tasks with no
-    // DAG successor and no machine successor; every other finish is
-    // dominated).
-    let mut makespan = MaxAccum::new(acc_a, acc_b);
-    for &v in plan.disjunctive_sinks() {
-        makespan.fold(&finish[v], ws);
-    }
-    makespan.current().expect("at least one sink").clone()
+    let mut alg = Finish { scenario, disc, ws };
+    plan.fold_forward(dag, schedule, &mut alg, finish, fold)
+        .clone()
 }
 
 #[cfg(test)]
@@ -287,9 +224,10 @@ mod tests {
     fn full_returns_monotone_finishes() {
         let s = Scenario::paper_random(15, 3, 1.1, 3);
         let sched = robusched_sched::heft(&s);
+        let plan = EagerPlan::new(&s.graph.dag, &sched).unwrap();
         let cache = DiscretizedScenario::new(&s, 64);
-        let mut scratch = ClassicScratch::new();
-        let ms = evaluate_classic_cached(&s, &sched, &cache, &mut RvWorkspace::new(), &mut scratch);
+        let mut scratch = ClassicScratch::default();
+        let ms = evaluate_classic_cached(&s, &sched, &plan, &cache, &mut scratch);
         let finish = &scratch.finish[..s.task_count()];
         assert_eq!(finish.len(), 15);
         // Along every precedence edge the successor's mean finish is later.

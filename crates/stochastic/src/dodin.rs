@@ -300,20 +300,17 @@ impl Net {
     }
 }
 
-/// Evaluates the makespan distribution by Dodin's method, drawing its leaf
-/// discretizations from a shared [`DiscretizedScenario`] (grid =
-/// `cache.grid()`), so repeated evaluations of the same scenario stop
-/// re-sampling the Beta densities.
-///
-/// # Panics
-/// Panics if the schedule is invalid for the scenario.
+/// Evaluates the makespan distribution of `schedule`'s compiled `plan` by
+/// Dodin's method, drawing its leaf discretizations from a shared
+/// [`DiscretizedScenario`] (grid = `cache.grid()`), so repeated
+/// evaluations of the same scenario stop re-sampling the Beta densities.
 pub(crate) fn evaluate_dodin_cached(
     scenario: &Scenario,
     schedule: &Schedule,
+    plan: &EagerPlan,
     cache: &DiscretizedScenario,
 ) -> DiscreteRv {
     let dag = &scenario.graph.dag;
-    let plan = EagerPlan::new(dag, schedule).expect("invalid schedule");
     let n = scenario.task_count();
 
     let mut net = Net {

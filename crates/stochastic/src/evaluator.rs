@@ -19,10 +19,10 @@ use crate::cache::{DiscretizedScenario, SamplingTables};
 use crate::classic::{evaluate_classic_cached, ClassicScratch};
 use crate::dodin::evaluate_dodin_cached;
 use crate::montecarlo::{mc_makespans_into, McConfig, McEstimator, McScratch};
-use crate::spelde::evaluate_spelde;
+use crate::spelde::spelde_moments;
 use robusched_platform::Scenario;
-use robusched_randvar::{DiscreteRv, RvWorkspace, DEFAULT_GRID};
-use robusched_sched::Schedule;
+use robusched_randvar::{DiscreteRv, DEFAULT_GRID};
+use robusched_sched::{EagerPlan, Schedule};
 use std::sync::Arc;
 
 /// Shared, read-only precomputation a backend derives from a scenario
@@ -42,14 +42,13 @@ pub enum PreparedScenario {
 }
 
 /// Per-worker evaluation state: the shared [`PreparedScenario`] plus
-/// mutable scratch (RV workspace, classic recursion buffers) that makes the
-/// steady-state hot path allocation-free. Construct one per worker thread
-/// with the study's prepared scenario and thread it through
-/// [`Evaluator::evaluate_with`].
+/// mutable scratch (RV workspace, classic fold buffers) that makes the
+/// steady-state hot path allocation-free: a warm classic
+/// [`Evaluator::evaluate_plan`] allocates only its answer. Construct one
+/// per worker thread with the study's prepared scenario.
 #[derive(Debug, Default)]
 pub struct EvalContext {
     pub(crate) prep: PreparedScenario,
-    pub(crate) ws: RvWorkspace,
     pub(crate) classic: ClassicScratch,
     pub(crate) mc: McScratch,
 }
@@ -59,27 +58,28 @@ impl EvalContext {
     pub fn new(prep: PreparedScenario) -> Self {
         Self {
             prep,
-            ws: RvWorkspace::new(),
-            classic: ClassicScratch::new(),
-            mc: McScratch::default(),
+            ..Self::default()
         }
     }
 
-    /// The discretization cache, if this context carries one *matching*
-    /// the given scenario and grid.
-    fn discretized(&self, scenario: &Scenario, grid: usize) -> Option<&Arc<DiscretizedScenario>> {
+    /// The context's discretization cache if it *matches* the scenario and
+    /// grid; otherwise (a context prepared for another scenario or
+    /// backend) a private lazy one — same numerics, no sharing.
+    fn discretized(&self, scenario: &Scenario, grid: usize) -> Arc<DiscretizedScenario> {
         match &self.prep {
-            PreparedScenario::Discretized(c) if c.grid() == grid && c.matches(scenario) => Some(c),
-            _ => None,
+            PreparedScenario::Discretized(c) if c.grid() == grid && c.matches(scenario) => {
+                c.clone()
+            }
+            _ => Arc::new(DiscretizedScenario::new(scenario, grid)),
         }
     }
 
-    /// The Monte-Carlo sampling tables, if this context carries ones
-    /// *matching* the given scenario's uncertainty family.
-    fn sampling(&self, scenario: &Scenario) -> Option<&Arc<SamplingTables>> {
+    /// The context's Monte-Carlo sampling tables if they *match* the
+    /// scenario's uncertainty family, otherwise private ones.
+    fn sampling(&self, scenario: &Scenario) -> Arc<SamplingTables> {
         match &self.prep {
-            PreparedScenario::Sampling(t) if t.matches(scenario) => Some(t),
-            _ => None,
+            PreparedScenario::Sampling(t) if t.matches(scenario) => t.clone(),
+            _ => Arc::new(SamplingTables::new(scenario)),
         }
     }
 }
@@ -93,18 +93,14 @@ impl EvalContext {
 /// All bundled backends satisfy this, including Monte-Carlo (fixed
 /// per-chunk seeding).
 ///
-/// The workhorse method is [`evaluate_with`](Evaluator::evaluate_with):
+/// The workhorse method is [`evaluate_plan`](Evaluator::evaluate_plan):
 /// batch callers call [`prepare`](Evaluator::prepare) once per scenario,
-/// build one [`EvalContext`] per worker, and evaluate every schedule
-/// through it — shared discretizations are computed once and scratch
-/// buffers are reused across schedules. [`evaluate`](Evaluator::evaluate)
-/// is the one-shot form (fresh context per call) and yields identical
-/// distributions.
-///
-/// # Panics
-/// Bundled implementations panic if the schedule is invalid for the
-/// scenario — studies only feed schedules produced by validated
-/// constructors.
+/// build one [`EvalContext`] per worker, and evaluate every schedule's
+/// compiled [`EagerPlan`] through it — shared discretizations are
+/// computed once, scratch buffers are reused, and the plan serves the
+/// slack metrics too. [`evaluate_with`](Evaluator::evaluate_with)
+/// compiles the plan itself and [`evaluate`](Evaluator::evaluate) is the
+/// one-shot form (fresh context per call); all three agree bit for bit.
 pub trait Evaluator: Send + Sync {
     /// Display/registry name (e.g. `"classic"`).
     fn name(&self) -> &str;
@@ -115,16 +111,29 @@ pub trait Evaluator: Send + Sync {
         PreparedScenario::None
     }
 
-    /// The makespan distribution of `schedule` under `scenario`, using
-    /// (and warming) the caller's context. Must return the same
-    /// distribution as [`evaluate`](Evaluator::evaluate) for any context —
-    /// prepared, empty, or warmed by other schedules.
+    /// The makespan distribution of `schedule`, compiled as `plan`, under
+    /// `scenario`, using (and warming) the caller's context. Must return
+    /// the same distribution as [`evaluate`](Evaluator::evaluate) for any
+    /// context — prepared, empty, or warmed by other schedules.
+    fn evaluate_plan(
+        &self,
+        scenario: &Scenario,
+        schedule: &Schedule,
+        plan: &EagerPlan,
+        cx: &mut EvalContext,
+    ) -> DiscreteRv;
+
+    /// [`evaluate_plan`](Evaluator::evaluate_plan) on a plan compiled for
+    /// this call; panics if the schedule is invalid for the scenario.
     fn evaluate_with(
         &self,
         scenario: &Scenario,
         schedule: &Schedule,
         cx: &mut EvalContext,
-    ) -> DiscreteRv;
+    ) -> DiscreteRv {
+        let plan = EagerPlan::new(&scenario.graph.dag, schedule).expect("invalid schedule");
+        self.evaluate_plan(scenario, schedule, &plan, cx)
+    }
 
     /// The makespan distribution of `schedule` under `scenario`
     /// (convenience wrapper: prepares and evaluates in one call).
@@ -157,24 +166,15 @@ impl Evaluator for ClassicEvaluator {
         PreparedScenario::Discretized(Arc::new(DiscretizedScenario::new(scenario, self.grid)))
     }
 
-    fn evaluate_with(
+    fn evaluate_plan(
         &self,
         scenario: &Scenario,
         schedule: &Schedule,
+        plan: &EagerPlan,
         cx: &mut EvalContext,
     ) -> DiscreteRv {
-        match cx.discretized(scenario, self.grid) {
-            Some(cache) => {
-                let cache = cache.clone();
-                evaluate_classic_cached(scenario, schedule, &cache, &mut cx.ws, &mut cx.classic)
-            }
-            None => {
-                // Context prepared for another scenario/backend: fall back
-                // to a private (lazy) cache — same numerics, no sharing.
-                let cache = DiscretizedScenario::new(scenario, self.grid);
-                evaluate_classic_cached(scenario, schedule, &cache, &mut cx.ws, &mut cx.classic)
-            }
-        }
+        let cache = cx.discretized(scenario, self.grid);
+        evaluate_classic_cached(scenario, schedule, plan, &cache, &mut cx.classic)
     }
 }
 
@@ -188,15 +188,16 @@ impl Evaluator for SpeldeEvaluator {
         "spelde"
     }
 
-    fn evaluate_with(
+    fn evaluate_plan(
         &self,
         scenario: &Scenario,
         schedule: &Schedule,
+        plan: &EagerPlan,
         _cx: &mut EvalContext,
     ) -> DiscreteRv {
         // Spelde works on closed-form moment pairs — there is nothing to
         // discretize or cache.
-        evaluate_spelde(scenario, schedule).to_rv(DEFAULT_GRID)
+        spelde_moments(scenario, schedule, plan).to_rv(DEFAULT_GRID)
     }
 }
 
@@ -214,19 +215,15 @@ impl Evaluator for DodinEvaluator {
         PreparedScenario::Discretized(Arc::new(DiscretizedScenario::new(scenario, DEFAULT_GRID)))
     }
 
-    fn evaluate_with(
+    fn evaluate_plan(
         &self,
         scenario: &Scenario,
         schedule: &Schedule,
+        plan: &EagerPlan,
         cx: &mut EvalContext,
     ) -> DiscreteRv {
-        match cx.discretized(scenario, DEFAULT_GRID) {
-            Some(cache) => evaluate_dodin_cached(scenario, schedule, cache),
-            None => {
-                let cache = DiscretizedScenario::new(scenario, DEFAULT_GRID);
-                evaluate_dodin_cached(scenario, schedule, &cache)
-            }
-        }
+        let cache = cx.discretized(scenario, DEFAULT_GRID);
+        evaluate_dodin_cached(scenario, schedule, plan, &cache)
     }
 }
 
@@ -242,7 +239,7 @@ impl Evaluator for DodinEvaluator {
 ///
 /// [`prepare`](Evaluator::prepare) returns the scenario's shared
 /// [`SamplingTables`]; with a prepared context the per-evaluation setup is
-/// a plan compile, not a table build. The registry carries one instance
+/// a block-plan compile, not a table build. The registry carries one instance
 /// per [`McEstimator`] under the names `"montecarlo"`, `"mc-anti"` and
 /// `"mc-strat"`:
 ///
@@ -295,10 +292,11 @@ impl Evaluator for MonteCarloEvaluator {
         PreparedScenario::Sampling(Arc::new(SamplingTables::new(scenario)))
     }
 
-    fn evaluate_with(
+    fn evaluate_plan(
         &self,
         scenario: &Scenario,
         schedule: &Schedule,
+        plan: &EagerPlan,
         cx: &mut EvalContext,
     ) -> DiscreteRv {
         let cfg = McConfig {
@@ -307,19 +305,22 @@ impl Evaluator for MonteCarloEvaluator {
             estimator: self.estimator,
             ..Default::default()
         };
-        let tables = match cx.sampling(scenario) {
-            Some(t) => t.clone(),
-            // Context prepared for another scenario/backend: fall back to
-            // private tables — same numerics, no sharing.
-            None => Arc::new(SamplingTables::new(scenario)),
-        };
+        let tables = cx.sampling(scenario);
         // Serial path through the context scratch: a study worker reuses
         // one finish matrix/duration row/sample buffer for every schedule
         // it evaluates.
         let mut samples = std::mem::take(&mut cx.mc.samples);
         samples.resize(cfg.realizations, 0.0);
         // `samples` was detached above, so the scratch borrow is safe.
-        mc_makespans_into(scenario, schedule, &cfg, &tables, &mut cx.mc, &mut samples);
+        mc_makespans_into(
+            scenario,
+            schedule,
+            plan,
+            &cfg,
+            &tables,
+            &mut cx.mc,
+            &mut samples,
+        );
         let rv = DiscreteRv::from_samples(&samples, DEFAULT_GRID);
         cx.mc.samples = samples;
         rv

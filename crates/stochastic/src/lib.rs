@@ -25,19 +25,21 @@
 //! Monte-Carlo estimators behind the object-safe [`Evaluator`] trait (with
 //! a by-name [`registry`]); it is the one way to get a makespan
 //! distribution. Its batch surface — [`Evaluator::prepare`] +
-//! [`Evaluator::evaluate_with`] with a per-worker [`EvalContext`] — shares
+//! [`Evaluator::evaluate_plan`] with a per-worker [`EvalContext`] — shares
 //! one [`cache::DiscretizedScenario`] (every task/communication
 //! distribution quantized once per scenario and grid) across all schedules
 //! and threads of a study and reuses scratch buffers, keeping the analytic
-//! hot path allocation-free; [`Evaluator::evaluate`] is the one-shot form.
+//! hot path allocation-free; [`Evaluator::evaluate_with`] compiles the
+//! plan itself and [`Evaluator::evaluate`] is the one-shot form.
 //!
 //! Every method walks the schedule's disjunctive graph (§II: "adding edges
 //! between independent tasks when they are scheduled consecutively on the
 //! same processor"), which [`robusched_sched::EagerPlan`] compiles once per
-//! schedule. [`accuracy`] measures the KS and area (CM) distances between
-//! an analytic distribution and the empirical one (Fig. 1 / Fig. 2);
-//! [`par`] is the ordered-parallel helper every parallel loop of the
-//! workspace runs on.
+//! schedule; classic and Spelde are algebras of its forward fold.
+//! [`accuracy`] measures the KS and area (CM) distances between an
+//! analytic distribution and the empirical one (Fig. 1 / Fig. 2); [`par`]
+//! is the ordered-parallel helper every parallel loop of the workspace
+//! runs on.
 
 #![deny(missing_docs)]
 

@@ -341,21 +341,6 @@ fn assign_slots(steps: &mut [Step], arcs: &mut [InArc]) -> usize {
     rows as usize
 }
 
-/// Shared per-call setup of both entry points: validates the budget and
-/// compiles the replay plan and the block plan. Keeping this single keeps
-/// [`mc_makespans`] and the evaluator's path behaviorally identical by
-/// construction.
-fn compile_plan(
-    scenario: &Scenario,
-    schedule: &Schedule,
-    cfg: &McConfig,
-) -> (EagerPlan, BlockPlan) {
-    assert!(cfg.realizations > 0, "need at least one realization");
-    let plan = EagerPlan::new(&scenario.graph.dag, schedule).expect("invalid schedule");
-    let block = BlockPlan::new(scenario, schedule, &plan);
-    (plan, block)
-}
-
 /// Runs the Monte-Carlo engine against prepared sampling tables; returns
 /// one makespan per realization, in a deterministic order (per estimator,
 /// independent of the thread count). The raw samples are what the accuracy
@@ -380,7 +365,9 @@ pub fn mc_makespans(
         rebuilt = SamplingTables::new(scenario);
         &rebuilt
     };
-    let (plan, block) = compile_plan(scenario, schedule, cfg);
+    assert!(cfg.realizations > 0, "need at least one realization");
+    let plan = EagerPlan::new(&scenario.graph.dag, schedule).expect("invalid schedule");
+    let block = BlockPlan::new(scenario, schedule, &plan);
     let Some(table) = tables.base() else {
         return vec![deterministic_makespan(scenario, schedule, &plan); cfg.realizations];
     };
@@ -404,23 +391,26 @@ pub fn mc_makespans(
     out
 }
 
-/// Serial engine core writing into a caller buffer with caller scratch —
-/// the path `MonteCarloEvaluator` uses so a study worker reuses one
-/// scratch across every schedule it evaluates. It never reads
-/// `cfg.threads`. Same chunks, seeds and draws as [`mc_makespans`], so the
-/// two agree bit for bit (pinned by `tests/mc_engine.rs`).
+/// Serial engine core on `schedule`'s compiled `plan`, writing into a
+/// caller buffer with caller scratch — the path `MonteCarloEvaluator` uses
+/// so a study worker reuses one scratch across every schedule it
+/// evaluates. It never reads `cfg.threads`. Same chunks, seeds and draws
+/// as [`mc_makespans`], so the two agree bit for bit (pinned by
+/// `tests/mc_engine.rs`).
 pub(crate) fn mc_makespans_into(
     scenario: &Scenario,
     schedule: &Schedule,
+    plan: &EagerPlan,
     cfg: &McConfig,
     tables: &SamplingTables,
     scratch: &mut McScratch,
     out: &mut [f64],
 ) {
+    assert!(cfg.realizations > 0, "need at least one realization");
     assert_eq!(out.len(), cfg.realizations);
-    let (plan, block) = compile_plan(scenario, schedule, cfg);
+    let block = BlockPlan::new(scenario, schedule, plan);
     match tables.base() {
-        None => out.fill(deterministic_makespan(scenario, schedule, &plan)),
+        None => out.fill(deterministic_makespan(scenario, schedule, plan)),
         Some(table) => {
             let mut rest = out;
             for (pass, len) in passes(cfg) {
@@ -1009,7 +999,7 @@ mod tests {
                     assert_eq!(bits(&got), bits(&want), "{what}");
                 }
                 let mut got = vec![0.0; realizations];
-                mc_makespans_into(&s, &sched, &cfg, &tables, &mut reused, &mut got);
+                mc_makespans_into(&s, &sched, &plan, &cfg, &tables, &mut reused, &mut got);
                 assert_eq!(
                     bits(&got),
                     bits(&want),

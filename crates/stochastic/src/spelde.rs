@@ -14,11 +14,15 @@
 //! E[max]  = μ₁Φ(α) + μ₂Φ(−α) + a·φ(α)
 //! E[max²] = (μ₁²+σ₁²)Φ(α) + (μ₂²+σ₂²)Φ(−α) + (μ₁+μ₂)·a·φ(α)
 //! ```
+//!
+//! The walk is the classic evaluator's recursion, run by
+//! [`EagerPlan::fold_forward`] with the moment-pair algebra of this module.
 
+use robusched_dag::{EdgeId, NodeId};
 use robusched_numeric::special::{norm_cdf, norm_pdf};
 use robusched_platform::Scenario;
 use robusched_randvar::{DiscreteRv, Normal};
-use robusched_sched::{EagerPlan, Schedule};
+use robusched_sched::{EagerPlan, FoldAlgebra, Schedule};
 
 /// A makespan estimate as a Gaussian (mean, std-dev).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,65 +87,55 @@ impl MomentPair {
     }
 }
 
+/// The forward fold's algebra over finish-time moment pairs: closed-form
+/// duration and communication moments (no distribution is materialized),
+/// moment sums and Clark's max.
+struct Moments<'a>(&'a Scenario);
+
+impl FoldAlgebra for Moments<'_> {
+    type Value = MomentPair;
+
+    fn edge(&mut self, x: &MomentPair, e: EdgeId, p: usize, q: usize, out: &mut MomentPair) {
+        let std = self.0.std_comm_cost(e, p, q);
+        *out = x.sum(MomentPair {
+            mean: self.0.mean_comm_cost(e, p, q),
+            var: std * std,
+        });
+    }
+
+    fn task(&mut self, start: Option<&MomentPair>, v: NodeId, p: usize, out: &mut MomentPair) {
+        let std = self.0.std_task_cost(v, p);
+        let dur = MomentPair {
+            mean: self.0.mean_task_cost(v, p),
+            var: std * std,
+        };
+        *out = start.map_or(dur, |s| s.sum(dur));
+    }
+
+    fn max(&mut self, acc: &MomentPair, x: &MomentPair, out: &mut MomentPair) {
+        *out = acc.max(*x);
+    }
+}
+
 /// Evaluates the makespan with Spelde's method.
 ///
 /// # Panics
 /// Panics if the schedule is invalid for the scenario.
 pub fn evaluate_spelde(scenario: &Scenario, schedule: &Schedule) -> SpeldeResult {
-    let dag = &scenario.graph.dag;
-    let plan = EagerPlan::new(dag, schedule).expect("invalid schedule");
-    let n = dag.node_count();
-    let mut finish: Vec<MomentPair> = vec![MomentPair::point(0.0); n];
-    let mut done = vec![false; n];
+    let plan = EagerPlan::new(&scenario.graph.dag, schedule).expect("invalid schedule");
+    spelde_moments(scenario, schedule, &plan)
+}
 
-    for &v in plan.topo_order() {
-        let pv = schedule.machine_of(v);
-        // The plan's machine edge skips a machine predecessor that is also
-        // a DAG predecessor (see `classic.rs`: max(X, X) bias under the
-        // independence assumption).
-        let mut start: Option<MomentPair> = plan.machine_pred(v).map(|u| {
-            debug_assert!(done[u]);
-            finish[u]
-        });
-        for &(u, e) in dag.preds(v) {
-            debug_assert!(done[u]);
-            let pu = schedule.machine_of(u);
-            let arrival = if pu == pv {
-                finish[u]
-            } else {
-                // Closed-form moments — no distribution is materialized.
-                let std = scenario.std_comm_cost(e, pu, pv);
-                finish[u].sum(MomentPair {
-                    mean: scenario.mean_comm_cost(e, pu, pv),
-                    var: std * std,
-                })
-            };
-            start = Some(match start {
-                None => arrival,
-                Some(s) => s.max(arrival),
-            });
-        }
-        let dur_std = scenario.std_task_cost(v, pv);
-        let dur_mp = MomentPair {
-            mean: scenario.mean_task_cost(v, pv),
-            var: dur_std * dur_std,
-        };
-        finish[v] = match start {
-            None => dur_mp,
-            Some(s) => s.sum(dur_mp),
-        };
-        done[v] = true;
-    }
-
-    // Max over the disjunctive sinks precomputed by the plan.
-    let mut acc: Option<MomentPair> = None;
-    for &v in plan.disjunctive_sinks() {
-        acc = Some(match acc {
-            None => finish[v],
-            Some(m) => m.max(finish[v]),
-        });
-    }
-    let mp = acc.expect("at least one sink");
+/// Spelde's method on `schedule`'s compiled `plan`.
+pub(crate) fn spelde_moments(
+    scenario: &Scenario,
+    schedule: &Schedule,
+    plan: &EagerPlan,
+) -> SpeldeResult {
+    let (dag, zero) = (&scenario.graph.dag, MomentPair::point(0.0));
+    let mut finish = vec![zero; dag.node_count()];
+    let mut alg = Moments(scenario);
+    let mp = *plan.fold_forward(dag, schedule, &mut alg, &mut finish, &mut [zero; 3]);
     SpeldeResult {
         mean: mp.mean,
         std_dev: mp.var.sqrt(),

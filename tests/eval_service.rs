@@ -1,8 +1,8 @@
 //! Integration tests of the `EvalService` serving contract (DESIGN.md §11):
 //! bit-identical responses across every cache tier and worker count,
 //! in-order answers from tickets waited in order, LRU bounds, and unknown
-//! evaluators answered in-band — plus the NaN-safety regression tests of
-//! the `total_cmp` sweep.
+//! evaluators and deadlocking schedules answered in-band — plus the
+//! NaN-safety regression tests of the `total_cmp` sweep.
 
 use robusched::core::{
     EvalOutcome, EvalRequest, EvalService, MetricValues, ServiceConfig, ServiceError, Ticket,
@@ -179,6 +179,37 @@ fn unknown_evaluator_is_rejected_without_killing_the_service() {
     // The service still serves real requests afterwards.
     let ok = service.evaluate(EvalRequest::new(s.clone(), heft(&s), "classic"));
     assert!(ok.is_ok());
+}
+
+#[test]
+fn deadlocking_schedule_is_answered_with_a_typed_error() {
+    use robusched::sched::{Schedule, ScheduleError};
+    // One worker, so the valid request runs where the invalid one did.
+    let service = EvalService::new(ServiceConfig {
+        workers: Some(1),
+        ..Default::default()
+    });
+    let s = Arc::new(Scenario::paper_random(6, 2, 1.1, 1));
+    // Put the head of a precedence edge *after* its successor on the
+    // single machine everything runs on.
+    let (u, v, _) = s.graph.dag.edge_triples().next().expect("has edges");
+    let n = s.task_count();
+    let mut order = vec![v, u];
+    order.extend((0..n).filter(|&t| t != u && t != v));
+    let bad = Schedule::new(vec![0; n], vec![order, vec![]]);
+    for evaluator in ["classic", "spelde", "dodin", "mc"] {
+        assert_eq!(
+            service.evaluate(EvalRequest::new(s.clone(), bad.clone(), evaluator)),
+            Err(ServiceError::InvalidSchedule(ScheduleError::Deadlock)),
+            "{evaluator}"
+        );
+        let good = EvalRequest::new(s.clone(), heft(&s), evaluator);
+        assert_eq!(
+            service.evaluate(good.clone()).unwrap().metrics,
+            cold_metrics(&good),
+            "{evaluator}: the next valid request"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
