@@ -42,8 +42,8 @@ pub mod study;
 pub use adversarial::{anneal, AnnealConfig, AnnealResult, Objective, ObjectiveReport};
 pub use lru::Lru;
 pub use metrics::{
-    compute_metrics, distribution_stats, metric_index, DistributionStats, MetricOptions,
-    MetricValues, OnlineMetrics, METRIC_LABELS,
+    compute_metrics, distribution_stats, evaluate_metrics, metric_index, DistributionStats,
+    MetricOptions, MetricValues, OnlineMetrics, METRIC_LABELS,
 };
 pub use optimize::{pareto_search, ParetoPoint, SearchConfig};
 pub use service::{

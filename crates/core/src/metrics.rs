@@ -149,8 +149,12 @@ pub fn compute_metrics(
 }
 
 /// One schedule's metrics under `evaluator` (default options), on one
-/// compiled plan that the evaluation and the slack metrics share.
-pub(crate) fn evaluate_metrics(
+/// compiled plan that the evaluation and the slack metrics share: bit for
+/// bit `evaluator.evaluate` followed by [`compute_metrics`], but an invalid
+/// schedule is an error, and a context prepared for the scenario
+/// ([`Evaluator::prepare`]) carries its shared state and warm scratch from
+/// one schedule to the next.
+pub fn evaluate_metrics(
     evaluator: &dyn Evaluator,
     scenario: &Scenario,
     schedule: &Schedule,

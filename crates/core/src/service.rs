@@ -17,13 +17,19 @@
 //!
 //! * **Scenario cache** — an LRU keyed by
 //!   [`robusched_stochastic::scenario_fingerprint`] (structure +
-//!   uncertainty model + costs). Each entry holds the per-evaluator
-//!   [`PreparedScenario`] plans
+//!   uncertainty model + costs). Each entry holds one [`PreparedScenario`]
+//!   per [`Preparation`] that a request needed
 //!   ([`robusched_stochastic::DiscretizedScenario`] slots,
 //!   [`robusched_stochastic::SamplingTables`]), so repeated scenarios skip
-//!   all preparation. A discretization entry holds `n·m` task slots plus
-//!   one communication slot per (edge, link class) — `2e` on the paper's
-//!   network — so an entry's size grows with `n·m + e`, not with `e·m²`.
+//!   all preparation, and evaluators that name the same preparation share
+//!   it: the default classic evaluator and Dodin's fill and read one
+//!   discretization table, and the three Monte-Carlo estimators one set
+//!   of sampling tables. A discretization entry holds `n·m` task slots
+//!   plus one communication slot per (edge, link class) — `2e` on the
+//!   paper's network — so an entry's size grows with `n·m + e`, not with
+//!   `e·m²`. A table compares its inputs with each request's scenario
+//!   before it is read, so a fingerprint collision falls back to a
+//!   private table instead of another scenario's slots.
 //! * **Fingerprint memo** — a request's scenario fingerprint is looked up
 //!   by its `Arc<Scenario>`'s identity in an LRU of at most
 //!   `scenario_capacity` entries, which holds each `Arc` it keys so no
@@ -49,9 +55,9 @@
 //!   both. A caller that needs answers in submission order waits on its
 //!   tickets in that order, as the `serve` front end does.
 //!
-//! The evaluator name is resolved once, at submission, and every cache
-//! keys it by [`Evaluator::name`], so aliases (`mc`, `MC`, `montecarlo`)
-//! share one prepared state and one result.
+//! The evaluator name is resolved once, at submission; the batching queue
+//! and the result cache key it by [`Evaluator::name`], so aliases (`mc`,
+//! `MC`, `montecarlo`) share one result.
 //!
 //! Every bundled evaluator is deterministic, and prepared state never
 //! changes numerics (pinned by `tests/eval_cache.rs`), so a response is
@@ -71,7 +77,8 @@ use robusched_platform::Scenario;
 use robusched_sched::{Schedule, ScheduleError};
 use robusched_stochastic::par::{panic_message, worker_count};
 use robusched_stochastic::{
-    evaluator_by_name, scenario_fingerprint, EvalContext, Evaluator, Fnv1a, PreparedScenario,
+    evaluator_by_name, scenario_fingerprint, EvalContext, Evaluator, Fnv1a, Preparation,
+    PreparedScenario,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -85,8 +92,8 @@ pub struct ServiceConfig {
     /// Worker threads (`None` = available parallelism).
     pub workers: Option<usize>,
     /// Maximum number of *scenarios* whose prepared state is retained
-    /// (LRU). Each entry holds one [`PreparedScenario`] per evaluator that
-    /// touched it.
+    /// (LRU). Each entry holds one [`PreparedScenario`] per [`Preparation`]
+    /// that the scenario's requests needed.
     pub scenario_capacity: usize,
     /// Maximum number of finished request results retained (LRU).
     /// `0` disables result caching (in-flight coalescing stays on).
@@ -140,8 +147,8 @@ impl EvalRequest {
 pub struct EvalOutcome {
     /// The full metric vector of the schedule.
     pub metrics: MetricValues,
-    /// `true` when the scenario's prepared state was already cached (all
-    /// preparation skipped).
+    /// `true` when the scenario's prepared state for this evaluator's
+    /// [`Preparation`] was already cached (all preparation skipped).
     pub scenario_hit: bool,
     /// `true` when the *result* was served without an evaluation: a result
     /// cache hit or an in-flight coalesced duplicate.
@@ -210,8 +217,8 @@ pub struct ServiceStats {
 struct Job {
     ticket: Ticket,
     request: EvalRequest,
-    /// Resolved at submission; its canonical name keys the batch, the
-    /// prepared-state map and the result cache.
+    /// Resolved at submission; its canonical name keys the batch and the
+    /// result cache, its [`Preparation`] the prepared-state map.
     evaluator: Box<dyn Evaluator>,
     scenario_fp: u64,
     result_key: u64,
@@ -233,9 +240,9 @@ struct QueueState {
 }
 
 struct CacheState {
-    /// Scenario fingerprint → per-evaluator plans, filled on first use by
-    /// each backend.
-    scenarios: Lru<u64, HashMap<String, PreparedScenario>>,
+    /// Scenario fingerprint → prepared state per [`Preparation`], each
+    /// filled on first use.
+    scenarios: Lru<u64, HashMap<Preparation, PreparedScenario>>,
     /// Request fingerprint → finished result; `None` when result caching
     /// is off.
     results: Option<Lru<u64, MetricValues>>,
@@ -575,13 +582,13 @@ fn worker_loop(shared: &Shared) {
 
 /// Fetches (or prepares and caches) the batch scenario's prepared state,
 /// returning it plus whether it was a hit. Preparation runs outside the
-/// cache lock; if another worker prepared the same (scenario, evaluator)
+/// cache lock; if another worker prepared the same (scenario, preparation)
 /// concurrently, the first insertion wins so every later request shares
-/// one plan.
+/// one state.
 fn prepared_for(
     shared: &Shared,
     fp: u64,
-    evaluator: &dyn Evaluator,
+    preparation: Preparation,
     scenario: &Scenario,
 ) -> (PreparedScenario, bool) {
     let lock = || {
@@ -591,19 +598,16 @@ fn prepared_for(
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     };
     if let Some(plans) = lock().scenarios.get_mut(&fp) {
-        if let Some(prep) = plans.get(evaluator.name()) {
+        if let Some(prep) = plans.get(&preparation) {
             shared.stats.scenario_hits.fetch_add(1, Ordering::Relaxed);
             return (prep.clone(), true);
         }
     }
     shared.stats.scenario_misses.fetch_add(1, Ordering::Relaxed);
-    let prep = evaluator.prepare(scenario);
+    let prep = preparation.prepare(scenario);
     let mut caches = lock();
     let (plans, evicted) = caches.scenarios.get_or_insert_with(fp, |_| HashMap::new());
-    let prep = plans
-        .entry(evaluator.name().to_string())
-        .or_insert(prep)
-        .clone();
+    let prep = plans.entry(preparation).or_insert(prep).clone();
     if evicted.is_some() {
         shared.stats.evictions.fetch_add(1, Ordering::Relaxed);
     }
@@ -623,7 +627,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
     let (prep, scenario_hit) = prepared_for(
         shared,
         leader.scenario_fp,
-        evaluator,
+        evaluator.preparation(),
         &leader.request.scenario,
     );
     // One context for the whole batch: scratch warmed by the first request

@@ -32,7 +32,7 @@
 
 use super::dynamic::{mean_instance_work, workload_pool, SimCell};
 use crate::RunOptions;
-use robusched_core::{compute_metrics, MetricOptions, OnlineMetrics, METRIC_LABELS};
+use robusched_core::{evaluate_metrics, OnlineMetrics, METRIC_LABELS};
 use robusched_dynamic::{
     fault_by_spec, policy_by_spec, recovery_by_spec, DynamicSim, PoissonStream, SimConfig,
 };
@@ -40,7 +40,7 @@ use robusched_platform::Scenario;
 use robusched_randvar::derive_seed;
 use robusched_sched::{heft, random_schedule, Schedule};
 use robusched_stats::spearman;
-use robusched_stochastic::evaluator_by_name;
+use robusched_stochastic::{ClassicEvaluator, EvalContext, Evaluator};
 use std::sync::Arc;
 
 /// Uncertainty level of every workload (the paper's mid/high setting).
@@ -230,14 +230,13 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Faults> {
 /// same field.
 const RANKED_SCHEDULES: usize = 16;
 
-/// The ranking phase: offline §IV metrics (classic evaluator) vs faulted
-/// deadline miss-rate, per candidate schedule, on one fixed scenario.
-/// Sequential — a handful of small simulations — so thread count can't
-/// touch the artifact.
+/// The ranking phase: offline §IV metrics (classic evaluator, one
+/// prepared context for every candidate) vs faulted deadline miss-rate,
+/// per candidate schedule, on one fixed scenario. Sequential — a handful
+/// of small simulations — so thread count can't touch the artifact.
 fn ranking_phase(opts: &RunOptions) -> std::io::Result<(Vec<RankingRow>, usize)> {
     let scenario = Scenario::paper_random(30, 8, UL, derive_seed(opts.seed, 13_500));
-    let evaluator = evaluator_by_name("classic")
-        .ok_or_else(|| std::io::Error::other("classic evaluator missing from registry"))?;
+    let evaluator = ClassicEvaluator::default();
     let mut schedules: Vec<Schedule> = vec![heft(&scenario)];
     for i in 0..RANKED_SCHEDULES as u64 - 1 {
         schedules.push(random_schedule(
@@ -266,11 +265,12 @@ fn ranking_phase(opts: &RunOptions) -> std::io::Result<(Vec<RankingRow>, usize)>
     let rate = scenario.machine_count() as f64 / work;
     let shared = Arc::new(scenario);
 
+    let mut cx = EvalContext::new(evaluator.prepare(&shared));
     let mut offline: Vec<[f64; 8]> = Vec::with_capacity(schedules.len());
     let mut miss_rates: Vec<f64> = Vec::with_capacity(schedules.len());
     for sched in &schedules {
-        let rv = evaluator.evaluate(&shared, sched);
-        let metrics = compute_metrics(&shared, sched, &rv, &MetricOptions::default());
+        let metrics =
+            evaluate_metrics(&evaluator, &shared, sched, &mut cx).map_err(std::io::Error::other)?;
         offline.push(metrics.oriented_vector());
 
         let mut stream = PoissonStream::new(

@@ -30,7 +30,7 @@ use robusched_platform::Scenario;
 use robusched_randvar::{derive_seed, DiscreteRv};
 use robusched_sched::{heft, random_schedule, Schedule};
 use robusched_stochastic::{
-    mc_makespans, ClassicEvaluator, Evaluator, McConfig, McEstimator, SamplingTables,
+    mc_makespans, ClassicEvaluator, EvalContext, Evaluator, McConfig, McEstimator, SamplingTables,
 };
 
 /// Header of [`csv`] — the schema the smoke test locks in.
@@ -160,12 +160,14 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Convergence> {
             .collect();
 
         // The analytic baseline: deterministic, so its "RMSE" is the pure
-        // independence-assumption bias vs the MC reference.
+        // independence-assumption bias vs the MC reference. One prepared
+        // context serves every schedule.
         {
             let classic = ClassicEvaluator::default();
+            let mut cx = EvalContext::new(classic.prepare(&scenario));
             let (mut m2, mut s2, mut l2, mut h2) = (0.0, 0.0, 0.0, 0.0);
             for (sched, reference) in schedules.iter().zip(&reference) {
-                let stats = distribution_stats(&classic.evaluate(&scenario, sched));
+                let stats = distribution_stats(&classic.evaluate_with(&scenario, sched, &mut cx));
                 m2 += (stats.mean - reference.mean).powi(2);
                 s2 += (stats.std_dev - reference.std_dev).powi(2);
                 l2 += (stats.avg_lateness - reference.avg_lateness).powi(2);

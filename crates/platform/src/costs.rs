@@ -156,6 +156,11 @@ impl CostMatrix {
         self.w[i * self.m + j]
     }
 
+    /// The row-major `n × m` matrix of [`cost`](Self::cost).
+    pub fn as_slice(&self) -> &[f64] {
+        &self.w
+    }
+
     /// Mean duration of task `i` across machines (rank functions).
     pub fn mean_cost(&self, i: usize) -> f64 {
         let row = &self.w[i * self.m..(i + 1) * self.m];

@@ -107,6 +107,16 @@ impl Platform {
         self.lat[p * self.m + q]
     }
 
+    /// The row-major `m × m` matrix of [`tau`](Self::tau).
+    pub fn tau_matrix(&self) -> &[f64] {
+        &self.tau
+    }
+
+    /// The row-major `m × m` matrix of [`latency`](Self::latency).
+    pub fn latency_matrix(&self) -> &[f64] {
+        &self.lat
+    }
+
     /// Deterministic (minimum) communication time of `volume` elements from
     /// `p` to `q`: `L(p,q) + volume·τ(p,q)`; zero when `p == q`.
     #[inline]

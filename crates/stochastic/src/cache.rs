@@ -60,18 +60,17 @@ impl Fnv1a {
 }
 
 /// FNV-1a fingerprint of everything that determines the evaluation
-/// semantics of a scenario: dimensions, uncertainty model (incl. per-task
-/// ULs), every deterministic task cost, every edge volume, and the
-/// network's per-pair rate/latency matrices. Two scenarios with equal
-/// fingerprints produce identical `task_dist`/`comm_dist` families, so any
-/// prepared state — a [`DiscretizedScenario`], [`SamplingTables`], or a
-/// service-level cache entry keyed on this value — built for one is valid
-/// for the other. ~`n·m + e + 2m²` hash steps, each folding 8 bytes —
-/// about 30–40 µs at n = 104, m = 16 — amortized over a ~ms evaluation.
+/// semantics of a scenario: dimensions, edge wiring, uncertainty model
+/// (incl. per-task ULs), every deterministic task cost, every edge volume,
+/// and the network's per-pair rate/latency matrices; ~`n·m + e + 2m²` hash
+/// steps, each folding 8 bytes.
 ///
 /// This is the cache key of `robusched-core`'s `EvalService`: requests
 /// whose scenarios hash equal share one prepared-state entry, so repeated
-/// scenarios skip all preparation.
+/// scenarios skip all preparation. Equal fingerprints do not prove equal
+/// content, so a [`DiscretizedScenario`] found under one still compares
+/// its inputs with the scenario ([`DiscretizedScenario::matches`]) before
+/// an evaluator reads its slots.
 pub fn scenario_fingerprint(scenario: &Scenario) -> u64 {
     let mut h = Fnv1a::default();
     let n = scenario.task_count();
@@ -126,7 +125,7 @@ pub fn scenario_fingerprint(scenario: &Scenario) -> u64 {
 pub struct DiscretizedScenario {
     grid: usize,
     m: usize,
-    fingerprint: u64,
+    inputs: SlotInputs,
     /// `task(v, p)` at `v·m + p`.
     tasks: Vec<OnceLock<DiscreteRv>>,
     /// Link class of the ordered machine pair `(p, q)` at `p·m + q` (see
@@ -136,6 +135,62 @@ pub struct DiscretizedScenario {
     classes: usize,
     /// `comm(e, pu, pv)` at `e·classes + link_class[pu·m + pv]`.
     comms: Vec<OnceLock<DiscreteRv>>,
+}
+
+/// Every scenario input the slots of a [`DiscretizedScenario`] read, bit
+/// for bit: `task(v, p)` reads the cost of `v` on `p`, the uncertainty kind
+/// and `v`'s level; `comm(e, pu, pv)` reads the volume of `e`, `τ` and `L`
+/// of `(pu, pv)`, the kind and the model's level.
+#[derive(Debug)]
+struct SlotInputs {
+    kind: UncertaintyKind,
+    ul: f64,
+    per_task_ul: Option<Vec<f64>>,
+    costs: Vec<f64>,
+    volumes: Vec<f64>,
+    tau: Vec<f64>,
+    latency: Vec<f64>,
+}
+
+impl SlotInputs {
+    fn of(scenario: &Scenario) -> Self {
+        Self {
+            kind: scenario.uncertainty.kind,
+            ul: scenario.uncertainty.ul,
+            per_task_ul: scenario.per_task_ul.clone(),
+            costs: scenario.costs.as_slice().to_vec(),
+            volumes: scenario.graph.comm_volume.clone(),
+            tau: scenario.platform.tau_matrix().to_vec(),
+            latency: scenario.platform.latency_matrix().to_vec(),
+        }
+    }
+
+    /// `true` when `scenario` holds these inputs bit for bit.
+    fn held_by(&self, scenario: &Scenario) -> bool {
+        let per_task_ul = match (&self.per_task_ul, &scenario.per_task_ul) {
+            (None, None) => true,
+            (Some(a), Some(b)) => same_bits(a, b),
+            _ => false,
+        };
+        self.kind == scenario.uncertainty.kind
+            && self.ul.to_bits() == scenario.uncertainty.ul.to_bits()
+            && per_task_ul
+            && same_bits(&self.costs, scenario.costs.as_slice())
+            && same_bits(&self.volumes, &scenario.graph.comm_volume)
+            && same_bits(&self.tau, scenario.platform.tau_matrix())
+            && same_bits(&self.latency, scenario.platform.latency_matrix())
+    }
+}
+
+/// `true` when `a` and `b` hold the same `f64`s bit for bit (`==` would
+/// take `-0.0` for `0.0`). One OR over every XOR, with no early exit, so
+/// the loop vectorizes.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .fold(0, |diff, (x, y)| diff | (x.to_bits() ^ y.to_bits()))
+            == 0
 }
 
 /// Groups the ordered machine pairs of `platform` into link classes whose
@@ -178,7 +233,7 @@ impl DiscretizedScenario {
         Self {
             grid,
             m,
-            fingerprint: scenario_fingerprint(scenario),
+            inputs: SlotInputs::of(scenario),
             tasks,
             link_class,
             classes,
@@ -191,20 +246,21 @@ impl DiscretizedScenario {
         self.grid
     }
 
-    /// `true` when this table is valid for `scenario`: the fingerprint
-    /// covers every input of the discretizations (dimensions, uncertainty
-    /// model, task costs, edge volumes, network matrices), so scenarios
-    /// that differ *only* in seed-derived content — same shape, different
-    /// costs or uncertainty level — are correctly rejected, not just
-    /// different-shape ones.
+    /// `true` when this table is valid for `scenario`: it has the table's
+    /// dimensions and holds, bit for bit, every input the slots read
+    /// (uncertainty kind and level, per-task levels, task costs, edge
+    /// volumes, the `τ` and latency matrices). Scenarios that differ *only*
+    /// in seed-derived content — same shape, different costs or
+    /// uncertainty level — are rejected, not just different-shape ones.
+    /// The table keeps its own copy of those inputs and compares them in
+    /// place, so the check allocates nothing and cannot collide.
     pub fn matches(&self, scenario: &Scenario) -> bool {
-        self.fingerprint == scenario_fingerprint(scenario)
+        self.fits(scenario) && self.inputs.held_by(scenario)
     }
 
-    /// O(1) sanity check for the per-lookup debug assertions: `scenario`
-    /// has this table's dimensions. The full [`matches`](Self::matches)
-    /// fingerprint is O(n·m + e + m²) and is checked once per evaluation
-    /// by the evaluator surface instead.
+    /// O(1) check, also behind the per-lookup debug assertions: `scenario`
+    /// has this table's dimensions. [`matches`](Self::matches) adds the
+    /// O(n·m + e + m²) content comparison.
     fn fits(&self, scenario: &Scenario) -> bool {
         scenario.machine_count() == self.m
             && scenario.task_count() * self.m == self.tasks.len()
@@ -462,6 +518,37 @@ mod tests {
         // Same shape, per-task ULs installed.
         let varied = Scenario::paper_random(10, 3, 1.1, 5).with_per_task_ul(vec![1.2; 10]);
         assert!(!cache.matches(&varied));
+
+        // A content-equal clone matches; one ulp more in any one input the
+        // slots read does not.
+        assert!(cache.matches(&s.clone()));
+        let ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let mut cost = s.clone();
+        let mut w = s.costs.as_slice().to_vec();
+        w[7] = ulp(w[7]);
+        cost.costs = robusched_platform::CostMatrix::from_rows(10, 3, w);
+        assert!(!cache.matches(&cost));
+        let mut volume = s.clone();
+        volume.graph.comm_volume[0] = ulp(volume.graph.comm_volume[0]);
+        assert!(!cache.matches(&volume));
+        let (tau, lat) = (s.platform.tau_matrix(), s.platform.latency_matrix());
+        let mut t = s.clone();
+        let mut bumped = tau.to_vec();
+        bumped[1] = ulp(bumped[1]);
+        t.platform = Platform::from_matrices(3, bumped, lat.to_vec());
+        assert!(!cache.matches(&t));
+        let mut l = s.clone();
+        let mut bumped = lat.to_vec();
+        bumped[1] = ulp(bumped[1]);
+        l.platform = Platform::from_matrices(3, tau.to_vec(), bumped);
+        assert!(!cache.matches(&l));
+        let varied_cache = DiscretizedScenario::new(&varied, 64);
+        assert!(varied_cache.matches(&varied.clone()));
+        let mut ul = varied.clone();
+        if let Some(uls) = ul.per_task_ul.as_mut() {
+            uls[4] = ulp(uls[4]);
+        }
+        assert!(!varied_cache.matches(&ul));
     }
 
     #[test]

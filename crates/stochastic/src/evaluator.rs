@@ -25,8 +25,48 @@ use robusched_randvar::{DiscreteRv, DEFAULT_GRID};
 use robusched_sched::{EagerPlan, Schedule};
 use std::sync::Arc;
 
+/// Which shared, read-only state an evaluator derives from a scenario
+/// (see [`Evaluator::preparation`]). Evaluators that name the same
+/// preparation read the same [`PreparedScenario`], so a cache of prepared
+/// state keys it by this value rather than by evaluator: the default
+/// classic evaluator and Dodin's read one discretization table, and the
+/// three Monte-Carlo estimators one set of sampling tables.
+///
+/// ```
+/// use robusched_stochastic::{evaluator_by_name, Preparation};
+/// let classic = evaluator_by_name("classic").unwrap().preparation();
+/// assert_eq!(classic, evaluator_by_name("dodin").unwrap().preparation());
+/// assert_eq!(classic, Preparation::Discretized { grid: 64 });
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Preparation {
+    /// Nothing to prepare (Spelde's closed-form moments).
+    None,
+    /// A lazy [`DiscretizedScenario`] at PDF resolution `grid` (classic
+    /// and Dodin).
+    Discretized {
+        /// The PDF grid resolution.
+        grid: usize,
+    },
+    /// The scenario's [`SamplingTables`] (the Monte-Carlo estimators).
+    Sampling,
+}
+
+impl Preparation {
+    /// Builds this preparation's state for `scenario`.
+    pub fn prepare(self, scenario: &Scenario) -> PreparedScenario {
+        match self {
+            Self::None => PreparedScenario::None,
+            Self::Discretized { grid } => {
+                PreparedScenario::Discretized(Arc::new(DiscretizedScenario::new(scenario, grid)))
+            }
+            Self::Sampling => PreparedScenario::Sampling(Arc::new(SamplingTables::new(scenario))),
+        }
+    }
+}
+
 /// Shared, read-only precomputation a backend derives from a scenario
-/// (see [`Evaluator::prepare`]). Cloning is cheap (`Arc`), so a study
+/// (see [`Preparation::prepare`]). Cloning is cheap (`Arc`), so a study
 /// prepares once and hands a clone to every worker's [`EvalContext`].
 #[derive(Debug, Clone, Default)]
 pub enum PreparedScenario {
@@ -105,10 +145,19 @@ pub trait Evaluator: Send + Sync {
     /// Display/registry name (e.g. `"classic"`).
     fn name(&self) -> &str;
 
+    /// The shared state this evaluator reads; the default is none.
+    fn preparation(&self) -> Preparation {
+        Preparation::None
+    }
+
     /// Shared read-only precomputation for evaluating many schedules under
-    /// one scenario. The default is no precomputation.
-    fn prepare(&self, _scenario: &Scenario) -> PreparedScenario {
-        PreparedScenario::None
+    /// one scenario: [`preparation`](Evaluator::preparation)'s state for
+    /// `scenario`, which any evaluator naming the same preparation may
+    /// read too. Implementations override `preparation`, not this method:
+    /// a cache of prepared state (`robusched-core`'s `EvalService`) builds
+    /// the state from the preparation it is keyed by.
+    fn prepare(&self, scenario: &Scenario) -> PreparedScenario {
+        self.preparation().prepare(scenario)
     }
 
     /// The makespan distribution of `schedule`, compiled as `plan`, under
@@ -162,8 +211,8 @@ impl Evaluator for ClassicEvaluator {
         "classic"
     }
 
-    fn prepare(&self, scenario: &Scenario) -> PreparedScenario {
-        PreparedScenario::Discretized(Arc::new(DiscretizedScenario::new(scenario, self.grid)))
+    fn preparation(&self) -> Preparation {
+        Preparation::Discretized { grid: self.grid }
     }
 
     fn evaluate_plan(
@@ -211,8 +260,8 @@ impl Evaluator for DodinEvaluator {
         "dodin"
     }
 
-    fn prepare(&self, scenario: &Scenario) -> PreparedScenario {
-        PreparedScenario::Discretized(Arc::new(DiscretizedScenario::new(scenario, DEFAULT_GRID)))
+    fn preparation(&self) -> Preparation {
+        Preparation::Discretized { grid: DEFAULT_GRID }
     }
 
     fn evaluate_plan(
@@ -238,7 +287,8 @@ impl Evaluator for DodinEvaluator {
 /// schedules, never inside one.
 ///
 /// [`prepare`](Evaluator::prepare) returns the scenario's shared
-/// [`SamplingTables`]; with a prepared context the per-evaluation setup is
+/// [`SamplingTables`] ([`Preparation::Sampling`], one for all three
+/// estimators); with a prepared context the per-evaluation setup is
 /// a block-plan compile, not a table build. The registry carries one instance
 /// per [`McEstimator`] under the names `"montecarlo"`, `"mc-anti"` and
 /// `"mc-strat"`:
@@ -288,8 +338,8 @@ impl Evaluator for MonteCarloEvaluator {
         }
     }
 
-    fn prepare(&self, scenario: &Scenario) -> PreparedScenario {
-        PreparedScenario::Sampling(Arc::new(SamplingTables::new(scenario)))
+    fn preparation(&self) -> Preparation {
+        Preparation::Sampling
     }
 
     fn evaluate_plan(

@@ -59,7 +59,7 @@ pub use cache::{scenario_fingerprint, DiscretizedScenario, Fnv1a, SamplingTables
 pub use criticality::criticality_indices;
 pub use evaluator::{
     evaluator_by_name, registry, ClassicEvaluator, DodinEvaluator, EvalContext, Evaluator,
-    MonteCarloEvaluator, PreparedScenario, SpeldeEvaluator,
+    MonteCarloEvaluator, Preparation, PreparedScenario, SpeldeEvaluator,
 };
 pub use montecarlo::{mc_makespans, McConfig, McEstimator};
 pub use perturb::{Move, SearchPoint, MOVES};

@@ -47,6 +47,16 @@ fn evaluator_registry_round_trips() {
     for n in &names {
         assert_eq!(stochastic::evaluator_by_name(n).unwrap().name(), n);
     }
+    // Evaluators that read the same prepared state name one preparation.
+    use stochastic::Evaluator;
+    let preparation = |n: &str| stochastic::evaluator_by_name(n).unwrap().preparation();
+    assert_eq!(preparation("classic"), preparation("dodin"));
+    assert_ne!(
+        stochastic::ClassicEvaluator { grid: 32 }.preparation(),
+        preparation("classic")
+    );
+    assert_eq!(preparation("montecarlo"), preparation("mc-strat"));
+    assert_eq!(preparation("spelde"), stochastic::Preparation::None);
 }
 
 #[test]

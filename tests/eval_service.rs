@@ -1,14 +1,17 @@
 //! Integration tests of the `EvalService` serving contract (DESIGN.md §11):
 //! bit-identical responses across every cache tier and worker count,
-//! in-order answers from tickets waited in order, LRU bounds, and unknown
-//! evaluators and deadlocking schedules answered in-band — plus the
-//! NaN-safety regression tests of the `total_cmp` sweep.
+//! one prepared state per scenario and preparation, in-order answers from
+//! tickets waited in order, LRU bounds, and unknown evaluators and
+//! deadlocking schedules answered in-band — plus the NaN-safety regression
+//! tests of the `total_cmp` sweep.
 
 use robusched::core::{
-    EvalOutcome, EvalRequest, EvalService, MetricValues, ServiceConfig, ServiceError, Ticket,
+    compute_metrics, EvalOutcome, EvalRequest, EvalService, MetricOptions, MetricValues,
+    ServiceConfig, ServiceError, Ticket,
 };
 use robusched::platform::Scenario;
 use robusched::sched::{heft, random_schedule};
+use robusched::stochastic::evaluator_by_name;
 use std::sync::Arc;
 
 fn scenario(seed: u64) -> Arc<Scenario> {
@@ -52,6 +55,46 @@ fn cache_hits_are_bit_identical_to_cold_evaluations() {
             );
         }
     }
+}
+
+#[test]
+fn evaluators_that_name_one_preparation_share_it() {
+    // Default classic and Dodin read one discretization table, the
+    // Monte-Carlo estimators one set of sampling tables, and Spelde needs
+    // none: five evaluators, three preparations.
+    let service = EvalService::new(ServiceConfig {
+        workers: Some(1),
+        ..Default::default()
+    });
+    let s = scenario(17);
+    let bits = |m: &MetricValues| {
+        [
+            m.expected_makespan,
+            m.makespan_std,
+            m.makespan_entropy,
+            m.avg_slack,
+            m.slack_std,
+            m.avg_lateness,
+            m.prob_absolute,
+            m.prob_relative,
+            m.late_fraction,
+            m.total_slack,
+        ]
+        .map(f64::to_bits)
+    };
+    let evaluators = ["classic", "dodin", "montecarlo", "mc-anti", "spelde"];
+    for (i, name) in evaluators.into_iter().enumerate() {
+        let schedule = random_schedule(&s.graph.dag, s.machine_count(), 50 + i as u64);
+        let served = service
+            .evaluate(EvalRequest::new(s.clone(), schedule.clone(), name))
+            .unwrap();
+        let rv = evaluator_by_name(name).unwrap().evaluate(&s, &schedule);
+        let cold = compute_metrics(&s, &schedule, &rv, &MetricOptions::default());
+        assert_eq!(bits(&served.metrics), bits(&cold), "{name}");
+        let shared = matches!(name, "dodin" | "mc-anti");
+        assert_eq!(served.scenario_hit, shared, "{name}");
+    }
+    assert_eq!(service.stats().scenario_misses, 3);
 }
 
 #[test]
